@@ -63,6 +63,43 @@ pub fn line_stream(n: usize) -> impl Iterator<Item = u64> {
     })
 }
 
+/// One instruction of the core-model fixture, as the core model sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inst {
+    /// A load completing `latency` cycles after dispatch.
+    Load {
+        /// Hierarchy latency: an L1 hit, or now and then a long miss.
+        latency: u64,
+    },
+    /// A single-cycle branch.
+    Branch {
+        /// Whether it inserts the front-end bubble.
+        mispredicted: bool,
+    },
+    /// A single-cycle instruction with no memory operation.
+    Plain,
+}
+
+/// The suites' instruction mix (`TraceSpec::new`: 30 % loads, 10 %
+/// branches of which ~3 % mispredict, 60 % plain) in a hashed order — the
+/// generators roll an RNG per record, so a periodic class sequence would
+/// flatter every branch on the class; one load in 97 takes a DRAM-scale
+/// latency so the ROB fills and the stall path runs.
+pub fn instruction_mix(n: usize) -> impl Iterator<Item = Inst> {
+    (0..n as u64).map(|i| {
+        let roll = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 100;
+        match roll {
+            0..=29 => Inst::Load {
+                latency: if i % 97 == 0 { 200 } else { 5 },
+            },
+            30..=39 => Inst::Branch {
+                mispredicted: i % 31 == 0,
+            },
+            _ => Inst::Plain,
+        }
+    })
+}
+
 /// A trace fixture for codec benchmarks: the record mix the generators
 /// produce (nops, loads, stores, branches, dependent loads).
 pub fn trace_records(n: usize) -> Vec<TraceRecord> {
@@ -91,6 +128,25 @@ mod tests {
         assert_eq!(trace_records(100), trace_records(100));
         let l: Vec<_> = line_stream(100).collect();
         assert_eq!(l, line_stream(100).collect::<Vec<_>>());
+        let m: Vec<_> = instruction_mix(100).collect();
+        assert_eq!(m, instruction_mix(100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn instruction_mix_is_30_10_60() {
+        let mix: Vec<_> = instruction_mix(10_000).collect();
+        let loads = mix
+            .iter()
+            .filter(|i| matches!(i, Inst::Load { .. }))
+            .count();
+        let branches = mix
+            .iter()
+            .filter(|i| matches!(i, Inst::Branch { .. }))
+            .count();
+        assert!((2_900..=3_100).contains(&loads), "loads={loads}");
+        assert!((900..=1_100).contains(&branches), "branches={branches}");
+        assert!(mix.contains(&Inst::Branch { mispredicted: true }));
+        assert!(mix.contains(&Inst::Load { latency: 200 }));
     }
 
     #[test]

@@ -30,12 +30,13 @@ use pythia::runner::{run_workload, RunSpec};
 use pythia_core::eq::{EqEntry, EvaluationQueue};
 use pythia_core::{FeatureContext, Pythia, PythiaConfig, QvStore};
 use pythia_sim::cache::{AccessKind, Cache, Lookup, MshrFile};
-use pythia_sim::config::SystemConfig;
+use pythia_sim::config::{CoreConfig, SystemConfig};
+use pythia_sim::cpu::CoreModel;
 use pythia_sim::prefetch::{Prefetcher, SystemFeedback};
 use pythia_sim::trace::{decode_trace, encode_trace, FileTraceSource, TraceSource, TraceWriter};
 use pythia_stats::bench::{BenchMeasurement, BenchReport};
 
-use fixtures::scaled;
+use fixtures::{scaled, Inst};
 
 /// Harness knobs: untimed warmup repetitions, then timed repetitions.
 #[derive(Debug, Clone, Copy)]
@@ -244,6 +245,36 @@ pub fn registry() -> Vec<BenchDef> {
                             }
                         }
                         black_box(evictions);
+                    }),
+                )
+            },
+        },
+        BenchDef {
+            // The Table 5 core on the suites' instruction mix: the layer
+            // every record crosses, whatever the hierarchy does below it.
+            name: "core_dispatch",
+            unit: "inst",
+            build: |scale| {
+                let n = scaled(2_000_000, scale);
+                (
+                    n as u64,
+                    Box::new(move || {
+                        let mut core = CoreModel::new(CoreConfig::default());
+                        for inst in fixtures::instruction_mix(n) {
+                            match inst {
+                                Inst::Load { latency } => {
+                                    core.dispatch(latency, true, false, false, false);
+                                }
+                                Inst::Branch { mispredicted } => {
+                                    core.record_branch(mispredicted);
+                                    core.dispatch_plain(mispredicted);
+                                }
+                                Inst::Plain => {
+                                    core.dispatch_plain(false);
+                                }
+                            }
+                        }
+                        black_box(core.drain());
                     }),
                 )
             },

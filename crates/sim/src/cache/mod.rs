@@ -105,6 +105,14 @@ pub struct Cache {
     /// system has 24576 sets).
     set_mask: Option<u64>,
     ways: usize,
+    /// One-entry most-recently-used lookup: `mru_line` is resident at flat
+    /// slot `mru_slot` (an index into `tags`/`meta`/`lru`), or the slot is
+    /// [`NO_SLOT`]. [`access`](Cache::access) consults it before
+    /// `set_index` + `find_way` — consecutive element accesses touch the
+    /// line the previous one did — and `fill`/`invalidate`, the only
+    /// writers of `tags`/`valid`, keep it true.
+    mru_line: u64,
+    mru_slot: usize,
     latency: u64,
     clock: u64,
     replacement: ReplacementKind,
@@ -112,6 +120,9 @@ pub struct Cache {
     mshr: MshrFile,
     stats: CacheStats,
 }
+
+/// `mru_slot` value meaning "no line remembered".
+const NO_SLOT: usize = usize::MAX;
 
 impl Cache {
     /// Creates a cache from its configuration.
@@ -140,6 +151,8 @@ impl Cache {
                 None
             },
             ways: config.ways,
+            mru_line: 0,
+            mru_slot: NO_SLOT,
             latency: config.latency,
             clock: 0,
             replacement: config.replacement,
@@ -214,10 +227,20 @@ impl Cache {
         }
     }
 
+    /// Flat slot (`set * ways + way`) currently holding `line`: the general
+    /// lookup every path but the MRU lane of [`access`](Cache::access)
+    /// takes, and the definition that lane is checked against.
+    #[inline]
+    fn find_slot(&self, line: u64) -> Option<usize> {
+        let set_idx = self.set_index(line);
+        self.find_way(set_idx, line)
+            .map(|w| set_idx * self.ways + w)
+    }
+
     /// Probes for `line` without modifying any state (used to drop redundant
     /// prefetches).
     pub fn probe(&self, line: u64) -> bool {
-        self.find_way(self.set_index(line), line).is_some()
+        self.find_slot(line).is_some()
     }
 
     #[inline]
@@ -226,12 +249,19 @@ impl Cache {
     pub fn access(&mut self, line: u64, kind: AccessKind, cycle: u64) -> Lookup {
         self.clock += 1;
         let clock = self.clock;
-        let set_idx = self.set_index(line);
-        match self.find_way(set_idx, line) {
-            Some(w) => {
+        let found = if self.mru_line == line && self.mru_slot != NO_SLOT {
+            debug_assert_eq!(Some(self.mru_slot), self.find_slot(line));
+            Some(self.mru_slot)
+        } else {
+            self.find_slot(line)
+        };
+        match found {
+            Some(slot_idx) => {
+                self.mru_line = line;
+                self.mru_slot = slot_idx;
                 let replacement = self.replacement;
-                self.lru[set_idx * self.ways + w] = clock;
-                let slot = &mut self.meta[set_idx * self.ways + w];
+                self.lru[slot_idx] = clock;
+                let slot = &mut self.meta[slot_idx];
                 let first_demand_touch = kind.is_demand() && slot.prefetched && !slot.demanded;
                 if kind.is_demand() {
                     slot.demanded = true;
@@ -345,6 +375,9 @@ impl Cache {
         };
         self.tags[base + way] = line;
         self.valid[set_idx] |= 1 << way;
+        if self.mru_slot == base + way {
+            self.mru_slot = NO_SLOT;
+        }
         self.lru[base + way] = clock;
         self.meta[base + way] = LineMeta {
             dirty: kind == AccessKind::Writeback || kind == AccessKind::DemandStore,
@@ -362,6 +395,9 @@ impl Cache {
         let set_idx = self.set_index(line);
         if let Some(w) = self.find_way(set_idx, line) {
             self.valid[set_idx] &= !(1 << w);
+            if self.mru_slot == set_idx * self.ways + w {
+                self.mru_slot = NO_SLOT;
+            }
             return Some(self.meta[set_idx * self.ways + w].dirty);
         }
         None
@@ -538,6 +574,79 @@ mod tests {
         match c.access(0, AccessKind::DemandLoad, 0) {
             Lookup::Hit { ready_at, .. } => assert_eq!(ready_at, 50),
             Lookup::Miss => panic!("expected hit"),
+        }
+    }
+
+    /// The MRU lane of `access` against `find_slot`, its definition, over
+    /// random `access`/`fill`/`invalidate`/`probe` sequences on the 4-set
+    /// x 2-way cache: whenever an entry is remembered it must name the
+    /// slot the tag scan finds, and every lookup outcome must be the tag
+    /// scan's. Twelve lines over four two-way sets keep every set
+    /// evicting, so the remembered slot is evicted and refilled with
+    /// another line again and again (counted, so the test cannot pass
+    /// vacuously).
+    #[test]
+    fn mru_lookup_matches_tag_scan_on_random_sequences() {
+        for replacement in [ReplacementKind::Lru, ReplacementKind::Ship] {
+            let mut c = tiny_cache(replacement);
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = |n: u64| {
+                // xorshift64: deterministic, dependency-free.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let (mut mru_hits, mut mru_overwritten) = (0u32, 0u32);
+            for cycle in 0..20_000u64 {
+                // A third of the time the previous line again (as element
+                // accesses do), a third another line of its set (so fills
+                // contend for the remembered slot), a third anything.
+                let line = match next(3) {
+                    0 => c.mru_line,
+                    1 => (c.mru_line + 4 * (1 + next(2))) % 12,
+                    _ => next(12),
+                };
+                let remembered = (c.mru_slot != NO_SLOT).then_some((c.mru_line, c.mru_slot));
+                match next(8) {
+                    0..=3 => {
+                        let expected = c.find_slot(line);
+                        if remembered.is_some_and(|(l, _)| l == line) {
+                            mru_hits += 1;
+                        }
+                        let got = c.access(line, AccessKind::DemandLoad, cycle);
+                        assert_eq!(matches!(got, Lookup::Hit { .. }), expected.is_some());
+                        if let Some(slot) = expected {
+                            assert_eq!((c.mru_line, c.mru_slot), (line, slot));
+                            assert_eq!(c.lru[slot], c.clock, "hit stamps the slot it found");
+                        }
+                    }
+                    4..=5 => {
+                        let fresh = c.find_slot(line).is_none();
+                        c.fill(line, cycle, AccessKind::DemandLoad, (line % 4) as u16);
+                        if let Some((l, slot)) = remembered {
+                            if fresh && c.tags[slot] != l {
+                                mru_overwritten += 1;
+                                assert_eq!(c.mru_slot, NO_SLOT, "fill into the MRU slot clears it");
+                            }
+                        }
+                    }
+                    6 => {
+                        let was = c.find_slot(line);
+                        assert_eq!(c.invalidate(line).is_some(), was.is_some());
+                        assert!(!c.probe(line));
+                    }
+                    _ => assert_eq!(c.probe(line), c.find_slot(line).is_some()),
+                }
+                if c.mru_slot != NO_SLOT {
+                    assert_eq!(c.find_slot(c.mru_line), Some(c.mru_slot), "cycle {cycle}");
+                }
+            }
+            assert!(mru_hits > 1_000, "MRU lane barely exercised: {mru_hits}");
+            assert!(
+                mru_overwritten > 50,
+                "MRU slot rarely refilled: {mru_overwritten}"
+            );
         }
     }
 

@@ -125,11 +125,6 @@ impl CoreModel {
         self.stats = CoreStats::default();
     }
 
-    /// Records the elapsed-cycle count into the stats snapshot.
-    pub fn set_measured_cycles(&mut self, cycles: u64) {
-        self.stats.cycles = cycles;
-    }
-
     fn retire_one(&mut self) {
         let head = self.rob.pop();
         let completion = head >> 2;
@@ -142,11 +137,35 @@ impl CoreModel {
             self.retire_slots_used = 0;
         }
         self.retire_slots_used += 1;
-        if head & ROB_IS_LOAD != 0 {
-            self.loads_in_flight -= 1;
+        // Arithmetic on the flag bits: the load/store mix is random, so a
+        // branch per class would mispredict.
+        self.loads_in_flight -= (head & ROB_IS_LOAD) as usize;
+        self.stores_in_flight -= ((head & ROB_IS_STORE) >> 1) as usize;
+    }
+
+    /// Retires the ROB head to free a slot; the front-end cannot run
+    /// earlier than the retirement that freed it.
+    #[inline]
+    fn stall_on_head(&mut self) {
+        self.retire_one();
+        if self.fetch_cycle < self.retire_cycle {
+            self.fetch_cycle = self.retire_cycle;
+            self.fetch_slots_used = 0;
         }
-        if head & ROB_IS_STORE != 0 {
-            self.stores_in_flight -= 1;
+    }
+
+    /// Advances the front-end past one dispatched instruction: 1/width of
+    /// a cycle, plus the bubble after a mispredicted branch.
+    #[inline]
+    fn advance_front_end(&mut self, mispredicted_branch: bool) {
+        self.fetch_slots_used += 1;
+        if self.fetch_slots_used >= self.config.width {
+            self.fetch_cycle += 1;
+            self.fetch_slots_used = 0;
+        }
+        if mispredicted_branch {
+            self.fetch_cycle += self.config.mispredict_penalty;
+            self.fetch_slots_used = 0;
         }
     }
 
@@ -172,13 +191,7 @@ impl CoreModel {
             || (is_load && self.loads_in_flight >= self.config.lq_entries)
             || (is_store && self.stores_in_flight >= self.config.sq_entries)
         {
-            // Wait until the head retires; front-end cannot be earlier than
-            // the retirement that freed the slot.
-            self.retire_one();
-            if self.fetch_cycle < self.retire_cycle {
-                self.fetch_cycle = self.retire_cycle;
-                self.fetch_slots_used = 0;
-            }
+            self.stall_on_head();
         }
 
         // Dependent loads stall dispatch on the previous load's completion.
@@ -189,41 +202,44 @@ impl CoreModel {
 
         let dispatch_at = self.fetch_cycle;
         let completion = dispatch_at + exec_latency;
-        self.rob.push(
-            (completion << 2)
-                | (u64::from(is_load) * ROB_IS_LOAD)
-                | (u64::from(is_store) * ROB_IS_STORE),
-        );
+        let (load, store) = (u64::from(is_load), u64::from(is_store));
+        self.rob
+            .push((completion << 2) | (load * ROB_IS_LOAD) | (store * ROB_IS_STORE));
+        self.loads_in_flight += load as usize;
+        self.stores_in_flight += store as usize;
+        self.stats.loads += load;
+        self.stats.stores += store;
         if is_load {
-            self.loads_in_flight += 1;
             self.last_load_completion = completion;
-            self.stats.loads += 1;
-        }
-        if is_store {
-            self.stores_in_flight += 1;
-            self.stats.stores += 1;
         }
         self.stats.instructions += 1;
+        self.advance_front_end(mispredicted_branch);
+        dispatch_at
+    }
 
-        // Front-end advances 1/width per instruction.
-        self.fetch_slots_used += 1;
-        if self.fetch_slots_used >= self.config.width {
-            self.fetch_cycle += 1;
-            self.fetch_slots_used = 0;
+    /// Dispatches one single-cycle instruction with no memory operation —
+    /// three instructions in four. Identical in effect to
+    /// `dispatch(1, false, false, false, mispredicted_branch)`, which stays
+    /// the definition: with no LQ/SQ slot to reserve and no load to depend
+    /// on, the only structural hazard is a full ROB, and retiring its head
+    /// once always clears it (occupancy never exceeds `rob_entries`).
+    #[inline]
+    pub fn dispatch_plain(&mut self, mispredicted_branch: bool) -> u64 {
+        if self.rob.len() >= self.config.rob_entries {
+            self.stall_on_head();
         }
-        if mispredicted_branch {
-            self.fetch_cycle += self.config.mispredict_penalty;
-            self.fetch_slots_used = 0;
-        }
+        let dispatch_at = self.fetch_cycle;
+        self.rob.push((dispatch_at + 1) << 2);
+        self.stats.instructions += 1;
+        self.advance_front_end(mispredicted_branch);
         dispatch_at
     }
 
     /// Records a branch in the statistics.
+    #[inline]
     pub fn record_branch(&mut self, mispredicted: bool) {
         self.stats.branches += 1;
-        if mispredicted {
-            self.stats.branch_mispredicts += 1;
-        }
+        self.stats.branch_mispredicts += u64::from(mispredicted);
     }
 
     /// Drains the ROB and returns the cycle at which the last instruction

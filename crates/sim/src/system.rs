@@ -64,21 +64,10 @@ struct CoreUnit {
 }
 
 impl CoreUnit {
-    /// The next trace record, wrapping the source at end of pass (the
+    /// Refills the record buffer, wrapping the source at end of pass (the
     /// paper's replay methodology — cores wrap until their budget
-    /// retires). Records are pulled through the per-core buffer; the
-    /// buffered stream is record-for-record identical to calling
-    /// `source.next_record()` directly.
-    #[inline]
-    fn next_record(&mut self) -> TraceRecord {
-        if self.records_pos == self.records.len() {
-            self.refill_records();
-        }
-        let r = self.records[self.records_pos];
-        self.records_pos += 1;
-        r
-    }
-
+    /// retires). The buffered stream is record-for-record identical to
+    /// calling `source.next_record()` directly.
     #[cold]
     fn refill_records(&mut self) {
         self.records.clear();
@@ -350,43 +339,43 @@ impl System {
 
     /// Executes one instruction on core `idx`.
     fn step_core(&mut self, idx: usize) {
-        let record = self.cores[idx].next_record();
+        let core = &mut self.cores[idx];
+        if core.records_pos == core.records.len() {
+            core.refill_records();
+        }
+        // Read in place: a `TraceRecord` is 32 bytes and most of its
+        // fields go unused on the plain path.
+        let record = &core.records[core.records_pos];
+        core.records_pos += 1;
 
+        let mut mispredicted = false;
         if let Some(branch) = record.branch {
-            self.cores[idx].model.record_branch(branch.mispredicted);
+            mispredicted = branch.mispredicted;
+            core.model.record_branch(mispredicted);
         }
 
         match record.mem {
+            // Three instructions in four: no memory operation, so nothing
+            // below the core model is involved.
             None => {
-                let mispredict = record.branch.is_some_and(|b| b.mispredicted);
-                self.cores[idx]
-                    .model
-                    .dispatch(1, false, false, false, mispredict);
+                core.model.dispatch_plain(mispredicted);
             }
             Some(mem) => {
-                let is_write = mem.is_write;
-                // Reserve the ROB/LQ/SQ slot first to learn the dispatch
-                // cycle; memory latency is then attached to the entry by
-                // dispatching with the hierarchy-provided latency. We peek
-                // the dispatch cycle using the model's `now`, which is exact
-                // unless a structural hazard stalls dispatch; hazards advance
-                // time, so we dispatch first with latency 0 resolved after.
-                //
-                // To keep the model simple and deterministic we instead
-                // compute the latency at the core's current front-end time
-                // and then dispatch with it; structural stalls only push the
-                // access later, which slightly under-estimates queueing --
-                // consistently for all prefetchers.
-                let cycle = self.cores[idx].model.now();
-                let latency = self.access_hierarchy(idx, record.pc, mem.addr, is_write, cycle);
-                let exec_latency = if is_write { 1 } else { latency };
-                let mispredict = record.branch.is_some_and(|b| b.mispredicted);
+                // The latency is computed at the core's current front-end
+                // time and the instruction dispatched with it; structural
+                // stalls only push the access later, which slightly
+                // under-estimates queueing — consistently for all
+                // prefetchers.
+                let (pc, dependent) = (record.pc, record.depends_on_prev_load);
+                let cycle = core.model.now();
+                let latency = self.access_hierarchy(idx, pc, mem.addr, mem.is_write, cycle);
+                let exec_latency = if mem.is_write { 1 } else { latency };
                 self.cores[idx].model.dispatch(
                     exec_latency,
-                    !is_write,
-                    is_write,
-                    record.depends_on_prev_load,
-                    mispredict,
+                    !mem.is_write,
+                    mem.is_write,
+                    dependent,
+                    mispredicted,
                 );
             }
         }
@@ -470,7 +459,7 @@ impl System {
                         l2_filled = true;
                         if let Some(ev) = core.l2.fill(line, done, kind, pc_sig) {
                             if ev.dirty {
-                                self.writeback_to_llc(ev.line, cycle, pc_sig);
+                                self.writeback_to_llc(ev.line, cycle);
                             }
                         }
                         done + l1_latency
@@ -486,7 +475,7 @@ impl System {
             let core = &mut self.cores[idx];
             if let Some(ev) = core.l2.fill(line, data_ready, kind, pc_sig) {
                 if ev.dirty {
-                    self.writeback_to_llc(ev.line, cycle, pc_sig);
+                    self.writeback_to_llc(ev.line, cycle);
                 }
             }
         }
@@ -508,7 +497,7 @@ impl System {
                                 pc_sig,
                             ) {
                                 if l2_ev.dirty {
-                                    self.writeback_to_llc(l2_ev.line, cycle, pc_sig);
+                                    self.writeback_to_llc(l2_ev.line, cycle);
                                 }
                             }
                         }
@@ -545,8 +534,7 @@ impl System {
         }
         self.scratch.requests = requests;
 
-        let l1_wait_adjusted = data_ready; // already includes waits
-        l1_wait_adjusted - cycle
+        data_ready - cycle
     }
 
     /// Issues a single prefetch request into the hierarchy.
@@ -565,7 +553,7 @@ impl System {
                 let core = &mut self.cores[idx];
                 if let Some(ev) = core.l2.fill(line, ready, AccessKind::Prefetch, pc_sig) {
                     if ev.dirty {
-                        self.writeback_to_llc(ev.line, cycle, pc_sig);
+                        self.writeback_to_llc(ev.line, cycle);
                     }
                 }
                 self.cores[idx].prefetcher.on_fill(&FillEvent {
@@ -597,7 +585,7 @@ impl System {
                     core.prefetcher.on_useless(ev.line);
                 }
                 if ev.dirty {
-                    self.writeback_to_llc(ev.line, cycle, pc_sig);
+                    self.writeback_to_llc(ev.line, cycle);
                 }
             }
         }
@@ -623,7 +611,7 @@ impl System {
         }
     }
 
-    fn writeback_to_llc(&mut self, line: u64, cycle: u64, pc_sig: u16) {
+    fn writeback_to_llc(&mut self, line: u64, cycle: u64) {
         match self.llc.access(line, AccessKind::Writeback, cycle) {
             Lookup::Hit { .. } => {}
             Lookup::Miss => {
@@ -634,7 +622,6 @@ impl System {
                 {
                     self.handle_llc_eviction(ev, cycle);
                 }
-                let _ = pc_sig;
             }
         }
     }

@@ -302,6 +302,13 @@ fn record_flags(r: &TraceRecord) -> u8 {
 /// Maximum encoded size of one record: flags (1) + pc (8) + addr (8).
 const MAX_RECORD_LEN: usize = 17;
 
+/// Encoded size of the record whose flag byte is `flags`: the flag byte
+/// alone frames a record, whatever its `pc`/`addr` bytes hold.
+#[inline]
+fn record_len(flags: u8) -> usize {
+    9 + 8 * usize::from(flags & FLAG_HAS_MEM)
+}
+
 /// Encodes one record into a stack buffer, returning the buffer and the
 /// encoded length — the single wire definition shared by [`encode_trace`]
 /// and [`TraceWriter::write_record`].
@@ -581,11 +588,7 @@ impl RecordReader {
             return Ok(None);
         }
         let flags = self.buf[self.pos];
-        let need = if flags & FLAG_HAS_MEM != 0 {
-            MAX_RECORD_LEN
-        } else {
-            9
-        };
+        let need = record_len(flags);
         if have < need {
             return Err(DecodeTraceError::Truncated.into());
         }
@@ -595,6 +598,64 @@ impl RecordReader {
             .then(|| u64::from_be_bytes(b[9..17].try_into().expect("8-byte addr")));
         self.pos += need;
         Ok(Some(record_from_parts(flags, pc, addr)))
+    }
+
+    /// Appends up to `max` records decoded straight out of the buffered
+    /// bytes, stopping early once fewer than [`MAX_RECORD_LEN`] bytes
+    /// remain buffered (the caller takes the refill / end-of-file tail
+    /// through [`next_record`](Self::next_record)). While a full-size
+    /// record's worth of bytes is buffered no record can be torn, so the
+    /// loop carries one length check per record and cannot fail.
+    #[inline]
+    fn decode_buffered(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
+        let mut pos = self.pos;
+        let mut n = 0;
+        while n < max {
+            let Some(b) = self.buf[pos..self.len].first_chunk::<MAX_RECORD_LEN>() else {
+                break;
+            };
+            let flags = b[0];
+            let pc = u64::from_be_bytes(b[1..9].try_into().expect("8-byte pc"));
+            let addr = u64::from_be_bytes(b[9..17].try_into().expect("8-byte addr"));
+            out.push(record_from_parts(
+                flags,
+                pc,
+                (flags & FLAG_HAS_MEM != 0).then_some(addr),
+            ));
+            pos += record_len(flags);
+            n += 1;
+        }
+        self.pos = pos;
+        n
+    }
+
+    /// Walks record framing to end of file without materialising a record
+    /// — each flag byte gives its record's length — and returns how many
+    /// whole records the file holds. Accepts and rejects exactly what a
+    /// [`next_record`](Self::next_record) loop would: no `pc`/`addr` byte
+    /// pattern can fail to decode, so framing is all there is to check.
+    fn skip_records(&mut self) -> Result<u64, TraceFileError> {
+        let mut count = 0u64;
+        loop {
+            let have = self.available(MAX_RECORD_LEN)?;
+            if have == 0 {
+                return Ok(count);
+            }
+            if have < MAX_RECORD_LEN {
+                // Last bytes of the file: at most one short record fits.
+                let need = record_len(self.buf[self.pos]);
+                if have < need {
+                    return Err(DecodeTraceError::Truncated.into());
+                }
+                self.pos += need;
+                count += 1;
+                continue;
+            }
+            while self.len - self.pos >= MAX_RECORD_LEN {
+                self.pos += record_len(self.buf[self.pos]);
+                count += 1;
+            }
+        }
     }
 
     /// Reads and validates the fixed-size header, returning the record
@@ -664,12 +725,9 @@ impl FileTraceSource {
     /// non-empty).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         let mut src = Self::open_trusted(path)?;
-        // Validation pass: every record must decode, and the count must
+        // Validation pass: every record must be whole, and the count must
         // match the header exactly (no trailing garbage, no truncation).
-        let mut actual = 0u64;
-        while src.reader.next_record()?.is_some() {
-            actual += 1;
-        }
+        let actual = src.reader.skip_records()?;
         if actual != src.total {
             return Err(TraceFileError::CountMismatch {
                 header: src.total,
@@ -718,6 +776,20 @@ impl FileTraceSource {
     pub fn is_empty(&self) -> bool {
         self.total == 0
     }
+
+    /// The next record of a pass known to hold one (`remaining > 0`).
+    /// `open` validated the framing, so a failure here means the file was
+    /// modified while we replay it — not a recoverable state.
+    fn replay_record(&mut self) -> TraceRecord {
+        match self.reader.next_record() {
+            Ok(Some(record)) => record,
+            Ok(None) => panic!("trace file {} truncated during replay", self.path.display()),
+            Err(e) => panic!(
+                "trace file {} changed during replay: {e}",
+                self.path.display()
+            ),
+        }
+    }
 }
 
 impl TraceSource for FileTraceSource {
@@ -725,22 +797,8 @@ impl TraceSource for FileTraceSource {
         if self.remaining == 0 {
             return None;
         }
-        // `open` validated every record, so failures here mean the file
-        // was modified while we replay it — not a recoverable state.
-        let record = self
-            .reader
-            .next_record()
-            .unwrap_or_else(|e| {
-                panic!(
-                    "trace file {} changed during replay: {e}",
-                    self.path.display()
-                )
-            })
-            .unwrap_or_else(|| {
-                panic!("trace file {} truncated during replay", self.path.display())
-            });
         self.remaining -= 1;
-        Some(record)
+        Some(self.replay_record())
     }
 
     fn reset(&mut self) {
@@ -759,22 +817,18 @@ impl TraceSource for FileTraceSource {
 
     fn next_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         // One remaining-count check per batch instead of per record; the
-        // decode loop then runs straight against the refill buffer.
+        // decode loop then runs straight against the refill buffer, and
+        // only the record that straddles a refill (or ends the file) takes
+        // the general path.
         let n = (self.remaining).min(max as u64) as usize;
-        for _ in 0..n {
-            let record = self
-                .reader
-                .next_record()
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "trace file {} changed during replay: {e}",
-                        self.path.display()
-                    )
-                })
-                .unwrap_or_else(|| {
-                    panic!("trace file {} truncated during replay", self.path.display())
-                });
-            out.push(record);
+        out.reserve(n);
+        let mut done = 0;
+        while done < n {
+            done += self.reader.decode_buffered(out, n - done);
+            if done < n {
+                out.push(self.replay_record());
+                done += 1;
+            }
         }
         self.remaining -= n as u64;
         n
@@ -1055,6 +1109,139 @@ mod tests {
             FileTraceSource::open(&path),
             Err(TraceFileError::CountMismatch { header: 0, .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `n` records cycling through every wire shape, with varying bytes.
+    fn mixed_records(n: u64) -> Vec<TraceRecord> {
+        let shapes = sample();
+        (0..n)
+            .map(|i| {
+                let mut r = shapes[(i % shapes.len() as u64) as usize];
+                r.pc = r.pc.wrapping_add(i.wrapping_mul(0x0101_0101_0101_0101));
+                if let Some(m) = r.mem.as_mut() {
+                    m.addr ^= i << 20;
+                }
+                r
+            })
+            .collect()
+    }
+
+    /// Validation by full decode — every record through the general
+    /// `next_record` path, counted — the reference the framing walk must
+    /// agree with.
+    fn open_by_full_decode(path: &Path) -> Result<u64, TraceFileError> {
+        let mut src = FileTraceSource::open_trusted(path)?;
+        let mut actual = 0u64;
+        while src.reader.next_record()?.is_some() {
+            actual += 1;
+        }
+        if actual != src.total {
+            return Err(TraceFileError::CountMismatch {
+                header: src.total,
+                actual,
+            });
+        }
+        Ok(src.total)
+    }
+
+    /// Variant and numbers of an open outcome, comparable across the two
+    /// validations (`TraceFileError` holds an `io::Error`, so no `Eq`).
+    fn outcome<T>(r: Result<T, TraceFileError>) -> String {
+        match r {
+            Ok(_) => "ok".into(),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    fn assert_same_verdict(path: &Path, bytes: &[u8], what: &str) -> String {
+        std::fs::write(path, bytes).expect("write");
+        let framing = outcome(FileTraceSource::open(path));
+        assert_eq!(
+            framing,
+            outcome(open_by_full_decode(path)),
+            "{what}: framing walk and full decode disagree"
+        );
+        framing
+    }
+
+    #[test]
+    fn framing_validation_agrees_with_full_decode_on_damaged_files() {
+        let records = mixed_records(200);
+        let encoded = encode_trace(&records).to_vec();
+        let path = temp_path("faults.pytr");
+
+        // Every truncation offset, header included.
+        for cut in 0..encoded.len() {
+            let verdict = assert_same_verdict(&path, &encoded[..cut], &format!("cut at {cut}"));
+            assert_ne!(verdict, "ok", "a file cut at {cut} must be rejected");
+        }
+        assert_eq!(assert_same_verdict(&path, &encoded, "intact"), "ok");
+
+        // Appended garbage: a torn record, whole extra records, both.
+        let mut seen = std::collections::BTreeSet::new();
+        for tail in [
+            vec![0u8],
+            vec![FLAG_HAS_MEM; 9],
+            vec![0u8; 9],
+            vec![0xffu8; 17],
+            vec![0xa5u8; 40],
+            (0..=255u8).collect(),
+        ] {
+            let mut damaged = encoded.clone();
+            damaged.extend_from_slice(&tail);
+            let verdict = assert_same_verdict(&path, &damaged, "appended garbage");
+            assert_ne!(verdict, "ok");
+            seen.insert(verdict);
+        }
+        assert!(seen.contains("Decode(Truncated)"), "{seen:?}");
+        assert!(
+            seen.contains("CountMismatch { header: 200, actual: 201 }"),
+            "{seen:?}"
+        );
+
+        // A header count off by one in either direction.
+        for claimed in [199u64, 201] {
+            let mut damaged = encoded.clone();
+            damaged[6..14].copy_from_slice(&claimed.to_be_bytes());
+            assert_eq!(
+                assert_same_verdict(&path, &damaged, "header count off by one"),
+                format!("CountMismatch {{ header: {claimed}, actual: 200 }}")
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A file larger than the reader's refill buffer: the framing walk and
+    /// the batch decode both straddle refills, cuts around the refill
+    /// boundary get the full decode's verdict, and `open`, `open_trusted`
+    /// and the record-by-record path replay one stream over two passes.
+    #[test]
+    fn open_and_open_trusted_replay_identical_streams_across_refills() {
+        let records = mixed_records(8_000);
+        let encoded = encode_trace(&records).to_vec();
+        assert!(encoded.len() > READER_BUF_LEN + 1_000);
+        let path = temp_path("refill.pytr");
+        for cut in READER_BUF_LEN - 20..READER_BUF_LEN + 20 {
+            assert_same_verdict(&path, &encoded[..cut], &format!("cut at {cut}"));
+        }
+        assert_eq!(assert_same_verdict(&path, &encoded, "intact"), "ok");
+
+        let mut validated = FileTraceSource::open(&path).expect("open");
+        let mut trusted = FileTraceSource::open_trusted(&path).expect("open_trusted");
+        let mut one_by_one = FileTraceSource::open(&path).expect("open");
+        for pass in 0..2 {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            while validated.next_batch(&mut a, 64) > 0 {}
+            while trusted.next_batch(&mut b, 7) > 0 {}
+            let c: Vec<TraceRecord> = std::iter::from_fn(|| one_by_one.next_record()).collect();
+            assert_eq!(a, records, "open, pass {pass}");
+            assert_eq!(b, records, "open_trusted, pass {pass}");
+            assert_eq!(c, records, "next_record, pass {pass}");
+            validated.reset();
+            trusted.reset();
+            one_by_one.reset();
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use pythia_sim::addr::{LINES_PER_PAGE, PAGE_SIZE};
-use pythia_sim::trace::{TraceRecord, TraceSource};
+use pythia_sim::trace::{Branch, MemOp, TraceRecord, TraceSource};
 
 /// The memory access pattern class a workload exhibits.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -177,7 +177,9 @@ impl TraceSpec {
 }
 
 /// Element cursor within the current cacheline: the remaining
-/// element-sized re-accesses a generated line still owes.
+/// element-sized re-accesses a generated line still owes (`left == 0`:
+/// none, the next memory record starts a fresh line).
+#[derive(Default)]
 struct LineCursor {
     pc: u64,
     line_base: u64,
@@ -202,7 +204,7 @@ pub struct TraceStream {
     base: u64,
     pc_counter: u64,
     repeat: u64,
-    cursor: Option<LineCursor>,
+    cursor: LineCursor,
     emitted: usize,
 }
 
@@ -230,7 +232,7 @@ impl TraceStream {
             base,
             pc_counter: 0x400000,
             repeat,
-            cursor: None,
+            cursor: LineCursor::default(),
             emitted: 0,
             spec,
         }
@@ -242,64 +244,64 @@ impl TraceStream {
     }
 
     /// Produces the next record of the current pass, ignoring the
-    /// instruction budget (the budgeted entry point is
-    /// [`next_record`](TraceSource::next_record)).
+    /// instruction budget (the budgeted entry points are
+    /// [`next_record`](TraceSource::next_record) and
+    /// [`next_batch`](TraceSource::next_batch)). Each arm ends in one
+    /// struct literal, so once inlined the record is built where the
+    /// caller wants it instead of in a temporary that is copied out.
+    #[inline]
     fn step(&mut self) -> TraceRecord {
         let roll = self.rng.gen_range(0..100u32);
         if roll < self.spec.mem_pct as u32 {
-            let (pc, addr, is_write, dependent) = match self.cursor.take() {
-                Some(c) => {
-                    // Element re-accesses are memory records too: charge
-                    // them against the pattern's phase budget (`Phased`
-                    // counts *memory accesses*, not fresh cachelines)
-                    // without advancing any pattern cursor.
-                    self.state.note_extra_access();
-                    let elem = (self.repeat - c.left) % 8; // 8 elements of 8 B per line
-                    let addr = c.line_base + elem * 8;
-                    let (pc, w) = (c.pc, c.is_write);
-                    if c.left > 1 {
-                        self.cursor = Some(LineCursor {
-                            left: c.left - 1,
-                            ..c
-                        });
-                    }
-                    // Element re-accesses hit in L1 and never depend.
-                    (pc, addr, w, false)
-                }
-                None => {
-                    let (pc, offset_bytes, is_write, dependent) = self
-                        .state
-                        .next_access(self.spec.footprint_pages, &mut self.rng);
-                    let line_base = self.base + (offset_bytes & !63);
-                    if self.repeat > 1 {
-                        self.cursor = Some(LineCursor {
-                            pc,
-                            line_base,
-                            is_write,
-                            left: self.repeat - 1,
-                        });
-                    }
-                    (pc, line_base, is_write, dependent)
-                }
-            };
-            let mut rec = if is_write {
-                TraceRecord::store(pc, addr)
-            } else if dependent {
-                TraceRecord::dependent_load(pc, addr)
+            let (pc, addr, is_write, dependent) = if self.cursor.left > 0 {
+                // Element re-accesses are memory records too: charge
+                // them against the pattern's phase budget (`Phased`
+                // counts *memory accesses*, not fresh cachelines)
+                // without advancing any pattern cursor.
+                self.state.note_extra_access();
+                let c = &mut self.cursor;
+                let elem = (self.repeat - c.left) % 8; // 8 elements of 8 B per line
+                c.left -= 1;
+                // Element re-accesses hit in L1 and never depend.
+                (c.pc, c.line_base + elem * 8, c.is_write, false)
             } else {
-                TraceRecord::load(pc, addr)
+                let (pc, offset_bytes, is_write, dependent) = self
+                    .state
+                    .next_access(self.spec.footprint_pages, &mut self.rng);
+                let line_base = self.base + (offset_bytes & !63);
+                self.cursor = LineCursor {
+                    pc,
+                    line_base,
+                    is_write,
+                    left: self.repeat - 1,
+                };
+                (pc, line_base, is_write, dependent)
             };
-            rec.branch = None;
-            rec
-        } else if roll < (self.spec.mem_pct + self.spec.branch_pct) as u32 {
-            let mispred = self.rng.gen_range(0..100u32) < self.spec.mispredict_pct as u32;
-            let rec = TraceRecord::branch(self.pc_counter, self.rng.gen_bool(0.6), mispred);
-            self.pc_counter = self.pc_counter.wrapping_add(4);
-            rec
+            TraceRecord {
+                pc,
+                mem: Some(MemOp { addr, is_write }),
+                branch: None,
+                // Stores never carry the dependence hint.
+                depends_on_prev_load: dependent && !is_write,
+            }
         } else {
-            let rec = TraceRecord::nop(self.pc_counter);
-            self.pc_counter = self.pc_counter.wrapping_add(4);
-            rec
+            let pc = self.pc_counter;
+            self.pc_counter = pc.wrapping_add(4);
+            let branch = if roll < (self.spec.mem_pct + self.spec.branch_pct) as u32 {
+                let mispredicted = self.rng.gen_range(0..100u32) < self.spec.mispredict_pct as u32;
+                Some(Branch {
+                    taken: self.rng.gen_bool(0.6),
+                    mispredicted,
+                })
+            } else {
+                None
+            };
+            TraceRecord {
+                pc,
+                mem: None,
+                branch,
+                depends_on_prev_load: false,
+            }
         }
     }
 }
@@ -332,6 +334,18 @@ impl TraceSource for TraceStream {
 
     fn len_hint(&self) -> Option<u64> {
         Some(self.spec.instructions as u64)
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
+        // One budget check per batch; `step` inlines into the loop, so each
+        // record is written straight into `out`'s spare capacity.
+        let n = max.min(self.spec.instructions.saturating_sub(self.emitted));
+        out.reserve(n);
+        for _ in 0..n {
+            out.push(self.step());
+        }
+        self.emitted += n;
+        n
     }
 }
 
@@ -752,10 +766,9 @@ mod tests {
         assert!(deps > 0);
     }
 
-    #[test]
-    fn footprint_respected() {
-        // Every pattern kind must stay inside its declared footprint.
-        let kinds = vec![
+    /// One spec of every pattern kind.
+    fn all_kinds() -> Vec<PatternKind> {
+        vec![
             PatternKind::Stream { store_every: 3 },
             PatternKind::Stride { lines: 7 },
             PatternKind::PageVisit {
@@ -781,8 +794,13 @@ mod tests {
                 ],
                 phase_len: 100,
             },
-        ];
-        for kind in kinds {
+        ]
+    }
+
+    #[test]
+    fn footprint_respected() {
+        // Every pattern kind must stay inside its declared footprint.
+        for kind in all_kinds() {
             let s = spec(kind.clone()).with_footprint_pages(128);
             let t = s.generate();
             let base = (s.seed % 1024 + 1) * 0x1_0000_0000;
@@ -794,6 +812,43 @@ mod tests {
                         "{kind:?}: access outside footprint: {off:#x}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `next_batch` builds records in place; `next_record` stays the
+    /// definition. For every pattern kind and batch sizes 1, 7 and 64 the
+    /// batched stream must equal the record-by-record one — through the
+    /// short batch that ends a pass (1 000 records divide by neither 7 nor
+    /// 64), the empty batch after it, and a second pass after `reset`.
+    #[test]
+    fn next_batch_matches_next_record() {
+        for kind in all_kinds() {
+            let s = spec(kind.clone()).with_instructions(1_000);
+            let expected = s.generate();
+            for batch in [1usize, 7, 64] {
+                let mut stream = s.stream();
+                for pass in 0..2 {
+                    let mut got = Vec::new();
+                    loop {
+                        let before = got.len();
+                        let n = stream.next_batch(&mut got, batch);
+                        assert_eq!(got.len(), before + n, "count returned == records appended");
+                        if n < batch {
+                            break;
+                        }
+                    }
+                    assert_eq!(got, expected, "{kind:?}: batch {batch}, pass {pass}");
+                    assert_eq!(stream.next_batch(&mut got, batch), 0, "pass stays ended");
+                    assert_eq!(stream.next_record(), None);
+                    stream.reset();
+                }
+                // The two entry points share one budget and one state.
+                let mut mixed = Vec::new();
+                stream.next_batch(&mut mixed, batch);
+                mixed.extend(stream.next_record());
+                stream.next_batch(&mut mixed, 2_000);
+                assert_eq!(mixed, expected, "{kind:?}: interleaved entry points");
             }
         }
     }

@@ -355,6 +355,53 @@ proptest! {
     }
 }
 
+// `dispatch_plain(m)` is the short path for three instructions in
+// four; the general `dispatch` stays its definition. Two cores fed the
+// same random plain/load/store/dependent/mispredict sequence — one
+// routing plain instructions through the lane — must agree on every
+// observable after every instruction, on small queues (which stall
+// constantly) and on the Table 5 core alike.
+proptest! {
+    #[test]
+    fn dispatch_plain_matches_general_dispatch(
+        ops in proptest::collection::vec((0u32..10, 1u64..400, any::<bool>(), any::<bool>()), 1..600),
+        small in any::<bool>(),
+    ) {
+        use pythia_sim::config::CoreConfig;
+        use pythia_sim::cpu::CoreModel;
+        let cfg = if small {
+            CoreConfig { width: 2, rob_entries: 6, lq_entries: 2, sq_entries: 2, mispredict_penalty: 5 }
+        } else {
+            CoreConfig::default()
+        };
+        let mut lane = CoreModel::new(cfg);
+        let mut general = CoreModel::new(cfg);
+        for (i, &(class, latency, dependent, mispredicted)) in ops.iter().enumerate() {
+            let (at_lane, at_general) = match class {
+                // The suites' mix: 3 loads, 1 store, 6 plain (branches among them).
+                0..=2 => (
+                    lane.dispatch(latency, true, false, dependent, mispredicted),
+                    general.dispatch(latency, true, false, dependent, mispredicted),
+                ),
+                3 => (
+                    lane.dispatch(1, false, true, false, mispredicted),
+                    general.dispatch(1, false, true, false, mispredicted),
+                ),
+                _ => (
+                    lane.dispatch_plain(mispredicted),
+                    general.dispatch(1, false, false, false, mispredicted),
+                ),
+            };
+            prop_assert_eq!(at_lane, at_general, "dispatch cycle at step {}", i);
+            prop_assert_eq!(lane.now(), general.now(), "now at step {}", i);
+            prop_assert_eq!(lane.retired(), general.retired());
+            prop_assert_eq!(lane.retire_timestamp(), general.retire_timestamp(), "retire at step {}", i);
+            prop_assert_eq!(lane.stats(), general.stats());
+        }
+        prop_assert_eq!(lane.drain(), general.drain());
+    }
+}
+
 /// Slow f64 reference model of the QVStore: the same plane hash
 /// ([`pythia_core::qvstore::plane_slot`]) and layout, but double-precision
 /// cells and no SWAR — the oracle the Q8.7 fixed-point implementation
