@@ -1,16 +1,19 @@
-//! The figure registry: every paper figure/table grid as a declarative
-//! [`SweepSpec`] campaign.
+//! The figure registry: every paper figure/table as a declarative
+//! [`SweepSpec`] campaign plus the view that renders its result in the
+//! paper's shape.
 //!
-//! Both the harness binaries (`src/bin/`) and the `pythia-cli sweep`
-//! subcommand resolve grids from here, so the definition of "what Fig. 9
-//! runs" exists exactly once. A figure maps to one or more specs (panels);
-//! [`specs`] returns them and callers run them with
-//! [`pythia_sweep::run`] / [`pythia_sweep::engine::run_all`].
+//! `pythia-cli sweep`, `pythia-serve` and the golden-report test all
+//! resolve figures from here, so "what Fig. 9 runs" and "what Fig. 9
+//! looks like" each exist exactly once. A figure maps to one or more specs
+//! (panels); callers run them with [`pythia_sweep::engine::run_all`] and
+//! hand the merged result to [`FigureDef::view`].
 
 use pythia_core::tuning::{exponential_grid, HyperPoint};
 use pythia_core::{ControlFlow, DataFlow, Feature, PythiaConfig};
 use pythia_sim::config::SystemConfig;
-use pythia_sweep::{ConfigPoint, SweepSpec, WorkUnit};
+use pythia_stats::metrics::geomean;
+use pythia_stats::report::{frac_pct, pct, Table};
+use pythia_sweep::{ConfigPoint, Key, RawSummary, SweepResult, SweepSpec, Value, WorkUnit};
 use pythia_workloads::profiles::{derive_seed, Profile, CAMPAIGN_SEED};
 use pythia_workloads::suites::cvp_unseen;
 use pythia_workloads::{all_suites, mixes, suite, PatternKind, Suite, TraceSpec, Workload};
@@ -574,7 +577,301 @@ fn robust03() -> Vec<SweepSpec> {
         )]
 }
 
-/// A registered figure: an id, a title, and the campaign(s) behind it.
+/// One markdown section of a figure view: a heading and its table.
+fn section(heading: &str, table: &Table) -> String {
+    format!("## {heading}\n\n{}\n", table.to_markdown())
+}
+
+/// The cells of one panel of a merged multi-panel result.
+fn panel(r: &SweepResult, sweep: &str) -> SweepResult {
+    r.filter(|c| c.sweep == sweep)
+}
+
+/// Geomean speedup per (`row` × prefetcher) — the Fig. 8 / 23 shape.
+fn speedup_pivot(r: &SweepResult, heading: &str, row: Key) -> String {
+    section(heading, &r.pivot(row, Key::Prefetcher, Value::Speedup))
+}
+
+/// Geomean speedup per (suite × prefetcher) with a `GEOMEAN` row — the
+/// Fig. 9(a) / 10(a) / 12(a) / 21 / 22 shape.
+fn per_suite(r: &SweepResult, heading: &str) -> String {
+    let t = r.pivot_with_total(Key::Group, Key::Prefetcher, Value::Speedup, Some("GEOMEAN"));
+    section(heading, &t)
+}
+
+/// Two-column table of the geomean speedup per prefetcher (or inline
+/// Pythia variant), the first column titled `key_header` — the Fig. 9(b)
+/// ladder / Fig. 20 / ablation shape.
+fn geomean_column(r: &SweepResult, heading: &str, key_header: &str) -> String {
+    let mut t = Table::new(&[key_header, "geomean speedup"]);
+    for (label, geo) in r.aggregate(Key::Prefetcher, Value::Speedup) {
+        t.row(&[label, format!("{geo:.3}")]);
+    }
+    section(heading, &t)
+}
+
+/// Robustness scoreboard against the leading group (`expected` /
+/// `steady`, which the `robust*` specs put first).
+fn robustness(r: &SweepResult) -> String {
+    let groups = r.distinct(Key::Group);
+    let reference = groups.first().map_or("", String::as_str);
+    section(
+        &format!("Robustness vs `{reference}` (Δ of per-group geomeans)"),
+        &r.robustness(reference),
+    )
+}
+
+/// Per-workload speedup of basic Pythia beside a customized one (`other`
+/// picks the second column's speedup for a workload) — the Fig. 15 / 16
+/// shape.
+fn paired_with_basic(
+    r: &SweepResult,
+    heading: &str,
+    headers: &[&str; 4],
+    other: impl Fn(&str) -> f64,
+) -> String {
+    let row = |label: String, basic: f64, other: f64| {
+        [
+            label,
+            format!("{basic:.3}"),
+            format!("{other:.3}"),
+            format!("{:+.1}%", (other / basic - 1.0) * 100.0),
+        ]
+    };
+    let mut t = Table::new(headers);
+    let mut basics = Vec::new();
+    let mut others = Vec::new();
+    for b in &r.baselines {
+        let basic = r
+            .cell(&b.unit, "pythia", "base")
+            .expect("cell")
+            .metrics
+            .speedup;
+        let other = other(&b.unit);
+        t.row(&row(b.unit.clone(), basic, other));
+        basics.push(basic);
+        others.push(other);
+    }
+    t.row(&row("GEOMEAN".into(), geomean(&basics), geomean(&others)));
+    section(heading, &t)
+}
+
+fn fig01_view(r: &SweepResult) -> String {
+    let mut t = Table::new(&[
+        "workload",
+        "prefetcher",
+        "coverage",
+        "overprediction",
+        "IPC improvement",
+    ]);
+    // Cells arrive in grid order (workload-major), which is the table order.
+    for c in &r.cells {
+        t.row(&[
+            c.unit.clone(),
+            c.prefetcher.clone(),
+            frac_pct(c.metrics.coverage),
+            frac_pct(c.metrics.overprediction),
+            pct(c.metrics.speedup),
+        ]);
+    }
+    section(
+        "Fig. 1 — motivational coverage/overprediction/performance",
+        &t,
+    )
+}
+
+/// Baseline-MPKI-weighted coverage and overprediction per suite, measured
+/// at the LLC–main-memory boundary, plus the unweighted `AVG` over suites.
+fn fig07_view(r: &SweepResult) -> String {
+    let mut t = Table::new(&["suite", "prefetcher", "coverage", "overprediction"]);
+    let prefetchers = r.distinct(Key::Prefetcher);
+    let mut sums = vec![(0.0, 0.0); prefetchers.len()];
+    let suites = r.distinct(Key::Group);
+    for s in &suites {
+        let per_suite = r.filter(|c| &c.group == s);
+        for (p, sum) in prefetchers.iter().zip(&mut sums) {
+            let (cov, over) = per_suite.weighted_coverage(p);
+            t.row(&[s.clone(), p.clone(), frac_pct(cov), frac_pct(over)]);
+            sum.0 += cov;
+            sum.1 += over;
+        }
+    }
+    for (p, (cov, over)) in prefetchers.iter().zip(sums) {
+        t.row(&[
+            "AVG".into(),
+            p.clone(),
+            frac_pct(cov / suites.len() as f64),
+            frac_pct(over / suites.len() as f64),
+        ]);
+    }
+    section(
+        "Fig. 7 — coverage and overprediction per suite (single-core)",
+        &t,
+    )
+}
+
+fn fig09_view(r: &SweepResult) -> String {
+    per_suite(
+        &panel(r, "fig09a"),
+        "Fig. 9(a) — single-core per-suite geomean speedup",
+    ) + &geomean_column(
+        &panel(r, "fig09b"),
+        "Fig. 9(b) — prefetcher-combination ladder (single-core)",
+        "configuration",
+    )
+}
+
+fn fig10_view(r: &SweepResult) -> String {
+    per_suite(
+        &panel(r, "fig10a"),
+        "Fig. 10(a) — four-core per-suite geomean speedup (homogeneous mixes)",
+    ) + &geomean_column(
+        &panel(r, "fig10b"),
+        "Fig. 10(b) — combination ladder (four-core heterogeneous mixes)",
+        "configuration",
+    )
+}
+
+/// The sweep baseline *is* basic Pythia, so every config's geomean
+/// speedup is the normalized ratio directly.
+fn fig11_view(r: &SweepResult) -> String {
+    let mut t = Table::new(&["MTPS", "oblivious vs basic (%)"]);
+    for (mtps, geo) in r.aggregate(Key::Config, Value::Speedup) {
+        t.row(&[mtps, format!("{:+.2}%", (geo - 1.0) * 100.0)]);
+    }
+    section(
+        "Fig. 11 — bandwidth-oblivious Pythia normalized to basic Pythia",
+        &t,
+    )
+}
+
+fn fig12_view(r: &SweepResult) -> String {
+    per_suite(
+        &panel(r, "fig12a"),
+        "Fig. 12(a) — unseen traces, single-core",
+    ) + &speedup_pivot(
+        &panel(r, "fig12b"),
+        "Fig. 12(b) — unseen traces, four-core (homogeneous mixes)",
+        Key::Group,
+    )
+}
+
+/// Fraction of runtime in each DRAM-bandwidth bucket and IPC improvement,
+/// baseline first.
+fn fig14_view(r: &SweepResult) -> String {
+    let bucket_row = |label: &str, raw: &RawSummary, speedup: f64| -> Vec<String> {
+        let b = raw.bw_bucket_windows;
+        let total = b.iter().sum::<u64>().max(1);
+        let mut row = vec![label.to_string()];
+        row.extend(
+            b.iter()
+                .map(|x| format!("{:.0}%", *x as f64 * 100.0 / total as f64)),
+        );
+        row.push(pct(speedup));
+        row
+    };
+    let mut t = Table::new(&[
+        "config",
+        "<25%",
+        "25-50%",
+        "50-75%",
+        ">=75%",
+        "IPC improvement",
+    ]);
+    t.row(&bucket_row("baseline", &r.baselines[0].raw, 1.0));
+    for c in &r.cells {
+        t.row(&bucket_row(&c.prefetcher, &c.raw, c.metrics.speedup));
+    }
+    section(
+        "Fig. 14 — Ligra-CC bandwidth-bucket residency and performance",
+        &t,
+    )
+}
+
+fn fig15_view(r: &SweepResult) -> String {
+    paired_with_basic(
+        r,
+        "Fig. 15 — basic vs strict Pythia on the Ligra suite",
+        &[
+            "workload",
+            "basic pythia",
+            "strict pythia",
+            "strict vs basic",
+        ],
+        |unit| {
+            r.cell(unit, "pythia_strict", "base")
+                .expect("cell")
+                .metrics
+                .speedup
+        },
+    )
+}
+
+/// Per-workload best of the candidate feature vectors (§6.6.2).
+fn fig16_view(r: &SweepResult) -> String {
+    paired_with_basic(
+        r,
+        "Fig. 16 — basic vs feature-optimized Pythia on SPEC06",
+        &["workload", "basic", "feature-optimized", "gain"],
+        |unit| {
+            r.cells
+                .iter()
+                .filter(|c| c.unit == unit && c.prefetcher.starts_with("feat:"))
+                .map(|c| c.metrics.speedup)
+                .fold(f64::MIN, f64::max)
+        },
+    )
+}
+
+/// Per-workload speedups of every prefetcher, sorted by Pythia's.
+fn fig17_view(r: &SweepResult) -> String {
+    let prefetchers = r.distinct(Key::Prefetcher);
+    let mut rows: Vec<(&str, Vec<f64>)> = r
+        .baselines
+        .iter()
+        .map(|b| {
+            let speeds = prefetchers
+                .iter()
+                .map(|p| r.cell(&b.unit, p, "base").expect("cell").metrics.speedup)
+                .collect();
+            (b.unit.as_str(), speeds)
+        })
+        .collect();
+    let pythia = prefetchers
+        .iter()
+        .position(|p| p == "pythia")
+        .expect("fig17 sweeps pythia");
+    rows.sort_by(|a, b| a.1[pythia].total_cmp(&b.1[pythia]));
+
+    let mut headers = vec!["workload"];
+    headers.extend(prefetchers.iter().map(String::as_str));
+    let mut t = Table::new(&headers);
+    for (name, speeds) in &rows {
+        let mut row = vec![name.to_string()];
+        row.extend(speeds.iter().map(|s| format!("{s:.3}")));
+        t.row(&row);
+    }
+    let above = rows.iter().filter(|(_, s)| s[pythia] > 1.0).count();
+    section(
+        "Fig. 17 — single-core s-curve (sorted by Pythia speedup)",
+        &t,
+    ) + &format!("Pythia speeds up {above}/{} workloads\n", rows.len())
+}
+
+fn fig20_view(r: &SweepResult) -> String {
+    geomean_column(
+        &panel(r, "fig20a"),
+        "Fig. 20(a) — sensitivity to exploration rate ε",
+        "epsilon",
+    ) + &geomean_column(
+        &panel(r, "fig20b"),
+        "Fig. 20(b) — sensitivity to learning rate α",
+        "alpha",
+    )
+}
+
+/// A registered figure: an id, a title, the campaign(s) behind it, and
+/// the view that renders their result.
 pub struct FigureDef {
     /// Registry id (`"fig09"`, `"tab02"`, ...).
     pub id: &'static str,
@@ -582,6 +879,22 @@ pub struct FigureDef {
     pub title: &'static str,
     /// Builds the figure's sweep specs (panels).
     pub build: fn() -> Vec<SweepSpec>,
+    /// Renders the merged [`pythia_sweep::engine::run_all`] result of
+    /// [`FigureDef::build`]'s panels as the paper-shaped markdown of this
+    /// figure (a multi-panel view picks its panel by `CellResult::sweep`).
+    pub view: fn(&SweepResult) -> String,
+}
+
+impl FigureDef {
+    /// Builds the figure as a content-addressable
+    /// [`pythia_sweep::Campaign`] — the submission unit of `pythia-serve`
+    /// and the cache key of `pythia-cli sweep --cache-dir`. The digest
+    /// covers the fully expanded grid (budgets included), so the same
+    /// figure id at a different `PYTHIA_BENCH_SCALE` addresses a different
+    /// artifact.
+    pub fn campaign(&self) -> pythia_sweep::Campaign {
+        pythia_sweep::Campaign::new(self.id, (self.build)())
+    }
 }
 
 /// Every registered figure/table campaign.
@@ -591,135 +904,186 @@ pub fn registry() -> Vec<FigureDef> {
             id: "fig01",
             title: "Motivational coverage/overprediction/performance",
             build: fig01,
+            view: fig01_view,
         },
         FigureDef {
             id: "fig07",
             title: "Coverage and overprediction per suite (single-core)",
             build: fig07,
+            view: fig07_view,
         },
         FigureDef {
             id: "fig08a",
             title: "Speedup vs core count",
             build: fig08a,
+            view: |r| speedup_pivot(r, "Fig. 8(a) — speedup vs core count", Key::Config),
         },
         FigureDef {
             id: "fig08b",
             title: "Speedup vs DRAM MTPS (single core)",
             build: fig08b,
+            view: |r| {
+                speedup_pivot(
+                    r,
+                    "Fig. 8(b) — speedup vs DRAM MTPS (single core, 1 channel)",
+                    Key::Config,
+                )
+            },
         },
         FigureDef {
             id: "fig08c",
             title: "Speedup vs LLC size (single core)",
             build: fig08c,
+            view: |r| {
+                speedup_pivot(
+                    r,
+                    "Fig. 8(c) — speedup vs LLC size (single core)",
+                    Key::Config,
+                )
+            },
         },
         FigureDef {
             id: "fig08d",
             title: "Multi-level prefetching vs DRAM MTPS",
             build: fig08d,
+            view: |r| {
+                speedup_pivot(
+                    r,
+                    "Fig. 8(d) — multi-level prefetching vs DRAM MTPS",
+                    Key::Config,
+                )
+            },
         },
         FigureDef {
             id: "fig09",
             title: "Single-core performance (per-suite + combination ladder)",
             build: fig09,
+            view: fig09_view,
         },
         FigureDef {
             id: "fig10",
             title: "Four-core performance (per-suite + combination ladder)",
             build: fig10,
+            view: fig10_view,
         },
         FigureDef {
             id: "fig11",
             title: "Bandwidth-oblivious Pythia vs basic Pythia",
             build: fig11,
+            view: fig11_view,
         },
         FigureDef {
             id: "fig12",
             title: "Performance on unseen traces (single- and four-core)",
             build: fig12,
+            view: fig12_view,
         },
         FigureDef {
             id: "fig14",
             title: "Ligra-CC bandwidth-bucket residency and performance",
             build: fig14,
+            view: fig14_view,
         },
         FigureDef {
             id: "fig15",
             title: "Basic vs strict Pythia on the Ligra suite",
             build: fig15,
+            view: fig15_view,
         },
         FigureDef {
             id: "fig16",
             title: "Basic vs feature-optimized Pythia on SPEC06",
             build: fig16,
+            view: fig16_view,
         },
         FigureDef {
             id: "fig17",
             title: "Single-core s-curves",
             build: fig17,
+            view: fig17_view,
         },
         FigureDef {
             id: "fig20",
             title: "Sensitivity to exploration and learning rates",
             build: fig20,
+            view: fig20_view,
         },
         FigureDef {
             id: "fig21",
             title: "Pythia vs CP-HW (single-core)",
             build: fig21,
+            view: |r| per_suite(r, "Fig. 21 — Pythia vs CP-HW (single-core)"),
         },
         FigureDef {
             id: "fig22",
             title: "Pythia vs POWER7-adaptive (single-core)",
             build: fig22,
+            view: |r| per_suite(r, "Fig. 22 — Pythia vs POWER7-adaptive (single-core)"),
         },
         FigureDef {
             id: "fig23",
             title: "Sensitivity to warmup instructions",
             build: fig23,
+            view: |r| {
+                speedup_pivot(
+                    r,
+                    "Fig. 23 — sensitivity to warmup instructions",
+                    Key::Config,
+                )
+            },
         },
         FigureDef {
             id: "tab02",
             title: "Hyperparameter screening grid (§4.3.3)",
             build: tab02,
+            view: |r| {
+                geomean_column(
+                    r,
+                    "Table 2 — hyperparameter screening grid (§4.3.3)",
+                    "hyperparameters",
+                )
+            },
         },
         FigureDef {
             id: "ablation",
             title: "Ablations of Pythia design choices",
             build: ablation,
+            view: |r| geomean_column(r, "Ablations of Pythia design choices", "variant"),
         },
         FigureDef {
             id: "robust01",
             title: "Robustness of every registry prefetcher across trace profiles",
             build: robust01,
+            view: robustness,
         },
         FigureDef {
             id: "robust02",
             title: "Phase agility: steady vs phased pattern mixes",
             build: robust02,
+            view: robustness,
         },
         FigureDef {
             id: "robust03",
             title: "Adversarial robustness under bandwidth pressure",
             build: robust03,
+            view: robustness,
         },
     ]
 }
 
-/// Builds the sweep specs of one registered figure.
-pub fn specs(id: &str) -> Option<Vec<SweepSpec>> {
-    registry()
-        .into_iter()
-        .find(|f| f.id == id)
-        .map(|f| (f.build)())
+/// Looks up one registered figure.
+pub fn find(id: &str) -> Option<FigureDef> {
+    registry().into_iter().find(|f| f.id == id)
 }
 
-/// Builds one registered figure as a content-addressable
-/// [`pythia_sweep::Campaign`] — the submission unit of `pythia-serve` and
-/// the cache key of `pythia-cli sweep --cache-dir`. The digest covers the
-/// fully expanded grid (budgets included), so the same figure id at a
-/// different `PYTHIA_BENCH_SCALE` addresses a different artifact.
+/// Builds the sweep specs of one registered figure.
+pub fn specs(id: &str) -> Option<Vec<SweepSpec>> {
+    find(id).map(|f| (f.build)())
+}
+
+/// Builds one registered figure as a campaign (see [`FigureDef::campaign`]).
 pub fn campaign(id: &str) -> Option<pythia_sweep::Campaign> {
-    specs(id).map(|panels| pythia_sweep::Campaign::new(id, panels))
+    find(id).map(|f| f.campaign())
 }
 
 /// A quick-eval campaign: one inline Pythia config over the DSE workload

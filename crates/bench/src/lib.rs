@@ -1,10 +1,13 @@
 //! # pythia-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! `src/bin/`), plus Criterion microbenchmarks (`benches/`). Each binary
-//! declares its grid as a [`pythia_sweep::SweepSpec`] (via [`figures`]),
-//! runs it across the shared worker pool, and prints the same rows/series
-//! the paper reports, computed on the synthetic workload suites.
+//! The experiment harness: the [`figures`] registry holds, for every
+//! table/figure of the paper, the campaign it runs (as
+//! [`pythia_sweep::SweepSpec`]s) and the view that renders the result as
+//! the rows/series the paper reports, computed on the synthetic workload
+//! suites. `pythia-cli sweep <figure>` is the one renderer. Two binaries
+//! remain in `src/bin/` because they are procedures, not campaigns:
+//! `fig13_qvalue_case_study` probes an agent directly and `tab02_dse`
+//! runs the greedy §4.3 search.
 //!
 //! Instruction budgets are scaled-down from the paper's 100 M + 500 M
 //! (synthetic patterns reach steady state much sooner); set
@@ -12,8 +15,8 @@
 //! budget, e.g. `PYTHIA_BENCH_SCALE=0.2` for a quick pass or `4` for a
 //! long one. Invalid values are reported on stderr and ignored.
 //!
-//! Harness binaries fan out over `PYTHIA_BENCH_THREADS` worker threads
-//! (default: all available cores); machine-readable output comes from
+//! Sweeps fan out over `PYTHIA_BENCH_THREADS` worker threads (default:
+//! all available cores); machine-readable output comes from
 //! `pythia-cli sweep <figure> --format {md,json,csv}`.
 
 use pythia::runner::RunSpec;

@@ -4,6 +4,7 @@ use pythia::runner::{
     build_prefetcher, run_sources, run_workload, run_workload_telemetry, RunSpec,
 };
 use pythia_core::hw_model;
+use pythia_core::pipeline::SearchPipeline;
 use pythia_core::PythiaConfig;
 use pythia_obs::logger::Level;
 use pythia_sim::config::SystemConfig;
@@ -34,7 +35,9 @@ USAGE:
   pythia-cli sweep <figure>                     run a figure/table campaign in
       [--threads N] [--format md|json|csv]      parallel and emit its results
       [--out FILE] [--cache-dir DIR]            (`--list` shows figure ids;
-                                                the cache skips repeat runs)
+                                                md ends with the figure in
+                                                the paper's shape; the cache
+                                                skips repeat runs)
   pythia-cli sweep --workloads a,b,c            ad-hoc sweep over named
       [--prefetchers x,y] [--baseline none]     workloads instead of a figure
       [--warmup N] [--measure N] [--mtps N] [--llc-kb N]
@@ -377,11 +380,17 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
     };
     let format = args.opt("format").unwrap_or("md");
 
-    let campaign = match args.positionals.as_slice() {
-        [id] => pythia_bench::figures::campaign(id)
-            .ok_or_else(|| format!("unknown figure {id:?}; see `pythia-cli sweep --list`"))?,
-        [] => pythia_sweep::Campaign::single(adhoc_sweep_spec(args)?),
+    let figure = match args.positionals.as_slice() {
+        [id] => Some(
+            pythia_bench::figures::find(id)
+                .ok_or_else(|| format!("unknown figure {id:?}; see `pythia-cli sweep --list`"))?,
+        ),
+        [] => None,
         _ => return Err("usage: pythia-cli sweep <figure> [options]".into()),
+    };
+    let campaign = match &figure {
+        Some(def) => def.campaign(),
+        None => pythia_sweep::Campaign::single(adhoc_sweep_spec(args)?),
     };
 
     // With a cache directory the campaign is content-addressed: a digest
@@ -414,15 +423,11 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
             other => result.render(other)?,
         },
     };
-    // Robustness campaigns carry their scoreboard in the md rendering only
-    // (JSON/CSV stay raw cell data, so golden digests pin the campaign).
-    if campaign.name.starts_with("robust") && matches!(format, "md" | "markdown") {
-        if let Some(reference) = result.distinct(pythia_sweep::Key::Group).first() {
-            rendered.push_str(&format!(
-                "\n## Robustness vs `{reference}` (Δ of per-group geomeans)\n\n{}",
-                result.robustness(reference).to_markdown()
-            ));
-        }
+    // A registered figure carries its paper-shaped view in the md rendering
+    // only (JSON/CSV stay raw cell data, so golden digests pin the campaign).
+    if let (Some(def), "md" | "markdown") = (&figure, format) {
+        rendered.push('\n');
+        rendered.push_str(&(def.view)(&result));
     }
     match args.opt("out") {
         None => print!("{rendered}"),
@@ -900,31 +905,75 @@ pub fn submit(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `pythia-cli storage`
+/// `pythia-cli storage` — Tables 4, 7 and 8 (storage, evaluated-prefetcher
+/// metadata, area/power overheads) and the §4.2.2 search latency.
 pub fn storage(_args: &ParsedArgs) -> Result<(), String> {
     let cfg = PythiaConfig::basic();
+    let kb = |bits: u64| format!("{:.1} KB", bits as f64 / 8192.0);
+
+    println!("# Table 4 — Pythia storage overhead\n");
     let s = hw_model::storage(&cfg);
-    println!(
-        "Pythia metadata: {:.1} KB (QVStore {:.1} KB + EQ {:.1} KB)",
-        s.total_kb(),
-        s.qvstore_bits as f64 / 8192.0,
-        s.eq_bits as f64 / 8192.0
-    );
-    let o = hw_model::estimate_overhead(&cfg);
-    println!(
-        "Per-core estimate: {:.2} mm^2, {:.2} mW (14nm anchors, §6.7)",
-        o.area_mm2, o.power_mw
-    );
-    let mut t = Table::new(&["prefetcher", "metadata"]);
-    for name in [
-        "stride", "streamer", "spp", "dspatch", "mlop", "ipcp", "spp+ppf", "pythia", "bingo",
+    let mut t = Table::new(&["structure", "size"]);
+    t.row(&["QVStore".into(), kb(s.qvstore_bits)]);
+    t.row(&["EQ".into(), kb(s.eq_bits)]);
+    t.row(&["Total".into(), format!("{:.1} KB", s.total_kb())]);
+    println!("{}", t.to_markdown());
+
+    println!("# Table 7 — evaluated prefetcher storage (our estimates)\n");
+    let mut t = Table::new(&["prefetcher", "estimated size", "paper"]);
+    // The last three are evaluated (Fig. 8(d), the ladder) but absent from
+    // the paper's Table 7.
+    for (name, paper) in [
+        ("spp", "6.2 KB"),
+        ("bingo", "46 KB"),
+        ("mlop", "8 KB"),
+        ("dspatch", "3.6 KB"),
+        ("spp+ppf", "39.3 KB"),
+        ("pythia", "25.5 KB"),
+        ("stride", "-"),
+        ("streamer", "-"),
+        ("ipcp", "-"),
     ] {
         let p = build_prefetcher(name, 0).expect("known prefetcher");
+        t.row(&[name.into(), kb(p.storage_bits()), paper.into()]);
+    }
+    println!("{}", t.to_markdown());
+
+    println!("# Table 8 — area & power overhead (anchored to §6.7 synthesis)\n");
+    let o = hw_model::estimate_overhead(&cfg);
+    let mut t = Table::new(&["processor", "area overhead", "power overhead"]);
+    // Die areas/power implied by the paper's percentages.
+    for (name, cores, die_mm2, tdp_w) in [
+        ("4-core Skylake D-2123IT (60W)", 4usize, 128.2, 60.0),
+        ("18-core Skylake 6150 (165W)", 18, 485.0, 165.0),
+        ("28-core Skylake 8180M (205W)", 28, 694.0, 205.0),
+    ] {
+        let area_pct = o.area_overhead_pct(cores, die_mm2);
+        let power_pct = o.power_mw * cores as f64 / (tdp_w * 1000.0) * 100.0;
         t.row(&[
-            name.to_string(),
-            format!("{:.1} KB", p.storage_bits() as f64 / 8192.0),
+            name.into(),
+            format!("{area_pct:.2}%"),
+            format!("{power_pct:.2}%"),
         ]);
     }
     println!("{}", t.to_markdown());
+    println!(
+        "Pythia per core: {:.2} mm^2, {:.2} mW (anchors: {:.2} mm^2, {:.2} mW)",
+        o.area_mm2,
+        o.power_mw,
+        hw_model::anchors::AREA_MM2,
+        hw_model::anchors::POWER_MW
+    );
+
+    println!("\n# §4.2.2 pipelined QVStore search\n");
+    println!(
+        "search latency: {} cycles (16 actions, 5-stage pipeline)",
+        SearchPipeline::new(&cfg).search_latency()
+    );
+    let full = PythiaConfig::basic().with_actions(PythiaConfig::full_actions());
+    println!(
+        "unpruned action list would take {} cycles",
+        SearchPipeline::new(&full).search_latency()
+    );
     Ok(())
 }

@@ -340,6 +340,40 @@ fn sweep_list_shows_registered_figures() {
 }
 
 #[test]
+fn sweep_figure_markdown_appends_the_view_and_json_stays_raw() {
+    let md = bench_cli(&["sweep", "fig09", "--format", "md"], None);
+    assert!(md.status.success(), "stderr: {}", stderr(&md));
+    let text = stdout(&md);
+    assert!(
+        text.starts_with("# sweep fig09"),
+        "cell table first: {text}"
+    );
+    let a = text.find("## Fig. 9(a)").expect("per-suite heading");
+    let b = text.find("## Fig. 9(b)").expect("ladder heading");
+    assert!(a < b);
+    assert!(text[a..b].contains("| suite "), "{}", &text[a..b]);
+    assert!(text[a..b].contains("| GEOMEAN "), "{}", &text[a..b]);
+    assert!(
+        text[b..].contains("| configuration | geomean speedup |"),
+        "{}",
+        &text[b..]
+    );
+    assert!(text[b..].contains("| st+s+b+d+m "), "{}", &text[b..]);
+
+    let json = bench_cli(&["sweep", "fig09", "--format", "json"], None);
+    assert!(json.status.success(), "stderr: {}", stderr(&json));
+    let text = stdout(&json);
+    assert!(!text.contains("Fig. 9"), "view text leaked into JSON");
+    let pythia_stats::json::Json::Obj(fields) =
+        pythia_stats::json::parse(&text).expect("emitted JSON parses")
+    else {
+        panic!("sweep JSON is an object");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["name", "baselines", "cells", "throughput"]);
+}
+
+#[test]
 fn sweep_adhoc_markdown_has_baseline_and_cells() {
     let out = cli(&[
         &[
@@ -560,9 +594,20 @@ fn storage_prints_overhead_tables() {
     let out = cli(&["storage"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    assert!(text.contains("Pythia metadata"));
-    assert!(text.contains("mm^2"));
-    assert!(text.contains("| prefetcher |"));
+    for needle in [
+        "# Table 4",
+        "| QVStore   | 24.0 KB |",
+        "# Table 7",
+        "| prefetcher | estimated size | paper",
+        "# Table 8",
+        "mm^2",
+        "search latency: 20 cycles",
+    ] {
+        assert!(
+            text.contains(needle),
+            "storage must print {needle:?}: {text}"
+        );
+    }
 }
 
 #[test]

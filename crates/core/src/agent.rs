@@ -253,7 +253,7 @@ impl Pythia {
         // the plane bases, not the state: that is all the eviction-time
         // SARSA update reads.
         sections.enter("eq_insert");
-        let mut entry = EqEntry::new(Vec::new(), action, None, access.cycle);
+        let mut entry = EqEntry::new(action, None, access.cycle);
         entry.bases = bases;
         if offset == 0 {
             self.assign_insertion_reward(&mut entry, 0, feedback);

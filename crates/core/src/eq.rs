@@ -47,12 +47,6 @@ type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 /// One queued action awaiting its reward.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EqEntry {
-    /// State vector at the time the action was taken. The agent leaves
-    /// this empty in its steady-state path: `bases` carry everything the
-    /// SARSA update needs, so hauling the raw state through the queue
-    /// would only add cache footprint. Producers that want the state for
-    /// introspection may still populate it.
-    pub state: Vec<u64>,
     /// Q-table plane bases of the state at selection time: bases depend
     /// only on the state and table geometry, so the eviction-time SARSA
     /// update can reuse them instead of re-hashing both states. Empty
@@ -74,9 +68,8 @@ pub struct EqEntry {
 
 impl EqEntry {
     /// Creates an entry with no reward assigned yet.
-    pub fn new(state: Vec<u64>, action: usize, prefetch_line: Option<u64>, issued_at: u64) -> Self {
+    pub fn new(action: usize, prefetch_line: Option<u64>, issued_at: u64) -> Self {
         Self {
-            state,
             bases: Vec::new(),
             action,
             prefetch_line,
@@ -126,7 +119,7 @@ const NO_LINK: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct EvaluationQueue {
     /// Ring of `capacity.next_power_of_two()` slots; non-live slots hold
-    /// an inert placeholder entry (empty vectors, no allocation).
+    /// an inert placeholder entry (empty `bases`, no allocation).
     slots: Vec<EqEntry>,
     /// `slots.len() - 1`, for sequence-to-slot masking.
     mask: u64,
@@ -146,7 +139,7 @@ pub struct EvaluationQueue {
 /// An inert placeholder for non-live ring slots: allocation-free and never
 /// reachable through the line index.
 fn placeholder() -> EqEntry {
-    EqEntry::new(Vec::new(), 0, None, 0)
+    EqEntry::new(0, None, 0)
 }
 
 impl EvaluationQueue {
@@ -351,7 +344,7 @@ mod tests {
     use super::*;
 
     fn entry(line: Option<u64>, t: u64) -> EqEntry {
-        EqEntry::new(vec![1, 2], 0, line, t)
+        EqEntry::new(0, line, t)
     }
 
     #[test]
@@ -436,7 +429,7 @@ mod tests {
         // Prefetch issued at 0, fills at 100.
         let mk = || {
             let mut eq = EvaluationQueue::new(4);
-            eq.insert(EqEntry::new(vec![1], 0, Some(7), 0));
+            eq.insert(EqEntry::new(0, Some(7), 0));
             eq.mark_filled(7, 100);
             eq
         };
@@ -465,7 +458,7 @@ mod tests {
         assert_eq!(eq.head().unwrap().reward, Some(20));
         // Unfilled entry: plain R_AL.
         let mut eq = EvaluationQueue::new(4);
-        eq.insert(EqEntry::new(vec![1], 0, Some(9), 0));
+        eq.insert(EqEntry::new(0, Some(9), 0));
         eq.reward_demand_hit_graded(9, 50, 20, 12);
         assert_eq!(eq.head().unwrap().reward, Some(12));
     }
@@ -475,7 +468,7 @@ mod tests {
         let mut last = i16::MIN;
         for demand in [5u64, 25, 50, 75, 95] {
             let mut eq = EvaluationQueue::new(4);
-            eq.insert(EqEntry::new(vec![1], 0, Some(7), 0));
+            eq.insert(EqEntry::new(0, Some(7), 0));
             eq.mark_filled(7, 100);
             eq.reward_demand_hit_graded(7, demand, 20, 12);
             let r = eq.head().unwrap().reward.unwrap();

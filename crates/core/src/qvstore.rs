@@ -352,7 +352,7 @@ impl QvStore {
 
     /// Computes every `(vault, plane)` cell base for `state` once, then
     /// hands the slice to `f`: lookups probing several actions against one
-    /// state (argmax, `q_row_into`, the SARSA update) hash each plane a
+    /// state (argmax, `q_row`, the SARSA update) hash each plane a
     /// single time instead of once per action.
     #[inline]
     fn with_bases<R>(&self, state: &[u64], f: impl FnOnce(&[usize]) -> R) -> R {
@@ -428,21 +428,11 @@ impl QvStore {
     /// [`argmax`](QvStore::argmax), which stays in integer arithmetic and
     /// allocates nothing.
     pub fn q_row(&self, state: &[u64]) -> Vec<f32> {
-        let mut row = Vec::new();
-        self.q_row_into(state, &mut row);
-        row
-    }
-
-    /// Writes the Q-values of every action for `state` into `row`
-    /// (cleared and refilled), so repeated introspection can reuse one
-    /// buffer instead of allocating a fresh `Vec` per lookup.
-    pub fn q_row_into(&self, state: &[u64], row: &mut Vec<f32>) {
-        row.clear();
         self.with_bases(state, |bases| {
-            row.extend(
-                (0..self.actions).map(|a| self.q_fp_from_bases(bases, a, 0) as f32 / Q_ONE as f32),
-            );
-        });
+            (0..self.actions)
+                .map(|a| self.q_fp_from_bases(bases, a, 0) as f32 / Q_ONE as f32)
+                .collect()
+        })
     }
 
     /// Combined biased-unsigned Q-value of one action: the scalar
@@ -685,20 +675,6 @@ impl QvStore {
     /// Panics if `state.len()` differs from the number of vaults.
     pub fn argmax(&self, state: &[u64]) -> usize {
         self.with_bases(state, |bases| self.argmax_from_bases(bases))
-    }
-
-    /// [`QvStore::argmax`] that additionally leaves every action's Q-value
-    /// in a caller-owned row buffer (resized and overwritten) — the
-    /// introspection variant for harnesses that want the whole row; the
-    /// selection itself still runs the integer fast path.
-    pub fn argmax_with_row(&self, state: &[u64], row: &mut Vec<f32>) -> usize {
-        row.clear();
-        self.with_bases(state, |bases| {
-            row.extend(
-                (0..self.actions).map(|a| self.q_fp_from_bases(bases, a, 0) as f32 / Q_ONE as f32),
-            );
-            self.argmax_from_bases(bases)
-        })
     }
 
     /// Applies the SARSA update (Algorithm 1, line 29):
@@ -961,51 +937,6 @@ mod tests {
     fn q_row_length_matches_actions() {
         let s = store();
         assert_eq!(s.q_row(&[1, 2]).len(), PythiaConfig::basic().actions.len());
-    }
-
-    #[test]
-    fn q_row_into_reuses_the_buffer_and_matches_q_row() {
-        let mut s = store();
-        let cfg = PythiaConfig::basic();
-        for a in 0..cfg.actions.len() {
-            let r = if a == 3 { 12.0 } else { -3.0 };
-            s.sarsa_update(&[9, 9], a, r, &[9, 9], a, 0.05, cfg.gamma);
-        }
-        let mut buf = vec![0.0f32; 99]; // stale content must be cleared
-        s.q_row_into(&[9, 9], &mut buf);
-        assert_eq!(buf, s.q_row(&[9, 9]));
-        assert_eq!(buf.len(), cfg.actions.len());
-        // argmax agrees with the row without allocating.
-        let best = s.argmax(&[9, 9]);
-        let row = s.q_row(&[9, 9]);
-        assert!(row.iter().all(|&q| q <= row[best]));
-    }
-
-    #[test]
-    fn argmax_with_row_matches_plain_argmax() {
-        let mut s = store();
-        let cfg = PythiaConfig::basic();
-        for i in 0..500u64 {
-            let a = (i % 16) as usize;
-            let r = ((i % 29) as f32) - 14.0;
-            s.sarsa_update(
-                &[i, i ^ 3],
-                a,
-                r,
-                &[i + 1, i ^ 5],
-                (a + 1) % 16,
-                0.1,
-                cfg.gamma,
-            );
-        }
-        let mut row = Vec::new();
-        for probe in 0..200u64 {
-            let st = [probe, probe ^ 9];
-            let via_row = s.argmax_with_row(&st, &mut row);
-            assert_eq!(via_row, s.argmax(&st));
-            assert_eq!(row.len(), cfg.actions.len());
-            assert_eq!(row[via_row], s.q(&st, via_row));
-        }
     }
 
     #[test]

@@ -231,12 +231,7 @@ pub fn registry() -> Vec<BenchDef> {
                         let mut evictions = 0u64;
                         for i in 0..n as u64 {
                             eq.reward_demand_hit(i % 4096, i, 20, 12);
-                            let entry = EqEntry::new(
-                                vec![i, i ^ 7],
-                                (i % 16) as usize,
-                                Some((i * 3) % 4096),
-                                i,
-                            );
+                            let entry = EqEntry::new((i % 16) as usize, Some((i * 3) % 4096), i);
                             if eq.insert(entry).is_some() {
                                 evictions += 1;
                             }

@@ -127,10 +127,6 @@ pub struct Dram {
     t_rp: u64,
     t_cas: u64,
     transfer_cycles: u64,
-    /// `PYTHIA_FREE_PF_BUS` diagnostic knob, sampled once at construction
-    /// (reading the environment on every access dominated the DRAM model's
-    /// cost).
-    free_prefetch_bus: bool,
     stats: DramStats,
 }
 
@@ -160,7 +156,6 @@ impl Dram {
             t_rp: DramConfig::tenth_ns_to_cycles(config.t_rp_tenth_ns),
             t_cas: DramConfig::tenth_ns_to_cycles(config.t_cas_tenth_ns),
             transfer_cycles: config.line_transfer_cycles(),
-            free_prefetch_bus: std::env::var("PYTHIA_FREE_PF_BUS").is_ok(),
             stats: DramStats::default(),
         }
     }
@@ -214,9 +209,7 @@ impl Dram {
         bank.next_free = start + array_latency;
 
         let bus_start = (start + array_latency).max(ch.bus_next_free);
-        if !(self.free_prefetch_bus && kind == DramRequestKind::PrefetchRead) {
-            ch.bus_next_free = bus_start + transfer;
-        }
+        ch.bus_next_free = bus_start + transfer;
         let done_at = bus_start + transfer;
 
         monitor.record(cycle, transfer);

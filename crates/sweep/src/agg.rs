@@ -1,5 +1,5 @@
 //! Aggregation combinators: the shared geomean / pivot / weighted-coverage
-//! logic the 22 figure harnesses used to hand-roll.
+//! logic the figure views in `pythia-bench` are built from.
 
 use pythia_stats::metrics::geomean;
 use pythia_stats::report::Table;

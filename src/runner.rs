@@ -1,15 +1,14 @@
 //! High-level experiment runner: build a system, attach prefetchers by
-//! name, run the paper's warmup/measure methodology, and compute the
-//! Appendix A.6 metrics against a no-prefetching baseline.
+//! name, and run the paper's warmup/measure methodology.
 //!
 //! This is the API the examples, the integration tests and the
 //! `pythia-sweep` experiment-campaign engine are written against. The
-//! figure/table harnesses in `pythia-bench` no longer loop over
-//! [`run_workload`] directly — they declare grids as `pythia_sweep::SweepSpec`s
-//! that expand into [`run_sources`]/[`run_sources_with`] jobs executed on
-//! [`run_parallel`] (the in-process stand-in for the paper's slurm
-//! fan-out, §A.5), so regenerating the whole evaluation is an
-//! embarrassingly parallel, machine-checkable operation.
+//! figure registry in `pythia-bench` declares grids as
+//! `pythia_sweep::SweepSpec`s that expand into
+//! [`run_sources`]/[`run_sources_with`] jobs executed on [`run_parallel`]
+//! (the in-process stand-in for the paper's slurm fan-out, §A.5), so
+//! regenerating the whole evaluation is an embarrassingly parallel,
+//! machine-checkable operation.
 //!
 //! Simulations are fed by `pythia_sim::trace::TraceSource` streams —
 //! workload generators ([`pythia_workloads::Workload::source`]) or trace
@@ -17,9 +16,8 @@
 //! runner ever materializes a full trace; peak memory is independent of
 //! trace length.
 //!
-//! [`evaluate_suite`] / [`evaluate_suite_parallel`] remain as the simple
-//! single-axis API for examples and tests; for anything with more than one
-//! swept axis, or for JSON/CSV artifacts, reach for `pythia-sweep`.
+//! For a grid over workloads, prefetchers or configurations — and for
+//! JSON/CSV artifacts — reach for `pythia-sweep`.
 
 use pythia_core::{Pythia, PythiaConfig};
 use pythia_prefetchers::multi::Multi;
@@ -30,7 +28,6 @@ use pythia_sim::prefetch::Prefetcher;
 use pythia_sim::stats::SimReport;
 use pythia_sim::system::{System, WindowRow};
 use pythia_sim::trace::TraceSource;
-use pythia_stats::metrics::{self, Metrics};
 use pythia_workloads::Workload;
 
 /// Prefetcher names only [`build_prefetcher`] knows (not in the registry).
@@ -226,49 +223,6 @@ pub fn run_sources_with(
     system.run(spec.warmup, spec.measure)
 }
 
-/// Result of evaluating one prefetcher on one workload.
-#[derive(Debug, Clone)]
-pub struct Evaluation {
-    /// Workload name.
-    pub workload: String,
-    /// Prefetcher name.
-    pub prefetcher: String,
-    /// Derived metrics vs. the no-prefetching baseline.
-    pub metrics: Metrics,
-}
-
-/// Evaluates several prefetchers across workloads (single-core), running
-/// the baseline once per workload.
-pub fn evaluate_suite(
-    workloads: &[Workload],
-    prefetchers: &[&str],
-    spec: &RunSpec,
-) -> Vec<Evaluation> {
-    let mut out = Vec::new();
-    for w in workloads {
-        let baseline = run_workload(w, "none", spec);
-        for &p in prefetchers {
-            let report = run_workload(w, p, spec);
-            out.push(Evaluation {
-                workload: w.name.clone(),
-                prefetcher: p.to_string(),
-                metrics: metrics::compare(&baseline, &report),
-            });
-        }
-    }
-    out
-}
-
-/// Geometric-mean speedup of one prefetcher across an evaluation set.
-pub fn geomean_speedup(evals: &[Evaluation], prefetcher: &str) -> f64 {
-    let s: Vec<f64> = evals
-        .iter()
-        .filter(|e| e.prefetcher == prefetcher)
-        .map(|e| e.metrics.speedup)
-        .collect();
-    metrics::geomean(&s)
-}
-
 /// Runs `jobs` closures on up to `threads` worker threads and returns their
 /// results in input order. Each job is an independent simulation, so the
 /// experiment harness parallelizes across (workload × prefetcher) pairs —
@@ -299,51 +253,4 @@ pub fn run_parallel<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>, threads: 
         .into_iter()
         .map(|r| r.expect("every job ran"))
         .collect()
-}
-
-/// Parallel version of [`evaluate_suite`]: runs every (workload, prefetcher)
-/// simulation — baselines included — across `threads` workers.
-pub fn evaluate_suite_parallel(
-    workloads: &[Workload],
-    prefetchers: &[&str],
-    spec: &RunSpec,
-    threads: usize,
-) -> Vec<Evaluation> {
-    // Baselines first (one per workload), in parallel.
-    let baseline_jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .map(|w| {
-            let w = w.clone();
-            let spec = *spec;
-            Box::new(move || run_workload(&w, "none", &spec))
-                as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    let baselines = run_parallel(baseline_jobs, threads);
-
-    // Then the full cross product.
-    let mut jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = Vec::new();
-    for w in workloads {
-        for &p in prefetchers {
-            let w = w.clone();
-            let p = p.to_string();
-            let spec = *spec;
-            jobs.push(Box::new(move || run_workload(&w, &p, &spec)));
-        }
-    }
-    let reports = run_parallel(jobs, threads);
-
-    let mut out = Vec::with_capacity(reports.len());
-    let mut it = reports.into_iter();
-    for (wi, w) in workloads.iter().enumerate() {
-        for &p in prefetchers {
-            let report = it.next().expect("report per job");
-            out.push(Evaluation {
-                workload: w.name.clone(),
-                prefetcher: p.to_string(),
-                metrics: metrics::compare(&baselines[wi], &report),
-            });
-        }
-    }
-    out
 }

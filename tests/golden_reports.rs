@@ -6,6 +6,9 @@
 //! paths — cache layout, QVStore storage, EQ indexing, trace decode —
 //! that perturbs even one counter of one cell shows up as a digest
 //! mismatch here, so performance rewrites cannot silently change results.
+//! The figure's view (the paper-shaped markdown `pythia-cli sweep` appends)
+//! is rendered from the same result and pinned beside it, so a change to a
+//! pivot, a row order or a number format shows up too.
 //!
 //! The digests pin IEEE float arithmetic on the x86-64 CI target; when a
 //! figure's definition (or an intentional semantic change) moves them,
@@ -27,7 +30,8 @@ const SCALE: &str = "0.01";
 /// for any thread count, so this only affects wall time.
 const THREADS: usize = 4;
 
-/// `(figure id, FNV-1a-64 digest of the stripped result JSON)`.
+/// `(figure id, FNV-1a-64 digest of the stripped result JSON, FNV-1a-64
+/// digest of the figure's rendered view)`.
 ///
 /// Re-goldened for the workload-generator bugfixes (and extended with the
 /// `robust01`–`robust03` campaigns): the `DeltaChain` page-crossing fix
@@ -40,30 +44,30 @@ const THREADS: usize = 4;
 /// moved. Only fig14 and fig15 — pure-Ligra figures built solely on
 /// `IrregularGraph` — kept their previous digests, which is exactly the
 /// expected blast radius.
-const GOLDEN: &[(&str, u64)] = &[
-    ("fig01", 0x26d1d2bb768e9506),
-    ("fig07", 0x5c4d3cd503be1a0a),
-    ("fig08a", 0x47548df7ded3cac5),
-    ("fig08b", 0x96584179d85380fb),
-    ("fig08c", 0x53f86327eaf143e7),
-    ("fig08d", 0x4ef027f623392632),
-    ("fig09", 0x74f59f61f05013eb),
-    ("fig10", 0x5d3414014e66f389),
-    ("fig11", 0xcddd16b054dd210f),
-    ("fig12", 0xd6e4f0ffecb06a06),
-    ("fig14", 0x29da07107a0d2523),
-    ("fig15", 0x258d9e8a365538bd),
-    ("fig16", 0xe082db9d532fe449),
-    ("fig17", 0xb16375583367dfcc),
-    ("fig20", 0x0b5e5a8e3e2d5203),
-    ("fig21", 0xd00de047a1561e49),
-    ("fig22", 0x18d317f855295ca5),
-    ("fig23", 0x386858539920840d),
-    ("tab02", 0x7c5a87744c549402),
-    ("ablation", 0x2a21bc9250e2f281),
-    ("robust01", 0xda77ba76528232c6),
-    ("robust02", 0x8e5ff91c116aae72),
-    ("robust03", 0xdf31b053c6c12441),
+const GOLDEN: &[(&str, u64, u64)] = &[
+    ("fig01", 0x26d1d2bb768e9506, 0x38166f80f173dced),
+    ("fig07", 0x5c4d3cd503be1a0a, 0x3347e1edebaec4f1),
+    ("fig08a", 0x47548df7ded3cac5, 0x0246a667bcbdbb90),
+    ("fig08b", 0x96584179d85380fb, 0x9ff191cf27f47aea),
+    ("fig08c", 0x53f86327eaf143e7, 0x21c4f76fc2c9c3b4),
+    ("fig08d", 0x4ef027f623392632, 0x706204585a406cc4),
+    ("fig09", 0x74f59f61f05013eb, 0x17a0a62d447d60b4),
+    ("fig10", 0x5d3414014e66f389, 0x91f248abbdedb04c),
+    ("fig11", 0xcddd16b054dd210f, 0x6669e9a3b5dfa90b),
+    ("fig12", 0xd6e4f0ffecb06a06, 0xc443caca21020261),
+    ("fig14", 0x29da07107a0d2523, 0xa8da77ac09ddd825),
+    ("fig15", 0x258d9e8a365538bd, 0x536b4ca64308ba58),
+    ("fig16", 0xe082db9d532fe449, 0x6d35dc54beee98ed),
+    ("fig17", 0xb16375583367dfcc, 0x423fe65ec378b4a5),
+    ("fig20", 0x0b5e5a8e3e2d5203, 0x4fb8801ddc441ca3),
+    ("fig21", 0xd00de047a1561e49, 0x0b04083ad972bd5f),
+    ("fig22", 0x18d317f855295ca5, 0x91076d7a78ab0daf),
+    ("fig23", 0x386858539920840d, 0x2a991fd326997f7e),
+    ("tab02", 0x7c5a87744c549402, 0x70acbea6c87c2973),
+    ("ablation", 0x2a21bc9250e2f281, 0xb299414840f350e4),
+    ("robust01", 0xda77ba76528232c6, 0x10edb3552e3b2eb7),
+    ("robust02", 0x8e5ff91c116aae72, 0x70ab644822d68be4),
+    ("robust03", 0xdf31b053c6c12441, 0x83100fac76f14389),
 ];
 
 /// FNV-1a 64-bit — the same digest the content-addressed campaign cache
@@ -98,27 +102,35 @@ fn every_figure_registry_entry_pins_its_report_digest() {
         let result =
             pythia_sweep::engine::run_all(def.id, &specs, THREADS).expect("figure runs clean");
         let digest = fnv1a(strip_throughput(result.to_json()).render().as_bytes());
-        computed.push((def.id, digest));
-        match GOLDEN.iter().find(|(id, _)| *id == def.id) {
-            Some(&(_, expected)) if expected == digest => {}
-            Some(&(_, expected)) => mismatches.push(format!(
-                "{}: digest {digest:#018x} != pinned {expected:#018x}",
+        let view = (def.view)(&result);
+        assert!(
+            view.contains("\n| ---"),
+            "{}: view has no markdown table:\n{view}",
+            def.id
+        );
+        let view_digest = fnv1a(view.as_bytes());
+        computed.push((def.id, digest, view_digest));
+        match GOLDEN.iter().find(|(id, ..)| *id == def.id) {
+            Some(&(_, cells, view)) if (cells, view) == (digest, view_digest) => {}
+            Some(&(_, cells, view)) => mismatches.push(format!(
+                "{}: digests (cells {digest:#018x}, view {view_digest:#018x}) != pinned \
+                 (cells {cells:#018x}, view {view:#018x})",
                 def.id
             )),
             None => mismatches.push(format!("{}: no pinned digest for this figure", def.id)),
         }
     }
     // Retired figures must drop their pins too.
-    for (id, _) in GOLDEN {
-        if !computed.iter().any(|(cid, _)| cid == id) {
+    for (id, ..) in GOLDEN {
+        if !computed.iter().any(|(cid, ..)| cid == id) {
             mismatches.push(format!("{id}: pinned digest for an unregistered figure"));
         }
     }
 
     if print_mode {
-        println!("const GOLDEN: &[(&str, u64)] = &[");
-        for (id, digest) in &computed {
-            println!("    ({id:?}, {digest:#018x}),");
+        println!("const GOLDEN: &[(&str, u64, u64)] = &[");
+        for (id, digest, view_digest) in &computed {
+            println!("    ({id:?}, {digest:#018x}, {view_digest:#018x}),");
         }
         println!("];");
         return;

@@ -103,7 +103,7 @@ proptest! {
         let mut eq = EvaluationQueue::new(capacity);
         let mut evicted_order = Vec::new();
         for i in 0..inserts {
-            let e = EqEntry::new(vec![i as u64], 0, Some(i as u64), i as u64);
+            let e = EqEntry::new(0, Some(i as u64), i as u64);
             if let Some(ev) = eq.insert(e) {
                 evicted_order.push(ev.prefetch_line.unwrap());
             }
