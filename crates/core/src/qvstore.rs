@@ -971,6 +971,63 @@ mod tests {
         }
     }
 
+    /// On an AVX2 host every store of 16 or more actions takes
+    /// `argmax_avx2`, so nothing else runs the SWAR walk on the paper's
+    /// 16-action list or the 127-action list. Both kernels must pick the
+    /// same action, saturated cells and exact ties included.
+    #[test]
+    fn avx2_argmax_matches_swar_argmax() {
+        if !detect_avx2() {
+            return;
+        }
+        let full_list: Vec<i32> = (-63..=63).collect();
+        for actions in [PythiaConfig::basic().actions, full_list] {
+            for combine in [VaultCombine::Max, VaultCombine::Mean] {
+                let mut cfg = PythiaConfig::basic();
+                cfg.actions = actions.clone();
+                cfg.vault_combine = combine;
+                let n = actions.len();
+                let mut avx2 = QvStore::new(&cfg);
+                for i in 0..6_000u64 {
+                    let st = [i % 97, i % 61];
+                    let a = (i * 7 % n as u64) as usize;
+                    // Every 50th update pins its cells at the i16 ceiling
+                    // or floor; the rest spread values out.
+                    let (r, alpha) = match i % 100 {
+                        0 => (1.0e6, 1.0),
+                        50 => (-1.0e6, 1.0),
+                        _ => ((i * 13 % 31) as f32 - 15.0, 0.2),
+                    };
+                    avx2.sarsa_update(&st, a, r, &[st[0] + 1, st[1]], a, alpha, cfg.gamma);
+                }
+                // An exact tie at the top: two actions of one state pinned
+                // at the ceiling in every plane.
+                let tied = [500, 500];
+                for a in [3, n - 2] {
+                    for _ in 0..4 {
+                        avx2.sarsa_update(&tied, a, 1.0e6, &tied, a, 1.0, 0.0);
+                    }
+                }
+                let mut swar = QvStore::new(&cfg);
+                swar.table.clone_from(&avx2.table);
+                swar.use_avx2 = false;
+                let mut bases = Vec::new();
+                for probe in 0..4_000u64 {
+                    let st = [probe % 700, probe % 61];
+                    avx2.state_bases(&st, &mut bases);
+                    assert_eq!(
+                        avx2.argmax_prehashed(&bases),
+                        swar.argmax_prehashed(&bases),
+                        "{n} actions, {combine:?}, state {st:?}"
+                    );
+                }
+                assert_eq!(swar.q(&tied, 3), swar.q(&tied, n - 2));
+                assert_eq!(swar.argmax(&tied), 3, "ties break low");
+                assert_eq!(avx2.argmax(&tied), 3, "ties break low");
+            }
+        }
+    }
+
     #[test]
     fn saturation_clamps_instead_of_wrapping() {
         let mut s = store();

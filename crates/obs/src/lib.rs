@@ -10,8 +10,9 @@
 //!   and log2-bucketed [`metrics::Histogram`]s with p50/p95/p99
 //!   summaries, grouped under an explicit [`metrics::Registry`] that is
 //!   *threaded through call sites* — there are no globals anywhere in
-//!   this crate. `pythia-serve` registers per-route request latency,
-//!   cell queue-wait/execution, and journal fsync instruments here.
+//!   this crate. `pythia-serve` registers every service number here:
+//!   scheduler and connection events, state gauges, per-route request
+//!   latency, cell queue-wait/execution, and journal fsync instruments.
 //! * [`spans`] — hierarchical span timers behind the [`spans::Sectioner`]
 //!   trait. The hot path is generic over the sectioner, and the
 //!   [`spans::NoopSectioner`] compiles to nothing, so instrumented code
@@ -25,8 +26,8 @@
 //! * [`logger`] — a leveled structured logger emitting one JSON object
 //!   per line (`ts`, `level`, `target`, `msg`, then fields).
 //!   `pythia-serve` routes its diagnostics through it.
-//! * [`prom`] — Prometheus text exposition: a renderer over a
-//!   [`metrics::Registry`] (plus ad-hoc families) and a [`prom::lint`]
+//! * [`prom`] — Prometheus text exposition: [`prom::render`] over a
+//!   [`metrics::Registry`] (its only input) and a [`prom::lint`]
 //!   checker used by tests and CI to validate `GET /metrics?format=prom`.
 //! * [`host`] — cheap host provenance (hostname, detected CPU features)
 //!   stamped into benchmark reports so saved baselines are

@@ -36,6 +36,13 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the value to `v` if it is below it: how a collect step
+    /// mirrors a monotonic count that is owned elsewhere. Concurrent
+    /// mirrors cannot move the counter backwards.
+    pub fn advance_to(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -79,7 +86,6 @@ impl Gauge {
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS + 1],
     sum: AtomicU64,
-    count: AtomicU64,
     max: AtomicU64,
 }
 
@@ -112,7 +118,6 @@ impl Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
@@ -139,13 +144,14 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples: the sum of the buckets. There is no
+    /// separate count cell, so a count can never disagree with the
+    /// bucket read it came from.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of recorded samples.
@@ -174,8 +180,6 @@ impl Histogram {
         }
         self.sum
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
         self.max
             .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
@@ -185,36 +189,43 @@ impl Histogram {
     /// clamped to the observed maximum. Returns 0 for an empty
     /// histogram.
     pub fn percentile(&self, p: f64) -> u64 {
-        let counts = self.bucket_counts();
-        let n: u64 = counts.iter().sum();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((p * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                if i == HISTOGRAM_BUCKETS {
-                    return self.max();
-                }
-                return Self::bucket_bound(i).min(self.max());
-            }
-        }
-        self.max()
+        percentile_of(&self.bucket_counts(), self.max(), p)
     }
 
-    /// The p50/p95/p99 summary.
+    /// The p50/p95/p99 summary. Count and percentiles come from one
+    /// bucket read, so they agree even while other threads record.
     pub fn summary(&self) -> HistogramSummary {
+        let counts = self.bucket_counts();
+        let max = self.max();
         HistogramSummary {
-            count: self.count(),
+            count: counts.iter().sum(),
             sum: self.sum(),
-            p50: self.percentile(0.50),
-            p95: self.percentile(0.95),
-            p99: self.percentile(0.99),
-            max: self.max(),
+            p50: percentile_of(&counts, max, 0.50),
+            p95: percentile_of(&counts, max, 0.95),
+            p99: percentile_of(&counts, max, 0.99),
+            max,
         }
     }
+}
+
+/// [`Histogram::percentile`] over one read of the buckets and the maximum.
+fn percentile_of(counts: &[u64], max: u64, p: f64) -> u64 {
+    let n: u64 = counts.iter().sum();
+    if n == 0 {
+        return 0;
+    }
+    let rank = ((p * n as f64).ceil() as u64).clamp(1, n);
+    let mut seen = 0u64;
+    for (i, c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            if i == HISTOGRAM_BUCKETS {
+                return max;
+            }
+            return Histogram::bucket_bound(i).min(max);
+        }
+    }
+    max
 }
 
 /// What kind of instrument a registered family holds.
@@ -400,6 +411,12 @@ impl Registry {
     /// A point-in-time clone of every family (for rendering).
     pub fn snapshot(&self) -> Vec<Family> {
         self.families.lock().expect("registry poisoned").clone()
+    }
+
+    /// A point-in-time clone of one family, by name.
+    pub fn family(&self, name: &str) -> Option<Family> {
+        let families = self.families.lock().expect("registry poisoned");
+        families.iter().find(|f| f.name == name).cloned()
     }
 }
 

@@ -1,5 +1,6 @@
-//! Prometheus text exposition: a renderer over [`Registry`] snapshots
-//! (plus ad-hoc families) and a [`lint`] checker for the output.
+//! Prometheus text exposition: [`render`] turns a [`Registry`] into text
+//! and [`lint`] checks such text. The registry is the only input — a
+//! number that is not a registered instrument cannot be exposed.
 //!
 //! The renderer emits the version-0.0.4 text format: `# HELP` / `# TYPE`
 //! once per family, then one sample per line, histograms expanded into
@@ -9,22 +10,10 @@
 //! pairs, no duplicate families or samples, samples only under declared
 //! families, cumulative buckets) and that every sample value is finite.
 
+use std::fmt::Write;
+
 use crate::logger::json_escape;
-use crate::metrics::{Family, Histogram, Instrument, Kind, Registry};
-
-/// An incremental builder for Prometheus text exposition.
-#[derive(Debug, Default)]
-pub struct PromText {
-    out: String,
-}
-
-fn format_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
+use crate::metrics::{Histogram, Instrument, Kind, Registry};
 
 fn format_labels(labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
@@ -37,105 +26,59 @@ fn format_labels(labels: &[(&str, &str)]) -> String {
     format!("{{{}}}", pairs.join(","))
 }
 
-impl PromText {
-    /// An empty exposition.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares a family: one `# HELP` + `# TYPE` pair. `kind` is a
-    /// Prometheus type string (`counter`, `gauge`, `histogram`).
-    pub fn family(&mut self, name: &str, help: &str, kind: &str) {
-        let help = help.replace('\\', "\\\\").replace('\n', "\\n");
-        self.out.push_str(&format!("# HELP {name} {help}\n"));
-        self.out.push_str(&format!("# TYPE {name} {kind}\n"));
-    }
-
-    /// Emits one sample line under the most recently declared family.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.out.push_str(&format!(
-            "{name}{} {}\n",
-            format_labels(labels),
-            format_value(value)
-        ));
-    }
-
-    /// Emits a histogram's cumulative `_bucket` series plus `_sum` and
-    /// `_count` under the family `name`.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
-        let counts = h.bucket_counts();
-        let mut cumulative = 0u64;
-        let with_le = |le: &str, cumulative: u64, out: &mut String| {
-            let mut all: Vec<(&str, &str)> = labels.to_vec();
-            all.push(("le", le));
-            out.push_str(&format!(
-                "{name}_bucket{} {cumulative}\n",
-                format_labels(&all)
-            ));
+/// Emits a histogram's cumulative `_bucket` series plus `_sum` and
+/// `_count`. `_count` is the last cumulative bucket of the same read, so
+/// it equals `le="+Inf"` even while other threads record.
+fn render_histogram(out: &mut String, name: &str, labels: &[(&str, &str)], h: &Histogram) {
+    let counts = h.bucket_counts();
+    let mut cumulative = 0u64;
+    for (i, c) in counts.iter().enumerate() {
+        cumulative += c;
+        let le = if i < counts.len() - 1 {
+            Histogram::bucket_bound(i).to_string()
+        } else {
+            "+Inf".to_string()
         };
-        for (i, c) in counts.iter().enumerate() {
-            cumulative += c;
-            if i < counts.len() - 1 {
-                with_le(
-                    &Histogram::bucket_bound(i).to_string(),
-                    cumulative,
-                    &mut self.out,
-                );
-            } else {
-                with_le("+Inf", cumulative, &mut self.out);
-            }
-        }
-        self.out.push_str(&format!(
-            "{name}_sum{} {}\n",
-            format_labels(labels),
-            h.sum()
-        ));
-        self.out.push_str(&format!(
-            "{name}_count{} {}\n",
-            format_labels(labels),
-            h.count()
-        ));
+        let mut all: Vec<(&str, &str)> = labels.to_vec();
+        all.push(("le", &le));
+        let _ = writeln!(out, "{name}_bucket{} {cumulative}", format_labels(&all));
     }
+    let labels = format_labels(labels);
+    let _ = writeln!(out, "{name}_sum{labels} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{labels} {cumulative}");
+}
 
-    /// Appends every family of a registry snapshot.
-    pub fn registry(&mut self, registry: &Registry) {
-        for family in registry.snapshot() {
-            self.render_family(&family);
-        }
-    }
-
-    fn render_family(&mut self, family: &Family) {
+/// Renders every family of a registry snapshot as Prometheus text.
+pub fn render(registry: &Registry) -> String {
+    let mut out = String::new();
+    for family in registry.snapshot() {
+        let name = &family.name;
         let kind = match family.kind {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",
             Kind::Histogram => "histogram",
         };
-        self.family(&family.name, &family.help, kind);
+        let help = family.help.replace('\\', "\\\\").replace('\n', "\\n");
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
         for sample in &family.samples {
             let labels: Vec<(&str, &str)> = sample
                 .labels
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
-            match &sample.instrument {
-                Instrument::Counter(c) => self.sample(&family.name, &labels, c.get() as f64),
-                Instrument::Gauge(g) => self.sample(&family.name, &labels, g.get() as f64),
-                Instrument::Histogram(h) => self.histogram(&family.name, &labels, h),
-            }
+            let value = match &sample.instrument {
+                Instrument::Counter(c) => c.get().to_string(),
+                Instrument::Gauge(g) => g.get().to_string(),
+                Instrument::Histogram(h) => {
+                    render_histogram(&mut out, name, &labels, h);
+                    continue;
+                }
+            };
+            let _ = writeln!(out, "{name}{} {value}", format_labels(&labels));
         }
     }
-
-    /// The rendered exposition.
-    pub fn finish(self) -> String {
-        self.out
-    }
-}
-
-/// Renders a registry snapshot as Prometheus text.
-pub fn render(registry: &Registry) -> String {
-    let mut text = PromText::new();
-    text.registry(registry);
-    text.finish()
+    out
 }
 
 /// Validates Prometheus text exposition. Returns every violation found
@@ -338,6 +281,34 @@ mod tests {
             errors.is_empty(),
             "linter must pass the renderer: {errors:?}"
         );
+    }
+
+    /// A scrape must not tear: `_count` and `le="+Inf"` come from one
+    /// bucket read, so the linter finds nothing while a thread records.
+    #[test]
+    fn render_lints_clean_while_another_thread_records() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let r = Registry::new();
+        let h = r.histogram("busy_us", "Recorded while rendering.");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut v = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(v);
+                    v = v % 100_000 + 7;
+                }
+            });
+            for i in 0..3_000 {
+                let problems = lint(&render(&r));
+                if !problems.is_empty() {
+                    stop.store(true, Ordering::Relaxed);
+                    panic!("render {i}: {problems:?}");
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(h.count() > 0, "the recorder ran");
     }
 
     #[test]

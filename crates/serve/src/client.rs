@@ -98,8 +98,10 @@ pub fn status(addr: &str, digest: &str) -> Result<Json, String> {
     json_of(&body)
 }
 
-/// Polls status every `poll` until the job reports `done`, failing on
-/// `failed` or after `timeout`.
+/// Polls status until the job reports `done`, failing on `failed` or
+/// after `timeout`. The pause between polls doubles from 1 ms up to
+/// `poll`, so a campaign that finishes in milliseconds is not held for a
+/// whole interval.
 ///
 /// # Errors
 ///
@@ -127,6 +129,7 @@ pub fn wait_done_with(
     mut on_progress: impl FnMut(u64, u64),
 ) -> Result<(), String> {
     let deadline = Instant::now() + timeout;
+    let mut pause = Duration::from_millis(1).min(poll);
     loop {
         let doc = status(addr, digest)?;
         let cells = |key: &str| {
@@ -155,7 +158,8 @@ pub fn wait_done_with(
                 timeout.as_secs_f64()
             ));
         }
-        std::thread::sleep(poll);
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(poll);
     }
 }
 

@@ -16,9 +16,11 @@
 //!   restart instead of being silently dropped.
 //! * [`scheduler`] — a bounded job queue + worker pool running
 //!   [`pythia_sweep::engine::run_all`], with in-flight dedup (identical
-//!   digests coalesce onto one job), per-job status, service counters,
-//!   journal-backed recovery, and 429-style backpressure when the queue
-//!   is full.
+//!   digests coalesce onto one job), per-job status, journal-backed
+//!   recovery, and 429-style backpressure when the queue is full.
+//! * [`obs`] — the one place a service number is stored: every counter,
+//!   gauge and histogram is an instrument of one `pythia-obs` registry,
+//!   which both `/metrics` views read.
 //! * [`server`] — routing: `POST /campaigns` (submit a figure id or a
 //!   canonical spec), `GET /campaigns/<digest>` (status),
 //!   `GET /campaigns/<digest>/result` (md/JSON/CSV via the existing
@@ -56,4 +58,4 @@ pub mod server;
 pub use journal::Journal;
 pub use obs::ServeObs;
 pub use scheduler::{JobStatus, Scheduler, SubmitError};
-pub use server::{ConnStats, ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};

@@ -2,49 +2,118 @@
 //! metric [`Registry`], and pre-registered instrument handles — threaded
 //! explicitly through the server, scheduler and journal (no globals).
 //!
-//! The handles cover the service's hot paths:
+//! Every number the service reports is an instrument of the bundle's
+//! registry, so the two `/metrics` views read one source:
+//! `GET /metrics?format=prom` is [`pythia_obs::prom::render`] of it and
+//! the JSON view is a projection of the same handles. Three kinds of
+//! instrument:
 //!
-//! * per-route request latency and response body size (`handle_connection`),
-//! * cell queue wait (submission → worker claim) and execution time
-//!   (`worker_loop`),
-//! * journal fsync latency (`Journal::append`).
+//! * **events**, incremented where they happen — scheduler and
+//!   connection events, simulated instructions and wall time;
+//! * **gauges moved by guards** — open connections, busy workers;
+//! * **collected state** — queue and cell depths, store counters —
+//!   copied in by [`crate::scheduler::Scheduler::collect`] once per
+//!   scrape, under one scheduler lock;
 //!
-//! Everything is registered in the bundle's [`Registry`], so
-//! `GET /metrics?format=prom` renders the whole set with
-//! [`pythia_obs::prom::render`] and the JSON `/metrics` view folds in
-//! percentile summaries. Components constructed without an explicit
-//! bundle (unit tests, bare [`crate::scheduler::Scheduler::start`]) get a
-//! private default bundle logging at `warn`, which preserves the old
-//! "errors reach stderr" behaviour without test noise.
+//! plus the latency histograms: per-route request latency and response
+//! size (`handle_connection`), cell queue wait and execution time
+//! (`worker_loop`), journal fsync (`Journal::append`).
+//!
+//! Components constructed without an explicit bundle (unit tests, bare
+//! [`crate::scheduler::Scheduler::start`]) get a private default bundle
+//! logging at `warn`, which preserves the old "errors reach stderr"
+//! behaviour without test noise.
 
 use std::sync::Arc;
 
 use pythia_obs::logger::{Level, Logger};
-use pythia_obs::metrics::{Histogram, Registry};
+use pythia_obs::metrics::{Counter, Gauge, Histogram, Registry};
 
 /// Route keys used as the `route` label of the HTTP histograms — a small
 /// fixed vocabulary so label cardinality stays bounded no matter what
-/// paths clients probe.
+/// paths clients probe. [`crate::server::route`] classifies.
 pub const ROUTE_KEYS: &[&str] = &["figures", "metrics", "submit", "status", "result", "other"];
 
-/// Classifies a request into one of [`ROUTE_KEYS`].
-pub fn route_key(method: &str, path: &str) -> &'static str {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (method, segments.as_slice()) {
-        ("GET", ["figures"]) => "figures",
-        ("GET", ["metrics"]) => "metrics",
-        ("POST", ["campaigns"]) => "submit",
-        ("GET", ["campaigns", _]) => "status",
-        ("GET", ["campaigns", _, "result"]) => "result",
-        _ => "other",
-    }
-}
+/// Family of [`SchedulerEvents`]; its `event` label values are the keys
+/// of the JSON `counters` object.
+pub(crate) const SCHEDULER_EVENTS: &str = "pythia_scheduler_events_total";
+
+/// Family of [`ConnectionEvents`]; its `event` label values are keys of
+/// the JSON `connections` object.
+pub(crate) const CONNECTION_EVENTS: &str = "pythia_connections_total";
+
+/// Family of the per-route request latency histograms; its `route`
+/// label values are the keys of the JSON `latency.routes_us` object.
+pub(crate) const ROUTE_LATENCY: &str = "pythia_http_request_duration_us";
 
 /// Per-route instrument handles.
 struct RouteMetrics {
     key: &'static str,
     latency_us: Arc<Histogram>,
     body_bytes: Arc<Histogram>,
+}
+
+/// Monotonic scheduler events: `pythia_scheduler_events_total{event=…}`.
+pub struct SchedulerEvents {
+    /// Campaigns accepted (every non-error submission).
+    pub submitted: Arc<Counter>,
+    /// Campaigns actually simulated by this process's workers.
+    pub executed: Arc<Counter>,
+    /// Submissions served from the in-memory done map or the disk store.
+    pub cache_hits: Arc<Counter>,
+    /// Submissions coalesced onto a queued/running job.
+    pub coalesced: Arc<Counter>,
+    /// Jobs finished successfully.
+    pub completed: Arc<Counter>,
+    /// Jobs that failed during execution.
+    pub failed: Arc<Counter>,
+    /// Submissions rejected because the queue was full.
+    pub rejected: Arc<Counter>,
+    /// Jobs recovered from the journal at startup (requeued or resolved
+    /// from the disk store).
+    pub replayed: Arc<Counter>,
+    /// Individual cells simulated by this process's workers.
+    pub cells_executed: Arc<Counter>,
+    /// Cells restored from journal records at startup instead of re-run.
+    pub cells_replayed: Arc<Counter>,
+}
+
+/// Monotonic connection events: `pythia_connections_total{event=…}`.
+pub struct ConnectionEvents {
+    /// Connections accepted (including ones later shed).
+    pub accepted: Arc<Counter>,
+    /// Connections shed with 503 because the cap was reached.
+    pub rejected: Arc<Counter>,
+    /// Requests served across all connections.
+    pub requests: Arc<Counter>,
+    /// Connections closed with 408 after idling out.
+    pub timeouts: Arc<Counter>,
+}
+
+/// Scheduler and store state, current as of the last
+/// [`crate::scheduler::Scheduler::collect`] (the two capacities are
+/// constants, set when the scheduler starts).
+pub struct Collected {
+    /// Campaigns holding a ready-queue slot.
+    pub queue_depth: Arc<Gauge>,
+    /// Ready-queue capacity.
+    pub queue_cap: Arc<Gauge>,
+    /// Unclaimed cells across unfinished jobs.
+    pub cells_queued: Arc<Gauge>,
+    /// Cells currently simulating.
+    pub cells_in_flight: Arc<Gauge>,
+    /// Configured worker threads.
+    pub workers_total: Arc<Gauge>,
+    /// Result-store loads that found and decoded an artifact.
+    pub store_hits: Arc<Counter>,
+    /// Result-store loads that found nothing (or a corrupt artifact).
+    pub store_misses: Arc<Counter>,
+    /// Artifacts written to the result store.
+    pub store_stored: Arc<Counter>,
+    /// Artifacts evicted to stay under the byte budget.
+    pub store_evicted: Arc<Counter>,
+    /// Bytes the result store currently indexes.
+    pub store_bytes_used: Arc<Gauge>,
 }
 
 /// The service's observability bundle. Built once per server (or once
@@ -59,53 +128,123 @@ pub struct ServeObs {
     pub cell_execution_us: Arc<Histogram>,
     /// Latency of one journal append (write + flush + fsync), in µs.
     pub journal_fsync_us: Arc<Histogram>,
+    /// Scheduler events.
+    pub events: SchedulerEvents,
+    /// Connection events.
+    pub connections: ConnectionEvents,
+    /// Connections currently open; also what the connection cap reads.
+    pub connections_active: Arc<Gauge>,
+    /// Workers simulating a cell right now.
+    pub workers_busy: Arc<Gauge>,
+    /// Instructions simulated by this process.
+    pub sim_instructions: Arc<Counter>,
+    /// Wall time spent simulating cells, in µs.
+    pub sim_wall_us: Arc<Counter>,
+    /// State copied in once per scrape.
+    pub collected: Collected,
 }
 
 impl ServeObs {
     /// A bundle logging to stderr at `level`.
     pub fn new(level: Level) -> Self {
-        Self::with_logger(Logger::stderr(level))
-    }
-
-    /// A bundle with a caller-supplied logger (tests capture output this
-    /// way).
-    pub fn with_logger(logger: Logger) -> Self {
         let registry = Registry::new();
+        let r = &registry;
         let routes = ROUTE_KEYS
             .iter()
             .map(|&key| RouteMetrics {
                 key,
-                latency_us: registry.histogram_with(
-                    "pythia_http_request_duration_us",
+                latency_us: r.histogram_with(
+                    ROUTE_LATENCY,
                     "Request handling latency per route, in microseconds",
                     &[("route", key)],
                 ),
-                body_bytes: registry.histogram_with(
+                body_bytes: r.histogram_with(
                     "pythia_http_response_bytes",
                     "Response body size per route, in bytes",
                     &[("route", key)],
                 ),
             })
             .collect();
-        let cell_queue_wait_us = registry.histogram(
-            "pythia_cell_queue_wait_us",
-            "Cell wait between job enqueue and worker claim, in microseconds",
-        );
-        let cell_execution_us = registry.histogram(
-            "pythia_cell_execution_us",
-            "Cell simulation wall time, in microseconds",
-        );
-        let journal_fsync_us = registry.histogram(
-            "pythia_journal_fsync_us",
-            "Journal append latency (write+flush+fsync), in microseconds",
-        );
+        let event = |name| {
+            r.counter_with(
+                SCHEDULER_EVENTS,
+                "Monotonic scheduler counters by event",
+                &[("event", name)],
+            )
+        };
+        let connection = |name| {
+            r.counter_with(
+                CONNECTION_EVENTS,
+                "Monotonic connection counters by event",
+                &[("event", name)],
+            )
+        };
         Self {
-            logger,
-            registry,
             routes,
-            cell_queue_wait_us,
-            cell_execution_us,
-            journal_fsync_us,
+            cell_queue_wait_us: r.histogram(
+                "pythia_cell_queue_wait_us",
+                "Cell wait between job enqueue and worker claim, in microseconds",
+            ),
+            cell_execution_us: r.histogram(
+                "pythia_cell_execution_us",
+                "Cell simulation wall time, in microseconds",
+            ),
+            journal_fsync_us: r.histogram(
+                "pythia_journal_fsync_us",
+                "Journal append latency (write+flush+fsync), in microseconds",
+            ),
+            events: SchedulerEvents {
+                submitted: event("submitted"),
+                executed: event("executed"),
+                cache_hits: event("cache_hits"),
+                coalesced: event("coalesced"),
+                completed: event("completed"),
+                failed: event("failed"),
+                rejected: event("rejected"),
+                replayed: event("replayed"),
+                cells_executed: event("cells_executed"),
+                cells_replayed: event("cells_replayed"),
+            },
+            connections: ConnectionEvents {
+                accepted: connection("accepted"),
+                rejected: connection("rejected"),
+                requests: connection("requests"),
+                timeouts: connection("timeouts"),
+            },
+            connections_active: r.gauge("pythia_connections_active", "Connections currently open"),
+            workers_busy: r.gauge("pythia_workers_busy", "Workers simulating a cell right now"),
+            sim_instructions: r.counter(
+                "pythia_sim_instructions_total",
+                "Instructions simulated by this process",
+            ),
+            sim_wall_us: r.counter(
+                "pythia_sim_wall_us_total",
+                "Wall time spent simulating cells, in microseconds",
+            ),
+            collected: Collected {
+                queue_depth: r.gauge("pythia_queue_depth", "Campaigns holding a ready-queue slot"),
+                queue_cap: r.gauge("pythia_queue_cap", "Ready-queue capacity"),
+                cells_queued: r.gauge(
+                    "pythia_cells_queued",
+                    "Unclaimed cells across unfinished jobs",
+                ),
+                cells_in_flight: r.gauge("pythia_cells_in_flight", "Cells currently simulating"),
+                workers_total: r.gauge("pythia_workers_total", "Configured worker threads"),
+                store_hits: r.counter("pythia_store_hits_total", "Result-store lookup hits"),
+                store_misses: r.counter("pythia_store_misses_total", "Result-store lookup misses"),
+                store_stored: r.counter(
+                    "pythia_store_stored_total",
+                    "Result-store artifacts written",
+                ),
+                store_evicted: r.counter(
+                    "pythia_store_evicted_total",
+                    "Result-store artifacts evicted to stay under the byte budget",
+                ),
+                store_bytes_used: r
+                    .gauge("pythia_store_bytes_used", "Bytes the result store indexes"),
+            },
+            logger: Logger::stderr(level),
+            registry,
         }
     }
 
@@ -126,14 +265,6 @@ impl ServeObs {
             r.body_bytes.record(body_bytes);
         }
     }
-
-    /// The latency histogram of one route (JSON summaries, tests).
-    pub fn route_latency(&self, route: &str) -> Option<&Arc<Histogram>> {
-        self.routes
-            .iter()
-            .find(|r| r.key == route)
-            .map(|r| &r.latency_us)
-    }
 }
 
 impl Default for ServeObs {
@@ -147,18 +278,33 @@ impl Default for ServeObs {
 mod tests {
     use super::*;
 
+    /// `server::route` is the one classifier; every key it returns must
+    /// be in the registered vocabulary or `record_request` drops it.
     #[test]
     fn route_classification() {
-        assert_eq!(route_key("GET", "/figures"), "figures");
-        assert_eq!(route_key("GET", "/metrics"), "metrics");
-        assert_eq!(route_key("POST", "/campaigns"), "submit");
-        assert_eq!(route_key("GET", "/campaigns/0123456789abcdef"), "status");
-        assert_eq!(
-            route_key("GET", "/campaigns/0123456789abcdef/result"),
-            "result"
-        );
-        assert_eq!(route_key("PUT", "/figures"), "other");
-        assert_eq!(route_key("GET", "/nope"), "other");
+        use crate::http::Request;
+        let scheduler = crate::scheduler::Scheduler::start(0, 1, None, None);
+        let key = |method: &str, path: &str| {
+            let request = Request {
+                method: method.into(),
+                path: path.into(),
+                query: Vec::new(),
+                headers: Vec::new(),
+                body: Vec::new(),
+                close: false,
+            };
+            let (key, _) = crate::server::route(&scheduler, &request);
+            assert!(ROUTE_KEYS.contains(&key), "{key} is not a route key");
+            key
+        };
+        assert_eq!(key("GET", "/figures"), "figures");
+        assert_eq!(key("GET", "/metrics"), "metrics");
+        assert_eq!(key("POST", "/campaigns"), "submit");
+        assert_eq!(key("GET", "/campaigns/0123456789abcdef"), "status");
+        assert_eq!(key("GET", "/campaigns/0123456789abcdef/result"), "result");
+        assert_eq!(key("PUT", "/figures"), "other");
+        assert_eq!(key("GET", "/nope"), "other");
+        scheduler.shutdown();
     }
 
     #[test]
@@ -166,10 +312,14 @@ mod tests {
         let obs = ServeObs::default();
         obs.record_request("metrics", 150, 900);
         obs.record_request("other", 10, 20);
-        let h = obs.route_latency("metrics").expect("known route");
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 150);
-        assert_eq!(obs.route_latency("figures").expect("known").count(), 0);
+        // Registering an existing (name, labels) re-derives its handle.
+        let latency = |route| {
+            obs.registry()
+                .histogram_with(ROUTE_LATENCY, "", &[("route", route)])
+        };
+        assert_eq!(latency("metrics").count(), 1);
+        assert_eq!(latency("metrics").sum(), 150);
+        assert_eq!(latency("figures").count(), 0);
         // Unknown keys are dropped, not panicked on.
         obs.record_request("bogus", 1, 1);
     }

@@ -37,17 +37,16 @@
 //! down to the survivors.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use pythia_sim::stats::SimReport;
-use pythia_stats::json::Json;
 use pythia_sweep::codec::Campaign;
 use pythia_sweep::{plan_campaign, CampaignPlan, ResultStore, SweepResult};
 
 use crate::journal::{Journal, PendingJob, DEFAULT_TENANT};
-use crate::obs::ServeObs;
+use crate::obs::{SchedulerEvents, ServeObs};
 
 /// Upper bound on the accepted `priority` weight (quantum size): enough
 /// spread to express "urgent", small enough that one tenant cannot
@@ -120,50 +119,6 @@ pub struct Partial {
     pub total: usize,
     /// Whether `result` is the final artifact.
     pub complete: bool,
-}
-
-/// Monotonic service counters, readable without any lock.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Campaigns accepted (every non-error submission).
-    pub submitted: AtomicU64,
-    /// Campaigns actually simulated by this process's workers.
-    pub executed: AtomicU64,
-    /// Submissions served from the in-memory done map or the disk store.
-    pub cache_hits: AtomicU64,
-    /// Submissions coalesced onto a queued/running job.
-    pub coalesced: AtomicU64,
-    /// Jobs finished successfully.
-    pub completed: AtomicU64,
-    /// Jobs that failed during execution.
-    pub failed: AtomicU64,
-    /// Submissions rejected because the queue was full.
-    pub rejected: AtomicU64,
-    /// Jobs recovered from the journal at startup (requeued or resolved
-    /// from the disk store).
-    pub replayed: AtomicU64,
-    /// Individual cells simulated by this process's workers.
-    pub cells_executed: AtomicU64,
-    /// Cells restored from journal records at startup instead of re-run.
-    pub cells_replayed: AtomicU64,
-}
-
-impl Counters {
-    /// Snapshot as a JSON object (the `counters` key of status responses).
-    pub fn to_json(&self) -> Json {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Json::obj()
-            .set("submitted", get(&self.submitted))
-            .set("executed", get(&self.executed))
-            .set("cache_hits", get(&self.cache_hits))
-            .set("coalesced", get(&self.coalesced))
-            .set("completed", get(&self.completed))
-            .set("failed", get(&self.failed))
-            .set("rejected", get(&self.rejected))
-            .set("replayed", get(&self.replayed))
-            .set("cells_executed", get(&self.cells_executed))
-            .set("cells_replayed", get(&self.cells_replayed))
-    }
 }
 
 /// The execution state of a not-yet-finished job. Dropped on completion
@@ -334,15 +289,9 @@ struct Inner {
     queue_cap: usize,
     store: Option<ResultStore>,
     journal: Option<Journal>,
-    counters: Counters,
-    workers_total: usize,
-    busy_workers: AtomicUsize,
-    /// Total instructions simulated by this process (for Minst/s).
-    sim_instructions: AtomicU64,
-    /// Total simulation wall time in nanoseconds.
-    sim_wall_nanos: AtomicU64,
     shutdown: AtomicBool,
-    /// Shared observability bundle (logger + metric registry).
+    /// Shared observability bundle: logger, and the registry every
+    /// service counter lives in.
     obs: Arc<ServeObs>,
 }
 
@@ -384,7 +333,7 @@ impl Scheduler {
 
     /// [`Scheduler::start`] with a shared observability bundle — the
     /// server passes the bundle its journal and connection handlers use,
-    /// so every latency histogram lands in one registry.
+    /// so every service number lands in one registry.
     pub fn start_with_obs(
         workers: usize,
         queue_cap: usize,
@@ -396,18 +345,17 @@ impl Scheduler {
             .as_mut()
             .map(Journal::take_pending)
             .unwrap_or_default();
+        let queue_cap = queue_cap.max(1);
+        // The two constants among the collected gauges.
+        obs.collected.queue_cap.set(queue_cap as i64);
+        obs.collected.workers_total.set(workers as i64);
         let inner = Arc::new(Inner {
             state: Mutex::new(State::default()),
             work_ready: Condvar::new(),
             job_finished: Condvar::new(),
-            queue_cap: queue_cap.max(1),
+            queue_cap,
             store,
             journal,
-            counters: Counters::default(),
-            workers_total: workers,
-            busy_workers: AtomicUsize::new(0),
-            sim_instructions: AtomicU64::new(0),
-            sim_wall_nanos: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             obs,
         });
@@ -458,7 +406,7 @@ impl Scheduler {
     ) -> Result<Submission, SubmitError> {
         campaign.validate().map_err(SubmitError::Invalid)?;
         let digest = campaign.digest();
-        let c = &self.inner.counters;
+        let events = &self.inner.obs.events;
         let tenant = if tenant.is_empty() {
             DEFAULT_TENANT
         } else {
@@ -469,7 +417,7 @@ impl Scheduler {
         // Fast path: the digest is already known in this process.
         {
             let state = self.inner.state.lock().expect("scheduler lock");
-            if let Some(hit) = Self::attach(c, &state, &digest) {
+            if let Some(hit) = Self::attach(events, &state, &digest) {
                 return Ok(hit);
             }
         }
@@ -497,7 +445,7 @@ impl Scheduler {
 
         let mut state = self.inner.state.lock().expect("scheduler lock");
         // Re-check: a racing submission may have inserted meanwhile.
-        if let Some(hit) = Self::attach(c, &state, &digest) {
+        if let Some(hit) = Self::attach(events, &state, &digest) {
             return Ok(hit);
         }
 
@@ -516,8 +464,8 @@ impl Scheduler {
                     work: None,
                 },
             );
-            c.cache_hits.fetch_add(1, Ordering::Relaxed);
-            c.submitted.fetch_add(1, Ordering::Relaxed);
+            events.cache_hits.inc();
+            events.submitted.inc();
             return Ok(Submission {
                 digest,
                 status,
@@ -527,7 +475,7 @@ impl Scheduler {
         }
 
         if state.ready_campaigns() >= self.inner.queue_cap {
-            c.rejected.fetch_add(1, Ordering::Relaxed);
+            events.rejected.inc();
             return Err(SubmitError::Busy {
                 queue_cap: self.inner.queue_cap,
             });
@@ -559,7 +507,7 @@ impl Scheduler {
             },
         );
         state.enqueue(tenant, digest.clone());
-        c.submitted.fetch_add(1, Ordering::Relaxed);
+        events.submitted.inc();
         drop(state);
         // Many cells just became claimable: wake every worker.
         self.inner.work_ready.notify_all();
@@ -573,18 +521,18 @@ impl Scheduler {
 
     /// Attaches a submission to an already-known digest: a cache hit when
     /// the job is finished, a coalesce onto the in-flight job otherwise.
-    fn attach(c: &Counters, state: &State, digest: &str) -> Option<Submission> {
+    fn attach(events: &SchedulerEvents, state: &State, digest: &str) -> Option<Submission> {
         let job = state.jobs.get(digest)?;
         let (cached, coalesced) = match job.status {
             JobStatus::Done(_) | JobStatus::Failed(_) => (true, false),
             JobStatus::Queued | JobStatus::Running => (false, true),
         };
         if cached {
-            c.cache_hits.fetch_add(1, Ordering::Relaxed);
+            events.cache_hits.inc();
         } else {
-            c.coalesced.fetch_add(1, Ordering::Relaxed);
+            events.coalesced.inc();
         }
-        c.submitted.fetch_add(1, Ordering::Relaxed);
+        events.submitted.inc();
         Some(Submission {
             digest: digest.to_string(),
             status: job.status.clone(),
@@ -681,11 +629,6 @@ impl Scheduler {
         }
     }
 
-    /// The service counters.
-    pub fn counters(&self) -> &Counters {
-        &self.inner.counters
-    }
-
     /// Ready-queue occupancy and capacity (campaigns with unclaimed
     /// cells), for status output and backpressure.
     pub fn queue_depth(&self) -> (usize, usize) {
@@ -693,46 +636,42 @@ impl Scheduler {
         (state.ready_campaigns(), self.inner.queue_cap)
     }
 
-    /// Cell-level queue state: `(unclaimed, in_flight)` summed over every
-    /// unfinished job.
-    pub fn cell_depth(&self) -> (usize, usize) {
-        let state = self.inner.state.lock().expect("scheduler lock");
-        let mut unclaimed = 0;
-        let mut in_flight = 0;
-        for job in state.jobs.values() {
-            if let Some(work) = &job.work {
+    /// The collect step of a `/metrics` scrape: copies scheduler and
+    /// store *state* (as opposed to events, which are counted where they
+    /// happen) into [`ServeObs::collected`], taking the scheduler lock
+    /// once. Returns the per-tenant served-cell counts in first-seen
+    /// order — a JSON-only projection, because a client-chosen tenant
+    /// key would be an unbounded Prometheus label.
+    pub fn collect(&self) -> Vec<(String, u64)> {
+        let c = &self.inner.obs.collected;
+        let tenants = {
+            let state = self.inner.state.lock().expect("scheduler lock");
+            let (mut unclaimed, mut in_flight) = (0, 0);
+            for work in state.jobs.values().filter_map(|job| job.work.as_ref()) {
                 unclaimed += work.slots.len() - work.claimed;
                 in_flight += work.in_flight;
             }
+            c.queue_depth.set(state.ready_campaigns() as i64);
+            c.cells_queued.set(unclaimed as i64);
+            c.cells_in_flight.set(in_flight as i64);
+            state
+                .tenants
+                .iter()
+                .map(|t| (t.key.clone(), t.served_cells))
+                .collect()
+        };
+        if let Some(store) = &self.inner.store {
+            let stats = store.stats();
+            c.store_hits.advance_to(stats.hits.load(Ordering::Relaxed));
+            c.store_misses
+                .advance_to(stats.misses.load(Ordering::Relaxed));
+            c.store_stored
+                .advance_to(stats.stored.load(Ordering::Relaxed));
+            c.store_evicted
+                .advance_to(stats.evicted.load(Ordering::Relaxed));
+            c.store_bytes_used.set(store.bytes_used() as i64);
         }
-        (unclaimed, in_flight)
-    }
-
-    /// Per-tenant served-cell counters, in first-seen order.
-    pub fn tenants(&self) -> Vec<(String, u64)> {
-        let state = self.inner.state.lock().expect("scheduler lock");
-        state
-            .tenants
-            .iter()
-            .map(|t| (t.key.clone(), t.served_cells))
-            .collect()
-    }
-
-    /// Worker occupancy: `(busy, total)`.
-    pub fn occupancy(&self) -> (usize, usize) {
-        (
-            self.inner.busy_workers.load(Ordering::Relaxed),
-            self.inner.workers_total,
-        )
-    }
-
-    /// Aggregate simulation telemetry since startup:
-    /// `(instructions, wall_seconds)` summed over executed cells.
-    pub fn sim_totals(&self) -> (u64, f64) {
-        (
-            self.inner.sim_instructions.load(Ordering::Relaxed),
-            self.inner.sim_wall_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-        )
+        tenants
     }
 
     /// The attached result store, if any.
@@ -740,7 +679,8 @@ impl Scheduler {
         self.inner.store.as_ref()
     }
 
-    /// The shared observability bundle (logger + metric registry).
+    /// The shared observability bundle: the logger, and the registered
+    /// handle of every service counter.
     pub fn obs(&self) -> &Arc<ServeObs> {
         &self.inner.obs
     }
@@ -767,7 +707,7 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
         if state.jobs.contains_key(&job.digest) {
             continue;
         }
-        inner.counters.replayed.fetch_add(1, Ordering::Relaxed);
+        inner.obs.events.replayed.inc();
         let plan = match plan_campaign(&job.campaign.name, &job.campaign.panels) {
             Ok(plan) => plan,
             Err(e) => {
@@ -819,10 +759,7 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
                 filled += 1;
             }
         }
-        inner
-            .counters
-            .cells_replayed
-            .fetch_add(filled as u64, Ordering::Relaxed);
+        inner.obs.events.cells_replayed.add(filled as u64);
 
         if filled == total {
             // Every cell was journaled — the process died between the
@@ -840,11 +777,11 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
                             );
                         }
                     }
-                    inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+                    inner.obs.events.completed.inc();
                     (JobStatus::Done(Arc::new(result)), job.campaign.name)
                 }
                 Err(e) => {
-                    inner.counters.failed.fetch_add(1, Ordering::Relaxed);
+                    inner.obs.events.failed.inc();
                     (JobStatus::Failed(e), job.campaign.name)
                 }
             };
@@ -912,7 +849,7 @@ fn worker_loop(inner: &Inner) {
             }
         };
 
-        inner.busy_workers.fetch_add(1, Ordering::Relaxed);
+        inner.obs.workers_busy.add(1);
         if claim.first {
             if let Some(journal) = &inner.journal {
                 journal.record_started(&claim.digest);
@@ -937,16 +874,9 @@ fn worker_loop(inner: &Inner) {
                 ("wall_us", wall.as_micros().to_string()),
             ],
         );
-        inner
-            .sim_instructions
-            .fetch_add(cell.instructions, Ordering::Relaxed);
-        inner
-            .sim_wall_nanos
-            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-        inner
-            .counters
-            .cells_executed
-            .fetch_add(1, Ordering::Relaxed);
+        inner.obs.sim_instructions.add(cell.instructions);
+        inner.obs.sim_wall_us.add(wall.as_micros() as u64);
+        inner.obs.events.cells_executed.inc();
         // Journal the cell BEFORE the in-memory bookkeeping: a crash in
         // between re-executes this one cell, and the duplicate record is
         // deduplicated at replay (reports are bit-identical anyway).
@@ -984,7 +914,7 @@ fn worker_loop(inner: &Inner) {
                 .map(|s| s.expect("finished job has every report"))
                 .collect();
             let outcome = work.plan.merge_cells(&reports);
-            inner.counters.executed.fetch_add(1, Ordering::Relaxed);
+            inner.obs.events.executed.inc();
             let (status, ok) = match outcome {
                 Ok(result) => {
                     if let Some(store) = &inner.store {
@@ -996,11 +926,11 @@ fn worker_loop(inner: &Inner) {
                             );
                         }
                     }
-                    inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+                    inner.obs.events.completed.inc();
                     (JobStatus::Done(Arc::new(result)), true)
                 }
                 Err(e) => {
-                    inner.counters.failed.fetch_add(1, Ordering::Relaxed);
+                    inner.obs.events.failed.inc();
                     (JobStatus::Failed(e), false)
                 }
             };
@@ -1021,7 +951,7 @@ fn worker_loop(inner: &Inner) {
             );
             inner.job_finished.notify_all();
         }
-        inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
+        inner.obs.workers_busy.add(-1);
     }
 }
 
@@ -1087,12 +1017,11 @@ mod tests {
         let again = s.submit(campaign).expect("accepted");
         assert!(again.cached, "second submission hits the done map");
         assert!(matches!(again.status, JobStatus::Done(_)));
-        assert_eq!(s.counters().executed.load(Ordering::Relaxed), 1);
-        assert_eq!(s.counters().cells_executed.load(Ordering::Relaxed), 2);
-        assert_eq!(s.counters().cache_hits.load(Ordering::Relaxed), 1);
-        let (instructions, wall) = s.sim_totals();
-        assert!(instructions > 0, "per-cell telemetry captured");
-        assert!(wall > 0.0);
+        assert_eq!(s.obs().events.executed.get(), 1);
+        assert_eq!(s.obs().events.cells_executed.get(), 2);
+        assert_eq!(s.obs().events.cache_hits.get(), 1);
+        assert!(s.obs().sim_instructions.get() > 0, "per-cell telemetry");
+        assert!(s.obs().sim_wall_us.get() > 0);
         s.shutdown();
     }
 
@@ -1117,11 +1046,11 @@ mod tests {
             .expect("finishes");
         assert!(matches!(done, JobStatus::Done(_)));
         assert_eq!(
-            s.counters().executed.load(Ordering::Relaxed),
+            s.obs().events.executed.get(),
             2,
             "blocker + one shared target job"
         );
-        assert_eq!(s.counters().coalesced.load(Ordering::Relaxed), 1);
+        assert_eq!(s.obs().events.coalesced.get(), 1);
         s.shutdown();
     }
 
@@ -1133,14 +1062,19 @@ mod tests {
         s.submit(tiny_campaign("bp-2", 4_000)).expect("slot 2");
         let err = s.submit(tiny_campaign("bp-3", 4_000)).unwrap_err();
         assert!(matches!(err, SubmitError::Busy { queue_cap: 2 }));
-        assert_eq!(s.counters().rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(s.obs().events.rejected.get(), 1);
         // A coalescing resubmission still works when the queue is full.
         let again = s.submit(tiny_campaign("bp-1", 4_000)).expect("coalesces");
         assert!(again.coalesced);
         // Cell-level gauges see the queued-but-unclaimed cells.
-        let (unclaimed, in_flight) = s.cell_depth();
-        assert_eq!(unclaimed, 4, "two campaigns x (baseline + cell)");
-        assert_eq!(in_flight, 0);
+        s.collect();
+        let collected = &s.obs().collected;
+        assert_eq!(
+            collected.cells_queued.get(),
+            4,
+            "two campaigns x (baseline + cell)"
+        );
+        assert_eq!(collected.cells_in_flight.get(), 0);
         s.shutdown();
     }
 
@@ -1241,9 +1175,9 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
             // Keep the counters alive past shutdown(), which consumes `s`.
-            let inner = Arc::clone(&s.inner);
+            let obs = Arc::clone(s.obs());
             s.shutdown();
-            inner.counters.cells_executed.load(Ordering::Relaxed)
+            obs.events.cells_executed.get()
         };
         assert!(phase1_cells >= 2, "phase 1 made progress");
         assert!(phase1_cells < 8, "phase 1 was killed mid-campaign");
@@ -1255,9 +1189,9 @@ mod tests {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
             let s = Scheduler::start(1, 8, Some(store), Some(journal));
-            assert_eq!(s.counters().replayed.load(Ordering::Relaxed), 1);
+            assert_eq!(s.obs().events.replayed.get(), 1);
             assert_eq!(
-                s.counters().cells_replayed.load(Ordering::Relaxed),
+                s.obs().events.cells_replayed.get(),
                 phase1_cells,
                 "every journaled cell restored, none lost"
             );
@@ -1266,7 +1200,7 @@ mod tests {
                 .expect("resumed job finishes");
             assert!(matches!(done, JobStatus::Done(_)));
             assert_eq!(
-                s.counters().cells_executed.load(Ordering::Relaxed),
+                s.obs().events.cells_executed.get(),
                 8 - phase1_cells,
                 "only the unfinished cells re-executed"
             );
@@ -1312,7 +1246,7 @@ mod tests {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
             let s = Scheduler::start(1, 8, Some(store), Some(journal));
-            assert_eq!(s.counters().replayed.load(Ordering::Relaxed), 2);
+            assert_eq!(s.obs().events.replayed.get(), 2);
             for c in [&a, &b] {
                 let done = s
                     .wait(&c.digest(), Duration::from_secs(60))
@@ -1338,10 +1272,10 @@ mod tests {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
             let s = Scheduler::start(1, 8, Some(store), Some(journal));
-            assert_eq!(s.counters().replayed.load(Ordering::Relaxed), 0);
+            assert_eq!(s.obs().events.replayed.get(), 0);
             let sub = s.submit(a.clone()).expect("accepted");
             assert!(sub.cached, "resubmission hits the disk store");
-            assert_eq!(s.counters().executed.load(Ordering::Relaxed), 0);
+            assert_eq!(s.obs().events.executed.get(), 0);
             s.shutdown();
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1368,7 +1302,7 @@ mod tests {
 
         let journal = Journal::open(&journal_path).expect("journal");
         let s = Scheduler::start(0, 8, Some(store), Some(journal));
-        assert_eq!(s.counters().replayed.load(Ordering::Relaxed), 1);
+        assert_eq!(s.obs().events.replayed.get(), 1);
         // Resolved from the store without a worker (there are none).
         assert!(s.result(&a.digest()).is_some());
         let (depth, _) = s.queue_depth();

@@ -23,13 +23,11 @@
 //! saturation.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pythia_obs::logger::Level;
-use pythia_obs::metrics::Histogram;
-use pythia_obs::prom::PromText;
+use pythia_obs::metrics::{Gauge, Histogram, Instrument, Registry};
 use pythia_stats::json::{parse, Json};
 use pythia_sweep::codec::{is_digest, Campaign};
 use pythia_sweep::ResultStore;
@@ -85,41 +83,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// Connection-level counters for `/metrics`.
-#[derive(Debug, Default)]
-pub struct ConnStats {
-    /// Connections currently open.
-    pub active: AtomicUsize,
-    /// Connections accepted (including ones later shed).
-    pub accepted: AtomicU64,
-    /// Connections shed with 503 because the cap was reached.
-    pub rejected: AtomicU64,
-    /// Requests served across all connections.
-    pub requests: AtomicU64,
-    /// Connections closed with 408 after idling out.
-    pub timeouts: AtomicU64,
-}
-
-impl ConnStats {
-    /// Snapshot as a JSON object (the `connections` key of `/metrics`).
-    pub fn to_json(&self) -> Json {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Json::obj()
-            .set("active", self.active.load(Ordering::Relaxed) as u64)
-            .set("accepted", get(&self.accepted))
-            .set("rejected", get(&self.rejected))
-            .set("requests", get(&self.requests))
-            .set("timeouts", get(&self.timeouts))
-    }
-}
-
 /// Decrements the active-connection gauge when a handler exits, however
 /// it exits.
-struct ActiveGuard(Arc<ConnStats>);
+struct ActiveGuard(Arc<ServeObs>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::Relaxed);
+        self.0.connections_active.add(-1);
     }
 }
 
@@ -127,7 +97,6 @@ impl Drop for ActiveGuard {
 pub struct Server {
     listener: TcpListener,
     scheduler: Arc<Scheduler>,
-    conns: Arc<ConnStats>,
     max_conns: usize,
     idle_timeout: Duration,
 }
@@ -137,7 +106,6 @@ pub struct Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     scheduler: Arc<Scheduler>,
-    conns: Arc<ConnStats>,
 }
 
 impl ServerHandle {
@@ -146,14 +114,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared scheduler (counters, direct status checks).
+    /// The shared scheduler (direct status checks; its
+    /// [`Scheduler::obs`] holds every service counter).
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
-    }
-
-    /// The connection counters.
-    pub fn conn_stats(&self) -> &ConnStats {
-        &self.conns
     }
 }
 
@@ -194,7 +158,6 @@ impl Server {
         Ok(Self {
             listener,
             scheduler,
-            conns: Arc::new(ConnStats::default()),
             max_conns: config.max_conns.max(1),
             idle_timeout: config.idle_timeout,
         })
@@ -220,22 +183,23 @@ impl Server {
     pub fn serve_forever(self) -> Result<(), String> {
         for conn in self.listener.incoming() {
             let stream = conn.map_err(|e| format!("accept: {e}"))?;
-            self.conns.accepted.fetch_add(1, Ordering::Relaxed);
-            if self.conns.active.load(Ordering::Relaxed) >= self.max_conns {
-                self.conns.rejected.fetch_add(1, Ordering::Relaxed);
+            let obs = self.scheduler.obs();
+            obs.connections.accepted.inc();
+            if obs.connections_active.get() >= self.max_conns as i64 {
+                obs.connections.rejected.inc();
                 std::thread::spawn(move || reject_connection(stream));
                 continue;
             }
             // Claim the slot in the accept loop, not the handler thread,
             // so a connect burst cannot overshoot the cap before the
             // handlers get scheduled.
-            self.conns.active.fetch_add(1, Ordering::Relaxed);
+            obs.connections_active.add(1);
+            let guard = ActiveGuard(Arc::clone(obs));
             let scheduler = Arc::clone(&self.scheduler);
-            let conns = Arc::clone(&self.conns);
             let idle = self.idle_timeout;
             std::thread::spawn(move || {
-                let _guard = ActiveGuard(Arc::clone(&conns));
-                handle_connection(&scheduler, &conns, stream, idle);
+                let _guard = guard;
+                handle_connection(&scheduler, stream, idle);
             });
         }
         Ok(())
@@ -251,7 +215,6 @@ impl Server {
     pub fn spawn(self) -> Result<ServerHandle, String> {
         let addr = self.local_addr()?;
         let scheduler = Arc::clone(&self.scheduler);
-        let conns = Arc::clone(&self.conns);
         let obs = Arc::clone(scheduler.obs());
         std::thread::spawn(move || {
             if let Err(e) = self.serve_forever() {
@@ -259,11 +222,7 @@ impl Server {
                     .error("server", "accept loop stopped", &[("error", e)]);
             }
         });
-        Ok(ServerHandle {
-            addr,
-            scheduler,
-            conns,
-        })
+        Ok(ServerHandle { addr, scheduler })
     }
 }
 
@@ -274,12 +233,8 @@ fn reject_connection(mut stream: TcpStream) {
     let _ = write_response(&mut stream, &response, false);
 }
 
-fn handle_connection(
-    scheduler: &Scheduler,
-    conns: &ConnStats,
-    mut stream: TcpStream,
-    idle_timeout: Duration,
-) {
+fn handle_connection(scheduler: &Scheduler, mut stream: TcpStream, idle_timeout: Duration) {
+    let obs = scheduler.obs();
     if stream.set_read_timeout(Some(idle_timeout)).is_err()
         || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
     {
@@ -289,12 +244,12 @@ fn handle_connection(
     loop {
         match reader.read_request(&mut stream) {
             Ok(request) => {
-                conns.requests.fetch_add(1, Ordering::Relaxed);
+                obs.connections.requests.inc();
                 let keep_alive = !request.close;
                 let started = std::time::Instant::now();
-                let response = route(scheduler, conns, &request);
-                scheduler.obs().record_request(
-                    obs::route_key(&request.method, &request.path),
+                let (key, response) = route(scheduler, &request);
+                obs.record_request(
+                    key,
                     started.elapsed().as_micros() as u64,
                     response.body.len() as u64,
                 );
@@ -304,7 +259,7 @@ fn handle_connection(
             }
             Err(RequestError::Closed) => return,
             Err(RequestError::Timeout) => {
-                conns.timeouts.fetch_add(1, Ordering::Relaxed);
+                obs.connections.timeouts.inc();
                 let response = error_response(408, "idle timeout waiting for a request");
                 let _ = write_response(&mut stream, &response, false);
                 return;
@@ -319,11 +274,8 @@ fn handle_connection(
                 return;
             }
             Err(RequestError::Io(e)) => {
-                scheduler.obs().logger().warn(
-                    "server",
-                    "dropping connection",
-                    &[("error", e.to_string())],
-                );
+                obs.logger()
+                    .warn("server", "dropping connection", &[("error", e.to_string())]);
                 return;
             }
         }
@@ -334,26 +286,31 @@ fn error_response(status: u16, message: &str) -> Response {
     Response::json(status, Json::obj().set("error", message).render_pretty())
 }
 
-/// Routes one request (exposed for in-process tests).
-pub fn route(scheduler: &Scheduler, conns: &ConnStats, request: &Request) -> Response {
+/// Routes one request (exposed for in-process tests). Returns the
+/// response and the route's key in [`obs::ROUTE_KEYS`] — the one place a
+/// request is classified.
+pub fn route(scheduler: &Scheduler, request: &Request) -> (&'static str, Response) {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["figures"]) => figures_response(),
-        ("GET", ["metrics"]) => match request.query("format") {
-            Some("prom") => metrics_prom_response(scheduler, conns),
-            _ => metrics_response(scheduler, conns),
-        },
-        ("POST", ["campaigns"]) => submit(scheduler, &request.body),
-        ("GET", ["campaigns", digest]) => status(scheduler, digest),
-        ("GET", ["campaigns", digest, "result"]) => result(
-            scheduler,
-            digest,
-            request.query("format").unwrap_or("json"),
-            request.header("if-none-match"),
-            request.query("partial") == Some("1"),
+        ("GET", ["figures"]) => ("figures", figures_response()),
+        ("GET", ["metrics"]) => (
+            "metrics",
+            metrics_response(scheduler, request.query("format") == Some("prom")),
         ),
-        ("POST", _) | ("GET", _) => error_response(404, "no such route"),
-        _ => error_response(405, "method not allowed"),
+        ("POST", ["campaigns"]) => ("submit", submit(scheduler, &request.body)),
+        ("GET", ["campaigns", digest]) => ("status", status(scheduler, digest)),
+        ("GET", ["campaigns", digest, "result"]) => (
+            "result",
+            result(
+                scheduler,
+                digest,
+                request.query("format").unwrap_or("json"),
+                request.header("if-none-match"),
+                request.query("partial") == Some("1"),
+            ),
+        ),
+        ("POST", _) | ("GET", _) => ("other", error_response(404, "no such route")),
+        _ => ("other", error_response(405, "method not allowed")),
     }
 }
 
@@ -381,64 +338,117 @@ fn figures_response() -> Response {
     Response::json(200, body.clone())
 }
 
-/// Builds the `/metrics` snapshot: queue, cell gauges, workers,
-/// scheduler counters, per-tenant served cells, store occupancy,
-/// connection gauges, and aggregate simulation throughput (Minst/s).
-fn metrics_response(scheduler: &Scheduler, conns: &ConnStats) -> Response {
-    let (depth, cap) = scheduler.queue_depth();
-    let (cells_queued, cells_in_flight) = scheduler.cell_depth();
-    let (busy, total) = scheduler.occupancy();
-    let (instructions, wall_seconds) = scheduler.sim_totals();
-    let minst_per_sec = if wall_seconds > 0.0 {
-        instructions as f64 / wall_seconds / 1e6
+/// A non-negative gauge as a JSON number.
+fn gauge_json(gauge: &Gauge) -> Json {
+    Json::from(gauge.get().max(0) as u64)
+}
+
+/// Appends one key per sample of a labelled family to `obj`: the label
+/// value, and the count or summary — so a JSON object and its Prometheus
+/// family cannot name different events or routes.
+fn family_json(mut obj: Json, registry: &Registry, family: &str) -> Json {
+    for sample in registry.family(family).map_or(Vec::new(), |f| f.samples) {
+        let Some((_, label)) = sample.labels.first() else {
+            continue;
+        };
+        let value = match &sample.instrument {
+            Instrument::Counter(c) => Json::from(c.get()),
+            Instrument::Gauge(g) => gauge_json(g),
+            Instrument::Histogram(h) => summary_json(h),
+        };
+        obj = obj.set(label, value);
+    }
+    obj
+}
+
+/// The `counters` object of `/metrics` and of status responses.
+fn counters_json(obs: &ServeObs) -> Json {
+    family_json(Json::obj(), obs.registry(), obs::SCHEDULER_EVENTS)
+}
+
+/// `GET /metrics`: one collect step, then a view of the registry.
+/// `?format=prom` is the registry rendered as Prometheus text (0.0.4) and
+/// nothing else; the default is a JSON projection of the same handles —
+/// queue, cell gauges, workers, scheduler counters, store occupancy,
+/// connection gauges, aggregate simulation throughput (Minst/s), latency
+/// summaries — plus per-tenant served cells, which only JSON carries.
+fn metrics_response(scheduler: &Scheduler, prom: bool) -> Response {
+    let tenants = scheduler.collect();
+    let obs = scheduler.obs();
+    if prom {
+        return Response {
+            status: 200,
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            body: pythia_obs::prom::render(obs.registry()).into_bytes(),
+            headers: Vec::new(),
+        };
+    }
+    let c = &obs.collected;
+    let store = match scheduler.store() {
+        None => Json::obj().set("enabled", false),
+        Some(store) => Json::obj()
+            .set("enabled", true)
+            .set("hits", c.store_hits.get())
+            .set("misses", c.store_misses.get())
+            .set("stored", c.store_stored.get())
+            .set("evicted", c.store_evicted.get())
+            .set("bytes_used", gauge_json(&c.store_bytes_used))
+            .set(
+                "max_bytes",
+                store.max_bytes().map_or(Json::Null, Json::from),
+            ),
+    };
+    let mut tenants_json = Json::obj();
+    for (key, served) in tenants {
+        tenants_json = tenants_json.set(&key, served);
+    }
+    let (instructions, wall_us) = (obs.sim_instructions.get(), obs.sim_wall_us.get());
+    // Instructions per microsecond is Minst/s.
+    let minst_per_sec = if wall_us > 0 {
+        instructions as f64 / wall_us as f64
     } else {
         0.0
     };
-    let store = match scheduler.store() {
-        None => Json::obj().set("enabled", false),
-        Some(store) => {
-            let mut obj = Json::obj()
-                .set("enabled", true)
-                .set("hits", store.stats().hits.load(Ordering::Relaxed))
-                .set("misses", store.stats().misses.load(Ordering::Relaxed))
-                .set("stored", store.stats().stored.load(Ordering::Relaxed))
-                .set("evicted", store.stats().evicted.load(Ordering::Relaxed))
-                .set("bytes_used", store.bytes_used());
-            obj = match store.max_bytes() {
-                Some(max) => obj.set("max_bytes", max),
-                None => obj.set("max_bytes", Json::Null),
-            };
-            obj
-        }
-    };
-    let counters = scheduler.counters();
-    let mut tenants = Json::obj();
-    for (key, served) in scheduler.tenants() {
-        tenants = tenants.set(&key, served);
-    }
     let body = Json::obj()
-        .set("queue", Json::obj().set("depth", depth).set("cap", cap))
+        .set(
+            "queue",
+            Json::obj()
+                .set("depth", gauge_json(&c.queue_depth))
+                .set("cap", gauge_json(&c.queue_cap)),
+        )
         .set(
             "cells",
             Json::obj()
-                .set("queued", cells_queued)
-                .set("in_flight", cells_in_flight)
-                .set("executed", counters.cells_executed.load(Ordering::Relaxed))
-                .set("replayed", counters.cells_replayed.load(Ordering::Relaxed)),
+                .set("queued", gauge_json(&c.cells_queued))
+                .set("in_flight", gauge_json(&c.cells_in_flight))
+                .set("executed", obs.events.cells_executed.get())
+                .set("replayed", obs.events.cells_replayed.get()),
         )
-        .set("workers", Json::obj().set("busy", busy).set("total", total))
-        .set("counters", counters.to_json())
-        .set("tenants", tenants)
+        .set(
+            "workers",
+            Json::obj()
+                .set("busy", gauge_json(&obs.workers_busy))
+                .set("total", gauge_json(&c.workers_total)),
+        )
+        .set("counters", counters_json(obs))
+        .set("tenants", tenants_json)
         .set("store", store)
-        .set("connections", conns.to_json())
+        .set(
+            "connections",
+            family_json(
+                Json::obj().set("active", gauge_json(&obs.connections_active)),
+                obs.registry(),
+                obs::CONNECTION_EVENTS,
+            ),
+        )
         .set(
             "throughput",
             Json::obj()
                 .set("sim_instructions", instructions)
-                .set("sim_wall_seconds", Json::Num(wall_seconds))
+                .set("sim_wall_seconds", Json::Num(wall_us as f64 / 1e6))
                 .set("minst_per_sec", Json::Num(minst_per_sec)),
         )
-        .set("latency", latency_json(scheduler))
+        .set("latency", latency_json(obs))
         .render_pretty();
     Response::json(200, body)
 }
@@ -459,146 +469,13 @@ fn summary_json(h: &Histogram) -> Json {
 /// The `latency` key of `/metrics`: per-route request latency plus the
 /// scheduler's cell queue-wait/execution and journal fsync summaries
 /// (all in microseconds).
-fn latency_json(scheduler: &Scheduler) -> Json {
-    let obs = scheduler.obs();
-    let mut routes = Json::obj();
-    for key in obs::ROUTE_KEYS {
-        if let Some(h) = obs.route_latency(key) {
-            routes = routes.set(key, summary_json(h));
-        }
-    }
+fn latency_json(obs: &ServeObs) -> Json {
+    let routes = family_json(Json::obj(), obs.registry(), obs::ROUTE_LATENCY);
     Json::obj()
         .set("routes_us", routes)
         .set("cell_queue_wait_us", summary_json(&obs.cell_queue_wait_us))
         .set("cell_execution_us", summary_json(&obs.cell_execution_us))
         .set("journal_fsync_us", summary_json(&obs.journal_fsync_us))
-}
-
-/// `GET /metrics?format=prom`: the Prometheus text exposition (0.0.4)
-/// view — the registry's histograms plus the scheduler, store and
-/// connection counters as explicit families. The output always passes
-/// [`pythia_obs::prom::lint`] (pinned by tests and the CI serve job).
-fn metrics_prom_response(scheduler: &Scheduler, conns: &ConnStats) -> Response {
-    let mut t = PromText::new();
-    t.registry(scheduler.obs().registry());
-
-    let (depth, cap) = scheduler.queue_depth();
-    t.family(
-        "pythia_queue_depth",
-        "Campaigns holding a ready-queue slot",
-        "gauge",
-    );
-    t.sample("pythia_queue_depth", &[], depth as f64);
-    t.family("pythia_queue_cap", "Ready-queue capacity", "gauge");
-    t.sample("pythia_queue_cap", &[], cap as f64);
-
-    let (cells_queued, cells_in_flight) = scheduler.cell_depth();
-    t.family(
-        "pythia_cells_queued",
-        "Unclaimed cells across unfinished jobs",
-        "gauge",
-    );
-    t.sample("pythia_cells_queued", &[], cells_queued as f64);
-    t.family(
-        "pythia_cells_in_flight",
-        "Cells currently simulating",
-        "gauge",
-    );
-    t.sample("pythia_cells_in_flight", &[], cells_in_flight as f64);
-
-    let (busy, total) = scheduler.occupancy();
-    t.family(
-        "pythia_workers_busy",
-        "Workers simulating a cell right now",
-        "gauge",
-    );
-    t.sample("pythia_workers_busy", &[], busy as f64);
-    t.family("pythia_workers_total", "Configured worker threads", "gauge");
-    t.sample("pythia_workers_total", &[], total as f64);
-
-    let counters = scheduler.counters();
-    let get = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-    t.family(
-        "pythia_scheduler_events_total",
-        "Monotonic scheduler counters by event",
-        "counter",
-    );
-    for (event, value) in [
-        ("submitted", get(&counters.submitted)),
-        ("executed", get(&counters.executed)),
-        ("cache_hits", get(&counters.cache_hits)),
-        ("coalesced", get(&counters.coalesced)),
-        ("completed", get(&counters.completed)),
-        ("failed", get(&counters.failed)),
-        ("rejected", get(&counters.rejected)),
-        ("replayed", get(&counters.replayed)),
-        ("cells_executed", get(&counters.cells_executed)),
-        ("cells_replayed", get(&counters.cells_replayed)),
-    ] {
-        t.sample("pythia_scheduler_events_total", &[("event", event)], value);
-    }
-
-    let (hits, misses) = match scheduler.store() {
-        None => (0.0, 0.0),
-        Some(store) => (get(&store.stats().hits), get(&store.stats().misses)),
-    };
-    t.family(
-        "pythia_store_hits_total",
-        "Result-store lookup hits",
-        "counter",
-    );
-    t.sample("pythia_store_hits_total", &[], hits);
-    t.family(
-        "pythia_store_misses_total",
-        "Result-store lookup misses",
-        "counter",
-    );
-    t.sample("pythia_store_misses_total", &[], misses);
-
-    t.family(
-        "pythia_connections_active",
-        "Connections currently open",
-        "gauge",
-    );
-    t.sample(
-        "pythia_connections_active",
-        &[],
-        conns.active.load(Ordering::Relaxed) as f64,
-    );
-    t.family(
-        "pythia_connections_total",
-        "Monotonic connection counters by event",
-        "counter",
-    );
-    for (event, value) in [
-        ("accepted", get(&conns.accepted)),
-        ("rejected", get(&conns.rejected)),
-        ("requests", get(&conns.requests)),
-        ("timeouts", get(&conns.timeouts)),
-    ] {
-        t.sample("pythia_connections_total", &[("event", event)], value);
-    }
-
-    let (instructions, wall_seconds) = scheduler.sim_totals();
-    t.family(
-        "pythia_sim_instructions_total",
-        "Instructions simulated by this process",
-        "counter",
-    );
-    t.sample("pythia_sim_instructions_total", &[], instructions as f64);
-    t.family(
-        "pythia_sim_wall_seconds_total",
-        "Wall time spent simulating cells",
-        "counter",
-    );
-    t.sample("pythia_sim_wall_seconds_total", &[], wall_seconds);
-
-    Response {
-        status: 200,
-        content_type: "text/plain; version=0.0.4; charset=utf-8",
-        body: t.finish().into_bytes(),
-        headers: Vec::new(),
-    }
 }
 
 /// Decodes a submission body into a campaign: `{"figure": id}` resolves
@@ -708,7 +585,7 @@ fn status(scheduler: &Scheduler, digest: &str) -> Response {
                         "queue",
                         Json::obj().set("depth", queued).set("cap", queue_cap),
                     )
-                    .set("counters", scheduler.counters().to_json())
+                    .set("counters", counters_json(scheduler.obs()))
                     .render_pretty(),
             )
         }
@@ -835,46 +712,20 @@ mod tests {
     #[test]
     fn routing_edges() {
         let scheduler = Scheduler::start(0, 2, None, None);
-        let conns = ConnStats::default();
-        assert_eq!(
-            route(&scheduler, &conns, &req("GET", "/nope", b"")).status,
-            404
-        );
-        assert_eq!(
-            route(&scheduler, &conns, &req("PUT", "/figures", b"")).status,
-            405
-        );
-        assert_eq!(
-            route(&scheduler, &conns, &req("POST", "/campaigns", b"not json")).status,
-            400
-        );
-        assert_eq!(
-            route(
-                &scheduler,
-                &conns,
-                &req("POST", "/campaigns", b"{\"figure\":\"nope\"}")
-            )
-            .status,
-            400
-        );
-        assert_eq!(
-            route(
-                &scheduler,
-                &conns,
-                &req("GET", "/campaigns/0123456789abcdef", b"")
-            )
-            .status,
-            404
-        );
-        assert_eq!(
-            route(&scheduler, &conns, &req("GET", "/campaigns/zzz", b"")).status,
-            400
-        );
-        let figures = route(&scheduler, &conns, &req("GET", "/figures", b""));
+        let status = |method: &str, path: &str, body: &[u8]| {
+            route(&scheduler, &req(method, path, body)).1.status
+        };
+        assert_eq!(status("GET", "/nope", b""), 404);
+        assert_eq!(status("PUT", "/figures", b""), 405);
+        assert_eq!(status("POST", "/campaigns", b"not json"), 400);
+        assert_eq!(status("POST", "/campaigns", b"{\"figure\":\"nope\"}"), 400);
+        assert_eq!(status("GET", "/campaigns/0123456789abcdef", b""), 404);
+        assert_eq!(status("GET", "/campaigns/zzz", b""), 400);
+        let (_, figures) = route(&scheduler, &req("GET", "/figures", b""));
         assert_eq!(figures.status, 200);
         let listing = String::from_utf8(figures.body).expect("utf-8");
         assert!(listing.contains("fig09"), "{listing}");
-        let metrics = route(&scheduler, &conns, &req("GET", "/metrics", b""));
+        let (_, metrics) = route(&scheduler, &req("GET", "/metrics", b""));
         assert_eq!(metrics.status, 200);
         let parsed = parse(&String::from_utf8(metrics.body).expect("utf-8")).expect("json");
         assert_eq!(

@@ -5,8 +5,7 @@
 //! same spec; resubmission is a cache hit that re-simulates nothing; and
 //! identical concurrent submissions coalesce into one job.
 
-use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pythia_serve::client;
 use pythia_serve::server::{ServeConfig, Server, ServerHandle};
@@ -100,13 +99,9 @@ fn served_fig09_tiny_scale_is_byte_identical_to_direct_run() {
         "second submission of the same digest is a cache hit"
     );
     assert_eq!(again.status, "done");
-    let counters = handle.scheduler().counters();
-    assert_eq!(
-        counters.executed.load(Ordering::Relaxed),
-        1,
-        "one simulation total"
-    );
-    assert_eq!(counters.cache_hits.load(Ordering::Relaxed), 1);
+    let events = &handle.scheduler().obs().events;
+    assert_eq!(events.executed.get(), 1, "one simulation total");
+    assert_eq!(events.cache_hits.get(), 1);
 
     // The md and csv renderings come from the same formatters as the CLI.
     let md = client::result(&addr, &submitted.digest, "md").expect("md");
@@ -163,13 +158,13 @@ fn concurrent_identical_submissions_coalesce_into_one_job() {
     )
     .expect("target completes");
 
-    let counters = handle.scheduler().counters();
+    let events = &handle.scheduler().obs().events;
     assert_eq!(
-        counters.executed.load(Ordering::Relaxed),
+        events.executed.get(),
         2,
         "blocker + exactly one shared job for the two identical submissions"
     );
-    assert_eq!(counters.coalesced.load(Ordering::Relaxed), 1);
+    assert_eq!(events.coalesced.get(), 1);
 }
 
 #[test]
@@ -248,13 +243,9 @@ fn disk_cache_survives_service_restarts() {
     let resubmitted = submit_spec(&addr2, &spec);
     assert!(resubmitted.cached, "restarted service hits the disk store");
     assert_eq!(resubmitted.status, "done");
-    let counters = h2.scheduler().counters();
-    assert_eq!(
-        counters.executed.load(Ordering::Relaxed),
-        0,
-        "nothing simulated"
-    );
-    assert_eq!(counters.cache_hits.load(Ordering::Relaxed), 1);
+    let events = &h2.scheduler().obs().events;
+    assert_eq!(events.executed.get(), 0, "nothing simulated");
+    assert_eq!(events.cache_hits.get(), 1);
     assert_eq!(
         client::result(&addr2, &digest, "json").expect("result"),
         served,
@@ -319,7 +310,7 @@ fn one_hundred_sequential_requests_share_one_kept_alive_connection() {
     }
     // All 100 polls rode the same TCP connection.
     assert!(
-        handle.conn_stats().requests.load(Ordering::Relaxed) >= 101,
+        handle.scheduler().obs().connections.requests.get() >= 101,
         "submit + 100 polls counted"
     );
 }
@@ -473,8 +464,7 @@ fn small_tenant_campaign_is_not_starved_by_a_huge_one() {
         Duration::from_secs(300),
     )
     .expect("huge campaign completes too");
-    let counters = handle.scheduler().counters();
-    assert_eq!(counters.cells_executed.load(Ordering::Relaxed), 52);
+    assert_eq!(handle.scheduler().obs().events.cells_executed.get(), 52);
 }
 
 /// The `?partial=1` contract: `cells_done` is monotonic across polls,
@@ -495,7 +485,7 @@ fn partial_results_are_monotonic_prefixes_of_the_final_artifact() {
     let submitted = submit_spec(&addr, &spec);
 
     // Poll partials until the fetch reports completion.
-    let deadline = std::time::Instant::now() + Duration::from_secs(300);
+    let deadline = Instant::now() + Duration::from_secs(300);
     let mut snapshots: Vec<client::PartialResult> = Vec::new();
     loop {
         let partial =
@@ -505,10 +495,7 @@ fn partial_results_are_monotonic_prefixes_of_the_final_artifact() {
         if complete {
             break;
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "campaign never finished"
-        );
+        assert!(Instant::now() < deadline, "campaign never finished");
         std::thread::sleep(Duration::from_millis(5));
     }
 
@@ -589,11 +576,11 @@ fn connection_cap_sheds_excess_connections_with_503() {
     // Releasing the slot restores service (the handler needs a moment to
     // observe the close).
     drop(held);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         match client::figures(&addr) {
             Ok(_) => break,
-            Err(e) if std::time::Instant::now() < deadline => {
+            Err(e) if Instant::now() < deadline => {
                 assert!(e.contains("503"), "unexpected error: {e}");
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -620,7 +607,7 @@ fn idle_connections_get_408_and_close() {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read until close");
     assert!(raw.starts_with("HTTP/1.1 408"), "{raw:?}");
-    assert!(handle.conn_stats().timeouts.load(Ordering::Relaxed) >= 1);
+    assert!(handle.scheduler().obs().connections.timeouts.get() >= 1);
     // Writes after the close fail eventually (not strictly asserted —
     // platform-dependent), but the stream is done serving.
     let _ = stream.write_all(b"GET /figures HTTP/1.1\r\n\r\n");
@@ -723,6 +710,11 @@ fn metrics_prom_lints_clean_and_names_required_families() {
         "pythia_journal_fsync_us",
         "pythia_store_hits_total",
         "pythia_store_misses_total",
+        "pythia_scheduler_events_total",
+        "pythia_connections_total",
+        "pythia_connections_active",
+        "pythia_workers_busy",
+        "pythia_sim_instructions_total",
     ] {
         assert!(
             text.contains(&format!("# TYPE {family} ")),
@@ -736,4 +728,192 @@ fn metrics_prom_lints_clean_and_names_required_families() {
     );
     drop(handle);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The value of one sample line of a Prometheus exposition, by its exact
+/// series (`name` or `name{labels}`).
+fn prom_sample(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {series} in:\n{text}"))
+}
+
+/// The two `/metrics` views read one registry and cannot drift: on a
+/// quiesced server every number of the JSON document equals the sample
+/// the Prometheus view carries for it.
+#[test]
+fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
+    let dir = std::env::temp_dir().join(format!("pythia-serve-views-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_handle, addr) = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        sim_threads: 1,
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    // One cold campaign, one cache hit, one 304.
+    let spec = tiny_spec("svc-views", 4_000);
+    let cold = submit_spec(&addr, &spec);
+    client::wait_done(
+        &addr,
+        &cold.digest,
+        Duration::from_millis(20),
+        Duration::from_secs(60),
+    )
+    .expect("campaign completes");
+    assert!(submit_spec(&addr, &spec).cached);
+    let etag = format!("\"{}.json\"", cold.digest);
+    let fetch = client::result_conditional(&addr, &cold.digest, "json", Some(&etag)).expect("304");
+    assert!(matches!(fetch, client::CachedFetch::NotModified));
+    // Handler threads bump the gauge down after the client sees the close.
+    let quiesced = Instant::now() + Duration::from_secs(10);
+    while client::metrics(&addr)
+        .expect("metrics")
+        .get("connections")
+        .and_then(|c| c.get("active"))
+        .and_then(Json::as_u64)
+        != Some(1)
+    {
+        assert!(Instant::now() < quiesced, "connections never drained");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Scrape prom first: the JSON scrape after it sees one more accepted
+    // connection, one more request and one more `metrics` route sample,
+    // all of which the comparison below accounts for exactly.
+    let prom = client::metrics_prom(&addr).expect("prom text");
+    let json = client::metrics(&addr).expect("metrics json");
+    let at = |path: &str| {
+        path.split('.')
+            .try_fold(&json, |node, key| node.get(key))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no {path} in the JSON view"))
+    };
+    let check = |path: &str, series: &str, json_extra: f64| {
+        assert_eq!(
+            at(path),
+            prom_sample(&prom, series) + json_extra,
+            "{path} vs {series}"
+        );
+    };
+
+    let events = json
+        .get("counters")
+        .and_then(Json::as_obj)
+        .expect("counters");
+    assert_eq!(events.len(), 10, "ten scheduler events");
+    for (event, _) in events {
+        check(
+            &format!("counters.{event}"),
+            &format!("pythia_scheduler_events_total{{event=\"{event}\"}}"),
+            0.0,
+        );
+    }
+    assert_eq!(at("counters.submitted"), 2.0);
+    assert_eq!(at("counters.cache_hits"), 1.0);
+    check(
+        "cells.executed",
+        "pythia_scheduler_events_total{event=\"cells_executed\"}",
+        0.0,
+    );
+    check(
+        "cells.replayed",
+        "pythia_scheduler_events_total{event=\"cells_replayed\"}",
+        0.0,
+    );
+    for (event, json_extra) in [
+        ("accepted", 1.0),
+        ("rejected", 0.0),
+        ("requests", 1.0),
+        ("timeouts", 0.0),
+    ] {
+        check(
+            &format!("connections.{event}"),
+            &format!("pythia_connections_total{{event=\"{event}\"}}"),
+            json_extra,
+        );
+    }
+    for (path, series) in [
+        ("connections.active", "pythia_connections_active"),
+        ("queue.depth", "pythia_queue_depth"),
+        ("queue.cap", "pythia_queue_cap"),
+        ("cells.queued", "pythia_cells_queued"),
+        ("cells.in_flight", "pythia_cells_in_flight"),
+        ("workers.busy", "pythia_workers_busy"),
+        ("workers.total", "pythia_workers_total"),
+        ("store.hits", "pythia_store_hits_total"),
+        ("store.misses", "pythia_store_misses_total"),
+        ("store.stored", "pythia_store_stored_total"),
+        ("store.evicted", "pythia_store_evicted_total"),
+        ("store.bytes_used", "pythia_store_bytes_used"),
+        (
+            "throughput.sim_instructions",
+            "pythia_sim_instructions_total",
+        ),
+    ] {
+        check(path, series, 0.0);
+    }
+    assert_eq!(at("store.stored"), 1.0);
+    assert!(at("store.bytes_used") > 0.0);
+    assert_eq!(
+        at("throughput.sim_wall_seconds"),
+        prom_sample(&prom, "pythia_sim_wall_us_total") / 1e6
+    );
+    for (path, family) in [
+        ("latency.cell_queue_wait_us", "pythia_cell_queue_wait_us"),
+        ("latency.cell_execution_us", "pythia_cell_execution_us"),
+        ("latency.journal_fsync_us", "pythia_journal_fsync_us"),
+    ] {
+        check(&format!("{path}.count"), &format!("{family}_count"), 0.0);
+        check(&format!("{path}.sum"), &format!("{family}_sum"), 0.0);
+    }
+    assert_eq!(at("latency.cell_execution_us.count"), 2.0);
+    for route in ["figures", "submit", "status", "result", "other"] {
+        for (field, suffix) in [("count", "_count"), ("sum", "_sum")] {
+            check(
+                &format!("latency.routes_us.{route}.{field}"),
+                &format!("pythia_http_request_duration_us{suffix}{{route=\"{route}\"}}"),
+                0.0,
+            );
+        }
+    }
+    // The prom scrape itself is the one `metrics` request in between.
+    check(
+        "latency.routes_us.metrics.count",
+        "pythia_http_request_duration_us_count{route=\"metrics\"}",
+        1.0,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `wait_done` backs off from 1 ms instead of sleeping the caller's
+/// whole interval after the first poll: a campaign of a few milliseconds
+/// is not turned into a 200 ms one, and the number of polls stays
+/// logarithmic in the wait.
+#[test]
+fn wait_done_backs_off_from_one_millisecond_up_to_the_poll_interval() {
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        sim_threads: 1,
+        ..ServeConfig::default()
+    });
+    let poll = Duration::from_millis(200);
+    let submitted = submit_spec(&addr, &tiny_spec("svc-backoff", 4_000));
+    assert!(!submitted.cached);
+    let started = Instant::now();
+    client::wait_done(&addr, &submitted.digest, poll, Duration::from_secs(60))
+        .expect("campaign completes");
+    let waited = started.elapsed();
+    assert!(
+        waited < poll,
+        "a tiny campaign must not cost a whole poll interval: waited {waited:?}"
+    );
+    // Pauses of 1, 2, 4, ... 128 ms sum past 200 ms after eight polls.
+    let requests = handle.scheduler().obs().connections.requests.get();
+    assert!(
+        (2..=10).contains(&requests),
+        "one submission plus at most nine status polls, saw {requests}"
+    );
 }

@@ -16,15 +16,14 @@
 //! least-recently-used artifacts whenever a write would push the total
 //! over budget. Loads count as uses. The index is seeded from a directory
 //! scan at open time (ordered by file mtime), so a restart inherits a
-//! sensible recency order. Hit/miss/eviction counts are exposed through
-//! [`StoreStats`] for the service `/metrics` endpoint.
+//! sensible recency order. Hit/miss/stored/evicted counts are kept in
+//! [`StoreStats`]; the service copies them into its metric registry once
+//! per `/metrics` scrape.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use pythia_stats::json::Json;
 
 use crate::codec::{is_digest, Campaign};
 use crate::engine::run_all;
@@ -41,18 +40,6 @@ pub struct StoreStats {
     pub stored: AtomicU64,
     /// Artifacts evicted to stay under the byte budget.
     pub evicted: AtomicU64,
-}
-
-impl StoreStats {
-    /// Snapshot as a JSON object (the `store` key of `/metrics`).
-    pub fn to_json(&self) -> Json {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Json::obj()
-            .set("hits", get(&self.hits))
-            .set("misses", get(&self.misses))
-            .set("stored", get(&self.stored))
-            .set("evicted", get(&self.evicted))
-    }
 }
 
 /// One indexed artifact: its size and its last-use stamp (a logical
