@@ -116,6 +116,22 @@ pub fn trace_records(n: usize) -> Vec<TraceRecord> {
         .collect()
 }
 
+/// A rendered JSON array of lossless wire reports (the journal's `cell`
+/// payload and the bulk of a stored artifact), at least `min_bytes`
+/// long: one real 1 K + 4 K-instruction simulation of the e2e workload,
+/// repeated — the reader has no cache a repeat could flatter.
+pub fn wire_report_array(min_bytes: usize) -> String {
+    let spec = pythia::runner::RunSpec {
+        system: pythia_sim::config::SystemConfig::single_core(),
+        warmup: 1_000,
+        measure: 4_000,
+    };
+    let report = pythia::runner::run_workload(&e2e_workload(), "stride", &spec);
+    let one = pythia_stats::json::sim_report_wire_json(&report);
+    let count = min_bytes.div_ceil(one.render().len() + 1);
+    pythia_stats::json::Json::Arr(vec![one; count]).render()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,6 +170,14 @@ mod tests {
         let lines: Vec<_> = line_stream(1000).collect();
         assert!(lines.iter().any(|&l| l < 512));
         assert!(lines.iter().any(|&l| l >= 4096));
+    }
+
+    #[test]
+    fn wire_report_array_reaches_the_requested_size() {
+        let doc = wire_report_array(8 << 10);
+        assert!((8 << 10..12 << 10).contains(&doc.len()), "{}", doc.len());
+        assert_eq!(doc, wire_report_array(8 << 10));
+        assert!(pythia_stats::json::parse(&doc).is_ok());
     }
 
     #[test]

@@ -101,6 +101,25 @@ fn e2e_bench(scale: f64, prefetcher: &'static str) -> (u64, Box<dyn FnMut()>) {
     )
 }
 
+/// Bytes one `json_parse_*` repetition reads (scaled).
+const JSON_PARSE_BYTES: usize = 4 << 20;
+
+/// `pythia_stats::json::parse` over a rendered array of wire reports of
+/// about `doc_bytes`. Both sizes read about the same number of bytes per
+/// repetition, so a linear reader scores the same MB/s on both.
+fn json_parse_bench(scale: f64, doc_bytes: usize) -> (u64, Box<dyn FnMut()>) {
+    let doc = fixtures::wire_report_array(doc_bytes);
+    let passes = (scaled(JSON_PARSE_BYTES, scale) / doc.len()).max(1);
+    (
+        (doc.len() * passes) as u64,
+        Box::new(move || {
+            for _ in 0..passes {
+                black_box(pythia_stats::json::parse(black_box(&doc)).expect("valid fixture"));
+            }
+        }),
+    )
+}
+
 /// Every registered microbenchmark, in report order.
 pub fn registry() -> Vec<BenchDef> {
     vec![
@@ -367,6 +386,16 @@ pub fn registry() -> Vec<BenchDef> {
                     }),
                 )
             },
+        },
+        BenchDef {
+            name: "json_parse_8k",
+            unit: "B",
+            build: |scale| json_parse_bench(scale, 8 << 10),
+        },
+        BenchDef {
+            name: "json_parse_512k",
+            unit: "B",
+            build: |scale| json_parse_bench(scale, 512 << 10),
         },
     ]
 }

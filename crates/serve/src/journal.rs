@@ -1,4 +1,4 @@
-//! Crash-safe append-only job journal.
+//! Append-only job journal with a written durability contract.
 //!
 //! The scheduler's queue lives in memory, so before this module a restart
 //! silently dropped every queued and in-flight campaign — only the disk
@@ -7,7 +7,6 @@
 //!
 //! ```text
 //! {"event":"submitted","digest":"<16 hex>","tenant":"...","priority":1,"campaign":{...}}
-//! {"event":"started","digest":"<16 hex>"}
 //! {"event":"cell","digest":"<16 hex>","cell":3,"report":{...lossless SimReport...}}
 //! {"event":"done","digest":"<16 hex>","ok":true}
 //! ```
@@ -20,8 +19,35 @@
 //! [`Journal::open`] the file is replayed: jobs with a `done` record are
 //! dropped, everything else is exposed via [`Journal::take_pending`] for
 //! the scheduler to requeue (order preserved) with its completed cells
-//! attached. A torn trailing line — the expected artifact of a crash
-//! mid-append — is skipped with a warning, never an error.
+//! attached.
+//!
+//! # Durability contract
+//!
+//! Two failures, two guarantees:
+//!
+//! * **Process crash** (panic, SIGKILL, SIGTERM): nothing appended is
+//!   lost. Every record is one unbuffered `write_all` on the `File` — no
+//!   user-space buffer, queue or flusher thread — so it is in the page
+//!   cache, which outlives the process, when the call returns.
+//! * **Power loss**: only what a `sync_data` covered survives.
+//!   - `submitted` is synced ([`Journal::sync`]) before the submission
+//!     is acknowledged: an acknowledged campaign is never lost.
+//!   - `done` is synced as it is written: a finished campaign is never
+//!     replayed.
+//!   - `cell` records ride the next sync, and force one themselves once
+//!     the cells written since the last sync add up to
+//!     `SYNC_WORK_BUDGET` (100 ms) of simulation wall time. Losing a
+//!     `cell` record costs re-executing that cell on restart, so power
+//!     loss costs at most the budget in finished simulation per journal,
+//!     plus the cells in flight. A campaign of long cells syncs every
+//!     cell; a campaign of sub-millisecond cells syncs twice. The
+//!     behaviour depends only on how long the cells ran; there is no
+//!     setting.
+//!
+//! Replay needs nothing more for this: a record that is missing, torn
+//! anywhere (inside a multi-byte character included) or overwritten with
+//! NUL bytes — what an unsynced tail can look like after power loss — is
+//! skipped with a warning, never an error, and its cell re-executes.
 //!
 //! Once the scheduler has decided what actually needs requeueing (a
 //! replayed job may already have its artifact on disk), it calls
@@ -31,14 +57,15 @@
 //!
 //! Appends are fail-soft: a full disk degrades durability, not service.
 //!
-//! Journals written before the cell-level records (no `tenant`,
-//! `priority` or `cell` lines) replay fine: the missing fields default to
-//! the anonymous tenant at baseline priority with no completed cells.
+//! Journals written by older versions replay fine: missing `tenant` and
+//! `priority` fields default to the anonymous tenant at baseline
+//! priority, and the retired `started` record is accepted and ignored.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use pythia_sim::stats::SimReport;
 use pythia_stats::json::{sim_report_from_wire, sim_report_wire_json, Json};
@@ -48,6 +75,11 @@ use crate::obs::ServeObs;
 
 /// Tenant key recorded when a submission names none.
 pub const DEFAULT_TENANT: &str = "default";
+
+/// Summed wall time of the cells whose records are appended but not yet
+/// synced at which a `cell` record forces a sync: what power loss may
+/// cost in finished simulation.
+const SYNC_WORK_BUDGET: Duration = Duration::from_millis(100);
 
 /// A job recovered from the journal that has no `done` record.
 #[derive(Debug, Clone)]
@@ -60,20 +92,29 @@ pub struct PendingJob {
     pub tenant: String,
     /// Scheduling weight recorded at submission.
     pub priority: u64,
-    /// Whether a `started` record was seen (the job was in flight when
-    /// the previous process died).
-    pub started: bool,
     /// Completed cells recovered from `cell` records: `(flat job index,
     /// report)`, in completion order, deduplicated by index.
     pub cells: Vec<(usize, SimReport)>,
 }
 
+/// The append handle and what of the file is known durable.
+struct Tail {
+    file: File,
+    /// Byte offset covered by the last successful sync.
+    synced_len: u64,
+    /// Summed wall time of the cells whose records are not yet synced.
+    unsynced_work: Duration,
+    /// When the oldest `submitted` record still waiting for its
+    /// [`Journal::sync`] was written.
+    ack_pending: Option<Instant>,
+}
+
 /// An append-only journal of job lifecycle events.
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<File>,
+    tail: Mutex<Tail>,
     pending: Vec<PendingJob>,
-    /// Shared observability bundle: fsync-latency histogram + logger.
+    /// Shared observability bundle: sync-latency histogram + logger.
     obs: Arc<ServeObs>,
 }
 
@@ -90,7 +131,7 @@ impl Journal {
     /// Opens (creating if needed) the journal at `path` with a private
     /// default observability bundle (warn-level stderr logging). The
     /// server passes its shared bundle via [`Journal::open_with_obs`]
-    /// instead, so fsync timings land in the service registry.
+    /// instead, so sync timings land in the service registry.
     ///
     /// # Errors
     ///
@@ -110,28 +151,53 @@ impl Journal {
     /// created or read.
     pub fn open_with_obs(path: impl Into<PathBuf>, obs: Arc<ServeObs>) -> Result<Self, String> {
         let path = path.into();
+        let io_err = |e: std::io::Error| format!("{}: {e}", path.display());
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
                     .map_err(|e| format!("{}: {e}", parent.display()))?;
             }
         }
-        let pending = match std::fs::read_to_string(&path) {
-            Ok(text) => replay(&text, &path, &obs),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(format!("{}: {e}", path.display())),
+        // Bytes, not a `String`: a record torn inside a multi-byte
+        // character must cost that record, not the service's start.
+        let existing = match std::fs::read(&path) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(io_err(e)),
         };
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(Self {
+            .map_err(io_err)?;
+        let (pending, torn) = match &existing {
+            Some(bytes) => (
+                replay(bytes, &path, &obs),
+                bytes.last().is_some_and(|&b| b != b'\n'),
+            ),
+            None => {
+                // A sync covers the new file's bytes, not its name.
+                sync_parent_dir(&path);
+                (Vec::new(), false)
+            }
+        };
+        let journal = Self {
             path,
-            file: Mutex::new(file),
+            tail: Mutex::new(Tail {
+                file,
+                synced_len: 0,
+                unsynced_work: Duration::ZERO,
+                ack_pending: None,
+            }),
             pending,
             obs,
-        })
+        };
+        if torn {
+            // End the torn line, or the next record would be glued onto
+            // it and lost with it.
+            journal.write(&mut journal.lock(), "\n");
+        }
+        Ok(journal)
     }
 
     /// The journal file path.
@@ -144,10 +210,18 @@ impl Journal {
         std::mem::take(&mut self.pending)
     }
 
+    /// The byte offset covered by the last successful sync through this
+    /// handle (0 before the first): what of the file power loss cannot
+    /// take. For the power-loss tests.
+    pub fn synced_len(&self) -> u64 {
+        self.lock().synced_len
+    }
+
     /// Rewrites the journal to contain exactly one `submitted` record per
     /// surviving job — followed by its surviving `cell` records — and
-    /// drops all completed history. Atomic (temp-file + rename); the
-    /// append handle is swapped to the new file.
+    /// drops all completed history. Atomic and durable (synced temp file,
+    /// rename, synced directory); the append handle is swapped to the
+    /// new file.
     ///
     /// # Errors
     ///
@@ -166,69 +240,145 @@ impl Journal {
             }
         }
         let tmp = self.path.with_extension("tmp");
-        std::fs::write(&tmp, &text).map_err(|e| format!("{}: {e}", tmp.display()))?;
+        // Synced before the rename: power loss must find the old journal
+        // or the whole new one under the name, never a partial file.
+        let started = Instant::now();
+        File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(text.as_bytes())?;
+                f.sync_data()
+            })
+            .map_err(|e| format!("{}: {e}", tmp.display()))?;
+        self.obs
+            .journal_fsync_us
+            .record(started.elapsed().as_micros() as u64);
         std::fs::rename(&tmp, &self.path).map_err(|e| {
             let _ = std::fs::remove_file(&tmp);
             format!("{}: {e}", self.path.display())
         })?;
+        // Later records go to the new file: were the rename lost, they
+        // would be lost with it, acknowledged or not.
+        sync_parent_dir(&self.path);
         let file = OpenOptions::new()
             .append(true)
             .open(&self.path)
             .map_err(|e| format!("{}: {e}", self.path.display()))?;
-        *self.file.lock().expect("journal lock poisoned") = file;
+        *self.lock() = Tail {
+            file,
+            synced_len: text.len() as u64,
+            unsynced_work: Duration::ZERO,
+            ack_pending: None,
+        };
         Ok(())
     }
 
-    /// Records a fresh submission (with the campaign body and its
-    /// scheduling identity).
+    /// Appends a fresh submission (with the campaign body and its
+    /// scheduling identity) **without syncing it**: call
+    /// [`Journal::sync`] before acknowledging the submission. The two
+    /// are apart so that a caller can order the write under a lock of its
+    /// own and wait for the disk outside it.
     pub fn record_submitted(&self, digest: &str, campaign: &Campaign, tenant: &str, priority: u64) {
-        self.append(&submitted_line(digest, campaign, tenant, priority));
+        let line = submitted_line(digest, campaign, tenant, priority);
+        let started = Instant::now();
+        let mut tail = self.lock();
+        if self.write(&mut tail, &line) {
+            tail.ack_pending.get_or_insert(started);
+        }
     }
 
-    /// Records that a worker picked the job's first cell up.
-    pub fn record_started(&self, digest: &str) {
-        let line = Json::obj().set("event", "started").set("digest", digest);
-        self.append(&format!("{}\n", line.render()));
+    /// Makes every `submitted` record appended so far durable. Returns
+    /// at once when a later record's sync already covered them.
+    pub fn sync(&self) {
+        let mut tail = self.lock();
+        if let Some(started) = tail.ack_pending.take() {
+            self.sync_tail(&mut tail, started);
+        }
     }
 
     /// Records one completed cell with its full report, so a restart can
-    /// resume the campaign without re-executing it.
-    pub fn record_cell(&self, digest: &str, index: usize, report: &SimReport) {
-        self.append(&cell_line(digest, index, report));
+    /// resume the campaign without re-executing it. `wall` is how long
+    /// the cell ran: the record syncs once that much unsynced work adds
+    /// up to the budget of the module's durability contract.
+    pub fn record_cell(&self, digest: &str, index: usize, report: &SimReport, wall: Duration) {
+        let line = cell_line(digest, index, report);
+        let started = Instant::now();
+        let mut tail = self.lock();
+        if self.write(&mut tail, &line) {
+            tail.unsynced_work += wall;
+            if tail.unsynced_work >= SYNC_WORK_BUDGET {
+                self.sync_tail(&mut tail, started);
+            }
+        }
     }
 
     /// Records completion (success or failure — either way the job must
-    /// not be replayed).
+    /// not be replayed) and syncs.
     pub fn record_done(&self, digest: &str, ok: bool) {
         let line = Json::obj()
             .set("event", "done")
             .set("digest", digest)
             .set("ok", Json::Bool(ok));
-        self.append(&format!("{}\n", line.render()));
+        let line = format!("{}\n", line.render());
+        let started = Instant::now();
+        let mut tail = self.lock();
+        if self.write(&mut tail, &line) {
+            self.sync_tail(&mut tail, started);
+        }
     }
 
-    fn append(&self, line: &str) {
-        let started = std::time::Instant::now();
-        let mut file = self.file.lock().expect("journal lock poisoned");
-        let outcome = file
-            .write_all(line.as_bytes())
-            .and_then(|()| file.flush())
-            .and_then(|()| file.sync_data());
+    fn lock(&self) -> MutexGuard<'_, Tail> {
+        self.tail.lock().expect("journal lock poisoned")
+    }
+
+    /// One record, one unbuffered `write_all`: the crash half of the
+    /// contract. Returns whether it was written.
+    fn write(&self, tail: &mut Tail, line: &str) -> bool {
+        let outcome = tail.file.write_all(line.as_bytes());
+        self.fail_soft("append", outcome)
+    }
+
+    /// One `sync_data` covering everything written so far, timed from
+    /// `started` — the write that asked for it.
+    fn sync_tail(&self, tail: &mut Tail, started: Instant) {
+        let outcome = tail
+            .file
+            .sync_data()
+            .and_then(|()| tail.file.metadata())
+            .map(|meta| {
+                tail.synced_len = meta.len();
+                tail.unsynced_work = Duration::ZERO;
+                tail.ack_pending = None;
+            });
         self.obs
             .journal_fsync_us
             .record(started.elapsed().as_micros() as u64);
-        if let Err(e) = outcome {
-            // Fail-soft: losing durability beats refusing service.
+        self.fail_soft("sync", outcome);
+    }
+
+    /// Fail-soft: losing durability beats refusing service.
+    fn fail_soft(&self, what: &str, outcome: std::io::Result<()>) -> bool {
+        if let Err(e) = &outcome {
             self.obs.logger().error(
                 "journal",
-                "append failed",
+                &format!("{what} failed"),
                 &[
                     ("path", self.path.display().to_string()),
                     ("error", e.to_string()),
                 ],
             );
         }
+        outcome.is_ok()
     }
+}
+
+/// Makes a create or rename of `path` durable by syncing its directory.
+/// Best effort: not every platform can open a directory.
+fn sync_parent_dir(path: &Path) {
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    let _ = File::open(dir).and_then(|d| d.sync_all());
 }
 
 fn submitted_line(digest: &str, campaign: &Campaign, tenant: &str, priority: u64) -> String {
@@ -250,14 +400,11 @@ fn cell_line(digest: &str, index: usize, report: &SimReport) -> String {
     format!("{}\n", line.render())
 }
 
-/// Replays journal text into the pending-job list.
-fn replay(text: &str, path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
+/// Replays the journal's bytes into the pending-job list.
+fn replay(bytes: &[u8], path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
     // Digest → position in `order`; preserves first-submission order.
     let mut order: Vec<PendingJob> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
+    for (lineno, line) in bytes.split(|&b| b == b'\n').enumerate() {
         let skip = |what: &str| {
             obs.logger().warn(
                 "journal",
@@ -269,6 +416,14 @@ fn replay(text: &str, path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
                 ],
             );
         };
+        let Ok(line) = std::str::from_utf8(line) else {
+            // Torn inside a multi-byte character.
+            skip("line is not UTF-8");
+            continue;
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
         let Ok(json) = pythia_stats::json::parse(line) else {
             // A torn line (crash mid-append) or stray corruption: skip.
             skip("unparseable line");
@@ -307,16 +462,12 @@ fn replay(text: &str, path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
                             .and_then(Json::as_u64)
                             .unwrap_or(1)
                             .max(1),
-                        started: false,
                         cells: Vec::new(),
                     });
                 }
             }
-            "started" => {
-                if let Some(job) = order.iter_mut().find(|p| p.digest == digest) {
-                    job.started = true;
-                }
-            }
+            // Written by older versions; nothing ever read it.
+            "started" => {}
             "cell" => {
                 let index = json.get("cell").and_then(Json::as_u64);
                 let report = json
@@ -371,6 +522,9 @@ mod tests {
         )
     }
 
+    /// A cell wall time far under the sync budget.
+    const QUICK: Duration = Duration::from_micros(400);
+
     fn tiny_report(seed: u64) -> SimReport {
         SimReport {
             cores: vec![pythia_sim::stats::CoreStats {
@@ -400,19 +554,15 @@ mod tests {
             journal.record_submitted(&a.digest(), &a, "alice", 3);
             journal.record_submitted(&b.digest(), &b, DEFAULT_TENANT, 1);
             journal.record_submitted(&c.digest(), &c, DEFAULT_TENANT, 1);
-            journal.record_started(&a.digest());
-            journal.record_started(&b.digest());
             journal.record_done(&b.digest(), true);
         }
         let mut journal = Journal::open(&path).expect("reopen");
         let pending = journal.take_pending();
         assert_eq!(pending.len(), 2, "b is done, a and c survive");
         assert_eq!(pending[0].digest, a.digest());
-        assert!(pending[0].started, "a was in flight");
         assert_eq!(pending[0].tenant, "alice");
         assert_eq!(pending[0].priority, 3);
         assert_eq!(pending[1].digest, c.digest());
-        assert!(!pending[1].started, "c was still queued");
         // The replayed campaign is byte-identical to the original.
         assert_eq!(pending[0].campaign.canonical(), a.canonical());
         let _ = std::fs::remove_file(&path);
@@ -427,12 +577,11 @@ mod tests {
         {
             let journal = Journal::open(&path).expect("open");
             journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
-            journal.record_started(&a.digest());
-            journal.record_cell(&a.digest(), 0, &r0);
-            journal.record_cell(&a.digest(), 2, &r2);
+            journal.record_cell(&a.digest(), 0, &r0, QUICK);
+            journal.record_cell(&a.digest(), 2, &r2, QUICK);
             // A duplicate index (crash between journal write and in-memory
             // bookkeeping, then re-execution) keeps the first record.
-            journal.record_cell(&a.digest(), 0, &tiny_report(99));
+            journal.record_cell(&a.digest(), 0, &tiny_report(99), QUICK);
         }
         let mut journal = Journal::open(&path).expect("reopen");
         let pending = journal.take_pending();
@@ -450,7 +599,8 @@ mod tests {
     #[test]
     fn pre_cell_journals_replay_with_defaults() {
         // A journal written before tenant/priority/cell records existed
-        // must still replay (fields default, no cells attached).
+        // must still replay (fields default, no cells attached), and the
+        // `started` record of that era is a silent no-op.
         let path = tmp_path("legacy");
         let _ = std::fs::remove_file(&path);
         let a = tiny_campaign("legacy-a");
@@ -458,7 +608,10 @@ mod tests {
             .set("event", "submitted")
             .set("digest", a.digest().as_str())
             .set("campaign", a.to_json());
-        std::fs::write(&path, format!("{}\n", line.render())).expect("write");
+        let started = Json::obj()
+            .set("event", "started")
+            .set("digest", a.digest().as_str());
+        std::fs::write(&path, format!("{}\n{}\n", line.render(), started.render())).expect("write");
         let mut journal = Journal::open(&path).expect("open");
         let pending = journal.take_pending();
         assert_eq!(pending.len(), 1);
@@ -477,16 +630,91 @@ mod tests {
             let journal = Journal::open(&path).expect("open");
             journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
         }
-        // Simulate a crash mid-append of a second record.
+        // Simulate a crash mid-append of a second record, inside the
+        // two-byte `å` of its tenant: the file is no longer UTF-8.
         {
             let mut f = OpenOptions::new().append(true).open(&path).expect("append");
-            f.write_all(b"{\"event\":\"submitted\",\"digest\":\"00")
+            f.write_all(b"{\"event\":\"submitted\",\"tenant\":\"\xc3")
                 .expect("tear");
         }
-        let mut journal = Journal::open(&path).expect("reopen tolerates tear");
-        let pending = journal.take_pending();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].digest, a.digest());
+        let b = tiny_campaign("torn-b");
+        {
+            let mut journal = Journal::open(&path).expect("reopen tolerates tear");
+            let pending = journal.take_pending();
+            assert_eq!(pending.len(), 1);
+            assert_eq!(pending[0].digest, a.digest());
+            // The next record starts a line of its own, not the torn one's.
+            journal.record_submitted(&b.digest(), &b, DEFAULT_TENANT, 1);
+        }
+        let mut journal = Journal::open(&path).expect("reopen");
+        let digests: Vec<String> = journal
+            .take_pending()
+            .into_iter()
+            .map(|p| p.digest)
+            .collect();
+        assert_eq!(digests, [a.digest(), b.digest()]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The journal at `path` with its sync histogram at hand.
+    fn open_counting(path: &Path) -> (Journal, Arc<ServeObs>) {
+        let obs = Arc::new(ServeObs::default());
+        let journal = Journal::open_with_obs(path, Arc::clone(&obs)).expect("open");
+        (journal, obs)
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).expect("journal exists").len()
+    }
+
+    #[test]
+    fn quick_cells_ride_the_done_sync() {
+        let path = tmp_path("group-commit");
+        let _ = std::fs::remove_file(&path);
+        let a = tiny_campaign("group-a");
+        let (journal, obs) = open_counting(&path);
+        journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
+        assert_eq!(journal.synced_len(), 0, "written, not yet synced");
+        journal.sync();
+        let acknowledged = file_len(&path);
+        assert_eq!(journal.synced_len(), acknowledged);
+        journal.sync();
+        assert_eq!(obs.journal_fsync_us.count(), 1, "nothing new to sync");
+        for cell in 0..24 {
+            journal.record_cell(&a.digest(), cell, &tiny_report(cell as u64), QUICK);
+        }
+        // 24 x 400 us is a tenth of the budget: appended, none synced.
+        assert_eq!(journal.synced_len(), acknowledged);
+        assert!(file_len(&path) > acknowledged);
+        journal.record_done(&a.digest(), true);
+        assert_eq!(journal.synced_len(), file_len(&path));
+        assert_eq!(obs.journal_fsync_us.count(), 2, "submitted and done");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cells_sync_when_their_wall_time_reaches_the_budget() {
+        let path = tmp_path("budget");
+        let _ = std::fs::remove_file(&path);
+        let a = tiny_campaign("budget-a");
+        let (journal, obs) = open_counting(&path);
+        journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
+        journal.sync();
+        // Cells as long as the budget sync one by one, as every record
+        // did before there was a budget.
+        for cell in 0..3 {
+            journal.record_cell(&a.digest(), cell, &tiny_report(1), SYNC_WORK_BUDGET);
+            assert_eq!(journal.synced_len(), file_len(&path));
+            assert_eq!(obs.journal_fsync_us.count(), 2 + cell as u64);
+        }
+        // Shorter ones add up: 40 + 40 + 40 ms crosses it at the third,
+        // and the sum starts over.
+        let part = SYNC_WORK_BUDGET * 2 / 5;
+        for (cell, synced) in [(3, false), (4, false), (5, true), (6, false)] {
+            journal.record_cell(&a.digest(), cell, &tiny_report(1), part);
+            assert_eq!(journal.synced_len() == file_len(&path), synced, "{cell}");
+        }
+        assert_eq!(obs.journal_fsync_us.count(), 5);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -499,7 +727,7 @@ mod tests {
             let journal = Journal::open(&path).expect("open");
             journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
             journal.record_submitted(&b.digest(), &b, "bob", 2);
-            journal.record_cell(&b.digest(), 1, &tiny_report(7));
+            journal.record_cell(&b.digest(), 1, &tiny_report(7), QUICK);
             journal.record_done(&a.digest(), true);
         }
         {
@@ -507,6 +735,10 @@ mod tests {
             let pending = journal.take_pending();
             assert_eq!(pending.len(), 1);
             journal.compact(&pending).expect("compact");
+            // The rewritten file was synced before it took the name.
+            assert_eq!(journal.synced_len(), file_len(&path));
+            assert_eq!(journal.obs.journal_fsync_us.count(), 1);
+            assert!(!path.with_extension("tmp").exists());
             // Appends after compaction land in the new file.
             journal.record_done(&b.digest(), true);
         }

@@ -17,7 +17,8 @@
 //!
 //! plus the latency histograms: per-route request latency and response
 //! size (`handle_connection`), cell queue wait and execution time
-//! (`worker_loop`), journal fsync (`Journal::append`).
+//! (`worker_loop`), journal sync (`journal.rs`, one sample per
+//! `sync_data`).
 //!
 //! Components constructed without an explicit bundle (unit tests, bare
 //! [`crate::scheduler::Scheduler::start`]) get a private default bundle
@@ -126,7 +127,9 @@ pub struct ServeObs {
     pub cell_queue_wait_us: Arc<Histogram>,
     /// Wall time a worker spent simulating one cell, in µs.
     pub cell_execution_us: Arc<Histogram>,
-    /// Latency of one journal append (write + flush + fsync), in µs.
+    /// Journal sync latency in µs: one sample per `sync_data` call, timed
+    /// from the write that triggered it — so its count is the number of
+    /// syncs, not of records.
     pub journal_fsync_us: Arc<Histogram>,
     /// Scheduler events.
     pub events: SchedulerEvents,
@@ -191,7 +194,7 @@ impl ServeObs {
             ),
             journal_fsync_us: r.histogram(
                 "pythia_journal_fsync_us",
-                "Journal append latency (write+flush+fsync), in microseconds",
+                "Journal sync latency, one sample per sync_data call timed from the write that triggered it, in microseconds",
             ),
             events: SchedulerEvents {
                 submitted: event("submitted"),

@@ -28,9 +28,11 @@
 //! served artifact is byte-identical to a monolithic run no matter how
 //! execution interleaves.
 //!
-//! When a [`Journal`] is attached, every fresh enqueue is recorded before
-//! the submission returns and every finished cell is recorded with its
-//! full report. On startup unfinished journal entries are replayed:
+//! When a [`Journal`] is attached, every fresh enqueue is recorded and
+//! synced before the submission returns and every finished cell is
+//! recorded with its full report (when each record becomes durable is the
+//! journal's contract, see [`crate::journal`]). On startup unfinished
+//! journal entries are replayed:
 //! digests whose artifact already landed in the store are marked done,
 //! everything else is requeued **minus its journaled cells** — only the
 //! cells that had not finished re-execute — and the journal is compacted
@@ -41,6 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use pythia_obs::logger::Level;
 use pythia_sim::stats::SimReport;
 use pythia_sweep::codec::Campaign;
 use pythia_sweep::{plan_campaign, CampaignPlan, ResultStore, SweepResult};
@@ -200,9 +203,6 @@ struct Claim {
     /// Flat index into the plan's job list.
     flat: usize,
     plan: Arc<CampaignPlan>,
-    /// Whether this claim moved the job from queued to running (first
-    /// cell claimed — the `started` journal record).
-    first: bool,
     /// How long the cell sat in the ready queue before this claim.
     queue_wait: std::time::Duration,
 }
@@ -240,8 +240,7 @@ fn claim_cell(state: &mut State) -> Option<Claim> {
             }
             work.claimed += 1;
             work.in_flight += 1;
-            let first = matches!(job.status, JobStatus::Queued);
-            if first {
+            if matches!(job.status, JobStatus::Queued) {
                 job.status = JobStatus::Running;
             }
             let plan = Arc::clone(&work.plan);
@@ -255,7 +254,6 @@ fn claim_cell(state: &mut State) -> Option<Claim> {
                     digest,
                     flat,
                     plan,
-                    first,
                     queue_wait,
                 },
                 priority,
@@ -480,9 +478,10 @@ impl Scheduler {
                 queue_cap: self.inner.queue_cap,
             });
         }
-        // Journal before releasing the lock: a worker must not be able to
-        // write this digest's `started` record before its `submitted`
-        // record exists.
+        // Write the record before releasing the lock: replay attaches a
+        // `cell` record to a digest it has already seen, so no worker may
+        // append one ahead of this line. The sync waits until the lock
+        // is gone.
         if let Some(journal) = &self.inner.journal {
             journal.record_submitted(&digest, &campaign, tenant, priority);
         }
@@ -511,6 +510,11 @@ impl Scheduler {
         drop(state);
         // Many cells just became claimable: wake every worker.
         self.inner.work_ready.notify_all();
+        // Durable before acknowledged; status polls, other submissions
+        // and the workers just woken do not wait behind the disk.
+        if let Some(journal) = &self.inner.journal {
+            journal.sync();
+        }
         Ok(Submission {
             digest,
             status: JobStatus::Queued,
@@ -687,7 +691,13 @@ impl Scheduler {
 
     /// Stops the workers after their current cell and joins them.
     pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set under the lock the workers check it under: a worker that saw
+        // `false` is then already waiting when the notification is sent,
+        // not about to wait and miss it.
+        {
+            let _state = self.inner.state.lock().expect("scheduler lock");
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.work_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -850,12 +860,6 @@ fn worker_loop(inner: &Inner) {
         };
 
         inner.obs.workers_busy.add(1);
-        if claim.first {
-            if let Some(journal) = &inner.journal {
-                journal.record_started(&claim.digest);
-            }
-        }
-
         inner
             .obs
             .cell_queue_wait_us
@@ -865,15 +869,17 @@ fn worker_loop(inner: &Inner) {
         let report = cell.run();
         let wall = started.elapsed();
         inner.obs.cell_execution_us.record(wall.as_micros() as u64);
-        inner.obs.logger().debug(
-            "scheduler",
-            "cell executed",
-            &[
-                ("digest", claim.digest.clone()),
-                ("cell", claim.flat.to_string()),
-                ("wall_us", wall.as_micros().to_string()),
-            ],
-        );
+        if inner.obs.logger().enabled(Level::Debug) {
+            inner.obs.logger().debug(
+                "scheduler",
+                "cell executed",
+                &[
+                    ("digest", claim.digest.clone()),
+                    ("cell", claim.flat.to_string()),
+                    ("wall_us", wall.as_micros().to_string()),
+                ],
+            );
+        }
         inner.obs.sim_instructions.add(cell.instructions);
         inner.obs.sim_wall_us.add(wall.as_micros() as u64);
         inner.obs.events.cells_executed.inc();
@@ -881,7 +887,7 @@ fn worker_loop(inner: &Inner) {
         // between re-executes this one cell, and the duplicate record is
         // deduplicated at replay (reports are bit-identical anyway).
         if let Some(journal) = &inner.journal {
-            journal.record_cell(&claim.digest, claim.flat, &report);
+            journal.record_cell(&claim.digest, claim.flat, &report, wall);
         }
 
         let finished: Option<Work> = {
@@ -1215,6 +1221,114 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Power loss, not a process kill: a killed process keeps its page
+    /// cache, so the kill/replay tests cannot see an unsynced record. Here
+    /// the journal is cut — and, once more, NUL-filled — at every byte
+    /// offset past what the last sync covered.
+    #[test]
+    fn power_loss_at_any_unsynced_offset_loses_no_acknowledged_work() {
+        let dir = tmp_dir("power-loss");
+        let journal_path = dir.join("journal.jsonl");
+        let campaign = seeded_campaign("power-loss", 1_000, 2);
+        let (digest, total) = (campaign.digest(), 4);
+        let direct = engine::run_all(&campaign.name, &campaign.panels, 1)
+            .expect("direct run")
+            .stripped()
+            .to_json()
+            .render_pretty();
+
+        // Before the lights go out: one acknowledged campaign, two of its
+        // cells journaled the way `worker_loop` does it, and a second
+        // submission caught between its write and its sync.
+        let unacknowledged = tiny_campaign("power-loss-late", 1_000);
+        let (synced, bytes) = {
+            let journal = Journal::open(&journal_path).expect("journal");
+            let s = Scheduler::start(0, 8, None, Some(journal));
+            s.submit_as(campaign.clone(), "\u{e5}lice", 1)
+                .expect("accepted");
+            let journal = s.inner.journal.as_ref().expect("journal attached");
+            assert_eq!(
+                journal.synced_len(),
+                std::fs::metadata(&journal_path).expect("journal").len(),
+                "acknowledged means durable"
+            );
+            for _ in 0..2 {
+                let claim = claim_cell(&mut s.inner.state.lock().expect("lock"));
+                let claim = claim.expect("cells left");
+                let started = std::time::Instant::now();
+                let report = claim.plan.jobs()[claim.flat].run();
+                journal.record_cell(&digest, claim.flat, &report, started.elapsed());
+            }
+            journal.record_submitted(&unacknowledged.digest(), &unacknowledged, "\u{e5}lice", 1);
+            // Still the acknowledged length, unless this host took 100 ms
+            // over two tiny cells and the budget synced them.
+            let synced = journal.synced_len() as usize;
+            let bytes = std::fs::read(&journal_path).expect("journal");
+            s.shutdown();
+            (synced, bytes)
+        };
+        assert!(bytes.len() > synced, "an unsynced tail to lose");
+
+        // One restart on what a power loss at `cut` leaves behind: the
+        // unsynced tail gone, or still allocated and read back as NULs.
+        let restart = |cut: usize, nul_filled: bool| {
+            let mut image = bytes[..cut].to_vec();
+            if nul_filled {
+                image.resize(bytes.len(), 0);
+            }
+            let fresh = dir.join(format!("{cut}-{nul_filled}"));
+            std::fs::create_dir_all(&fresh).expect("fresh directory");
+            let path = fresh.join("journal.jsonl");
+            std::fs::write(&path, &image).expect("write image");
+
+            // One bundle, as the server wires them; most cuts skip a torn
+            // record with a warning, which thousands of times over is noise.
+            let obs = Arc::new(ServeObs::new(Level::Error));
+            let journal =
+                Journal::open_with_obs(&path, Arc::clone(&obs)).expect("the service starts");
+            let s = Scheduler::start_with_obs(1, 8, None, Some(journal), obs);
+            let done = s
+                .wait(&digest, Duration::from_secs(120))
+                .expect("the acknowledged campaign is known and finishes");
+            assert!(matches!(done, JobStatus::Done(_)), "cut {cut}");
+            assert_eq!(
+                s.result(&digest).expect("result").to_json().render_pretty(),
+                direct,
+                "cut {cut}: byte-identical to a direct run"
+            );
+            // The unacknowledged submission survives whole or not at
+            // all; either way no cell is lost or counted twice.
+            let late = match s.wait(&unacknowledged.digest(), Duration::from_secs(120)) {
+                Some(_) => 2,
+                None => 0,
+            };
+            let events = &s.obs().events;
+            assert_eq!(
+                events.cells_replayed.get() + events.cells_executed.get(),
+                total + late,
+                "cut {cut}"
+            );
+            assert_eq!(s.collect()[0].0, "\u{e5}lice", "cut {cut}");
+            s.shutdown();
+            std::fs::remove_dir_all(&fresh).expect("remove image");
+        };
+        // Thousands of restarts: keep every core, and the disk, busy.
+        const SHARDS: usize = 4;
+        std::thread::scope(|scope| {
+            for shard in 0..SHARDS {
+                let restart = &restart;
+                let cuts = (synced..=bytes.len()).filter(move |cut| cut % SHARDS == shard);
+                scope.spawn(move || {
+                    for cut in cuts {
+                        restart(cut, false);
+                        restart(cut, true);
+                    }
+                });
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn journal_replay_resumes_queued_jobs_byte_identically() {
         let dir = tmp_dir("journal-replay");
@@ -1235,10 +1349,20 @@ mod tests {
             s.submit(b.clone()).expect("accepted");
             s.shutdown();
         }
-        // Simulate job A having been picked up before the crash.
+        // Job A was picked up before the crash by a version that still
+        // wrote `started` records.
         {
-            let journal = Journal::open(&journal_path).expect("journal");
-            journal.record_started(&a.digest());
+            use std::io::Write;
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&journal_path)
+                .expect("journal");
+            writeln!(
+                file,
+                "{{\"event\":\"started\",\"digest\":\"{}\"}}",
+                a.digest()
+            )
+            .expect("append");
         }
 
         // Phase 2: a fresh scheduler on the same dirs replays and runs both.

@@ -438,12 +438,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe
-                // to do byte-wise on char boundaries).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next delimiter at once. Both
+                // delimiters are ASCII and the input is a &str, so the run
+                // begins and ends on char boundaries; validating the run
+                // and nothing past it keeps `parse` linear.
+                let rest = &bytes[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
@@ -707,6 +712,7 @@ pub fn sim_report_from_wire(j: &Json) -> Result<SimReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sim_report_wire_codec_round_trips_every_field() {
@@ -849,6 +855,101 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// Arbitrary strings biased towards what the string reader branches
+    /// on: both delimiters, every escape `write_escaped` emits, raw
+    /// control characters, and 2-, 3- and 4-byte scalars.
+    fn arbitrary_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<u32>(), 0..48).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|x| match x % 8 {
+                    0 => '"',
+                    1 => '\\',
+                    2 => ['\n', '\r', '\t', '/', '\u{8}', '\u{c}'][(x >> 8) as usize % 6],
+                    3 => char::from_u32((x >> 8) % 0x20).expect("control character"),
+                    4 => [
+                        'é',
+                        'å',
+                        'π',
+                        '€',
+                        '😀',
+                        '\u{1D11E}',
+                        '\u{7f}',
+                        '\u{10FFFF}',
+                    ][(x >> 8) as usize % 8],
+                    5 => char::from_u32((x >> 8) % 0x11_0000).unwrap_or('\u{FFFD}'),
+                    _ => char::from_u32(0x20 + (x >> 8) % 0x5f).expect("printable ASCII"),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn any_string_round_trips_through_render_and_parse(s in arbitrary_string()) {
+            let rendered = Json::Str(s.clone()).render();
+            prop_assert_eq!(parse(&rendered), Ok(Json::Str(s.clone())), "{:?}", rendered);
+            // Raw control characters inside a string are part of the
+            // accepted language, not only their escaped forms.
+            let raw = s.replace(['"', '\\'], "");
+            prop_assert_eq!(parse(&format!("\"{raw}\"")), Ok(Json::Str(raw)));
+        }
+    }
+
+    /// Message and byte offset are part of `parse`'s contract, so they
+    /// are pinned as text (checked against the per-character reader the
+    /// run-copying one replaced).
+    #[test]
+    fn error_strings_and_offsets_are_pinned() {
+        for (bad, message) in [
+            ("", "unexpected end of input"),
+            ("{", "expected '\"' at byte 1"),
+            ("[1,", "unexpected end of input"),
+            ("{\"a\":}", "invalid number \"\" at byte 5"),
+            ("tru", "invalid literal at byte 0"),
+            ("1 2", "trailing data at byte 2"),
+            ("\"abc", "unterminated string"),
+            ("\"ab\u{e9}", "unterminated string"),
+            ("\"ab\\n\u{1F600}", "unterminated string"),
+            ("\"\\ud83d\"", "lone high surrogate \\ud83d at byte 6"),
+            ("\"\\ude00\"", "lone low surrogate \\ude00 at byte 6"),
+            (
+                "\"\\ud83d\\u0041\"",
+                "expected low surrogate after \\ud83d, got \\u0041",
+            ),
+            ("\"\\ud83dx\"", "lone high surrogate \\ud83d at byte 6"),
+            ("\"\u{e9}\\q\"", "bad escape at byte 4"),
+            ("\"\u{e9}\\u00\u{e9}\"", "bad \\u escape \"00\u{e9}\""),
+            ("[\"\u{e9}\u{e9}\" 1]", "expected ',' or ']' at byte 8"),
+        ] {
+            assert_eq!(parse(bad), Err(message.to_string()), "{bad:?}");
+        }
+    }
+
+    /// `parse` is linear. The bound cannot flake: a reader that
+    /// revalidates the rest of the document per character needs minutes
+    /// for this input, a linear one well under a second even unoptimized.
+    #[test]
+    fn string_heavy_document_parses_in_linear_time() {
+        let item = Json::obj()
+            .set("name", "459.GemsFDTD-765B \u{e5}lice \"quoted\"")
+            .set("note", "x".repeat(96).as_str());
+        let doc = Json::Arr(vec![item; 30_000]);
+        let text = doc.render();
+        assert!(text.len() >= 4 << 20, "{} bytes", text.len());
+        let started = std::time::Instant::now();
+        let back = parse(&text).expect("parses");
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "{} bytes took {took:?}",
+            text.len()
+        );
+        assert_eq!(back, doc);
     }
 
     #[test]
