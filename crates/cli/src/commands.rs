@@ -12,7 +12,7 @@ use pythia_sim::stats::{SimReport, Throughput};
 use pythia_sim::system::WindowRow;
 use pythia_sim::trace::{trace_file_info, FileTraceSource, TraceSource, TraceWriter};
 use pythia_stats::json::sim_report_json;
-use pythia_stats::metrics::compare as compare_metrics;
+use pythia_stats::metrics::try_compare;
 use pythia_stats::report::Table;
 use pythia_workloads::profiles::{profile_stats, trace_stats, Profile, CAMPAIGN_SEED};
 use pythia_workloads::suites::{all_suites, cvp_unseen};
@@ -32,6 +32,7 @@ USAGE:
       [--telemetry-window N]                    (report stays byte-identical)
   pythia-cli compare <workload>                 race prefetchers on a workload
       [--prefetchers spp,bingo,mlop,pythia] [--warmup N] [--measure N]
+      [--threads N]
   pythia-cli sweep <figure>                     run a figure/table campaign in
       [--threads N] [--format md|json|csv]      parallel and emit its results
       [--out FILE] [--cache-dir DIR]            (`--list` shows figure ids;
@@ -108,6 +109,17 @@ fn spec_from(args: &ParsedArgs) -> Result<RunSpec, String> {
         .with_budget(warmup, measure))
 }
 
+/// `--threads N`, else `PYTHIA_BENCH_THREADS`, else every core.
+fn threads_from(args: &ParsedArgs) -> Result<usize, String> {
+    match args.opt("threads") {
+        None => Ok(pythia_bench::threads()),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("--threads: bad value {v:?}")),
+        },
+    }
+}
+
 fn pattern_label(kind: &pythia_workloads::PatternKind) -> &'static str {
     use pythia_workloads::PatternKind;
     match kind {
@@ -161,8 +173,8 @@ fn print_run_summary(
     baseline: &SimReport,
     report: &SimReport,
     throughput: Throughput,
-) {
-    let m = compare_metrics(baseline, report);
+) -> Result<(), String> {
+    let m = try_compare(baseline, report).map_err(|e| format!("{subject}: {e}"))?;
     println!("workload        : {subject}");
     println!("prefetcher      : {prefetcher}");
     println!("baseline IPC    : {:.4}", baseline.geomean_ipc());
@@ -178,6 +190,7 @@ fn print_run_summary(
         throughput.minst_per_sec(),
         throughput.wall_seconds
     );
+    Ok(())
 }
 
 /// Runs the baseline + measured simulation pair under one wall-clock
@@ -273,7 +286,7 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
             }
         },
     );
-    print_run_summary(&w.name, prefetcher, &baseline, &report, throughput);
+    print_run_summary(&w.name, prefetcher, &baseline, &report, throughput)?;
     if let (Some(path), Some(windows)) = (args.opt("telemetry-json"), &windows) {
         write_artifact(path, &telemetry_jsonl(windows))?;
         let rows: usize = windows.iter().map(Vec::len).sum();
@@ -287,18 +300,14 @@ pub fn compare_cmd_default_prefetchers() -> &'static str {
     "spp,bingo,mlop,pythia"
 }
 
-/// `pythia-cli compare <workload>`
+/// `pythia-cli compare <workload>` — the one-workload ad-hoc sweep,
+/// printed as one row per prefetcher.
 pub fn compare(args: &ParsedArgs) -> Result<(), String> {
     let [workload] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli compare <workload> [--prefetchers a,b,c]".into());
     };
-    let w = find_workload(workload)?;
-    let spec = spec_from(args)?;
-    let list = args
-        .opt("prefetchers")
-        .unwrap_or(compare_cmd_default_prefetchers())
-        .to_string();
-    let baseline = run_workload(&w, "none", &spec);
+    let spec = adhoc_sweep_spec(args, workload)?;
+    let result = pythia_sweep::run(&spec, threads_from(args)?)?;
     let mut t = Table::new(&[
         "prefetcher",
         "speedup",
@@ -306,30 +315,28 @@ pub fn compare(args: &ParsedArgs) -> Result<(), String> {
         "overprediction",
         "accuracy",
     ]);
-    for p in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        if build_prefetcher(p, 0).is_none() {
-            return Err(format!("unknown prefetcher {p:?}"));
-        }
-        let m = compare_metrics(&baseline, &run_workload(&w, p, &spec));
+    for c in &result.cells {
         t.row(&[
-            p.to_string(),
-            format!("{:.3}", m.speedup),
-            format!("{:.1}%", m.coverage * 100.0),
-            format!("{:.1}%", m.overprediction * 100.0),
-            format!("{:.1}%", m.accuracy * 100.0),
+            c.prefetcher.clone(),
+            format!("{:.3}", c.metrics.speedup),
+            format!("{:.1}%", c.metrics.coverage * 100.0),
+            format!("{:.1}%", c.metrics.overprediction * 100.0),
+            format!("{:.1}%", c.metrics.accuracy * 100.0),
         ]);
     }
     println!("{}", t.to_markdown());
     Ok(())
 }
 
-/// Builds the ad-hoc sweep described by `--workloads`/`--prefetchers`/...
-fn adhoc_sweep_spec(args: &ParsedArgs) -> Result<pythia_sweep::SweepSpec, String> {
-    let names = args
-        .opt("workloads")
-        .ok_or("sweep needs a figure id or --workloads a,b,c")?;
+/// Builds the ad-hoc sweep over the comma-separated `workloads`, as
+/// described by `--prefetchers`/`--baseline`/the budget options.
+fn adhoc_sweep_spec(args: &ParsedArgs, workloads: &str) -> Result<pythia_sweep::SweepSpec, String> {
     let mut spec = pythia_sweep::SweepSpec::new("adhoc");
-    for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+    for name in workloads
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+    {
         spec.units
             .push(pythia_sweep::WorkUnit::single(find_workload(name)?));
     }
@@ -371,13 +378,7 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
         return Ok(());
     }
 
-    let threads = match args.opt("threads") {
-        None => pythia_bench::threads(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => return Err(format!("--threads: bad value {v:?}")),
-        },
-    };
+    let threads = threads_from(args)?;
     let format = args.opt("format").unwrap_or("md");
 
     let figure = match args.positionals.as_slice() {
@@ -390,7 +391,12 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
     };
     let campaign = match &figure {
         Some(def) => def.campaign(),
-        None => pythia_sweep::Campaign::single(adhoc_sweep_spec(args)?),
+        None => {
+            let workloads = args
+                .opt("workloads")
+                .ok_or("sweep needs a figure id or --workloads a,b,c")?;
+            pythia_sweep::Campaign::single(adhoc_sweep_spec(args, workloads)?)
+        }
     };
 
     // With a cache directory the campaign is content-addressed: a digest
@@ -731,7 +737,7 @@ fn trace_replay(args: &ParsedArgs) -> Result<(), String> {
         || run_sources(vec![trusted], "none", &spec),
         || run_sources(vec![validated], prefetcher, &spec),
     );
-    print_run_summary(file, prefetcher, &baseline, &report, throughput);
+    print_run_summary(file, prefetcher, &baseline, &report, throughput)?;
     maybe_write_report_json(args, &report)
 }
 
@@ -804,13 +810,7 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
             _ => return Err(format!("--cache-max-bytes: bad value {v:?}")),
         },
     };
-    let sim_threads = match args.opt("threads") {
-        None => pythia_bench::threads(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => return Err(format!("--threads: bad value {v:?}")),
-        },
-    };
+    let sim_threads = threads_from(args)?;
     // The service defaults to lifecycle logging (`info`); the library
     // default stays `warn` for embedded use.
     let log_level = match args.opt("log-level") {

@@ -130,6 +130,29 @@ fn compare_rejects_unknown_prefetcher_in_list() {
     assert!(stderr(&out).contains("unknown prefetcher"));
 }
 
+/// A budget too small to reach memory leaves the Appendix A.6 metrics
+/// undefined: an error naming the workload, not a panic.
+#[test]
+fn budgets_without_llc_misses_are_errors_not_panics() {
+    const STARVED: &[&str] = &["--warmup", "10", "--measure", "50"];
+    let sweep: &[&str] = &[
+        "sweep",
+        "--workloads",
+        "602.gcc_s-734B",
+        "--prefetchers",
+        "stride",
+    ];
+    let run: &[&str] = &["run", "602.gcc_s-734B", "stride"];
+    for command in [sweep, run] {
+        let out = cli(&[command, STARVED].concat());
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{command:?}");
+        assert!(err.contains("602.gcc_s-734B"), "{command:?}: {err}");
+        assert!(err.contains("no LLC load misses"), "{command:?}: {err}");
+        assert!(!err.contains("panicked"), "{command:?}: {err}");
+    }
+}
+
 #[test]
 fn trace_record_writes_a_decodable_file() {
     let dir = std::env::temp_dir().join("pythia_cli_smoke");

@@ -25,8 +25,19 @@
 //! front campaign, then the cursor moves on, so a tenant's backlog never
 //! starves the others. Because simulations are bit-deterministic and
 //! [`CampaignPlan::merge_cells`] reassembles reports in grid order, the
-//! served artifact is byte-identical to a monolithic run no matter how
-//! execution interleaves.
+//! served artifact is byte-identical to a direct [`pythia_sweep::engine`]
+//! run no matter how execution interleaves.
+//!
+//! # One lifecycle
+//!
+//! A job is admitted once (`State::admit`, with its journaled cells
+//! pre-filled when it comes from replay), its cells are claimed
+//! (`State::claim`) and completed (`State::complete`) one at a time,
+//! and it ends once, in `finish`: merge → persist → `done`/`failed`.
+//! A merge can fail — a baseline that saw no LLC load miss leaves the
+//! Appendix A.6 metrics undefined — and then the job reads
+//! [`JobStatus::Failed`] with the engine's message, is journaled
+//! `done ok:false` so it is never replayed, and stores nothing.
 //!
 //! When a [`Journal`] is attached, every fresh enqueue is recorded and
 //! synced before the submission returns and every finished cell is
@@ -66,8 +77,9 @@ pub enum JobStatus {
     /// Finished; the stripped result is held in memory (and on disk when a
     /// cache directory is configured).
     Done(Arc<SweepResult>),
-    /// Validation passed but execution failed (should not happen for
-    /// validated specs; kept for fail-soft behaviour).
+    /// Every cell ran but the merge was refused: the message names the
+    /// unit and config whose baseline saw no LLC load miss (a budget too
+    /// small for the workload to reach memory).
     Failed(String),
 }
 
@@ -136,28 +148,37 @@ struct Work {
     slots: Vec<Option<SimReport>>,
     /// Claim cursor: every slot before it is claimed or filled. Monotonic.
     cursor: usize,
-    /// Slots handed to a worker or pre-filled by replay.
-    claimed: usize,
     /// Completed cells (executed here or replayed).
     done: usize,
-    /// Cells currently being simulated by a worker.
+    /// Cells currently being simulated by a worker. Claimed-or-filled is
+    /// `done + in_flight`.
     in_flight: usize,
 }
 
-struct Job {
+/// Who a job belongs to, bound at its first submission.
+struct Owner {
     /// Campaign name, kept for status responses after completion.
     name: String,
     /// Submitter key, for fair queueing and the per-tenant counters.
     tenant: String,
     /// Weighted-round-robin quantum.
     priority: u64,
+}
+
+struct Job {
+    owner: Owner,
     /// Planned cells (fixed at submission).
     cells_total: usize,
-    /// Completed cells; mirrors `work` while running, stays at total
-    /// after completion.
-    cells_done: usize,
     status: JobStatus,
+    /// `None` once every cell is in: merging, done or failed.
     work: Option<Work>,
+}
+
+impl Job {
+    /// Completed cells: the work's count while it exists, all of them after.
+    fn cells_done(&self) -> usize {
+        self.work.as_ref().map_or(self.cells_total, |w| w.done)
+    }
 }
 
 /// One tenant's ready queue (campaign digests with unclaimed cells).
@@ -195,6 +216,148 @@ impl State {
             }),
         }
     }
+
+    /// Admission, written once: a fresh submission arrives with no slot
+    /// filled, a replayed job with its journaled cells in theirs. The job
+    /// joins its tenant's ready queue — unless every slot arrived filled:
+    /// then its work comes back instead, and the caller owes it a
+    /// [`finish`].
+    fn admit(
+        &mut self,
+        digest: &str,
+        owner: Owner,
+        plan: Arc<CampaignPlan>,
+        slots: Vec<Option<SimReport>>,
+    ) -> Option<Work> {
+        let cells_total = slots.len();
+        let work = Work {
+            plan,
+            enqueued_at: std::time::Instant::now(),
+            cursor: 0,
+            done: slots.iter().flatten().count(),
+            in_flight: 0,
+            slots,
+        };
+        let (status, held, arrived_complete) = if work.done == cells_total {
+            (JobStatus::Running, None, Some(work))
+        } else {
+            self.enqueue(&owner.tenant, digest.to_string());
+            (JobStatus::Queued, Some(work), None)
+        };
+        let job = Job {
+            owner,
+            cells_total,
+            status,
+            work: held,
+        };
+        self.jobs.insert(digest.to_string(), job);
+        arrived_complete
+    }
+
+    /// Admits a job that arrives finished: its artifact was in the store.
+    fn admit_done(&mut self, digest: String, owner: Owner, cells_total: usize, status: JobStatus) {
+        let job = Job {
+            owner,
+            cells_total,
+            status,
+            work: None,
+        };
+        self.jobs.insert(digest, job);
+    }
+
+    /// Claims the next cell under weighted round-robin over tenants.
+    ///
+    /// Each visit to a tenant grants up to `priority` consecutive cells
+    /// from its front campaign before the cursor advances; idle tenants
+    /// are skipped without consuming their quantum. Within a tenant,
+    /// campaigns are FIFO; within a campaign, cells are claimed in flat
+    /// plan order (skipping slots pre-filled by journal replay).
+    fn claim(&mut self) -> Option<Claim> {
+        let n = self.tenants.len();
+        for _ in 0..n {
+            let ti = self.rr_pos % n;
+            // Try this tenant's front campaigns (popping exhausted ones).
+            let claim = loop {
+                let Some(digest) = self.tenants[ti].ready.front().cloned() else {
+                    break None;
+                };
+                let job = self.jobs.get_mut(&digest).expect("ready digest has a job");
+                let work = job.work.as_mut().expect("ready job has work");
+                while work.cursor < work.slots.len() && work.slots[work.cursor].is_some() {
+                    work.cursor += 1;
+                }
+                if work.cursor >= work.slots.len() {
+                    // Every cell is claimed or filled: out of the ready queue.
+                    self.tenants[ti].ready.pop_front();
+                    continue;
+                }
+                let flat = work.cursor;
+                work.cursor += 1;
+                while work.cursor < work.slots.len() && work.slots[work.cursor].is_some() {
+                    work.cursor += 1;
+                }
+                work.in_flight += 1;
+                if matches!(job.status, JobStatus::Queued) {
+                    job.status = JobStatus::Running;
+                }
+                let plan = Arc::clone(&work.plan);
+                let queue_wait = work.enqueued_at.elapsed();
+                let priority = job.owner.priority;
+                if work.cursor >= work.slots.len() {
+                    self.tenants[ti].ready.pop_front();
+                }
+                break Some((
+                    Claim {
+                        digest,
+                        flat,
+                        plan,
+                        queue_wait,
+                    },
+                    priority,
+                ));
+            };
+            match claim {
+                Some((claim, priority)) => {
+                    if self.rr_credits == 0 {
+                        self.rr_credits = priority.max(1);
+                    }
+                    self.rr_credits -= 1;
+                    if self.rr_credits == 0 {
+                        self.rr_pos = (ti + 1) % n;
+                    }
+                    return Some(claim);
+                }
+                None => {
+                    // Idle tenant: move on without consuming a quantum.
+                    self.rr_pos = (ti + 1) % n;
+                    self.rr_credits = 0;
+                }
+            }
+        }
+        None
+    }
+
+    /// Fills a claimed cell's slot. When that was the job's last cell its
+    /// work comes back, and the caller owes it a [`finish`].
+    fn complete(&mut self, claim: &Claim, report: SimReport) -> Option<Work> {
+        let job = self
+            .jobs
+            .get_mut(&claim.digest)
+            .expect("claimed job exists");
+        let work = job.work.as_mut().expect("claimed job has work");
+        work.slots[claim.flat] = Some(report);
+        work.done += 1;
+        work.in_flight -= 1;
+        let tenant = &job.owner.tenant;
+        if let Some(t) = self.tenants.iter_mut().find(|t| t.key == *tenant) {
+            t.served_cells += 1;
+        }
+        if work.done == work.slots.len() {
+            job.work.take()
+        } else {
+            None
+        }
+    }
 }
 
 /// What a worker pulled from the ready queue.
@@ -205,79 +368,6 @@ struct Claim {
     plan: Arc<CampaignPlan>,
     /// How long the cell sat in the ready queue before this claim.
     queue_wait: std::time::Duration,
-}
-
-/// Claims the next cell under weighted round-robin over tenants.
-///
-/// Each visit to a tenant grants up to `priority` consecutive cells from
-/// its front campaign before the cursor advances; idle tenants are
-/// skipped without consuming their quantum. Within a tenant, campaigns
-/// are FIFO; within a campaign, cells are claimed in flat plan order
-/// (skipping slots pre-filled by journal replay).
-fn claim_cell(state: &mut State) -> Option<Claim> {
-    let n = state.tenants.len();
-    for _ in 0..n {
-        let ti = state.rr_pos % n;
-        // Try this tenant's front campaigns (popping exhausted ones).
-        let claim = loop {
-            let Some(digest) = state.tenants[ti].ready.front().cloned() else {
-                break None;
-            };
-            let job = state.jobs.get_mut(&digest).expect("ready digest has a job");
-            let work = job.work.as_mut().expect("ready job has work");
-            while work.cursor < work.slots.len() && work.slots[work.cursor].is_some() {
-                work.cursor += 1;
-            }
-            if work.cursor >= work.slots.len() {
-                // Every cell is claimed or filled: out of the ready queue.
-                state.tenants[ti].ready.pop_front();
-                continue;
-            }
-            let flat = work.cursor;
-            work.cursor += 1;
-            while work.cursor < work.slots.len() && work.slots[work.cursor].is_some() {
-                work.cursor += 1;
-            }
-            work.claimed += 1;
-            work.in_flight += 1;
-            if matches!(job.status, JobStatus::Queued) {
-                job.status = JobStatus::Running;
-            }
-            let plan = Arc::clone(&work.plan);
-            let queue_wait = work.enqueued_at.elapsed();
-            let priority = job.priority;
-            if work.cursor >= work.slots.len() {
-                state.tenants[ti].ready.pop_front();
-            }
-            break Some((
-                Claim {
-                    digest,
-                    flat,
-                    plan,
-                    queue_wait,
-                },
-                priority,
-            ));
-        };
-        match claim {
-            Some((claim, priority)) => {
-                if state.rr_credits == 0 {
-                    state.rr_credits = priority.max(1);
-                }
-                state.rr_credits -= 1;
-                if state.rr_credits == 0 {
-                    state.rr_pos = (ti + 1) % n;
-                }
-                return Some(claim);
-            }
-            None => {
-                // Idle tenant: move on without consuming a quantum.
-                state.rr_pos = (ti + 1) % n;
-                state.rr_credits = 0;
-            }
-        }
-    }
-    None
 }
 
 struct Inner {
@@ -448,20 +538,14 @@ impl Scheduler {
         }
 
         let total = plan.job_count();
+        let owner = Owner {
+            name: campaign.name.clone(),
+            tenant: tenant.to_string(),
+            priority,
+        };
         if let Some(result) = disk_hit {
             let status = JobStatus::Done(Arc::new(result));
-            state.jobs.insert(
-                digest.clone(),
-                Job {
-                    name: campaign.name,
-                    tenant: tenant.to_string(),
-                    priority,
-                    cells_total: total,
-                    cells_done: total,
-                    status: status.clone(),
-                    work: None,
-                },
-            );
+            state.admit_done(digest.clone(), owner, total, status.clone());
             events.cache_hits.inc();
             events.submitted.inc();
             return Ok(Submission {
@@ -485,27 +569,8 @@ impl Scheduler {
         if let Some(journal) = &self.inner.journal {
             journal.record_submitted(&digest, &campaign, tenant, priority);
         }
-        state.jobs.insert(
-            digest.clone(),
-            Job {
-                name: campaign.name.clone(),
-                tenant: tenant.to_string(),
-                priority,
-                cells_total: total,
-                cells_done: 0,
-                status: JobStatus::Queued,
-                work: Some(Work {
-                    plan: Arc::new(plan),
-                    enqueued_at: std::time::Instant::now(),
-                    slots: vec![None; total],
-                    cursor: 0,
-                    claimed: 0,
-                    done: 0,
-                    in_flight: 0,
-                }),
-            },
-        );
-        state.enqueue(tenant, digest.clone());
+        let complete = state.admit(&digest, owner, Arc::new(plan), vec![None; total]);
+        debug_assert!(complete.is_none(), "a fresh job has every cell to run");
         events.submitted.inc();
         drop(state);
         // Many cells just became claimable: wake every worker.
@@ -551,16 +616,14 @@ impl Scheduler {
         state
             .jobs
             .get(digest)
-            .map(|j| (j.name.clone(), j.status.clone()))
+            .map(|j| (j.owner.name.clone(), j.status.clone()))
     }
 
     /// Cell progress of a digest: `(done, total)`.
     pub fn progress(&self, digest: &str) -> Option<(usize, usize)> {
         let state = self.inner.state.lock().expect("scheduler lock");
-        state
-            .jobs
-            .get(digest)
-            .map(|j| (j.cells_done, j.cells_total))
+        let job = state.jobs.get(digest)?;
+        Some((job.cells_done(), job.cells_total))
     }
 
     /// The result of a digest, if the job is done.
@@ -583,7 +646,7 @@ impl Scheduler {
                 (JobStatus::Done(result), _) => {
                     return Some(Partial {
                         result: Arc::clone(result),
-                        done: job.cells_done,
+                        done: job.cells_total,
                         total: job.cells_total,
                         complete: true,
                     })
@@ -652,7 +715,7 @@ impl Scheduler {
             let state = self.inner.state.lock().expect("scheduler lock");
             let (mut unclaimed, mut in_flight) = (0, 0);
             for work in state.jobs.values().filter_map(|job| job.work.as_ref()) {
-                unclaimed += work.slots.len() - work.claimed;
+                unclaimed += work.slots.len() - work.done - work.in_flight;
                 in_flight += work.in_flight;
             }
             c.queue_depth.set(state.ready_campaigns() as i64);
@@ -705,13 +768,14 @@ impl Scheduler {
     }
 }
 
-/// Re-inserts journaled jobs at startup: store hits become done jobs,
-/// the rest requeue (in original submission order) with their journaled
-/// cells pre-filled, and the journal is compacted down to the requeued
-/// survivors. A job whose every cell was journaled is merged and marked
-/// done without touching a worker.
+/// Re-admits journaled jobs at startup: store hits become done jobs, the
+/// rest requeue (in original submission order) with their journaled cells
+/// pre-filled, and the journal is compacted down to the requeued
+/// survivors. A job whose every cell was journaled goes straight to
+/// [`finish`] without touching a worker.
 fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
     let mut survivors: Vec<PendingJob> = Vec::new();
+    let mut complete: Vec<(String, Work)> = Vec::new();
     let mut state = inner.state.lock().expect("scheduler lock");
     for job in pending {
         if state.jobs.contains_key(&job.digest) {
@@ -732,10 +796,14 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
             }
         };
         let total = plan.job_count();
-        let tenant = if job.tenant.is_empty() {
-            DEFAULT_TENANT.to_string()
-        } else {
-            job.tenant.clone()
+        let owner = Owner {
+            name: job.campaign.name.clone(),
+            tenant: if job.tenant.is_empty() {
+                DEFAULT_TENANT.to_string()
+            } else {
+                job.tenant.clone()
+            },
+            priority: job.priority.max(1),
         };
         let disk_hit = inner
             .store
@@ -744,23 +812,12 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
         if let Some(result) = disk_hit {
             // The previous process finished the simulation and persisted
             // the artifact but died before the `done` record landed.
-            state.jobs.insert(
-                job.digest,
-                Job {
-                    name: job.campaign.name,
-                    tenant,
-                    priority: job.priority.max(1),
-                    cells_total: total,
-                    cells_done: total,
-                    status: JobStatus::Done(Arc::new(result)),
-                    work: None,
-                },
-            );
+            state.admit_done(job.digest, owner, total, JobStatus::Done(Arc::new(result)));
             continue;
         }
 
         let mut slots: Vec<Option<SimReport>> = vec![None; total];
-        let mut filled = 0usize;
+        let mut filled = 0u64;
         for (index, report) in &job.cells {
             // Out-of-range indices mean the plan shape changed across
             // versions; the stale cells are ignored and re-run.
@@ -769,71 +826,20 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
                 filled += 1;
             }
         }
-        inner.obs.events.cells_replayed.add(filled as u64);
-
-        if filled == total {
+        inner.obs.events.cells_replayed.add(filled);
+        match state.admit(&job.digest, owner, Arc::new(plan), slots) {
             // Every cell was journaled — the process died between the
-            // last cell record and the artifact/done record. Merge now.
-            let reports: Vec<SimReport> =
-                slots.into_iter().map(|s| s.expect("filled slot")).collect();
-            let (status, name) = match plan.merge_cells(&reports) {
-                Ok(result) => {
-                    if let Some(store) = &inner.store {
-                        if let Err(e) = store.store(&job.digest, &result) {
-                            inner.obs.logger().error(
-                                "scheduler",
-                                "failed to persist result",
-                                &[("digest", job.digest.clone()), ("error", e)],
-                            );
-                        }
-                    }
-                    inner.obs.events.completed.inc();
-                    (JobStatus::Done(Arc::new(result)), job.campaign.name)
-                }
-                Err(e) => {
-                    inner.obs.events.failed.inc();
-                    (JobStatus::Failed(e), job.campaign.name)
-                }
-            };
-            state.jobs.insert(
-                job.digest,
-                Job {
-                    name,
-                    tenant,
-                    priority: job.priority.max(1),
-                    cells_total: total,
-                    cells_done: total,
-                    status,
-                    work: None,
-                },
-            );
-            continue;
+            // last cell record and the artifact/done record.
+            Some(work) => complete.push((job.digest, work)),
+            None => survivors.push(job),
         }
-
-        state.jobs.insert(
-            job.digest.clone(),
-            Job {
-                name: job.campaign.name.clone(),
-                tenant: tenant.clone(),
-                priority: job.priority.max(1),
-                cells_total: total,
-                cells_done: filled,
-                status: JobStatus::Queued,
-                work: Some(Work {
-                    plan: Arc::new(plan),
-                    enqueued_at: std::time::Instant::now(),
-                    slots,
-                    cursor: 0,
-                    claimed: filled,
-                    done: filled,
-                    in_flight: 0,
-                }),
-            },
-        );
-        state.enqueue(&tenant, job.digest.clone());
-        survivors.push(job);
     }
     drop(state);
+    // Persisted (or refused, and journaled so) before compaction forgets
+    // the records the job could be rebuilt from.
+    for (digest, work) in complete {
+        finish(inner, &digest, work);
+    }
     if let Some(journal) = &inner.journal {
         if let Err(e) = journal.compact(&survivors) {
             inner
@@ -852,7 +858,7 @@ fn worker_loop(inner: &Inner) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(claim) = claim_cell(&mut state) {
+                if let Some(claim) = state.claim() {
                     break claim;
                 }
                 state = inner.work_ready.wait(state).expect("scheduler lock");
@@ -890,75 +896,65 @@ fn worker_loop(inner: &Inner) {
             journal.record_cell(&claim.digest, claim.flat, &report, wall);
         }
 
-        let finished: Option<Work> = {
-            let mut guard = inner.state.lock().expect("scheduler lock");
-            let state = &mut *guard;
-            let job = state
-                .jobs
-                .get_mut(&claim.digest)
-                .expect("claimed job exists");
-            let work = job.work.as_mut().expect("claimed job has work");
-            work.slots[claim.flat] = Some(report);
-            work.done += 1;
-            work.in_flight -= 1;
-            job.cells_done = work.done;
-            if let Some(t) = state.tenants.iter_mut().find(|t| t.key == job.tenant) {
-                t.served_cells += 1;
-            }
-            if work.done == work.slots.len() {
-                // Last cell in: take the work out and merge off-lock.
-                job.work.take()
-            } else {
-                None
-            }
-        };
-
-        if let Some(work) = finished {
-            let reports: Vec<SimReport> = work
-                .slots
-                .into_iter()
-                .map(|s| s.expect("finished job has every report"))
-                .collect();
-            let outcome = work.plan.merge_cells(&reports);
+        let last_cell_in = inner
+            .state
+            .lock()
+            .expect("scheduler lock")
+            .complete(&claim, report);
+        if let Some(work) = last_cell_in {
             inner.obs.events.executed.inc();
-            let (status, ok) = match outcome {
-                Ok(result) => {
-                    if let Some(store) = &inner.store {
-                        if let Err(e) = store.store(&claim.digest, &result) {
-                            inner.obs.logger().error(
-                                "scheduler",
-                                "failed to persist result",
-                                &[("digest", claim.digest.clone()), ("error", e)],
-                            );
-                        }
-                    }
-                    inner.obs.events.completed.inc();
-                    (JobStatus::Done(Arc::new(result)), true)
-                }
-                Err(e) => {
-                    inner.obs.events.failed.inc();
-                    (JobStatus::Failed(e), false)
-                }
-            };
-            let mut state = inner.state.lock().expect("scheduler lock");
-            state
-                .jobs
-                .get_mut(&claim.digest)
-                .expect("finished job exists")
-                .status = status;
-            drop(state);
-            if let Some(journal) = &inner.journal {
-                journal.record_done(&claim.digest, ok);
-            }
-            inner.obs.logger().info(
-                "scheduler",
-                "campaign finished",
-                &[("digest", claim.digest.clone()), ("ok", ok.to_string())],
-            );
-            inner.job_finished.notify_all();
+            finish(inner, &claim.digest, work);
         }
         inner.obs.workers_busy.add(-1);
     }
+}
+
+/// The one end of a job whose every cell is in, whether its last cell
+/// just ran or replay found them all journaled: merge off the lock →
+/// persist → `Done`/`Failed` → `done` record → wake the waiters. A merge
+/// the engine refuses stores nothing, and its `ok:false` record keeps a
+/// restart from replaying the job into the same refusal.
+fn finish(inner: &Inner, digest: &str, work: Work) {
+    let reports: Vec<SimReport> = work
+        .slots
+        .into_iter()
+        .map(|s| s.expect("finished job has every report"))
+        .collect();
+    let (status, ok) = match work.plan.merge_cells(&reports) {
+        Ok(result) => {
+            if let Some(store) = &inner.store {
+                if let Err(e) = store.store(digest, &result) {
+                    inner.obs.logger().error(
+                        "scheduler",
+                        "failed to persist result",
+                        &[("digest", digest.to_string()), ("error", e)],
+                    );
+                }
+            }
+            inner.obs.events.completed.inc();
+            (JobStatus::Done(Arc::new(result)), true)
+        }
+        Err(e) => {
+            inner.obs.events.failed.inc();
+            (JobStatus::Failed(e), false)
+        }
+    };
+    let mut state = inner.state.lock().expect("scheduler lock");
+    state
+        .jobs
+        .get_mut(digest)
+        .expect("finished job exists")
+        .status = status;
+    drop(state);
+    if let Some(journal) = &inner.journal {
+        journal.record_done(digest, ok);
+    }
+    inner.obs.logger().info(
+        "scheduler",
+        "campaign finished",
+        &[("digest", digest.to_string()), ("ok", ok.to_string())],
+    );
+    inner.job_finished.notify_all();
 }
 
 #[cfg(test)]
@@ -968,14 +964,17 @@ mod tests {
     use pythia_workloads::all_suites;
     use std::time::Duration;
 
-    fn tiny_campaign(tag: &str, measure: u64) -> Campaign {
-        let w = all_suites()
+    fn workload(name: &str) -> pythia_workloads::Workload {
+        all_suites()
             .into_iter()
-            .find(|w| w.name == "429.mcf-184B")
-            .expect("known workload");
+            .find(|w| w.name == name)
+            .expect("known workload")
+    }
+
+    fn tiny_campaign(tag: &str, measure: u64) -> Campaign {
         Campaign::single(
             SweepSpec::new(tag)
-                .with_workloads([w])
+                .with_workloads([workload("429.mcf-184B")])
                 .with_prefetchers(&["stride"])
                 .with_config(ConfigPoint::single_core("base", 1_000, measure)),
         )
@@ -984,18 +983,36 @@ mod tests {
     /// A campaign with `seeds` replications — `2 * seeds` cells (baseline
     /// + measured per seed), for exercising cell-level interleaving.
     fn seeded_campaign(tag: &str, measure: u64, seeds: u64) -> Campaign {
-        let w = all_suites()
-            .into_iter()
-            .find(|w| w.name == "429.mcf-184B")
-            .expect("known workload");
         let seeds: Vec<u64> = (0..seeds).collect();
         Campaign::single(
             SweepSpec::new(tag)
-                .with_workloads([w])
+                .with_workloads([workload("429.mcf-184B")])
                 .with_prefetchers(&["stride"])
                 .with_config(ConfigPoint::single_core("base", 1_000, measure))
                 .with_seeds(&seeds),
         )
+    }
+
+    /// A valid campaign whose merge the engine refuses: 10 + 50
+    /// instructions never reach memory, so the baseline has no LLC load
+    /// miss and coverage has no denominator.
+    fn starved_campaign(tag: &str) -> Campaign {
+        let campaign = Campaign::single(
+            SweepSpec::new(tag)
+                .with_workloads([workload("602.gcc_s-734B")])
+                .with_prefetchers(&["stride"])
+                .with_config(ConfigPoint::single_core("base", 10, 50)),
+        );
+        campaign.validate().expect("a valid campaign");
+        campaign
+    }
+
+    fn assert_names_the_starved_unit(status: &JobStatus) {
+        let JobStatus::Failed(message) = status else {
+            panic!("expected Failed, got {status:?}");
+        };
+        assert!(message.contains("602.gcc_s-734B"), "{message}");
+        assert!(message.contains("no LLC load misses"), "{message}");
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -1110,7 +1127,7 @@ mod tests {
         let mut order = Vec::new();
         {
             let mut state = s.inner.state.lock().expect("lock");
-            while let Some(claim) = claim_cell(&mut state) {
+            while let Some(claim) = state.claim() {
                 order.push(claim.digest);
             }
         }
@@ -1139,7 +1156,7 @@ mod tests {
         {
             let mut state = s.inner.state.lock().expect("lock");
             for _ in 0..8 {
-                order.push(claim_cell(&mut state).expect("cells left").digest);
+                order.push(state.claim().expect("cells left").digest);
             }
         }
         // Priority 3 vs 1: alice gets 3 cells per visit, bob 1.
@@ -1190,7 +1207,7 @@ mod tests {
 
         // Phase 2: restart on the same dirs. Only the remaining cells
         // may execute; the final artifact is byte-identical to a direct
-        // monolithic run.
+        // run.
         {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
@@ -1253,7 +1270,7 @@ mod tests {
                 "acknowledged means durable"
             );
             for _ in 0..2 {
-                let claim = claim_cell(&mut s.inner.state.lock().expect("lock"));
+                let claim = s.inner.state.lock().expect("lock").claim();
                 let claim = claim.expect("cells left");
                 let started = std::time::Instant::now();
                 let report = claim.plan.jobs()[claim.flat].run();
@@ -1439,6 +1456,85 @@ mod tests {
     }
 
     #[test]
+    fn refused_merge_fails_the_job_and_frees_the_worker() {
+        let dir = tmp_dir("starved");
+        let store = ResultStore::open(dir.join("cache")).expect("store");
+        let journal = Journal::open(dir.join("journal.jsonl")).expect("journal");
+        let s = Scheduler::start(1, 8, Some(store), Some(journal));
+        let starved = s.submit(starved_campaign("starved")).expect("accepted");
+        let status = s
+            .wait(&starved.digest, Duration::from_secs(20))
+            .expect("the job ends");
+        assert_names_the_starved_unit(&status);
+        assert_eq!(s.progress(&starved.digest), Some((2, 2)));
+        assert!(s.partial(&starved.digest).is_none());
+        assert_eq!(s.obs().events.failed.get(), 1);
+        assert_eq!(
+            s.store()
+                .expect("store")
+                .stats()
+                .stored
+                .load(Ordering::Relaxed),
+            0
+        );
+        {
+            let state = s.inner.state.lock().expect("lock");
+            assert!(state.jobs[&starved.digest].work.is_none());
+            assert_eq!(state.ready_campaigns(), 0);
+        }
+        // Resubmitting answers from memory, as for a done job.
+        let again = s.submit(starved_campaign("starved")).expect("accepted");
+        assert!(again.cached);
+        assert_names_the_starved_unit(&again.status);
+
+        // The one worker is still there for the next campaign.
+        let healthy = s
+            .submit(tiny_campaign("after-starved", 4_000))
+            .expect("accepted");
+        let done = s.wait(&healthy.digest, Duration::from_secs(60));
+        assert!(matches!(done, Some(JobStatus::Done(_))), "{done:?}");
+        let obs = Arc::clone(s.obs());
+        s.shutdown();
+        assert_eq!(obs.workers_busy.get(), 0, "no worker died mid-cell");
+        assert_eq!(obs.events.cells_executed.get(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_left_by_a_worker_that_died_merging_replays_to_failed_once() {
+        // What the parent of this fix left behind: the worker journaled
+        // both cells, then panicked in the merge before any `done`.
+        let dir = tmp_dir("starved-replay");
+        let journal_path = dir.join("journal.jsonl");
+        let campaign = starved_campaign("starved-replay");
+        let digest = campaign.digest();
+        {
+            let journal = Journal::open(&journal_path).expect("journal");
+            journal.record_submitted(&digest, &campaign, DEFAULT_TENANT, 1);
+            let plan = plan_campaign(&campaign.name, &campaign.panels).expect("plans");
+            for (flat, job) in plan.jobs().iter().enumerate() {
+                journal.record_cell(&digest, flat, &job.run(), Duration::ZERO);
+            }
+        }
+
+        let journal = Journal::open(&journal_path).expect("journal");
+        let s = Scheduler::start(0, 8, None, Some(journal));
+        assert_eq!(s.obs().events.replayed.get(), 1);
+        assert_eq!(s.obs().events.cells_replayed.get(), 2);
+        let (_, status) = s.status(&digest).expect("known digest");
+        assert_names_the_starved_unit(&status);
+        assert_eq!(s.obs().events.failed.get(), 1);
+        s.shutdown();
+
+        let journal = Journal::open(&journal_path).expect("journal");
+        let s = Scheduler::start(0, 8, None, Some(journal));
+        assert_eq!(s.obs().events.replayed.get(), 0, "not replayed again");
+        assert!(s.status(&digest).is_none());
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn partial_merges_are_monotonic_prefixes_of_the_final_result() {
         // No workers: fill cells via synthetic claims so every partial
         // state is deterministic.
@@ -1460,21 +1556,12 @@ mod tests {
         // partial is a prefix of the final rows with monotonic progress.
         let mut last_rows = 0usize;
         for step in 0..6usize {
-            let (flat, plan) = {
-                let mut state = s.inner.state.lock().expect("lock");
-                let claim = claim_cell(&mut state).expect("cells left");
-                (claim.flat, claim.plan)
-            };
-            let report = plan.jobs()[flat].run();
-            {
-                let mut guard = s.inner.state.lock().expect("lock");
-                let state = &mut *guard;
-                let job = state.jobs.get_mut(&digest).expect("job");
-                let work = job.work.as_mut().expect("work");
-                work.slots[flat] = Some(report);
-                work.done += 1;
-                work.in_flight -= 1;
-                job.cells_done = work.done;
+            let claim = s.inner.state.lock().expect("lock").claim();
+            let claim = claim.expect("cells left");
+            let report = claim.plan.jobs()[claim.flat].run();
+            let last_cell_in = s.inner.state.lock().expect("lock").complete(&claim, report);
+            if let Some(work) = last_cell_in {
+                finish(&s.inner, &digest, work);
             }
             let partial = s.partial(&digest).expect("known digest");
             assert_eq!(partial.done, step + 1, "progress is monotonic");
@@ -1496,5 +1583,228 @@ mod tests {
         assert_eq!(full.done, 6);
         assert_eq!(*full.result, direct, "full prefix equals the direct run");
         s.shutdown();
+    }
+
+    /// What the model below knows of one admitted job.
+    struct ModelJob {
+        digest: String,
+        tenant: String,
+        priority: u64,
+        plan: Arc<CampaignPlan>,
+        /// Per flat index: its report exists (journaled, in a crash's terms).
+        filled: Vec<bool>,
+        /// Per flat index: claimed by a worker, not yet complete.
+        claimed: Vec<bool>,
+        finished: bool,
+    }
+
+    impl ModelJob {
+        fn claimable(&self) -> bool {
+            (0..self.filled.len()).any(|i| !self.filled[i] && !self.claimed[i])
+        }
+    }
+
+    /// Seeded event traces against the pure [`State`] — no worker thread,
+    /// no journal, no store: admit / claim / complete / crash-and-readmit,
+    /// with every invariant of the lifecycle checked after every step.
+    #[test]
+    fn seeded_event_traces_keep_the_lifecycle_invariants() {
+        use pythia_sim::stats::{CacheStats, DramStats};
+        use pythia_workloads::profiles::derive_seed;
+
+        const STEPS: usize = 1_500;
+        const TENANTS: [&str; 3] = ["alice", "bob", "carol"];
+        const MAX_QUANTUM: u64 = 4;
+        let plans: Vec<Arc<CampaignPlan>> = [1, 2, 3, 6]
+            .into_iter()
+            .map(|seeds| {
+                let c = seeded_campaign("model", 4_000, seeds);
+                Arc::new(plan_campaign(&c.name, &c.panels).expect("plans"))
+            })
+            .collect();
+        // The state machine never looks inside a report.
+        let report = || SimReport {
+            cores: Vec::new(),
+            l1d: Vec::new(),
+            l2: Vec::new(),
+            llc: CacheStats::default(),
+            dram: DramStats::default(),
+            prefetchers: Vec::new(),
+        };
+
+        for label in ["model-a", "model-b", "model-c"] {
+            let mut rng = derive_seed(0x5eed, label);
+            let mut below = |n: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            let mut state = State::default();
+            let mut jobs: Vec<ModelJob> = Vec::new();
+            let mut in_flight: Vec<Claim> = Vec::new();
+            // Since the last crash: completes per tenant, and per
+            // backlogged tenant the other tenants' claim runs since it was
+            // last served — `(tenant, run length)`, newest last.
+            let mut completes: HashMap<String, u64> = HashMap::new();
+            let mut waiting: HashMap<String, Vec<(String, u64)>> = HashMap::new();
+
+            // Draining at the end: no admits, no crashes, until all is done.
+            let mut step = 0usize;
+            loop {
+                let draining = step >= STEPS;
+                step += 1;
+                let roll = if draining { 20 + below(80) } else { below(100) };
+                let at = format!("{label} step {step}");
+                if roll < 17 && jobs.iter().filter(|j| !j.finished).count() < 6 {
+                    // Admit, with a pre-filled subset: none, some or all.
+                    let plan = Arc::clone(&plans[below(plans.len() as u64) as usize]);
+                    let fill_percent = [0, 0, 40, 100][below(4) as usize];
+                    let filled: Vec<bool> = (0..plan.job_count())
+                        .map(|_| below(100) < fill_percent)
+                        .collect();
+                    let mut job = ModelJob {
+                        digest: format!("{label}-{}", jobs.len()),
+                        tenant: TENANTS[below(3) as usize].to_string(),
+                        priority: 1 + below(MAX_QUANTUM),
+                        claimed: vec![false; filled.len()],
+                        plan,
+                        filled,
+                        finished: false,
+                    };
+                    job.finished = model_admit(&mut state, &job, &report).is_some();
+                    assert_eq!(job.finished, job.filled.iter().all(|f| *f), "{at}");
+                    jobs.push(job);
+                } else if roll < 20 {
+                    // Crash: in-flight claims are gone, finished jobs have
+                    // their `done` record, the rest come back in
+                    // submission order with their completed cells.
+                    state = State::default();
+                    in_flight.clear();
+                    completes.clear();
+                    waiting.clear();
+                    for job in jobs.iter_mut().filter(|j| !j.finished) {
+                        job.claimed.fill(false);
+                        let arrived_complete = model_admit(&mut state, job, &report);
+                        assert!(arrived_complete.is_none(), "{at}: unfinished job");
+                    }
+                } else if roll < 60 {
+                    match state.claim() {
+                        None => assert!(
+                            jobs.iter().all(|j| j.finished || !j.claimable()),
+                            "{at}: a claimable cell was not handed out"
+                        ),
+                        Some(claim) => {
+                            let job = jobs
+                                .iter_mut()
+                                .find(|j| j.digest == claim.digest)
+                                .expect("claimed job was admitted");
+                            assert!(!job.finished, "{at}");
+                            assert!(!job.filled[claim.flat], "{at}: filled cell re-run");
+                            assert!(!job.claimed[claim.flat], "{at}: cell claimed twice");
+                            job.claimed[claim.flat] = true;
+                            // WRR: a tenant kept waiting sees each other
+                            // tenant take one run of at most a quantum.
+                            let tenant = job.tenant.clone();
+                            waiting.remove(&tenant);
+                            for (waiter, runs) in &mut waiting {
+                                match runs.last_mut() {
+                                    Some((last, len)) if *last == tenant => {
+                                        *len += 1;
+                                        assert!(*len <= MAX_QUANTUM, "{at}: {waiter} starved");
+                                    }
+                                    _ => {
+                                        assert!(
+                                            runs.iter().all(|(t, _)| *t != tenant),
+                                            "{at}: {tenant} served twice before {waiter}"
+                                        );
+                                        runs.push((tenant.clone(), 1));
+                                    }
+                                }
+                            }
+                            in_flight.push(claim);
+                        }
+                    }
+                } else if !in_flight.is_empty() {
+                    let claim = in_flight.swap_remove(below(in_flight.len() as u64) as usize);
+                    let job = jobs
+                        .iter_mut()
+                        .find(|j| j.digest == claim.digest)
+                        .expect("claimed job was admitted");
+                    job.claimed[claim.flat] = false;
+                    job.filled[claim.flat] = true;
+                    *completes.entry(job.tenant.clone()).or_default() += 1;
+                    let last_cell_in = state.complete(&claim, report());
+                    job.finished = job.filled.iter().all(|f| *f);
+                    assert_eq!(last_cell_in.is_some(), job.finished, "{at}");
+                    if let Some(work) = last_cell_in {
+                        assert_eq!(work.done, job.plan.job_count(), "{at}: ends at plan size");
+                        assert!(work.slots.iter().all(Option::is_some), "{at}");
+                    }
+                } else if draining && jobs.iter().all(|j| j.finished) {
+                    break;
+                }
+
+                // The whole state against the model, after every step.
+                for job in &jobs {
+                    let held = state.jobs.get(&job.digest);
+                    let queued = state
+                        .tenants
+                        .iter()
+                        .flat_map(|t| t.ready.iter().map(move |d| (&t.key, d)))
+                        .filter(|(_, d)| **d == job.digest)
+                        .map(|(tenant, _)| tenant)
+                        .collect::<Vec<_>>();
+                    if job.finished {
+                        // Forgotten by a crash, or kept without its work.
+                        assert!(held.is_none_or(|j| j.work.is_none()), "{at}");
+                        assert!(queued.is_empty(), "{at}");
+                        continue;
+                    }
+                    let held = held.expect("unfinished job is known");
+                    let work = held.work.as_ref().expect("unfinished job holds work");
+                    let count = |flags: &[bool]| flags.iter().filter(|f| **f).count();
+                    // Monotone, because the model never clears `filled`.
+                    assert_eq!(work.done, count(&job.filled), "{at}: done");
+                    assert_eq!(work.in_flight, count(&job.claimed), "{at}: in flight");
+                    assert_eq!(held.cells_done(), work.done, "{at}");
+                    // In its tenant's ready queue exactly while a cell of
+                    // it can still be claimed.
+                    let expected = if job.claimable() {
+                        vec![&job.tenant]
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(queued, expected, "{at}: ready queue of {}", job.digest);
+                }
+                for t in &state.tenants {
+                    let expected = completes.get(&t.key).copied().unwrap_or(0);
+                    assert_eq!(t.served_cells, expected, "{at}: served cells");
+                }
+                // Who is backlogged now: newcomers start waiting, tenants
+                // with nothing left to claim stop.
+                waiting.retain(|t, _| jobs.iter().any(|j| j.tenant == *t && j.claimable()));
+                for job in jobs.iter().filter(|j| j.claimable()) {
+                    waiting.entry(job.tenant.clone()).or_default();
+                }
+            }
+            assert!(step > STEPS && jobs.len() >= 50, "{label}: a real trace");
+            assert!(in_flight.is_empty() && state.claim().is_none(), "{label}");
+        }
+    }
+
+    /// Admits a model job the way `submit_as` and `replay_pending` do.
+    fn model_admit(
+        state: &mut State,
+        job: &ModelJob,
+        report: &impl Fn() -> SimReport,
+    ) -> Option<Work> {
+        let owner = Owner {
+            name: job.digest.clone(),
+            tenant: job.tenant.clone(),
+            priority: job.priority,
+        };
+        let slots = job.filled.iter().map(|f| f.then(report)).collect();
+        state.admit(&job.digest, owner, Arc::clone(&job.plan), slots)
     }
 }

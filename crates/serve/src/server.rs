@@ -667,10 +667,16 @@ fn result(
 fn partial_result(scheduler: &Scheduler, digest: &str, format: &str) -> Response {
     match scheduler.partial(digest) {
         None => match scheduler.status(digest) {
+            None => error_response(404, &format!("unknown campaign {digest:?}")),
             Some((_, JobStatus::Failed(e))) => {
                 error_response(409, &format!("campaign failed: {e}"))
             }
-            _ => error_response(404, &format!("unknown campaign {digest:?}")),
+            // Its last cell is in and the merge is running, or the engine
+            // refuses a row already and the job will end as failed.
+            Some(_) => error_response(
+                409,
+                "no partial result right now; poll GET /campaigns/<digest>",
+            ),
         },
         Some(snapshot) => match snapshot.result.render(format) {
             Err(e) => error_response(400, &e),

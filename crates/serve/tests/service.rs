@@ -201,6 +201,80 @@ fn full_queue_answers_429_and_result_races_answer_409() {
     assert!(err.contains("400"), "{err}");
 }
 
+/// A valid campaign can still be refused at the merge: 10 + 50
+/// instructions never reach memory, so the Appendix A.6 metrics have no
+/// denominator. That is a `failed` job and a 409, not a dead worker.
+#[test]
+fn campaign_without_llc_misses_answers_409_and_the_service_stays_usable() {
+    use pythia_serve::http::ClientConn;
+
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        sim_threads: 1,
+        ..ServeConfig::default()
+    });
+    let gcc = all_suites()
+        .into_iter()
+        .find(|w| w.name == "602.gcc_s-734B")
+        .expect("known workload");
+    let starved = SweepSpec::new("svc-starved")
+        .with_workloads([gcc])
+        .with_prefetchers(&["stride"])
+        .with_config(ConfigPoint::single_core("base", 10, 50));
+    let submitted = submit_spec(&addr, &starved);
+    let err = client::wait_done(
+        &addr,
+        &submitted.digest,
+        Duration::from_millis(20),
+        Duration::from_secs(20),
+    )
+    .expect_err("the campaign fails");
+    assert!(err.contains("602.gcc_s-734B"), "{err}");
+    assert!(err.contains("no LLC load misses"), "{err}");
+
+    // Status, result and partial result on one kept-alive connection.
+    let mut conn = ClientConn::connect(&addr).expect("connect");
+    let status = conn
+        .request("GET", &format!("/campaigns/{}", submitted.digest), b"")
+        .expect("status");
+    assert_eq!(status.status, 200);
+    let doc = pythia_stats::json::parse(std::str::from_utf8(&status.body).expect("utf-8"))
+        .expect("status body");
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+    for target in ["result", "result?partial=1"] {
+        let reply = conn
+            .request(
+                "GET",
+                &format!("/campaigns/{}/{target}", submitted.digest),
+                b"",
+            )
+            .expect("same connection");
+        assert_eq!(reply.status, 409, "{target}");
+        let body = String::from_utf8_lossy(&reply.body);
+        assert!(body.contains("campaign failed: "), "{target}: {body}");
+        assert!(body.contains("no LLC load misses"), "{target}: {body}");
+    }
+    let again = submit_spec(&addr, &starved);
+    assert_eq!(again.status, "failed", "answered from memory");
+
+    // The one worker is still there, and so is the connection.
+    let healthy = submit_spec(&addr, &tiny_spec("svc-after-starved", 4_000));
+    client::wait_done(
+        &addr,
+        &healthy.digest,
+        Duration::from_millis(20),
+        Duration::from_secs(120),
+    )
+    .expect("the next campaign completes");
+    let reply = conn
+        .request("GET", &format!("/campaigns/{}/result", healthy.digest), b"")
+        .expect("same connection");
+    assert_eq!(reply.status, 200);
+    let events = &handle.scheduler().obs().events;
+    assert_eq!((events.failed.get(), events.completed.get()), (1, 1));
+}
+
 #[test]
 fn disk_cache_survives_service_restarts() {
     let cache_dir = std::env::temp_dir().join(format!(

@@ -197,15 +197,6 @@ impl Throughput {
             self.instructions as f64 / self.wall_seconds / 1e6
         }
     }
-
-    /// Merges two measurements (instructions and wall time add — the
-    /// batches ran one after the other).
-    pub fn merged(self, other: Self) -> Self {
-        Self {
-            instructions: self.instructions + other.instructions,
-            wall_seconds: self.wall_seconds + other.wall_seconds,
-        }
-    }
 }
 
 /// The full result of one simulation run.

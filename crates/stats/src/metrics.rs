@@ -35,14 +35,24 @@ pub struct Metrics {
 ///
 /// # Panics
 ///
-/// Panics if the baseline report saw no LLC load misses (metrics would be
-/// undefined; the paper filters workloads below 3 MPKI for the same reason).
+/// Panics where [`try_compare`] returns an error; callers that take
+/// budgets or workloads from outside the program use that instead.
 pub fn compare(baseline: &SimReport, with: &SimReport) -> Metrics {
+    try_compare(baseline, with).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`compare`], returning the undefined case as an error.
+///
+/// # Errors
+///
+/// The baseline report saw no LLC load misses, so coverage has no
+/// denominator (the paper keeps only workloads above 3 baseline MPKI, §5,
+/// and never meets this).
+pub fn try_compare(baseline: &SimReport, with: &SimReport) -> Result<Metrics, String> {
     let base_misses = baseline.llc.demand_load_misses;
-    assert!(
-        base_misses > 0,
-        "baseline saw no LLC load misses; not a memory-bound workload"
-    );
+    if base_misses == 0 {
+        return Err("baseline saw no LLC load misses; not a memory-bound workload".to_string());
+    }
     let coverage = (base_misses as f64 - with.llc.demand_load_misses as f64) / base_misses as f64;
     let base_reads = baseline.dram.total_reads();
     let with_reads = with.dram.total_reads();
@@ -60,14 +70,14 @@ pub fn compare(baseline: &SimReport, with: &SimReport) -> Metrics {
     } else {
         useful as f64 / (useful + useless) as f64
     };
-    Metrics {
+    Ok(Metrics {
         speedup: speedup(baseline, with),
         coverage,
         overprediction,
         ipc: with.geomean_ipc(),
         baseline_mpki: baseline.llc_mpki(),
         accuracy,
-    }
+    })
 }
 
 /// Geometric-mean IPC speedup of `with` over `baseline`.
@@ -142,6 +152,7 @@ mod tests {
     fn zero_baseline_misses_rejected() {
         let base = report(1000, 1000, 0, 0);
         let with = report(1000, 1000, 0, 0);
+        assert!(try_compare(&base, &with).is_err());
         let _ = compare(&base, &with);
     }
 

@@ -1,9 +1,22 @@
-//! Grid expansion and parallel execution.
+//! Campaign planning, execution and merging: the one path from a spec to
+//! a result.
 //!
-//! Jobs carry *lazy* trace-source factories: a job closure owns only the
-//! (cheap) workload specs and opens streaming [`TraceSource`]s inside the
-//! worker, so neither the queue nor any worker ever holds a materialized
-//! trace and per-job peak memory is independent of trace length.
+//! [`plan_campaign`] is the only code that knows grid order. It walks the
+//! panels once, emitting the independent simulations ([`CellJob`]s, in a
+//! flat order) and, beside them, every output row with the flat index of
+//! the report it summarizes and of the baseline it is compared against.
+//! Executing the jobs in any order, on any number of threads or processes,
+//! and handing the reports to [`CampaignPlan::merge_cells`] gives the same
+//! bytes. [`run`], [`run_cached`] and [`run_all`] are that sequence on the
+//! [`run_parallel`] pool; `pythia-serve` runs the same plan one cell at a
+//! time across tenants.
+//!
+//! Jobs carry *lazy* trace-source factories: a job owns only the (cheap)
+//! workload specs and opens streaming [`TraceSource`]s inside the worker,
+//! so neither the queue nor any worker ever holds a materialized trace and
+//! per-job peak memory is independent of trace length.
+
+use std::collections::HashMap;
 
 use pythia::runner::{build_pythia_with, run_parallel, run_sources, run_sources_with};
 use pythia_sim::stats::{SimReport, Throughput};
@@ -11,21 +24,21 @@ use pythia_sim::trace::TraceSource;
 use pythia_stats::metrics;
 
 use crate::result::{CellResult, RawSummary, SweepResult};
-use crate::spec::{ConfigPoint, PrefetcherKind, SweepSpec, WorkUnit};
+use crate::spec::{ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec, WorkUnit};
 
-/// Memoizes baseline simulations across campaigns.
+/// Memoizes baseline simulations across [`run_cached`] calls.
 ///
-/// Two places re-run identical baselines otherwise: multi-panel figures
-/// whose panels share units and configs (e.g. Fig. 9's per-suite and
-/// ladder panels both cover the Table 6 pool), and the §4.3 DSE
-/// procedures, which call the engine once per objective evaluation with
-/// the same workload cross-section every time. Keys cover everything that
-/// determines a baseline run — workload specs, system config, budgets,
-/// seed offset and the baseline prefetcher — so a hit is bit-identical to
-/// a fresh simulation (simulations are deterministic).
+/// Within one campaign the planner already shares a baseline among the
+/// panels that need it. This is the memo *between* campaigns: the §4.3
+/// DSE procedures call the engine once per objective evaluation, hundreds
+/// of times, with the same workload cross-section every time, and would
+/// otherwise re-simulate that baseline grid on each call. Keys cover
+/// everything that determines a baseline run — workload specs, system
+/// config, budgets, seed offset and the baseline prefetcher — so a hit is
+/// bit-identical to a fresh simulation (simulations are deterministic).
 #[derive(Debug, Default)]
 pub struct BaselineCache {
-    map: std::collections::HashMap<String, SimReport>,
+    map: HashMap<String, SimReport>,
 }
 
 impl BaselineCache {
@@ -87,8 +100,9 @@ fn simulate(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: 
 ///
 /// # Errors
 ///
-/// Returns the first [`SweepSpec::validate`] error; never fails after
-/// validation passes.
+/// Returns the first [`SweepSpec::validate`] error, or the
+/// [`CampaignPlan::merge_cells`] error of a baseline that saw no LLC load
+/// miss.
 pub fn run(spec: &SweepSpec, threads: usize) -> Result<SweepResult, String> {
     run_cached(spec, threads, &mut BaselineCache::new())
 }
@@ -100,164 +114,67 @@ pub fn run(spec: &SweepSpec, threads: usize) -> Result<SweepResult, String> {
 ///
 /// # Errors
 ///
-/// Returns the first [`SweepSpec::validate`] error.
+/// As [`run`].
 pub fn run_cached(
     spec: &SweepSpec,
     threads: usize,
     cache: &mut BaselineCache,
 ) -> Result<SweepResult, String> {
-    spec.validate()?;
-    let threads = threads.max(1);
-
-    // Expand the grid. Uncached baseline jobs first (one per unit × config
-    // × seed), then every measured cell, all in one batch so baselines
-    // don't serialize ahead of the cells.
-    let mut baseline_keys: Vec<String> = Vec::new();
-    let mut jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = Vec::new();
-    // Simulated instructions scheduled this run (freshly executed jobs
-    // only — cache hits cost no wall time), for the throughput telemetry.
-    let mut planned_instructions = 0u64;
-    for u in &spec.units {
-        for cp in &spec.configs {
-            for &seed in &spec.seeds {
-                let key = BaselineCache::key(u, &spec.baseline.kind, cp, seed);
-                if !cache.map.contains_key(&key) && !baseline_keys.contains(&key) {
-                    let (u, k, cp) = (u.clone(), spec.baseline.kind.clone(), cp.clone());
-                    planned_instructions += (cp.warmup + cp.measure) * u.cores() as u64;
-                    jobs.push(Box::new(move || simulate(&u, &k, &cp, seed)));
-                    baseline_keys.push(key.clone());
-                }
-            }
-        }
-    }
-    for u in &spec.units {
-        for cp in &spec.configs {
-            for p in &spec.prefetchers {
-                for &seed in &spec.seeds {
-                    let (u, k, cp) = (u.clone(), p.kind.clone(), cp.clone());
-                    planned_instructions += (cp.warmup + cp.measure) * u.cores() as u64;
-                    jobs.push(Box::new(move || simulate(&u, &k, &cp, seed)));
-                }
-            }
-        }
-    }
-
-    let started = std::time::Instant::now();
-    let mut reports = run_parallel(jobs, threads).into_iter();
-    let throughput = Throughput::new(planned_instructions, started.elapsed().as_secs_f64());
-    for (key, report) in baseline_keys.into_iter().zip(reports.by_ref()) {
-        cache.map.insert(key, report);
-    }
-    let baseline_reports: Vec<SimReport> = {
-        let mut out = Vec::new();
-        for u in &spec.units {
-            for cp in &spec.configs {
-                for &seed in &spec.seeds {
-                    let key = BaselineCache::key(u, &spec.baseline.kind, cp, seed);
-                    out.push(cache.map[&key].clone());
-                }
-            }
-        }
-        out
-    };
-
-    // Index baselines in the same (unit, config, seed) expansion order.
-    let baseline_index =
-        |ui: usize, ci: usize, si: usize| (ui * spec.configs.len() + ci) * spec.seeds.len() + si;
-
-    let mut baselines = Vec::with_capacity(baseline_reports.len());
-    for (ui, u) in spec.units.iter().enumerate() {
-        for (ci, cp) in spec.configs.iter().enumerate() {
-            for (si, &seed) in spec.seeds.iter().enumerate() {
-                let report = &baseline_reports[baseline_index(ui, ci, si)];
-                baselines.push(CellResult {
-                    sweep: spec.name.clone(),
-                    unit: u.label.clone(),
-                    group: u.group.clone(),
-                    prefetcher: spec.baseline.label.clone(),
-                    config: cp.label.clone(),
-                    seed,
-                    metrics: metrics::compare(report, report),
-                    raw: RawSummary::of(report),
-                });
-            }
-        }
-    }
-
-    let mut cells = Vec::with_capacity(spec.cell_count());
-    for (ui, u) in spec.units.iter().enumerate() {
-        for (ci, cp) in spec.configs.iter().enumerate() {
-            for p in &spec.prefetchers {
-                for (si, &seed) in spec.seeds.iter().enumerate() {
-                    let report = reports.next().expect("one report per cell job");
-                    let baseline = &baseline_reports[baseline_index(ui, ci, si)];
-                    cells.push(CellResult {
-                        sweep: spec.name.clone(),
-                        unit: u.label.clone(),
-                        group: u.group.clone(),
-                        prefetcher: p.label.clone(),
-                        config: cp.label.clone(),
-                        seed,
-                        metrics: metrics::compare(baseline, &report),
-                        raw: RawSummary::of(&report),
-                    });
-                }
-            }
-        }
-    }
-
-    Ok(SweepResult {
-        name: spec.name.clone(),
-        baselines,
-        cells,
-        throughput: Some(throughput),
-    })
+    execute(&spec.name, std::slice::from_ref(spec), threads, cache)
 }
 
-/// Runs several sweeps (e.g. the panels of one figure) and merges them
-/// under `name`.
-///
-/// Built on [`plan_campaign`]: the whole campaign — every panel's
-/// baselines and cells — fans out over `threads` workers as one batch of
-/// independent cell jobs, and [`CampaignPlan::merge_cells`] reassembles
-/// the result in grid order. Panels with overlapping (units × configs ×
+/// Runs several sweeps (e.g. the panels of one figure) as one campaign
+/// named `name`: every panel's baselines and cells fan out over `threads`
+/// workers as one batch, and panels with overlapping (units × configs ×
 /// seeds) share baseline jobs — Fig. 9's two panels cover the same
-/// 50-workload pool, for example — exactly as the shared
-/// [`BaselineCache`] deduplicated them before.
+/// 50-workload pool, for example.
 ///
 /// # Errors
 ///
-/// Returns the first validation error among the specs.
+/// As [`run`], for the first panel that fails.
 pub fn run_all(name: &str, specs: &[SweepSpec], threads: usize) -> Result<SweepResult, String> {
-    let plan = plan_campaign(name, specs)?;
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = plan
-        .jobs()
-        .iter()
-        .map(|j| {
-            let j = j.clone();
-            Box::new(move || j.run()) as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    let started = std::time::Instant::now();
-    let reports = run_parallel(jobs, threads.max(1));
-    let throughput = Throughput::new(plan.planned_instructions(), started.elapsed().as_secs_f64());
-    let mut out = plan.merge_cells(&reports)?;
-    out.throughput = Some(throughput);
-    Ok(out)
+    execute(name, specs, threads, &mut BaselineCache::new())
 }
 
-/// Coordinates of one schedulable simulation inside a planned campaign:
-/// the panel it was planned under and its position within that panel's
-/// deterministic expansion (baseline jobs first, then measured cells in
-/// grid order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CellId {
-    /// Index of the panel ([`SweepSpec`]) this job was planned under. A
-    /// baseline shared by several panels belongs to the first panel that
-    /// needed it.
-    pub panel: usize,
-    /// Position within the panel's expansion.
-    pub index: usize,
+/// The executor behind [`run`], [`run_cached`] and [`run_all`]: plan, run
+/// every job the cache does not already answer, merge. Throughput counts
+/// the freshly executed instructions only — a cache hit costs no wall
+/// time.
+fn execute(
+    name: &str,
+    specs: &[SweepSpec],
+    threads: usize,
+    cache: &mut BaselineCache,
+) -> Result<SweepResult, String> {
+    let plan = plan_campaign(name, specs)?;
+    let mut slots: Vec<Option<SimReport>> = vec![None; plan.jobs.len()];
+    for (key, &flat) in &plan.baseline_jobs {
+        slots[flat] = cache.map.get(key).cloned();
+    }
+    let fresh: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
+    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = fresh
+        .iter()
+        .map(|&flat| {
+            let job = plan.jobs[flat].clone();
+            Box::new(move || job.run()) as Box<dyn FnOnce() -> SimReport + Send>
+        })
+        .collect();
+    let instructions = fresh.iter().map(|&flat| plan.jobs[flat].instructions).sum();
+    let started = std::time::Instant::now();
+    let reports = run_parallel(jobs, threads.max(1));
+    let throughput = Throughput::new(instructions, started.elapsed().as_secs_f64());
+    for (flat, report) in fresh.into_iter().zip(reports) {
+        slots[flat] = Some(report);
+    }
+    for (key, &flat) in &plan.baseline_jobs {
+        if !cache.map.contains_key(key) {
+            let report = slots[flat].clone().expect("every job ran or was cached");
+            cache.map.insert(key.clone(), report);
+        }
+    }
+    let mut out = plan.merge_prefix(&slots)?;
+    out.throughput = Some(throughput);
+    Ok(out)
 }
 
 /// One independent simulation of a planned campaign — the unit a
@@ -268,8 +185,6 @@ pub struct CellId {
 /// materialized trace.
 #[derive(Debug, Clone)]
 pub struct CellJob {
-    /// Where this job sits in the campaign.
-    pub id: CellId,
     /// Instructions this job simulates across all cores (warmup +
     /// measure), for throughput telemetry and progress accounting.
     pub instructions: u64,
@@ -280,6 +195,16 @@ pub struct CellJob {
 }
 
 impl CellJob {
+    fn new(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: u64) -> Self {
+        Self {
+            instructions: (config.warmup + config.measure) * unit.cores() as u64,
+            unit: unit.clone(),
+            kind: kind.clone(),
+            config: config.clone(),
+            seed,
+        }
+    }
+
     /// Runs the simulation. Deterministic: the same job always produces a
     /// byte-identical report, on any thread, in any process.
     pub fn run(&self) -> SimReport {
@@ -287,120 +212,109 @@ impl CellJob {
     }
 }
 
-/// One panel's share of a [`CampaignPlan`]: the spec plus the mapping
-/// from its rows back to flat job indices.
+/// One output row of a planned campaign: its labels, and the flat job
+/// indices its numbers come from.
 #[derive(Debug)]
-struct PanelPlan {
-    spec: SweepSpec,
-    /// Flat job index of each baseline report, in (unit, config, seed)
-    /// expansion order. May point into an earlier panel when the baseline
-    /// coordinate is shared.
-    baseline_sources: Vec<usize>,
-    /// Flat index of this panel's first measured cell; the panel's
-    /// `spec.cell_count()` cells are contiguous from here.
-    cells_start: usize,
+struct Row {
+    sweep: String,
+    unit: String,
+    group: String,
+    prefetcher: String,
+    config: String,
+    seed: u64,
+    /// The job whose report this row summarizes.
+    report: usize,
+    /// The job whose report it is compared against; `report` itself for a
+    /// baseline row, possibly a job planned under an earlier panel.
+    baseline: usize,
 }
 
 /// A campaign expanded into an ordered set of independent [`CellJob`]s
-/// plus the bookkeeping to reassemble their reports into a
-/// [`SweepResult`] byte-identical to the monolithic [`run_all`].
+/// plus the row table that turns their reports into a [`SweepResult`].
 ///
 /// The flat job order is panel-major with each panel's baselines planned
 /// before its cells, and baselines deduplicated across panels (first
 /// panel wins), so a job's baseline always precedes it. Executing the
-/// jobs in *any* order and merging is equivalent to the monolithic run.
+/// jobs in *any* order and merging gives the bytes of the serial in-order
+/// run.
 #[derive(Debug)]
 pub struct CampaignPlan {
     name: String,
     jobs: Vec<CellJob>,
-    panels: Vec<PanelPlan>,
+    /// [`BaselineCache`] key → flat index, for every planned baseline job.
+    baseline_jobs: HashMap<String, usize>,
+    /// The result's `baselines` array, in final order.
+    baseline_rows: Vec<Row>,
+    /// The result's `cells` array, in final order.
+    cell_rows: Vec<Row>,
 }
 
 /// Expands a campaign (panels of one figure) into a [`CampaignPlan`].
 ///
-/// The expansion mirrors [`run_all`] exactly: per panel in order,
-/// baseline jobs first (one per unit × config × seed coordinate not
-/// already planned — the shared-[`BaselineCache`] dedup), then every
-/// measured cell in grid order (unit-major, then config, then
-/// prefetcher, then seed).
+/// Per panel in order: baseline jobs first (one per unit × config × seed
+/// coordinate no earlier panel planned), then every measured cell in grid
+/// order (unit-major, then config, then prefetcher, then seed). Rows
+/// follow the same two orders, one baseline row per panel coordinate
+/// whether or not its job is shared.
 ///
 /// # Errors
 ///
 /// Returns the first [`SweepSpec::validate`] error among the panels.
 pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, String> {
     let mut jobs: Vec<CellJob> = Vec::new();
-    let mut panels: Vec<PanelPlan> = Vec::with_capacity(specs.len());
-    let mut planned_baselines: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
-    for (pi, spec) in specs.iter().enumerate() {
+    let mut baseline_jobs: HashMap<String, usize> = HashMap::new();
+    let (mut baseline_rows, mut cell_rows) = (Vec::new(), Vec::new());
+    for spec in specs {
         spec.validate()?;
-        let mut within = 0usize;
-        let mut baseline_sources =
-            Vec::with_capacity(spec.units.len() * spec.configs.len() * spec.seeds.len());
+        let row =
+            |u: &WorkUnit, cp: &ConfigPoint, p: &PrefetcherSpec, seed, report, baseline| Row {
+                sweep: spec.name.clone(),
+                unit: u.label.clone(),
+                group: u.group.clone(),
+                prefetcher: p.label.clone(),
+                config: cp.label.clone(),
+                seed,
+                report,
+                baseline,
+            };
+        let first_row = baseline_rows.len();
         for u in &spec.units {
             for cp in &spec.configs {
                 for &seed in &spec.seeds {
                     let key = BaselineCache::key(u, &spec.baseline.kind, cp, seed);
-                    let source = *planned_baselines.entry(key).or_insert_with(|| {
-                        let flat = jobs.len();
-                        jobs.push(CellJob {
-                            id: CellId {
-                                panel: pi,
-                                index: within,
-                            },
-                            instructions: (cp.warmup + cp.measure) * u.cores() as u64,
-                            unit: u.clone(),
-                            kind: spec.baseline.kind.clone(),
-                            config: cp.clone(),
-                            seed,
-                        });
-                        within += 1;
-                        flat
+                    let flat = *baseline_jobs.entry(key).or_insert_with(|| {
+                        jobs.push(CellJob::new(u, &spec.baseline.kind, cp, seed));
+                        jobs.len() - 1
                     });
-                    baseline_sources.push(source);
+                    baseline_rows.push(row(u, cp, &spec.baseline, seed, flat, flat));
                 }
             }
         }
-        let cells_start = jobs.len();
+        // The rows just planned, one chunk of per-seed baselines for each
+        // unit × config pair in walk order.
+        let mut per_seed = baseline_rows[first_row..].chunks(spec.seeds.len());
         for u in &spec.units {
             for cp in &spec.configs {
+                let baselines = per_seed.next().expect("one chunk per unit × config");
                 for p in &spec.prefetchers {
-                    for &seed in &spec.seeds {
-                        jobs.push(CellJob {
-                            id: CellId {
-                                panel: pi,
-                                index: within,
-                            },
-                            instructions: (cp.warmup + cp.measure) * u.cores() as u64,
-                            unit: u.clone(),
-                            kind: p.kind.clone(),
-                            config: cp.clone(),
-                            seed,
-                        });
-                        within += 1;
+                    for b in baselines {
+                        cell_rows.push(row(u, cp, p, b.seed, jobs.len(), b.report));
+                        jobs.push(CellJob::new(u, &p.kind, cp, b.seed));
                     }
                 }
             }
         }
-        panels.push(PanelPlan {
-            spec: spec.clone(),
-            baseline_sources,
-            cells_start,
-        });
     }
     Ok(CampaignPlan {
         name: name.to_string(),
         jobs,
-        panels,
+        baseline_jobs,
+        baseline_rows,
+        cell_rows,
     })
 }
 
 impl CampaignPlan {
-    /// The campaign name the merged result will carry.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The planned jobs, in flat (panel-major, baselines-first) order.
     pub fn jobs(&self) -> &[CellJob] {
         &self.jobs
@@ -411,31 +325,18 @@ impl CampaignPlan {
         self.jobs.len()
     }
 
-    /// Total instructions the plan simulates, for throughput telemetry.
-    pub fn planned_instructions(&self) -> u64 {
-        self.jobs.iter().map(|j| j.instructions).sum()
-    }
-
     /// Reassembles a complete set of cell reports — `reports[i]` from
     /// `jobs()[i]`, executed in any order, by any worker — into the
-    /// [`SweepResult`] a monolithic [`run_all`] would produce, minus the
-    /// wall-clock telemetry (i.e. byte-identical to its
-    /// [`SweepResult::stripped`] form).
+    /// campaign's [`SweepResult`], without wall-clock telemetry.
     ///
     /// # Errors
     ///
-    /// Returns an error when `reports.len() != job_count()`.
+    /// Returns an error when `reports.len() != job_count()`, and when a
+    /// baseline report saw no LLC load miss: the Appendix A.6 metrics of
+    /// that unit and config have no denominator (a budget too small for
+    /// the workload to reach memory).
     pub fn merge_cells(&self, reports: &[SimReport]) -> Result<SweepResult, String> {
-        if reports.len() != self.jobs.len() {
-            return Err(format!(
-                "campaign {:?}: {} report(s) for {} planned job(s)",
-                self.name,
-                reports.len(),
-                self.jobs.len()
-            ));
-        }
-        let slots: Vec<Option<&SimReport>> = reports.iter().map(Some).collect();
-        Ok(self.assemble(&slots))
+        self.assemble(reports.len(), |flat| Some(&reports[flat]))
     }
 
     /// Merges the completed prefix of a partially executed campaign:
@@ -449,92 +350,54 @@ impl CampaignPlan {
     ///
     /// # Errors
     ///
-    /// Returns an error when `slots.len() != job_count()`.
+    /// As [`CampaignPlan::merge_cells`], for the rows it reaches.
     pub fn merge_prefix(&self, slots: &[Option<SimReport>]) -> Result<SweepResult, String> {
-        if slots.len() != self.jobs.len() {
+        self.assemble(slots.len(), |flat| slots[flat].as_ref())
+    }
+
+    /// Emits each row array while its rows' slots are filled.
+    fn assemble<'a>(
+        &self,
+        given: usize,
+        slot: impl Fn(usize) -> Option<&'a SimReport>,
+    ) -> Result<SweepResult, String> {
+        if given != self.jobs.len() {
             return Err(format!(
-                "campaign {:?}: {} slot(s) for {} planned job(s)",
+                "campaign {:?}: {given} report(s) for {} planned job(s)",
                 self.name,
-                slots.len(),
                 self.jobs.len()
             ));
         }
-        let refs: Vec<Option<&SimReport>> = slots.iter().map(Option::as_ref).collect();
-        Ok(self.assemble(&refs))
-    }
-
-    /// Builds the result rows available from the given report slots,
-    /// truncating each row array at its first not-yet-computable row.
-    fn assemble(&self, slots: &[Option<&SimReport>]) -> SweepResult {
-        let mut baselines = Vec::new();
-        let mut cells = Vec::new();
-        let mut more_baselines = true;
-        let mut more_cells = true;
-        for panel in &self.panels {
-            let spec = &panel.spec;
-            let baseline_index = |ui: usize, ci: usize, si: usize| {
-                (ui * spec.configs.len() + ci) * spec.seeds.len() + si
-            };
-            'baselines: for (ui, u) in spec.units.iter().enumerate() {
-                for (ci, cp) in spec.configs.iter().enumerate() {
-                    for (si, &seed) in spec.seeds.iter().enumerate() {
-                        if !more_baselines {
-                            break 'baselines;
-                        }
-                        let Some(report) =
-                            slots[panel.baseline_sources[baseline_index(ui, ci, si)]]
-                        else {
-                            more_baselines = false;
-                            break 'baselines;
-                        };
-                        baselines.push(CellResult {
-                            sweep: spec.name.clone(),
-                            unit: u.label.clone(),
-                            group: u.group.clone(),
-                            prefetcher: spec.baseline.label.clone(),
-                            config: cp.label.clone(),
-                            seed,
-                            metrics: metrics::compare(report, report),
-                            raw: RawSummary::of(report),
-                        });
-                    }
-                }
+        let emit = |rows: &[Row]| -> Result<Vec<CellResult>, String> {
+            let mut out = Vec::new();
+            for row in rows {
+                let (Some(baseline), Some(report)) = (slot(row.baseline), slot(row.report)) else {
+                    break;
+                };
+                let metrics = metrics::try_compare(baseline, report).map_err(|e| {
+                    format!(
+                        "campaign {:?}: unit {:?} at config {:?}: {e}",
+                        self.name, row.unit, row.config
+                    )
+                })?;
+                out.push(CellResult {
+                    sweep: row.sweep.clone(),
+                    unit: row.unit.clone(),
+                    group: row.group.clone(),
+                    prefetcher: row.prefetcher.clone(),
+                    config: row.config.clone(),
+                    seed: row.seed,
+                    metrics,
+                    raw: RawSummary::of(report),
+                });
             }
-            let mut flat = panel.cells_start;
-            'cells: for (ui, u) in spec.units.iter().enumerate() {
-                for (ci, cp) in spec.configs.iter().enumerate() {
-                    for p in &spec.prefetchers {
-                        for (si, &seed) in spec.seeds.iter().enumerate() {
-                            if !more_cells {
-                                break 'cells;
-                            }
-                            let baseline =
-                                slots[panel.baseline_sources[baseline_index(ui, ci, si)]];
-                            let (Some(baseline), Some(report)) = (baseline, slots[flat]) else {
-                                more_cells = false;
-                                break 'cells;
-                            };
-                            flat += 1;
-                            cells.push(CellResult {
-                                sweep: spec.name.clone(),
-                                unit: u.label.clone(),
-                                group: u.group.clone(),
-                                prefetcher: p.label.clone(),
-                                config: cp.label.clone(),
-                                seed,
-                                metrics: metrics::compare(baseline, report),
-                                raw: RawSummary::of(report),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        SweepResult {
+            Ok(out)
+        };
+        Ok(SweepResult {
             name: self.name.clone(),
-            baselines,
-            cells,
+            baselines: emit(&self.baseline_rows)?,
+            cells: emit(&self.cell_rows)?,
             throughput: None,
-        }
+        })
     }
 }

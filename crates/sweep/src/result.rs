@@ -37,8 +37,8 @@ impl RawSummary {
 /// against the sweep's baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
-    /// Name of the sweep this cell belongs to (distinguishes panels after
-    /// [`SweepResult::merge`]).
+    /// Name of the sweep this cell belongs to (distinguishes the panels
+    /// of a multi-panel campaign).
     pub sweep: String,
     /// Work-unit label (workload or mix name).
     pub unit: String,
@@ -212,26 +212,6 @@ impl PartialEq for SweepResult {
 }
 
 impl SweepResult {
-    /// Concatenates several sweeps (e.g. the per-core-count panels of
-    /// Fig. 8(a)) under one name. Cells keep their original `sweep` field.
-    pub fn merge(name: &str, parts: impl IntoIterator<Item = SweepResult>) -> Self {
-        let mut out = Self {
-            name: name.to_string(),
-            baselines: Vec::new(),
-            cells: Vec::new(),
-            throughput: None,
-        };
-        for p in parts {
-            out.baselines.extend(p.baselines);
-            out.cells.extend(p.cells);
-            out.throughput = match (out.throughput, p.throughput) {
-                (Some(a), Some(b)) => Some(a.merged(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        out
-    }
-
     /// The long-format table (baseline rows first, then cells).
     pub fn long_table(&self) -> Table {
         let mut t = Table::new(&LONG_HEADERS);
@@ -442,15 +422,6 @@ mod tests {
         assert_eq!(back.cells[0].seed, u64::MAX);
         assert_eq!(back.baselines[0].seed, (1 << 53) + 1);
         assert_eq!(back.to_json().render_pretty(), rendered, "byte-stable");
-    }
-
-    #[test]
-    fn merge_concatenates_panels() {
-        let merged = SweepResult::merge("both", [result(), result()]);
-        assert_eq!(merged.cells.len(), 4);
-        assert_eq!(merged.baselines.len(), 2);
-        assert_eq!(merged.name, "both");
-        assert_eq!(merged.cells[0].sweep, "t", "panel identity preserved");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cell-sharding invariants of the campaign planner: any campaign split
 //! into independent grid cells, executed in a shuffled order, and merged
-//! back is byte-identical to the serial monolithic run — and every
+//! back is byte-identical to the serial in-order run — and every
 //! intermediate fill level merges to a valid row-prefix of the final
 //! artifact (the `?partial=1` contract at the engine layer).
 
@@ -76,10 +76,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     // The tentpole pin: shuffled cell-sharded execution == serial
-    // monolithic run, byte for byte, with every intermediate fill level
+    // in-order run, byte for byte, with every intermediate fill level
     // a valid prefix merge.
     #[test]
-    fn shuffled_cell_execution_merges_byte_identical_to_monolithic(
+    fn shuffled_cell_execution_merges_byte_identical_to_the_serial_run(
         unit_picks in proptest::collection::vec(0usize..32, 1..3),
         prefetcher_picks in proptest::collection::vec(0usize..3, 1..3),
         configs in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..3),
@@ -96,8 +96,8 @@ proptest! {
         )];
         if two_panels {
             // Same units/configs under a second panel name: the planner
-            // must share baselines across panels exactly like the
-            // monolithic engine's cross-panel baseline cache does.
+            // shares baseline jobs across panels, and each panel still
+            // gets its own baseline rows.
             specs.push(small_spec(
                 "panel-b",
                 &unit_picks,
@@ -107,7 +107,7 @@ proptest! {
             ));
         }
 
-        let monolithic = engine::run_all("cellprop", &specs, 1)
+        let serial = engine::run_all("cellprop", &specs, 1)
             .expect("generated campaign is valid")
             .stripped();
 
@@ -127,13 +127,13 @@ proptest! {
             last_rows = rows;
             prop_assert_eq!(
                 &partial.baselines[..],
-                &monolithic.baselines[..partial.baselines.len()],
-                "baselines are a prefix of the monolithic row order"
+                &serial.baselines[..partial.baselines.len()],
+                "baselines are a prefix of the serial run's row order"
             );
             prop_assert_eq!(
                 &partial.cells[..],
-                &monolithic.cells[..partial.cells.len()],
-                "cells are a prefix of the monolithic row order"
+                &serial.cells[..partial.cells.len()],
+                "cells are a prefix of the serial run's row order"
             );
         }
 
@@ -144,7 +144,7 @@ proptest! {
         let merged = plan.merge_cells(&reports).expect("complete set merges");
         prop_assert_eq!(
             merged.to_json().render_pretty(),
-            monolithic.to_json().render_pretty(),
+            serial.to_json().render_pretty(),
             "shuffled cell execution merges byte-identical to the serial run"
         );
     }
