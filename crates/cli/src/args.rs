@@ -83,6 +83,21 @@ impl ParsedArgs {
         self.options.contains_key(key)
     }
 
+    /// Fails on the first option that is in none of the `known` groups —
+    /// every option name `command` reads — so a typo (`--mesure`) or a
+    /// retired option is an error, never a silent run with defaults.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the option and the command.
+    pub fn reject_unknown(&self, command: &str, known: &[&[&str]]) -> Result<(), String> {
+        let is_known = |key: &str| known.iter().any(|group| group.contains(&key));
+        match self.options.keys().find(|key| !is_known(key)) {
+            None => Ok(()),
+            Some(key) => Err(format!("unknown option --{key} for `{command}`")),
+        }
+    }
+
     /// Parses an option as a number, with a default.
     ///
     /// # Errors
@@ -130,6 +145,29 @@ mod tests {
         assert_eq!(a.opt_num("warmup", 7u64), Ok(7));
         let bad = p("run --measure xyz");
         assert!(bad.opt_num("measure", 1u64).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        const BUDGET: &[&str] = &["warmup", "measure"];
+        let ok = p("run w p --warmup 2000 --measure 50 --report-json f.json");
+        assert_eq!(
+            ok.reject_unknown("run", &[BUDGET, &["report-json"]]),
+            Ok(())
+        );
+        assert_eq!(p("storage").reject_unknown("storage", &[]), Ok(()));
+        // A typo is an error that names the option and the command, flag
+        // or valued alike.
+        let typo = p("run w p --warmup 2000 --mesure 50");
+        assert_eq!(
+            typo.reject_unknown("run", &[BUDGET]),
+            Err("unknown option --mesure for `run`".to_string())
+        );
+        let flag = p("storage --verbose");
+        assert_eq!(
+            flag.reject_unknown("storage", &[]),
+            Err("unknown option --verbose for `storage`".to_string())
+        );
     }
 
     #[test]

@@ -42,15 +42,15 @@ USAGE:
   pythia-cli sweep --workloads a,b,c            ad-hoc sweep over named
       [--prefetchers x,y] [--baseline none]     workloads instead of a figure
       [--warmup N] [--measure N] [--mtps N] [--llc-kb N]
-  pythia-cli bench                              run the hot-path microbenchmarks
-      [--filter SUBSTR] [--reps N] [--out FILE] (BENCH_micro.json) and optionally
-      [--baseline FILE] [--list]                gate against a baseline report
-      [--max-regress PCT[,name=PCT,...]]        (PYTHIA_BENCH_SCALE scales work)
+  pythia-cli bench                              run the hot-path microbenchmarks,
+      [--filter SUBSTR] [--reps N] [--out FILE] the kernel-level microscope
+      [--list]                                  (PYTHIA_BENCH_SCALE scales work;
+                                                --out writes BENCH_micro.json)
       [--sections]                              per-phase span-timer breakdown
                                                 of the agent hot path instead
   pythia-cli bench --compare <old> <new>        print the per-benchmark delta
                                                 table between two saved reports
-                                                (warns on cross-host compares)
+                                                of one host at one scale
   pythia-cli trace record <workload> <file>     stream a workload to a binary
       [--instructions N]                        trace file (O(1) memory)
   pythia-cli trace replay <file> <prefetcher>   simulate straight from a trace
@@ -78,6 +78,9 @@ USAGE:
       [--tenant KEY] [--priority N]             fetch the rendered result;
                                                 tenants share the pool fairly,
                                                 priority weights the quantum
+
+An option a subcommand does not read is an error. The performance gate is
+scripts/bench_ab.py <parent-ref> <seed>...: parent vs head, same host.
 ";
 
 fn find_workload(name: &str) -> Result<Workload, String> {
@@ -88,6 +91,13 @@ fn find_workload(name: &str) -> Result<Workload, String> {
         .cloned()
         .ok_or_else(|| format!("unknown workload {name:?}; see `pythia-cli list`"))
 }
+
+/// The options [`spec_from`] reads.
+const SPEC_OPTS: &[&str] = &["warmup", "measure", "mtps", "llc-kb"];
+/// The options [`adhoc_sweep_spec`] reads beyond [`SPEC_OPTS`].
+const ADHOC_OPTS: &[&str] = &["prefetchers", "baseline"];
+/// The option [`threads_from`] reads.
+const THREADS_OPT: &[&str] = &["threads"];
 
 fn spec_from(args: &ParsedArgs) -> Result<RunSpec, String> {
     let warmup = args.opt_num("warmup", 100_000u64)?;
@@ -137,6 +147,7 @@ fn pattern_label(kind: &pythia_workloads::PatternKind) -> &'static str {
 
 /// `pythia-cli list [--names]`
 pub fn list(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown("list", &[&["names"]])?;
     let mut pool = all_suites();
     pool.extend(cvp_unseen());
     if args.flag("names") {
@@ -256,6 +267,13 @@ fn telemetry_jsonl(windows: &[Vec<WindowRow>]) -> String {
 
 /// `pythia-cli run <workload> <prefetcher>`
 pub fn run(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown(
+        "run",
+        &[
+            SPEC_OPTS,
+            &["report-json", "telemetry-json", "telemetry-window"],
+        ],
+    )?;
     let [workload, prefetcher] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli run <workload> <prefetcher> [options]".into());
     };
@@ -303,6 +321,7 @@ pub fn compare_cmd_default_prefetchers() -> &'static str {
 /// `pythia-cli compare <workload>` — the one-workload ad-hoc sweep,
 /// printed as one row per prefetcher.
 pub fn compare(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown("compare", &[ADHOC_OPTS, SPEC_OPTS, THREADS_OPT])?;
     let [workload] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli compare <workload> [--prefetchers a,b,c]".into());
     };
@@ -361,6 +380,15 @@ fn adhoc_sweep_spec(args: &ParsedArgs, workloads: &str) -> Result<pythia_sweep::
 
 /// `pythia-cli sweep <figure> | sweep --workloads a,b,c`
 pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
+    // A registered figure fixes its own grid and budgets, so the ad-hoc
+    // options are only read (and only accepted) without a figure id.
+    let common: &[&str] = &["list", "format", "out", "cache-dir"];
+    if args.positionals.is_empty() {
+        let adhoc = &[common, THREADS_OPT, &["workloads"], ADHOC_OPTS, SPEC_OPTS];
+        args.reject_unknown("sweep", adhoc)?;
+    } else {
+        args.reject_unknown("sweep <figure>", &[common, THREADS_OPT])?;
+    }
     if args.flag("list") {
         println!("# Registered figure/table campaigns\n");
         let mut t = Table::new(&["figure", "title", "panels", "cells"]);
@@ -455,17 +483,21 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `pythia-cli bench [--filter S] [--reps N] [--out F] [--baseline F]
-/// [--max-regress SPEC] [--list]` — runs the `pythia-perf` microbenchmark
-/// registry, prints the results table, optionally writes
-/// `BENCH_micro.json`, and optionally gates against a baseline report.
-/// `--max-regress` takes either a uniform percentage (`25`) or a default
-/// plus per-benchmark overrides (`25,agent_step=15,qvstore_argmax=15`).
+/// `pythia-cli bench [--filter S] [--reps N] [--out F] [--list]` — the
+/// kernel-level microscope: runs the `pythia-perf` microbenchmark
+/// registry, prints the results table and optionally writes
+/// `BENCH_micro.json`. It gates nothing; the performance gate is
+/// `scripts/bench_ab.py` (parent vs head on one host).
 ///
 /// `pythia-cli bench --compare <old.json> <new.json>` skips running
 /// anything and prints the per-benchmark delta table (median, MAD,
-/// throughput ratio) between two saved reports instead.
+/// throughput ratio) between two saved reports — a same-host A/B, so two
+/// reports from different hosts or scales are refused.
 pub fn bench(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown(
+        "bench",
+        &[&["list", "sections", "compare", "filter", "reps", "out"]],
+    )?;
     if args.flag("list") {
         println!("# Registered microbenchmarks\n");
         for def in pythia_perf::registry() {
@@ -501,9 +533,6 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
             .ok_or("usage: pythia-cli bench --compare <old.json> <new.json>")?;
         let old = load_bench_report(&old_path)?;
         let new = load_bench_report(new_path)?;
-        if let Some(warning) = new.host_mismatch(&old) {
-            eprintln!("warning: {warning}");
-        }
         print!("{}", new.compare_table(&old)?);
         return Ok(());
     }
@@ -528,40 +557,6 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
     if let Some(path) = args.opt("out") {
         write_artifact(path, &report.to_json().render_pretty())?;
         println!("wrote {} benchmark(s) to {path}", report.benchmarks.len());
-    }
-
-    if let Some(path) = args.opt("baseline") {
-        let gate = match args.opt("max-regress") {
-            Some(spec) => pythia_stats::RegressGate::parse(spec)?,
-            None => pythia_stats::RegressGate::uniform(25.0),
-        };
-        let baseline = load_bench_report(path)?;
-        if let Some(warning) = report.host_mismatch(&baseline) {
-            eprintln!("warning: {warning}");
-        }
-        let regressions = report.compare_gated(&baseline, &gate)?;
-        if regressions.is_empty() {
-            println!(
-                "no benchmark regressed past its threshold (default {}%) vs {path}",
-                gate.default_pct
-            );
-        } else {
-            for r in &regressions {
-                eprintln!(
-                    "regression: {} is {:.1}% slower than baseline \
-                     ({:.2} vs {:.2} Munits/s, threshold {}%)",
-                    r.name,
-                    r.slowdown_pct,
-                    r.current_units_per_sec / 1e6,
-                    r.baseline_units_per_sec / 1e6,
-                    gate.threshold(&r.name),
-                );
-            }
-            return Err(format!(
-                "{} benchmark(s) regressed past their thresholds vs {path}",
-                regressions.len()
-            ));
-        }
     }
     Ok(())
 }
@@ -598,6 +593,10 @@ pub fn trace(args: &ParsedArgs) -> Result<(), String> {
 /// coverage ratio, phase map) — to a file when given a value, alone on
 /// stdout as a bare flag (so it pipes into JSON tooling).
 fn trace_gen(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown(
+        "trace gen",
+        &[&["seed", "instructions", "out", "stats-json"]],
+    )?;
     let [_, profile_name] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli trace gen <expected|stress|adversarial> \
              [--seed N] [--instructions N] [--out DIR] [--stats-json [FILE]]"
@@ -688,6 +687,7 @@ fn trace_gen(args: &ParsedArgs) -> Result<(), String> {
 /// generator straight into the incremental binary encoder; no point of
 /// the pipeline holds the trace in memory.
 fn trace_record(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown("trace record", &[&["instructions"]])?;
     let [_, workload, out_file] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli trace record <workload> <file> [--instructions N]".into());
     };
@@ -717,6 +717,7 @@ fn trace_record(args: &ParsedArgs) -> Result<(), String> {
 /// `--instructions warmup+measure`, the report is byte-identical to the
 /// equivalent `pythia-cli run` (pinned by the CI record→replay smoke).
 fn trace_replay(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown("trace replay", &[SPEC_OPTS, &["report-json"]])?;
     let [_, file, prefetcher] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli trace replay <file> <prefetcher> [options]".into());
     };
@@ -744,6 +745,7 @@ fn trace_replay(args: &ParsedArgs) -> Result<(), String> {
 /// `pythia-cli trace info <file> [--json]` — header and one-pass stream
 /// statistics, human-readable by default, machine-readable with `--json`.
 fn trace_info(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown("trace info", &[&["json"]])?;
     let [_, file] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli trace info <file> [--json]".into());
     };
@@ -799,6 +801,22 @@ fn trace_info(args: &ParsedArgs) -> Result<(), String> {
 /// [--journal FILE] [--log-level LVL]` — runs the campaign service
 /// until killed.
 pub fn serve(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown(
+        "serve",
+        &[
+            THREADS_OPT,
+            &[
+                "addr",
+                "workers",
+                "queue",
+                "max-conns",
+                "cache-dir",
+                "cache-max-bytes",
+                "journal",
+                "log-level",
+            ],
+        ],
+    )?;
     let addr = args.opt("addr").unwrap_or("127.0.0.1:7071");
     let workers = args.opt_num("workers", 1usize)?.max(1);
     let queue_cap = args.opt_num("queue", 64usize)?.max(1);
@@ -851,6 +869,18 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
 /// and the service's aggregate Minst/s from `/metrics`), and fetches the
 /// rendered result.
 pub fn submit(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown(
+        "submit",
+        &[&[
+            "addr",
+            "format",
+            "out",
+            "poll-ms",
+            "timeout-s",
+            "tenant",
+            "priority",
+        ]],
+    )?;
     let [figure] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli submit <figure> --addr HOST:PORT [options]".into());
     };
@@ -907,7 +937,8 @@ pub fn submit(args: &ParsedArgs) -> Result<(), String> {
 
 /// `pythia-cli storage` — Tables 4, 7 and 8 (storage, evaluated-prefetcher
 /// metadata, area/power overheads) and the §4.2.2 search latency.
-pub fn storage(_args: &ParsedArgs) -> Result<(), String> {
+pub fn storage(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown("storage", &[])?;
     let cfg = PythiaConfig::basic();
     let kb = |bits: u64| format!("{:.1} KB", bits as f64 / 8192.0);
 

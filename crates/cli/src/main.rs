@@ -3,10 +3,12 @@
 //! ```text
 //! pythia-cli list                              # workloads and prefetchers
 //! pythia-cli run <workload> <prefetcher> [--warmup N] [--measure N]
-//!                [--mtps N] [--llc-kb N] [--cores N]
+//!                [--mtps N] [--llc-kb N]
 //! pythia-cli compare <workload> [--prefetchers a,b,c] [...]
 //! pythia-cli sweep <figure> [--threads N] [--format md|json|csv] [--out F]
 //! pythia-cli sweep --workloads a,b,c [--prefetchers x,y] [...]
+//! pythia-cli bench [--filter S] [--reps N] [--out F] [--sections]
+//! pythia-cli bench --compare <old.json> <new.json>
 //! pythia-cli trace record <workload> <file> [--instructions N]
 //! pythia-cli trace replay <file> <prefetcher> [--warmup N] [--measure N]
 //! pythia-cli trace info <file> [--json]
@@ -15,6 +17,9 @@
 //! pythia-cli serve [--addr A] [--workers N] [--cache-dir DIR]
 //! pythia-cli submit <figure> --addr HOST:PORT [--format md|json|csv]
 //! ```
+//!
+//! Every subcommand rejects an option it does not read (`pythia-cli help`
+//! lists them all).
 
 mod args;
 mod commands;

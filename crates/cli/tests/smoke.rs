@@ -517,62 +517,75 @@ fn bench_filtered_run_writes_json_report() {
 }
 
 #[test]
-fn bench_baseline_gate_passes_against_itself_and_fails_vs_impossible() {
-    let dir = std::env::temp_dir().join("pythia_cli_bench_gate");
+fn bench_compare_tables_two_reports_and_refuses_other_hosts_and_scales() {
+    let dir = std::env::temp_dir().join("pythia_cli_bench_compare");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("baseline.json");
-    let path_str = path.to_str().expect("utf-8 temp path");
-    // Record a baseline, then compare a fresh run against it: never a
-    // >400% regression between two back-to-back runs.
-    let out = bench_cli(
-        &[
-            "bench", "--filter", "qvstore", "--reps", "3", "--out", path_str,
-        ],
-        None,
+    let path_of = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    let (old, new, doctored) = (
+        path_of("old.json"),
+        path_of("new.json"),
+        path_of("doc.json"),
     );
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let out = bench_cli(
-        &[
-            "bench",
-            "--filter",
-            "qvstore",
-            "--reps",
-            "3",
-            "--baseline",
-            path_str,
-            "--max-regress",
-            "400",
-        ],
-        None,
-    );
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(stdout(&out).contains("no benchmark regressed"));
+    for out in [&old, &new] {
+        let run = bench_cli(
+            &["bench", "--filter", "qvstore", "--reps", "2", "--out", out],
+            None,
+        );
+        assert!(run.status.success(), "stderr: {}", stderr(&run));
+    }
 
-    // Doctor the baseline to claim implausibly fast numbers: the gate must
-    // fail and name the regressing benchmark.
-    let doctored = std::fs::read_to_string(&path)
-        .expect("baseline written")
-        .replace("\"median_ns\": ", "\"median_ns\": 0.0000");
-    std::fs::write(&path, doctored).expect("rewrite baseline");
-    let out = bench_cli(
-        &[
-            "bench",
-            "--filter",
-            "qvstore_argmax",
-            "--reps",
-            "2",
-            "--baseline",
-            path_str,
-        ],
-        None,
-    );
-    assert!(!out.status.success(), "doctored baseline must gate");
-    let err = stderr(&out);
+    // Two back-to-back reports of this host compare: one ratio per row.
+    let out = bench_cli(&["bench", "--compare", &old, &new], None);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let table = stdout(&out);
+    assert!(table.contains("| ratio"), "ratio column: {table}");
+    assert!(table.contains("qvstore_argmax"), "{table}");
     assert!(
-        err.contains("regression: qvstore_argmax"),
-        "regression names the benchmark: {err}"
+        table.lines().any(|l| l.trim_end().ends_with("x |")),
+        "{table}"
     );
-    std::fs::remove_file(&path).ok();
+
+    let load = || {
+        let text = std::fs::read_to_string(&new).expect("report written");
+        pythia_stats::json::parse(&text)
+            .and_then(|v| pythia_stats::BenchReport::from_json(&v))
+            .expect("valid BENCH_micro.json")
+    };
+    let refused = |report: pythia_stats::BenchReport| {
+        std::fs::write(&doctored, report.to_json().render_pretty()).expect("rewrite report");
+        let out = bench_cli(&["bench", "--compare", &old, &doctored], None);
+        assert!(!out.status.success(), "must be refused: {}", stdout(&out));
+        assert!(stdout(&out).is_empty(), "no table: {}", stdout(&out));
+        stderr(&out)
+    };
+
+    // The same numbers stamped by another machine: refused, both named.
+    let mut report = load();
+    let here = report
+        .host
+        .as_ref()
+        .expect("reports are stamped")
+        .hostname
+        .clone();
+    report.host.as_mut().expect("stamped").hostname = "some-other-host".into();
+    let err = refused(report);
+    assert!(err.contains("host mismatch"), "{err}");
+    assert!(
+        err.contains("some-other-host") && err.contains(&here),
+        "{err}"
+    );
+
+    // The same host at another PYTHIA_BENCH_SCALE: refused.
+    let mut report = load();
+    report.scale = 0.5;
+    let err = refused(report);
+    assert!(err.contains("scale mismatch"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -638,6 +651,53 @@ fn unknown_subcommand_fails() {
     let out = cli(&["frobnicate"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown subcommand"));
+}
+
+/// An option the subcommand does not read is an error before any work
+/// starts — a typo must not silently simulate the defaults, and a retired
+/// option must not silently gate nothing.
+#[test]
+fn unknown_options_fail_naming_the_option_and_run_nothing() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["run", WORKLOAD, "stride", "--mesure", "5"],
+            "unknown option --mesure for `run`",
+        ),
+        (
+            &["bench", "--baseline", "x.json"],
+            "unknown option --baseline for `bench`",
+        ),
+        (
+            &["serve", "--worker", "2"],
+            "unknown option --worker for `serve`",
+        ),
+        (
+            &[
+                "trace",
+                "replay",
+                "/no/such/file.pytr",
+                "stride",
+                "--warmpu",
+                "1",
+            ],
+            "unknown option --warmpu for `trace replay`",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = bench_cli(args, None);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+        assert_eq!(
+            stderr(&out).trim_end(),
+            format!("error: {message}"),
+            "{args:?}"
+        );
+    }
+    // A registered figure fixes its own budgets, so the ad-hoc options
+    // are refused there and accepted without a figure id.
+    let out = bench_cli(&["sweep", "fig09", "--measure", "100"], None);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("unknown option --measure for `sweep <figure>`"));
 }
 
 #[test]

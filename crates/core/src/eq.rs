@@ -78,11 +78,6 @@ impl EqEntry {
             issued_at,
         }
     }
-
-    /// Whether a reward has been assigned.
-    pub fn has_reward(&self) -> bool {
-        self.reward.is_some()
-    }
 }
 
 /// Outcome of probing the EQ with a demand address.

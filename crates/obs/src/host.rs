@@ -1,9 +1,9 @@
 //! Cheap host provenance: hostname and detected CPU features.
 //!
-//! Wall-clock benchmark baselines are host-sensitive, so
-//! `BenchReport`s stamp this into their JSON — a cross-host
-//! `bench --compare` can then warn instead of silently comparing
-//! apples to oranges. Everything here is best-effort and cheap: no
+//! Wall-clock benchmark numbers are host-sensitive, so `BenchReport`s
+//! stamp this into their JSON — `bench --compare` then refuses two
+//! reports from different hosts instead of silently comparing apples
+//! to oranges. Everything here is best-effort and cheap: no
 //! subprocesses, no parsing of `/proc/cpuinfo`.
 
 /// Host identity relevant to interpreting wall-clock measurements.

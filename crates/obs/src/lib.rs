@@ -30,8 +30,8 @@
 //!   [`metrics::Registry`] (its only input) and a [`prom::lint`]
 //!   checker used by tests and CI to validate `GET /metrics?format=prom`.
 //! * [`host`] — cheap host provenance (hostname, detected CPU features)
-//!   stamped into benchmark reports so saved baselines are
-//!   self-describing.
+//!   stamped into benchmark reports so a saved report says where it
+//!   ran.
 //!
 //! Telemetry is strictly observational: nothing in this crate feeds back
 //! into simulation state, and the workspace pins `SimReport`s

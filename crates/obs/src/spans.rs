@@ -69,15 +69,6 @@ impl SpanTimer {
     pub fn report(&self) -> &[SpanTotal] {
         &self.totals
     }
-
-    /// Sum of top-level section time (nested time not double-counted):
-    /// the denominator for percentage breakdowns.
-    ///
-    /// Uses the first-entered section set; callers that nest the same
-    /// name at multiple depths should prefer [`SpanTimer::report`].
-    pub fn grand_total_ns(&self) -> u64 {
-        self.totals.iter().map(|t| t.total_ns).sum()
-    }
 }
 
 impl Sectioner for SpanTimer {

@@ -11,9 +11,15 @@
 //! ([`fixtures`]), reduced to median + MAD
 //! ([`pythia_stats::bench::BenchMeasurement`]). `pythia-cli bench` drives
 //! the registry and emits `BENCH_micro.json` (same hand-rolled JSON
-//! schema family as the sweep engine's `BENCH_*.json`); CI replays it at
-//! tiny scale against a checked-in baseline and fails on >25%
-//! regressions.
+//! schema family as the sweep engine's `BENCH_*.json`).
+//!
+//! This is the microscope, not the gate: the numbers are absolute
+//! nanoseconds of the host they ran on, so `bench --compare` tables two
+//! reports of one host and refuses anything else, and CI runs the
+//! registry only as a smoke. What gates a change is
+//! `scripts/bench_ab.py`: the repo benchmark (`benchmark/`) on parent and
+//! head, alternating, on one host. A kernel row here explains a movement
+//! there; it never stands in for it.
 //!
 //! ```no_run
 //! let harness = pythia_perf::Harness::default();

@@ -104,6 +104,8 @@ impl Response {
 /// Why reading a request failed, so the caller can pick the right close
 /// behavior: a clean 408 on timeout, a 400 on malformed bytes, a 413 on
 /// oversized heads/bodies, or a silent drop when the peer simply left.
+/// The client reads a reply's head through the same reader and reports
+/// these as text.
 #[derive(Debug)]
 pub enum RequestError {
     /// The peer closed the connection cleanly between requests.
@@ -124,7 +126,7 @@ impl std::fmt::Display for RequestError {
             Self::Closed => write!(f, "connection closed"),
             Self::Timeout => write!(f, "read timed out"),
             Self::Malformed(m) => write!(f, "malformed request: {m}"),
-            Self::TooLarge(m) => write!(f, "request too large: {m}"),
+            Self::TooLarge(m) => write!(f, "too large: {m}"),
             Self::Io(m) => write!(f, "io error: {m}"),
         }
     }
@@ -236,6 +238,37 @@ fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
     None
 }
 
+/// Appends to `buf` until it holds a whole head and returns the offset
+/// of its `\r\n\r\n` terminator. The one head reader of both ends —
+/// [`RequestReader::read_request`] and [`ClientConn`]'s reply parse — so
+/// neither buffers more than [`MAX_HEAD_BYTES`] (plus one chunk) for a
+/// peer whose head never ends. `what` names the message in errors
+/// (`"request"` / `"response"`).
+fn read_head(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    chunk: &mut [u8],
+    what: &str,
+) -> Result<usize, RequestError> {
+    let mut scanned = 0usize;
+    loop {
+        if let Some(pos) = find_head_end(buf, &mut scanned) {
+            return Ok(pos);
+        }
+        if buf.len() > MAX_HEAD_BYTES {
+            return Err(RequestError::TooLarge(format!("{what} head too large")));
+        }
+        let n = read_some(stream, chunk)?;
+        if n == 0 {
+            if buf.is_empty() {
+                return Err(RequestError::Closed);
+            }
+            return Err(RequestError::Io(format!("connection closed mid-{what}")));
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
 /// Reads successive requests off one connection, carrying bytes that
 /// arrive past one request's body into the next request's parse.
 ///
@@ -265,23 +298,7 @@ impl RequestReader {
     pub fn read_request(&mut self, stream: &mut TcpStream) -> Result<Request, RequestError> {
         let mut buf = std::mem::take(&mut self.carry);
         let mut chunk = [0u8; 4096];
-        let mut scanned = 0usize;
-        let head_end = loop {
-            if let Some(pos) = find_head_end(&buf, &mut scanned) {
-                break pos;
-            }
-            if buf.len() > MAX_HEAD_BYTES {
-                return Err(RequestError::TooLarge("request head too large".into()));
-            }
-            let n = read_some(stream, &mut chunk)?;
-            if n == 0 {
-                if buf.is_empty() {
-                    return Err(RequestError::Closed);
-                }
-                return Err(RequestError::Io("connection closed mid-request".into()));
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        };
+        let head_end = read_head(stream, &mut buf, &mut chunk, "request")?;
 
         let head = std::str::from_utf8(&buf[..head_end])
             .map_err(|_| RequestError::Malformed("head is not utf-8".into()))?;
@@ -528,25 +545,8 @@ impl ClientConn {
     fn read_reply(&mut self) -> Result<Reply, String> {
         let mut buf = std::mem::take(&mut self.carry);
         let mut chunk = [0u8; 4096];
-        let mut scanned = 0usize;
-        let mut eof = false;
-        let head_end = loop {
-            if let Some(pos) = find_head_end(&buf, &mut scanned) {
-                break pos;
-            }
-            if eof {
-                return Err("response missing head terminator".into());
-            }
-            let n = self
-                .stream
-                .read(&mut chunk)
-                .map_err(|e| format!("read {}: {e}", self.addr))?;
-            if n == 0 {
-                eof = true;
-                continue;
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        };
+        let head_end = read_head(&mut self.stream, &mut buf, &mut chunk, "response")
+            .map_err(|e| format!("read {}: {e}", self.addr))?;
 
         let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| "response head not utf-8")?;
         let mut lines = head.split("\r\n");
@@ -569,42 +569,25 @@ impl ClientConn {
             }
         }
 
-        let body = match content_length {
-            Some(len) => {
-                let total = head_end + 4 + len;
-                while buf.len() < total && !eof {
-                    let n = self
-                        .stream
-                        .read(&mut chunk)
-                        .map_err(|e| format!("read {}: {e}", self.addr))?;
-                    if n == 0 {
-                        eof = true;
-                    } else {
-                        buf.extend_from_slice(&chunk[..n]);
-                    }
-                }
-                if buf.len() < total {
-                    return Err("connection closed mid-response".into());
-                }
-                self.carry = buf.split_off(total);
-                buf.split_off(head_end + 4)
+        // The body runs to its content-length, or to end-of-stream without
+        // one, and has no size cap: result artifacts are large.
+        let body_start = head_end + 4;
+        let total = content_length.map(|len| body_start.saturating_add(len));
+        while total.is_none_or(|total| buf.len() < total) {
+            let n = read_some(&mut self.stream, &mut chunk)
+                .map_err(|e| format!("read {}: {e}", self.addr))?;
+            if n == 0 {
+                break;
             }
-            None => {
-                // No content-length: the body runs to end-of-stream.
-                while !eof {
-                    let n = self
-                        .stream
-                        .read(&mut chunk)
-                        .map_err(|e| format!("read {}: {e}", self.addr))?;
-                    if n == 0 {
-                        eof = true;
-                    } else {
-                        buf.extend_from_slice(&chunk[..n]);
-                    }
-                }
-                buf.split_off(head_end + 4)
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        if let Some(total) = total {
+            if buf.len() < total {
+                return Err("connection closed mid-response".into());
             }
-        };
+            self.carry = buf.split_off(total);
+        }
+        let body = buf.split_off(body_start);
         Ok(Reply {
             status,
             headers,
@@ -811,6 +794,71 @@ mod tests {
         }
         let err = server.join().expect("join").unwrap_err();
         assert!(matches!(err, RequestError::TooLarge(_)), "{err}");
+    }
+
+    /// The client bounds a reply head exactly as the server bounds a
+    /// request head: a peer that streams header bytes without ever
+    /// ending the head is refused at the cap, not buffered until the
+    /// socket times out.
+    #[test]
+    fn client_refuses_an_endless_reply_head() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let filler = format!("x-pad: {}\r\n", "y".repeat(1015));
+            // The client hangs up at the cap, so late writes may fail.
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\n");
+            for _ in 0..(64 * 1024 / filler.len()) {
+                if stream.write_all(filler.as_bytes()).is_err() {
+                    break;
+                }
+            }
+            // Hold the socket open until the client has given its verdict.
+            let _ = held.recv();
+        });
+        let started = std::time::Instant::now();
+        let err = request(&addr, "GET", "/x", b"").expect_err("endless head");
+        assert!(err.contains("response head too large"), "{err}");
+        assert!(
+            started.elapsed() < IO_TIMEOUT / 2,
+            "{:?}",
+            started.elapsed()
+        );
+        drop(release);
+        peer.join().expect("peer thread");
+    }
+
+    /// One loop reads a reply body under both framings: up to its
+    /// content-length, or to end-of-stream without one. A peer that hangs
+    /// up short of the length it promised is an error, not a short body.
+    #[test]
+    fn reply_body_runs_to_content_length_or_end_of_stream() {
+        let reply_to = |raw: &'static [u8]| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr").to_string();
+            let peer = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().expect("accept");
+                // Take the request first, so that closing does not reset.
+                let _ = RequestReader::new().read_request(&mut stream);
+                stream.write_all(raw).expect("write reply");
+            });
+            let reply = request(&addr, "GET", "/x", b"");
+            peer.join().expect("peer thread");
+            reply
+        };
+        assert_eq!(
+            reply_to(b"HTTP/1.1 200 OK\r\n\r\nto the end"),
+            Ok((200, b"to the end".to_vec()))
+        );
+        assert_eq!(
+            reply_to(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok, and more"),
+            Ok((200, b"ok".to_vec()))
+        );
+        let short = reply_to(b"HTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\nshort")
+            .expect_err("the peer hung up early");
+        assert!(short.contains("closed mid-response"), "{short}");
     }
 
     #[test]

@@ -156,11 +156,6 @@ impl DramConfig {
         // cycles = transfers * freq_mhz / mtps, rounded up, at least 1.
         (transfers * CPU_FREQ_MHZ).div_ceil(self.mtps).max(1)
     }
-
-    /// Total banks across all channels and ranks.
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.ranks_per_channel * self.banks_per_rank
-    }
 }
 
 /// Top-level system configuration.

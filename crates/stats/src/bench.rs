@@ -1,8 +1,14 @@
 //! Microbenchmark report artifacts: the typed result of a `pythia-perf`
 //! run, its `BENCH_micro.json` emitter/parser (the same hand-rolled
 //! [`Json`] schema family the sweep engine's `BENCH_*.json` artifacts
-//! use), and the baseline regression comparison consumed by
-//! `pythia-cli bench --baseline` and the CI bench smoke job.
+//! use), and the same-host A/B table behind `pythia-cli bench --compare`.
+//!
+//! This is the microscope, not the gate: a report holds absolute
+//! nanoseconds of one host, so two reports compare only when they ran at
+//! the same scale on the same host ([`BenchReport::compare_table`]
+//! refuses anything else). The performance gate is
+//! `scripts/bench_ab.py`, which runs the repo benchmark on parent and
+//! head side by side.
 
 use crate::json::Json;
 use crate::report::Table;
@@ -99,8 +105,8 @@ impl BenchMeasurement {
 }
 
 /// Host provenance stamped into a report: wall-clock numbers are
-/// host-sensitive, so comparisons across different machines deserve a
-/// warning. `None` on reports written before the field existed.
+/// host-sensitive, so two reports stamped by different machines do not
+/// compare. `None` on reports written before the field existed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchHost {
     /// Machine hostname.
@@ -116,86 +122,13 @@ pub struct BenchReport {
     /// Report name (`"micro"`).
     pub name: String,
     /// The `PYTHIA_BENCH_SCALE` the fixtures ran at (measurements taken at
-    /// different scales are not comparable; the regression check refuses
-    /// to compare across scales).
+    /// different scales are not comparable).
     pub scale: f64,
     /// Provenance of the machine that produced the numbers (`None` on
-    /// pre-provenance baselines).
+    /// pre-provenance reports).
     pub host: Option<BenchHost>,
     /// One entry per benchmark, in registry order.
     pub benchmarks: Vec<BenchMeasurement>,
-}
-
-/// Regression thresholds for [`BenchReport::compare_gated`]: a default
-/// slowdown percentage plus per-benchmark overrides, parsed from the
-/// `--max-regress` grammar `"25"` or `"25,agent_step=15,qvstore_argmax=15"`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegressGate {
-    /// Threshold applied to benchmarks without an override.
-    pub default_pct: f64,
-    /// `(benchmark name, threshold percent)` overrides.
-    pub overrides: Vec<(String, f64)>,
-}
-
-impl RegressGate {
-    /// A gate with one uniform threshold.
-    pub fn uniform(default_pct: f64) -> Self {
-        Self {
-            default_pct,
-            overrides: Vec::new(),
-        }
-    }
-
-    /// Parses the `--max-regress` spec: a leading default percentage,
-    /// then comma-separated `name=pct` overrides.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed component.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut parts = spec.split(',');
-        let default = parts.next().expect("split yields at least one part");
-        let default_pct = default
-            .trim()
-            .parse::<f64>()
-            .map_err(|_| format!("--max-regress: bad default percentage {default:?}"))?;
-        let mut overrides = Vec::new();
-        for part in parts {
-            let (name, pct) = part
-                .split_once('=')
-                .ok_or_else(|| format!("--max-regress: expected name=pct, got {part:?}"))?;
-            let pct = pct
-                .trim()
-                .parse::<f64>()
-                .map_err(|_| format!("--max-regress: bad percentage in {part:?}"))?;
-            overrides.push((name.trim().to_string(), pct));
-        }
-        Ok(Self {
-            default_pct,
-            overrides,
-        })
-    }
-
-    /// The threshold applying to `name`.
-    pub fn threshold(&self, name: &str) -> f64 {
-        self.overrides
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(self.default_pct, |(_, pct)| *pct)
-    }
-}
-
-/// One benchmark's regression verdict from [`BenchReport::compare`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline units/second.
-    pub baseline_units_per_sec: f64,
-    /// Current units/second.
-    pub current_units_per_sec: f64,
-    /// Relative slowdown in percent (positive = regression).
-    pub slowdown_pct: f64,
 }
 
 impl BenchReport {
@@ -277,62 +210,6 @@ impl BenchReport {
         t.to_markdown()
     }
 
-    /// Compares against a baseline report: every benchmark present in both
-    /// whose throughput dropped more than `max_regress_pct` percent is
-    /// returned (empty = no regressions). Benchmarks only present on one
-    /// side are ignored — adding or retiring benchmarks is not a
-    /// regression.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the two reports ran at different
-    /// `PYTHIA_BENCH_SCALE`s (their numbers are not comparable).
-    pub fn compare(
-        &self,
-        baseline: &Self,
-        max_regress_pct: f64,
-    ) -> Result<Vec<Regression>, String> {
-        self.compare_gated(baseline, &RegressGate::uniform(max_regress_pct))
-    }
-
-    /// Like [`compare`](BenchReport::compare), but with per-benchmark
-    /// thresholds: each benchmark is judged against
-    /// [`RegressGate::threshold`] for its name, so CI can hold the hot
-    /// kernels (`agent_step`, `qvstore_argmax`) to a tighter budget than
-    /// the noisier end-to-end fixtures.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the two reports ran at different
-    /// `PYTHIA_BENCH_SCALE`s (their numbers are not comparable).
-    pub fn compare_gated(
-        &self,
-        baseline: &Self,
-        gate: &RegressGate,
-    ) -> Result<Vec<Regression>, String> {
-        self.check_same_scale(baseline)?;
-        let mut out = Vec::new();
-        for b in &self.benchmarks {
-            let Some(base) = baseline.benchmarks.iter().find(|x| x.name == b.name) else {
-                continue;
-            };
-            let (cur, was) = (b.units_per_sec(), base.units_per_sec());
-            if was <= 0.0 {
-                continue;
-            }
-            let slowdown_pct = (1.0 - cur / was) * 100.0;
-            if slowdown_pct > gate.threshold(&b.name) {
-                out.push(Regression {
-                    name: b.name.clone(),
-                    baseline_units_per_sec: was,
-                    current_units_per_sec: cur,
-                    slowdown_pct,
-                });
-            }
-        }
-        Ok(out)
-    }
-
     /// Renders the per-benchmark delta table of `self` (the "new" report)
     /// against `baseline` (the "old" one) — median, MAD, and the
     /// throughput ratio new/old, where `> 1.00x` means faster. Benchmarks
@@ -342,9 +219,11 @@ impl BenchReport {
     /// # Errors
     ///
     /// Returns an error if the two reports ran at different
-    /// `PYTHIA_BENCH_SCALE`s (their numbers are not comparable).
+    /// `PYTHIA_BENCH_SCALE`s or were stamped by different hosts: their
+    /// numbers are not comparable. A report without a host stamp
+    /// compares with anything.
     pub fn compare_table(&self, baseline: &Self) -> Result<String, String> {
-        self.check_same_scale(baseline)?;
+        self.check_comparable(baseline)?;
         let mut t = Table::new(&[
             "benchmark",
             "median old",
@@ -399,31 +278,21 @@ impl BenchReport {
         Ok(t.to_markdown())
     }
 
-    /// A warning message when the two reports carry host provenance and
-    /// it differs — wall-clock throughput is not comparable across
-    /// machines, so `bench --compare` and `--baseline` print this before
-    /// the verdict. `None` when the hosts match or either side predates
-    /// provenance stamping.
-    pub fn host_mismatch(&self, baseline: &Self) -> Option<String> {
-        let (cur, base) = (self.host.as_ref()?, baseline.host.as_ref()?);
-        if cur == base {
-            return None;
-        }
-        Some(format!(
-            "host mismatch: current report from {} [{}] but baseline from {} [{}]; \
-             wall-clock numbers are not comparable across hosts",
-            cur.hostname, cur.cpu_features, base.hostname, base.cpu_features
-        ))
-    }
-
-    fn check_same_scale(&self, baseline: &Self) -> Result<(), String> {
+    fn check_comparable(&self, baseline: &Self) -> Result<(), String> {
         if (self.scale - baseline.scale).abs() > 1e-12 {
             return Err(format!(
                 "scale mismatch: current report ran at {} but baseline at {}",
                 self.scale, baseline.scale
             ));
         }
-        Ok(())
+        match (&self.host, &baseline.host) {
+            (Some(cur), Some(base)) if cur != base => Err(format!(
+                "host mismatch: current report from {} [{}] but baseline from {} [{}]; \
+                 wall-clock numbers are not comparable across hosts",
+                cur.hostname, cur.cpu_features, base.hostname, base.cpu_features
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -496,80 +365,21 @@ mod tests {
             BenchReport::from_json(&crate::json::parse(&text).expect("parse")).expect("decode");
         assert_eq!(parsed, report);
 
-        // Same host: no warning. Different host: a warning naming both.
-        assert!(report.host_mismatch(&stamped("ci-runner")).is_none());
-        let warning = report
-            .host_mismatch(&stamped("laptop"))
-            .expect("hosts differ");
-        assert!(warning.contains("ci-runner") && warning.contains("laptop"));
+        // Same host: compared. Different host: refused, naming both.
+        assert!(report.compare_table(&stamped("ci-runner")).is_ok());
+        let refusal = report
+            .compare_table(&stamped("laptop"))
+            .expect_err("hosts differ");
+        assert!(refusal.contains("host mismatch"), "{refusal}");
+        assert!(refusal.contains("ci-runner") && refusal.contains("laptop"));
 
-        // Pre-provenance baselines never warn.
+        // A report without a stamp compares with anything.
         let legacy = BenchReport {
             host: None,
             ..stamped("ci-runner")
         };
-        assert!(report.host_mismatch(&legacy).is_none());
-        assert!(legacy.host_mismatch(&report).is_none());
-    }
-
-    #[test]
-    fn compare_flags_only_real_regressions() {
-        let base = BenchReport {
-            name: "micro".into(),
-            host: None,
-            scale: 1.0,
-            benchmarks: vec![measurement("a", 100.0), measurement("b", 100.0)],
-        };
-        let current = BenchReport {
-            name: "micro".into(),
-            host: None,
-            scale: 1.0,
-            // `a` got 10% slower (under threshold), `b` 2x slower.
-            benchmarks: vec![measurement("a", 110.0), measurement("b", 200.0)],
-        };
-        let regressions = current.compare(&base, 25.0).expect("comparable");
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].name, "b");
-        assert!(regressions[0].slowdown_pct > 49.0);
-    }
-
-    #[test]
-    fn gate_parses_default_and_overrides() {
-        let gate = RegressGate::parse("25,agent_step=15, qvstore_argmax = 10").expect("parses");
-        assert_eq!(gate.default_pct, 25.0);
-        assert_eq!(gate.threshold("agent_step"), 15.0);
-        assert_eq!(gate.threshold("qvstore_argmax"), 10.0);
-        assert_eq!(gate.threshold("e2e_single_core"), 25.0);
-
-        assert_eq!(
-            RegressGate::parse("40").expect("parses"),
-            RegressGate::uniform(40.0)
-        );
-        assert!(RegressGate::parse("nope").is_err());
-        assert!(RegressGate::parse("25,agent_step").is_err());
-        assert!(RegressGate::parse("25,agent_step=fast").is_err());
-    }
-
-    #[test]
-    fn gated_compare_applies_per_benchmark_thresholds() {
-        let base = BenchReport {
-            name: "micro".into(),
-            host: None,
-            scale: 1.0,
-            benchmarks: vec![measurement("agent_step", 100.0), measurement("e2e", 100.0)],
-        };
-        let current = BenchReport {
-            name: "micro".into(),
-            host: None,
-            scale: 1.0,
-            // Both 20% slower: over agent_step's 15% override, under the
-            // 25% default that still covers e2e.
-            benchmarks: vec![measurement("agent_step", 125.0), measurement("e2e", 125.0)],
-        };
-        let gate = RegressGate::parse("25,agent_step=15").expect("parses");
-        let regressions = current.compare_gated(&base, &gate).expect("comparable");
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].name, "agent_step");
+        assert!(report.compare_table(&legacy).is_ok());
+        assert!(legacy.compare_table(&report).is_ok());
     }
 
     #[test]
@@ -614,7 +424,8 @@ mod tests {
             scale: 0.1,
             benchmarks: vec![],
         };
-        assert!(current.compare(&base, 25.0).is_err());
+        let refusal = current.compare_table(&base).expect_err("scales differ");
+        assert!(refusal.contains("scale mismatch"), "{refusal}");
     }
 
     #[test]

@@ -10,6 +10,9 @@ use pythia_sim::stats::SimReport;
 
 use crate::metrics::Metrics;
 
+/// Largest integer `f64` carries exactly (2^53).
+const MAX_EXACT: u64 = 1 << 53;
+
 /// A JSON value. Object keys keep insertion order so rendered output is
 /// deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +99,7 @@ impl Json {
     /// within `f64`'s exact range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -512,46 +515,57 @@ pub fn sim_report_json(r: &SimReport) -> Json {
         )
 }
 
-/// Lossless `u64` for the wire codec: numbers within `f64`'s exact
-/// integer range ride as JSON numbers, anything larger as a decimal
-/// string (the same convention as the campaign spec codec).
-fn wire_u64(v: u64) -> Json {
-    if v <= 9_007_199_254_740_992 {
-        Json::Num(v as f64)
+/// Encodes a `u64` losslessly — the one convention every codec in the
+/// workspace uses (campaign specs, sweep results, served sim reports): a
+/// JSON number while `f64`-exact (up to 2^53), a decimal string beyond
+/// that. Seeds are the only fields that get near the limit.
+pub fn u64_json(n: u64) -> Json {
+    if n <= MAX_EXACT {
+        Json::Num(n as f64)
     } else {
-        Json::Str(v.to_string())
+        Json::Str(n.to_string())
+    }
+}
+
+/// Decodes a [`u64_json`]-encoded value (exact number or decimal string).
+///
+/// # Errors
+///
+/// Returns a message for anything else: a negative, fractional or
+/// beyond-2^53 number, a non-decimal string, any other JSON type.
+pub fn u64_value(v: &Json) -> Result<u64, String> {
+    match v {
+        Json::Str(s) => s.parse().map_err(|_| format!("bad integer string {s:?}")),
+        v => v
+            .as_u64()
+            .ok_or_else(|| "expected a non-negative integer".to_string()),
     }
 }
 
 fn wire_u64_of(j: &Json, key: &str) -> Result<u64, String> {
-    match j.get(key) {
-        Some(Json::Str(s)) => s
-            .parse()
-            .map_err(|_| format!("sim report: bad u64 string for {key:?}")),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("sim report: bad u64 for {key:?}")),
-        None => Err(format!("sim report: missing {key:?}")),
-    }
+    let v = j
+        .get(key)
+        .ok_or_else(|| format!("sim report: missing {key:?}"))?;
+    u64_value(v).map_err(|e| format!("sim report: {key:?}: {e}"))
 }
 
 fn cache_wire_json(c: &pythia_sim::stats::CacheStats) -> Json {
     Json::obj()
-        .set("demand_loads", wire_u64(c.demand_loads))
-        .set("demand_load_hits", wire_u64(c.demand_load_hits))
-        .set("demand_load_misses", wire_u64(c.demand_load_misses))
-        .set("demand_stores", wire_u64(c.demand_stores))
-        .set("demand_store_hits", wire_u64(c.demand_store_hits))
-        .set("demand_store_misses", wire_u64(c.demand_store_misses))
-        .set("prefetch_fills", wire_u64(c.prefetch_fills))
-        .set("prefetch_redundant", wire_u64(c.prefetch_redundant))
-        .set("useful_prefetches", wire_u64(c.useful_prefetches))
-        .set("useless_prefetches", wire_u64(c.useless_prefetches))
-        .set("late_prefetch_hits", wire_u64(c.late_prefetch_hits))
-        .set("mshr_stall_cycles", wire_u64(c.mshr_stall_cycles))
-        .set("mshr_stalls", wire_u64(c.mshr_stalls))
-        .set("dirty_evictions", wire_u64(c.dirty_evictions))
-        .set("evictions", wire_u64(c.evictions))
+        .set("demand_loads", u64_json(c.demand_loads))
+        .set("demand_load_hits", u64_json(c.demand_load_hits))
+        .set("demand_load_misses", u64_json(c.demand_load_misses))
+        .set("demand_stores", u64_json(c.demand_stores))
+        .set("demand_store_hits", u64_json(c.demand_store_hits))
+        .set("demand_store_misses", u64_json(c.demand_store_misses))
+        .set("prefetch_fills", u64_json(c.prefetch_fills))
+        .set("prefetch_redundant", u64_json(c.prefetch_redundant))
+        .set("useful_prefetches", u64_json(c.useful_prefetches))
+        .set("useless_prefetches", u64_json(c.useless_prefetches))
+        .set("late_prefetch_hits", u64_json(c.late_prefetch_hits))
+        .set("mshr_stall_cycles", u64_json(c.mshr_stall_cycles))
+        .set("mshr_stalls", u64_json(c.mshr_stalls))
+        .set("dirty_evictions", u64_json(c.dirty_evictions))
+        .set("evictions", u64_json(c.evictions))
 }
 
 fn cache_from_wire(j: &Json) -> Result<pythia_sim::stats::CacheStats, String> {
@@ -581,19 +595,19 @@ fn cache_from_wire(j: &Json) -> Result<pythia_sim::stats::CacheStats, String> {
 pub fn sim_report_wire_json(r: &SimReport) -> Json {
     let core = |c: &pythia_sim::stats::CoreStats| {
         Json::obj()
-            .set("instructions", wire_u64(c.instructions))
-            .set("cycles", wire_u64(c.cycles))
-            .set("loads", wire_u64(c.loads))
-            .set("stores", wire_u64(c.stores))
-            .set("branches", wire_u64(c.branches))
-            .set("branch_mispredicts", wire_u64(c.branch_mispredicts))
+            .set("instructions", u64_json(c.instructions))
+            .set("cycles", u64_json(c.cycles))
+            .set("loads", u64_json(c.loads))
+            .set("stores", u64_json(c.stores))
+            .set("branches", u64_json(c.branches))
+            .set("branch_mispredicts", u64_json(c.branch_mispredicts))
     };
     let pf = |p: &pythia_sim::stats::PrefetcherStats| {
         Json::obj()
-            .set("issued", wire_u64(p.issued))
-            .set("redundant", wire_u64(p.redundant))
-            .set("useful", wire_u64(p.useful))
-            .set("useless", wire_u64(p.useless))
+            .set("issued", u64_json(p.issued))
+            .set("redundant", u64_json(p.redundant))
+            .set("useful", u64_json(p.useful))
+            .set("useless", u64_json(p.useless))
     };
     Json::obj()
         .set("cores", Json::Arr(r.cores.iter().map(core).collect()))
@@ -606,19 +620,19 @@ pub fn sim_report_wire_json(r: &SimReport) -> Json {
         .set(
             "dram",
             Json::obj()
-                .set("demand_reads", wire_u64(r.dram.demand_reads))
-                .set("prefetch_reads", wire_u64(r.dram.prefetch_reads))
-                .set("writes", wire_u64(r.dram.writes))
-                .set("row_hits", wire_u64(r.dram.row_hits))
-                .set("row_misses", wire_u64(r.dram.row_misses))
-                .set("bus_busy_cycles", wire_u64(r.dram.bus_busy_cycles))
+                .set("demand_reads", u64_json(r.dram.demand_reads))
+                .set("prefetch_reads", u64_json(r.dram.prefetch_reads))
+                .set("writes", u64_json(r.dram.writes))
+                .set("row_hits", u64_json(r.dram.row_hits))
+                .set("row_misses", u64_json(r.dram.row_misses))
+                .set("bus_busy_cycles", u64_json(r.dram.bus_busy_cycles))
                 .set(
                     "bw_bucket_windows",
                     Json::Arr(
                         r.dram
                             .bw_bucket_windows
                             .iter()
-                            .map(|w| wire_u64(*w))
+                            .map(|w| u64_json(*w))
                             .collect(),
                     ),
                 ),
@@ -672,12 +686,7 @@ pub fn sim_report_from_wire(j: &Json) -> Result<SimReport, String> {
     }
     let mut bw_bucket_windows = [0u64; 4];
     for (slot, b) in bw_bucket_windows.iter_mut().zip(buckets) {
-        *slot = match b {
-            Json::Str(s) => s
-                .parse()
-                .map_err(|_| "sim report: bad bucket string".to_string())?,
-            v => v.as_u64().ok_or("sim report: bad bucket value")?,
-        };
+        *slot = u64_value(b).map_err(|e| format!("sim report: bw_bucket_windows: {e}"))?;
     }
     let dram = pythia_sim::stats::DramStats {
         demand_reads: wire_u64_of(dram_j, "demand_reads")?,
@@ -950,6 +959,22 @@ mod tests {
             text.len()
         );
         assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn lossless_u64_switches_to_a_string_past_2_pow_53() {
+        let exact = 1u64 << 53;
+        assert_eq!(u64_json(exact), Json::Num(exact as f64));
+        assert_eq!(u64_json(exact + 1), Json::Str((exact + 1).to_string()));
+        assert_eq!(u64_json(u64::MAX), Json::Str(u64::MAX.to_string()));
+        for n in [0, exact, exact + 1, u64::MAX] {
+            let wire = parse(&u64_json(n).render()).expect("parses");
+            assert_eq!(u64_value(&wire), Ok(n));
+        }
+        for bad in ["-1", "1.5", "\"x\"", "null", "[1]"] {
+            let v = parse(bad).expect("valid JSON");
+            assert!(u64_value(&v).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

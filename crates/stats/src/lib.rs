@@ -10,7 +10,7 @@ pub mod json;
 pub mod metrics;
 pub mod report;
 
-pub use bench::{BenchMeasurement, BenchReport, RegressGate};
+pub use bench::{BenchMeasurement, BenchReport};
 pub use json::Json;
 pub use metrics::{geomean, speedup, Metrics};
 pub use report::{ascii_series, Table};

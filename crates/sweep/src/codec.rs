@@ -21,7 +21,7 @@
 use pythia_core::{ControlFlow, DataFlow, Feature, PythiaConfig, RewardLevels, VaultCombine};
 use pythia_sim::cache::ReplacementKind;
 use pythia_sim::config::{CacheConfig, CoreConfig, DramConfig, SystemConfig};
-use pythia_stats::json::{parse, Json};
+use pythia_stats::json::{parse, u64_json, u64_value, Json};
 use pythia_workloads::{PatternKind, Suite, TraceSpec, Workload};
 
 use crate::spec::{ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec, WorkUnit};
@@ -35,29 +35,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Largest integer `f64` carries exactly (2^53).
-const MAX_EXACT: u64 = 1 << 53;
-
-/// Encodes a `u64` losslessly: as a number while `f64`-exact, as a decimal
-/// string beyond that (seeds are the only fields that get near the limit).
-/// Shared with the result emitter so artifacts round-trip for any seed.
-pub(crate) fn u64_json(n: u64) -> Json {
-    if n <= MAX_EXACT {
-        Json::Num(n as f64)
-    } else {
-        Json::Str(n.to_string())
-    }
-}
-
-/// Decodes a [`u64_json`]-encoded value (exact number or decimal string).
-pub(crate) fn u64_value(v: &Json) -> Result<u64, String> {
-    match v {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT as f64 => Ok(*n as u64),
-        Json::Str(s) => s.parse().map_err(|_| format!("bad integer string {s:?}")),
-        _ => Err("expected a non-negative integer".into()),
-    }
 }
 
 fn get<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -94,8 +71,10 @@ fn u32_of(j: &Json, key: &str) -> Result<u32, String> {
 }
 
 fn i64_of(j: &Json, key: &str) -> Result<i64, String> {
+    // Largest integer magnitude `f64` carries exactly (2^53).
+    const MAX_EXACT: f64 = (1u64 << 53) as f64;
     let n = f64_of(j, key)?;
-    if n.fract() != 0.0 || n.abs() > MAX_EXACT as f64 {
+    if n.fract() != 0.0 || n.abs() > MAX_EXACT {
         return Err(format!("key {key:?}: expected an integer"));
     }
     Ok(n as i64)

@@ -2,7 +2,7 @@
 //! markdown / JSON / CSV emitters.
 
 use pythia_sim::stats::{SimReport, Throughput};
-use pythia_stats::json::{metrics_json, Json};
+use pythia_stats::json::{metrics_json, u64_json, u64_value, Json};
 use pythia_stats::metrics::Metrics;
 use pythia_stats::report::Table;
 
@@ -66,7 +66,7 @@ impl CellResult {
             .set("config", self.config.as_str())
             // Seeds share the canonical codec's lossless u64 encoding
             // (decimal string beyond 2^53), unchanged for ordinary seeds.
-            .set("seed", crate::codec::u64_json(self.seed))
+            .set("seed", u64_json(self.seed))
             .set("metrics", metrics_json(&self.metrics))
             .set(
                 "raw",
@@ -124,7 +124,7 @@ impl CellResult {
             group: str_of("group")?,
             prefetcher: str_of("prefetcher")?,
             config: str_of("config")?,
-            seed: crate::codec::u64_value(j.get("seed").ok_or("cell: missing seed")?)
+            seed: u64_value(j.get("seed").ok_or("cell: missing seed")?)
                 .map_err(|e| format!("cell seed: {e}"))?,
             metrics: Metrics {
                 speedup: mf("speedup")?,

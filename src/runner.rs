@@ -135,19 +135,9 @@ impl RunSpec {
 pub fn run_workload(workload: &Workload, prefetcher: &str, spec: &RunSpec) -> SimReport {
     assert_eq!(
         spec.system.cores, 1,
-        "run_workload is single-core; use run_mix"
+        "run_workload is single-core; use run_sources"
     );
     run_sources(vec![workload.source(spec.trace_len())], prefetcher, spec)
-}
-
-/// Runs an `n`-core mix (one workload per core), streaming every trace.
-pub fn run_mix(workloads: &[Workload], prefetcher: &str, spec: &RunSpec) -> SimReport {
-    assert_eq!(workloads.len(), spec.system.cores, "one workload per core");
-    let sources = workloads
-        .iter()
-        .map(|w| w.source(spec.trace_len()))
-        .collect();
-    run_sources(sources, prefetcher, spec)
 }
 
 /// Runs raw trace sources (one per core) with the named prefetcher.
