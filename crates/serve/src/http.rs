@@ -6,12 +6,15 @@
 //! only (no chunked encoding), and a small, strict parser with hard size
 //! limits. A [`RequestReader`] carries bytes read past one request's body
 //! into the next request's parse, so pipelined requests on one connection
-//! are delivered byte-exactly. Both the server and the [`crate::client`]
-//! helpers are built on this module, so the two ends agree by
-//! construction.
+//! are delivered byte-exactly. Every message, either direction, leaves in
+//! one write on a socket with Nagle's algorithm off, so a reused
+//! connection never waits for a delayed ACK. Both the server and the
+//! [`crate::client`] helpers are built on this module, so the two ends
+//! agree by construction.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum accepted request-line + header bytes.
@@ -66,8 +69,9 @@ pub struct Response {
     pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
-    /// Response body.
-    pub body: Vec<u8>,
+    /// Response body, shared so that a cached artifact is served without
+    /// a copy per response.
+    pub body: Arc<Vec<u8>>,
     /// Extra `(name, value)` headers emitted verbatim after the standard
     /// ones. Names should be lower-case; values must not contain CR/LF.
     pub headers: Vec<(String, String)>,
@@ -79,7 +83,7 @@ impl Response {
         Self {
             status,
             content_type: "application/json",
-            body: body.into(),
+            body: Arc::new(body.into()),
             headers: Vec::new(),
         }
     }
@@ -89,7 +93,7 @@ impl Response {
         Self {
             status,
             content_type: "text/plain; charset=utf-8",
-            body: body.into(),
+            body: Arc::new(body.into()),
             headers: Vec::new(),
         }
     }
@@ -212,14 +216,38 @@ fn read_some(stream: &mut TcpStream, chunk: &mut [u8]) -> Result<usize, RequestE
         match stream.read(chunk) {
             Ok(n) => return Ok(n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(RequestError::Timeout)
-            }
-            Err(e) => return Err(RequestError::Io(format!("read: {e}"))),
+            Err(e) => return Err(read_error(&e)),
         }
+    }
+}
+
+fn read_error(e: &std::io::Error) -> RequestError {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => RequestError::Timeout,
+        _ => RequestError::Io(format!("read: {e}")),
+    }
+}
+
+/// Reads a body: until `buf` holds `total` bytes, or to end-of-stream
+/// without a `total`, straight into the vector's spare capacity — no
+/// bounce buffer, and never past `total`, so the first bytes of a following
+/// message stay in the socket. A stream that ends early leaves `buf` short;
+/// the caller names that error.
+fn read_body(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    total: Option<usize>,
+) -> Result<(), RequestError> {
+    let missing = total.map(|total| total.saturating_sub(buf.len()));
+    if let Some(missing) = missing {
+        // A length the peer declared is not yet an allocation size: past
+        // the request cap the vector grows as bytes actually arrive.
+        buf.reserve(missing.min(MAX_BODY_BYTES));
+    }
+    let limit = missing.map_or(u64::MAX, |missing| missing as u64);
+    match stream.take(limit).read_to_end(buf) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(read_error(&e)),
     }
 }
 
@@ -374,12 +402,9 @@ impl RequestReader {
         }
 
         let total = head_end + 4 + content_length;
-        while buf.len() < total {
-            let n = read_some(stream, &mut chunk)?;
-            if n == 0 {
-                return Err(RequestError::Io("connection closed mid-body".into()));
-            }
-            buf.extend_from_slice(&chunk[..n]);
+        read_body(stream, &mut buf, Some(total))?;
+        if buf.len() < total {
+            return Err(RequestError::Io("connection closed mid-body".into()));
         }
         // Anything past the body belongs to the next request.
         self.carry = buf.split_off(total);
@@ -414,7 +439,30 @@ fn write_all_retry(stream: &mut TcpStream, mut bytes: &[u8]) -> std::io::Result<
     Ok(())
 }
 
-/// Writes a response and flushes the stream. `keep_alive` selects the
+/// Sends one HTTP message, head and body in a single vectored write. Two
+/// writes would make two segments, and on a reused connection the second
+/// waits in Nagle's algorithm for the peer's delayed ACK of the first —
+/// 40 ms a message. One write also hands the body to the kernel from where
+/// it lies, without a copy next to the head.
+fn write_message(stream: &mut TcpStream, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let sent = loop {
+        match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            other => break other?,
+        }
+    };
+    // A message larger than the socket buffer goes out in several writes;
+    // both ends turn Nagle off, so none of them waits.
+    if sent < head.len() {
+        write_all_retry(stream, &head[sent..])?;
+        write_all_retry(stream, body)
+    } else {
+        write_all_retry(stream, &body[sent - head.len()..])
+    }
+}
+
+/// Writes a response as one message: head and body in a single write (a
+/// `TcpStream` has no user-space buffer to flush). `keep_alive` selects the
 /// `connection:` header; the caller decides whether to actually keep
 /// reading afterwards.
 ///
@@ -441,15 +489,7 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    write_all_retry(stream, head.as_bytes())
-        .and_then(|()| write_all_retry(stream, &response.body))
-        .and_then(|()| loop {
-            match stream.flush() {
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                other => break other,
-            }
-        })
-        .map_err(|e| format!("write: {e}"))
+    write_message(stream, head.as_bytes(), &response.body).map_err(|e| format!("write: {e}"))
 }
 
 /// A parsed response on the client side.
@@ -484,7 +524,9 @@ pub struct ClientConn {
 }
 
 impl ClientConn {
-    /// Connects to `addr` with the standard io timeouts.
+    /// Connects to `addr` with the standard io timeouts and Nagle's
+    /// algorithm off: every message is one write, so there is nothing for
+    /// it to coalesce and a short last segment must not wait for an ACK.
     ///
     /// # Errors
     ///
@@ -494,7 +536,8 @@ impl ClientConn {
         stream
             .set_read_timeout(Some(IO_TIMEOUT))
             .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
-            .map_err(|e| format!("timeouts: {e}"))?;
+            .and_then(|()| stream.set_nodelay(true))
+            .map_err(|e| format!("socket options: {e}"))?;
         Ok(Self {
             stream,
             addr: addr.to_string(),
@@ -535,9 +578,7 @@ impl ClientConn {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        write_all_retry(&mut self.stream, head.as_bytes())
-            .and_then(|()| write_all_retry(&mut self.stream, body))
-            .and_then(|()| self.stream.flush())
+        write_message(&mut self.stream, head.as_bytes(), body)
             .map_err(|e| format!("write {}: {e}", self.addr))?;
         self.read_reply()
     }
@@ -573,14 +614,8 @@ impl ClientConn {
         // one, and has no size cap: result artifacts are large.
         let body_start = head_end + 4;
         let total = content_length.map(|len| body_start.saturating_add(len));
-        while total.is_none_or(|total| buf.len() < total) {
-            let n = read_some(&mut self.stream, &mut chunk)
-                .map_err(|e| format!("read {}: {e}", self.addr))?;
-            if n == 0 {
-                break;
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        }
+        read_body(&mut self.stream, &mut buf, total)
+            .map_err(|e| format!("read {}: {e}", self.addr))?;
         if let Some(total) = total {
             if buf.len() < total {
                 return Err("connection closed mid-response".into());
@@ -693,6 +728,35 @@ mod tests {
         assert!(!a.close);
         assert_eq!(b.path, "/b");
         assert_eq!(b.body, b"BBB");
+    }
+
+    /// A body longer than the head chunk is read straight into the
+    /// request's buffer, and not a byte past its length: the request
+    /// pipelined behind it is still whole.
+    #[test]
+    fn a_long_body_is_read_to_its_length_and_no_further() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream
+                .set_read_timeout(Some(IO_TIMEOUT))
+                .expect("set timeout");
+            let mut reader = RequestReader::new();
+            let a = reader.read_request(&mut stream).expect("first request");
+            let b = reader.read_request(&mut stream).expect("second request");
+            (a, b)
+        });
+        let long: Vec<u8> = (0..14_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut raw =
+            format!("POST /a HTTP/1.1\r\ncontent-length: {}\r\n\r\n", long.len()).into_bytes();
+        raw.extend_from_slice(&long);
+        raw.extend_from_slice(b"POST /b HTTP/1.1\r\ncontent-length: 3\r\n\r\nBBB");
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(&raw).expect("write");
+        let (a, b) = server.join().expect("join");
+        assert_eq!(a.body, long);
+        assert_eq!((b.path.as_str(), b.body.as_slice()), ("/b", &b"BBB"[..]));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`http`] — a hand-rolled HTTP/1.1 subset on `std::net` (this build
 //!   environment has no network crates): persistent keep-alive
 //!   connections with byte-exact pipelining, `Content-Length` bodies,
-//!   strict limits, and typed read errors (timeout vs malformed vs
-//!   oversized) so the server can answer 408/400/413 precisely.
+//!   strict limits, one write per message, and typed read errors
+//!   (timeout vs malformed vs oversized) so the server can answer
+//!   408/400/413 precisely.
 //! * [`journal`] — a crash-safe append-only job journal: queued and
 //!   in-flight campaigns are replayed (and the journal compacted) on
 //!   restart instead of being silently dropped.
@@ -28,7 +29,9 @@
 //!   `ETag`/`If-None-Match` 304s), `GET /figures` (registry listing),
 //!   and `GET /metrics` (queue depth, worker occupancy, store and
 //!   connection counters, aggregate Minst/s). A server-wide connection
-//!   cap sheds overload with 503.
+//!   cap sheds overload with 503. Handler threads outlive connections
+//!   (woken, not forked), and a done job's rendered artifact is served
+//!   from a small recent-renders cache.
 //! * [`client`] — the `pythia-cli submit` side, built on the same
 //!   [`http`] module.
 //!
@@ -52,6 +55,7 @@ pub mod client;
 pub mod http;
 pub mod journal;
 pub mod obs;
+mod renders;
 pub mod scheduler;
 pub mod server;
 

@@ -8,8 +8,8 @@
 //! the JSON view is a projection of the same handles. Three kinds of
 //! instrument:
 //!
-//! * **events**, incremented where they happen — scheduler and
-//!   connection events, simulated instructions and wall time;
+//! * **events**, incremented where they happen — scheduler, connection
+//!   and result-artifact events, simulated instructions and wall time;
 //! * **gauges moved by guards** — open connections, busy workers;
 //! * **collected state** — queue and cell depths, store counters —
 //!   copied in by [`crate::scheduler::Scheduler::collect`] once per
@@ -42,6 +42,10 @@ pub(crate) const SCHEDULER_EVENTS: &str = "pythia_scheduler_events_total";
 /// Family of [`ConnectionEvents`]; its `event` label values are keys of
 /// the JSON `connections` object.
 pub(crate) const CONNECTION_EVENTS: &str = "pythia_connections_total";
+
+/// Family of [`ResultEvents`]; its `event` label values are keys of the
+/// JSON `results` object.
+pub(crate) const RESULT_EVENTS: &str = "pythia_result_events_total";
 
 /// Family of the per-route request latency histograms; its `route`
 /// label values are the keys of the JSON `latency.routes_us` object.
@@ -89,6 +93,19 @@ pub struct ConnectionEvents {
     pub requests: Arc<Counter>,
     /// Connections closed with 408 after idling out.
     pub timeouts: Arc<Counter>,
+    /// Handler threads started: the spares parked before the first
+    /// connection, then one per connection that found no handler parked
+    /// — every other served connection woke a handler, forked none.
+    pub handlers_spawned: Arc<Counter>,
+}
+
+/// Monotonic result-artifact events: `pythia_result_events_total{event=…}`.
+/// Their sum is the number of `200` result responses for done jobs.
+pub struct ResultEvents {
+    /// Artifacts rendered from a done job's `SweepResult`.
+    pub renders: Arc<Counter>,
+    /// Artifacts served from the recent-renders cache instead.
+    pub render_hits: Arc<Counter>,
 }
 
 /// Scheduler and store state, current as of the last
@@ -135,6 +152,8 @@ pub struct ServeObs {
     pub events: SchedulerEvents,
     /// Connection events.
     pub connections: ConnectionEvents,
+    /// Result-artifact events.
+    pub results: ResultEvents,
     /// Connections currently open; also what the connection cap reads.
     pub connections_active: Arc<Gauge>,
     /// Workers simulating a cell right now.
@@ -182,6 +201,13 @@ impl ServeObs {
                 &[("event", name)],
             )
         };
+        let result = |name| {
+            r.counter_with(
+                RESULT_EVENTS,
+                "Monotonic result-artifact counters by event",
+                &[("event", name)],
+            )
+        };
         Self {
             routes,
             cell_queue_wait_us: r.histogram(
@@ -213,6 +239,11 @@ impl ServeObs {
                 rejected: connection("rejected"),
                 requests: connection("requests"),
                 timeouts: connection("timeouts"),
+                handlers_spawned: connection("handlers_spawned"),
+            },
+            results: ResultEvents {
+                renders: result("renders"),
+                render_hits: result("render_hits"),
             },
             connections_active: r.gauge("pythia_connections_active", "Connections currently open"),
             workers_busy: r.gauge("pythia_workers_busy", "Workers simulating a cell right now"),

@@ -1,0 +1,163 @@
+//! The recent-renders cache: the bytes of the last render of a done job's
+//! artifact, by `ETag`.
+//!
+//! A done job's result never changes and its `ETag` names the digest and
+//! the render format, so the bytes behind one `ETag` never change either:
+//! rendering the same 14 KB JSON again for every `GET` of a popular digest
+//! is pure waste. The cache keeps the last few renders and hands them out
+//! shared, so a hit costs neither a render nor a copy.
+//!
+//! Who writes it: only [`RenderCache::get_or_render`], and only with what
+//! the caller's `render` closure returned for that `ETag` — an entry is
+//! byte-identical to a fresh render by construction. Who evicts: an insert
+//! into a full cache, the oldest render first; a hit reorders nothing.
+//! Nothing invalidates an entry, because nothing can make it stale.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+
+use crate::obs::ResultEvents;
+
+/// How many renders are kept. Small artifacts are what piles up (14 KB each
+/// on `serve_small_cells_mix`, a new digest every repetition), and every
+/// kept one is handler heap: a byte budget sized for the largest artifact
+/// let them reach 1.25 MB of `peak_rss_mb`, so the cache is bounded by
+/// count.
+const RENDER_CACHE_ENTRIES: usize = 8;
+
+/// The largest render that is kept; a larger one is served uncached. With
+/// the entry count this is the cache's byte budget (4 MiB, reached only by
+/// eight artifacts of the largest size). The largest registry figure
+/// (fig09, 500 cells) renders to 350 KB of JSON and 90 KB of markdown.
+const RENDER_MAX_BYTES: usize = 512 << 10;
+
+struct Entry {
+    etag: String,
+    body: Arc<Vec<u8>>,
+}
+
+/// The last few rendered artifacts, oldest first, shared by every
+/// connection handler.
+#[derive(Default)]
+pub(crate) struct RenderCache {
+    recent: Mutex<VecDeque<Entry>>,
+}
+
+impl RenderCache {
+    /// The artifact behind `etag`: the cached bytes, or `render()`'s,
+    /// which are then kept for the next caller. Counts one
+    /// `render_hits` or one `renders`; a failed render counts neither and
+    /// stores nothing.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `render` returns.
+    pub(crate) fn get_or_render(
+        &self,
+        events: &ResultEvents,
+        etag: &str,
+        render: impl FnOnce() -> Result<String, String>,
+    ) -> Result<Arc<Vec<u8>>, String> {
+        if let Some(body) = self.cached(etag) {
+            events.render_hits.inc();
+            return Ok(body);
+        }
+        // Rendered outside the lock: other digests are served meanwhile.
+        let body = Arc::new(render()?.into_bytes());
+        events.renders.inc();
+        if body.len() > RENDER_MAX_BYTES {
+            return Ok(body);
+        }
+        let mut recent = self.lock();
+        // Two handlers may have rendered the same artifact at once; the
+        // bytes are the same, one copy stays.
+        if !recent.iter().any(|e| e.etag == etag) {
+            if recent.len() == RENDER_CACHE_ENTRIES {
+                recent.pop_front();
+            }
+            recent.push_back(Entry {
+                etag: etag.to_string(),
+                body: Arc::clone(&body),
+            });
+        }
+        Ok(body)
+    }
+
+    /// The render cached under `etag`, if any.
+    fn cached(&self, etag: &str) -> Option<Arc<Vec<u8>>> {
+        let recent = self.lock();
+        let entry = recent.iter().find(|e| e.etag == etag)?;
+        Some(Arc::clone(&entry.body))
+    }
+
+    /// Whether a render is cached under `etag`.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, etag: &str) -> bool {
+        self.cached(etag).is_some()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Entry>> {
+        self.recent.lock().expect("render cache lock")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::ServeObs;
+
+    fn fetch(cache: &RenderCache, obs: &ServeObs, etag: &str, body: &str) -> Arc<Vec<u8>> {
+        cache
+            .get_or_render(&obs.results, etag, || Ok(body.to_string()))
+            .expect("renders")
+    }
+
+    #[test]
+    fn a_repeat_fetch_shares_the_first_render() {
+        let (cache, obs) = (RenderCache::default(), ServeObs::default());
+        let first = fetch(&cache, &obs, "a", "artifact");
+        let again = cache
+            .get_or_render(&obs.results, "a", || panic!("rendered twice"))
+            .expect("cached");
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(
+            (obs.results.renders.get(), obs.results.render_hits.get()),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn a_full_cache_drops_its_oldest_render() {
+        let (cache, obs) = (RenderCache::default(), ServeObs::default());
+        for i in 0..RENDER_CACHE_ENTRIES {
+            fetch(&cache, &obs, &format!("r{i}"), "ssss");
+        }
+        // A hit does not make `r0` any younger.
+        fetch(&cache, &obs, "r0", "ssss");
+        fetch(&cache, &obs, "next", "ssss");
+        assert!(!cache.holds("r0") && cache.holds("r1") && cache.holds("next"));
+        assert_eq!(cache.lock().len(), RENDER_CACHE_ENTRIES);
+        // An evicted artifact renders again, the same bytes.
+        assert_eq!(*fetch(&cache, &obs, "r0", "ssss"), b"ssss");
+        assert_eq!(
+            (obs.results.renders.get(), obs.results.render_hits.get()),
+            (RENDER_CACHE_ENTRIES as u64 + 2, 1)
+        );
+    }
+
+    #[test]
+    fn oversized_and_failed_renders_are_not_kept() {
+        let (cache, obs) = (RenderCache::default(), ServeObs::default());
+        fetch(&cache, &obs, "small", "ssss");
+        let oversized = "x".repeat(RENDER_MAX_BYTES + 1);
+        assert_eq!(
+            fetch(&cache, &obs, "big", &oversized).len(),
+            oversized.len()
+        );
+        assert!(!cache.holds("big") && cache.holds("small"));
+        let failed = cache.get_or_render(&obs.results, "bad", || Err("unknown format".into()));
+        assert_eq!(failed.unwrap_err(), "unknown format");
+        assert!(!cache.holds("bad"));
+        assert_eq!(obs.results.renders.get(), 2, "a failed render is no render");
+    }
+}

@@ -61,6 +61,7 @@ use pythia_sweep::{plan_campaign, CampaignPlan, ResultStore, SweepResult};
 
 use crate::journal::{Journal, PendingJob, DEFAULT_TENANT};
 use crate::obs::{SchedulerEvents, ServeObs};
+use crate::renders::RenderCache;
 
 /// Upper bound on the accepted `priority` weight (quantum size): enough
 /// spread to express "urgent", small enough that one tenant cannot
@@ -376,6 +377,8 @@ struct Inner {
     job_finished: Condvar,
     queue_cap: usize,
     store: Option<ResultStore>,
+    /// Recent renders of done jobs' artifacts, for the result routes.
+    renders: RenderCache,
     journal: Option<Journal>,
     shutdown: AtomicBool,
     /// Shared observability bundle: logger, and the registry every
@@ -443,6 +446,7 @@ impl Scheduler {
             job_finished: Condvar::new(),
             queue_cap,
             store,
+            renders: RenderCache::default(),
             journal,
             shutdown: AtomicBool::new(false),
             obs,
@@ -744,6 +748,11 @@ impl Scheduler {
     /// The attached result store, if any.
     pub fn store(&self) -> Option<&ResultStore> {
         self.inner.store.as_ref()
+    }
+
+    /// The recent-renders cache of done jobs' artifacts.
+    pub(crate) fn renders(&self) -> &RenderCache {
+        &self.inner.renders
     }
 
     /// The shared observability bundle: the logger, and the registered

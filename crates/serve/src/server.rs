@@ -16,21 +16,23 @@
 //! the merged-so-far prefix), and `304` when the client's
 //! `If-None-Match` matches the digest-derived `ETag`.
 //!
-//! Connections are persistent: each handler thread loops over requests
-//! until the peer asks for `Connection: close`, idles past the timeout
-//! (answered with `408`), or errors. A server-wide connection cap sheds
-//! load with a clean `503` instead of letting accept-queue growth hide
+//! Connections are persistent: a handler thread loops over one
+//! connection's requests until the peer asks for `Connection: close`, idles
+//! past the timeout (answered with `408`), or errors. Handlers outlive
+//! their connections: the accept loop wakes an idle one and starts a new
+//! thread only when none is idle. A server-wide connection cap sheds load
+//! with a clean `503` instead of letting accept-queue growth hide
 //! saturation.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::Duration;
 
 use pythia_obs::logger::Level;
-use pythia_obs::metrics::{Gauge, Histogram, Instrument, Registry};
+use pythia_obs::metrics::{Counter, Gauge, Histogram, Instrument, Registry};
 use pythia_stats::json::{parse, Json};
 use pythia_sweep::codec::{is_digest, Campaign};
-use pythia_sweep::ResultStore;
+use pythia_sweep::{ResultStore, SweepResult};
 
 use crate::http::{write_response, Request, RequestError, RequestReader, Response, IO_TIMEOUT};
 use crate::journal::{Journal, DEFAULT_TENANT};
@@ -83,13 +85,138 @@ impl Default for ServeConfig {
     }
 }
 
-/// Decrements the active-connection gauge when a handler exits, however
-/// it exits.
+/// A claimed connection slot: decrements the active-connection gauge when
+/// the connection's handler lets go of it, however that happens.
 struct ActiveGuard(Arc<ServeObs>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
         self.0.connections_active.add(-1);
+    }
+}
+
+/// An accepted connection and the slot the accept loop claimed for it.
+struct Conn {
+    stream: TcpStream,
+    _slot: ActiveGuard,
+}
+
+/// Idle handlers kept for the next connection (fewer under a smaller
+/// connection cap); a handler that finds this many already parked exits
+/// instead. One covers a sequential client, the second the connection that
+/// arrives while the first handler is still letting go of the previous one
+/// — one in ten on the benchmark's two vCPUs, where the client it has just
+/// answered preempts it. Every further parked thread would only pin a
+/// stack and a malloc arena.
+const SPARE_HANDLERS: usize = 2;
+
+/// Senders to the parked handlers, most recently parked last.
+type Parked<J> = Mutex<Vec<mpsc::Sender<J>>>;
+
+/// Handler threads that outlive their jobs: a job goes to the most recently
+/// parked handler (its stack, arena and cache lines are the warmest, and
+/// the ones under it stay unused), and a thread is started only when none
+/// is parked.
+///
+/// A handler is on the parked stack only while it waits: one that panics
+/// mid-job was taken off when it got the job, so the stack never names a
+/// dead or busy thread.
+struct Handlers<J> {
+    parked: Arc<Parked<J>>,
+    spares: usize,
+    serve: Arc<dyn Fn(&mut J) + Send + Sync>,
+    spawned: Arc<Counter>,
+}
+
+impl<J: Send + 'static> Handlers<J> {
+    /// A pool with its `spares` handlers already parked: the first
+    /// connections are woken for too, not forked. Threads started this
+    /// early also get malloc arenas of their own; one started later
+    /// inherits the arena of whichever thread exited last, at that
+    /// thread's high-water mark (0.8 MB of `peak_rss_mb` on
+    /// `serve_small_cells_mix`).
+    fn start(
+        spawned: Arc<Counter>,
+        spares: usize,
+        serve: impl Fn(&mut J) + Send + Sync + 'static,
+    ) -> Self {
+        let handlers = Self {
+            parked: Arc::default(),
+            spares,
+            serve: Arc::new(serve),
+            spawned,
+        };
+        for _ in 0..spares {
+            // A thread the OS refuses now is started on demand later.
+            if let Ok(handler) = handlers.spawn() {
+                handlers.lock_parked().push(handler);
+            }
+        }
+        handlers
+    }
+
+    fn lock_parked(&self) -> std::sync::MutexGuard<'_, Vec<mpsc::Sender<J>>> {
+        self.parked.lock().expect("parked handlers lock")
+    }
+
+    /// Hands `job` to a parked handler, or to a new thread.
+    ///
+    /// # Errors
+    ///
+    /// The OS refused a thread, or the handler died while parked (only a
+    /// job whose `Drop` panics can do that); the job is dropped.
+    fn dispatch(&self, job: J) -> std::io::Result<()> {
+        let parked = self.lock_parked().pop();
+        let handler = match parked {
+            Some(handler) => handler,
+            None => self.spawn()?,
+        };
+        handler
+            .send(job)
+            .map_err(|_| std::io::Error::other("the parked handler is gone"))
+    }
+
+    /// Starts a handler thread waiting for its first job.
+    fn spawn(&self) -> std::io::Result<mpsc::Sender<J>> {
+        let (wake, woken) = mpsc::channel();
+        // The thread holds the stack weakly: handlers end with the pool.
+        let (parked, serve) = (Arc::downgrade(&self.parked), Arc::clone(&self.serve));
+        let spares = self.spares;
+        std::thread::Builder::new()
+            .name("serve-handler".into())
+            .spawn(move || handler_loop(woken, &parked, spares, &*serve))?;
+        self.spawned.inc();
+        Ok(wake)
+    }
+}
+
+/// One handler thread: wait for a job, serve it, park.
+fn handler_loop<J>(
+    mut woken: mpsc::Receiver<J>,
+    parked: &Weak<Parked<J>>,
+    spares: usize,
+    serve: &dyn Fn(&mut J),
+) {
+    while let Ok(mut job) = woken.recv() {
+        serve(&mut job);
+        // A channel per park: its only sender goes on the stack, so the
+        // `recv` above ends when the pool is dropped.
+        let (wake, next) = mpsc::channel();
+        {
+            let Some(parked) = parked.upgrade() else {
+                return;
+            };
+            let mut parked = parked.lock().expect("parked handlers lock");
+            if parked.len() >= spares {
+                return;
+            }
+            parked.push(wake);
+        }
+        // Parked first, job released second: a connection's job holds its
+        // slot under the cap, so whoever sees the slot free finds this
+        // handler parked, and handlers never outnumber slots.
+        drop(job);
+        woken = next;
     }
 }
 
@@ -174,16 +301,22 @@ impl Server {
             .map_err(|e| format!("local_addr: {e}"))
     }
 
-    /// Serves forever on the calling thread, one handler thread per
-    /// connection. Only returns on an accept error.
+    /// Serves forever on the calling thread, each connection on a handler
+    /// thread that is reused for the next. Only returns on an accept error.
     ///
     /// # Errors
     ///
     /// Returns a message if the listener fails.
     pub fn serve_forever(self) -> Result<(), String> {
+        let obs = self.scheduler.obs();
+        let (scheduler, idle) = (Arc::clone(&self.scheduler), self.idle_timeout);
+        let handlers = Handlers::start(
+            Arc::clone(&obs.connections.handlers_spawned),
+            SPARE_HANDLERS.min(self.max_conns),
+            move |conn: &mut Conn| handle_connection(&scheduler, &mut conn.stream, idle),
+        );
         for conn in self.listener.incoming() {
             let stream = conn.map_err(|e| format!("accept: {e}"))?;
-            let obs = self.scheduler.obs();
             obs.connections.accepted.inc();
             if obs.connections_active.get() >= self.max_conns as i64 {
                 obs.connections.rejected.inc();
@@ -194,13 +327,17 @@ impl Server {
             // so a connect burst cannot overshoot the cap before the
             // handlers get scheduled.
             obs.connections_active.add(1);
-            let guard = ActiveGuard(Arc::clone(obs));
-            let scheduler = Arc::clone(&self.scheduler);
-            let idle = self.idle_timeout;
-            std::thread::spawn(move || {
-                let _guard = guard;
-                handle_connection(&scheduler, stream, idle);
-            });
+            let conn = Conn {
+                stream,
+                _slot: ActiveGuard(Arc::clone(obs)),
+            };
+            if let Err(e) = handlers.dispatch(conn) {
+                obs.logger().warn(
+                    "server",
+                    "dropping connection: no handler thread",
+                    &[("error", e.to_string())],
+                );
+            }
         }
         Ok(())
     }
@@ -233,16 +370,19 @@ fn reject_connection(mut stream: TcpStream) {
     let _ = write_response(&mut stream, &response, false);
 }
 
-fn handle_connection(scheduler: &Scheduler, mut stream: TcpStream, idle_timeout: Duration) {
+fn handle_connection(scheduler: &Scheduler, stream: &mut TcpStream, idle_timeout: Duration) {
     let obs = scheduler.obs();
+    // Nagle off: a response is one write, and what does not fill a segment
+    // must not wait for the ACK of what did.
     if stream.set_read_timeout(Some(idle_timeout)).is_err()
         || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_nodelay(true).is_err()
     {
         return;
     }
     let mut reader = RequestReader::new();
     loop {
-        match reader.read_request(&mut stream) {
+        match reader.read_request(stream) {
             Ok(request) => {
                 obs.connections.requests.inc();
                 let keep_alive = !request.close;
@@ -253,7 +393,7 @@ fn handle_connection(scheduler: &Scheduler, mut stream: TcpStream, idle_timeout:
                     started.elapsed().as_micros() as u64,
                     response.body.len() as u64,
                 );
-                if write_response(&mut stream, &response, keep_alive).is_err() || !keep_alive {
+                if write_response(stream, &response, keep_alive).is_err() || !keep_alive {
                     return;
                 }
             }
@@ -261,16 +401,16 @@ fn handle_connection(scheduler: &Scheduler, mut stream: TcpStream, idle_timeout:
             Err(RequestError::Timeout) => {
                 obs.connections.timeouts.inc();
                 let response = error_response(408, "idle timeout waiting for a request");
-                let _ = write_response(&mut stream, &response, false);
+                let _ = write_response(stream, &response, false);
                 return;
             }
             Err(RequestError::TooLarge(e)) => {
-                let _ = write_response(&mut stream, &error_response(413, &e), false);
+                let _ = write_response(stream, &error_response(413, &e), false);
                 return;
             }
             Err(RequestError::Malformed(e)) => {
                 let message = format!("bad request: {e}");
-                let _ = write_response(&mut stream, &error_response(400, &message), false);
+                let _ = write_response(stream, &error_response(400, &message), false);
                 return;
             }
             Err(RequestError::Io(e)) => {
@@ -379,7 +519,7 @@ fn metrics_response(scheduler: &Scheduler, prom: bool) -> Response {
         return Response {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: pythia_obs::prom::render(obs.registry()).into_bytes(),
+            body: Arc::new(pythia_obs::prom::render(obs.registry()).into_bytes()),
             headers: Vec::new(),
         };
     }
@@ -440,6 +580,10 @@ fn metrics_response(scheduler: &Scheduler, prom: bool) -> Response {
                 obs.registry(),
                 obs::CONNECTION_EVENTS,
             ),
+        )
+        .set(
+            "results",
+            family_json(Json::obj(), obs.registry(), obs::RESULT_EVENTS),
         )
         .set(
             "throughput",
@@ -609,6 +753,16 @@ fn if_none_match_hits(header: &str, etag: &str) -> bool {
     })
 }
 
+/// Normalizes format aliases, so "md" and "markdown" share one `ETag`
+/// (and one entry of the recent-renders cache).
+fn format_key(format: &str) -> &str {
+    if format == "markdown" {
+        "md"
+    } else {
+        format
+    }
+}
+
 fn result_content_type(format_key: &str) -> &'static str {
     match format_key {
         "json" => "application/json",
@@ -638,25 +792,36 @@ fn result(
             "campaign not done yet; poll GET /campaigns/<digest> or pass ?partial=1",
         ),
         Some((_, JobStatus::Done(result))) => {
-            // Normalize aliases so "md" and "markdown" share one ETag.
-            let format_key = if format == "markdown" { "md" } else { format };
-            let etag = result_etag(digest, format_key);
+            let etag = result_etag(digest, format_key(format));
             if let Some(header) = if_none_match {
                 if if_none_match_hits(header, &etag) {
                     return Response::text(304, "").with_header("etag", etag);
                 }
             }
-            match result.render(format) {
-                Err(e) => error_response(400, &e),
-                Ok(rendered) => Response {
-                    status: 200,
-                    content_type: result_content_type(format_key),
-                    body: rendered.into_bytes(),
-                    headers: vec![("etag".into(), etag)],
-                },
-            }
+            artifact(scheduler, &result, format, etag).unwrap_or_else(|e| error_response(400, &e))
         }
     }
+}
+
+/// The `200` for a done job's artifact under its `ETag`: the bytes of
+/// `result.render(format)`, through the recent-renders cache. Nothing else
+/// reads or fills that cache, and nothing reaches here for a job that is
+/// not done, so an entry is always the final artifact.
+fn artifact(
+    scheduler: &Scheduler,
+    result: &SweepResult,
+    format: &str,
+    etag: String,
+) -> Result<Response, String> {
+    let body = scheduler
+        .renders()
+        .get_or_render(&scheduler.obs().results, &etag, || result.render(format))?;
+    Ok(Response {
+        status: 200,
+        content_type: result_content_type(format_key(format)),
+        body,
+        headers: vec![("etag".into(), etag)],
+    })
 }
 
 /// `?partial=1`: the merged-so-far prefix of a running campaign (`206`)
@@ -678,24 +843,25 @@ fn partial_result(scheduler: &Scheduler, digest: &str, format: &str) -> Response
                 "no partial result right now; poll GET /campaigns/<digest>",
             ),
         },
-        Some(snapshot) => match snapshot.result.render(format) {
-            Err(e) => error_response(400, &e),
-            Ok(rendered) => {
-                let format_key = if format == "markdown" { "md" } else { format };
-                let mut response = Response {
-                    status: if snapshot.complete { 200 } else { 206 },
-                    content_type: result_content_type(format_key),
-                    body: rendered.into_bytes(),
+        Some(snapshot) => {
+            let response = if snapshot.complete {
+                let etag = result_etag(digest, format_key(format));
+                artifact(scheduler, &snapshot.result, format, etag)
+            } else {
+                snapshot.result.render(format).map(|rendered| Response {
+                    status: 206,
+                    content_type: result_content_type(format_key(format)),
+                    body: Arc::new(rendered.into_bytes()),
                     headers: Vec::new(),
-                };
-                if snapshot.complete {
-                    response = response.with_header("etag", result_etag(digest, format_key));
-                }
-                response
+                })
+            };
+            match response {
+                Err(e) => error_response(400, &e),
+                Ok(response) => response
                     .with_header("x-cells-done", snapshot.done.to_string())
-                    .with_header("x-cells-total", snapshot.total.to_string())
+                    .with_header("x-cells-total", snapshot.total.to_string()),
             }
-        },
+        }
     }
 }
 
@@ -729,11 +895,11 @@ mod tests {
         assert_eq!(status("GET", "/campaigns/zzz", b""), 400);
         let (_, figures) = route(&scheduler, &req("GET", "/figures", b""));
         assert_eq!(figures.status, 200);
-        let listing = String::from_utf8(figures.body).expect("utf-8");
+        let listing = String::from_utf8(figures.body.to_vec()).expect("utf-8");
         assert!(listing.contains("fig09"), "{listing}");
         let (_, metrics) = route(&scheduler, &req("GET", "/metrics", b""));
         assert_eq!(metrics.status, 200);
-        let parsed = parse(&String::from_utf8(metrics.body).expect("utf-8")).expect("json");
+        let parsed = parse(std::str::from_utf8(&metrics.body).expect("utf-8")).expect("json");
         assert_eq!(
             parsed
                 .get("queue")
@@ -748,6 +914,173 @@ mod tests {
                 .and_then(Json::as_bool),
             Some(false)
         );
+        scheduler.shutdown();
+    }
+
+    /// A pool job that reports its own release: the handler parks before
+    /// it drops the job, so once `released` fires the handler is parked
+    /// (or dead, for a job that made it panic).
+    struct Probe {
+        /// Taken by `serve`: the job blocks until the test sends on it.
+        gate: Option<mpsc::Receiver<()>>,
+        poison: bool,
+        released: mpsc::Sender<()>,
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            let _ = self.released.send(());
+        }
+    }
+
+    #[test]
+    fn handlers_are_reused_survive_a_panic_and_retire_down_to_the_spares() {
+        let spawned = Arc::new(Counter::default());
+        let pool = Handlers::start(Arc::clone(&spawned), 2, |probe: &mut Probe| {
+            if let Some(gate) = probe.gate.take() {
+                let _ = gate.recv();
+            }
+            assert!(!probe.poison, "injected handler panic");
+        });
+        let (released, done) = mpsc::channel();
+        let probe = |gate, poison| Probe {
+            gate,
+            poison,
+            released: released.clone(),
+        };
+        let parked = || pool.lock_parked().len();
+        assert_eq!((spawned.get(), parked()), (2, 2), "the spares start parked");
+
+        // Sequential jobs wake a parked handler; none forks.
+        for _ in 0..5 {
+            pool.dispatch(probe(None, false)).expect("dispatch");
+            done.recv().expect("released");
+            assert_eq!((spawned.get(), parked()), (2, 2));
+        }
+
+        // A handler that panics mid-job is simply gone: nothing on the
+        // stack names it, and the one left keeps serving.
+        pool.dispatch(probe(None, true)).expect("dispatch");
+        done.recv().expect("released by the unwind");
+        assert_eq!((spawned.get(), parked()), (2, 1));
+        pool.dispatch(probe(None, false)).expect("dispatch");
+        done.recv().expect("released");
+        assert_eq!((spawned.get(), parked()), (2, 1));
+
+        // Four jobs at once: the parked handler, then three new threads.
+        // Released, they park up to the two spares and the rest exit.
+        let gates: Vec<mpsc::Sender<()>> = (0..4)
+            .map(|_| {
+                let (open, gate) = mpsc::channel();
+                pool.dispatch(probe(Some(gate), false)).expect("dispatch");
+                open
+            })
+            .collect();
+        assert_eq!((spawned.get(), parked()), (5, 0));
+        for open in gates {
+            open.send(()).expect("handler is waiting at the gate");
+        }
+        for _ in 0..4 {
+            done.recv().expect("released");
+        }
+        assert_eq!((spawned.get(), parked()), (5, 2));
+    }
+
+    /// The artifact routes serve `SweepResult::render`'s bytes whether
+    /// they come from a render or from the recent-renders cache.
+    #[test]
+    fn served_artifacts_equal_a_fresh_render_on_every_path_through_the_cache() {
+        let scheduler = Scheduler::start(1, 2, None, None);
+        let workload = pythia_workloads::all_suites()
+            .into_iter()
+            .find(|w| w.name == "429.mcf-184B")
+            .expect("known workload");
+        let campaign = Campaign::single(
+            pythia_sweep::SweepSpec::new("srv-artifact")
+                .with_workloads([workload])
+                .with_prefetchers(&["stride"])
+                .with_config(pythia_sweep::ConfigPoint::single_core("base", 1_000, 4_000)),
+        );
+        let digest = scheduler.submit(campaign).expect("accepted").digest;
+        let done = scheduler.wait(&digest, Duration::from_secs(60));
+        let Some(JobStatus::Done(result)) = done else {
+            panic!("campaign did not finish: {done:?}");
+        };
+        let fetch = |query: &[(&str, &str)], if_none_match: Option<&str>| {
+            let mut request = req("GET", &format!("/campaigns/{digest}/result"), b"");
+            request.query = query
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            if let Some(etag) = if_none_match {
+                request.headers.push(("if-none-match".into(), etag.into()));
+            }
+            route(&scheduler, &request).1
+        };
+        let events = &scheduler.obs().results;
+        let counts = || (events.renders.get(), events.render_hits.get());
+
+        // A matching validator answers 304 with no body, and is no reason
+        // to render: the cache stays empty.
+        let etag = result_etag(&digest, "json");
+        let not_modified = fetch(&[("format", "json")], Some(&etag));
+        assert_eq!(not_modified.status, 304);
+        assert!(not_modified.body.is_empty());
+        assert!(!scheduler.renders().holds(&etag));
+        assert_eq!(counts(), (0, 0));
+
+        for (format, key) in [
+            ("json", "json"),
+            ("md", "md"),
+            ("markdown", "md"),
+            ("csv", "csv"),
+        ] {
+            let fresh = result.render(format).expect("known format").into_bytes();
+            let etag = result_etag(&digest, key);
+            let renders_before = events.renders.get();
+            // First fetch (a render, unless the alias already made it) and
+            // repeat fetch (a hit), plain and through `?partial=1`.
+            for query in [
+                &[("format", format)][..],
+                &[("format", format)][..],
+                &[("format", format), ("partial", "1")][..],
+            ] {
+                let served = fetch(query, None);
+                assert_eq!(served.status, 200, "{format} {query:?}");
+                assert_eq!(*served.body, fresh, "{format} {query:?}");
+                assert_eq!(
+                    served
+                        .headers
+                        .iter()
+                        .find(|(name, _)| name == "etag")
+                        .map(|(_, v)| v.as_str()),
+                    Some(etag.as_str())
+                );
+            }
+            assert!(scheduler.renders().holds(&etag));
+            let rendered = events.renders.get() - renders_before;
+            assert_eq!(rendered, u64::from(format != "markdown"), "{format}");
+        }
+        assert_eq!(counts(), (3, 9), "md and markdown share one entry");
+
+        // Renders of other digests push the entry out; the next fetch
+        // renders again and serves the same bytes.
+        let etag = result_etag(&digest, "json");
+        for other in 0..8 {
+            scheduler
+                .renders()
+                .get_or_render(events, &format!("\"other-{other}.json\""), || {
+                    Ok("x".repeat(100))
+                })
+                .expect("renders");
+        }
+        assert!(!scheduler.renders().holds(&etag), "evicted");
+        let again = fetch(&[("format", "json")], None);
+        assert_eq!(
+            *again.body,
+            result.render("json").expect("json").into_bytes()
+        );
+        assert_eq!(counts(), (3 + 8 + 1, 9));
         scheduler.shutdown();
     }
 

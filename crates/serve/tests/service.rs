@@ -389,6 +389,128 @@ fn one_hundred_sequential_requests_share_one_kept_alive_connection() {
     );
 }
 
+/// Regression: head and body used to leave in two writes with Nagle on, so
+/// on a reused connection every body waited for the peer's delayed ACK of
+/// its head — 44 ms a request, either direction.
+#[test]
+fn keep_alive_requests_are_not_held_for_a_delayed_ack() {
+    use pythia_serve::http::ClientConn;
+
+    let (_handle, addr) = spawn(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    let mut conn = ClientConn::connect(&addr).expect("connect");
+    let started = Instant::now();
+    let mut request_s = Vec::new();
+    for i in 0..50 {
+        let sent = Instant::now();
+        // A bodyless request, then one whose body follows its head.
+        let (reply, expected) = if i % 2 == 0 {
+            (conn.request("GET", "/nope", b""), 404)
+        } else {
+            let body = br#"{"figure": "no-such-figure"}"#;
+            (conn.request("POST", "/campaigns", body), 400)
+        };
+        let reply = reply.unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        assert_eq!(reply.status, expected, "request {i}");
+        assert!(!reply.body.is_empty(), "request {i}");
+        request_s.push(sent.elapsed());
+    }
+    let total = started.elapsed();
+    request_s.sort();
+    let p50 = request_s[request_s.len() / 2];
+    assert!(
+        total < Duration::from_secs(1) && p50 < Duration::from_millis(1),
+        "50 keep-alive requests took {total:?}, p50 {p50:?}"
+    );
+}
+
+/// A sequential client is served by woken handlers, not forked ones: the
+/// spares the server starts with take every connection. A handler parks
+/// before it frees its connection's slot, so a client that waits for the
+/// slot to be free (a stricter "sequential" than waiting for the reply)
+/// always finds a handler parked.
+#[test]
+fn sequential_one_shot_requests_reuse_the_parked_handlers() {
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    let obs = handle.scheduler().obs();
+    for i in 0..200 {
+        let (status, _) = pythia_serve::http::request(&addr, "GET", "/nope", b"")
+            .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        assert_eq!(status, 404, "request {i}");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while obs.connections_active.get() != 0 {
+            assert!(Instant::now() < deadline, "connection {i} never drained");
+            std::thread::yield_now();
+        }
+    }
+    assert_eq!(obs.connections.accepted.get(), 200);
+    assert_eq!(obs.connections.handlers_spawned.get(), 2, "the two spares");
+}
+
+/// A connect burst past the cap: `max_conns` connections are served, each
+/// by its own handler, the rest are shed — and no handler thread exists
+/// beyond the cap.
+#[test]
+fn a_connect_burst_never_runs_more_handlers_than_the_cap() {
+    use pythia_serve::http::ClientConn;
+    use std::sync::{Arc, Barrier};
+
+    const MAX_CONNS: usize = 4;
+    const CLIENTS: usize = MAX_CONNS + 3;
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 0,
+        max_conns: MAX_CONNS,
+        ..ServeConfig::default()
+    });
+    let (connect, hold) = (
+        Arc::new(Barrier::new(CLIENTS)),
+        Arc::new(Barrier::new(CLIENTS + 1)),
+    );
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let (addr, connect, hold) = (addr.clone(), Arc::clone(&connect), Arc::clone(&hold));
+            std::thread::spawn(move || {
+                connect.wait();
+                let mut conn = ClientConn::connect(&addr).ok();
+                // A shed connection answers 503, or is already reset.
+                let status = conn
+                    .as_mut()
+                    .and_then(|c| c.request("GET", "/nope", b"").ok())
+                    .map(|reply| reply.status);
+                // Every client keeps its connection open until all have an answer.
+                hold.wait();
+                hold.wait();
+                status
+            })
+        })
+        .collect();
+    hold.wait();
+    let obs = handle.scheduler().obs();
+    assert_eq!(obs.connections_active.get(), MAX_CONNS as i64);
+    assert_eq!(obs.connections.rejected.get(), 3);
+    let spawned = obs.connections.handlers_spawned.get();
+    assert!(
+        spawned <= MAX_CONNS as u64,
+        "{spawned} handler threads under a cap of {MAX_CONNS}"
+    );
+    hold.wait();
+    let statuses: Vec<Option<u16>> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+    let served = statuses.iter().filter(|s| **s == Some(404)).count();
+    assert_eq!(served, MAX_CONNS, "{statuses:?}");
+    assert!(
+        statuses.iter().all(|s| matches!(s, Some(404 | 503) | None)),
+        "{statuses:?}"
+    );
+}
+
 #[test]
 fn etag_conditional_fetch_round_trip() {
     let (_handle, addr) = spawn(ServeConfig {
@@ -727,6 +849,9 @@ fn metrics_json_schema_is_pinned() {
         "connections.rejected",
         "connections.requests",
         "connections.timeouts",
+        "connections.handlers_spawned",
+        "results.renders",
+        "results.render_hits",
         "throughput.sim_instructions",
         "throughput.sim_wall_seconds",
         "throughput.minst_per_sec",
@@ -786,6 +911,7 @@ fn metrics_prom_lints_clean_and_names_required_families() {
         "pythia_store_misses_total",
         "pythia_scheduler_events_total",
         "pythia_connections_total",
+        "pythia_result_events_total",
         "pythia_connections_active",
         "pythia_workers_busy",
         "pythia_sim_instructions_total",
@@ -908,6 +1034,18 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
             json_extra,
         );
     }
+    for event in ["renders", "render_hits"] {
+        check(
+            &format!("results.{event}"),
+            &format!("pythia_result_events_total{{event=\"{event}\"}}"),
+            0.0,
+        );
+    }
+    // The one result request so far was the 304: nothing was rendered.
+    assert_eq!(
+        (at("results.renders"), at("results.render_hits")),
+        (0.0, 0.0)
+    );
     for (path, series) in [
         ("connections.active", "pythia_connections_active"),
         ("queue.depth", "pythia_queue_depth"),
