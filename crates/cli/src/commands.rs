@@ -45,9 +45,11 @@ USAGE:
   pythia-cli bench                              run the hot-path microbenchmarks,
       [--filter SUBSTR] [--reps N] [--out FILE] the kernel-level microscope
       [--list]                                  (PYTHIA_BENCH_SCALE scales work;
-                                                --out writes BENCH_micro.json)
-      [--sections]                              per-phase span-timer breakdown
-                                                of the agent hot path instead
+                                                --out saves the report as JSON)
+      [--sections]                              where a step's time goes instead:
+                                                the agent's phases by span timer,
+                                                the simulator's layers by ablation
+                                                (the sim_step ladder)
   pythia-cli bench --compare <old> <new>        print the per-benchmark delta
                                                 table between two saved reports
                                                 of one host at one scale
@@ -485,9 +487,9 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
 
 /// `pythia-cli bench [--filter S] [--reps N] [--out F] [--list]` — the
 /// kernel-level microscope: runs the `pythia-perf` microbenchmark
-/// registry, prints the results table and optionally writes
-/// `BENCH_micro.json`. It gates nothing; the performance gate is
-/// `scripts/bench_ab.py` (parent vs head on one host).
+/// registry, prints the results table and optionally saves the report as
+/// JSON (`--out FILE`, what `--compare` reads). It gates nothing; the
+/// performance gate is `scripts/bench_ab.py` (parent vs head on one host).
 ///
 /// `pythia-cli bench --compare <old.json> <new.json>` skips running
 /// anything and prints the per-benchmark delta table (median, MAD,
@@ -498,6 +500,14 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
         "bench",
         &[&["list", "sections", "compare", "filter", "reps", "out"]],
     )?;
+    // The only positional `bench` reads is `--compare`'s second path; a
+    // bare benchmark name would otherwise run the whole registry.
+    let positionals = usize::from(args.opt("compare").is_some());
+    if let Some(stray) = args.positionals.get(positionals) {
+        return Err(format!(
+            "unexpected argument {stray:?} for `bench`; select benchmarks with --filter SUBSTR"
+        ));
+    }
     if args.flag("list") {
         println!("# Registered microbenchmarks\n");
         for def in pythia_perf::registry() {
@@ -506,12 +516,14 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
         return Ok(());
     }
 
-    // `--sections` profiles where the agent hot path spends its time
-    // instead of running the registry: the span-timer breakdown of one
-    // sectioned demand step (feature extract, EQ probe, argmax, EQ
-    // insert, SARSA) plus the L1 probe fixture.
+    // `--sections` profiles where a step spends its time instead of
+    // running the registry: the span-timer breakdown of one sectioned
+    // agent step (feature extract, EQ probe, argmax, EQ insert, SARSA)
+    // plus the L1 probe fixture, then the simulator step's ablation
+    // ladder (generator, core model, L1 hit, miss path, agent).
     if args.flag("sections") {
-        let profile = pythia_perf::sections::profile_sections(pythia_bench::scale());
+        let scale = pythia_bench::scale();
+        let profile = pythia_perf::sections::profile_sections(scale);
         println!("# Agent hot-path section breakdown\n");
         print!("{}", profile.to_markdown());
         println!(
@@ -519,6 +531,11 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
             profile.agent_ops,
             profile.cache_ops,
             profile.total_ns() as f64 / 1e6
+        );
+        println!("\n# Simulator step ladder (sim_step)\n");
+        print!(
+            "{}",
+            pythia_perf::sections::profile_sim_step(scale).to_markdown()
         );
         return Ok(());
     }
@@ -561,7 +578,7 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads and decodes a saved `BENCH_micro.json` report.
+/// Loads and decodes a report saved by `bench --out`.
 fn load_bench_report(path: &str) -> Result<pythia_stats::BenchReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     pythia_stats::json::parse(&text)

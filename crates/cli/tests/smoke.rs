@@ -658,7 +658,7 @@ fn unknown_subcommand_fails() {
 /// option must not silently gate nothing.
 #[test]
 fn unknown_options_fail_naming_the_option_and_run_nothing() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 6] = [
         (
             &["run", WORKLOAD, "stride", "--mesure", "5"],
             "unknown option --mesure for `run`",
@@ -666,6 +666,18 @@ fn unknown_options_fail_naming_the_option_and_run_nothing() {
         (
             &["bench", "--baseline", "x.json"],
             "unknown option --baseline for `bench`",
+        ),
+        // A bare benchmark name is not a filter: it used to run the whole
+        // registry and exit 0.
+        (
+            &["bench", "core_dispatch"],
+            "unexpected argument \"core_dispatch\" for `bench`; \
+             select benchmarks with --filter SUBSTR",
+        ),
+        (
+            &["bench", "--compare", "old.json", "new.json", "extra.json"],
+            "unexpected argument \"extra.json\" for `bench`; \
+             select benchmarks with --filter SUBSTR",
         ),
         (
             &["serve", "--worker", "2"],
@@ -1044,6 +1056,14 @@ fn bench_sections_prints_the_phase_breakdown() {
         );
     }
     assert!(text.contains("| section |"), "expected the table header");
+    // The simulator step's ladder follows: every rung of every stream.
+    assert!(text.contains("| stream | rung | ns/record | share |"));
+    for stream in pythia_perf::fixtures::LADDER_WORKLOADS {
+        for rung in pythia_perf::sections::SIM_STEP_RUNGS {
+            let row = format!("| {stream} | {rung} |");
+            assert!(text.contains(&row), "ladder missing {row}: {text}");
+        }
+    }
 }
 
 #[test]

@@ -2,12 +2,12 @@
 //!
 //! Every fixture is a pure function of `PYTHIA_BENCH_SCALE` — no clocks,
 //! no ambient randomness — so two runs at the same scale measure exactly
-//! the same work, and `BENCH_micro.json` numbers are comparable across
-//! runs and machines.
+//! the same work, and two `bench --out` reports of one host are
+//! comparable.
 
 use pythia_sim::prefetch::DemandAccess;
 use pythia_sim::trace::TraceRecord;
-use pythia_workloads::suites::all_suites;
+use pythia_workloads::suites::{all_suites, suite, Suite};
 use pythia_workloads::Workload;
 
 /// The e2e benchmark's workload: the first SPEC06 entry of the Table 6
@@ -21,16 +21,54 @@ pub fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64 * scale) as usize).max(1_000)
 }
 
-/// The e2e fixture workload from the Table 6 pool.
+/// One suite workload per `PatternKind`, cache-resident to DRAM-bound:
+/// the nine generators `gen_step` drains (the repo benchmark's
+/// `sim1c_pythia_gen` simulates the same nine).
+pub const GEN_WORKLOADS: [&str; 9] = [
+    "401.gcc-13B",
+    "429.mcf-184B",
+    "436.cactusADM-97B",
+    "470.lbm-164B",
+    "450.soplex-66B",
+    "459.GemsFDTD-765B",
+    "482.sphinx3-417B",
+    "Ligra-PageRank",
+    "server-2",
+];
+
+/// The streams `core_dispatch`, `l1_hit_step` and the `sim_step` ladder
+/// run on: a sweep with stores (the fastest of the nine to simulate), a
+/// dependent pointer chase, and a graph traversal (the slowest).
+pub const LADDER_WORKLOADS: [&str; 3] = ["470.lbm-164B", "429.mcf-184B", "Ligra-PageRank"];
+
+/// A named workload: the Table 6 pool plus the unseen set.
 ///
 /// # Panics
 ///
-/// Panics if the suite pool no longer contains [`E2E_WORKLOAD`].
-pub fn e2e_workload() -> Workload {
+/// Panics if no suite contains `name`.
+pub fn suite_workload(name: &str) -> Workload {
     all_suites()
         .into_iter()
-        .find(|w| w.name == E2E_WORKLOAD)
-        .expect("Table 6 pool contains the e2e workload")
+        .chain(suite(Suite::CvpUnseen))
+        .find(|w| w.name == name)
+        .unwrap_or_else(|| panic!("no suite contains workload {name}"))
+}
+
+/// The e2e fixture workload from the Table 6 pool.
+pub fn e2e_workload() -> Workload {
+    suite_workload(E2E_WORKLOAD)
+}
+
+/// The floor under `gen_step`: what any generator of this shape must do
+/// per record — advance a SplitMix64 state (the `rand` shim's `StdRng`)
+/// and store one record.
+#[inline]
+pub fn floor_record(state: &mut u64) -> TraceRecord {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    TraceRecord::nop(z ^ (z >> 31))
 }
 
 /// A deterministic mixed demand-access stream: bursty per-page locality
@@ -59,43 +97,6 @@ pub fn line_stream(n: usize) -> impl Iterator<Item = u64> {
             (i * 17) % 512
         } else {
             4096 + (i * 131) % 100_000
-        }
-    })
-}
-
-/// One instruction of the core-model fixture, as the core model sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inst {
-    /// A load completing `latency` cycles after dispatch.
-    Load {
-        /// Hierarchy latency: an L1 hit, or now and then a long miss.
-        latency: u64,
-    },
-    /// A single-cycle branch.
-    Branch {
-        /// Whether it inserts the front-end bubble.
-        mispredicted: bool,
-    },
-    /// A single-cycle instruction with no memory operation.
-    Plain,
-}
-
-/// The suites' instruction mix (`TraceSpec::new`: 30 % loads, 10 %
-/// branches of which ~3 % mispredict, 60 % plain) in a hashed order — the
-/// generators roll an RNG per record, so a periodic class sequence would
-/// flatter every branch on the class; one load in 97 takes a DRAM-scale
-/// latency so the ROB fills and the stall path runs.
-pub fn instruction_mix(n: usize) -> impl Iterator<Item = Inst> {
-    (0..n as u64).map(|i| {
-        let roll = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 100;
-        match roll {
-            0..=29 => Inst::Load {
-                latency: if i % 97 == 0 { 200 } else { 5 },
-            },
-            30..=39 => Inst::Branch {
-                mispredicted: i % 31 == 0,
-            },
-            _ => Inst::Plain,
         }
     })
 }
@@ -144,25 +145,23 @@ mod tests {
         assert_eq!(trace_records(100), trace_records(100));
         let l: Vec<_> = line_stream(100).collect();
         assert_eq!(l, line_stream(100).collect::<Vec<_>>());
-        let m: Vec<_> = instruction_mix(100).collect();
-        assert_eq!(m, instruction_mix(100).collect::<Vec<_>>());
+        let (mut a, mut b) = (7u64, 7u64);
+        assert_eq!(floor_record(&mut a), floor_record(&mut b));
     }
 
     #[test]
-    fn instruction_mix_is_30_10_60() {
-        let mix: Vec<_> = instruction_mix(10_000).collect();
-        let loads = mix
+    fn named_streams_exist_and_cover_every_pattern_kind() {
+        let kinds: std::collections::HashSet<_> = GEN_WORKLOADS
             .iter()
-            .filter(|i| matches!(i, Inst::Load { .. }))
-            .count();
-        let branches = mix
-            .iter()
-            .filter(|i| matches!(i, Inst::Branch { .. }))
-            .count();
-        assert!((2_900..=3_100).contains(&loads), "loads={loads}");
-        assert!((900..=1_100).contains(&branches), "branches={branches}");
-        assert!(mix.contains(&Inst::Branch { mispredicted: true }));
-        assert!(mix.contains(&Inst::Load { latency: 200 }));
+            .map(|name| std::mem::discriminant(&suite_workload(name).spec.kind))
+            .collect();
+        assert_eq!(kinds.len(), GEN_WORKLOADS.len(), "one workload per kind");
+        for name in LADDER_WORKLOADS {
+            assert!(GEN_WORKLOADS.contains(&name));
+            let records = suite_workload(name).trace(2_000);
+            assert_eq!(records.len(), 2_000);
+            assert!(records.iter().any(|r| r.mem.is_some()));
+        }
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! The in-repo microbenchmark subsystem: a hand-rolled harness (no
 //! external benchmarking dependency) that pins the simulator's hot paths
 //! to numbers — per-access agent cost, cache probe cost, trace decode
-//! throughput, and the end-to-end simulated-instructions-per-second of
-//! the default single-core workload.
+//! throughput, what a record costs in each layer it crosses (`gen_step`,
+//! `core_dispatch`, `l1_hit_step`), and the end-to-end
+//! simulated-instructions-per-second of the default single-core workload.
 //!
 //! Each benchmark runs a warmup phase, then `measure_reps` timed
 //! repetitions of a deterministic fixed-seed fixture
 //! ([`fixtures`]), reduced to median + MAD
 //! ([`pythia_stats::bench::BenchMeasurement`]). `pythia-cli bench` drives
-//! the registry and emits `BENCH_micro.json` (same hand-rolled JSON
-//! schema family as the sweep engine's `BENCH_*.json`).
+//! the registry and `--out FILE` saves the report (same hand-rolled JSON
+//! schema family as the sweep engine's `BENCH_*.json`); `bench
+//! --sections` prints [`sections`]' two tables instead.
 //!
 //! This is the microscope, not the gate: the numbers are absolute
 //! nanoseconds of the host they ran on, so `bench --compare` tables two
@@ -35,14 +37,17 @@ use std::hint::black_box;
 use pythia::runner::{run_workload, RunSpec};
 use pythia_core::eq::{EqEntry, EvaluationQueue};
 use pythia_core::{FeatureContext, Pythia, PythiaConfig, QvStore};
+use pythia_sim::addr;
 use pythia_sim::cache::{AccessKind, Cache, Lookup, MshrFile};
 use pythia_sim::config::{CoreConfig, SystemConfig};
 use pythia_sim::cpu::CoreModel;
 use pythia_sim::prefetch::{Prefetcher, SystemFeedback};
-use pythia_sim::trace::{decode_trace, encode_trace, FileTraceSource, TraceSource, TraceWriter};
+use pythia_sim::trace::{
+    decode_trace, encode_trace, FileTraceSource, MemOp, TraceRecord, TraceSource, TraceWriter,
+};
 use pythia_stats::bench::{BenchMeasurement, BenchReport};
 
-use fixtures::{scaled, Inst};
+use fixtures::scaled;
 
 /// Harness knobs: untimed warmup repetitions, then timed repetitions.
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +93,7 @@ impl std::fmt::Debug for BenchDef {
 const E2E_WARMUP: u64 = 100_000;
 const E2E_MEASURE: u64 = 400_000;
 
-fn e2e_spec(scale: f64) -> RunSpec {
+pub(crate) fn e2e_spec(scale: f64) -> RunSpec {
     RunSpec {
         system: SystemConfig::single_core(),
         warmup: scaled(E2E_WARMUP as usize, scale) as u64,
@@ -106,6 +111,96 @@ fn e2e_bench(scale: f64, prefetcher: &'static str) -> (u64, Box<dyn FnMut()>) {
         }),
     )
 }
+
+/// Records per `next_batch` call, as `System` pulls them.
+const RECORD_BATCH: usize = 64;
+
+/// Load latencies of the kernels that stand in for the hierarchy: an L1
+/// hit, and whatever lies below it.
+const HIT_LATENCY: u64 = 5;
+const MISS_LATENCY: u64 = 200;
+
+/// The generator step: drains the current pass of `source` batch by batch,
+/// the way `System` refills a core's record buffer.
+pub(crate) fn drain_batches(source: &mut dyn TraceSource, mut each: impl FnMut(&[TraceRecord])) {
+    let mut batch = Vec::with_capacity(RECORD_BATCH);
+    while source.next_batch(&mut batch, RECORD_BATCH) > 0 {
+        each(&batch);
+        batch.clear();
+    }
+}
+
+/// The core-model step: dispatches `record` as `System::step_core` does,
+/// asking `latency(mem, cycle)` where that asks the hierarchy.
+#[inline]
+pub(crate) fn core_step(
+    core: &mut CoreModel,
+    record: &TraceRecord,
+    latency: impl FnOnce(MemOp, u64) -> u64,
+) {
+    let mut mispredicted = false;
+    if let Some(branch) = record.branch {
+        mispredicted = branch.mispredicted;
+        core.record_branch(mispredicted);
+    }
+    match record.mem {
+        None => {
+            core.dispatch_plain(mispredicted);
+        }
+        Some(mem) => {
+            let exec_latency = if mem.is_write {
+                1
+            } else {
+                latency(mem, core.now())
+            };
+            core.dispatch(
+                exec_latency,
+                !mem.is_write,
+                mem.is_write,
+                record.depends_on_prev_load,
+                mispredicted,
+            );
+        }
+    }
+}
+
+/// The hierarchy seen from a kernel without one: a load of the line the
+/// previous memory record touched hits at [`HIT_LATENCY`], the first touch
+/// of another line — one memory record in ten at the suites'
+/// `accesses_per_line` — takes [`MISS_LATENCY`].
+#[inline]
+pub(crate) fn fixed_latency(last_line: &mut u64, mem: MemOp) -> u64 {
+    let line = addr::line_of(mem.addr);
+    let latency = if line == *last_line {
+        HIT_LATENCY
+    } else {
+        MISS_LATENCY
+    };
+    *last_line = line;
+    latency
+}
+
+/// The L1 step: one demand access, filled on a miss with whatever lies
+/// below answering after [`MISS_LATENCY`]. Returns the load-to-use latency.
+#[inline]
+pub(crate) fn l1_step(l1: &mut Cache, mem: MemOp, cycle: u64) -> u64 {
+    let line = addr::line_of(mem.addr);
+    let kind = if mem.is_write {
+        AccessKind::DemandStore
+    } else {
+        AccessKind::DemandLoad
+    };
+    match l1.access(line, kind, cycle) {
+        Lookup::Hit { ready_at, .. } => ready_at.max(cycle + l1.latency()) - cycle,
+        Lookup::Miss => {
+            l1.fill(line, cycle + MISS_LATENCY, kind, 0);
+            MISS_LATENCY
+        }
+    }
+}
+
+/// Records per stream of the kernels that replay [`fixtures::LADDER_WORKLOADS`].
+const STREAM_RECORDS: usize = 300_000;
 
 /// Bytes one `json_parse_*` repetition reads (scaled).
 const JSON_PARSE_BYTES: usize = 4 << 20;
@@ -270,31 +365,102 @@ pub fn registry() -> Vec<BenchDef> {
             },
         },
         BenchDef {
-            // The Table 5 core on the suites' instruction mix: the layer
-            // every record crosses, whatever the hierarchy does below it.
+            // One workload per `PatternKind`, drained as `System` drains
+            // it: what every generated record costs before the simulator
+            // sees it.
+            name: "gen_step",
+            unit: "records",
+            build: |scale| {
+                let n = scaled(200_000, scale);
+                let workloads = fixtures::GEN_WORKLOADS.map(fixtures::suite_workload);
+                (
+                    (n * workloads.len()) as u64,
+                    Box::new(move || {
+                        for w in &workloads {
+                            drain_batches(&mut *w.source(n), |batch| {
+                                black_box(batch);
+                            });
+                        }
+                    }),
+                )
+            },
+        },
+        BenchDef {
+            // One RNG roll and one record store per record, batched the
+            // same way: the distance from here to `gen_step` is what the
+            // generators' own logic costs.
+            name: "gen_floor",
+            unit: "records",
+            build: |scale| {
+                let batches = scaled(200_000, scale) * fixtures::GEN_WORKLOADS.len() / RECORD_BATCH;
+                (
+                    (batches * RECORD_BATCH) as u64,
+                    Box::new(move || {
+                        let mut state = 1u64;
+                        let mut batch = Vec::with_capacity(RECORD_BATCH);
+                        for _ in 0..batches {
+                            batch.clear();
+                            batch.extend(
+                                (0..RECORD_BATCH).map(|_| fixtures::floor_record(&mut state)),
+                            );
+                            black_box(&batch);
+                        }
+                    }),
+                )
+            },
+        },
+        BenchDef {
+            // The Table 5 core on recorded suite streams (so the generator
+            // is not in the row), the hierarchy replaced by fixed
+            // latencies: the layer every record crosses, on the class and
+            // latency sequences the simulator feeds it.
             name: "core_dispatch",
             unit: "inst",
             build: |scale| {
-                let n = scaled(2_000_000, scale);
+                let n = scaled(STREAM_RECORDS, scale);
+                let streams =
+                    fixtures::LADDER_WORKLOADS.map(|w| fixtures::suite_workload(w).trace(n));
                 (
-                    n as u64,
+                    (n * streams.len()) as u64,
                     Box::new(move || {
-                        let mut core = CoreModel::new(CoreConfig::default());
-                        for inst in fixtures::instruction_mix(n) {
-                            match inst {
-                                Inst::Load { latency } => {
-                                    core.dispatch(latency, true, false, false, false);
-                                }
-                                Inst::Branch { mispredicted } => {
-                                    core.record_branch(mispredicted);
-                                    core.dispatch_plain(mispredicted);
-                                }
-                                Inst::Plain => {
-                                    core.dispatch_plain(false);
-                                }
+                        for records in &streams {
+                            let mut core = CoreModel::new(CoreConfig::default());
+                            let mut last_line = u64::MAX;
+                            for record in records {
+                                core_step(&mut core, record, |mem, _| {
+                                    fixed_latency(&mut last_line, mem)
+                                });
                             }
+                            black_box(core.drain());
                         }
-                        black_box(core.drain());
+                    }),
+                )
+            },
+        },
+        BenchDef {
+            // The memory records of the same streams through an L1D: nine
+            // in ten hit the line the previous one touched, the tenth
+            // fills.
+            name: "l1_hit_step",
+            unit: "ops",
+            build: |scale| {
+                let n = scaled(STREAM_RECORDS, scale);
+                let streams = fixtures::LADDER_WORKLOADS.map(|w| {
+                    let records = fixtures::suite_workload(w).trace(n);
+                    records.iter().filter_map(|r| r.mem).collect::<Vec<_>>()
+                });
+                let cfg = SystemConfig::single_core();
+                (
+                    streams.iter().map(Vec::len).sum::<usize>() as u64,
+                    Box::new(move || {
+                        for accesses in &streams {
+                            let mut l1 = Cache::new("bench-l1", &cfg.l1d);
+                            let mut total = 0u64;
+                            for (cycle, &mem) in accesses.iter().enumerate() {
+                                total += l1_step(&mut l1, mem, cycle as u64);
+                            }
+                            black_box(total);
+                        }
                     }),
                 )
             },

@@ -1,23 +1,36 @@
-//! Per-phase span-timer breakdown of the agent hot path.
+//! Where the time goes inside a step: the agent's, by span timer, and the
+//! simulator's, by ablation.
 //!
 //! The registry's `agent_step` benchmark answers "how fast is one
-//! demand step?"; this module answers "where inside it does the time
-//! go?". It drives the same deterministic fixtures through
+//! demand step?"; [`profile_sections`] answers "where inside it does the
+//! time go?". It drives the same deterministic fixtures through
 //! [`Pythia::on_demand_sectioned`] with a [`SpanTimer`] attached, so
 //! the breakdown covers the paper's named phases — feature extraction,
 //! EQ probe, argmax, EQ insert, SARSA update — plus a `cache_probe`
-//! section timing the L1 probe fixture the same way. `pythia-cli bench
-//! --sections` renders the result as a table.
+//! section timing the L1 probe fixture the same way.
+//!
+//! A timer cannot do the same for the simulator step: two clock reads
+//! cost more than any layer a record crosses (the agent table above sums
+//! to about three times what `agent_step` measures, and an agent phase is
+//! the longest section there is). [`profile_sim_step`] therefore times
+//! whole passes over a stream, each with one more layer switched on —
+//! generator, core model, L1, the hierarchy below it, the agent — and
+//! reads a layer's cost off the difference: the `sim_step` ladder.
+//! `pythia-cli bench --sections` renders both tables.
 
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
+use pythia::runner::{build_system, run_workload};
 use pythia_core::{Pythia, PythiaConfig};
 use pythia_obs::spans::{Sectioner, SpanTimer, SpanTotal};
 use pythia_sim::cache::{AccessKind, Cache, Lookup};
-use pythia_sim::config::SystemConfig;
+use pythia_sim::config::{CoreConfig, SystemConfig};
+use pythia_sim::cpu::CoreModel;
 use pythia_sim::prefetch::SystemFeedback;
 
 use crate::fixtures::{self, scaled};
+use crate::{core_step, drain_batches, e2e_spec, fixed_latency, l1_step};
 
 /// A per-phase wall-time breakdown of the hot-path fixtures.
 #[derive(Debug, Clone)]
@@ -100,6 +113,198 @@ pub fn profile_sections(scale: f64) -> SectionProfile {
     }
 }
 
+/// The rungs of the `sim_step` ladder, bottom up: what each layer adds to
+/// a pass over the stream, then `remainder` — what `run_workload` (the
+/// call the `e2e_*` rows time) spends outside `System::run`, building and
+/// dropping the system. That is about zero at full scale, so a remainder
+/// of several nanoseconds means the host changed speed between rounds:
+/// rerun.
+pub const SIM_STEP_RUNGS: [&str; 6] = [
+    "generator",
+    "core model",
+    "L1 hit",
+    "miss path",
+    "agent",
+    "remainder",
+];
+
+/// Timed rounds; each configuration's fastest pass is kept.
+const LADDER_PASSES: usize = 9;
+
+/// The `sim_step` ladder of one stream, in host nanoseconds per record.
+#[derive(Debug, Clone)]
+pub struct StreamLadder {
+    /// The suite workload whose stream was stepped.
+    pub stream: &'static str,
+    /// Records per pass (warm-up + measured budget of the e2e rows).
+    pub records: u64,
+    /// One entry per [`SIM_STEP_RUNGS`] name, in that order; together they
+    /// are `e2e_pythia_ns`.
+    pub rungs: Vec<(&'static str, f64)>,
+    /// A whole `run_workload` with no prefetcher (`e2e_baseline_sim`'s
+    /// call).
+    pub e2e_none_ns: f64,
+    /// What of `e2e_none_ns` is outside `System::run`.
+    pub remainder_none_ns: f64,
+    /// A whole `run_workload` with `pythia` (`e2e_single_core`'s call).
+    pub e2e_pythia_ns: f64,
+}
+
+/// The `sim_step` ladder over [`fixtures::LADDER_WORKLOADS`].
+#[derive(Debug, Clone)]
+pub struct SimStepLadder {
+    /// One ladder per stream.
+    pub streams: Vec<StreamLadder>,
+}
+
+impl SimStepLadder {
+    /// Renders one table row per stream and rung — nanoseconds per record
+    /// and share of the `pythia` simulation (the shares of a stream sum to
+    /// 100 %) — followed by each stream's two end-to-end times and the
+    /// share of each the remainder is.
+    pub fn to_markdown(&self) -> String {
+        let mut out = String::from(
+            "| stream | rung | ns/record | share |\n\
+             |---|---|---:|---:|\n",
+        );
+        for s in &self.streams {
+            for (rung, ns) in &s.rungs {
+                let share = 100.0 * ns / s.e2e_pythia_ns;
+                out.push_str(&format!(
+                    "| {} | {rung} | {ns:.2} | {share:.1}% |\n",
+                    s.stream
+                ));
+            }
+        }
+        out.push('\n');
+        for s in &self.streams {
+            let remainder = s.rungs.last().expect("ladder has rungs").1;
+            out.push_str(&format!(
+                "{}: {} records; no prefetcher {:.2} ns/record (remainder {:.1}%), \
+                 pythia {:.2} ns/record (remainder {:.1}%)\n",
+                s.stream,
+                s.records,
+                s.e2e_none_ns,
+                100.0 * s.remainder_none_ns / s.e2e_none_ns,
+                s.e2e_pythia_ns,
+                100.0 * remainder / s.e2e_pythia_ns,
+            ));
+        }
+        out
+    }
+}
+
+/// Fastest time of each configuration over [`LADDER_PASSES`] rounds, in
+/// nanoseconds per record. A pass is deterministic single-threaded work,
+/// so whatever the host adds (shared hosts slow down for seconds at a
+/// time) only ever makes it longer: the minimum is the pass, and a
+/// difference of minima is a layer. A round runs every configuration
+/// once, so a spell falls on all of them alike. A configuration reads the
+/// clock around its whole loop, never inside it, and returns what it read.
+fn ns_per_record<const N: usize>(records: u64, configs: [&dyn Fn() -> Duration; N]) -> [f64; N] {
+    let mut fastest = [f64::INFINITY; N];
+    for _ in 0..LADDER_PASSES {
+        for (config, fastest) in configs.iter().zip(&mut fastest) {
+            *fastest = fastest.min(config().as_nanos() as f64 / records as f64);
+        }
+    }
+    fastest
+}
+
+/// Builds the `sim_step` ladder at `scale`: per stream, five nested
+/// configurations of one pass, each the previous plus a layer — the
+/// generator drained as `System` drains it; the core model on top, the
+/// hierarchy replaced by fixed latencies; an L1D on top, filled on a miss
+/// after a fixed latency; the real `System` with no prefetcher; the real
+/// `System` with `pythia`. A rung is the difference between two
+/// neighbours, so `miss path` is everything below the L1 plus whatever
+/// `System`'s own loop costs beyond the kernels' (the L1's one fill in
+/// ten memory records is on the `L1 hit` rung), and the rungs sum to
+/// `System::run` by construction. The last row is what `run_workload`
+/// spends around it.
+pub fn profile_sim_step(scale: f64) -> SimStepLadder {
+    let spec = e2e_spec(scale);
+    let n = spec.trace_len();
+    let records = n as u64;
+    let streams = fixtures::LADDER_WORKLOADS
+        .iter()
+        .map(|&stream| {
+            let workload = fixtures::suite_workload(stream);
+            // A pass of the first `layers` layers: generator, core, L1.
+            let kernel = |layers: u32| {
+                let mut source = workload.source(n);
+                let mut core = CoreModel::new(CoreConfig::default());
+                let mut l1 = Cache::new("ladder-l1", &spec.system.l1d);
+                let mut last_line = u64::MAX;
+                let started = Instant::now();
+                drain_batches(&mut *source, |batch| match layers {
+                    1 => {
+                        black_box(batch);
+                    }
+                    2 => {
+                        for record in batch {
+                            core_step(&mut core, record, |mem, _| {
+                                fixed_latency(&mut last_line, mem)
+                            });
+                        }
+                    }
+                    _ => {
+                        for record in batch {
+                            core_step(&mut core, record, |mem, cycle| l1_step(&mut l1, mem, cycle));
+                        }
+                    }
+                });
+                black_box(core.drain());
+                started.elapsed()
+            };
+            // `System::run` alone, and the whole `run_workload` call.
+            let system_run = |prefetcher: &str| {
+                let mut system = build_system(vec![workload.source(n)], prefetcher, &spec);
+                let started = Instant::now();
+                black_box(system.run(spec.warmup, spec.measure));
+                started.elapsed()
+            };
+            let whole_call = |prefetcher: &str| {
+                let started = Instant::now();
+                black_box(run_workload(&workload, prefetcher, &spec));
+                started.elapsed()
+            };
+
+            let [generator, with_core, with_l1, none_run, pythia_run, e2e_none_ns, e2e_pythia_ns] =
+                ns_per_record(
+                    records,
+                    [
+                        &|| kernel(1),
+                        &|| kernel(2),
+                        &|| kernel(3),
+                        &|| system_run("none"),
+                        &|| system_run("pythia"),
+                        &|| whole_call("none"),
+                        &|| whole_call("pythia"),
+                    ],
+                );
+
+            let values = [
+                generator,
+                with_core - generator,
+                with_l1 - with_core,
+                none_run - with_l1,
+                pythia_run - none_run,
+                e2e_pythia_ns - pythia_run,
+            ];
+            StreamLadder {
+                stream,
+                records,
+                rungs: SIM_STEP_RUNGS.into_iter().zip(values).collect(),
+                e2e_none_ns,
+                remainder_none_ns: e2e_none_ns - none_run,
+                e2e_pythia_ns,
+            }
+        })
+        .collect();
+    SimStepLadder { streams }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,5 +347,22 @@ mod tests {
             assert!(table.contains(s.name), "table missing {}", s.name);
         }
         assert!(table.starts_with("| section |"));
+    }
+
+    #[test]
+    fn sim_step_ladder_names_every_rung_and_sums_to_the_simulation() {
+        let ladder = profile_sim_step(0.01);
+        assert_eq!(ladder.streams.len(), fixtures::LADDER_WORKLOADS.len());
+        let table = ladder.to_markdown();
+        for s in &ladder.streams {
+            let names: Vec<_> = s.rungs.iter().map(|(name, _)| *name).collect();
+            assert_eq!(names, SIM_STEP_RUNGS);
+            let total: f64 = s.rungs.iter().map(|(_, ns)| ns).sum();
+            assert!((total - s.e2e_pythia_ns).abs() < 1e-6 * s.e2e_pythia_ns);
+            assert!(s.rungs[0].1 > 0.0 && s.e2e_none_ns > 0.0);
+            for rung in SIM_STEP_RUNGS {
+                assert!(table.contains(&format!("| {} | {rung} |", s.stream)));
+            }
+        }
     }
 }

@@ -243,10 +243,41 @@ impl Cache {
         self.find_slot(line).is_some()
     }
 
-    #[inline]
     /// Accesses the cache at `cycle`. Updates replacement/dirty state and
     /// statistics, and returns whether the line was present.
+    #[inline]
     pub fn access(&mut self, line: u64, kind: AccessKind, cycle: u64) -> Lookup {
+        // Nine L1 accesses in ten: a demand load of the line the previous
+        // access touched, already demanded, at an LRU level. Of everything
+        // `access_general` does on a hit, only the stamp and two counters
+        // can change then — `demanded` is set, a load dirties nothing,
+        // `rrpv` is 0 at LRU levels, no prefetch is credited, SHiP is not
+        // trained — so the lane does exactly that. Anything else (another
+        // line, a store, a writeback, a prefetch, a prefetched line's first
+        // demand, a SHiP level) takes the general path.
+        let slot = self.mru_slot;
+        if self.mru_line == line
+            && slot != NO_SLOT
+            && kind == AccessKind::DemandLoad
+            && self.replacement == ReplacementKind::Lru
+            && self.meta[slot].demanded
+        {
+            debug_assert_eq!(Some(slot), self.find_slot(line));
+            self.clock += 1;
+            self.lru[slot] = self.clock;
+            self.stats.demand_loads += 1;
+            self.stats.demand_load_hits += 1;
+            return Lookup::Hit {
+                ready_at: self.meta[slot].ready_at,
+                was_prefetched: false,
+            };
+        }
+        self.access_general(line, kind, cycle)
+    }
+
+    /// [`access`](Cache::access) for every kind of request and line: the
+    /// definition its demand-load lane is checked against.
+    fn access_general(&mut self, line: u64, kind: AccessKind, cycle: u64) -> Lookup {
         self.clock += 1;
         let clock = self.clock;
         let found = if self.mru_line == line && self.mru_slot != NO_SLOT {
@@ -647,6 +678,94 @@ mod tests {
                 mru_overwritten > 50,
                 "MRU slot rarely refilled: {mru_overwritten}"
             );
+        }
+    }
+
+    /// The demand-load lane of `access` against `access_general`, its
+    /// definition: two caches fed one random sequence of loads, stores,
+    /// writebacks, prefetch probes and demand and prefetch fills — one
+    /// through `access`, one through `access_general` — must return the
+    /// same lookups and hold the same stamps, line metadata, MRU entry and
+    /// statistics after every operation. A third of the accesses repeat
+    /// the previous line, so the lane runs constantly at the LRU level,
+    /// and every reason to decline it comes up (counted, so the test
+    /// cannot pass vacuously): a store, a writeback or a prefetch probe of
+    /// the MRU line, a prefetched line's first demand, and a SHiP level.
+    #[test]
+    fn mru_demand_load_lane_matches_general_access() {
+        for replacement in [ReplacementKind::Lru, ReplacementKind::Ship] {
+            let mut lane = tiny_cache(replacement);
+            let mut general = tiny_cache(replacement);
+            let mut rng = 0x2545_f491_4f6c_dd1du64;
+            let mut next = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let (mut taken, mut first_demand, mut other_kind) = (0u32, 0u32, 0u32);
+            for cycle in 0..30_000u64 {
+                let line = match next(3) {
+                    0 => lane.mru_line,
+                    _ => next(12),
+                };
+                match next(10) {
+                    op @ 0..=6 => {
+                        let kind = match op {
+                            0..=3 => AccessKind::DemandLoad,
+                            4 => AccessKind::DemandStore,
+                            5 => AccessKind::Writeback,
+                            _ => AccessKind::Prefetch,
+                        };
+                        if lane.mru_slot != NO_SLOT && lane.mru_line == line {
+                            let demanded = lane.meta[lane.mru_slot].demanded;
+                            match (kind, demanded, replacement) {
+                                (AccessKind::DemandLoad, true, ReplacementKind::Lru) => taken += 1,
+                                (AccessKind::DemandLoad, false, _) => first_demand += 1,
+                                (AccessKind::DemandLoad, ..) => {}
+                                _ => other_kind += 1,
+                            }
+                        }
+                        assert_eq!(
+                            lane.access(line, kind, cycle),
+                            general.access_general(line, kind, cycle),
+                            "{kind:?} of line {line} at cycle {cycle}"
+                        );
+                    }
+                    op => {
+                        let kind = if op == 7 {
+                            AccessKind::DemandLoad
+                        } else {
+                            AccessKind::Prefetch
+                        };
+                        // Ready in the future, so first demands are late.
+                        let sig = (line % 4) as u16;
+                        assert_eq!(
+                            lane.fill(line, cycle + 50, kind, sig),
+                            general.fill(line, cycle + 50, kind, sig)
+                        );
+                    }
+                }
+                assert_eq!(lane.clock, general.clock, "cycle {cycle}");
+                assert_eq!(lane.lru, general.lru, "cycle {cycle}");
+                assert_eq!(
+                    (lane.mru_line, lane.mru_slot),
+                    (general.mru_line, general.mru_slot)
+                );
+                assert_eq!(lane.stats, general.stats, "cycle {cycle}");
+                assert_eq!(
+                    format!("{:?}", lane.meta),
+                    format!("{:?}", general.meta),
+                    "cycle {cycle}"
+                );
+            }
+            if replacement == ReplacementKind::Lru {
+                assert!(taken > 2_000, "lane barely exercised: {taken}");
+            } else {
+                assert_eq!(taken, 0);
+            }
+            assert!(first_demand > 100, "few first demands: {first_demand}");
+            assert!(other_kind > 500, "few non-load MRU accesses: {other_kind}");
         }
     }
 

@@ -22,8 +22,10 @@ const ROB_IS_STORE: u64 = 2;
 
 #[derive(Debug)]
 struct Rob {
+    /// Power-of-two length, so `index & (len - 1)` wraps — and, computed
+    /// from the length itself, is provably in bounds: the retire loop then
+    /// holds no panic edge and keeps the core's clocks in registers.
     buf: Vec<u64>,
-    mask: usize,
     head: usize,
     tail: usize,
 }
@@ -35,7 +37,6 @@ impl Rob {
         let size = (capacity + 1).next_power_of_two().max(2);
         Self {
             buf: vec![0; size],
-            mask: size - 1,
             head: 0,
             tail: 0,
         }
@@ -53,14 +54,16 @@ impl Rob {
 
     #[inline]
     fn push(&mut self, packed: u64) {
-        self.buf[self.tail & self.mask] = packed;
+        let mask = self.buf.len() - 1;
+        self.buf[self.tail & mask] = packed;
         self.tail = self.tail.wrapping_add(1);
     }
 
     #[inline]
     fn pop(&mut self) -> u64 {
         debug_assert!(!self.is_empty(), "retire from empty ROB");
-        let v = self.buf[self.head & self.mask];
+        let mask = self.buf.len() - 1;
+        let v = self.buf[self.head & mask];
         self.head = self.head.wrapping_add(1);
         v
     }
@@ -125,18 +128,19 @@ impl CoreModel {
         self.stats = CoreStats::default();
     }
 
+    /// Retires the ROB head. Slot roll-over and the bump to the head's
+    /// completion cycle are selects, not branches: whether the head is
+    /// still executing depends on the latency the hierarchy returned for it
+    /// a ROB's length ago, which no branch predictor can learn.
+    #[inline]
     fn retire_one(&mut self) {
         let head = self.rob.pop();
         let completion = head >> 2;
-        if self.retire_slots_used >= self.config.width {
-            self.retire_cycle += 1;
-            self.retire_slots_used = 0;
-        }
-        if completion > self.retire_cycle {
-            self.retire_cycle = completion;
-            self.retire_slots_used = 0;
-        }
-        self.retire_slots_used += 1;
+        let rolled = self.retire_slots_used >= self.config.width;
+        let cycle = self.retire_cycle + u64::from(rolled);
+        let fresh_cycle = rolled | (completion > cycle);
+        self.retire_cycle = cycle.max(completion);
+        self.retire_slots_used = u32::from(!fresh_cycle) * self.retire_slots_used + 1;
         // Arithmetic on the flag bits: the load/store mix is random, so a
         // branch per class would mispredict.
         self.loads_in_flight -= (head & ROB_IS_LOAD) as usize;
@@ -148,25 +152,20 @@ impl CoreModel {
     #[inline]
     fn stall_on_head(&mut self) {
         self.retire_one();
-        if self.fetch_cycle < self.retire_cycle {
-            self.fetch_cycle = self.retire_cycle;
-            self.fetch_slots_used = 0;
-        }
+        let caught_up = self.fetch_cycle >= self.retire_cycle;
+        self.fetch_cycle = self.fetch_cycle.max(self.retire_cycle);
+        self.fetch_slots_used *= u32::from(caught_up);
     }
 
     /// Advances the front-end past one dispatched instruction: 1/width of
     /// a cycle, plus the bubble after a mispredicted branch.
     #[inline]
     fn advance_front_end(&mut self, mispredicted_branch: bool) {
-        self.fetch_slots_used += 1;
-        if self.fetch_slots_used >= self.config.width {
-            self.fetch_cycle += 1;
-            self.fetch_slots_used = 0;
-        }
-        if mispredicted_branch {
-            self.fetch_cycle += self.config.mispredict_penalty;
-            self.fetch_slots_used = 0;
-        }
+        let slots = self.fetch_slots_used + 1;
+        let rolled = slots >= self.config.width;
+        self.fetch_cycle +=
+            u64::from(rolled) + u64::from(mispredicted_branch) * self.config.mispredict_penalty;
+        self.fetch_slots_used = u32::from(!(rolled | mispredicted_branch)) * slots;
     }
 
     /// Dispatches one instruction whose execution completes `exec_latency`

@@ -641,33 +641,9 @@ impl System {
         self.monitor.reset_stats();
     }
 
-    /// Index of the core with the smallest local clock (next to step).
-    fn next_core(&self) -> usize {
-        if self.cores.len() == 1 {
-            return 0;
-        }
-        self.cores
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.model.now())
-            .map(|(i, _)| i)
-            .expect("at least one core")
-    }
-
-    /// The clocks core `idx` races against while it keeps the scheduling
-    /// slot: the minimum over cores *before* it (which `idx` must stay
-    /// strictly below — [`next_core`](System::next_core)'s `min_by_key`
-    /// breaks ties toward the lowest index) and the minimum over cores
-    /// *after* it (which `idx` only has to stay at or below).
-    fn rival_clocks(&self, idx: usize) -> (u64, u64) {
-        let min_now = |cores: &[CoreUnit]| {
-            cores
-                .iter()
-                .map(|c| c.model.now())
-                .min()
-                .unwrap_or(u64::MAX)
-        };
-        (min_now(&self.cores[..idx]), min_now(&self.cores[idx + 1..]))
+    /// The next scheduling slice, [`pick`] over the cores' clocks.
+    fn pick(&self) -> (usize, u64, u64) {
+        pick(self.cores.iter().map(|c| c.model.now()))
     }
 
     /// Runs `warmup` instructions per core with statistics frozen, then
@@ -685,29 +661,24 @@ impl System {
         assert!(measure > 0, "measurement phase must be non-empty");
         // Warmup phase. A core past its warmup budget still takes steps
         // whenever it holds the slot, to preserve contention (its extra
-        // instructions are warmup too).
-        if warmup > 0 {
-            while self.cores.iter().any(|c| c.model.retired() < warmup) {
-                let idx = self.next_core();
-                let (lo, hi) = self.rival_clocks(idx);
-                // Only `idx`'s retired count moves within the slice, so
-                // the phase-exit check reduces to `idx`'s own budget when
-                // every other core is already done.
-                let others_below = self
-                    .cores
-                    .iter()
-                    .enumerate()
-                    .any(|(j, c)| j != idx && c.model.retired() < warmup);
-                loop {
-                    self.step_core(idx);
-                    let core = &self.cores[idx].model;
-                    if !others_below && core.retired() >= warmup {
-                        break;
-                    }
-                    let now = core.now();
-                    if now >= lo || now > hi {
-                        break;
-                    }
+        // instructions are warmup too). Only the stepped core's retired
+        // count moves, so the phase-exit check is a counter of the cores
+        // still below the budget.
+        let mut below = self
+            .cores
+            .iter()
+            .filter(|c| c.model.retired() < warmup)
+            .count();
+        while below > 0 {
+            let (idx, lo, hi) = self.pick();
+            loop {
+                let was_below = self.cores[idx].model.retired() < warmup;
+                self.step_core(idx);
+                let core = &self.cores[idx].model;
+                below -= usize::from(was_below && core.retired() >= warmup);
+                let now = core.now();
+                if below == 0 || now >= lo || now > hi {
+                    break;
                 }
             }
         }
@@ -715,19 +686,15 @@ impl System {
         self.reset_telemetry();
 
         // Measured phase.
-        while self.cores.iter().any(|c| !c.finished) {
-            let idx = self.next_core();
-            let (lo, hi) = self.rival_clocks(idx);
-            let others_unfinished = self
-                .cores
-                .iter()
-                .enumerate()
-                .any(|(j, c)| j != idx && !c.finished);
+        let mut unfinished = self.cores.len();
+        while unfinished > 0 {
+            let (idx, lo, hi) = self.pick();
             loop {
                 self.step_core(idx);
                 let core = &mut self.cores[idx];
                 if !core.finished && core.model.retired() >= measure {
                     core.finished = true;
+                    unfinished -= 1;
                     let mut stats = *core.model.stats();
                     let end = core.model.now().max(core.model.retire_timestamp());
                     stats.cycles = end - core.measure_start_cycle;
@@ -736,12 +703,8 @@ impl System {
                 if self.telemetry.is_some() {
                     self.poll_telemetry(idx);
                 }
-                let core = &self.cores[idx];
-                if !others_unfinished && core.finished {
-                    break;
-                }
-                let now = core.model.now();
-                if now >= lo || now > hi {
+                let now = self.cores[idx].model.now();
+                if unfinished == 0 || now >= lo || now > hi {
                     break;
                 }
             }
@@ -763,6 +726,26 @@ impl System {
     }
 }
 
+/// One scheduling decision from the cores' clocks, in one pass: the core
+/// to step — smallest clock, ties toward the lowest index — and the two
+/// clocks it races against while it keeps the slot: the minimum over cores
+/// *before* it, which it must stay strictly below, and the minimum over
+/// cores *after* it, which it only has to stay at or below (`u64::MAX`
+/// where there is no such core).
+fn pick(clocks: impl Iterator<Item = u64>) -> (usize, u64, u64) {
+    let (mut idx, mut best, mut lo, mut hi) = (0, u64::MAX, u64::MAX, u64::MAX);
+    for (i, now) in clocks.enumerate() {
+        if i == 0 || now < best {
+            // Every earlier clock is at least the previous winner's, which
+            // is therefore their minimum.
+            (idx, lo, best, hi) = (i, best, now, u64::MAX);
+        } else {
+            hi = hi.min(now);
+        }
+    }
+    (idx, lo, hi)
+}
+
 /// 14-bit SHiP signature from a PC.
 fn ship_signature(pc: u64) -> u16 {
     let x = pc ^ (pc >> 14) ^ (pc >> 28);
@@ -781,6 +764,57 @@ mod tests {
                 .map(|i| TraceRecord::load(0x400000, base + i * 64))
                 .collect(),
         )
+    }
+
+    /// `next_core` as it was before `pick` folded it in: the definition of
+    /// who steps next.
+    fn next_core_reference(clocks: &[u64]) -> usize {
+        clocks
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &now)| now)
+            .map(|(i, _)| i)
+            .expect("at least one core")
+    }
+
+    /// `rival_clocks` as it was: the minima over the cores before and
+    /// after `idx`.
+    fn rival_clocks_reference(clocks: &[u64], idx: usize) -> (u64, u64) {
+        let min_now = |clocks: &[u64]| clocks.iter().copied().min().unwrap_or(u64::MAX);
+        (min_now(&clocks[..idx]), min_now(&clocks[idx + 1..]))
+    }
+
+    /// One pass against the three scans it replaced, over random clock
+    /// vectors of 1–12 cores drawn from a range narrow enough that most
+    /// vectors tie somewhere (counted).
+    #[test]
+    fn pick_matches_next_core_and_rival_clocks() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut tied_minimum = 0u32;
+        for round in 0..20_000 {
+            let cores = 1 + next(12) as usize;
+            let spread = 1 + next(6);
+            let base = next(1 << 40);
+            let clocks: Vec<u64> = (0..cores).map(|_| base + next(spread)).collect();
+            let idx = next_core_reference(&clocks);
+            let (lo, hi) = rival_clocks_reference(&clocks, idx);
+            assert_eq!(
+                pick(clocks.iter().copied()),
+                (idx, lo, hi),
+                "round {round}: {clocks:?}"
+            );
+            // The tie rule the slice loop relies on: strictly below every
+            // earlier core, at or below every later one.
+            assert!(clocks[idx] < lo && clocks[idx] <= hi);
+            tied_minimum += u32::from(clocks[idx] == hi);
+        }
+        assert!(tied_minimum > 2_000, "few tied minima: {tied_minimum}");
     }
 
     #[test]
@@ -841,6 +875,36 @@ mod tests {
             sys.run(2_000, 10_000)
         };
         assert_eq!(format!("{:?}", run(false)), format!("{:?}", run(true)));
+    }
+
+    /// ROADMAP item 2, first suspect. `access_hierarchy` adds the L1 MSHR
+    /// wait to a `data_ready` it shadows inside the L1-fill block: the
+    /// wait delays the line's `ready_at`, never the latency returned to
+    /// the load that waited, so that load completes before a later hit on
+    /// the line it fetched. Fails until the wait is charged (a fix moves
+    /// golden digests, so it is its own PR); run with `--ignored`.
+    #[test]
+    #[ignore = "documents a suspected model bug; fails until access_hierarchy charges l1_wait"]
+    fn l1_mshr_wait_is_charged_to_the_load_that_waited() {
+        let cfg = SystemConfig::single_core();
+        let registers = cfg.l1d.mshrs as u64;
+        let mut sys = System::new(cfg, vec![stream_trace(1, 0)]);
+        let addr = |i: u64| 0x1000_0000 + i * 64;
+        // One DRAM miss per L1 MSHR, all issued at cycle 0.
+        for i in 0..registers {
+            sys.access_hierarchy(0, 0x400000, addr(i), false, 0);
+        }
+        assert_eq!(sys.cores[0].l1d.mshr_mut().stalls(), 0);
+        // The next miss has to wait for a register...
+        let miss_latency = sys.access_hierarchy(0, 0x400000, addr(registers), false, 0);
+        assert_eq!(sys.cores[0].l1d.mshr_mut().stalls(), 1);
+        // ...and a load of the same line in the same cycle hits it in flight.
+        let hit_latency = sys.access_hierarchy(0, 0x400000, addr(registers) + 8, false, 0);
+        assert!(
+            miss_latency >= hit_latency,
+            "the miss that fetched the line returned after {miss_latency} cycles, \
+             a hit on that line after {hit_latency}"
+        );
     }
 
     #[test]

@@ -199,12 +199,18 @@ pub struct TraceStream {
     spec: TraceSpec,
     rng: StdRng,
     state: PatternState,
+    /// Whether `state` keeps a phase budget ([`PatternKind::Phased`]) that
+    /// element re-accesses are charged against: decided once here, so the
+    /// nine re-accesses in ten that have none to charge skip the call.
+    phased: bool,
     /// Distinct base address per trace (so multi-core mixes do not share
     /// data), derived from the seed.
     base: u64,
     pc_counter: u64,
     repeat: u64,
     cursor: LineCursor,
+    /// The class roll of the next record, already drawn (see `step`).
+    next_roll: u32,
     emitted: usize,
 }
 
@@ -226,8 +232,11 @@ impl TraceStream {
         let state = PatternState::new(&spec.kind, spec.footprint_pages, &mut rng);
         let base = (spec.seed % 1024 + 1) * 0x1_0000_0000;
         let repeat = spec.accesses_per_line.max(1) as u64;
+        let next_roll = rng.gen_range(0..100u32);
         Self {
+            next_roll,
             rng,
+            phased: matches!(state, PatternState::Phased { .. }),
             state,
             base,
             pc_counter: 0x400000,
@@ -249,22 +258,38 @@ impl TraceStream {
     /// [`next_batch`](TraceSource::next_batch)). Each arm ends in one
     /// struct literal, so once inlined the record is built where the
     /// caller wants it instead of in a temporary that is copied out.
+    ///
+    /// The class roll is drawn a record ahead. A record's roll is the
+    /// first draw after the previous record's own, and nine records in ten
+    /// (plain instructions, element re-accesses) draw nothing else — so
+    /// the roll of the record after this one is computed from the current
+    /// state *before* branching on this one's, where a mispredicted class
+    /// branch cannot flush it, and the next class branch resolves from a
+    /// value that is already there. The draw order, and so every value,
+    /// is that of rolling at the top of each record.
     #[inline]
     fn step(&mut self) -> TraceRecord {
-        let roll = self.rng.gen_range(0..100u32);
-        if roll < self.spec.mem_pct as u32 {
+        let roll = self.next_roll;
+        let mut ahead = self.rng.clone();
+        let roll_ahead = ahead.gen_range(0..100u32);
+        let drew;
+        let record = if roll < self.spec.mem_pct as u32 {
             let (pc, addr, is_write, dependent) = if self.cursor.left > 0 {
+                drew = false;
                 // Element re-accesses are memory records too: charge
                 // them against the pattern's phase budget (`Phased`
                 // counts *memory accesses*, not fresh cachelines)
                 // without advancing any pattern cursor.
-                self.state.note_extra_access();
+                if self.phased {
+                    self.state.note_extra_access();
+                }
                 let c = &mut self.cursor;
                 let elem = (self.repeat - c.left) % 8; // 8 elements of 8 B per line
                 c.left -= 1;
                 // Element re-accesses hit in L1 and never depend.
                 (c.pc, c.line_base + elem * 8, c.is_write, false)
             } else {
+                drew = true;
                 let (pc, offset_bytes, is_write, dependent) = self
                     .state
                     .next_access(self.spec.footprint_pages, &mut self.rng);
@@ -287,7 +312,8 @@ impl TraceStream {
         } else {
             let pc = self.pc_counter;
             self.pc_counter = pc.wrapping_add(4);
-            let branch = if roll < (self.spec.mem_pct + self.spec.branch_pct) as u32 {
+            drew = roll < (self.spec.mem_pct + self.spec.branch_pct) as u32;
+            let branch = if drew {
                 let mispredicted = self.rng.gen_range(0..100u32) < self.spec.mispredict_pct as u32;
                 Some(Branch {
                     taken: self.rng.gen_bool(0.6),
@@ -302,7 +328,13 @@ impl TraceStream {
                 branch,
                 depends_on_prev_load: false,
             }
+        };
+        if drew {
+            self.next_roll = self.rng.gen_range(0..100u32);
+        } else {
+            (self.rng, self.next_roll) = (ahead, roll_ahead);
         }
+        record
     }
 }
 
@@ -340,10 +372,7 @@ impl TraceSource for TraceStream {
         // One budget check per batch; `step` inlines into the loop, so each
         // record is written straight into `out`'s spare capacity.
         let n = max.min(self.spec.instructions.saturating_sub(self.emitted));
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.step());
-        }
+        out.extend((0..n).map(|_| self.step()));
         self.emitted += n;
         n
     }

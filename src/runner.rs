@@ -194,8 +194,18 @@ pub fn run_sources_telemetry(
 
 /// Shared constructor for [`run_sources`] / [`run_sources_telemetry`]:
 /// both paths must derive identical per-core seeds or the telemetry
-/// variant would simulate a different system.
-fn build_system(sources: Vec<Box<dyn TraceSource>>, prefetcher: &str, spec: &RunSpec) -> System {
+/// variant would simulate a different system. Public so that a caller can
+/// hold the clock around [`System::run`] alone (`pythia-perf`'s `sim_step`
+/// ladder does).
+///
+/// # Panics
+///
+/// Panics on an unknown prefetcher name.
+pub fn build_system(
+    sources: Vec<Box<dyn TraceSource>>,
+    prefetcher: &str,
+    spec: &RunSpec,
+) -> System {
     let name = prefetcher.to_string();
     System::with_prefetchers(spec.system, sources, move |core| {
         build_prefetcher(&name, 0x517e_a5e5 ^ core as u64)

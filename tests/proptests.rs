@@ -402,6 +402,177 @@ proptest! {
     }
 }
 
+/// The core model's clocks as they were written before they became
+/// arithmetic: one branch per decision (retire-slot roll-over, the bump to
+/// the head's completion, the stall catching the front-end up, the
+/// front-end slot roll-over, the mispredict bubble). The definition
+/// `CoreModel`'s selects are checked against.
+struct BranchyCore {
+    cfg: pythia_sim::config::CoreConfig,
+    /// `(completion, is_load, is_store)` in program order.
+    rob: std::collections::VecDeque<(u64, bool, bool)>,
+    loads_in_flight: usize,
+    stores_in_flight: usize,
+    fetch_cycle: u64,
+    fetch_slots_used: u32,
+    retire_cycle: u64,
+    retire_slots_used: u32,
+    last_load_completion: u64,
+    stats: pythia_sim::stats::CoreStats,
+}
+
+impl BranchyCore {
+    fn new(cfg: pythia_sim::config::CoreConfig) -> Self {
+        Self {
+            cfg,
+            rob: std::collections::VecDeque::new(),
+            loads_in_flight: 0,
+            stores_in_flight: 0,
+            fetch_cycle: 0,
+            fetch_slots_used: 0,
+            retire_cycle: 0,
+            retire_slots_used: 0,
+            last_load_completion: 0,
+            stats: Default::default(),
+        }
+    }
+
+    fn retire_one(&mut self) {
+        let (completion, is_load, is_store) = self.rob.pop_front().expect("retire from empty ROB");
+        if self.retire_slots_used >= self.cfg.width {
+            self.retire_cycle += 1;
+            self.retire_slots_used = 0;
+        }
+        if completion > self.retire_cycle {
+            self.retire_cycle = completion;
+            self.retire_slots_used = 0;
+        }
+        self.retire_slots_used += 1;
+        if is_load {
+            self.loads_in_flight -= 1;
+        }
+        if is_store {
+            self.stores_in_flight -= 1;
+        }
+    }
+
+    fn dispatch(
+        &mut self,
+        exec_latency: u64,
+        is_load: bool,
+        is_store: bool,
+        dependent_on_load: bool,
+        mispredicted_branch: bool,
+    ) -> u64 {
+        while self.rob.len() >= self.cfg.rob_entries
+            || (is_load && self.loads_in_flight >= self.cfg.lq_entries)
+            || (is_store && self.stores_in_flight >= self.cfg.sq_entries)
+        {
+            self.retire_one();
+            if self.fetch_cycle < self.retire_cycle {
+                self.fetch_cycle = self.retire_cycle;
+                self.fetch_slots_used = 0;
+            }
+        }
+        if dependent_on_load && self.last_load_completion > self.fetch_cycle {
+            self.fetch_cycle = self.last_load_completion;
+            self.fetch_slots_used = 0;
+        }
+        let dispatch_at = self.fetch_cycle;
+        let completion = dispatch_at + exec_latency;
+        self.rob.push_back((completion, is_load, is_store));
+        if is_load {
+            self.loads_in_flight += 1;
+            self.stats.loads += 1;
+            self.last_load_completion = completion;
+        }
+        if is_store {
+            self.stores_in_flight += 1;
+            self.stats.stores += 1;
+        }
+        self.stats.instructions += 1;
+        self.fetch_slots_used += 1;
+        if self.fetch_slots_used >= self.cfg.width {
+            self.fetch_cycle += 1;
+            self.fetch_slots_used = 0;
+        }
+        if mispredicted_branch {
+            self.fetch_cycle += self.cfg.mispredict_penalty;
+            self.fetch_slots_used = 0;
+        }
+        dispatch_at
+    }
+
+    fn drain(&mut self) -> u64 {
+        while !self.rob.is_empty() {
+            self.retire_one();
+        }
+        self.retire_cycle.max(self.fetch_cycle)
+    }
+}
+
+// `CoreModel` advances its clocks by select and arithmetic; the branchy
+// reference above is what that must compute. Random latencies 1–400
+// (so heads are often still executing at retirement), bursts of loads
+// and of stores (LQ/SQ-full retire loops), dependent loads and
+// mispredicts, on queues that stall constantly and on the Table 5 core:
+// every observable equal after every instruction.
+proptest! {
+    #[test]
+    fn arithmetic_retire_matches_branchy_reference(
+        ops in proptest::collection::vec(
+            (0u32..10, 1u64..400, any::<bool>(), 0u32..12, 1usize..12),
+            1..400,
+        ),
+        small in any::<bool>(),
+    ) {
+        use pythia_sim::config::CoreConfig;
+        use pythia_sim::cpu::CoreModel;
+        let cfg = if small {
+            CoreConfig { width: 2, rob_entries: 6, lq_entries: 2, sq_entries: 2, mispredict_penalty: 5 }
+        } else {
+            CoreConfig::default()
+        };
+        let mut core = CoreModel::new(cfg);
+        let mut reference = BranchyCore::new(cfg);
+        let mut step = 0usize;
+        for &(class, latency, dependent, mispredict_roll, burst) in &ops {
+            let mispredicted = mispredict_roll == 0;
+            // One op in ten is a burst of one memory class, long enough
+            // on the small core — and, for loads, at the suites' 72-entry
+            // LQ share of a full ROB — to fill its queue.
+            let repeat = if class == 9 { burst * 8 } else { 1 };
+            for _ in 0..repeat {
+                let (at, expected) = match class {
+                    0..=2 | 9 => (
+                        core.dispatch(latency, true, false, dependent, mispredicted),
+                        reference.dispatch(latency, true, false, dependent, mispredicted),
+                    ),
+                    3 => (
+                        core.dispatch(1, false, true, false, mispredicted),
+                        reference.dispatch(1, false, true, false, mispredicted),
+                    ),
+                    _ => (
+                        core.dispatch_plain(mispredicted),
+                        reference.dispatch(1, false, false, false, mispredicted),
+                    ),
+                };
+                prop_assert_eq!(at, expected, "dispatch cycle at step {}", step);
+                prop_assert_eq!(core.now(), reference.fetch_cycle, "now at step {}", step);
+                prop_assert_eq!(
+                    core.retire_timestamp(),
+                    reference.retire_cycle,
+                    "retire timestamp at step {}",
+                    step
+                );
+                prop_assert_eq!(core.stats(), &reference.stats, "stats at step {}", step);
+                step += 1;
+            }
+        }
+        prop_assert_eq!(core.drain(), reference.drain());
+    }
+}
+
 /// Slow f64 reference model of the QVStore: the same plane hash
 /// ([`pythia_core::qvstore::plane_slot`]) and layout, but double-precision
 /// cells and no SWAR — the oracle the Q8.7 fixed-point implementation
