@@ -5,15 +5,18 @@
 //!
 //! # Lifecycle of one demand access
 //!
-//! 1. [`Pythia::on_demand`] extracts the state vector from the access
-//!    stream ([`FeatureContext`]), asks the [`QvStore`] for the
+//! 1. [`Pythia::on_demand`] evaluates the state's features on the access
+//!    stream ([`FeatureContext`]) and hashes them straight into Q-table
+//!    row bases ([`QvStore::hash`]) — from here on the bases *are* the
+//!    state; no state vector is built. It asks the [`QvStore`] for the
 //!    argmax action (or explores with probability ε), and — unless the
 //!    chosen action is the no-prefetch offset 0 — emits one
 //!    [`PrefetchRequest`] inside the triggering page.
-//! 2. The (state, action) pair enters the [`EvaluationQueue`]. Actions that
-//!    generated no prefetch are rewarded immediately (R_NP / R_CL, graded
-//!    by the bandwidth usage in [`SystemFeedback`]); prefetching actions
-//!    wait for their outcome.
+//! 2. The (state, action) pair enters the [`EvaluationQueue`], which owns
+//!    the bases of every resident entry. Actions that generated no
+//!    prefetch are rewarded immediately (R_NP / R_CL, graded by the
+//!    bandwidth usage in [`SystemFeedback`]); prefetching actions wait for
+//!    their outcome.
 //! 3. [`Pythia::on_fill`] / later demand hits decide accurate-timely vs.
 //!    accurate-late; EQ eviction assigns the final reward and performs the
 //!    SARSA update against the current EQ head (Algorithm 1, lines 23–29).
@@ -86,14 +89,9 @@ pub struct Pythia {
     stats: PrefetcherStats,
     rewards_seen: RewardCounters,
     action_histogram: Vec<u64>,
-    /// The current demand's state vector, reused every step: once its
-    /// plane bases are hashed the state itself is dead, so it never
-    /// travels through the EQ.
-    state_scratch: Vec<u64>,
-    /// Recycled plane-bases buffers: each state is hashed exactly once
-    /// per demand, and the bases ride in the EQ entry until the SARSA
-    /// update consumes them, whereupon the allocation returns here.
-    bases_pool: Vec<Vec<usize>>,
+    /// The current demand's hashed state; after an evicting EQ insert, the
+    /// evicted entry's (the S₁ of the SARSA update).
+    bases: Box<[u32]>,
 }
 
 impl Pythia {
@@ -103,11 +101,10 @@ impl Pythia {
     ///
     /// Panics if the configuration fails [`PythiaConfig::validate`].
     pub fn new(config: PythiaConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid Pythia configuration: {e}");
-        }
+        // Validates the configuration, before anything is sized from it.
         let qv = QvStore::new(&config);
-        let eq = EvaluationQueue::new(config.eq_size);
+        let eq = EvaluationQueue::new(config.eq_size, qv.cells());
+        let bases = vec![0; qv.cells()].into_boxed_slice();
         let rng = StdRng::seed_from_u64(config.seed);
         let n_actions = config.actions.len();
         Self {
@@ -119,8 +116,7 @@ impl Pythia {
             stats: PrefetcherStats::default(),
             rewards_seen: RewardCounters::default(),
             action_histogram: vec![0; n_actions],
-            state_scratch: Vec::new(),
-            bases_pool: Vec::new(),
+            bases,
         }
     }
 
@@ -197,39 +193,27 @@ impl Pythia {
     ) {
         let r = self.config.rewards;
 
-        // (1) Extract the state vector (into a recycled buffer), hash its
-        // Q-table plane bases exactly once, and kick off software
-        // prefetches of those rows: the EQ probe below is independent work
-        // that overlaps the table loads of the upcoming argmax. The bases
-        // ride in the EQ entry so the eviction-time SARSA update never
-        // re-hashes a state.
+        // (1) Hash the state's feature values into Q-table row bases,
+        // exactly once, and kick off software prefetches of those rows:
+        // the EQ probe below is independent work that overlaps the table
+        // loads of the upcoming argmax.
         sections.enter("feature_extract");
         self.ctx.update(access);
-        let mut state = std::mem::take(&mut self.state_scratch);
-        self.ctx.state_into(&self.config.features, &mut state);
-        let mut bases = self.bases_pool.pop().unwrap_or_default();
-        self.qv.state_bases(&state, &mut bases);
-        self.state_scratch = state;
-        self.qv.prefetch_rows(&bases);
+        let ctx = &self.ctx;
+        let values = self.config.features.iter().map(|f| ctx.value(f));
+        self.qv.hash(values, &mut self.bases);
+        self.qv.prefetch_rows(&self.bases);
         sections.exit("feature_extract");
 
         // (2) Reward any earlier action whose prefetch this demand confirms.
         sections.enter("eq_probe");
-        let hit = if self.config.graded_timeliness {
-            self.eq.reward_demand_hit_graded(
-                access.line,
-                access.cycle,
-                r.accurate_timely,
-                r.accurate_late,
-            )
-        } else {
-            self.eq.reward_demand_hit(
-                access.line,
-                access.cycle,
-                r.accurate_timely,
-                r.accurate_late,
-            )
-        };
+        let hit = self.eq.reward_demand_hit(
+            access.line,
+            access.cycle,
+            r.accurate_timely,
+            r.accurate_late,
+            self.config.graded_timeliness,
+        );
         match hit {
             crate::eq::DemandMatch::AccurateTimely => self.rewards_seen.accurate_timely += 1,
             crate::eq::DemandMatch::AccurateLate => self.rewards_seen.accurate_late += 1,
@@ -243,18 +227,15 @@ impl Pythia {
         let action = if self.rng.gen::<f32>() <= self.config.epsilon {
             self.rng.gen_range(0..n)
         } else {
-            self.qv.argmax_prehashed(&bases)
+            self.qv.argmax(&self.bases)
         };
         self.action_histogram[action] += 1;
         let offset = self.config.actions[action];
         sections.exit("argmax");
 
-        // (4) Generate the prefetch and the EQ entry. The entry carries
-        // the plane bases, not the state: that is all the eviction-time
-        // SARSA update reads.
+        // (4) Generate the prefetch and the EQ entry.
         sections.enter("eq_insert");
         let mut entry = EqEntry::new(action, None, access.cycle);
-        entry.bases = bases;
         if offset == 0 {
             self.assign_insertion_reward(&mut entry, 0, feedback);
         } else if addr::offset_stays_in_page(access.line, offset) {
@@ -267,8 +248,9 @@ impl Pythia {
         }
 
         // (5) Insert into EQ; on eviction, finalize the reward and apply the
-        // SARSA update against the new EQ head.
-        let evicted = self.eq.insert(entry);
+        // SARSA update against the new EQ head. The insert trades the new
+        // state's bases for the evicted entry's.
+        let evicted = self.eq.insert(entry, &mut self.bases);
         sections.exit("eq_insert");
         if let Some(mut evicted) = evicted {
             if evicted.reward.is_none() {
@@ -280,30 +262,27 @@ impl Pythia {
                 self.rewards_seen.inaccurate += 1;
             }
             sections.enter("sarsa");
-            let head = self.eq.head().expect("EQ non-empty after insert");
-            self.qv.sarsa_update_prehashed(
-                &evicted.bases,
+            let (head, head_bases) = self.eq.head().expect("EQ non-empty after insert");
+            self.qv.sarsa_update(
+                &self.bases,
                 evicted.action,
                 evicted.reward.expect("assigned above") as f32,
-                &head.bases,
+                head_bases,
                 head.action,
                 self.config.alpha,
                 self.config.gamma,
             );
             sections.exit("sarsa");
-            // Recycle the evicted entry's bases allocation.
-            let mut bbuf = evicted.bases;
-            bbuf.clear();
-            self.bases_pool.push(bbuf);
         }
 
         // (6) Warm the next eviction's SARSA operands: the two oldest
         // entries' Q-cells are known a full step ahead, so their loads can
         // overlap everything the next demand does before its own update.
         if self.eq.is_full() {
-            if let (Some(e1), Some(e2)) = self.eq.front_two() {
-                self.qv.prefetch_cells(&e1.bases, e1.action);
-                self.qv.prefetch_cells(&e2.bases, e2.action);
+            for i in 0..2 {
+                if let Some((entry, bases)) = self.eq.oldest(i) {
+                    self.qv.prefetch_cells(bases, entry.action);
+                }
             }
         }
     }
@@ -512,6 +491,216 @@ mod tests {
         let _ = s_low; // probing a raw value; compare via rewards_seen instead
         assert_eq!(p_low.rewards_seen().no_prefetch, 2_000);
         assert_eq!(p_high.rewards_seen().no_prefetch, 2_000);
+    }
+
+    /// The definition the EQ's cached bases must equal: a step that keeps
+    /// each entry's *state vector* and re-hashes both states at eviction.
+    /// Rewards ride an `EvaluationQueue` with no bases at all; everything
+    /// else is Algorithm 1 written out the slow way.
+    struct ReferenceAgent {
+        config: PythiaConfig,
+        qv: QvStore,
+        eq: EvaluationQueue,
+        states: std::collections::VecDeque<Vec<u64>>,
+        ctx: FeatureContext,
+        rng: StdRng,
+        actions_taken: Vec<u64>,
+    }
+
+    impl ReferenceAgent {
+        fn new(config: PythiaConfig) -> Self {
+            Self {
+                qv: QvStore::new(&config),
+                eq: EvaluationQueue::new(config.eq_size, 0),
+                states: Default::default(),
+                ctx: FeatureContext::new(),
+                rng: StdRng::seed_from_u64(config.seed),
+                actions_taken: vec![0; config.actions.len()],
+                config,
+            }
+        }
+
+        fn on_demand(&mut self, access: &DemandAccess, fb: &SystemFeedback) -> Option<u64> {
+            let r = self.config.rewards;
+            self.ctx.update(access);
+            let state = self.ctx.state(&self.config.features);
+            self.eq.reward_demand_hit(
+                access.line,
+                access.cycle,
+                r.accurate_timely,
+                r.accurate_late,
+                self.config.graded_timeliness,
+            );
+            let action = if self.rng.gen::<f32>() <= self.config.epsilon {
+                self.rng.gen_range(0..self.config.actions.len())
+            } else {
+                self.qv.argmax(&self.qv.hashed(&state))
+            };
+            self.actions_taken[action] += 1;
+            let offset = self.config.actions[action];
+            let mut entry = EqEntry::new(action, None, access.cycle);
+            if offset == 0 {
+                entry.reward = Some(if fb.bandwidth_high {
+                    r.no_prefetch_high_bw
+                } else {
+                    r.no_prefetch_low_bw
+                });
+            } else if addr::offset_stays_in_page(access.line, offset) {
+                entry.prefetch_line = Some(addr::apply_offset(access.line, offset));
+            } else {
+                entry.reward = Some(r.coverage_loss);
+            }
+            self.states.push_back(state);
+            if let Some(evicted) = self.eq.insert(entry, &mut []) {
+                let s1 = self.states.pop_front().expect("one state per entry");
+                let reward = evicted.reward.unwrap_or(if fb.bandwidth_high {
+                    r.inaccurate_high_bw
+                } else {
+                    r.inaccurate_low_bw
+                });
+                let (head, _) = self.eq.head().expect("EQ non-empty after insert");
+                let (b1, b2) = (self.qv.hashed(&s1), self.qv.hashed(&self.states[0]));
+                self.qv.sarsa_update(
+                    &b1,
+                    evicted.action,
+                    reward as f32,
+                    &b2,
+                    head.action,
+                    self.config.alpha,
+                    self.config.gamma,
+                );
+            }
+            entry.prefetch_line
+        }
+    }
+
+    /// A seeded multi-page demand stream: a handful of pages and PCs, small
+    /// in-page deltas, so lines repeat, prefetches get hit, and offsets run
+    /// off the page.
+    fn seeded_stream(seed: u64, n: u64) -> impl Iterator<Item = DemandAccess> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut offsets = [0u64; 8];
+        (0..n).map(move |i| {
+            let page = rng.gen_range(0..offsets.len());
+            offsets[page] = (offsets[page] + [1, 1, 2, 3, 62][rng.gen_range(0..5usize)]) % 64;
+            let pc = 0x400000 + 4 * rng.gen_range(0..4u64);
+            access(pc, (0x80 + page as u64) * 4096 + offsets[page] * 64, i * 9)
+        })
+    }
+
+    #[test]
+    fn cached_bases_equal_rehashing_both_states_at_eviction() {
+        use crate::config::VaultCombine;
+        for eq_size in [1, 3, 8, 256] {
+            for combine in [VaultCombine::Max, VaultCombine::Mean] {
+                let mut cfg = PythiaConfig::tuned().with_seed(eq_size as u64);
+                cfg.eq_size = eq_size;
+                cfg.vault_combine = combine;
+                // Explore often: the RNG draw order is part of the contract.
+                cfg.epsilon = 0.05;
+                cfg.graded_timeliness = eq_size == 3;
+                let mut agent = Pythia::new(cfg.clone());
+                let mut reference = ReferenceAgent::new(cfg);
+                for (i, a) in seeded_stream(0x5eed ^ eq_size as u64, 6_000).enumerate() {
+                    let fb = SystemFeedback {
+                        bandwidth_high: i % 700 > 500,
+                        bandwidth_utilization_pct: 50,
+                    };
+                    let issued: Vec<u64> =
+                        agent.on_demand(&a, &fb).iter().map(|r| r.line).collect();
+                    let expected: Vec<u64> = reference.on_demand(&a, &fb).into_iter().collect();
+                    let at = format!("EQ {eq_size}, {combine:?}, demand {i}");
+                    assert_eq!(issued, expected, "{at}: emitted prefetch");
+                    assert_eq!(agent.action_histogram, reference.actions_taken, "{at}");
+                    // Every third prefetch fills late, the rest soon.
+                    for line in issued {
+                        let ready_at = a.cycle + if line % 3 == 0 { 300 } else { 12 };
+                        agent.eq.mark_filled(line, ready_at);
+                        reference.eq.mark_filled(line, ready_at);
+                    }
+                }
+                assert_eq!(agent.qv.updates(), reference.qv.updates());
+                assert!(
+                    agent.qv.table() == reference.qv.table(),
+                    "EQ {eq_size}, {combine:?}: Q-tables differ"
+                );
+            }
+        }
+    }
+
+    /// ROADMAP item 2, the agent's share: over the trace-gen profiles at
+    /// derived seeds, every taken action is rewarded exactly once, SARSA
+    /// runs once per eviction, no cell reaches the Q8.7 rails, and the
+    /// two argmax kernels agree on every demand.
+    #[test]
+    fn agent_conserves_rewards_and_updates_over_the_profiles() {
+        use pythia_workloads::profiles::{derive_seed, Profile};
+        for label in ["conservation-a", "conservation-b", "conservation-c"] {
+            let seed = derive_seed(0x5079_7468, label);
+            for profile in Profile::all() {
+                for w in profile.workloads(seed) {
+                    let cfg = PythiaConfig::tuned().with_seed(seed);
+                    let mut p = Pythia::new(cfg.clone());
+                    let mut state = vec![0; p.qv.cells()];
+                    let mut demands = 0u64;
+                    let records = w.trace(8_000);
+                    for (i, (pc, mem)) in records
+                        .iter()
+                        .filter_map(|r| Some((r.pc, r.mem?)))
+                        .enumerate()
+                    {
+                        let a = DemandAccess {
+                            is_write: mem.is_write,
+                            ..access(pc, mem.addr, i as u64 * 11)
+                        };
+                        let fb = SystemFeedback {
+                            bandwidth_high: i % 900 > 600,
+                            bandwidth_utilization_pct: 50,
+                        };
+                        for req in p.on_demand(&a, &fb) {
+                            let ready_at = a.cycle + if req.line % 3 == 0 { 400 } else { 15 };
+                            p.on_fill(&FillEvent {
+                                line: req.line,
+                                ready_at,
+                                prefetched: true,
+                            });
+                        }
+                        demands += 1;
+                        p.qv.hash(cfg.features.iter().map(|f| p.ctx.value(f)), &mut state);
+                        assert_eq!(
+                            p.qv.argmax(&state),
+                            p.qv.argmax_swar(&state),
+                            "{}: demand {i}",
+                            w.name
+                        );
+                    }
+                    let unrewarded = (0..p.eq.len())
+                        .filter(|&i| p.eq.oldest(i).expect("resident").0.reward.is_none())
+                        .count() as u64;
+                    let r = p.rewards_seen();
+                    let rewarded = r.accurate_timely
+                        + r.accurate_late
+                        + r.coverage_loss
+                        + r.inaccurate
+                        + r.no_prefetch;
+                    assert_eq!(rewarded, demands - unrewarded, "{}", w.name);
+                    assert_eq!(
+                        p.qv.updates(),
+                        demands.saturating_sub(cfg.eq_size as u64),
+                        "{}",
+                        w.name
+                    );
+                    assert!(demands > cfg.eq_size as u64, "{}: EQ never filled", w.name);
+                    let (min, _, max) = p.qv.table_stats();
+                    let rail = |raw: i16| f32::from(raw) / crate::qvstore::Q_ONE as f32;
+                    assert!(
+                        rail(i16::MIN) < min && max < rail(i16::MAX),
+                        "{}: a cell saturated ({min}..{max})",
+                        w.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

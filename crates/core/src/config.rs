@@ -12,6 +12,23 @@
 use serde::{Deserialize, Serialize};
 
 use crate::features::Feature;
+use crate::qvstore::MAX_PLANES;
+
+/// Longest state vector [`PythiaConfig::validate`] accepts: the size of the
+/// §4.3.1 candidate space, so a longer one only repeats features.
+const MAX_FEATURES: usize = 32;
+
+/// Largest Q-table `validate` accepts, in cells (`features × planes ×
+/// 2^plane_index_bits × actions`; 32 MiB of `i16`, 1 300× the paper's
+/// table). Also what lets the QVStore address rows with `u32` offsets.
+const MAX_TABLE_CELLS: usize = 1 << 24;
+
+/// Largest evaluation queue `validate` accepts (64× the paper's 256).
+const MAX_EQ_SIZE: usize = 1 << 14;
+
+// The argmax kernels sum `planes` sign-biased 16-bit cells per vault, and
+// for the Mean combine `features × planes` of them, in 32-bit lanes.
+const _: () = assert!(MAX_FEATURES * MAX_PLANES < 1 << 15);
 
 /// How the QVStore combines per-vault (per-feature) Q-values into the
 /// state-action Q-value. The paper uses `Max` (Eqn. 3); `Mean` is the
@@ -228,21 +245,28 @@ impl PythiaConfig {
         self.actions.iter().position(|&a| a == 0)
     }
 
-    /// Validates structural invariants.
+    /// Validates structural invariants, and bounds the geometry: a
+    /// configuration can arrive from outside the process (an inline
+    /// campaign variant), and every size below is allocated or indexed
+    /// without a further check once it passes.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant: empty feature
-    /// or action lists, out-of-range hyperparameters, or zero-sized
-    /// structures.
+    /// Returns a description of the first violated invariant, naming the
+    /// field: empty or oversized feature and action lists, out-of-range
+    /// hyperparameters, zero-sized structures, more planes than shift
+    /// constants, or a Q-table or EQ beyond the fixed caps.
     pub fn validate(&self) -> Result<(), String> {
-        if self.features.is_empty() {
-            return Err("state vector needs at least one feature".into());
+        if self.features.is_empty() || self.features.len() > MAX_FEATURES {
+            return Err(format!(
+                "features: a state vector holds 1 to {MAX_FEATURES} features, not {}",
+                self.features.len()
+            ));
         }
         if self.actions.is_empty() {
             return Err("action list must be non-empty".into());
         }
-        if self.actions.iter().any(|a| a.abs() > 63) {
+        if self.actions.iter().any(|a| a.unsigned_abs() > 63) {
             return Err("offsets must lie in [-63, 63] for 4 KB pages".into());
         }
         if !(0.0..1.0).contains(&self.gamma) {
@@ -253,6 +277,33 @@ impl PythiaConfig {
         }
         if self.eq_size == 0 || self.planes == 0 || self.plane_index_bits == 0 {
             return Err("EQ, planes and plane index bits must be non-zero".into());
+        }
+        if self.eq_size > MAX_EQ_SIZE {
+            return Err(format!(
+                "eq_size: {} entries exceed the cap of {MAX_EQ_SIZE}",
+                self.eq_size
+            ));
+        }
+        if self.planes > MAX_PLANES {
+            return Err(format!(
+                "planes: {} exceed the {MAX_PLANES} plane shift constants",
+                self.planes
+            ));
+        }
+        let table_cells = 1usize
+            .checked_shl(self.plane_index_bits)
+            .and_then(|entries| entries.checked_mul(self.features.len() * self.planes))
+            .and_then(|rows| rows.checked_mul(self.actions.len()))
+            .filter(|&cells| cells <= MAX_TABLE_CELLS);
+        if table_cells.is_none() {
+            return Err(format!(
+                "plane_index_bits: {} features x {} planes x 2^{} entries x {} actions \
+                 exceed the cap of {MAX_TABLE_CELLS} Q-table cells",
+                self.features.len(),
+                self.planes,
+                self.plane_index_bits,
+                self.actions.len()
+            ));
         }
         Ok(())
     }
@@ -352,6 +403,37 @@ mod tests {
         let mut c = PythiaConfig::basic();
         c.eq_size = 0;
         assert!(c.validate().is_err());
+    }
+
+    /// A configuration can arrive over `POST`: each of these used to abort
+    /// the process on allocation, index out of bounds in a worker, or
+    /// overflow the argmax lanes silently in release.
+    #[test]
+    fn validation_bounds_the_geometry() {
+        type Hostile = (&'static str, fn(&mut PythiaConfig));
+        let hostile: [Hostile; 6] = [
+            ("plane_index_bits", |c| c.plane_index_bits = 40),
+            ("plane_index_bits", |c| c.plane_index_bits = 64),
+            ("plane_index_bits", |c| c.plane_index_bits = u32::MAX),
+            ("eq_size", |c| c.eq_size = 1 << 40),
+            ("planes", |c| c.planes = 40_000),
+            ("features", |c| c.features = Feature::all().repeat(2)),
+        ];
+        for (field, set) in hostile {
+            let mut c = PythiaConfig::tuned();
+            set(&mut c);
+            let err = c.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
+        // The caps leave room for everything the figures and the DSE use.
+        let mut c = PythiaConfig::tuned().with_actions(PythiaConfig::full_actions());
+        c.features = Feature::all();
+        c.planes = MAX_PLANES;
+        c.plane_index_bits = 9;
+        c.eq_size = MAX_EQ_SIZE;
+        assert_eq!(c.validate(), Ok(()));
+        c.plane_index_bits = 10;
+        assert!(c.validate().is_err(), "2^25 cells");
     }
 
     #[test]

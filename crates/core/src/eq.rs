@@ -14,6 +14,18 @@
 //!
 //! The evicted entry, together with the (new) EQ head, feeds the SARSA
 //! update (Algorithm 1, lines 23–29).
+//!
+//! # Who owns a queued state
+//!
+//! What the SARSA update needs of a state is its Q-table row bases
+//! ([`QvStore::hash`](crate::QvStore::hash)), and the queue owns them: one
+//! flat allocation made at construction, `cells` bases per ring slot,
+//! addressed exactly like the entries. [`EvaluationQueue::insert`] copies
+//! the new entry's bases in and, on eviction, hands the evicted entry's
+//! back through the same caller buffer — an exchange, because an evicted
+//! entry's bases must be read before its slot is reused: a power-of-two
+//! capacity puts the new entry in the slot the evicted one leaves, and at
+//! capacity 1 the head after the insert *is* the new entry.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -44,14 +56,10 @@ impl Hasher for LineHasher {
 
 type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
-/// One queued action awaiting its reward.
-#[derive(Debug, Clone, PartialEq)]
+/// One queued action awaiting its reward. The state it was taken in lives
+/// beside it in the queue, as row bases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EqEntry {
-    /// Q-table plane bases of the state at selection time: bases depend
-    /// only on the state and table geometry, so the eviction-time SARSA
-    /// update can reuse them instead of re-hashing both states. Empty
-    /// when the producer did not precompute them.
-    pub bases: Vec<usize>,
     /// Index of the taken action in the action list.
     pub action: usize,
     /// Prefetched line for real prefetch actions; `None` for no-prefetch or
@@ -70,7 +78,6 @@ impl EqEntry {
     /// Creates an entry with no reward assigned yet.
     pub fn new(action: usize, prefetch_line: Option<u64>, issued_at: u64) -> Self {
         Self {
-            bases: Vec::new(),
             action,
             prefetch_line,
             reward: None,
@@ -114,8 +121,13 @@ const NO_LINK: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct EvaluationQueue {
     /// Ring of `capacity.next_power_of_two()` slots; non-live slots hold
-    /// an inert placeholder entry (empty `bases`, no allocation).
+    /// stale entries, never reachable through the line index.
     slots: Vec<EqEntry>,
+    /// Row bases of every slot's state, `cells` per slot: slot `i` owns
+    /// `bases[i * cells..][..cells]`.
+    bases: Vec<u32>,
+    /// Bases per entry (`QvStore::cells` of the store the agent runs).
+    cells: usize,
     /// `slots.len() - 1`, for sequence-to-slot masking.
     mask: u64,
     capacity: usize,
@@ -131,23 +143,20 @@ pub struct EvaluationQueue {
     by_line: LineMap<(u64, u64)>,
 }
 
-/// An inert placeholder for non-live ring slots: allocation-free and never
-/// reachable through the line index.
-fn placeholder() -> EqEntry {
-    EqEntry::new(0, None, 0)
-}
-
 impl EvaluationQueue {
-    /// Creates an EQ with the given capacity (256 in the basic config).
+    /// Creates an EQ with the given capacity (256 in the basic config)
+    /// whose entries each carry `cells` row bases.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, cells: usize) -> Self {
         assert!(capacity > 0, "EQ capacity must be non-zero");
         let slots = capacity.next_power_of_two();
         Self {
-            slots: (0..slots).map(|_| placeholder()).collect(),
+            slots: vec![EqEntry::new(0, None, 0); slots],
+            bases: vec![0; slots * cells],
+            cells,
             mask: (slots - 1) as u64,
             capacity,
             len: 0,
@@ -197,58 +206,36 @@ impl EvaluationQueue {
     /// demanded `line` (Algorithm 1, lines 6–11). On a match, assigns
     /// R_AT/R_AL (passed in by the caller from its reward levels) and
     /// reports which was applied.
+    ///
+    /// With `graded` (the paper's footnote-3 extension) a late prefetch's
+    /// reward is interpolated between `r_al` and `r_at` by how far through
+    /// its flight the demand arrived (`cycle` relative to issue..fill): a
+    /// demand immediately after issue earns `r_al`, one just before the
+    /// fill almost `r_at`.
     pub fn reward_demand_hit(
         &mut self,
         line: u64,
         cycle: u64,
         r_at: i16,
         r_al: i16,
+        graded: bool,
     ) -> DemandMatch {
-        if let Some(e) = self.find_for_line(line, |e| e.reward.is_none()) {
-            let filled = e.fill_ready.is_some_and(|t| t <= cycle);
-            e.reward = Some(if filled { r_at } else { r_al });
-            return if filled {
-                DemandMatch::AccurateTimely
-            } else {
-                DemandMatch::AccurateLate
-            };
-        }
-        DemandMatch::Miss
-    }
-
-    /// Like [`EvaluationQueue::reward_demand_hit`], but with the paper's
-    /// footnote-3 extension: a late prefetch's reward is graded between
-    /// `r_al` and `r_at` by how far through its flight the demand arrived
-    /// (`t_demand` relative to `t_issue`..`t_fill`). A demand immediately
-    /// after issue earns `r_al`; a demand just before the fill earns almost
-    /// `r_at`.
-    pub fn reward_demand_hit_graded(
-        &mut self,
-        line: u64,
-        cycle: u64,
-        r_at: i16,
-        r_al: i16,
-    ) -> DemandMatch {
-        if let Some(e) = self.find_for_line(line, |e| e.reward.is_none()) {
-            let (reward, timely) = match e.fill_ready {
-                Some(fill) if fill <= cycle => (r_at, true),
-                Some(fill) => {
-                    let flight = fill.saturating_sub(e.issued_at).max(1);
-                    let progressed = cycle.saturating_sub(e.issued_at).min(flight);
-                    let frac = progressed as f64 / flight as f64;
-                    let graded = r_al as f64 + (r_at - r_al) as f64 * frac;
-                    (graded.round() as i16, false)
-                }
-                None => (r_al, false),
-            };
-            e.reward = Some(reward);
-            return if timely {
-                DemandMatch::AccurateTimely
-            } else {
-                DemandMatch::AccurateLate
-            };
-        }
-        DemandMatch::Miss
+        let Some(e) = self.find_for_line(line, |e| e.reward.is_none()) else {
+            return DemandMatch::Miss;
+        };
+        let (reward, outcome) = match e.fill_ready {
+            Some(fill) if fill <= cycle => (r_at, DemandMatch::AccurateTimely),
+            Some(fill) if graded => {
+                let flight = fill.saturating_sub(e.issued_at).max(1);
+                let progressed = cycle.saturating_sub(e.issued_at).min(flight);
+                let frac = progressed as f64 / flight as f64;
+                let late = r_al as f64 + (r_at - r_al) as f64 * frac;
+                (late.round() as i16, DemandMatch::AccurateLate)
+            }
+            _ => (r_al, DemandMatch::AccurateLate),
+        };
+        e.reward = Some(reward);
+        outcome
     }
 
     /// Records a prefetch fill (Algorithm 1, line 32): sets the fill
@@ -259,9 +246,15 @@ impl EvaluationQueue {
         }
     }
 
-    /// Inserts an entry; if the queue is at capacity, evicts and returns the
-    /// oldest entry (Algorithm 1, line 23).
-    pub fn insert(&mut self, entry: EqEntry) -> Option<EqEntry> {
+    /// Inserts an entry taken in the state `bases` hashes; if the queue is
+    /// at capacity, evicts and returns the oldest entry (Algorithm 1, line
+    /// 23) and leaves **its** bases in `bases`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bases` is not `cells` long.
+    pub fn insert(&mut self, entry: EqEntry, bases: &mut [u32]) -> Option<EqEntry> {
+        assert_eq!(bases.len(), self.cells, "bases geometry mismatch");
         let seq = self.head_seq + self.len as u64;
         if let Some(line) = entry.prefetch_line {
             match self.by_line.entry(line) {
@@ -276,10 +269,12 @@ impl EvaluationQueue {
                 }
             }
         }
+        let i = self.slot(seq);
+        let cells = self.cells;
         let evicted = if self.len >= self.capacity {
-            let i = self.slot(self.head_seq);
-            let evicted = std::mem::replace(&mut self.slots[i], placeholder());
-            let link = self.links[i];
+            let old = self.slot(self.head_seq);
+            let evicted = self.slots[old];
+            let link = self.links[old];
             self.head_seq += 1;
             self.len -= 1;
             if let Some(line) = evicted.prefetch_line {
@@ -291,46 +286,48 @@ impl EvaluationQueue {
                     self.by_line.get_mut(&line).expect("indexed entry").0 = link;
                 }
             }
+            // The evicted entry's bases leave before the new entry's
+            // arrive: `old` and `i` are the same slot whenever the capacity
+            // is a power of two, so there the two simply trade places.
+            if old == i {
+                bases.swap_with_slice(&mut self.bases[i * cells..][..cells]);
+            } else {
+                self.bases[i * cells..][..cells].copy_from_slice(bases);
+                bases.copy_from_slice(&self.bases[old * cells..][..cells]);
+            }
             Some(evicted)
         } else {
+            self.bases[i * cells..][..cells].copy_from_slice(bases);
             None
         };
-        let i = self.slot(seq);
         self.slots[i] = entry;
         self.links[i] = NO_LINK;
         self.len += 1;
         evicted
     }
 
+    /// The `i`-th oldest entry and its state's bases. `oldest(0)` is the
+    /// head; when the queue is full, `oldest(0)` and `oldest(1)` are the
+    /// (S₁, A₁) and (S₂, A₂) operands of the *next* insert's SARSA update,
+    /// so callers can warm their Q-cells a step ahead.
+    pub fn oldest(&self, i: usize) -> Option<(&EqEntry, &[u32])> {
+        (i < self.len).then(|| {
+            let slot = self.slot(self.head_seq + i as u64);
+            (
+                &self.slots[slot],
+                &self.bases[slot * self.cells..][..self.cells],
+            )
+        })
+    }
+
     /// The current head (oldest entry) — the (S₂, A₂) of the SARSA update.
-    pub fn head(&self) -> Option<&EqEntry> {
-        (self.len > 0).then(|| &self.slots[self.slot(self.head_seq)])
+    pub fn head(&self) -> Option<(&EqEntry, &[u32])> {
+        self.oldest(0)
     }
 
     /// Whether the next insert will evict.
     pub fn is_full(&self) -> bool {
         self.len >= self.capacity
-    }
-
-    /// The two oldest entries: when the queue is full these are exactly
-    /// the (S₁, A₁) and (S₂, A₂) operands of the *next* insert's SARSA
-    /// update, so callers can warm their Q-cells a step ahead.
-    pub fn front_two(&self) -> (Option<&EqEntry>, Option<&EqEntry>) {
-        (
-            (self.len > 0).then(|| &self.slots[self.slot(self.head_seq)]),
-            (self.len > 1).then(|| &self.slots[self.slot(self.head_seq + 1)]),
-        )
-    }
-
-    /// Clears the queue (Algorithm 1, line 3).
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = placeholder();
-        }
-        self.links.fill(NO_LINK);
-        self.by_line.clear();
-        self.head_seq = 0;
-        self.len = 0;
     }
 }
 
@@ -344,140 +341,142 @@ mod tests {
 
     #[test]
     fn fifo_eviction_order() {
-        let mut eq = EvaluationQueue::new(2);
-        assert!(eq.insert(entry(Some(10), 0)).is_none());
-        assert!(eq.insert(entry(Some(11), 1)).is_none());
-        let ev = eq.insert(entry(Some(12), 2)).expect("eviction at capacity");
+        let mut eq = EvaluationQueue::new(2, 0);
+        assert!(eq.insert(entry(Some(10), 0), &mut []).is_none());
+        assert!(eq.insert(entry(Some(11), 1), &mut []).is_none());
+        let ev = eq
+            .insert(entry(Some(12), 2), &mut [])
+            .expect("eviction at capacity");
         assert_eq!(ev.prefetch_line, Some(10));
-        assert_eq!(eq.head().unwrap().prefetch_line, Some(11));
+        assert_eq!(eq.head().unwrap().0.prefetch_line, Some(11));
     }
 
     #[test]
     fn demand_after_fill_is_timely() {
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(entry(Some(100), 0));
+        let mut eq = EvaluationQueue::new(4, 0);
+        eq.insert(entry(Some(100), 0), &mut []);
         eq.mark_filled(100, 50);
         assert_eq!(
-            eq.reward_demand_hit(100, 80, 20, 12),
+            eq.reward_demand_hit(100, 80, 20, 12, false),
             DemandMatch::AccurateTimely
         );
-        assert_eq!(eq.head().unwrap().reward, Some(20));
+        assert_eq!(eq.head().unwrap().0.reward, Some(20));
     }
 
     #[test]
     fn demand_before_fill_is_late() {
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(entry(Some(100), 0));
+        let mut eq = EvaluationQueue::new(4, 0);
+        eq.insert(entry(Some(100), 0), &mut []);
         eq.mark_filled(100, 500);
         assert_eq!(
-            eq.reward_demand_hit(100, 80, 20, 12),
+            eq.reward_demand_hit(100, 80, 20, 12, false),
             DemandMatch::AccurateLate
         );
-        assert_eq!(eq.head().unwrap().reward, Some(12));
+        assert_eq!(eq.head().unwrap().0.reward, Some(12));
     }
 
     #[test]
     fn unfilled_entry_is_late() {
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(entry(Some(100), 0));
+        let mut eq = EvaluationQueue::new(4, 0);
+        eq.insert(entry(Some(100), 0), &mut []);
         assert_eq!(
-            eq.reward_demand_hit(100, 80, 20, 12),
+            eq.reward_demand_hit(100, 80, 20, 12, false),
             DemandMatch::AccurateLate
         );
     }
 
     #[test]
     fn rewarded_entry_not_rewarded_twice() {
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(entry(Some(100), 0));
+        let mut eq = EvaluationQueue::new(4, 0);
+        eq.insert(entry(Some(100), 0), &mut []);
         eq.mark_filled(100, 10);
         assert_eq!(
-            eq.reward_demand_hit(100, 20, 20, 12),
+            eq.reward_demand_hit(100, 20, 20, 12, false),
             DemandMatch::AccurateTimely
         );
         // Second demand to the same line: entry already rewarded.
-        assert_eq!(eq.reward_demand_hit(100, 30, 20, 12), DemandMatch::Miss);
+        assert_eq!(
+            eq.reward_demand_hit(100, 30, 20, 12, false),
+            DemandMatch::Miss
+        );
     }
 
     #[test]
     fn miss_on_unrelated_line() {
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(entry(Some(100), 0));
-        assert_eq!(eq.reward_demand_hit(999, 10, 20, 12), DemandMatch::Miss);
+        let mut eq = EvaluationQueue::new(4, 0);
+        eq.insert(entry(Some(100), 0), &mut []);
+        assert_eq!(
+            eq.reward_demand_hit(999, 10, 20, 12, false),
+            DemandMatch::Miss
+        );
     }
 
     #[test]
     fn no_prefetch_entries_never_match_demands() {
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(entry(None, 0));
-        assert_eq!(eq.reward_demand_hit(0, 10, 20, 12), DemandMatch::Miss);
+        let mut eq = EvaluationQueue::new(4, 0);
+        eq.insert(entry(None, 0), &mut []);
+        assert_eq!(
+            eq.reward_demand_hit(0, 10, 20, 12, false),
+            DemandMatch::Miss
+        );
     }
 
     #[test]
     #[should_panic(expected = "EQ capacity")]
     fn zero_capacity_rejected() {
-        let _ = EvaluationQueue::new(0);
+        let _ = EvaluationQueue::new(0, 0);
     }
 
     #[test]
     fn graded_reward_interpolates_lateness() {
         // Prefetch issued at 0, fills at 100.
         let mk = || {
-            let mut eq = EvaluationQueue::new(4);
-            eq.insert(EqEntry::new(0, Some(7), 0));
+            let mut eq = EvaluationQueue::new(4, 0);
+            eq.insert(EqEntry::new(0, Some(7), 0), &mut []);
             eq.mark_filled(7, 100);
             eq
         };
         // Demand right after issue: fully late -> R_AL.
         let mut eq = mk();
         assert_eq!(
-            eq.reward_demand_hit_graded(7, 1, 20, 12),
+            eq.reward_demand_hit(7, 1, 20, 12, true),
             DemandMatch::AccurateLate
         );
-        let early = eq.head().unwrap().reward.unwrap();
+        let early = eq.head().unwrap().0.reward.unwrap();
         assert!(
             early <= 13,
             "barely-started flight earns ~R_AL, got {early}"
         );
         // Demand just before the fill: almost timely -> near R_AT.
         let mut eq = mk();
-        eq.reward_demand_hit_graded(7, 99, 20, 12);
-        let near = eq.head().unwrap().reward.unwrap();
+        eq.reward_demand_hit(7, 99, 20, 12, true);
+        let near = eq.head().unwrap().0.reward.unwrap();
         assert!(near >= 19, "nearly-filled flight earns ~R_AT, got {near}");
         // Demand after fill: full R_AT and classified timely.
         let mut eq = mk();
         assert_eq!(
-            eq.reward_demand_hit_graded(7, 150, 20, 12),
+            eq.reward_demand_hit(7, 150, 20, 12, true),
             DemandMatch::AccurateTimely
         );
-        assert_eq!(eq.head().unwrap().reward, Some(20));
+        assert_eq!(eq.head().unwrap().0.reward, Some(20));
         // Unfilled entry: plain R_AL.
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(EqEntry::new(0, Some(9), 0));
-        eq.reward_demand_hit_graded(9, 50, 20, 12);
-        assert_eq!(eq.head().unwrap().reward, Some(12));
+        let mut eq = EvaluationQueue::new(4, 0);
+        eq.insert(EqEntry::new(0, Some(9), 0), &mut []);
+        eq.reward_demand_hit(9, 50, 20, 12, true);
+        assert_eq!(eq.head().unwrap().0.reward, Some(12));
     }
 
     #[test]
     fn graded_reward_monotone_in_demand_time() {
         let mut last = i16::MIN;
         for demand in [5u64, 25, 50, 75, 95] {
-            let mut eq = EvaluationQueue::new(4);
-            eq.insert(EqEntry::new(0, Some(7), 0));
+            let mut eq = EvaluationQueue::new(4, 0);
+            eq.insert(EqEntry::new(0, Some(7), 0), &mut []);
             eq.mark_filled(7, 100);
-            eq.reward_demand_hit_graded(7, demand, 20, 12);
-            let r = eq.head().unwrap().reward.unwrap();
+            eq.reward_demand_hit(7, demand, 20, 12, true);
+            let r = eq.head().unwrap().0.reward.unwrap();
             assert!(r >= last, "graded reward must be monotone: {r} < {last}");
             last = r;
         }
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut eq = EvaluationQueue::new(4);
-        eq.insert(entry(Some(1), 0));
-        eq.clear();
-        assert!(eq.is_empty());
-        assert!(eq.head().is_none());
     }
 }

@@ -342,16 +342,11 @@ impl FeatureContext {
         (control << 28) ^ data
     }
 
-    /// Evaluates a whole state vector.
+    /// Evaluates a whole state vector. The agent never builds one — it
+    /// hashes each [`value`](FeatureContext::value) straight into Q-table
+    /// row bases — so this is for inspection and reference models.
     pub fn state(&self, features: &[Feature]) -> Vec<u64> {
         features.iter().map(|f| self.value(f)).collect()
-    }
-
-    /// Evaluates a whole state vector into `out` (cleared and refilled) so
-    /// per-demand callers can reuse one buffer instead of allocating.
-    pub fn state_into(&self, features: &[Feature], out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(features.iter().map(|f| self.value(f)));
     }
 }
 

@@ -27,10 +27,10 @@
 //! ([`Q_ONE`] = 128, so one LSB is 1/128 ≈ 0.0078). That range (±256)
 //! comfortably covers the optimistic init `R_max/(1-γ)` divided across
 //! planes, and the per-vault sum of up to 8 plane partials still fits an
-//! `i32` exactly. The float API ([`QvStore::q`], [`QvStore::q_row`],
-//! [`QvStore::feature_q`]) converts on read — every stored value and every
-//! plane sum is exactly representable in `f32`, so the float view is a
-//! lossless window onto the integer state.
+//! `i32` exactly. The float API ([`QvStore::q`], [`QvStore::feature_q`])
+//! converts on read — every stored value and every plane sum is exactly
+//! representable in `f32`, so the float view is a lossless window onto the
+//! integer state.
 //!
 //! Rounding and saturation semantics:
 //! - f32 → fixed conversions round to nearest, half away from zero, then
@@ -45,12 +45,24 @@
 //!   branchless lane max — bit-identical in ordering to the float view,
 //!   ties broken toward the lowest action index.
 //!
+//! # A state is its row bases
+//!
+//! The store reads a state one way: as the `vaults × planes` table rows
+//! its feature values hash to. [`QvStore::hash`] computes those row bases
+//! once, into a slice the caller owns, and every lookup —
+//! [`argmax`](QvStore::argmax), [`q`](QvStore::q),
+//! [`sarsa_update`](QvStore::sarsa_update) — takes the bases. Bases depend
+//! only on the feature values and the table geometry, never on the table's
+//! contents, so the agent hashes each demand's state once and the EQ keeps
+//! the bases until the SARSA update that consumes them.
+//!
 //! ```rust
 //! use pythia_core::{PythiaConfig, QvStore};
 //!
 //! let cfg = PythiaConfig::basic();
 //! let store = QvStore::new(&cfg);
-//! let state = vec![0x99, 0x07]; // one feature value per vault
+//! let mut state = vec![0; store.cells()];
+//! store.hash([0x99, 0x07], &mut state); // one feature value per vault
 //! let best = store.argmax(&state);
 //! assert!(best < cfg.actions.len());
 //! // Fresh stores are optimistically initialized (Algorithm 1, line 2),
@@ -63,6 +75,9 @@ use crate::config::{PythiaConfig, VaultCombine};
 /// Per-plane shift constants ("randomly selected at design time", §4.2.1).
 /// Plane 0 keeps full resolution; higher planes quantize coarser.
 const PLANE_SHIFTS: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+/// Most planes a vault can have: one per shift constant.
+pub(crate) const MAX_PLANES: usize = PLANE_SHIFTS.len();
 
 /// Bits per stored Q entry: `i16` in Q8.7 (Table 4's 16-bit weights).
 pub const QV_ENTRY_BITS: u64 = 16;
@@ -101,32 +116,21 @@ pub fn plane_slot(value: u64, plane: usize, index_bits: u32) -> usize {
     (h >> (64 - index_bits)) as usize
 }
 
-/// Plane-base scratch is kept on the stack for state vectors with up to
-/// this many (vault, plane) cells — large enough for every configuration
-/// the DSE explores; bigger stores fall back to one heap allocation per
-/// lookup.
-const INLINE_BASES: usize = 64;
-
 /// Stack budget for the argmax's per-block SWAR accumulators: four `u64`
 /// words per 4-action block (combined + per-vault lane sums) covers
 /// action lists up to 128 entries (the 127-way full list included)
 /// without touching the heap.
 const INLINE_BLOCK_WORDS: usize = 128;
 
-/// Runs `f` over an `n`-element zeroed scratch slice, stack-allocated up
-/// to `N` elements and heap-allocated beyond — the one shared
-/// inline-or-heap policy behind every per-lookup scratch buffer here
-/// (plane bases and SARSA write-back bases).
+/// Runs `f` over an `n`-word zeroed scratch slice, stack-allocated up to
+/// `N` words and heap-allocated beyond.
 #[inline]
-fn with_scratch<T: Copy + Default, const N: usize, R>(
-    n: usize,
-    f: impl FnOnce(&mut [T]) -> R,
-) -> R {
+fn with_scratch<const N: usize, R>(n: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
     if n <= N {
-        let mut buf = [T::default(); N];
+        let mut buf = [0u64; N];
         f(&mut buf[..n])
     } else {
-        let mut buf = vec![T::default(); n];
+        let mut buf = vec![0u64; n];
         f(&mut buf)
     }
 }
@@ -177,10 +181,9 @@ fn round_shift(x: i64, s: u32) -> i64 {
 ///
 /// Storage is a single flat `[vault][plane][index][action]` array (SoA) of
 /// Q8.7 `i16` entries: one allocation, one cache-friendly stride walk per
-/// lookup, and half the footprint of the f32 layout it replaced. Per-state
-/// plane hashes are computed once per lookup and shared by every action
-/// probed against that state, which turns the per-demand argmax from
-/// `actions × vaults × planes` hash computations into `vaults × planes`.
+/// lookup. A state's plane hashes are computed once ([`QvStore::hash`])
+/// and shared by every action probed against it, so the per-demand argmax
+/// costs `vaults × planes` hash computations, not `actions` times that.
 #[derive(Debug, Clone)]
 pub struct QvStore {
     /// Flat partial-Q storage (Q8.7), indexed by
@@ -218,7 +221,16 @@ impl QvStore {
     /// Creates a QVStore per the configuration, initializing every entry so
     /// the *summed* Q-value equals the optimistic `1/(1-γ)` (Algorithm 1,
     /// line 2), quantized to Q8.7 per plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`PythiaConfig::validate`], whose
+    /// geometry bounds are what keep the table allocatable, every row base
+    /// inside a `u32`, and the argmax lane sums from overflowing.
     pub fn new(config: &PythiaConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid Pythia configuration: {e}");
+        }
         let vaults = config.features.len();
         let planes = config.planes;
         let entries = 1usize << config.plane_index_bits;
@@ -226,9 +238,6 @@ impl QvStore {
         let init = fp_from_f32(config.q_init() / planes as f32);
         let plane_stride = entries * actions;
         let vault_stride = planes * plane_stride;
-        // SWAR vault sums accumulate `planes` biased u16 lanes per 32-bit
-        // accumulator lane; Mean-combine further sums across vaults.
-        debug_assert!(vaults * planes < (1 << 15), "SWAR lane sum would overflow");
         Self {
             table: vec![init; vaults * vault_stride],
             vaults,
@@ -248,9 +257,30 @@ impl QvStore {
         self.vaults
     }
 
+    /// Number of `(vault, plane)` rows a state hashes to: the length of
+    /// every bases slice.
+    pub fn cells(&self) -> usize {
+        self.vaults * self.planes
+    }
+
     /// Number of Q-value (SARSA) updates applied so far.
     pub fn updates(&self) -> u64 {
         self.updates
+    }
+
+    /// The raw cells, for tests that compare two stores byte for byte.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &[i16] {
+        &self.table
+    }
+
+    /// A state vector (one feature value per vault) hashed into a fresh
+    /// buffer, for tests.
+    #[cfg(test)]
+    pub(crate) fn hashed(&self, state: &[u64]) -> Vec<u32> {
+        let mut bases = vec![0; self.cells()];
+        self.hash(state.iter().copied(), &mut bases);
+        bases
     }
 
     /// Flat-array offset of the `(vault, plane, value)` cell row (the
@@ -266,58 +296,52 @@ impl QvStore {
         self.table[self.base(vault, plane, value) + action]
     }
 
-    /// Computes every `(vault, plane)` cell base for `state` into a
-    /// caller-owned buffer (cleared and refilled). The bases are the
-    /// store's entire per-state hashing work: callers that keep them — the
-    /// agent caches each EQ entry's bases from selection to SARSA — can
-    /// run [`argmax_prehashed`](QvStore::argmax_prehashed) and
-    /// [`sarsa_update_prehashed`](QvStore::sarsa_update_prehashed) without
-    /// rehashing anything.
+    /// Hashes a state — one feature value per vault, in vault order — into
+    /// its `(vault, plane)` row bases: the form every lookup takes, and
+    /// the store's entire per-state hashing work. Bases depend only on
+    /// the values and the table geometry, so they stay valid for the
+    /// store's lifetime.
     ///
     /// # Panics
     ///
-    /// Panics if `state.len()` differs from the number of vaults.
-    pub fn state_bases(&self, state: &[u64], out: &mut Vec<usize>) {
-        assert_eq!(state.len(), self.vaults, "state dimension mismatch");
-        out.clear();
-        out.resize(self.vaults * self.planes, 0);
-        self.fill_bases(state, out);
-    }
-
-    /// [`QvStore::argmax`] over plane bases already computed by
-    /// [`state_bases`](QvStore::state_bases) — skips the per-state hashing
-    /// and scratch fill entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bases` was not produced for this store's geometry
-    /// (`vaults * planes` entries).
-    pub fn argmax_prehashed(&self, bases: &[usize]) -> usize {
-        assert_eq!(
-            bases.len(),
-            self.vaults * self.planes,
-            "bases geometry mismatch"
+    /// Panics if `values` does not yield exactly one value per vault, or
+    /// `bases` is not [`cells`](QvStore::cells) long.
+    #[inline]
+    pub fn hash(&self, values: impl IntoIterator<Item = u64>, bases: &mut [u32]) {
+        assert_eq!(bases.len(), self.cells(), "bases geometry mismatch");
+        let mut values = values.into_iter();
+        let mut vault = 0;
+        for (row, value) in bases.chunks_exact_mut(self.planes).zip(values.by_ref()) {
+            for (plane, base) in row.iter_mut().enumerate() {
+                // Validated geometry keeps every table offset inside a u32.
+                *base = self.base(vault, plane, value) as u32;
+            }
+            vault += 1;
+        }
+        assert!(
+            vault == self.vaults && values.next().is_none(),
+            "state dimension mismatch"
         );
-        self.argmax_from_bases(bases)
     }
 
-    /// Issues a software prefetch for every plane row named by
-    /// precomputed bases, so the agent can overlap the table loads of the
+    /// Issues a software prefetch for every plane row of a hashed state,
+    /// so the agent can overlap the table loads of the
     /// upcoming argmax with independent work (EQ probing). A handful of
     /// prefetch instructions, cheap enough to issue unconditionally —
     /// even the paper's 24 KiB table spills to L2 under a working set,
     /// and hiding that latency is worth more than the hint costs. No
     /// architectural effect; no-op off x86_64.
     #[inline]
-    pub fn prefetch_rows(&self, bases: &[usize]) {
+    pub fn prefetch_rows(&self, bases: &[u32]) {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             for &base in bases {
-                debug_assert!(base < self.table.len());
-                // Safety: prefetch has no architectural effect regardless
-                // of the address.
-                unsafe { _mm_prefetch(self.table.as_ptr().add(base) as *const i8, _MM_HINT_T0) }
+                let row = self.table.as_ptr().wrapping_add(base as usize);
+                // SAFETY: prefetch has no architectural effect regardless
+                // of the address, and `wrapping_add` forms it without
+                // requiring it to be in bounds.
+                unsafe { _mm_prefetch(row as *const i8, _MM_HINT_T0) }
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -330,61 +354,32 @@ impl QvStore {
     /// consumes them, hiding the update's cache misses behind a full step
     /// of independent work.
     #[inline]
-    pub fn prefetch_cells(&self, bases: &[usize], action: usize) {
+    pub fn prefetch_cells(&self, bases: &[u32], action: usize) {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             for &base in bases {
-                debug_assert!(base + action < self.table.len());
-                // Safety: prefetch has no architectural effect regardless
-                // of the address.
-                unsafe {
-                    _mm_prefetch(
-                        self.table.as_ptr().add(base + action) as *const i8,
-                        _MM_HINT_T0,
-                    )
-                }
+                let cell = self.table.as_ptr().wrapping_add(base as usize + action);
+                // SAFETY: as in `prefetch_rows`.
+                unsafe { _mm_prefetch(cell as *const i8, _MM_HINT_T0) }
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = (bases, action);
     }
 
-    /// Computes every `(vault, plane)` cell base for `state` once, then
-    /// hands the slice to `f`: lookups probing several actions against one
-    /// state (argmax, `q_row`, the SARSA update) hash each plane a
-    /// single time instead of once per action.
-    #[inline]
-    fn with_bases<R>(&self, state: &[u64], f: impl FnOnce(&[usize]) -> R) -> R {
-        assert_eq!(state.len(), self.vaults, "state dimension mismatch");
-        with_scratch::<usize, INLINE_BASES, R>(self.vaults * self.planes, |bases| {
-            self.fill_bases(state, bases);
-            f(bases)
-        })
-    }
-
-    #[inline]
-    fn fill_bases(&self, state: &[u64], bases: &mut [usize]) {
-        let mut i = 0;
-        for (v, &value) in state.iter().enumerate() {
-            for p in 0..self.planes {
-                bases[i] = self.base(v, p, value);
-                i += 1;
-            }
-        }
-    }
-
-    /// Combined state-action Q-value from precomputed plane bases, in
+    /// Combined state-action Q-value of a hashed state, in
     /// 64-bit fixed-point with [`Q_FRAC_BITS`]` + extra_frac` fraction
     /// bits. Integer plane sums are exact; only the Mean combine rounds
     /// (to nearest, in the widened precision). The single source of truth
     /// behind [`q`](QvStore::q) and the SARSA TD error.
     #[inline]
-    fn q_fp_from_bases(&self, bases: &[usize], action: usize, extra_frac: u32) -> i64 {
+    fn q_fp(&self, bases: &[u32], action: usize, extra_frac: u32) -> i64 {
+        assert_eq!(bases.len(), self.cells(), "bases geometry mismatch");
         let vaults = bases.chunks_exact(self.planes).map(|planes| {
             planes
                 .iter()
-                .map(|&base| self.table[base + action] as i64)
+                .map(|&base| self.table[base as usize + action] as i64)
                 .sum::<i64>()
         });
         match self.combine {
@@ -410,44 +405,30 @@ impl QvStore {
         sum as f32 / Q_ONE as f32
     }
 
-    /// State-action Q-value: max over vaults (Eqn. 3), or the mean when
-    /// the configuration selects the averaging ablation. A float window
-    /// onto the fixed-point state (exact for Max; Mean rounds once).
+    /// State-action Q-value of a hashed state: max over vaults (Eqn. 3),
+    /// or the mean when the configuration selects the averaging ablation.
+    /// A float window onto the fixed-point state (exact for Max; Mean
+    /// rounds once).
     ///
     /// # Panics
     ///
-    /// Panics if `state.len()` differs from the number of vaults.
-    pub fn q(&self, state: &[u64], action: usize) -> f32 {
-        self.with_bases(state, |bases| {
-            self.q_fp_from_bases(bases, action, 0) as f32 / Q_ONE as f32
-        })
-    }
-
-    /// Q-values of every action for `state` (one pipelined search, Fig. 6),
-    /// collected into a fresh `Vec`. On per-demand paths prefer
-    /// [`argmax`](QvStore::argmax), which stays in integer arithmetic and
-    /// allocates nothing.
-    pub fn q_row(&self, state: &[u64]) -> Vec<f32> {
-        self.with_bases(state, |bases| {
-            (0..self.actions)
-                .map(|a| self.q_fp_from_bases(bases, a, 0) as f32 / Q_ONE as f32)
-                .collect()
-        })
+    /// Panics if `bases` is not [`cells`](QvStore::cells) long.
+    pub fn q(&self, bases: &[u32], action: usize) -> f32 {
+        self.q_fp(bases, action, 0) as f32 / Q_ONE as f32
     }
 
     /// Combined biased-unsigned Q-value of one action: the scalar
-    /// reference for [`argmax_from_bases`](QvStore::argmax_from_bases)'s
-    /// SWAR lanes and its tail path. Biasing each plane partial by
+    /// reference for the argmax's SWAR lanes and its tail paths. Biasing each plane partial by
     /// `+0x8000` adds the same `planes * 0x8000` constant to every
     /// action's vault sum, so biased values order exactly like signed
     /// ones.
     #[inline]
-    fn combined_biased(&self, bases: &[usize], action: usize) -> u64 {
+    fn combined_biased(&self, bases: &[u32], action: usize) -> u64 {
         let mut comb = 0u64;
         for vault in bases.chunks_exact(self.planes) {
             let mut sum = 0u64;
             for &base in vault {
-                sum += (self.table[base + action] as u16 ^ 0x8000) as u64;
+                sum += (self.table[base as usize + action] as u16 ^ 0x8000) as u64;
             }
             comb = match self.combine {
                 VaultCombine::Max => comb.max(sum),
@@ -457,19 +438,33 @@ impl QvStore {
         comb
     }
 
-    /// Integer argmax over precomputed bases — no float is ever
-    /// materialized. On x86-64 with AVX2 (checked once at construction)
-    /// each 16-action group is scored with vector loads, widening adds
-    /// and a per-lane vault max; everywhere else a portable SWAR walk
-    /// packs four `i16` cells per `u64` word and compares biased-unsigned
-    /// lanes. For Mean combine the (unnormalized) vault-sum total is
-    /// compared instead of the mean; both order identically. Ties break
-    /// toward the lowest action index on every path.
-    fn argmax_from_bases(&self, bases: &[usize]) -> usize {
+    /// The action with the maximum Q-value for a hashed state, ties broken
+    /// toward the lowest index (deterministic hardware behaviour) — the
+    /// agent's per-demand fast path. Pure integer, no float is ever
+    /// materialized, and allocation-free up to 128 actions. On x86-64
+    /// with AVX2 (checked once at construction) each 16-action group is
+    /// scored with vector loads, widening adds and a per-lane vault max;
+    /// everywhere else a portable SWAR walk runs. For Mean combine the
+    /// (unnormalized) vault-sum total is compared instead of the mean;
+    /// both order identically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bases` is not [`cells`](QvStore::cells) long.
+    pub fn argmax(&self, bases: &[u32]) -> usize {
+        assert_eq!(bases.len(), self.cells(), "bases geometry mismatch");
         #[cfg(target_arch = "x86_64")]
         if self.use_avx2 && self.actions >= 16 {
             let groups = self.actions / 16;
-            // Safety: AVX2 support was verified when the store was built.
+            // The kernel's loads are unchecked: bases that did not come
+            // from this store's `hash` must stop here.
+            let last_row = self.table.len() - self.actions;
+            assert!(
+                bases.iter().all(|&base| base as usize <= last_row),
+                "bases outside the table"
+            );
+            // SAFETY: AVX2 support was verified when the store was built,
+            // and every base's row is inside `table` (asserted above).
             let (mut best_a, mut best_v) = unsafe { self.argmax_avx2(bases, groups) };
             // Scalar tail for action counts not divisible by 16 (the
             // 127-way unpruned list), unbiased into the signed domain the
@@ -487,6 +482,14 @@ impl QvStore {
             }
             return best_a;
         }
+        self.argmax_swar(bases)
+    }
+
+    /// The portable argmax: a SWAR walk packing four `i16` cells per `u64`
+    /// word and comparing biased-unsigned lanes. Same answer as the AVX2
+    /// kernel on every input; crate-visible so tests can hold the two
+    /// against each other.
+    pub(crate) fn argmax_swar(&self, bases: &[u32]) -> usize {
         // Two scratch tiers keep the accumulator memset proportionate: the
         // paper's 16-action list needs 16 words, the 127-way full list 124.
         let blocks = self.actions / 4;
@@ -514,16 +517,17 @@ impl QvStore {
     /// group winner falls out of a branch-free horizontal max and
     /// sign-mask index pick. Exact same ordering semantics as the SWAR
     /// path: `i32` sums
-    /// cannot overflow (`vaults * planes < 2^15` is asserted at
-    /// construction) and strict `>` keeps the lowest-index tie-break.
+    /// cannot overflow (`PythiaConfig::validate` bounds `vaults * planes`
+    /// far below 2^15) and strict `>` keeps the lowest-index tie-break.
     /// Covers actions `0..16 * groups`; the caller handles the tail.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2.
+    /// The CPU must support AVX2, and every base's row of `actions` cells
+    /// must lie inside `table`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn argmax_avx2(&self, bases: &[usize], groups: usize) -> (usize, i64) {
+    unsafe fn argmax_avx2(&self, bases: &[u32], groups: usize) -> (usize, i64) {
         use std::arch::x86_64::*;
         let mean = matches!(self.combine, VaultCombine::Mean);
         let table = self.table.as_ptr();
@@ -537,10 +541,9 @@ impl QvStore {
                 let mut lo = _mm256_setzero_si256();
                 let mut hi = _mm256_setzero_si256();
                 for &base in vault {
-                    // Safety: every base row holds `actions >= off + 16`
-                    // cells, so the 32-byte load stays inside `table`.
-                    debug_assert!(base + off + 16 <= self.table.len());
-                    let w = _mm256_loadu_si256(table.add(base + off) as *const __m256i);
+                    // SAFETY: the caller guarantees `base + actions` is
+                    // inside `table`, and `off + 16 <= actions`.
+                    let w = _mm256_loadu_si256(table.add(base as usize + off) as *const __m256i);
                     lo = _mm256_add_epi32(lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(w)));
                     hi = _mm256_add_epi32(
                         hi,
@@ -580,7 +583,7 @@ impl QvStore {
         (best_a, best_v)
     }
 
-    /// The portable SWAR block walk of [`argmax_from_bases`]: each
+    /// The block walk of [`argmax_swar`](QvStore::argmax_swar): each
     /// `(vault, plane)` row is one contiguous slice consumed with
     /// `chunks_exact(4)` — a bounds-check-free streaming pass the
     /// compiler can vectorize — accumulating into per-vault lane sums
@@ -588,15 +591,15 @@ impl QvStore {
     /// out as all even-lane words then all odd-lane words (sequential
     /// streams). Returns the best `(action, biased value)` among actions
     /// `0..4 * blocks`.
-    fn argmax_blocks<const W: usize>(&self, bases: &[usize], blocks: usize) -> (usize, u64) {
-        with_scratch::<u64, W, _>(4 * blocks, |acc| {
+    fn argmax_blocks<const W: usize>(&self, bases: &[u32], blocks: usize) -> (usize, u64) {
+        with_scratch::<W, _>(4 * blocks, |acc| {
             let (comb, vacc) = acc.split_at_mut(2 * blocks);
             for (vi, vault) in bases.chunks_exact(self.planes).enumerate() {
                 let (v02, v13) = vacc.split_at_mut(blocks);
                 // First plane initializes the vault sums, later planes
                 // add — one streaming pass per row.
                 for (pi, &base) in vault.iter().enumerate() {
-                    let row = &self.table[base..base + blocks * 4];
+                    let row = &self.table[base as usize..][..blocks * 4];
                     let lanes = row.chunks_exact(4).map(|c| {
                         let w = pack4(c) ^ LANE_BIAS;
                         (w & EVEN_LANES, (w >> 16) & EVEN_LANES)
@@ -665,18 +668,6 @@ impl QvStore {
         })
     }
 
-    /// The action with the maximum Q-value, with ties broken toward the
-    /// lowest index (deterministic hardware behaviour). Pure integer and
-    /// allocation-free for every configuration the DSE explores — this is
-    /// the agent's per-demand fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` differs from the number of vaults.
-    pub fn argmax(&self, state: &[u64]) -> usize {
-        self.with_bases(state, |bases| self.argmax_from_bases(bases))
-    }
-
     /// Applies the SARSA update (Algorithm 1, line 29):
     ///
     /// `Q(S1,A1) += α · (R + γ·Q(S2,A2) − Q(S1,A1))`
@@ -691,74 +682,36 @@ impl QvStore {
     /// **saturates** at the `i16` range instead of wrapping. An `α/planes`
     /// below the quantization step (< 2⁻¹⁶) rounds to zero and learns
     /// nothing — see `tuning::effective_alpha`.
+    ///
+    /// `b1` and `b2` are the hashed states S1 and S2: S1's bases serve both
+    /// the Q(S1,A1) read and the write-back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either bases slice is not [`cells`](QvStore::cells) long.
     // The argument list mirrors Algorithm 1's (S1, A1, R, S2, A2, α, γ)
     // tuple; bundling them into a struct would obscure the paper mapping.
     #[allow(clippy::too_many_arguments)]
     pub fn sarsa_update(
         &mut self,
-        s1: &[u64],
+        b1: &[u32],
         a1: usize,
         reward: f32,
-        s2: &[u64],
-        a2: usize,
-        alpha: f32,
-        gamma: f32,
-    ) {
-        // S1's plane bases serve both the Q(S1,A1) read and the update
-        // write-back, so each plane is hashed once.
-        assert_eq!(s1.len(), self.vaults, "state dimension mismatch");
-        assert_eq!(s2.len(), self.vaults, "state dimension mismatch");
-        let cells = self.vaults * self.planes;
-        with_scratch::<usize, INLINE_BASES, ()>(2 * cells, |bases| {
-            let (b1, b2) = bases.split_at_mut(cells);
-            self.fill_bases(s1, b1);
-            self.fill_bases(s2, b2);
-            self.sarsa_update_prehashed(b1, a1, reward, b2, a2, alpha, gamma);
-        });
-    }
-
-    /// [`QvStore::sarsa_update`] with both states' plane bases already
-    /// computed (e.g. cached from the argmax that selected the action, as
-    /// the agent's EQ does) — the zero-hashing fast path of the per-demand
-    /// update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either bases slice was not produced for this store's
-    /// geometry (`vaults * planes` entries).
-    // Same (S1, A1, R, S2, A2, α, γ) tuple as `sarsa_update`, with the
-    // states pre-resolved to row bases.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sarsa_update_prehashed(
-        &mut self,
-        b1: &[usize],
-        a1: usize,
-        reward: f32,
-        b2: &[usize],
+        b2: &[u32],
         a2: usize,
         alpha: f32,
         gamma: f32,
     ) {
         const EXTRA: u32 = 16;
-        assert_eq!(
-            b1.len(),
-            self.vaults * self.planes,
-            "bases geometry mismatch"
-        );
-        assert_eq!(
-            b2.len(),
-            self.vaults * self.planes,
-            "bases geometry mismatch"
-        );
         let gamma_q = (gamma as f64 * (1u64 << EXTRA) as f64).round() as i64;
         let alpha_q = (alpha as f64 / self.planes as f64 * (1u64 << EXTRA) as f64).round() as i64;
         let reward_x = ((reward as f64 * Q_ONE as f64).round() as i64) << EXTRA;
-        let q2_x = self.q_fp_from_bases(b2, a2, EXTRA);
-        let q1_x = self.q_fp_from_bases(b1, a1, EXTRA);
+        let q2_x = self.q_fp(b2, a2, EXTRA);
+        let q1_x = self.q_fp(b1, a1, EXTRA);
         let delta_x = reward_x + round_shift(q2_x * gamma_q, EXTRA) - q1_x;
         let per_plane = round_shift(round_shift(delta_x * alpha_q, EXTRA), EXTRA);
-        for &base in b1.iter() {
-            let cell = &mut self.table[base + a1];
+        for &base in b1 {
+            let cell = &mut self.table[base as usize + a1];
             *cell = (*cell as i64 + per_plane).clamp(i16::MIN as i64, i16::MAX as i64) as i16;
         }
         self.updates += 1;
@@ -809,11 +762,16 @@ mod tests {
         QvStore::new(&PythiaConfig::basic())
     }
 
+    /// Float Q-values of every action (one pipelined search, Fig. 6).
+    fn q_row(s: &QvStore, bases: &[u32]) -> Vec<f32> {
+        (0..s.actions).map(|a| s.q(bases, a)).collect()
+    }
+
     #[test]
     fn initialized_to_optimistic_q() {
         let s = store();
         let cfg = PythiaConfig::basic();
-        let q = s.q(&[123, 456], 0);
+        let q = s.q(&s.hashed(&[123, 456]), 0);
         // Exactly the quantized init, within one plane-LSB-sum of the ideal.
         assert_eq!(q, cfg.q_init_quantized());
         assert!(
@@ -834,8 +792,8 @@ mod tests {
     #[test]
     fn sarsa_update_moves_toward_target() {
         let mut s = store();
-        let s1 = vec![10u64, 20u64];
-        let s2 = vec![11u64, 21u64];
+        let s1 = s.hashed(&[10, 20]);
+        let s2 = s.hashed(&[11, 21]);
         let cfg = PythiaConfig::basic();
         let q_before = s.q(&s1, 2);
         // Strong negative reward repeatedly applied must lower Q(S1, 2).
@@ -852,7 +810,7 @@ mod tests {
         // With S2 = S1 and A2 = A1, the fixed point is R/(1-γ).
         let mut s = store();
         let cfg = PythiaConfig::basic();
-        let st = vec![42u64, 77u64];
+        let st = s.hashed(&[42, 77]);
         for _ in 0..20_000 {
             s.sarsa_update(&st, 5, 10.0, &st, 5, 0.05, cfg.gamma);
         }
@@ -872,7 +830,7 @@ mod tests {
     fn argmax_prefers_reinforced_over_punished() {
         let mut s = store();
         let cfg = PythiaConfig::basic();
-        let st = vec![5u64, 6u64];
+        let st = s.hashed(&[5, 6]);
         // Punish every action except 7, which keeps earning the maximum
         // reward (so it stays at the optimistic init's fixpoint).
         for _ in 0..500 {
@@ -892,7 +850,7 @@ mod tests {
         // than value 100's own Q.
         let mut s = store();
         let cfg = PythiaConfig::basic();
-        let v_trained = vec![100u64, 0];
+        let v_trained = s.hashed(&[100, 0]);
         let v_near = [101u64, 0];
         let v_far = [9_999_999u64, 0];
         let q0_near = s.feature_q(0, v_near[0], 4);
@@ -914,13 +872,14 @@ mod tests {
         // init, so the max should remain at the optimistic value.
         let mut s = store();
         let cfg = PythiaConfig::basic();
-        let st = vec![50u64, 60u64];
+        let st = [50u64, 60u64];
+        let bases = s.hashed(&st);
         // Apply updates that lower both vaults' values... q() uses max, so
         // verify q >= each individual vault's value.
         for _ in 0..100 {
-            s.sarsa_update(&st, 1, -12.0, &st, 1, 0.05, cfg.gamma);
+            s.sarsa_update(&bases, 1, -12.0, &bases, 1, 0.05, cfg.gamma);
         }
-        let q = s.q(&st, 1);
+        let q = s.q(&bases, 1);
         let f0 = s.feature_q(0, st[0], 1);
         let f1 = s.feature_q(1, st[1], 1);
         assert_eq!(q, f0.max(f1));
@@ -930,13 +889,7 @@ mod tests {
     #[should_panic(expected = "state dimension mismatch")]
     fn dimension_mismatch_panics() {
         let s = store();
-        let _ = s.q(&[1], 0);
-    }
-
-    #[test]
-    fn q_row_length_matches_actions() {
-        let s = store();
-        assert_eq!(s.q_row(&[1, 2]).len(), PythiaConfig::basic().actions.len());
+        let _ = s.hashed(&[1]);
     }
 
     #[test]
@@ -948,19 +901,13 @@ mod tests {
         for i in 0..2000u64 {
             let a = (i % 7) as usize;
             let r = ((i * 13 % 31) as f32) - 15.0;
-            s.sarsa_update(
-                &[i % 50, i % 31],
-                a,
-                r,
-                &[i % 50 + 1, i % 31],
-                a,
-                0.2,
-                cfg.gamma,
-            );
+            let s1 = s.hashed(&[i % 50, i % 31]);
+            let s2 = s.hashed(&[i % 50 + 1, i % 31]);
+            s.sarsa_update(&s1, a, r, &s2, a, 0.2, cfg.gamma);
         }
         for probe in 0..100u64 {
-            let st = [probe % 50, probe % 31];
-            let row = s.q_row(&st);
+            let st = s.hashed(&[probe % 50, probe % 31]);
+            let row = q_row(&s, &st);
             let mut best = 0;
             for (a, &q) in row.iter().enumerate().skip(1) {
                 if q > row[best] {
@@ -987,7 +934,7 @@ mod tests {
                 cfg.actions = actions.clone();
                 cfg.vault_combine = combine;
                 let n = actions.len();
-                let mut avx2 = QvStore::new(&cfg);
+                let mut s = QvStore::new(&cfg);
                 for i in 0..6_000u64 {
                     let st = [i % 97, i % 61];
                     let a = (i * 7 % n as u64) as usize;
@@ -998,32 +945,29 @@ mod tests {
                         50 => (-1.0e6, 1.0),
                         _ => ((i * 13 % 31) as f32 - 15.0, 0.2),
                     };
-                    avx2.sarsa_update(&st, a, r, &[st[0] + 1, st[1]], a, alpha, cfg.gamma);
+                    let (s1, s2) = (s.hashed(&st), s.hashed(&[st[0] + 1, st[1]]));
+                    s.sarsa_update(&s1, a, r, &s2, a, alpha, cfg.gamma);
                 }
                 // An exact tie at the top: two actions of one state pinned
                 // at the ceiling in every plane.
-                let tied = [500, 500];
+                let tied = s.hashed(&[500, 500]);
                 for a in [3, n - 2] {
                     for _ in 0..4 {
-                        avx2.sarsa_update(&tied, a, 1.0e6, &tied, a, 1.0, 0.0);
+                        s.sarsa_update(&tied, a, 1.0e6, &tied, a, 1.0, 0.0);
                     }
                 }
-                let mut swar = QvStore::new(&cfg);
-                swar.table.clone_from(&avx2.table);
-                swar.use_avx2 = false;
-                let mut bases = Vec::new();
                 for probe in 0..4_000u64 {
                     let st = [probe % 700, probe % 61];
-                    avx2.state_bases(&st, &mut bases);
+                    let bases = s.hashed(&st);
                     assert_eq!(
-                        avx2.argmax_prehashed(&bases),
-                        swar.argmax_prehashed(&bases),
+                        s.argmax(&bases),
+                        s.argmax_swar(&bases),
                         "{n} actions, {combine:?}, state {st:?}"
                     );
                 }
-                assert_eq!(swar.q(&tied, 3), swar.q(&tied, n - 2));
-                assert_eq!(swar.argmax(&tied), 3, "ties break low");
-                assert_eq!(avx2.argmax(&tied), 3, "ties break low");
+                assert_eq!(s.q(&tied, 3), s.q(&tied, n - 2));
+                assert_eq!(s.argmax_swar(&tied), 3, "ties break low");
+                assert_eq!(s.argmax(&tied), 3, "ties break low");
             }
         }
     }
@@ -1031,7 +975,7 @@ mod tests {
     #[test]
     fn saturation_clamps_instead_of_wrapping() {
         let mut s = store();
-        let st = vec![1u64, 2u64];
+        let st = s.hashed(&[1, 2]);
         // Hammer one action with an enormous α·δ: partials must pin at the
         // i16 ceiling, and the combined Q must stay at the clamped maximum
         // (wrapping would send it hugely negative).

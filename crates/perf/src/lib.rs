@@ -259,15 +259,16 @@ pub fn registry() -> Vec<BenchDef> {
             unit: "ops",
             build: |scale| {
                 let n = scaled(500_000, scale);
-                let features = PythiaConfig::tuned().features;
+                let cfg = PythiaConfig::tuned();
+                let store = QvStore::new(&cfg);
                 (
                     n as u64,
                     Box::new(move || {
                         let mut ctx = FeatureContext::new();
-                        let mut state = Vec::new();
+                        let mut state = vec![0; store.cells()];
                         for a in fixtures::demand_stream(n) {
                             ctx.update(&a);
-                            ctx.state_into(&features, &mut state);
+                            store.hash(cfg.features.iter().map(|f| ctx.value(f)), &mut state);
                             black_box(&state);
                         }
                     }),
@@ -284,8 +285,10 @@ pub fn registry() -> Vec<BenchDef> {
                     n as u64,
                     Box::new(move || {
                         let mut acc = 0usize;
+                        let mut state = vec![0; store.cells()];
                         for i in 0..n as u64 {
-                            acc = acc.wrapping_add(store.argmax(&[i % 4096, (i * 7) % 4096]));
+                            store.hash([i % 4096, (i * 7) % 4096], &mut state);
+                            acc = acc.wrapping_add(store.argmax(&state));
                         }
                         black_box(acc);
                     }),
@@ -305,8 +308,10 @@ pub fn registry() -> Vec<BenchDef> {
                     n as u64,
                     Box::new(move || {
                         let mut acc = 0usize;
+                        let mut state = vec![0; store.cells()];
                         for i in 0..n as u64 {
-                            acc = acc.wrapping_add(store.argmax(&[i % 4096, (i * 7) % 4096]));
+                            store.hash([i % 4096, (i * 7) % 4096], &mut state);
+                            acc = acc.wrapping_add(store.argmax(&state));
                         }
                         black_box(acc);
                     }),
@@ -323,12 +328,15 @@ pub fn registry() -> Vec<BenchDef> {
                     n as u64,
                     Box::new(move || {
                         let mut store = QvStore::new(&cfg);
+                        let (mut s1, mut s2) = (vec![0; store.cells()], vec![0; store.cells()]);
                         for i in 0..n as u64 {
+                            store.hash([i % 4096, (i * 7) % 4096], &mut s1);
+                            store.hash([(i + 1) % 4096, (i * 7 + 3) % 4096], &mut s2);
                             store.sarsa_update(
-                                &[i % 4096, (i * 7) % 4096],
+                                &s1,
                                 (i % 16) as usize,
                                 -3.0,
-                                &[(i + 1) % 4096, (i * 7 + 3) % 4096],
+                                &s2,
                                 ((i + 5) % 16) as usize,
                                 0.05,
                                 cfg.gamma,
@@ -347,12 +355,15 @@ pub fn registry() -> Vec<BenchDef> {
                 (
                     n as u64,
                     Box::new(move || {
-                        let mut eq = EvaluationQueue::new(256);
+                        // Six bases an entry: the paper's 2 vaults x 3 planes.
+                        let mut eq = EvaluationQueue::new(256, 6);
+                        let mut state = [0u32; 6];
                         let mut evictions = 0u64;
                         for i in 0..n as u64 {
-                            eq.reward_demand_hit(i % 4096, i, 20, 12);
+                            eq.reward_demand_hit(i % 4096, i, 20, 12, false);
                             let entry = EqEntry::new((i % 16) as usize, Some((i * 3) % 4096), i);
-                            if eq.insert(entry).is_some() {
+                            state[0] = i as u32;
+                            if eq.insert(entry, &mut state).is_some() {
                                 evictions += 1;
                             }
                             if i % 5 == 0 {

@@ -456,6 +456,9 @@ impl Scheduler {
             replay_pending(&inner, pending);
         }
 
+        if workers > 0 {
+            keep_freed_memory();
+        }
         let handles = (0..workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -855,6 +858,37 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
                 .obs
                 .logger()
                 .error("scheduler", "journal compaction failed", &[("error", e)]);
+        }
+    }
+}
+
+/// Tells glibc to keep freed heap memory instead of returning it to the
+/// kernel (process-wide; no-op on other C libraries). A cell builds a few
+/// MB of simulator state and drops it all a few hundred microseconds
+/// later, on a worker thread whose arena glibc trims once its free top
+/// passes a threshold; the next cell then faults every page back in. On
+/// small cells that costs as much as the simulation — the benchmark's
+/// `serve_small_cells_mix` (5 K-instruction cells) reads 5.4 Minst/s
+/// trimmed and 10.4 kept — and whether it happened used to hang on
+/// whether some small chunk freed late was left pinning the top.
+fn keep_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::os::raw::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        // <malloc.h>. Setting either switches off glibc's sliding mmap
+        // threshold, so both are set: nothing below 32 MB is mapped per
+        // allocation, and a free top below 64 MB stays.
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        // SAFETY: `mallopt` takes two integers and sets allocator
+        // tunables under the allocator's own lock; it reads and writes no
+        // memory Rust can see and leaves existing allocations valid.
+        unsafe {
+            mallopt(M_TRIM_THRESHOLD, 64 << 20);
+            mallopt(M_MMAP_THRESHOLD, 32 << 20);
         }
     }
 }

@@ -201,6 +201,50 @@ fn full_queue_answers_429_and_result_races_answer_409() {
     assert!(err.contains("400"), "{err}");
 }
 
+/// An inline Pythia variant's geometry is outside input, and validation is
+/// its only gate: each of these used to reach a worker and abort the
+/// process on allocation, index out of bounds, or (40 000 planes, release
+/// only) run a wrong argmax. Now each is a 400 naming the field, nothing
+/// is queued, and the same server runs the next campaign.
+#[test]
+fn hostile_variant_geometry_answers_400_and_the_service_stays_usable() {
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        sim_threads: 1,
+        ..ServeConfig::default()
+    });
+    type Hostile = (&'static str, fn(&mut pythia_core::PythiaConfig));
+    let hostile: [Hostile; 4] = [
+        ("plane_index_bits", |c| c.plane_index_bits = 40),
+        ("plane_index_bits", |c| c.plane_index_bits = 64),
+        ("eq_size", |c| c.eq_size = 1 << 40),
+        ("planes", |c| c.planes = 40_000),
+    ];
+    for (field, set) in hostile {
+        let mut cfg = pythia_core::PythiaConfig::tuned();
+        set(&mut cfg);
+        let spec = tiny_spec("svc-hostile", 4_000).with_pythia_variant("hostile", cfg);
+        let body = Json::obj()
+            .set("spec", pythia_sweep::codec::spec_json(&spec))
+            .render();
+        let err = client::submit(&addr, &body).expect_err(field);
+        assert!(err.contains("400") && err.contains(field), "{field}: {err}");
+    }
+    assert_eq!(handle.scheduler().obs().events.submitted.get(), 0);
+
+    let ok = tiny_spec("svc-after-hostile", 4_000)
+        .with_pythia_variant("tuned", pythia_core::PythiaConfig::tuned());
+    let submitted = submit_spec(&addr, &ok);
+    client::wait_done(
+        &addr,
+        &submitted.digest,
+        Duration::from_millis(20),
+        Duration::from_secs(120),
+    )
+    .expect("the next campaign completes");
+}
+
 /// A valid campaign can still be refused at the merge: 10 + 50
 /// instructions never reach memory, so the Appendix A.6 metrics have no
 /// denominator. That is a `failed` job and a 409, not a dead worker.

@@ -798,6 +798,35 @@ mod tests {
         );
     }
 
+    /// An inline variant is outside input. Geometry that would abort the
+    /// process on allocation (2^40 cells, a 2^40-entry EQ), index out of
+    /// bounds in a worker (`1 << 64`) or overflow the argmax lanes
+    /// (40 000 planes) decodes faithfully and is refused by validation,
+    /// which names the field.
+    #[test]
+    fn hostile_variant_geometry_decodes_and_fails_validation() {
+        type Hostile = (&'static str, fn(&mut PythiaConfig));
+        let hostile: [Hostile; 4] = [
+            ("plane_index_bits", |c| c.plane_index_bits = 40),
+            ("plane_index_bits", |c| c.plane_index_bits = 64),
+            ("eq_size", |c| c.eq_size = 1 << 40),
+            ("planes", |c| c.planes = 40_000),
+        ];
+        for (field, set) in hostile {
+            let mut cfg = PythiaConfig::tuned();
+            set(&mut cfg);
+            let spec = sample_spec().with_pythia_variant("hostile", cfg);
+            let body = Campaign::single(spec.clone()).canonical();
+            let campaign = Campaign::parse(&body).expect("decodes");
+            assert_eq!(campaign.panels, [spec], "{field}: decoded as sent");
+            let err = campaign.validate().expect_err(field);
+            assert!(
+                err.contains("variant \"hostile\"") && err.contains(field),
+                "{field}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn campaign_digest_is_stable_and_sensitive() {
         let c = Campaign::single(sample_spec());

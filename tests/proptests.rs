@@ -100,14 +100,21 @@ proptest! {
         capacity in 1usize..64,
         inserts in 1usize..200,
     ) {
-        let mut eq = EvaluationQueue::new(capacity);
+        let mut eq = EvaluationQueue::new(capacity, 2);
         let mut evicted_order = Vec::new();
         for i in 0..inserts {
             let e = EqEntry::new(0, Some(i as u64), i as u64);
-            if let Some(ev) = eq.insert(e) {
-                evicted_order.push(ev.prefetch_line.unwrap());
+            let mut state = [i as u32, !(i as u32)];
+            if let Some(ev) = eq.insert(e, &mut state) {
+                // The evicted entry comes out with the state it went in
+                // with, whichever slot the new entry took.
+                let line = ev.prefetch_line.unwrap();
+                prop_assert_eq!(state, [line as u32, !(line as u32)]);
+                evicted_order.push(line);
             }
             prop_assert!(eq.len() <= capacity);
+            let (head, head_state) = eq.head().unwrap();
+            prop_assert_eq!(head_state[0] as u64, head.prefetch_line.unwrap());
         }
         // FIFO: evictions come out in insertion order.
         for (i, &l) in evicted_order.iter().enumerate() {
@@ -126,9 +133,10 @@ proptest! {
         let cfg = PythiaConfig::basic();
         let mut store = QvStore::new(&cfg);
         for (v1, a1, r, v2, a2) in updates {
-            store.sarsa_update(&[v1, v1 ^ 7], a1, r as f32, &[v2, v2 ^ 7], a2, 0.1, cfg.gamma);
+            let (s1, s2) = (hashed(&store, &[v1, v1 ^ 7]), hashed(&store, &[v2, v2 ^ 7]));
+            store.sarsa_update(&s1, a1, r as f32, &s2, a2, 0.1, cfg.gamma);
         }
-        let best = store.argmax(&[probe, probe ^ 7]);
+        let best = store.argmax(&hashed(&store, &[probe, probe ^ 7]));
         prop_assert!(best < cfg.actions.len());
     }
 
@@ -141,7 +149,7 @@ proptest! {
         // |Q| <= max(|init|, |r|/(1-gamma)) + slack.
         let cfg = PythiaConfig::basic();
         let mut store = QvStore::new(&cfg);
-        let s = [42u64, 43u64];
+        let s = hashed(&store, &[42, 43]);
         for _ in 0..n {
             store.sarsa_update(&s, 3, reward as f32, &s, 3, 0.1, cfg.gamma);
         }
@@ -573,6 +581,13 @@ proptest! {
     }
 }
 
+/// A state vector (one feature value per vault) as `store` reads it.
+fn hashed(store: &QvStore, state: &[u64]) -> Vec<u32> {
+    let mut bases = vec![0; store.cells()];
+    store.hash(state.iter().copied(), &mut bases);
+    bases
+}
+
 /// Slow f64 reference model of the QVStore: the same plane hash
 /// ([`pythia_core::qvstore::plane_slot`]) and layout, but double-precision
 /// cells and no SWAR — the oracle the Q8.7 fixed-point implementation
@@ -668,7 +683,8 @@ proptest! {
         let mut model = QvModelF64::new(&cfg);
         for &(v1, a1, r, v2, a2) in &updates {
             let (s1, s2) = ([v1, v1 ^ 7], [v2, v2 ^ 7]);
-            store.sarsa_update(&s1, a1, r as f32, &s2, a2, alpha, cfg.gamma);
+            let (b1, b2) = (hashed(&store, &s1), hashed(&store, &s2));
+            store.sarsa_update(&b1, a1, r as f32, &b2, a2, alpha, cfg.gamma);
             model.sarsa(&s1, a1, r as f64, &s2, a2, alpha as f64, cfg.gamma as f64);
         }
         // Each update's per-plane write-back rounds to the Q8.7 grid
@@ -681,7 +697,7 @@ proptest! {
         for &(v1, _, _, v2, _) in &updates {
             for probe in [[v1, v1 ^ 7], [v2, v2 ^ 7]] {
                 for a in 0..cfg.actions.len() {
-                    let got = f64::from(store.q(&probe, a));
+                    let got = f64::from(store.q(&hashed(&store, &probe), a));
                     let want = model.q(&probe, a);
                     prop_assert!(
                         (got - want).abs() <= tol,
@@ -711,15 +727,15 @@ proptest! {
         let n_actions = cfg.actions.len();
         let mut store = QvStore::new(&cfg);
         for &(v, a, r) in &updates {
-            let s = [v, v ^ 7];
+            let s = hashed(&store, &[v, v ^ 7]);
             store.sarsa_update(&s, a % n_actions, r as f32, &s, a % n_actions, 0.2, cfg.gamma);
         }
         for &p in &probes {
-            let probe = [p, p ^ 7];
+            let probe = hashed(&store, &[p, p ^ 7]);
             let best = store.argmax(&probe);
             // Exact agreement with a scalar scan of the float row,
             // including the lowest-index tie-break.
-            let row = store.q_row(&probe);
+            let row: Vec<f32> = (0..n_actions).map(|a| store.q(&probe, a)).collect();
             let mut scan = 0usize;
             for (a, &q) in row.iter().enumerate().skip(1) {
                 if q > row[scan] {
@@ -749,8 +765,9 @@ proptest! {
         for &(v, a, negative, magnitude) in &updates {
             let r = if negative { -(magnitude as f32) } else { magnitude as f32 };
             let s = [v, v ^ 7];
-            store.sarsa_update(&s, a, r, &s, a, alpha, cfg.gamma);
-            let q = store.q(&s, a);
+            let b = hashed(&store, &s);
+            store.sarsa_update(&b, a, r, &b, a, alpha, cfg.gamma);
+            let q = store.q(&b, a);
             prop_assert!(
                 (floor..=cap).contains(&q),
                 "q({s:?}, {a}) = {q} escaped [{floor}, {cap}] after reward {r}"
