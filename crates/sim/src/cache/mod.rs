@@ -109,8 +109,8 @@ pub struct Cache {
     /// slot `mru_slot` (an index into `tags`/`meta`/`lru`), or the slot is
     /// [`NO_SLOT`]. [`access`](Cache::access) consults it before
     /// `set_index` + `find_way` — consecutive element accesses touch the
-    /// line the previous one did — and `fill`/`invalidate`, the only
-    /// writers of `tags`/`valid`, keep it true.
+    /// line the previous one did — and `fill`, the only writer of
+    /// `tags`/`valid`, keeps it true.
     mru_line: u64,
     mru_slot: usize,
     latency: u64,
@@ -183,9 +183,20 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Exclusive access to the MSHR file.
-    pub fn mshr_mut(&mut self) -> &mut MshrFile {
-        &mut self.mshr
+    /// Read-only view of the miss registers.
+    pub fn mshr(&self) -> &MshrFile {
+        &self.mshr
+    }
+
+    /// Takes a miss register at `cycle` for a miss that completes at
+    /// `completion`, returning the cycles it had to wait for one — booked
+    /// in this level's statistics, so every report and every phase reset
+    /// sees them.
+    pub fn reserve(&mut self, cycle: u64, completion: u64) -> u64 {
+        let wait = self.mshr.allocate(cycle, completion);
+        self.stats.mshr_stalls += u64::from(wait > 0);
+        self.stats.mshr_stall_cycles += wait;
+        wait
     }
 
     #[inline]
@@ -237,8 +248,8 @@ impl Cache {
             .map(|w| set_idx * self.ways + w)
     }
 
-    /// Probes for `line` without modifying any state (used to drop redundant
-    /// prefetches).
+    /// Probes for `line` without modifying any state (for tests and
+    /// diagnostics; the simulator asks with [`access`](Cache::access)).
     pub fn probe(&self, line: u64) -> bool {
         self.find_slot(line).is_some()
     }
@@ -421,19 +432,6 @@ impl Cache {
         evicted
     }
 
-    /// Invalidates `line` if present, returning whether it was dirty.
-    pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set_idx = self.set_index(line);
-        if let Some(w) = self.find_way(set_idx, line) {
-            self.valid[set_idx] &= !(1 << w);
-            if self.mru_slot == set_idx * self.ways + w {
-                self.mru_slot = NO_SLOT;
-            }
-            return Some(self.meta[set_idx * self.ways + w].dirty);
-        }
-        None
-    }
-
     fn choose_victim(&mut self, set_idx: usize) -> usize {
         // Prefer invalid ways (lowest way index first, like the linear
         // position scan this replaced).
@@ -468,6 +466,18 @@ impl Cache {
     /// Number of valid lines currently resident (for tests/diagnostics).
     pub fn resident_lines(&self) -> usize {
         self.valid.iter().map(|v| v.count_ones() as usize).sum()
+    }
+
+    /// Resident lines a prefetch filled and no demand has touched yet: the
+    /// third way a prefetch fill can end, beside useful and useless (for
+    /// the conservation audit).
+    #[doc(hidden)]
+    pub fn resident_unused_prefetches(&self) -> usize {
+        let unused = |&(slot, m): &(usize, &LineMeta)| {
+            let live = self.valid[slot / self.ways] >> (slot % self.ways) & 1 == 1;
+            live && m.prefetched && !m.demanded
+        };
+        self.meta.iter().enumerate().filter(unused).count()
     }
 
     /// Total capacity in lines.
@@ -589,12 +599,20 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
+    fn reserve_books_the_wait_in_the_level_stats() {
         let mut c = tiny_cache(ReplacementKind::Lru);
-        c.fill(0, 0, AccessKind::DemandStore, 0);
-        assert_eq!(c.invalidate(0), Some(true));
-        assert!(!c.probe(0));
-        assert_eq!(c.invalidate(0), None);
+        for _ in 0..4 {
+            assert_eq!(c.reserve(0, 100), 0);
+        }
+        assert_eq!(c.stats().mshr_stalls, 0);
+        // The fifth miss at cycle 10 waits for the first register: 90 cycles.
+        assert_eq!(c.reserve(10, 110), 90);
+        assert_eq!(c.stats().mshr_stalls, 1);
+        assert_eq!(c.stats().mshr_stall_cycles, 90);
+        c.reset_stats();
+        assert_eq!(c.stats().mshr_stalls, 0);
+        assert_eq!(c.stats().mshr_stall_cycles, 0);
+        assert_eq!(c.mshr().occupancy(10), c.mshr().capacity());
     }
 
     #[test]
@@ -609,7 +627,7 @@ mod tests {
     }
 
     /// The MRU lane of `access` against `find_slot`, its definition, over
-    /// random `access`/`fill`/`invalidate`/`probe` sequences on the 4-set
+    /// random `access`/`fill`/`probe` sequences on the 4-set
     /// x 2-way cache: whenever an entry is remembered it must name the
     /// slot the tag scan finds, and every lookup outcome must be the tag
     /// scan's. Twelve lines over four two-way sets keep every set
@@ -639,7 +657,7 @@ mod tests {
                     _ => next(12),
                 };
                 let remembered = (c.mru_slot != NO_SLOT).then_some((c.mru_line, c.mru_slot));
-                match next(8) {
+                match next(7) {
                     0..=3 => {
                         let expected = c.find_slot(line);
                         if remembered.is_some_and(|(l, _)| l == line) {
@@ -661,11 +679,6 @@ mod tests {
                                 assert_eq!(c.mru_slot, NO_SLOT, "fill into the MRU slot clears it");
                             }
                         }
-                    }
-                    6 => {
-                        let was = c.find_slot(line);
-                        assert_eq!(c.invalidate(line).is_some(), was.is_some());
-                        assert!(!c.probe(line));
                     }
                     _ => assert_eq!(c.probe(line), c.find_slot(line).is_some()),
                 }

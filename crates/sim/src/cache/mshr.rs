@@ -4,7 +4,9 @@
 //! 16 for L1, 32 for L2, 64 per LLC bank). When the file is full, the next
 //! miss must wait for the earliest outstanding miss to complete; the wait is
 //! charged to the access latency. This is the mechanism that bounds
-//! memory-level parallelism in the latency-tagged timing model.
+//! memory-level parallelism in the latency-tagged timing model. The file
+//! only keeps time: [`Cache::reserve`](super::Cache::reserve) takes the
+//! register and books the wait in its level's statistics.
 
 /// A bounded file of outstanding-miss completion times.
 ///
@@ -19,8 +21,6 @@ pub struct MshrFile {
     capacity: usize,
     // Completion cycles of in-flight misses, unordered.
     inflight: Vec<u64>,
-    stalls: u64,
-    stall_cycles: u64,
 }
 
 impl MshrFile {
@@ -34,8 +34,6 @@ impl MshrFile {
         Self {
             capacity,
             inflight: Vec::with_capacity(capacity + 1),
-            stalls: 0,
-            stall_cycles: 0,
         }
     }
 
@@ -66,44 +64,23 @@ impl MshrFile {
                 .min_by_key(|(_, &t)| t)
                 .expect("non-empty at capacity");
             self.inflight.swap_remove(min_idx);
-            let wait = earliest.saturating_sub(cycle);
-            if wait > 0 {
-                self.stalls += 1;
-                self.stall_cycles += wait;
-            }
-            wait
+            earliest.saturating_sub(cycle)
         } else {
             0
         };
         self.inflight.push(completion + wait);
+        debug_assert!(self.inflight.len() <= self.capacity);
         wait
     }
 
-    /// Number of registers currently in flight at `cycle`.
-    pub fn occupancy(&mut self, cycle: u64) -> usize {
-        self.retire_through(cycle);
-        self.inflight.len()
-    }
-
-    /// Total number of allocations that had to wait.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-
-    /// Total cycles spent waiting for a register.
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
+    /// Number of registers still in flight at `cycle`.
+    pub fn occupancy(&self, cycle: u64) -> usize {
+        self.inflight.iter().filter(|&&t| t > cycle).count()
     }
 
     /// Capacity of the file.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Clears stall statistics (between warmup and measurement).
-    pub fn reset_stats(&mut self) {
-        self.stalls = 0;
-        self.stall_cycles = 0;
     }
 }
 
@@ -125,8 +102,6 @@ mod tests {
         assert_eq!(m.allocate(0, 100), 0);
         // Second miss at cycle 10 must wait until 100.
         assert_eq!(m.allocate(10, 110), 90);
-        assert_eq!(m.stalls(), 1);
-        assert_eq!(m.stall_cycles(), 90);
     }
 
     #[test]

@@ -340,26 +340,26 @@ proptest! {
         reqs in proptest::collection::vec((0u64..50, 1u64..400), 1..300),
         capacity in 1usize..64,
     ) {
-        use pythia_sim::cache::MshrFile;
-        let mut mshr = MshrFile::new(capacity);
+        // Through `Cache::reserve`, which owns the file and books its waits.
+        let mut cache = Cache::new("mshr", &CacheConfig { mshrs: capacity, ..CacheConfig::l2() });
         let mut cycle = 0u64;
-        let mut last_stalls = 0u64;
+        let mut last = (0u64, 0u64);
         for &(advance, latency) in &reqs {
             cycle += advance;
-            let before = mshr.occupancy(cycle);
+            let before = cache.mshr().occupancy(cycle);
             prop_assert!(before <= capacity, "occupancy bound violated");
-            let wait = mshr.allocate(cycle, cycle + latency);
+            let wait = cache.reserve(cycle, cycle + latency);
             if before < capacity {
                 prop_assert_eq!(wait, 0, "no wait while registers are free");
             }
-            let stalls = mshr.stalls();
-            prop_assert!(stalls >= last_stalls, "stall counter is monotone");
-            prop_assert_eq!(stalls > last_stalls, wait > 0, "stall counted iff waited");
-            last_stalls = stalls;
-            prop_assert!(mshr.occupancy(cycle) <= capacity);
+            let now = (cache.stats().mshr_stalls, cache.stats().mshr_stall_cycles);
+            prop_assert_eq!(now.0, last.0 + u64::from(wait > 0), "stall counted iff waited");
+            prop_assert_eq!(now.1, last.1 + wait, "every waited cycle booked");
+            last = now;
+            prop_assert!(cache.mshr().occupancy(cycle) <= capacity);
         }
         // Far in the future, everything retires.
-        prop_assert_eq!(mshr.occupancy(u64::MAX), 0);
+        prop_assert_eq!(cache.mshr().occupancy(u64::MAX), 0);
     }
 }
 
