@@ -439,7 +439,7 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
         ),
         Some(dir) => {
             let store = pythia_sweep::ResultStore::open(dir)?;
-            let (result, cached) = pythia_sweep::run_campaign(&campaign, threads, Some(&store))?;
+            let (result, cached) = pythia_sweep::run_campaign(&campaign, threads, &store)?;
             (result, Some((cached, campaign.digest())))
         }
     };
@@ -871,11 +871,13 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
     println!("listening on {}", server.local_addr()?);
     println!(
         "workers: {workers}  queue: {queue_cap}  sim-threads: {sim_threads}  max-conns: {max_conns}  cache: {}",
-        config
-            .cache_dir
-            .as_deref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| "(memory only)".into())
+        match &config.cache_dir {
+            Some(dir) => dir.display().to_string(),
+            None => format!(
+                "(memory, {} bytes)",
+                cache_max_bytes.unwrap_or(pythia_serve::server::MEMORY_STORE_BYTES)
+            ),
+        }
     );
     server.serve_forever()
 }

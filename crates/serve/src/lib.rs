@@ -18,7 +18,10 @@
 //! * [`scheduler`] — a bounded job queue + worker pool running
 //!   [`pythia_sweep::engine::run_all`], with in-flight dedup (identical
 //!   digests coalesce onto one job), per-job status, journal-backed
-//!   recovery, and 429-style backpressure when the queue is full.
+//!   recovery, and 429-style backpressure when the queue is full. It
+//!   holds live work and the outcomes of the last thousand jobs; a
+//!   finished result lives in the [`pythia_sweep::ResultStore`] — a
+//!   directory, or the heap under the same byte budget — and nowhere else.
 //! * [`obs`] — the one place a service number is stored: every counter,
 //!   gauge and histogram is an instrument of one `pythia-obs` registry,
 //!   which both `/metrics` views read.
@@ -30,15 +33,16 @@
 //!   and `GET /metrics` (queue depth, worker occupancy, store and
 //!   connection counters, aggregate Minst/s). A server-wide connection
 //!   cap sheds overload with 503. Handler threads outlive connections
-//!   (woken, not forked), and a done job's rendered artifact is served
-//!   from a small recent-renders cache.
+//!   (woken, not forked), and a stored artifact is served as stored
+//!   (`json`) or rendered (`md`, `csv`) through a small recent-renders
+//!   cache.
 //! * [`client`] — the `pythia-cli submit` side, built on the same
 //!   [`http`] module.
 //!
 //! Content addressing comes from [`pythia_sweep::codec`]: a campaign's
 //! canonical encoding digests to a stable id, simulations are
 //! bit-deterministic, so "same digest" means "byte-identical result" —
-//! cache hits (in memory or through [`pythia_sweep::ResultStore`]) are
+//! cache hits (always through [`pythia_sweep::ResultStore`]) are
 //! indistinguishable from fresh runs minus the wall-clock telemetry.
 //!
 //! # Example

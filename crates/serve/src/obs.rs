@@ -64,7 +64,8 @@ pub struct SchedulerEvents {
     pub submitted: Arc<Counter>,
     /// Campaigns actually simulated by this process's workers.
     pub executed: Arc<Counter>,
-    /// Submissions served from the in-memory done map or the disk store.
+    /// Submissions of a digest already finished: its artifact is in the
+    /// store, or the job table remembers that it failed.
     pub cache_hits: Arc<Counter>,
     /// Submissions coalesced onto a queued/running job.
     pub coalesced: Arc<Counter>,
@@ -100,9 +101,10 @@ pub struct ConnectionEvents {
 }
 
 /// Monotonic result-artifact events: `pythia_result_events_total{event=…}`.
-/// Their sum is the number of `200` result responses for done jobs.
+/// Their sum is the number of `200` result responses for stored artifacts.
 pub struct ResultEvents {
-    /// Artifacts rendered from a done job's `SweepResult`.
+    /// Artifacts fetched from the result store: for `json` the stored
+    /// bytes as they are, for `md` and `csv` a load and a render.
     pub renders: Arc<Counter>,
     /// Artifacts served from the recent-renders cache instead.
     pub render_hits: Arc<Counter>,
@@ -122,9 +124,11 @@ pub struct Collected {
     pub cells_in_flight: Arc<Gauge>,
     /// Configured worker threads.
     pub workers_total: Arc<Gauge>,
-    /// Result-store loads that found and decoded an artifact.
+    /// Entries of the job table, live and finished.
+    pub jobs_resident: Arc<Gauge>,
+    /// Result-store reads that found and decoded an artifact.
     pub store_hits: Arc<Counter>,
-    /// Result-store loads that found nothing (or a corrupt artifact).
+    /// Result-store reads that found nothing (or a damaged artifact).
     pub store_misses: Arc<Counter>,
     /// Artifacts written to the result store.
     pub store_stored: Arc<Counter>,
@@ -264,6 +268,10 @@ impl ServeObs {
                 ),
                 cells_in_flight: r.gauge("pythia_cells_in_flight", "Cells currently simulating"),
                 workers_total: r.gauge("pythia_workers_total", "Configured worker threads"),
+                jobs_resident: r.gauge(
+                    "pythia_jobs_resident",
+                    "Entries of the job table, live and finished",
+                ),
                 store_hits: r.counter("pythia_store_hits_total", "Result-store lookup hits"),
                 store_misses: r.counter("pythia_store_misses_total", "Result-store lookup misses"),
                 store_stored: r.counter(
@@ -317,7 +325,9 @@ mod tests {
     #[test]
     fn route_classification() {
         use crate::http::Request;
-        let scheduler = crate::scheduler::Scheduler::start(0, 1, None, None);
+        use pythia_sweep::ResultStore;
+        let scheduler =
+            crate::scheduler::Scheduler::start(0, 1, ResultStore::in_memory(1 << 20), None);
         let key = |method: &str, path: &str| {
             let request = Request {
                 method: method.into(),

@@ -1,17 +1,20 @@
-//! The recent-renders cache: the bytes of the last render of a done job's
-//! artifact, by `ETag`.
+//! The recent-renders cache: the bytes last served for a stored artifact,
+//! by `ETag`.
 //!
-//! A done job's result never changes and its `ETag` names the digest and
+//! A finished result never changes and its `ETag` names the digest and
 //! the render format, so the bytes behind one `ETag` never change either:
-//! rendering the same 14 KB JSON again for every `GET` of a popular digest
-//! is pure waste. The cache keeps the last few renders and hands them out
-//! shared, so a hit costs neither a render nor a copy.
+//! reading, checking and (for `md` and `csv`) rendering the same 14 KB
+//! artifact again for every `GET` of a popular digest is pure waste. The
+//! cache keeps the last few and hands them out shared, so a hit costs
+//! neither a store read nor a copy.
 //!
 //! Who writes it: only [`RenderCache::get_or_render`], and only with what
-//! the caller's `render` closure returned for that `ETag` — an entry is
-//! byte-identical to a fresh render by construction. Who evicts: an insert
-//! into a full cache, the oldest render first; a hit reorders nothing.
-//! Nothing invalidates an entry, because nothing can make it stale.
+//! the caller's `render` closure made of the stored artifact for that
+//! `ETag` — an entry is byte-identical to a fresh render by construction.
+//! Who evicts: an insert into a full cache, the oldest render first; a hit
+//! reorders nothing. Nothing invalidates an entry, because nothing can
+//! make it stale — it may outlive the artifact in the store, and is right
+//! all the same.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -46,27 +49,29 @@ pub(crate) struct RenderCache {
 impl RenderCache {
     /// The artifact behind `etag`: the cached bytes, or `render()`'s,
     /// which are then kept for the next caller. Counts one
-    /// `render_hits` or one `renders`; a failed render counts neither and
-    /// stores nothing.
+    /// `render_hits` or one `renders`; a render that fails or finds no
+    /// artifact (`None`) counts neither and stores nothing.
     ///
     /// # Errors
     ///
     /// Whatever `render` returns.
-    pub(crate) fn get_or_render(
+    pub(crate) fn get_or_render<E>(
         &self,
         events: &ResultEvents,
         etag: &str,
-        render: impl FnOnce() -> Result<String, String>,
-    ) -> Result<Arc<Vec<u8>>, String> {
+        render: impl FnOnce() -> Result<Option<Arc<Vec<u8>>>, E>,
+    ) -> Result<Option<Arc<Vec<u8>>>, E> {
         if let Some(body) = self.cached(etag) {
             events.render_hits.inc();
-            return Ok(body);
+            return Ok(Some(body));
         }
         // Rendered outside the lock: other digests are served meanwhile.
-        let body = Arc::new(render()?.into_bytes());
+        let Some(body) = render()? else {
+            return Ok(None);
+        };
         events.renders.inc();
         if body.len() > RENDER_MAX_BYTES {
-            return Ok(body);
+            return Ok(Some(body));
         }
         let mut recent = self.lock();
         // Two handlers may have rendered the same artifact at once; the
@@ -80,7 +85,7 @@ impl RenderCache {
                 body: Arc::clone(&body),
             });
         }
-        Ok(body)
+        Ok(Some(body))
     }
 
     /// The render cached under `etag`, if any.
@@ -108,8 +113,11 @@ mod tests {
 
     fn fetch(cache: &RenderCache, obs: &ServeObs, etag: &str, body: &str) -> Arc<Vec<u8>> {
         cache
-            .get_or_render(&obs.results, etag, || Ok(body.to_string()))
+            .get_or_render(&obs.results, etag, || {
+                Ok::<_, String>(Some(Arc::new(body.into())))
+            })
             .expect("renders")
+            .expect("found")
     }
 
     #[test]
@@ -117,8 +125,9 @@ mod tests {
         let (cache, obs) = (RenderCache::default(), ServeObs::default());
         let first = fetch(&cache, &obs, "a", "artifact");
         let again = cache
-            .get_or_render(&obs.results, "a", || panic!("rendered twice"))
-            .expect("cached");
+            .get_or_render::<String>(&obs.results, "a", || panic!("rendered twice"))
+            .expect("cached")
+            .expect("found");
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(
             (obs.results.renders.get(), obs.results.render_hits.get()),
@@ -155,9 +164,15 @@ mod tests {
             oversized.len()
         );
         assert!(!cache.holds("big") && cache.holds("small"));
-        let failed = cache.get_or_render(&obs.results, "bad", || Err("unknown format".into()));
+        let failed = cache.get_or_render(&obs.results, "bad", || Err("unknown format"));
         assert_eq!(failed.unwrap_err(), "unknown format");
+        let missing = cache.get_or_render(&obs.results, "bad", || Ok::<_, String>(None));
+        assert_eq!(missing, Ok(None));
         assert!(!cache.holds("bad"));
-        assert_eq!(obs.results.renders.get(), 2, "a failed render is no render");
+        assert_eq!(
+            obs.results.renders.get(),
+            2,
+            "a failed render is no render, nor is a miss"
+        );
     }
 }

@@ -4,14 +4,17 @@
 //! simulations.
 //!
 //! Every submission is keyed by its campaign digest
-//! ([`Campaign::digest`]). The scheduler guarantees that a digest costs at
-//! most one simulation per process lifetime:
+//! ([`Campaign::digest`]). The scheduler holds live work and the outcomes
+//! of the last [`FINISHED_JOBS_KEPT`] jobs; a finished result lives in the
+//! [`ResultStore`] and nowhere else. A digest costs at most one simulation
+//! while its artifact is stored:
 //!
-//! * a digest already **done** in memory is served instantly,
-//! * a digest present in the on-disk [`ResultStore`] is loaded, not run,
+//! * a digest whose artifact the store holds is **done**, not run — known
+//!   to this process or not (a restart, an entry aged out of the table),
 //! * a digest currently **queued/running** is *coalesced* — the new
 //!   submission attaches to the in-flight job instead of enqueuing a copy,
-//! * only a never-seen digest occupies a queue slot, and a full queue
+//! * only a digest neither live nor stored occupies a queue slot (one the
+//!   store has evicted runs again, to the same bytes), and a full queue
 //!   rejects the submission ([`SubmitError::Busy`] → HTTP 429).
 //!
 //! # Cell-level scheduling
@@ -33,11 +36,13 @@
 //! A job is admitted once (`State::admit`, with its journaled cells
 //! pre-filled when it comes from replay), its cells are claimed
 //! (`State::claim`) and completed (`State::complete`) one at a time,
-//! and it ends once, in `finish`: merge → persist → `done`/`failed`.
-//! A merge can fail — a baseline that saw no LLC load miss leaves the
-//! Appendix A.6 metrics undefined — and then the job reads
-//! [`JobStatus::Failed`] with the engine's message, is journaled
-//! `done ok:false` so it is never replayed, and stores nothing.
+//! and it ends once, in `finish`: merge → persist → `done`/`failed`
+//! (`State::settle`). Until that last step it keeps its work, so a
+//! `?partial=1` reader is served through the merge. A merge can fail — a
+//! baseline that saw no LLC load miss leaves the Appendix A.6 metrics
+//! undefined — and so can the store (an artifact over its whole budget);
+//! then the job reads [`JobStatus::Failed`] with the message, is
+//! journaled `done ok:false` so it is never replayed, and stores nothing.
 //!
 //! When a [`Journal`] is attached, every fresh enqueue is recorded and
 //! synced before the submission returns and every finished cell is
@@ -51,7 +56,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use pythia_obs::logger::Level;
@@ -60,13 +65,21 @@ use pythia_sweep::codec::Campaign;
 use pythia_sweep::{plan_campaign, CampaignPlan, ResultStore, SweepResult};
 
 use crate::journal::{Journal, PendingJob, DEFAULT_TENANT};
-use crate::obs::{SchedulerEvents, ServeObs};
+use crate::obs::ServeObs;
 use crate::renders::RenderCache;
 
 /// Upper bound on the accepted `priority` weight (quantum size): enough
 /// spread to express "urgent", small enough that one tenant cannot
 /// configure itself into a de-facto monopoly.
 pub const MAX_PRIORITY: u64 = 100;
+
+/// How many finished jobs (done or failed) the table remembers, oldest
+/// out first. An entry is a name, a tenant and a status — a few hundred
+/// bytes, 0.3 MB at the cap — and buys a status response that knows the
+/// campaign's name and cell count, and a failed campaign that is not run
+/// again; results are bounded in bytes, by the store. 1024 outlasts any
+/// client still polling a job it submitted.
+pub const FINISHED_JOBS_KEPT: usize = 1024;
 
 /// Lifecycle of one campaign job.
 #[derive(Debug, Clone)]
@@ -75,9 +88,9 @@ pub enum JobStatus {
     Queued,
     /// At least one of its cells has been claimed by a worker.
     Running,
-    /// Finished; the stripped result is held in memory (and on disk when a
-    /// cache directory is configured).
-    Done(Arc<SweepResult>),
+    /// Finished; the stripped result is in the [`ResultStore`], until the
+    /// store evicts it.
+    Done,
     /// Every cell ran but the merge was refused: the message names the
     /// unit and config whose baseline saw no LLC load miss (a budget too
     /// small for the workload to reach memory).
@@ -90,7 +103,7 @@ impl JobStatus {
         match self {
             JobStatus::Queued => "queued",
             JobStatus::Running => "running",
-            JobStatus::Done(_) => "done",
+            JobStatus::Done => "done",
             JobStatus::Failed(_) => "failed",
         }
     }
@@ -108,6 +121,25 @@ pub struct Submission {
     pub cached: bool,
     /// Whether this submission coalesced onto an in-flight job.
     pub coalesced: bool,
+    /// Completed cells at that moment.
+    pub cells_done: usize,
+    /// Planned cells.
+    pub cells_total: usize,
+}
+
+/// What one look at a job saw, all of it in one critical section.
+#[derive(Debug, Clone)]
+pub struct JobView {
+    /// Campaign name.
+    pub name: String,
+    /// Where the job stands.
+    pub status: JobStatus,
+    /// Completed cells.
+    pub cells_done: usize,
+    /// Planned cells.
+    pub cells_total: usize,
+    /// Campaigns holding a ready-queue slot.
+    pub queue_depth: usize,
 }
 
 /// Why a submission was rejected.
@@ -122,23 +154,20 @@ pub enum SubmitError {
     Invalid(String),
 }
 
-/// A snapshot of a job's merged-so-far result.
+/// A snapshot of a live job's merged-so-far result.
 #[derive(Debug)]
 pub struct Partial {
     /// The rows computable right now — the longest prefix of the final
-    /// row order whose reports exist; the complete artifact once the job
-    /// is done.
-    pub result: Arc<SweepResult>,
+    /// row order whose reports exist.
+    pub result: SweepResult,
     /// Completed cells.
     pub done: usize,
     /// Total cells in the plan.
     pub total: usize,
-    /// Whether `result` is the final artifact.
-    pub complete: bool,
 }
 
-/// The execution state of a not-yet-finished job. Dropped on completion
-/// so finished jobs don't pin plans or report sets in memory.
+/// The execution state of a not-yet-finished job. Dropped when the job
+/// settles, so finished jobs don't pin plans or report sets in memory.
 struct Work {
     plan: Arc<CampaignPlan>,
     /// When the job entered the ready queue — each cell's queue wait
@@ -171,7 +200,7 @@ struct Job {
     /// Planned cells (fixed at submission).
     cells_total: usize,
     status: JobStatus,
-    /// `None` once every cell is in: merging, done or failed.
+    /// `None` once the job is done or failed.
     work: Option<Work>,
 }
 
@@ -192,6 +221,8 @@ struct TenantQueue {
 #[derive(Default)]
 struct State {
     jobs: HashMap<String, Job>,
+    /// The finished entries of `jobs`, oldest first.
+    finished: VecDeque<String>,
     /// Tenants in first-seen order; the round-robin universe.
     tenants: Vec<TenantQueue>,
     /// Round-robin cursor over `tenants`.
@@ -221,16 +252,14 @@ impl State {
     /// Admission, written once: a fresh submission arrives with no slot
     /// filled, a replayed job with its journaled cells in theirs. The job
     /// joins its tenant's ready queue — unless every slot arrived filled:
-    /// then its work comes back instead, and the caller owes it a
-    /// [`finish`].
+    /// then this returns `true`, and the caller owes it a [`finish`].
     fn admit(
         &mut self,
         digest: &str,
         owner: Owner,
         plan: Arc<CampaignPlan>,
         slots: Vec<Option<SimReport>>,
-    ) -> Option<Work> {
-        let cells_total = slots.len();
+    ) -> bool {
         let work = Work {
             plan,
             enqueued_at: std::time::Instant::now(),
@@ -239,31 +268,58 @@ impl State {
             in_flight: 0,
             slots,
         };
-        let (status, held, arrived_complete) = if work.done == cells_total {
-            (JobStatus::Running, None, Some(work))
+        let arrived_complete = work.done == work.slots.len();
+        let status = if arrived_complete {
+            JobStatus::Running
         } else {
             self.enqueue(&owner.tenant, digest.to_string());
-            (JobStatus::Queued, Some(work), None)
+            JobStatus::Queued
         };
         let job = Job {
             owner,
-            cells_total,
+            cells_total: work.slots.len(),
             status,
-            work: held,
+            work: Some(work),
         };
         self.jobs.insert(digest.to_string(), job);
         arrived_complete
     }
 
-    /// Admits a job that arrives finished: its artifact was in the store.
-    fn admit_done(&mut self, digest: String, owner: Owner, cells_total: usize, status: JobStatus) {
+    /// Admits a job that arrives done: its artifact is in the store.
+    fn admit_done(&mut self, digest: &str, owner: Owner, cells_total: usize) {
         let job = Job {
             owner,
             cells_total,
-            status,
+            status: JobStatus::Running,
             work: None,
         };
-        self.jobs.insert(digest, job);
+        self.jobs.insert(digest.to_string(), job);
+        self.settle(digest, JobStatus::Done);
+    }
+
+    /// The end of a job: its outcome stays, its work goes, and so does the
+    /// oldest finished entry once there are more than the table keeps.
+    fn settle(&mut self, digest: &str, status: JobStatus) {
+        let job = self.jobs.get_mut(digest).expect("settled job exists");
+        (job.status, job.work) = (status, None);
+        self.finished.push_back(digest.to_string());
+        if self.finished.len() > FINISHED_JOBS_KEPT {
+            let oldest = self.finished.pop_front().expect("not empty");
+            self.jobs.remove(&oldest);
+        }
+    }
+
+    /// The job known under `digest`. A done entry outlives its artifact
+    /// only until somebody asks: the store evicts by bytes on its own, and
+    /// a digest it no longer holds is unknown again — a resubmission runs
+    /// it, as after a restart.
+    fn job(&mut self, store: &ResultStore, digest: &str) -> Option<&Job> {
+        let status = &self.jobs.get(digest)?.status;
+        if matches!(status, JobStatus::Done) && !store.contains(digest) {
+            self.jobs.remove(digest);
+            self.finished.retain(|d| d != digest);
+        }
+        self.jobs.get(digest)
     }
 
     /// Claims the next cell under weighted round-robin over tenants.
@@ -338,9 +394,9 @@ impl State {
         None
     }
 
-    /// Fills a claimed cell's slot. When that was the job's last cell its
-    /// work comes back, and the caller owes it a [`finish`].
-    fn complete(&mut self, claim: &Claim, report: SimReport) -> Option<Work> {
+    /// Fills a claimed cell's slot. `true` when that was the job's last
+    /// cell: the caller owes it a [`finish`].
+    fn complete(&mut self, claim: &Claim, report: SimReport) -> bool {
         let job = self
             .jobs
             .get_mut(&claim.digest)
@@ -353,11 +409,7 @@ impl State {
         if let Some(t) = self.tenants.iter_mut().find(|t| t.key == *tenant) {
             t.served_cells += 1;
         }
-        if work.done == work.slots.len() {
-            job.work.take()
-        } else {
-            None
-        }
+        work.done == work.slots.len()
     }
 }
 
@@ -376,14 +428,21 @@ struct Inner {
     work_ready: Condvar,
     job_finished: Condvar,
     queue_cap: usize,
-    store: Option<ResultStore>,
-    /// Recent renders of done jobs' artifacts, for the result routes.
+    /// The one home of finished results.
+    store: ResultStore,
+    /// Recent renders of stored artifacts, for the result routes.
     renders: RenderCache,
     journal: Option<Journal>,
     shutdown: AtomicBool,
     /// Shared observability bundle: logger, and the registry every
     /// service counter lives in.
     obs: Arc<ServeObs>,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("scheduler lock")
+    }
 }
 
 /// The campaign scheduler: owns the ready queues, the status map, and the
@@ -396,8 +455,9 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Starts a scheduler with `workers` cell-worker threads, a ready
-    /// queue bounded at `queue_cap` campaigns, an optional on-disk result
-    /// store, and an optional crash-safe journal.
+    /// queue bounded at `queue_cap` campaigns, the result store (a
+    /// directory or [`ResultStore::in_memory`]), and an optional
+    /// crash-safe journal.
     ///
     /// Unfinished journal entries are replayed before the workers start:
     /// digests already resolvable from `store` are inserted as done,
@@ -410,7 +470,7 @@ impl Scheduler {
     pub fn start(
         workers: usize,
         queue_cap: usize,
-        store: Option<ResultStore>,
+        store: ResultStore,
         journal: Option<Journal>,
     ) -> Self {
         Self::start_with_obs(
@@ -428,7 +488,7 @@ impl Scheduler {
     pub fn start_with_obs(
         workers: usize,
         queue_cap: usize,
-        store: Option<ResultStore>,
+        store: ResultStore,
         mut journal: Option<Journal>,
         obs: Arc<ServeObs>,
     ) -> Self {
@@ -510,37 +570,18 @@ impl Scheduler {
         let priority = priority.clamp(1, MAX_PRIORITY);
 
         // Fast path: the digest is already known in this process.
-        {
-            let state = self.inner.state.lock().expect("scheduler lock");
-            if let Some(hit) = Self::attach(events, &state, &digest) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.attach(&mut self.inner.lock(), &digest) {
+            return Ok(hit);
         }
 
-        // First sighting — expand the plan and probe the disk store
-        // WITHOUT holding the lock (both touch potentially large data;
-        // status polls and other submissions must not stall behind them).
+        // First sighting — expand the plan WITHOUT holding the lock (it
+        // can be large; status polls and other submissions must not stall
+        // behind it).
         let plan = plan_campaign(&campaign.name, &campaign.panels).map_err(SubmitError::Invalid)?;
-        let disk_hit = match &self.inner.store {
-            None => None,
-            Some(store) => match store.load(&digest) {
-                Ok(hit) => hit,
-                Err(e) => {
-                    // A corrupt artifact must not take the digest down
-                    // permanently: fall through and re-simulate.
-                    self.inner.obs.logger().warn(
-                        "scheduler",
-                        "ignoring corrupt cache artifact",
-                        &[("digest", digest.clone()), ("error", e)],
-                    );
-                    None
-                }
-            },
-        };
 
-        let mut state = self.inner.state.lock().expect("scheduler lock");
+        let mut state = self.inner.lock();
         // Re-check: a racing submission may have inserted meanwhile.
-        if let Some(hit) = Self::attach(events, &state, &digest) {
+        if let Some(hit) = self.attach(&mut state, &digest) {
             return Ok(hit);
         }
 
@@ -550,17 +591,11 @@ impl Scheduler {
             tenant: tenant.to_string(),
             priority,
         };
-        if let Some(result) = disk_hit {
-            let status = JobStatus::Done(Arc::new(result));
-            state.admit_done(digest.clone(), owner, total, status.clone());
-            events.cache_hits.inc();
-            events.submitted.inc();
-            return Ok(Submission {
-                digest,
-                status,
-                cached: true,
-                coalesced: false,
-            });
+        // Stored by an earlier process, or by this one before the entry
+        // aged out: done, and nobody parses the artifact to say so.
+        if self.inner.store.contains(&digest) {
+            state.admit_done(&digest, owner, total);
+            return Ok(self.attach(&mut state, &digest).expect("just admitted"));
         }
 
         if state.ready_campaigns() >= self.inner.queue_cap {
@@ -577,7 +612,7 @@ impl Scheduler {
             journal.record_submitted(&digest, &campaign, tenant, priority);
         }
         let complete = state.admit(&digest, owner, Arc::new(plan), vec![None; total]);
-        debug_assert!(complete.is_none(), "a fresh job has every cell to run");
+        debug_assert!(!complete, "a fresh job has every cell to run");
         events.submitted.inc();
         drop(state);
         // Many cells just became claimable: wake every worker.
@@ -592,87 +627,59 @@ impl Scheduler {
             status: JobStatus::Queued,
             cached: false,
             coalesced: false,
+            cells_done: 0,
+            cells_total: total,
         })
     }
 
     /// Attaches a submission to an already-known digest: a cache hit when
     /// the job is finished, a coalesce onto the in-flight job otherwise.
-    fn attach(events: &SchedulerEvents, state: &State, digest: &str) -> Option<Submission> {
-        let job = state.jobs.get(digest)?;
-        let (cached, coalesced) = match job.status {
-            JobStatus::Done(_) | JobStatus::Failed(_) => (true, false),
-            JobStatus::Queued | JobStatus::Running => (false, true),
-        };
-        if cached {
-            events.cache_hits.inc();
-        } else {
+    fn attach(&self, state: &mut State, digest: &str) -> Option<Submission> {
+        let job = state.job(&self.inner.store, digest)?;
+        let events = &self.inner.obs.events;
+        let coalesced = job.work.is_some();
+        if coalesced {
             events.coalesced.inc();
+        } else {
+            events.cache_hits.inc();
         }
         events.submitted.inc();
         Some(Submission {
             digest: digest.to_string(),
             status: job.status.clone(),
-            cached,
+            cached: !coalesced,
             coalesced,
+            cells_done: job.cells_done(),
+            cells_total: job.cells_total,
         })
     }
 
-    /// Current status of a digest, with its campaign name.
-    pub fn status(&self, digest: &str) -> Option<(String, JobStatus)> {
-        let state = self.inner.state.lock().expect("scheduler lock");
-        state
-            .jobs
-            .get(digest)
-            .map(|j| (j.owner.name.clone(), j.status.clone()))
+    /// Where a digest's job stands: name, status, cell progress and the
+    /// ready-queue depth of the same instant. `None` for a digest the
+    /// table does not hold — its artifact may still be in the store.
+    pub fn status(&self, digest: &str) -> Option<JobView> {
+        let mut state = self.inner.lock();
+        let queue_depth = state.ready_campaigns();
+        let job = state.job(&self.inner.store, digest)?;
+        Some(JobView {
+            name: job.owner.name.clone(),
+            status: job.status.clone(),
+            cells_done: job.cells_done(),
+            cells_total: job.cells_total,
+            queue_depth,
+        })
     }
 
-    /// Cell progress of a digest: `(done, total)`.
-    pub fn progress(&self, digest: &str) -> Option<(usize, usize)> {
-        let state = self.inner.state.lock().expect("scheduler lock");
-        let job = state.jobs.get(digest)?;
-        Some((job.cells_done(), job.cells_total))
-    }
-
-    /// The result of a digest, if the job is done.
-    pub fn result(&self, digest: &str) -> Option<Arc<SweepResult>> {
-        match self.status(digest) {
-            Some((_, JobStatus::Done(result))) => Some(result),
-            _ => None,
-        }
-    }
-
-    /// The merged-so-far snapshot of a digest: the final artifact for a
-    /// done job, or the longest computable row prefix for a queued or
-    /// running one (merged outside the scheduler lock). `None` for
-    /// unknown digests and failed jobs.
+    /// The merged-so-far snapshot of a live job: the longest computable
+    /// row prefix (merged outside the scheduler lock) — all rows while the
+    /// job's own merge runs, since a job keeps its work until it settles.
+    /// `None` for unknown digests and finished jobs.
     pub fn partial(&self, digest: &str) -> Option<Partial> {
-        let (plan, slots, done, total) = {
-            let state = self.inner.state.lock().expect("scheduler lock");
-            let job = state.jobs.get(digest)?;
-            match (&job.status, &job.work) {
-                (JobStatus::Done(result), _) => {
-                    return Some(Partial {
-                        result: Arc::clone(result),
-                        done: job.cells_total,
-                        total: job.cells_total,
-                        complete: true,
-                    })
-                }
-                (JobStatus::Failed(_), _) | (_, None) => return None,
-                (_, Some(work)) => (
-                    Arc::clone(&work.plan),
-                    work.slots.clone(),
-                    work.done,
-                    job.cells_total,
-                ),
-            }
-        };
-        let result = plan.merge_prefix(&slots).ok()?;
+        let (plan, slots) = snapshot(&self.inner.lock(), digest)?;
         Some(Partial {
-            result: Arc::new(result),
-            done,
-            total,
-            complete: false,
+            result: plan.merge_prefix(&slots).ok()?,
+            done: slots.iter().flatten().count(),
+            total: slots.len(),
         })
     }
 
@@ -681,14 +688,12 @@ impl Scheduler {
     /// an unknown digest or timeout.
     pub fn wait(&self, digest: &str, timeout: std::time::Duration) -> Option<JobStatus> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.inner.state.lock().expect("scheduler lock");
+        let mut state = self.inner.lock();
         loop {
             match state.jobs.get(digest) {
                 None => return None,
-                Some(job) => match &job.status {
-                    JobStatus::Done(_) | JobStatus::Failed(_) => return Some(job.status.clone()),
-                    JobStatus::Queued | JobStatus::Running => {}
-                },
+                Some(job) if job.work.is_none() => return Some(job.status.clone()),
+                Some(_) => {}
             }
             let now = std::time::Instant::now();
             if now >= deadline {
@@ -703,13 +708,6 @@ impl Scheduler {
         }
     }
 
-    /// Ready-queue occupancy and capacity (campaigns with unclaimed
-    /// cells), for status output and backpressure.
-    pub fn queue_depth(&self) -> (usize, usize) {
-        let state = self.inner.state.lock().expect("scheduler lock");
-        (state.ready_campaigns(), self.inner.queue_cap)
-    }
-
     /// The collect step of a `/metrics` scrape: copies scheduler and
     /// store *state* (as opposed to events, which are counted where they
     /// happen) into [`ServeObs::collected`], taking the scheduler lock
@@ -719,7 +717,7 @@ impl Scheduler {
     pub fn collect(&self) -> Vec<(String, u64)> {
         let c = &self.inner.obs.collected;
         let tenants = {
-            let state = self.inner.state.lock().expect("scheduler lock");
+            let state = self.inner.lock();
             let (mut unclaimed, mut in_flight) = (0, 0);
             for work in state.jobs.values().filter_map(|job| job.work.as_ref()) {
                 unclaimed += work.slots.len() - work.done - work.in_flight;
@@ -728,32 +726,31 @@ impl Scheduler {
             c.queue_depth.set(state.ready_campaigns() as i64);
             c.cells_queued.set(unclaimed as i64);
             c.cells_in_flight.set(in_flight as i64);
+            c.jobs_resident.set(state.jobs.len() as i64);
             state
                 .tenants
                 .iter()
                 .map(|t| (t.key.clone(), t.served_cells))
                 .collect()
         };
-        if let Some(store) = &self.inner.store {
-            let stats = store.stats();
-            c.store_hits.advance_to(stats.hits.load(Ordering::Relaxed));
-            c.store_misses
-                .advance_to(stats.misses.load(Ordering::Relaxed));
-            c.store_stored
-                .advance_to(stats.stored.load(Ordering::Relaxed));
-            c.store_evicted
-                .advance_to(stats.evicted.load(Ordering::Relaxed));
-            c.store_bytes_used.set(store.bytes_used() as i64);
-        }
+        let (store, stats) = (&self.inner.store, self.inner.store.stats());
+        c.store_hits.advance_to(stats.hits.load(Ordering::Relaxed));
+        c.store_misses
+            .advance_to(stats.misses.load(Ordering::Relaxed));
+        c.store_stored
+            .advance_to(stats.stored.load(Ordering::Relaxed));
+        c.store_evicted
+            .advance_to(stats.evicted.load(Ordering::Relaxed));
+        c.store_bytes_used.set(store.bytes_used() as i64);
         tenants
     }
 
-    /// The attached result store, if any.
-    pub fn store(&self) -> Option<&ResultStore> {
-        self.inner.store.as_ref()
+    /// The result store: where every finished result lives.
+    pub fn store(&self) -> &ResultStore {
+        &self.inner.store
     }
 
-    /// The recent-renders cache of done jobs' artifacts.
+    /// The recent-renders cache of stored artifacts.
     pub(crate) fn renders(&self) -> &RenderCache {
         &self.inner.renders
     }
@@ -770,7 +767,7 @@ impl Scheduler {
         // `false` is then already waiting when the notification is sent,
         // not about to wait and miss it.
         {
-            let _state = self.inner.state.lock().expect("scheduler lock");
+            let _state = self.inner.lock();
             self.inner.shutdown.store(true, Ordering::SeqCst);
         }
         self.inner.work_ready.notify_all();
@@ -780,6 +777,13 @@ impl Scheduler {
     }
 }
 
+/// The plan and a copy of the reports of a job that still has its work —
+/// what a merge needs, taken under the lock and used off it.
+fn snapshot(state: &State, digest: &str) -> Option<(Arc<CampaignPlan>, Vec<Option<SimReport>>)> {
+    let work = state.jobs.get(digest)?.work.as_ref()?;
+    Some((Arc::clone(&work.plan), work.slots.clone()))
+}
+
 /// Re-admits journaled jobs at startup: store hits become done jobs, the
 /// rest requeue (in original submission order) with their journaled cells
 /// pre-filled, and the journal is compacted down to the requeued
@@ -787,8 +791,8 @@ impl Scheduler {
 /// [`finish`] without touching a worker.
 fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
     let mut survivors: Vec<PendingJob> = Vec::new();
-    let mut complete: Vec<(String, Work)> = Vec::new();
-    let mut state = inner.state.lock().expect("scheduler lock");
+    let mut complete: Vec<String> = Vec::new();
+    let mut state = inner.lock();
     for job in pending {
         if state.jobs.contains_key(&job.digest) {
             continue;
@@ -817,14 +821,10 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
             },
             priority: job.priority.max(1),
         };
-        let disk_hit = inner
-            .store
-            .as_ref()
-            .and_then(|store| store.load(&job.digest).ok().flatten());
-        if let Some(result) = disk_hit {
+        if inner.store.contains(&job.digest) {
             // The previous process finished the simulation and persisted
             // the artifact but died before the `done` record landed.
-            state.admit_done(job.digest, owner, total, JobStatus::Done(Arc::new(result)));
+            state.admit_done(&job.digest, owner, total);
             continue;
         }
 
@@ -839,18 +839,19 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
             }
         }
         inner.obs.events.cells_replayed.add(filled);
-        match state.admit(&job.digest, owner, Arc::new(plan), slots) {
+        if state.admit(&job.digest, owner, Arc::new(plan), slots) {
             // Every cell was journaled — the process died between the
             // last cell record and the artifact/done record.
-            Some(work) => complete.push((job.digest, work)),
-            None => survivors.push(job),
+            complete.push(job.digest);
+        } else {
+            survivors.push(job);
         }
     }
     drop(state);
     // Persisted (or refused, and journaled so) before compaction forgets
     // the records the job could be rebuilt from.
-    for (digest, work) in complete {
-        finish(inner, &digest, work);
+    for digest in complete {
+        finish(inner, &digest);
     }
     if let Some(journal) = &inner.journal {
         if let Err(e) = journal.compact(&survivors) {
@@ -896,7 +897,7 @@ fn keep_freed_memory() {
 fn worker_loop(inner: &Inner) {
     loop {
         let claim = {
-            let mut state = inner.state.lock().expect("scheduler lock");
+            let mut state = inner.lock();
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -944,59 +945,47 @@ fn worker_loop(inner: &Inner) {
             .lock()
             .expect("scheduler lock")
             .complete(&claim, report);
-        if let Some(work) = last_cell_in {
+        if last_cell_in {
             inner.obs.events.executed.inc();
-            finish(inner, &claim.digest, work);
+            finish(inner, &claim.digest);
         }
         inner.obs.workers_busy.add(-1);
     }
 }
 
 /// The one end of a job whose every cell is in, whether its last cell
-/// just ran or replay found them all journaled: merge off the lock →
+/// just ran or replay found them all journaled: merge off the lock (the
+/// merge a `?partial=1` reader gets meanwhile, of the same snapshot) →
 /// persist → `Done`/`Failed` → `done` record → wake the waiters. A merge
 /// the engine refuses stores nothing, and its `ok:false` record keeps a
-/// restart from replaying the job into the same refusal.
-fn finish(inner: &Inner, digest: &str, work: Work) {
-    let reports: Vec<SimReport> = work
-        .slots
-        .into_iter()
-        .map(|s| s.expect("finished job has every report"))
-        .collect();
-    let (status, ok) = match work.plan.merge_cells(&reports) {
-        Ok(result) => {
-            if let Some(store) = &inner.store {
-                if let Err(e) = store.store(digest, &result) {
-                    inner.obs.logger().error(
-                        "scheduler",
-                        "failed to persist result",
-                        &[("digest", digest.to_string()), ("error", e)],
-                    );
-                }
-            }
+/// restart from replaying the job into the same refusal; a result the
+/// store refuses has no home, and ends the same way.
+fn finish(inner: &Inner, digest: &str) {
+    let (plan, slots) = snapshot(&inner.lock(), digest).expect("finishing job has its work");
+    let stored = plan
+        .merge_prefix(&slots)
+        .and_then(|result| inner.store.store(digest, &result));
+    let ok = stored.is_ok();
+    let mut outcome = vec![("digest", digest.to_string()), ("ok", ok.to_string())];
+    let status = match stored {
+        Ok(()) => {
             inner.obs.events.completed.inc();
-            (JobStatus::Done(Arc::new(result)), true)
+            JobStatus::Done
         }
         Err(e) => {
             inner.obs.events.failed.inc();
-            (JobStatus::Failed(e), false)
+            outcome.push(("error", e.clone()));
+            JobStatus::Failed(e)
         }
     };
-    let mut state = inner.state.lock().expect("scheduler lock");
-    state
-        .jobs
-        .get_mut(digest)
-        .expect("finished job exists")
-        .status = status;
-    drop(state);
+    inner.lock().settle(digest, status);
     if let Some(journal) = &inner.journal {
         journal.record_done(digest, ok);
     }
-    inner.obs.logger().info(
-        "scheduler",
-        "campaign finished",
-        &[("digest", digest.to_string()), ("ok", ok.to_string())],
-    );
+    inner
+        .obs
+        .logger()
+        .info("scheduler", "campaign finished", &outcome);
     inner.job_finished.notify_all();
 }
 
@@ -1058,6 +1047,23 @@ mod tests {
         assert!(message.contains("no LLC load misses"), "{message}");
     }
 
+    /// A memory-leaf store no test here fills.
+    fn memory() -> ResultStore {
+        ResultStore::in_memory(1 << 20)
+    }
+
+    /// Completed and planned cells, as a status lookup reports them.
+    fn progress(s: &Scheduler, digest: &str) -> (usize, usize) {
+        let job = s.status(digest).expect("known digest");
+        (job.cells_done, job.cells_total)
+    }
+
+    /// The stored artifact of a done job, as `format=json` serves it.
+    fn artifact(s: &Scheduler, digest: &str) -> String {
+        let bytes = s.store().bytes(digest).expect("reads").expect("stored");
+        String::from_utf8(bytes.to_vec()).expect("utf-8")
+    }
+
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "pythia-sched-{tag}-{}-{:?}",
@@ -1070,19 +1076,20 @@ mod tests {
 
     #[test]
     fn submit_run_and_memory_cache_hit() {
-        let s = Scheduler::start(1, 8, None, None);
+        let s = Scheduler::start(1, 8, memory(), None);
         let campaign = tiny_campaign("sched-basic", 4_000);
         let sub = s.submit(campaign.clone()).expect("accepted");
         assert!(!sub.cached);
         let done = s
             .wait(&sub.digest, Duration::from_secs(60))
             .expect("finishes");
-        assert!(matches!(done, JobStatus::Done(_)));
-        assert_eq!(s.progress(&sub.digest), Some((2, 2)), "baseline + cell");
+        assert!(matches!(done, JobStatus::Done));
+        assert_eq!(progress(&s, &sub.digest), (2, 2), "baseline + cell");
 
         let again = s.submit(campaign).expect("accepted");
-        assert!(again.cached, "second submission hits the done map");
-        assert!(matches!(again.status, JobStatus::Done(_)));
+        assert!(again.cached, "second submission hits the job table");
+        assert!(matches!(again.status, JobStatus::Done));
+        assert_eq!((again.cells_done, again.cells_total), (2, 2));
         assert_eq!(s.obs().events.executed.get(), 1);
         assert_eq!(s.obs().events.cells_executed.get(), 2);
         assert_eq!(s.obs().events.cache_hits.get(), 1);
@@ -1096,7 +1103,7 @@ mod tests {
         // One worker pinned down by a blocker job makes coalescing
         // deterministic: the second identical submission arrives while the
         // target job is still queued.
-        let s = Scheduler::start(1, 8, None, None);
+        let s = Scheduler::start(1, 8, memory(), None);
         let blocker = s
             .submit(tiny_campaign("sched-blocker", 30_000))
             .expect("accepted");
@@ -1110,7 +1117,7 @@ mod tests {
         let done = s
             .wait(&first.digest, Duration::from_secs(60))
             .expect("finishes");
-        assert!(matches!(done, JobStatus::Done(_)));
+        assert!(matches!(done, JobStatus::Done));
         assert_eq!(
             s.obs().events.executed.get(),
             2,
@@ -1123,7 +1130,7 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_busy() {
         // No workers: nothing ever drains, so occupancy is exact.
-        let s = Scheduler::start(0, 2, None, None);
+        let s = Scheduler::start(0, 2, memory(), None);
         s.submit(tiny_campaign("bp-1", 4_000)).expect("slot 1");
         s.submit(tiny_campaign("bp-2", 4_000)).expect("slot 2");
         let err = s.submit(tiny_campaign("bp-3", 4_000)).unwrap_err();
@@ -1146,7 +1153,7 @@ mod tests {
 
     #[test]
     fn invalid_campaigns_are_rejected_up_front() {
-        let s = Scheduler::start(0, 2, None, None);
+        let s = Scheduler::start(0, 2, memory(), None);
         let invalid = Campaign::single(SweepSpec::new("empty"));
         match s.submit(invalid).unwrap_err() {
             SubmitError::Invalid(msg) => assert!(msg.contains("no work units"), "{msg}"),
@@ -1159,7 +1166,7 @@ mod tests {
     #[test]
     fn weighted_round_robin_interleaves_tenants_cell_by_cell() {
         // No workers: claim synthetically and observe the schedule.
-        let s = Scheduler::start(0, 8, None, None);
+        let s = Scheduler::start(0, 8, memory(), None);
         let big = seeded_campaign("wrr-big", 4_000, 6); // 12 cells
         let small = seeded_campaign("wrr-small", 4_000, 2); // 4 cells
         let big_digest = big.digest();
@@ -1188,7 +1195,7 @@ mod tests {
 
     #[test]
     fn priority_weights_the_quantum() {
-        let s = Scheduler::start(0, 8, None, None);
+        let s = Scheduler::start(0, 8, memory(), None);
         let heavy = seeded_campaign("prio-heavy", 4_000, 6); // 12 cells
         let light = seeded_campaign("prio-light", 4_000, 6);
         let heavy_digest = heavy.digest();
@@ -1228,12 +1235,12 @@ mod tests {
         let phase1_cells = {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
-            let s = Scheduler::start(1, 8, Some(store), Some(journal));
+            let s = Scheduler::start(1, 8, store, Some(journal));
             s.submit(campaign.clone()).expect("accepted");
             // Wait until at least two cells completed, then pull the plug.
             let deadline = std::time::Instant::now() + Duration::from_secs(60);
             loop {
-                let (done, _) = s.progress(&digest).expect("known digest");
+                let (done, _) = progress(&s, &digest);
                 if done >= 2 {
                     break;
                 }
@@ -1254,7 +1261,7 @@ mod tests {
         {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
-            let s = Scheduler::start(1, 8, Some(store), Some(journal));
+            let s = Scheduler::start(1, 8, store, Some(journal));
             assert_eq!(s.obs().events.replayed.get(), 1);
             assert_eq!(
                 s.obs().events.cells_replayed.get(),
@@ -1264,15 +1271,14 @@ mod tests {
             let done = s
                 .wait(&digest, Duration::from_secs(120))
                 .expect("resumed job finishes");
-            assert!(matches!(done, JobStatus::Done(_)));
+            assert!(matches!(done, JobStatus::Done));
             assert_eq!(
                 s.obs().events.cells_executed.get(),
                 8 - phase1_cells,
                 "only the unfinished cells re-executed"
             );
-            let resumed = s.result(&digest).expect("result");
             assert_eq!(
-                resumed.to_json().render_pretty(),
+                artifact(&s, &digest),
                 direct.to_json().render_pretty(),
                 "resumed result matches a direct run byte-for-byte"
             );
@@ -1303,7 +1309,7 @@ mod tests {
         let unacknowledged = tiny_campaign("power-loss-late", 1_000);
         let (synced, bytes) = {
             let journal = Journal::open(&journal_path).expect("journal");
-            let s = Scheduler::start(0, 8, None, Some(journal));
+            let s = Scheduler::start(0, 8, memory(), Some(journal));
             s.submit_as(campaign.clone(), "\u{e5}lice", 1)
                 .expect("accepted");
             let journal = s.inner.journal.as_ref().expect("journal attached");
@@ -1346,13 +1352,13 @@ mod tests {
             let obs = Arc::new(ServeObs::new(Level::Error));
             let journal =
                 Journal::open_with_obs(&path, Arc::clone(&obs)).expect("the service starts");
-            let s = Scheduler::start_with_obs(1, 8, None, Some(journal), obs);
+            let s = Scheduler::start_with_obs(1, 8, memory(), Some(journal), obs);
             let done = s
                 .wait(&digest, Duration::from_secs(120))
                 .expect("the acknowledged campaign is known and finishes");
-            assert!(matches!(done, JobStatus::Done(_)), "cut {cut}");
+            assert!(matches!(done, JobStatus::Done), "cut {cut}");
             assert_eq!(
-                s.result(&digest).expect("result").to_json().render_pretty(),
+                artifact(&s, &digest),
                 direct,
                 "cut {cut}: byte-identical to a direct run"
             );
@@ -1404,7 +1410,7 @@ mod tests {
         {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
-            let s = Scheduler::start(0, 8, Some(store), Some(journal));
+            let s = Scheduler::start(0, 8, store, Some(journal));
             s.submit(a.clone()).expect("accepted");
             s.submit(b.clone()).expect("accepted");
             s.shutdown();
@@ -1429,21 +1435,20 @@ mod tests {
         {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
-            let s = Scheduler::start(1, 8, Some(store), Some(journal));
+            let s = Scheduler::start(1, 8, store, Some(journal));
             assert_eq!(s.obs().events.replayed.get(), 2);
             for c in [&a, &b] {
                 let done = s
                     .wait(&c.digest(), Duration::from_secs(60))
                     .expect("replayed job finishes");
-                assert!(matches!(done, JobStatus::Done(_)));
+                assert!(matches!(done, JobStatus::Done));
             }
             // Byte-identical to a direct run of the same campaign.
             let direct = engine::run_all(&a.name, &a.panels, 1)
                 .expect("direct run")
                 .stripped();
-            let replayed = s.result(&a.digest()).expect("result");
             assert_eq!(
-                replayed.to_json().render_pretty(),
+                artifact(&s, &a.digest()),
                 direct.to_json().render_pretty(),
                 "replayed result matches a direct run byte-for-byte"
             );
@@ -1455,7 +1460,7 @@ mod tests {
         {
             let store = ResultStore::open(&store_dir).expect("store");
             let journal = Journal::open(&journal_path).expect("journal");
-            let s = Scheduler::start(1, 8, Some(store), Some(journal));
+            let s = Scheduler::start(1, 8, store, Some(journal));
             assert_eq!(s.obs().events.replayed.get(), 0);
             let sub = s.submit(a.clone()).expect("accepted");
             assert!(sub.cached, "resubmission hits the disk store");
@@ -1485,12 +1490,12 @@ mod tests {
         }
 
         let journal = Journal::open(&journal_path).expect("journal");
-        let s = Scheduler::start(0, 8, Some(store), Some(journal));
+        let s = Scheduler::start(0, 8, store, Some(journal));
         assert_eq!(s.obs().events.replayed.get(), 1);
         // Resolved from the store without a worker (there are none).
-        assert!(s.result(&a.digest()).is_some());
-        let (depth, _) = s.queue_depth();
-        assert_eq!(depth, 0, "nothing requeued");
+        let job = s.status(&a.digest()).expect("known digest");
+        assert!(matches!(job.status, JobStatus::Done));
+        assert_eq!(s.inner.lock().ready_campaigns(), 0, "nothing requeued");
         // The journal compacted down to nothing.
         let text = std::fs::read_to_string(&journal_path).expect("read journal");
         assert!(text.is_empty(), "compacted journal is empty: {text:?}");
@@ -1503,23 +1508,16 @@ mod tests {
         let dir = tmp_dir("starved");
         let store = ResultStore::open(dir.join("cache")).expect("store");
         let journal = Journal::open(dir.join("journal.jsonl")).expect("journal");
-        let s = Scheduler::start(1, 8, Some(store), Some(journal));
+        let s = Scheduler::start(1, 8, store, Some(journal));
         let starved = s.submit(starved_campaign("starved")).expect("accepted");
         let status = s
             .wait(&starved.digest, Duration::from_secs(20))
             .expect("the job ends");
         assert_names_the_starved_unit(&status);
-        assert_eq!(s.progress(&starved.digest), Some((2, 2)));
+        assert_eq!(progress(&s, &starved.digest), (2, 2));
         assert!(s.partial(&starved.digest).is_none());
         assert_eq!(s.obs().events.failed.get(), 1);
-        assert_eq!(
-            s.store()
-                .expect("store")
-                .stats()
-                .stored
-                .load(Ordering::Relaxed),
-            0
-        );
+        assert_eq!(s.store().stats().stored.load(Ordering::Relaxed), 0);
         {
             let state = s.inner.state.lock().expect("lock");
             assert!(state.jobs[&starved.digest].work.is_none());
@@ -1535,7 +1533,7 @@ mod tests {
             .submit(tiny_campaign("after-starved", 4_000))
             .expect("accepted");
         let done = s.wait(&healthy.digest, Duration::from_secs(60));
-        assert!(matches!(done, Some(JobStatus::Done(_))), "{done:?}");
+        assert!(matches!(done, Some(JobStatus::Done)), "{done:?}");
         let obs = Arc::clone(s.obs());
         s.shutdown();
         assert_eq!(obs.workers_busy.get(), 0, "no worker died mid-cell");
@@ -1561,16 +1559,16 @@ mod tests {
         }
 
         let journal = Journal::open(&journal_path).expect("journal");
-        let s = Scheduler::start(0, 8, None, Some(journal));
+        let s = Scheduler::start(0, 8, memory(), Some(journal));
         assert_eq!(s.obs().events.replayed.get(), 1);
         assert_eq!(s.obs().events.cells_replayed.get(), 2);
-        let (_, status) = s.status(&digest).expect("known digest");
+        let status = s.status(&digest).expect("known digest").status;
         assert_names_the_starved_unit(&status);
         assert_eq!(s.obs().events.failed.get(), 1);
         s.shutdown();
 
         let journal = Journal::open(&journal_path).expect("journal");
-        let s = Scheduler::start(0, 8, None, Some(journal));
+        let s = Scheduler::start(0, 8, memory(), Some(journal));
         assert_eq!(s.obs().events.replayed.get(), 0, "not replayed again");
         assert!(s.status(&digest).is_none());
         s.shutdown();
@@ -1581,7 +1579,7 @@ mod tests {
     fn partial_merges_are_monotonic_prefixes_of_the_final_result() {
         // No workers: fill cells via synthetic claims so every partial
         // state is deterministic.
-        let s = Scheduler::start(0, 8, None, None);
+        let s = Scheduler::start(0, 8, memory(), None);
         let campaign = seeded_campaign("partial", 4_000, 3); // 6 cells
         let digest = campaign.digest();
         s.submit(campaign.clone()).expect("accepted");
@@ -1592,7 +1590,6 @@ mod tests {
 
         let empty = s.partial(&digest).expect("known digest");
         assert_eq!((empty.done, empty.total), (0, 6));
-        assert!(!empty.complete);
         assert!(empty.result.baselines.is_empty() && empty.result.cells.is_empty());
 
         // Complete cells one at a time (in plan order) and check each
@@ -1602,11 +1599,12 @@ mod tests {
             let claim = s.inner.state.lock().expect("lock").claim();
             let claim = claim.expect("cells left");
             let report = claim.plan.jobs()[claim.flat].run();
-            let last_cell_in = s.inner.state.lock().expect("lock").complete(&claim, report);
-            if let Some(work) = last_cell_in {
-                finish(&s.inner, &digest, work);
-            }
-            let partial = s.partial(&digest).expect("known digest");
+            let last_cell_in = s.inner.lock().complete(&claim, report);
+            assert_eq!(last_cell_in, step == 5);
+            // Also with every cell in and the job's own merge still to
+            // come — a poll that lands there gets the whole prefix, never
+            // "no partial right now".
+            let partial = s.partial(&digest).expect("a live job has a partial");
             assert_eq!(partial.done, step + 1, "progress is monotonic");
             let rows = partial.result.baselines.len() + partial.result.cells.len();
             assert!(rows >= last_rows, "rows never regress");
@@ -1622,9 +1620,18 @@ mod tests {
                 "cells are a prefix of the final artifact"
             );
         }
-        let full = s.partial(&digest).expect("known digest");
-        assert_eq!(full.done, 6);
-        assert_eq!(*full.result, direct, "full prefix equals the direct run");
+        let full = s.partial(&digest).expect("every cell in, not yet finished");
+        assert_eq!((full.done, full.total), (6, 6));
+        assert_eq!(full.result, direct, "full prefix equals the direct run");
+        let job = s.status(&digest).expect("known digest");
+        assert!(matches!(job.status, JobStatus::Running), "{job:?}");
+
+        // Settled, the job is the store's: no partial, and the artifact
+        // is the direct run's render.
+        finish(&s.inner, &digest);
+        assert!(s.partial(&digest).is_none());
+        assert!(s.inner.lock().jobs[&digest].work.is_none());
+        assert_eq!(artifact(&s, &digest), direct.to_json().render_pretty());
         s.shutdown();
     }
 
@@ -1715,8 +1722,11 @@ mod tests {
                         filled,
                         finished: false,
                     };
-                    job.finished = model_admit(&mut state, &job, &report).is_some();
+                    job.finished = model_admit(&mut state, &job, &report);
                     assert_eq!(job.finished, job.filled.iter().all(|f| *f), "{at}");
+                    if job.finished {
+                        model_finish(&mut state, &job, &at);
+                    }
                     jobs.push(job);
                 } else if roll < 20 {
                     // Crash: in-flight claims are gone, finished jobs have
@@ -1729,7 +1739,7 @@ mod tests {
                     for job in jobs.iter_mut().filter(|j| !j.finished) {
                         job.claimed.fill(false);
                         let arrived_complete = model_admit(&mut state, job, &report);
-                        assert!(arrived_complete.is_none(), "{at}: unfinished job");
+                        assert!(!arrived_complete, "{at}: unfinished job");
                     }
                 } else if roll < 60 {
                     match state.claim() {
@@ -1779,10 +1789,9 @@ mod tests {
                     *completes.entry(job.tenant.clone()).or_default() += 1;
                     let last_cell_in = state.complete(&claim, report());
                     job.finished = job.filled.iter().all(|f| *f);
-                    assert_eq!(last_cell_in.is_some(), job.finished, "{at}");
-                    if let Some(work) = last_cell_in {
-                        assert_eq!(work.done, job.plan.job_count(), "{at}: ends at plan size");
-                        assert!(work.slots.iter().all(Option::is_some), "{at}");
+                    assert_eq!(last_cell_in, job.finished, "{at}");
+                    if last_cell_in {
+                        model_finish(&mut state, job, &at);
                     }
                 } else if draining && jobs.iter().all(|j| j.finished) {
                     break;
@@ -1802,6 +1811,8 @@ mod tests {
                         // Forgotten by a crash, or kept without its work.
                         assert!(held.is_none_or(|j| j.work.is_none()), "{at}");
                         assert!(queued.is_empty(), "{at}");
+                        let listed = state.finished.iter().filter(|d| **d == job.digest);
+                        assert_eq!(listed.count(), usize::from(held.is_some()), "{at}");
                         continue;
                     }
                     let held = held.expect("unfinished job is known");
@@ -1836,12 +1847,71 @@ mod tests {
         }
     }
 
+    /// Ends a model job the way `finish` does, after checking what `finish`
+    /// and a `?partial=1` reader find until then: the work, every cell in.
+    fn model_finish(state: &mut State, job: &ModelJob, at: &str) {
+        let (_, slots) = snapshot(state, &job.digest).expect("work is kept until settled");
+        assert_eq!(slots.len(), job.plan.job_count(), "{at}: ends at plan size");
+        assert!(slots.iter().all(Option::is_some), "{at}");
+        state.settle(&job.digest, JobStatus::Done);
+    }
+
+    /// The table forgets finished jobs oldest first past its cap, and
+    /// never a live one; a done entry whose artifact the store no longer
+    /// holds is forgotten by whoever asks next.
+    #[test]
+    fn finished_entries_are_capped_oldest_first_and_follow_the_store() {
+        let campaign = tiny_campaign("cap", 4_000);
+        let plan = Arc::new(plan_campaign(&campaign.name, &campaign.panels).expect("plans"));
+        let owner = || Owner {
+            name: "cap".into(),
+            tenant: DEFAULT_TENANT.into(),
+            priority: 1,
+        };
+        let store = memory();
+        let empty = SweepResult {
+            name: "cap".into(),
+            baselines: Vec::new(),
+            cells: Vec::new(),
+            throughput: None,
+        };
+        let digest = |i: usize| format!("{i:016x}");
+        let mut state = State::default();
+        assert!(!state.admit("live", owner(), Arc::clone(&plan), vec![None; 2]));
+        for i in 0..FINISHED_JOBS_KEPT + 10 {
+            store.store(&digest(i), &empty).expect("stored");
+            if i % 2 == 0 {
+                state.admit_done(&digest(i), owner(), 2);
+            } else {
+                assert!(!state.admit(&digest(i), owner(), Arc::clone(&plan), vec![None; 2]));
+                state.settle(&digest(i), JobStatus::Failed("refused".into()));
+            }
+            assert!(state.finished.len() <= FINISHED_JOBS_KEPT);
+            assert_eq!(
+                state.jobs.len(),
+                state.finished.len() + 1,
+                "and the live one"
+            );
+        }
+        assert!(state.jobs["live"].work.is_some());
+        assert!(state.job(&store, &digest(9)).is_none(), "aged out");
+        assert!(state.job(&store, &digest(10)).is_some(), "the oldest kept");
+
+        // An evicted artifact takes its done entry with it; a failed
+        // entry never had one.
+        let bigger = ResultStore::in_memory(1 << 20);
+        assert!(state.job(&bigger, &digest(11)).is_some(), "failed");
+        assert!(
+            state.job(&bigger, &digest(12)).is_none(),
+            "done, artifact gone"
+        );
+        assert_eq!(state.finished.len(), FINISHED_JOBS_KEPT - 1);
+        assert!(!state.finished.contains(&digest(12)));
+        assert!(state.job(&bigger, "live").is_some());
+    }
+
     /// Admits a model job the way `submit_as` and `replay_pending` do.
-    fn model_admit(
-        state: &mut State,
-        job: &ModelJob,
-        report: &impl Fn() -> SimReport,
-    ) -> Option<Work> {
+    fn model_admit(state: &mut State, job: &ModelJob, report: &impl Fn() -> SimReport) -> bool {
         let owner = Owner {
             name: job.digest.clone(),
             tenant: job.tenant.clone(),

@@ -5,7 +5,7 @@
 //! | `GET /figures` | figure-registry listing (id, title, panels, cells, digest) |
 //! | `POST /campaigns` | submit `{"figure": id}`, `{"spec": {...}}` or `{"campaign": {...}}`, optionally with `"tenant"` and `"priority"` |
 //! | `GET /campaigns/<digest>` | job status, cell progress + service counters |
-//! | `GET /campaigns/<digest>/result?format=md\|json\|csv` | rendered result (ETag / If-None-Match aware) |
+//! | `GET /campaigns/<digest>/result?format=md\|json\|csv` | the stored result, `json` byte for byte as stored (ETag / If-None-Match aware) |
 //! | `GET /campaigns/<digest>/result?partial=1` | merged-so-far prefix (`206`) or the final result (`200`), with `x-cells-done`/`x-cells-total` |
 //! | `GET /metrics` | queue + cell depth, worker occupancy, per-tenant served cells, store + connection counters, Minst/s |
 //!
@@ -14,7 +14,9 @@
 //! full, and `400` for malformed or invalid campaigns. Results answer
 //! `409` while the job is still in flight (unless `partial=1` asks for
 //! the merged-so-far prefix), and `304` when the client's
-//! `If-None-Match` matches the digest-derived `ETag`.
+//! `If-None-Match` matches the digest-derived `ETag`. They are answered
+//! by the result store, so a digest it holds is a `200` whether or not
+//! this process ever ran or was asked for the campaign.
 //!
 //! Connections are persistent: a handler thread loops over one
 //! connection's requests until the peer asks for `Connection: close`, idles
@@ -32,7 +34,7 @@ use pythia_obs::logger::Level;
 use pythia_obs::metrics::{Counter, Gauge, Histogram, Instrument, Registry};
 use pythia_stats::json::{parse, Json};
 use pythia_sweep::codec::{is_digest, Campaign};
-use pythia_sweep::{ResultStore, SweepResult};
+use pythia_sweep::ResultStore;
 
 use crate::http::{write_response, Request, RequestError, RequestReader, Response, IO_TIMEOUT};
 use crate::journal::{Journal, DEFAULT_TENANT};
@@ -50,10 +52,11 @@ pub struct ServeConfig {
     /// unit, so the service runs `workers * sim_threads` cell workers —
     /// the same peak parallelism the pre-cell scheduler had.
     pub sim_threads: usize,
-    /// On-disk result store directory (`None` = in-memory only).
+    /// Result store directory. `None` keeps the artifacts on the heap
+    /// instead, under the same eviction rule; they end with the process.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Byte budget for the result store (`None` = unbounded). Ignored
-    /// without a `cache_dir`.
+    /// Byte budget for the result store. `None` = unbounded in a
+    /// `cache_dir`, [`MEMORY_STORE_BYTES`] without one.
     pub cache_max_bytes: Option<u64>,
     /// Maximum simultaneously-open connections; excess connects get 503.
     pub max_conns: usize,
@@ -84,6 +87,12 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Budget of the in-memory result store when the configuration names
+/// none. The registry's largest artifact (fig09, 500 cells) is 350 KB, so
+/// 64 MiB holds every figure of the paper some ten times over — and is what
+/// a server left running for a week holds instead of everything it ran.
+pub const MEMORY_STORE_BYTES: u64 = 64 << 20;
 
 /// A claimed connection slot: decrements the active-connection gauge when
 /// the connection's handler lets go of it, however that happens.
@@ -258,11 +267,8 @@ impl Server {
     pub fn bind(addr: &str, config: &ServeConfig) -> Result<Self, String> {
         let obs = Arc::new(ServeObs::new(config.log_level));
         let store = match &config.cache_dir {
-            None => None,
-            Some(dir) => Some(ResultStore::open_bounded(
-                dir.clone(),
-                config.cache_max_bytes,
-            )?),
+            Some(dir) => ResultStore::open_bounded(dir.clone(), config.cache_max_bytes)?,
+            None => ResultStore::in_memory(config.cache_max_bytes.unwrap_or(MEMORY_STORE_BYTES)),
         };
         let journal_path = config.journal.clone().or_else(|| {
             config
@@ -509,7 +515,7 @@ fn counters_json(obs: &ServeObs) -> Json {
 /// `GET /metrics`: one collect step, then a view of the registry.
 /// `?format=prom` is the registry rendered as Prometheus text (0.0.4) and
 /// nothing else; the default is a JSON projection of the same handles —
-/// queue, cell gauges, workers, scheduler counters, store occupancy,
+/// queue, cell gauges, job-table size, workers, scheduler counters, store occupancy,
 /// connection gauges, aggregate simulation throughput (Minst/s), latency
 /// summaries — plus per-tenant served cells, which only JSON carries.
 fn metrics_response(scheduler: &Scheduler, prom: bool) -> Response {
@@ -524,20 +530,17 @@ fn metrics_response(scheduler: &Scheduler, prom: bool) -> Response {
         };
     }
     let c = &obs.collected;
-    let store = match scheduler.store() {
-        None => Json::obj().set("enabled", false),
-        Some(store) => Json::obj()
-            .set("enabled", true)
-            .set("hits", c.store_hits.get())
-            .set("misses", c.store_misses.get())
-            .set("stored", c.store_stored.get())
-            .set("evicted", c.store_evicted.get())
-            .set("bytes_used", gauge_json(&c.store_bytes_used))
-            .set(
-                "max_bytes",
-                store.max_bytes().map_or(Json::Null, Json::from),
-            ),
-    };
+    // `enabled` is a constant, every service having a store; monitoring
+    // clients read the key.
+    let max_bytes = scheduler.store().max_bytes();
+    let store = Json::obj()
+        .set("enabled", true)
+        .set("hits", c.store_hits.get())
+        .set("misses", c.store_misses.get())
+        .set("stored", c.store_stored.get())
+        .set("evicted", c.store_evicted.get())
+        .set("bytes_used", gauge_json(&c.store_bytes_used))
+        .set("max_bytes", max_bytes.map_or(Json::Null, Json::from));
     let mut tenants_json = Json::obj();
     for (key, served) in tenants {
         tenants_json = tenants_json.set(&key, served);
@@ -563,6 +566,10 @@ fn metrics_response(scheduler: &Scheduler, prom: bool) -> Response {
                 .set("in_flight", gauge_json(&c.cells_in_flight))
                 .set("executed", obs.events.cells_executed.get())
                 .set("replayed", obs.events.cells_replayed.get()),
+        )
+        .set(
+            "jobs",
+            Json::obj().set("resident", gauge_json(&c.jobs_resident)),
         )
         .set(
             "workers",
@@ -677,12 +684,8 @@ fn submit(scheduler: &Scheduler, body: &[u8]) -> Response {
     let name = campaign.name.clone();
     match scheduler.submit_as(campaign, &tenant, priority) {
         Ok(submission) => {
-            let status = if matches!(submission.status, JobStatus::Done(_) | JobStatus::Failed(_)) {
-                200
-            } else {
-                202
-            };
-            let (done, total) = scheduler.progress(&submission.digest).unwrap_or((0, 0));
+            let status = if submission.cached { 200 } else { 202 };
+            let (done, total) = (submission.cells_done, submission.cells_total);
             Response::json(
                 status,
                 Json::obj()
@@ -712,23 +715,24 @@ fn status(scheduler: &Scheduler, digest: &str) -> Response {
     }
     match scheduler.status(digest) {
         None => error_response(404, &format!("unknown campaign {digest:?}")),
-        Some((name, job_status)) => {
-            let (queued, queue_cap) = scheduler.queue_depth();
-            let (done, total) = scheduler.progress(digest).unwrap_or((0, 0));
+        Some(job) => {
             let mut out = Json::obj()
                 .set("digest", digest)
-                .set("name", name)
-                .set("status", job_status.label());
-            if let JobStatus::Failed(e) = &job_status {
+                .set("name", job.name)
+                .set("status", job.status.label());
+            if let JobStatus::Failed(e) = &job.status {
                 out = out.set("error", e.as_str());
             }
+            let cells = Json::obj()
+                .set("done", job.cells_done)
+                .set("total", job.cells_total);
+            let queue = Json::obj()
+                .set("depth", job.queue_depth)
+                .set("cap", gauge_json(&scheduler.obs().collected.queue_cap));
             Response::json(
                 200,
-                out.set("cells", Json::obj().set("done", done).set("total", total))
-                    .set(
-                        "queue",
-                        Json::obj().set("depth", queued).set("cap", queue_cap),
-                    )
+                out.set("cells", cells)
+                    .set("queue", queue)
                     .set("counters", counters_json(scheduler.obs()))
                     .render_pretty(),
             )
@@ -771,6 +775,20 @@ fn result_content_type(format_key: &str) -> &'static str {
     }
 }
 
+/// Adds the `x-cells-done` / `x-cells-total` pair of a `?partial=1` answer.
+fn with_cells(response: Response, done: usize, total: usize) -> Response {
+    response
+        .with_header("x-cells-done", done.to_string())
+        .with_header("x-cells-total", total.to_string())
+}
+
+/// The result routes. `?partial=1` on a live job is the merged-so-far
+/// prefix (`206`): every partial renders the same format the final result
+/// uses, and its rows are a prefix of the final row order — a polling
+/// client can trust every row it has already seen. Everything else is the
+/// job table's `409` for a job still running or failed, or the store's
+/// answer: a digest the table calls done, or does not know, is a `200`
+/// exactly when the store holds its artifact.
 fn result(
     scheduler: &Scheduler,
     digest: &str,
@@ -781,87 +799,86 @@ fn result(
     if !is_digest(digest) {
         return error_response(400, &format!("malformed digest {digest:?}"));
     }
-    if partial {
-        return partial_result(scheduler, digest, format);
-    }
-    match scheduler.status(digest) {
-        None => error_response(404, &format!("unknown campaign {digest:?}")),
-        Some((_, JobStatus::Failed(e))) => error_response(409, &format!("campaign failed: {e}")),
-        Some((_, JobStatus::Queued | JobStatus::Running)) => error_response(
-            409,
-            "campaign not done yet; poll GET /campaigns/<digest> or pass ?partial=1",
-        ),
-        Some((_, JobStatus::Done(result))) => {
-            let etag = result_etag(digest, format_key(format));
-            if let Some(header) = if_none_match {
-                if if_none_match_hits(header, &etag) {
-                    return Response::text(304, "").with_header("etag", etag);
-                }
-            }
-            artifact(scheduler, &result, format, etag).unwrap_or_else(|e| error_response(400, &e))
-        }
-    }
-}
-
-/// The `200` for a done job's artifact under its `ETag`: the bytes of
-/// `result.render(format)`, through the recent-renders cache. Nothing else
-/// reads or fills that cache, and nothing reaches here for a job that is
-/// not done, so an entry is always the final artifact.
-fn artifact(
-    scheduler: &Scheduler,
-    result: &SweepResult,
-    format: &str,
-    etag: String,
-) -> Result<Response, String> {
-    let body = scheduler
-        .renders()
-        .get_or_render(&scheduler.obs().results, &etag, || result.render(format))?;
-    Ok(Response {
-        status: 200,
-        content_type: result_content_type(format_key(format)),
-        body,
-        headers: vec![("etag".into(), etag)],
-    })
-}
-
-/// `?partial=1`: the merged-so-far prefix of a running campaign (`206`)
-/// or the final artifact (`200` with its `ETag`), both carrying
-/// `x-cells-done` / `x-cells-total`. Every partial renders the same
-/// format the final result uses, and its rows are a prefix of the final
-/// row order — a polling client can trust every row it has already seen.
-fn partial_result(scheduler: &Scheduler, digest: &str, format: &str) -> Response {
-    match scheduler.partial(digest) {
-        None => match scheduler.status(digest) {
-            None => error_response(404, &format!("unknown campaign {digest:?}")),
-            Some((_, JobStatus::Failed(e))) => {
-                error_response(409, &format!("campaign failed: {e}"))
-            }
-            // Its last cell is in and the merge is running, or the engine
-            // refuses a row already and the job will end as failed.
-            Some(_) => error_response(
-                409,
-                "no partial result right now; poll GET /campaigns/<digest>",
-            ),
-        },
-        Some(snapshot) => {
-            let response = if snapshot.complete {
-                let etag = result_etag(digest, format_key(format));
-                artifact(scheduler, &snapshot.result, format, etag)
-            } else {
-                snapshot.result.render(format).map(|rendered| Response {
+    if let Some(snapshot) = partial.then(|| scheduler.partial(digest)).flatten() {
+        return match snapshot.result.render(format) {
+            Err(e) => error_response(400, &e),
+            Ok(rendered) => with_cells(
+                Response {
                     status: 206,
                     content_type: result_content_type(format_key(format)),
                     body: Arc::new(rendered.into_bytes()),
                     headers: Vec::new(),
-                })
-            };
-            match response {
-                Err(e) => error_response(400, &e),
-                Ok(response) => response
-                    .with_header("x-cells-done", snapshot.done.to_string())
-                    .with_header("x-cells-total", snapshot.total.to_string()),
-            }
+                },
+                snapshot.done,
+                snapshot.total,
+            ),
+        };
+    }
+    let job = scheduler.status(digest);
+    match job.as_ref().map(|job| &job.status) {
+        Some(JobStatus::Failed(e)) => {
+            return error_response(409, &format!("campaign failed: {e}"));
         }
+        // With `partial`: the engine refuses a row already, and the job
+        // will end as failed.
+        Some(JobStatus::Queued | JobStatus::Running) => {
+            let hint = if partial { "" } else { " or pass ?partial=1" };
+            let wait = format!("campaign not done yet; poll GET /campaigns/<digest>{hint}");
+            return error_response(409, &wait);
+        }
+        Some(JobStatus::Done) | None => {}
+    }
+    let etag = result_etag(digest, format_key(format));
+    if if_none_match.is_some_and(|header| if_none_match_hits(header, &etag))
+        && scheduler.store().contains(digest)
+    {
+        return Response::text(304, "").with_header("etag", etag);
+    }
+    let response = artifact(scheduler, digest, format, etag);
+    match job {
+        Some(job) if partial && response.status == 200 => {
+            with_cells(response, job.cells_total, job.cells_total)
+        }
+        _ => response,
+    }
+}
+
+/// The answer for a stored artifact under its `ETag`, through the
+/// recent-renders cache: for `json` the bytes as stored — what the worker
+/// rendered once, when the campaign finished — and for the other formats
+/// a render of the loaded result. Nothing else reads or fills that cache,
+/// so an entry is always a final artifact. An artifact the store finds
+/// damaged is gone when it says so: one warning, `404`, and the next
+/// submission of the campaign runs it again.
+fn artifact(scheduler: &Scheduler, digest: &str, format: &str, etag: String) -> Response {
+    let (store, obs) = (scheduler.store(), scheduler.obs());
+    let damaged = |e: String| {
+        obs.logger().warn(
+            "server",
+            "dropped a damaged artifact",
+            &[("digest", digest.to_string()), ("error", e)],
+        );
+        error_response(404, "the stored artifact was damaged; submit again")
+    };
+    let fetched = scheduler.renders().get_or_render(&obs.results, &etag, || {
+        if format_key(format) == "json" {
+            return store.bytes(digest).map_err(damaged);
+        }
+        let Some(result) = store.load(digest).map_err(damaged)? else {
+            return Ok(None);
+        };
+        let rendered = result.render(format).map_err(|e| error_response(400, &e))?;
+        Ok(Some(Arc::new(rendered.into_bytes())))
+    });
+    match fetched {
+        Err(response) => response,
+        Ok(None) => error_response(404, &format!("unknown campaign {digest:?}")),
+        Ok(Some(body)) => Response {
+            status: 200,
+            content_type: result_content_type(format_key(format)),
+            body,
+            headers: vec![("etag".into(), etag)],
+        },
     }
 }
 
@@ -883,7 +900,7 @@ mod tests {
 
     #[test]
     fn routing_edges() {
-        let scheduler = Scheduler::start(0, 2, None, None);
+        let scheduler = Scheduler::start(0, 2, ResultStore::in_memory(1 << 20), None);
         let status = |method: &str, path: &str, body: &[u8]| {
             route(&scheduler, &req(method, path, body)).1.status
         };
@@ -910,9 +927,10 @@ mod tests {
         assert_eq!(
             parsed
                 .get("store")
-                .and_then(|s| s.get("enabled"))
-                .and_then(Json::as_bool),
-            Some(false)
+                .and_then(|s| s.get("max_bytes"))
+                .and_then(Json::as_u64),
+            Some(1 << 20),
+            "the store block is always there"
         );
         scheduler.shutdown();
     }
@@ -986,102 +1004,173 @@ mod tests {
         assert_eq!((spawned.get(), parked()), (5, 2));
     }
 
-    /// The artifact routes serve `SweepResult::render`'s bytes whether
-    /// they come from a render or from the recent-renders cache.
+    /// The artifact routes serve `SweepResult::render`'s bytes by whatever
+    /// way they come: read from the store, from the recent-renders cache,
+    /// simulated again after the store evicted them, or found in the store
+    /// by a process that never ran the campaign — on either leaf. `json`
+    /// is rendered once per simulation, by the store, and served as stored.
     #[test]
     fn served_artifacts_equal_a_fresh_render_on_every_path_through_the_cache() {
-        let scheduler = Scheduler::start(1, 2, None, None);
-        let workload = pythia_workloads::all_suites()
-            .into_iter()
-            .find(|w| w.name == "429.mcf-184B")
-            .expect("known workload");
-        let campaign = Campaign::single(
-            pythia_sweep::SweepSpec::new("srv-artifact")
-                .with_workloads([workload])
-                .with_prefetchers(&["stride"])
-                .with_config(pythia_sweep::ConfigPoint::single_core("base", 1_000, 4_000)),
-        );
-        let digest = scheduler.submit(campaign).expect("accepted").digest;
-        let done = scheduler.wait(&digest, Duration::from_secs(60));
-        let Some(JobStatus::Done(result)) = done else {
-            panic!("campaign did not finish: {done:?}");
+        let campaign = |tag: &str| {
+            let workload = pythia_workloads::all_suites()
+                .into_iter()
+                .find(|w| w.name == "429.mcf-184B")
+                .expect("known workload");
+            Campaign::single(
+                pythia_sweep::SweepSpec::new(tag)
+                    .with_workloads([workload])
+                    .with_prefetchers(&["stride"])
+                    .with_config(pythia_sweep::ConfigPoint::single_core("base", 1_000, 4_000)),
+            )
         };
-        let fetch = |query: &[(&str, &str)], if_none_match: Option<&str>| {
+        let (first, evictor) = (campaign("srv-artifact"), campaign("srv-evictor"));
+        let digest = first.digest();
+        let direct = pythia_sweep::engine::run_all(&first.name, &first.panels, 1)
+            .expect("direct run")
+            .stripped();
+        let fresh = |format: &str| direct.render(format).expect("known format").into_bytes();
+        let header = |response: &Response, name: &str| {
+            let found = response.headers.iter().find(|(n, _)| n == name);
+            found.map(|(_, value)| value.clone())
+        };
+        let fetch = |scheduler: &Scheduler, query: &[(&str, &str)], validator: Option<&str>| {
             let mut request = req("GET", &format!("/campaigns/{digest}/result"), b"");
             request.query = query
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect();
-            if let Some(etag) = if_none_match {
+            if let Some(etag) = validator {
                 request.headers.push(("if-none-match".into(), etag.into()));
             }
-            route(&scheduler, &request).1
+            route(scheduler, &request).1
         };
-        let events = &scheduler.obs().results;
-        let counts = || (events.renders.get(), events.render_hits.get());
-
-        // A matching validator answers 304 with no body, and is no reason
-        // to render: the cache stays empty.
-        let etag = result_etag(&digest, "json");
-        let not_modified = fetch(&[("format", "json")], Some(&etag));
-        assert_eq!(not_modified.status, 304);
-        assert!(not_modified.body.is_empty());
-        assert!(!scheduler.renders().holds(&etag));
-        assert_eq!(counts(), (0, 0));
-
-        for (format, key) in [
-            ("json", "json"),
-            ("md", "md"),
-            ("markdown", "md"),
-            ("csv", "csv"),
-        ] {
-            let fresh = result.render(format).expect("known format").into_bytes();
-            let etag = result_etag(&digest, key);
-            let renders_before = events.renders.get();
-            // First fetch (a render, unless the alias already made it) and
-            // repeat fetch (a hit), plain and through `?partial=1`.
-            for query in [
-                &[("format", format)][..],
-                &[("format", format)][..],
-                &[("format", format), ("partial", "1")][..],
-            ] {
-                let served = fetch(query, None);
-                assert_eq!(served.status, 200, "{format} {query:?}");
-                assert_eq!(*served.body, fresh, "{format} {query:?}");
-                assert_eq!(
-                    served
-                        .headers
-                        .iter()
-                        .find(|(name, _)| name == "etag")
-                        .map(|(_, v)| v.as_str()),
-                    Some(etag.as_str())
-                );
+        let run = |scheduler: &Scheduler, campaign: &Campaign| {
+            let submitted = scheduler.submit(campaign.clone()).expect("accepted");
+            assert!(!submitted.cached, "{} simulates", campaign.name);
+            let done = scheduler.wait(&submitted.digest, Duration::from_secs(60));
+            assert!(matches!(done, Some(JobStatus::Done)), "{done:?}");
+        };
+        // Pushes every entry out of the recent-renders cache.
+        let flushes = std::cell::Cell::new(0);
+        let flush = |scheduler: &Scheduler| {
+            for _ in 0..8 {
+                flushes.set(flushes.get() + 1);
+                let etag = format!("\"other-{}.json\"", flushes.get());
+                let other = || Ok::<_, String>(Some(Arc::new(vec![b'x'; 100])));
+                let (renders, events) = (scheduler.renders(), &scheduler.obs().results);
+                renders.get_or_render(events, &etag, other).expect("kept");
             }
-            assert!(scheduler.renders().holds(&etag));
-            let rendered = events.renders.get() - renders_before;
-            assert_eq!(rendered, u64::from(format != "markdown"), "{format}");
-        }
-        assert_eq!(counts(), (3, 9), "md and markdown share one entry");
+        };
 
-        // Renders of other digests push the entry out; the next fetch
-        // renders again and serves the same bytes.
-        let etag = result_etag(&digest, "json");
-        for other in 0..8 {
-            scheduler
-                .renders()
-                .get_or_render(events, &format!("\"other-{other}.json\""), || {
-                    Ok("x".repeat(100))
-                })
-                .expect("renders");
+        // Room for one artifact and a half: the second stored evicts the
+        // first.
+        let budget = fresh("json").len() as u64 * 3 / 2;
+        let dir = std::env::temp_dir().join(format!("pythia-srv-paths-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open_disk = || ResultStore::open_bounded(&dir, Some(budget)).expect("opens");
+        for (store, memory) in [(open_disk(), false), (ResultStore::in_memory(budget), true)] {
+            let scheduler = Scheduler::start(1, 2, store.clone(), None);
+            run(&scheduler, &first);
+            let events = &scheduler.obs().results;
+            let counts = || (events.renders.get(), events.render_hits.get());
+            let stat = |counter: &std::sync::atomic::AtomicU64| {
+                counter.load(std::sync::atomic::Ordering::Relaxed)
+            };
+
+            // A matching validator answers 304 with no body, and is no
+            // reason to read the artifact: the cache stays empty.
+            let etag = result_etag(&digest, "json");
+            let not_modified = fetch(&scheduler, &[("format", "json")], Some(&etag));
+            assert_eq!(not_modified.status, 304);
+            assert!(not_modified.body.is_empty());
+            assert!(!scheduler.renders().holds(&etag));
+            assert_eq!((counts(), stat(&store.stats().hits)), ((0, 0), 0));
+
+            for (format, key) in [
+                ("json", "json"),
+                ("md", "md"),
+                ("markdown", "md"),
+                ("csv", "csv"),
+            ] {
+                let etag = result_etag(&digest, key);
+                let renders_before = events.renders.get();
+                // First fetch (from the store, unless the alias already
+                // was) and repeat fetch (from the cache), plain and
+                // through `?partial=1`.
+                for query in [
+                    &[("format", format)][..],
+                    &[("format", format)][..],
+                    &[("format", format), ("partial", "1")][..],
+                ] {
+                    let served = fetch(&scheduler, query, None);
+                    assert_eq!(served.status, 200, "{format} {query:?}");
+                    assert_eq!(*served.body, fresh(format), "{format} {query:?}");
+                    assert_eq!(header(&served, "etag"), Some(etag.clone()));
+                    let cells =
+                        header(&served, "x-cells-done").zip(header(&served, "x-cells-total"));
+                    let expected = (query.len() == 2).then(|| ("2".to_string(), "2".to_string()));
+                    assert_eq!(cells, expected, "{format} {query:?}");
+                }
+                assert!(scheduler.renders().holds(&etag));
+                let rendered = events.renders.get() - renders_before;
+                assert_eq!(rendered, u64::from(format != "markdown"), "{format}");
+            }
+            assert_eq!(counts(), (3, 9), "md and markdown share one entry");
+            // One read of the store per cache miss, and one `to_json` per
+            // simulation — the store's: what `json` serves are its bytes.
+            assert_eq!(
+                (stat(&store.stats().hits), stat(&store.stats().stored)),
+                (3, 1)
+            );
+            let stored = store.bytes(&digest).expect("reads").expect("stored");
+            let served = fetch(&scheduler, &[("format", "json")], None);
+            assert_eq!(*served.body, *stored);
+            assert_eq!(
+                Arc::ptr_eq(&served.body, &stored),
+                memory,
+                "no copy in memory"
+            );
+
+            // Renders of other digests push the entry out; the next fetch
+            // reads the store again and serves the same bytes.
+            flush(&scheduler);
+            assert!(!scheduler.renders().holds(&etag), "pushed out");
+            let again = fetch(&scheduler, &[("format", "json")], None);
+            assert_eq!(*again.body, fresh("json"));
+            assert_eq!(counts(), (3 + 8 + 1, 10));
+
+            // The store evicts the artifact: the digest is unknown again
+            // (404, not a job that is done with nothing to show), and a
+            // resubmission simulates it to the same bytes.
+            run(&scheduler, &evictor);
+            assert_eq!(stat(&store.stats().evicted), 1);
+            flush(&scheduler);
+            assert_eq!(fetch(&scheduler, &[("format", "json")], None).status, 404);
+            assert_eq!(fetch(&scheduler, &[], Some(&etag)).status, 404);
+            assert!(scheduler.status(&digest).is_none(), "forgotten on lookup");
+            run(&scheduler, &first);
+            assert_eq!(scheduler.obs().events.executed.get(), 3);
+            let rerun = fetch(&scheduler, &[("format", "json")], None);
+            assert_eq!((rerun.status, &*rerun.body), (200, &fresh("json")));
+            scheduler.shutdown();
+
+            // A process that never saw the campaign serves what the store
+            // holds, before anybody submits anything.
+            let store = if memory { store } else { open_disk() };
+            let restarted = Scheduler::start(0, 2, store, None);
+            assert!(restarted.status(&digest).is_none());
+            for format in ["json", "md", "csv"] {
+                let served = fetch(&restarted, &[("format", format), ("partial", "1")], None);
+                assert_eq!((served.status, &*served.body), (200, &fresh(format)));
+                assert_eq!(header(&served, "x-cells-done"), None, "no job, no counts");
+            }
+            assert_eq!(fetch(&restarted, &[], Some(&etag)).status, 304);
+            let resubmitted = restarted.submit(first.clone()).expect("accepted");
+            assert!(resubmitted.cached && matches!(resubmitted.status, JobStatus::Done));
+            assert_eq!(restarted.obs().events.executed.get(), 0);
+            restarted.shutdown();
         }
-        assert!(!scheduler.renders().holds(&etag), "evicted");
-        let again = fetch(&[("format", "json")], None);
-        assert_eq!(
-            *again.body,
-            result.render("json").expect("json").into_bytes()
-        );
-        assert_eq!(counts(), (3 + 8 + 1, 9));
-        scheduler.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

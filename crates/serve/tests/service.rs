@@ -350,7 +350,9 @@ fn disk_cache_survives_service_restarts() {
     .expect("completes");
     let served = client::result(&addr1, &digest, "json").expect("result");
 
-    // A fresh service instance on the same cache dir answers from disk.
+    // A fresh service instance on the same cache dir answers from disk —
+    // the result route before anybody has told it of the campaign, since
+    // the store is where results live; the job table knows no such job.
     let (h2, addr2) = spawn(ServeConfig {
         workers: 1,
         queue_cap: 8,
@@ -358,6 +360,13 @@ fn disk_cache_survives_service_restarts() {
         cache_dir: Some(cache_dir.clone()),
         ..ServeConfig::default()
     });
+    assert_eq!(
+        client::result(&addr2, &digest, "json").expect("result before any submission"),
+        served,
+        "the restarted service serves the first instance's bytes"
+    );
+    let unknown = client::status(&addr2, &digest).unwrap_err();
+    assert!(unknown.contains("404"), "{unknown}");
     let resubmitted = submit_spec(&addr2, &spec);
     assert!(resubmitted.cached, "restarted service hits the disk store");
     assert_eq!(resubmitted.status, "done");
@@ -624,11 +633,12 @@ fn metrics_endpoint_reports_live_state() {
     assert_eq!(
         metrics
             .get("store")
-            .and_then(|s| s.get("enabled"))
-            .and_then(Json::as_bool),
-        Some(false),
-        "no cache dir configured"
+            .and_then(|s| s.get("max_bytes"))
+            .and_then(Json::as_u64),
+        Some(pythia_serve::server::MEMORY_STORE_BYTES),
+        "no cache dir configured: the memory leaf at its default budget"
     );
+    assert_eq!(path(&["jobs", "resident"]), 1);
     assert!(metrics
         .get("throughput")
         .and_then(|t| t.get("minst_per_sec"))
@@ -887,7 +897,14 @@ fn metrics_json_schema_is_pinned() {
         "counters.cells_executed",
         "counters.cells_replayed",
         "tenants",
+        "jobs.resident",
         "store.enabled",
+        "store.hits",
+        "store.misses",
+        "store.stored",
+        "store.evicted",
+        "store.bytes_used",
+        "store.max_bytes",
         "connections.active",
         "connections.accepted",
         "connections.rejected",
@@ -953,6 +970,8 @@ fn metrics_prom_lints_clean_and_names_required_families() {
         "pythia_journal_fsync_us",
         "pythia_store_hits_total",
         "pythia_store_misses_total",
+        "pythia_store_bytes_used",
+        "pythia_jobs_resident",
         "pythia_scheduler_events_total",
         "pythia_connections_total",
         "pythia_result_events_total",
@@ -1098,6 +1117,7 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
         ("cells.in_flight", "pythia_cells_in_flight"),
         ("workers.busy", "pythia_workers_busy"),
         ("workers.total", "pythia_workers_total"),
+        ("jobs.resident", "pythia_jobs_resident"),
         ("store.hits", "pythia_store_hits_total"),
         ("store.misses", "pythia_store_misses_total"),
         ("store.stored", "pythia_store_stored_total"),
@@ -1111,6 +1131,7 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
         check(path, series, 0.0);
     }
     assert_eq!(at("store.stored"), 1.0);
+    assert_eq!(at("jobs.resident"), 1.0);
     assert!(at("store.bytes_used") > 0.0);
     assert_eq!(
         at("throughput.sim_wall_seconds"),
@@ -1140,6 +1161,86 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
         "pythia_http_request_duration_us_count{route=\"metrics\"}",
         1.0,
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The store holds the only copy of a result, so an artifact that no
+/// longer decodes must cost one re-simulation, not the digest: the fetch
+/// that finds it answers 404 (and drops it, counting a store miss), the
+/// next submission runs the campaign again, and the bytes served are the
+/// first run's. Truncated, then garbled, between client sessions, on the
+/// disk leaf and on the memory leaf. An artifact damaged into something
+/// that still decodes would be served: telling that needs a content
+/// checksum, which stays in ROADMAP item 6.
+#[test]
+fn a_damaged_artifact_is_a_miss_and_the_campaign_runs_again() {
+    let dir = std::env::temp_dir().join(format!("pythia-serve-damage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for cache_dir in [Some(dir.clone()), None] {
+        let leaf = if cache_dir.is_some() {
+            "disk"
+        } else {
+            "memory"
+        };
+        let (handle, addr) = spawn(ServeConfig {
+            workers: 1,
+            queue_cap: 8,
+            sim_threads: 1,
+            cache_dir: cache_dir.clone(),
+            ..ServeConfig::default()
+        });
+        let spec = tiny_spec("svc-damage", 4_000);
+        let session = |expect_cached: bool| {
+            let submitted = submit_spec(&addr, &spec);
+            assert_eq!(submitted.cached, expect_cached, "{leaf}");
+            let (poll, timeout) = (Duration::from_millis(20), Duration::from_secs(60));
+            client::wait_done(&addr, &submitted.digest, poll, timeout).expect("completes");
+            submitted.digest
+        };
+        let digest = session(false);
+        let md = client::result(&addr, &digest, "md").expect("md");
+        let whole = handle.scheduler().store().bytes(&digest);
+        let whole = whole.expect("reads").expect("stored").to_vec();
+        let damage = |bytes: &[u8]| match &cache_dir {
+            Some(dir) => std::fs::write(dir.join(format!("{digest}.json")), bytes).expect("write"),
+            None => {
+                let store = handle.scheduler().store();
+                store.write(&digest, bytes.to_vec()).expect("write");
+            }
+        };
+        let misses = || {
+            let metrics = client::metrics(&addr).expect("metrics");
+            let store = metrics.get("store").expect("store block");
+            store.get("misses").and_then(Json::as_u64).expect("misses")
+        };
+
+        // Truncated. The job table still says done, the store says a file
+        // is there: only reading it tells. `json` is the format served
+        // without a render, and it is checked like any other.
+        damage(&whole[..whole.len() / 2]);
+        assert_eq!(session(true), digest, "{leaf}: nobody has looked yet");
+        let before = misses();
+        let gone = client::result(&addr, &digest, "json").unwrap_err();
+        assert!(gone.contains("404") && gone.contains("damaged"), "{gone}");
+        assert_eq!(misses(), before + 1, "{leaf}");
+        assert!(!handle.scheduler().store().contains(&digest), "{leaf}");
+        let unknown = client::status(&addr, &digest).unwrap_err();
+        assert!(unknown.contains("404"), "{leaf}: {unknown}");
+        session(false);
+        let again = client::result(&addr, &digest, "json").expect("json");
+        assert_eq!(again.as_bytes(), whole, "{leaf}: identical bytes");
+
+        // Garbled: same length, not JSON. The `json` render of a moment
+        // ago is still in the recent-renders cache and still right; `md`
+        // has to read the store.
+        let garbled: Vec<u8> = whole.iter().map(|b| b ^ 0x55).collect();
+        damage(&garbled);
+        let gone = client::result(&addr, &digest, "csv").unwrap_err();
+        assert!(gone.contains("404") && gone.contains("damaged"), "{gone}");
+        session(false);
+        assert_eq!(client::result(&addr, &digest, "md").expect("md"), md);
+        assert_eq!(handle.scheduler().obs().events.executed.get(), 3, "{leaf}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

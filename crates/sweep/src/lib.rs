@@ -56,9 +56,9 @@
 //!
 //! Campaigns are **content-addressable**: [`codec`] gives every spec one
 //! canonical serialized form plus an FNV-1a digest, and [`store`] maps
-//! digests to on-disk result artifacts, so identical campaigns cost one
-//! simulation — the engine under `pythia-serve` and the one-shot
-//! `pythia-cli sweep --cache-dir` path.
+//! digests to result artifacts (files, or the heap), so identical
+//! campaigns cost one simulation — the engine under `pythia-serve` and
+//! the one-shot `pythia-cli sweep --cache-dir` path.
 
 pub mod agg;
 pub mod codec;
