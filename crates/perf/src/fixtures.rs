@@ -8,7 +8,7 @@
 use pythia_sim::prefetch::DemandAccess;
 use pythia_sim::trace::TraceRecord;
 use pythia_workloads::suites::{all_suites, suite, Suite};
-use pythia_workloads::Workload;
+use pythia_workloads::{TraceStream, Workload};
 
 /// The e2e benchmark's workload: the first SPEC06 entry of the Table 6
 /// pool — the default single-core subject throughout the repo's examples
@@ -57,6 +57,14 @@ pub fn suite_workload(name: &str) -> Workload {
 /// The e2e fixture workload from the Table 6 pool.
 pub fn e2e_workload() -> Workload {
     suite_workload(E2E_WORKLOAD)
+}
+
+/// The first `n` records of `w`, generated on the calling thread: what
+/// `gen_step` and the `sim_step` ladder drain. [`Workload::source`] reads
+/// a trace this long ahead on another CPU, which would hide the generator
+/// behind whatever consumes it.
+pub fn inline_stream(w: &Workload, n: usize) -> TraceStream {
+    w.spec.clone().with_instructions(n).stream()
 }
 
 /// The floor under `gen_step`: what any generator of this shape must do

@@ -388,7 +388,7 @@ pub fn registry() -> Vec<BenchDef> {
                     (n * workloads.len()) as u64,
                     Box::new(move || {
                         for w in &workloads {
-                            drain_batches(&mut *w.source(n), |batch| {
+                            drain_batches(&mut fixtures::inline_stream(w, n), |batch| {
                                 black_box(batch);
                             });
                         }

@@ -15,19 +15,23 @@
 //! the longest section there is). [`profile_sim_step`] therefore times
 //! whole passes over a stream, each with one more layer switched on —
 //! generator, core model, L1, the hierarchy below it, the agent — and
-//! reads a layer's cost off the difference: the `sim_step` ladder.
+//! reads a layer's cost off the difference: the `sim_step` ladder. The
+//! ladder drains the stream inline: a read-ahead source would overlap the
+//! generator with the core model, and the differences would stop summing.
+//! What reading ahead saves is printed beside it, per stream.
 //! `pythia-cli bench --sections` renders both tables.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use pythia::runner::{build_system, run_workload};
+use pythia::runner::{build_system, run_sources, run_workload};
 use pythia_core::{Pythia, PythiaConfig};
 use pythia_obs::spans::{Sectioner, SpanTimer, SpanTotal};
 use pythia_sim::cache::{AccessKind, Cache, Lookup};
 use pythia_sim::config::{CoreConfig, SystemConfig};
 use pythia_sim::cpu::CoreModel;
 use pythia_sim::prefetch::SystemFeedback;
+use pythia_sim::trace::{ReadAhead, TraceSource};
 
 use crate::fixtures::{self, scaled};
 use crate::{core_step, drain_batches, e2e_spec, fixed_latency, l1_step};
@@ -114,11 +118,10 @@ pub fn profile_sections(scale: f64) -> SectionProfile {
 }
 
 /// The rungs of the `sim_step` ladder, bottom up: what each layer adds to
-/// a pass over the stream, then `remainder` — what `run_workload` (the
-/// call the `e2e_*` rows time) spends outside `System::run`, building and
-/// dropping the system. That is about zero at full scale, so a remainder
-/// of several nanoseconds means the host changed speed between rounds:
-/// rerun.
+/// a pass over the stream, then `remainder` — what the whole simulation
+/// call spends outside `System::run`, building and dropping the system.
+/// That is about zero at full scale, so a remainder of several
+/// nanoseconds means the host changed speed between rounds: rerun.
 pub const SIM_STEP_RUNGS: [&str; 6] = [
     "generator",
     "core model",
@@ -141,13 +144,16 @@ pub struct StreamLadder {
     /// One entry per [`SIM_STEP_RUNGS`] name, in that order; together they
     /// are `e2e_pythia_ns`.
     pub rungs: Vec<(&'static str, f64)>,
-    /// A whole `run_workload` with no prefetcher (`e2e_baseline_sim`'s
-    /// call).
+    /// A whole simulation with no prefetcher, the stream inline.
     pub e2e_none_ns: f64,
     /// What of `e2e_none_ns` is outside `System::run`.
     pub remainder_none_ns: f64,
-    /// A whole `run_workload` with `pythia` (`e2e_single_core`'s call).
+    /// A whole simulation with `pythia`, the stream inline.
     pub e2e_pythia_ns: f64,
+    /// `run_workload` with `pythia` (`e2e_single_core`'s call), which reads
+    /// a stream of at least [`ReadAhead::MIN_RECORDS`] records ahead on
+    /// another CPU when it may use one.
+    pub read_ahead_pythia_ns: f64,
 }
 
 /// The `sim_step` ladder over [`fixtures::LADDER_WORKLOADS`].
@@ -160,8 +166,9 @@ pub struct SimStepLadder {
 impl SimStepLadder {
     /// Renders one table row per stream and rung — nanoseconds per record
     /// and share of the `pythia` simulation (the shares of a stream sum to
-    /// 100 %) — followed by each stream's two end-to-end times and the
-    /// share of each the remainder is.
+    /// 100 %) — followed by each stream's two end-to-end times, the share
+    /// of each the remainder is, and `run_workload pythia` read ahead
+    /// against inline.
     pub fn to_markdown(&self) -> String {
         let mut out = String::from(
             "| stream | rung | ns/record | share |\n\
@@ -188,6 +195,21 @@ impl SimStepLadder {
                 100.0 * s.remainder_none_ns / s.e2e_none_ns,
                 s.e2e_pythia_ns,
                 100.0 * remainder / s.e2e_pythia_ns,
+            ));
+        }
+        for s in &self.streams {
+            let inline = if s.records < ReadAhead::MIN_RECORDS {
+                " (fewer records than ReadAhead::MIN_RECORDS: both inline)"
+            } else {
+                ""
+            };
+            out.push_str(&format!(
+                "{}: `run_workload pythia` read ahead {:.2} ns/record against {:.2} inline \
+                 ({:.2}x){inline}\n",
+                s.stream,
+                s.read_ahead_pythia_ns,
+                s.e2e_pythia_ns,
+                s.e2e_pythia_ns / s.read_ahead_pythia_ns,
             ));
         }
         out
@@ -220,8 +242,9 @@ fn ns_per_record<const N: usize>(records: u64, configs: [&dyn Fn() -> Duration; 
 /// neighbours, so `miss path` is everything below the L1 plus whatever
 /// `System`'s own loop costs beyond the kernels' (the L1's one fill in
 /// ten memory records is on the `L1 hit` rung), and the rungs sum to
-/// `System::run` by construction. The last row is what `run_workload`
-/// spends around it.
+/// `System::run` by construction. The last row is what the whole call
+/// spends around it. Every configuration drains the stream inline; the
+/// same `run_workload` call reading it ahead is timed beside them.
 pub fn profile_sim_step(scale: f64) -> SimStepLadder {
     let spec = e2e_spec(scale);
     let n = spec.trace_len();
@@ -232,12 +255,12 @@ pub fn profile_sim_step(scale: f64) -> SimStepLadder {
             let workload = fixtures::suite_workload(stream);
             // A pass of the first `layers` layers: generator, core, L1.
             let kernel = |layers: u32| {
-                let mut source = workload.source(n);
+                let mut source = fixtures::inline_stream(&workload, n);
                 let mut core = CoreModel::new(CoreConfig::default());
                 let mut l1 = Cache::new("ladder-l1", &spec.system.l1d);
                 let mut last_line = u64::MAX;
                 let started = Instant::now();
-                drain_batches(&mut *source, |batch| match layers {
+                drain_batches(&mut source, |batch| match layers {
                     1 => {
                         black_box(batch);
                     }
@@ -257,20 +280,28 @@ pub fn profile_sim_step(scale: f64) -> SimStepLadder {
                 black_box(core.drain());
                 started.elapsed()
             };
-            // `System::run` alone, and the whole `run_workload` call.
+            let inline = || -> Vec<Box<dyn TraceSource>> {
+                vec![Box::new(fixtures::inline_stream(&workload, n))]
+            };
+            // `System::run` alone, and the whole call around it.
             let system_run = |prefetcher: &str| {
-                let mut system = build_system(vec![workload.source(n)], prefetcher, &spec);
+                let mut system = build_system(inline(), prefetcher, &spec);
                 let started = Instant::now();
                 black_box(system.run(spec.warmup, spec.measure));
                 started.elapsed()
             };
             let whole_call = |prefetcher: &str| {
                 let started = Instant::now();
-                black_box(run_workload(&workload, prefetcher, &spec));
+                black_box(run_sources(inline(), prefetcher, &spec));
+                started.elapsed()
+            };
+            let read_ahead_call = || {
+                let started = Instant::now();
+                black_box(run_workload(&workload, "pythia", &spec));
                 started.elapsed()
             };
 
-            let [generator, with_core, with_l1, none_run, pythia_run, e2e_none_ns, e2e_pythia_ns] =
+            let [generator, with_core, with_l1, none_run, pythia_run, e2e_none_ns, e2e_pythia_ns, read_ahead_pythia_ns] =
                 ns_per_record(
                     records,
                     [
@@ -281,6 +312,7 @@ pub fn profile_sim_step(scale: f64) -> SimStepLadder {
                         &|| system_run("pythia"),
                         &|| whole_call("none"),
                         &|| whole_call("pythia"),
+                        &read_ahead_call,
                     ],
                 );
 
@@ -299,6 +331,7 @@ pub fn profile_sim_step(scale: f64) -> SimStepLadder {
                 e2e_none_ns,
                 remainder_none_ns: e2e_none_ns - none_run,
                 e2e_pythia_ns,
+                read_ahead_pythia_ns,
             }
         })
         .collect();
@@ -363,6 +396,8 @@ mod tests {
             for rung in SIM_STEP_RUNGS {
                 assert!(table.contains(&format!("| {} | {rung} |", s.stream)));
             }
+            assert!(s.read_ahead_pythia_ns > 0.0);
+            assert!(table.contains(&format!("{}: `run_workload pythia` read ahead", s.stream)));
         }
     }
 }

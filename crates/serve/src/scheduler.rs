@@ -81,6 +81,14 @@ pub const MAX_PRIORITY: u64 = 100;
 /// client still polling a job it submitted.
 pub const FINISHED_JOBS_KEPT: usize = 1024;
 
+/// How many idle tenants — nothing ready, no cell in flight — the table
+/// keeps, so `/metrics` still reports who was served lately. A tenant key
+/// is the client's choice, so beyond this the least recently served idle
+/// tenant is forgotten when a new one arrives; it starts again from zero
+/// served cells if it comes back. Claims and `/metrics` walk the table,
+/// which therefore holds the live tenants plus at most this many.
+pub const IDLE_TENANTS_KEPT: usize = 64;
+
 /// Lifecycle of one campaign job.
 #[derive(Debug, Clone)]
 pub enum JobStatus {
@@ -216,6 +224,16 @@ struct TenantQueue {
     key: String,
     ready: VecDeque<String>,
     served_cells: u64,
+    /// Its cells claimed and not yet completed.
+    in_flight: usize,
+    /// `State::claims` at its last claim (at its arrival before one).
+    last_claim: u64,
+}
+
+impl TenantQueue {
+    fn idle(&self) -> bool {
+        self.ready.is_empty() && self.in_flight == 0
+    }
 }
 
 #[derive(Default)]
@@ -223,13 +241,16 @@ struct State {
     jobs: HashMap<String, Job>,
     /// The finished entries of `jobs`, oldest first.
     finished: VecDeque<String>,
-    /// Tenants in first-seen order; the round-robin universe.
+    /// Tenants in first-seen order; the round-robin universe. Every live
+    /// tenant and at most [`IDLE_TENANTS_KEPT`] idle ones.
     tenants: Vec<TenantQueue>,
     /// Round-robin cursor over `tenants`.
     rr_pos: usize,
     /// Cells left in the current tenant's quantum (0 = refresh on next
     /// claim from it).
     rr_credits: u64,
+    /// Cells claimed so far: the clock `TenantQueue::last_claim` reads.
+    claims: u64,
 }
 
 impl State {
@@ -239,13 +260,40 @@ impl State {
     }
 
     fn enqueue(&mut self, tenant: &str, digest: String) {
-        match self.tenants.iter_mut().find(|t| t.key == tenant) {
-            Some(t) => t.ready.push_back(digest),
-            None => self.tenants.push(TenantQueue {
-                key: tenant.to_string(),
-                ready: VecDeque::from([digest]),
-                served_cells: 0,
-            }),
+        if let Some(t) = self.tenants.iter_mut().find(|t| t.key == tenant) {
+            t.ready.push_back(digest);
+            return;
+        }
+        self.forget_idle_tenants();
+        self.tenants.push(TenantQueue {
+            key: tenant.to_string(),
+            ready: VecDeque::from([digest]),
+            served_cells: 0,
+            in_flight: 0,
+            last_claim: self.claims,
+        });
+    }
+
+    /// Drops idle tenants, least recently served first, until at most
+    /// [`IDLE_TENANTS_KEPT`] are left. The cursor stays on its tenant; if
+    /// that tenant goes, it moves to the next with no quantum left — where
+    /// `claim` would have moved it past an idle tenant anyway — so the
+    /// round-robin order of the rest does not change.
+    fn forget_idle_tenants(&mut self) {
+        loop {
+            let idle = self.tenants.iter().enumerate().filter(|(_, t)| t.idle());
+            if idle.clone().count() <= IDLE_TENANTS_KEPT {
+                return;
+            }
+            let (i, _) = idle
+                .min_by_key(|(_, t)| t.last_claim)
+                .expect("more idle tenants than the cap");
+            self.tenants.remove(i);
+            if i < self.rr_pos {
+                self.rr_pos -= 1;
+            } else if i == self.rr_pos {
+                self.rr_credits = 0;
+            }
         }
     }
 
@@ -360,9 +408,12 @@ impl State {
                 let plan = Arc::clone(&work.plan);
                 let queue_wait = work.enqueued_at.elapsed();
                 let priority = job.owner.priority;
+                let tenant = &mut self.tenants[ti];
                 if work.cursor >= work.slots.len() {
-                    self.tenants[ti].ready.pop_front();
+                    tenant.ready.pop_front();
                 }
+                self.claims += 1;
+                (tenant.in_flight, tenant.last_claim) = (tenant.in_flight + 1, self.claims);
                 break Some((
                     Claim {
                         digest,
@@ -406,9 +457,12 @@ impl State {
         work.done += 1;
         work.in_flight -= 1;
         let tenant = &job.owner.tenant;
-        if let Some(t) = self.tenants.iter_mut().find(|t| t.key == *tenant) {
-            t.served_cells += 1;
-        }
+        let t = self
+            .tenants
+            .iter_mut()
+            .find(|t| t.key == *tenant)
+            .expect("a tenant with a cell in flight is kept");
+        (t.served_cells, t.in_flight) = (t.served_cells + 1, t.in_flight - 1);
         work.done == work.slots.len()
     }
 }
@@ -712,8 +766,9 @@ impl Scheduler {
     /// store *state* (as opposed to events, which are counted where they
     /// happen) into [`ServeObs::collected`], taking the scheduler lock
     /// once. Returns the per-tenant served-cell counts in first-seen
-    /// order — a JSON-only projection, because a client-chosen tenant
-    /// key would be an unbounded Prometheus label.
+    /// order, of the live tenants and the last [`IDLE_TENANTS_KEPT`] idle
+    /// ones — a JSON-only projection, because a client-chosen tenant key
+    /// would be an unbounded Prometheus label.
     pub fn collect(&self) -> Vec<(String, u64)> {
         let c = &self.inner.obs.collected;
         let tenants = {
@@ -1213,6 +1268,105 @@ mod tests {
         let alice_share = order.iter().filter(|d| **d == heavy_digest).count();
         assert_eq!(alice_share, 6, "3:1 quantum over 8 claims");
         s.shutdown();
+    }
+
+    /// 5 000 tenant keys come and go beside three backlogged tenants:
+    /// idle tenants beyond the cap are forgotten, least recently served
+    /// first, and nothing a kept tenant can see changes — every claim goes
+    /// where round-robin over a table that forgot nobody would send it,
+    /// and every kept tenant's served count (its `/metrics` `tenants`
+    /// entry) is its whole history.
+    #[test]
+    fn idle_tenants_beyond_the_cap_are_forgotten_without_moving_the_rest() {
+        use pythia_sim::stats::{CacheStats, DramStats};
+        use pythia_workloads::profiles::derive_seed;
+
+        const NEWCOMERS: usize = 5_000;
+        let campaign = tiny_campaign("tenants", 4_000);
+        let plan = Arc::new(plan_campaign(&campaign.name, &campaign.panels).expect("plans"));
+        let report = || SimReport {
+            cores: Vec::new(),
+            l1d: Vec::new(),
+            l2: Vec::new(),
+            llc: CacheStats::default(),
+            dram: DramStats::default(),
+            prefetchers: Vec::new(),
+        };
+        let mut rng = derive_seed(0x5eed, "tenants");
+        let mut below = |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let mut state = State::default();
+        // The reference: every tenant ever seen, in first-seen order, with
+        // its unclaimed cells, and a cursor that never forgets anyone.
+        // One campaign per tenant, so a digest is its tenant's key.
+        let mut seen: Vec<(String, usize)> = Vec::new();
+        let mut cursor = 0;
+        let mut served: HashMap<String, u64> = HashMap::new();
+        let mut in_flight: Vec<Claim> = Vec::new();
+        let admit = |state: &mut State, seen: &mut Vec<(String, usize)>, key: String, cells| {
+            let owner = Owner {
+                name: "tenants".into(),
+                tenant: key.clone(),
+                priority: 1,
+            };
+            assert!(!state.admit(&key, owner, Arc::clone(&plan), vec![None; cells]));
+            seen.push((key, cells));
+            let idle = state.tenants.iter().filter(|t| t.idle()).count();
+            assert!(
+                idle <= IDLE_TENANTS_KEPT,
+                "{idle} idle tenants after an arrival"
+            );
+        };
+        for key in ["alice", "bob", "carol"] {
+            admit(&mut state, &mut seen, key.to_string(), 4 * NEWCOMERS);
+        }
+        // Only a completion turns a tenant idle, and only an arrival
+        // forgets one: the completions since the last arrival are what the
+        // table may hold beyond the cap.
+        let (mut newcomers, mut completes_since_arrival) = (0, 0);
+        while newcomers < NEWCOMERS || !in_flight.is_empty() {
+            // Arrivals ask for fewer cells than claims hand out, and
+            // completions keep up with claims, so the live tenants stay few.
+            let roll = below(20);
+            if roll < 3 && newcomers < NEWCOMERS {
+                let key = format!("tenant-{newcomers}");
+                admit(&mut state, &mut seen, key, 1 + below(3) as usize);
+                (newcomers, completes_since_arrival) = (newcomers + 1, 0);
+            } else if roll < 11 && newcomers < NEWCOMERS {
+                let n = seen.len();
+                let next = (0..n)
+                    .map(|k| (cursor + k) % n)
+                    .find(|&j| seen[j].1 > 0)
+                    .expect("the backlogged tenants have cells");
+                let claim = state.claim().expect("a cell is ready");
+                assert_eq!(claim.digest, seen[next].0, "round-robin order moved");
+                (seen[next].1, cursor) = (seen[next].1 - 1, (next + 1) % n);
+                in_flight.push(claim);
+            } else if !in_flight.is_empty() {
+                let claim = in_flight.swap_remove(below(in_flight.len() as u64) as usize);
+                *served.entry(claim.digest.clone()).or_default() += 1;
+                state.complete(&claim, report());
+                completes_since_arrival += 1;
+            }
+            let idle = state.tenants.iter().filter(|t| t.idle()).count();
+            assert!(idle <= IDLE_TENANTS_KEPT + completes_since_arrival);
+        }
+        for t in &state.tenants {
+            let expected = served.get(&t.key).copied().unwrap_or(0);
+            assert_eq!(t.served_cells, expected, "{}: served cells", t.key);
+        }
+        let kept: Vec<&str> = state.tenants.iter().map(|t| t.key.as_str()).collect();
+        assert_eq!(kept[..3], ["alice", "bob", "carol"]);
+        assert!(
+            kept.len() < 3 + 2 * IDLE_TENANTS_KEPT,
+            "{} kept",
+            kept.len()
+        );
+        assert_eq!(seen.len(), 3 + NEWCOMERS, "all of them forgotten but those");
     }
 
     #[test]

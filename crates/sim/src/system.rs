@@ -49,9 +49,15 @@ use crate::stats::{CacheStats, CoreStats, PrefetcherStats, SimReport};
 use crate::trace::{TraceRecord, TraceSource};
 use pythia_obs::window::WindowRecorder;
 pub use pythia_obs::window::WindowRow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// `System`s alive in this process. Each keeps a CPU busy while it runs,
+/// so [`ReadAhead::wrap`](crate::trace::ReadAhead::wrap) starts a producer
+/// only while a CPU is left over. A count, not a lock: `Relaxed`.
+pub(crate) static SYSTEMS_ALIVE: AtomicUsize = AtomicUsize::new(0);
 
 /// Records pulled from a core's [`TraceSource`] per refill: large enough
-/// to amortize the virtual `next_batch` dispatch, small enough that the
+/// to amortize the virtual `refill` dispatch, small enough that the
 /// buffer stays in L1.
 const RECORD_BATCH: usize = 64;
 
@@ -61,9 +67,9 @@ struct CoreUnit {
     l2: Cache,
     prefetcher: Box<dyn Prefetcher>,
     source: Box<dyn TraceSource>,
-    /// Buffered trace records ([`RECORD_BATCH`] per refill) with a read
-    /// cursor: the steady-state record fetch is an array read, not a
-    /// virtual call.
+    /// Buffered trace records ([`RECORD_BATCH`] per refill, or a read-ahead
+    /// source's whole batch) with a read cursor: the steady-state record
+    /// fetch is an array read, not a virtual call.
     records: Vec<TraceRecord>,
     records_pos: usize,
     measure_start_cycle: u64,
@@ -75,15 +81,17 @@ impl CoreUnit {
     /// Refills the record buffer, wrapping the source at end of pass (the
     /// paper's replay methodology — cores wrap until their budget
     /// retires). The buffered stream is record-for-record identical to
-    /// calling `source.next_record()` directly.
+    /// calling `source.next_record()` directly; a [`ReadAhead`] source
+    /// swaps a whole batch of its own into the buffer.
+    ///
+    /// [`ReadAhead`]: crate::trace::ReadAhead
     #[cold]
     fn refill_records(&mut self) {
-        self.records.clear();
         self.records_pos = 0;
-        if self.source.next_batch(&mut self.records, RECORD_BATCH) == 0 {
+        if self.source.refill(&mut self.records, RECORD_BATCH) == 0 {
             // End of pass exactly at the buffer boundary: wrap.
             self.source.reset();
-            let got = self.source.next_batch(&mut self.records, RECORD_BATCH);
+            let got = self.source.refill(&mut self.records, RECORD_BATCH);
             assert!(got > 0, "trace source must yield at least one record");
         }
     }
@@ -153,6 +161,12 @@ impl std::fmt::Debug for System {
     }
 }
 
+impl Drop for System {
+    fn drop(&mut self) {
+        SYSTEMS_ALIVE.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 impl System {
     /// Builds a system running one trace source per core with no
     /// prefetching. Sources are pulled on demand — the system never holds
@@ -172,6 +186,7 @@ impl System {
             config.cores,
             sources.len()
         );
+        SYSTEMS_ALIVE.fetch_add(1, Ordering::Relaxed);
         let cores = sources
             .into_iter()
             .map(|source| CoreUnit {

@@ -14,13 +14,17 @@
 //! * [`FileTraceSource`] — streams records back from a trace file in O(1)
 //!   memory (the streaming counterpart of [`decode_trace`]),
 //! * [`trace_file_info`] — one streaming pass computing header + mix
-//!   statistics for `pythia-cli trace info`.
+//!   statistics for `pythia-cli trace info`,
+//! * [`ReadAhead`] — any source, produced on another CPU in whole batches.
 
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
+
+mod read_ahead;
+pub use read_ahead::ReadAhead;
 
 /// One memory micro-operation of an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -146,8 +150,8 @@ impl TraceRecord {
 /// streaming and materialized execution are byte-identical.
 ///
 /// Implementations: [`VecSource`] (in-memory), [`FileTraceSource`]
-/// (on-disk replay), and `pythia_workloads::TraceStream` (on-demand
-/// generation).
+/// (on-disk replay), `pythia_workloads::TraceStream` (on-demand
+/// generation), and [`ReadAhead`] (any of them, on another thread).
 pub trait TraceSource: Send {
     /// The next record, or `None` when the stream's current pass ends.
     fn next_record(&mut self) -> Option<TraceRecord>;
@@ -180,6 +184,16 @@ pub trait TraceSource: Send {
             }
         }
         n
+    }
+
+    /// Replaces `buf`'s records with the next ones of the pass, returning
+    /// how many — zero only when the pass has ended. The default is
+    /// `clear` plus [`next_batch`](TraceSource::next_batch) of up to `max`;
+    /// a source that already holds whole batches ([`ReadAhead`]) hands one
+    /// over by swapping buffers instead, whatever its length.
+    fn refill(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
+        buf.clear();
+        self.next_batch(buf, max)
     }
 }
 

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use pythia_sim::addr::{LINES_PER_PAGE, PAGE_SIZE};
-use pythia_sim::trace::{Branch, MemOp, TraceRecord, TraceSource};
+use pythia_sim::trace::{Branch, MemOp, ReadAhead, TraceRecord, TraceSource};
 
 /// The memory access pattern class a workload exhibits.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,13 +155,16 @@ impl TraceSpec {
     }
 
     /// Opens a streaming generator boxed as a [`TraceSource`] — the shape
-    /// the simulator and runner consume.
+    /// the simulator and runner consume. A trace of at least
+    /// [`ReadAhead::MIN_RECORDS`] records is generated on another CPU,
+    /// when the thread may use one ([`ReadAhead::wrap`]); the records are
+    /// the same either way.
     ///
     /// # Panics
     ///
     /// Panics if the spec is degenerate (zero instructions or footprint).
     pub fn source(&self) -> Box<dyn TraceSource> {
-        Box::new(self.stream())
+        ReadAhead::wrap(Box::new(self.stream()))
     }
 
     /// Renders the spec into a materialized instruction trace (collects

@@ -6,14 +6,18 @@
 //! 2. the binary codec round-trips (encode → decode → re-encode is
 //!    byte-identical), streaming writer included,
 //! 3. simulating from a stream, from a materialized `Vec`, and from a
-//!    recorded trace file all produce byte-identical [`SimReport`]s.
+//!    recorded trace file all produce byte-identical [`SimReport`]s,
+//! 4. a stream read ahead on another thread ([`ReadAhead`]) is the inline
+//!    stream, record for record and report for report.
 
 use pythia::runner::{run_sources, RunSpec};
+use pythia_sim::config::SystemConfig;
 use pythia_sim::stats::SimReport;
 use pythia_sim::trace::{
-    decode_trace, encode_trace, FileTraceSource, TraceSource, TraceWriter, VecSource,
+    decode_trace, encode_trace, FileTraceSource, ReadAhead, TraceRecord, TraceSource, TraceWriter,
+    VecSource,
 };
-use pythia_workloads::{PatternKind, TraceSpec};
+use pythia_workloads::{all_suites, PatternKind, TraceSpec};
 
 /// One spec per pattern class, small enough to simulate quickly.
 fn all_pattern_specs() -> Vec<TraceSpec> {
@@ -155,5 +159,123 @@ fn streaming_materialized_and_file_replay_reports_are_byte_identical() {
             spec.name
         );
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// One pass of `source`, pulled the way `consume` says: 0 as `System`
+/// does (`refill`, 64 records asked), 1 through `next_batch` of an odd
+/// size, 2 record by record.
+fn one_pass(source: &mut dyn TraceSource, consume: usize) -> Vec<TraceRecord> {
+    let mut out = Vec::new();
+    match consume {
+        0 => {
+            let mut buf = Vec::with_capacity(64);
+            while source.refill(&mut buf, 64) > 0 {
+                out.extend_from_slice(&buf);
+            }
+        }
+        1 => while source.next_batch(&mut out, 100) > 0 {},
+        _ => out.extend(std::iter::from_fn(|| source.next_record())),
+    }
+    out
+}
+
+#[test]
+fn read_ahead_is_the_inline_stream_for_every_pattern() {
+    let b = ReadAhead::BATCH;
+    for spec in all_pattern_specs() {
+        // The specs' own length, a pass of one record, and passes that
+        // end one record short of a batch boundary, on it, and one past it.
+        for len in [spec.instructions, 1, 3 * b - 1, 3 * b, 3 * b + 1] {
+            let spec = spec.clone().with_instructions(len);
+            let mut inline = spec.stream();
+            let mut ahead = ReadAhead::new(Box::new(spec.stream()));
+            assert_eq!(ahead.len_hint(), inline.len_hint());
+            for pass in 0..4 {
+                let expected = one_pass(&mut inline, 2);
+                assert_eq!(expected.len(), len);
+                let got = one_pass(&mut ahead, pass % 3);
+                assert_eq!(got, expected, "{} at {len} records, pass {pass}", spec.name);
+                assert_eq!(
+                    ahead.next_record(),
+                    None,
+                    "{}: the pass stays over",
+                    spec.name
+                );
+                inline.reset();
+                ahead.reset();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_mid_pass_reset_of_a_read_ahead_stream_is_the_inline_reset() {
+    for spec in all_pattern_specs() {
+        let mut inline = spec.stream();
+        let mut ahead = ReadAhead::new(Box::new(spec.stream()));
+        for cut in [0, 1, 700, 2_500, spec.instructions - 1] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            inline.next_batch(&mut a, cut);
+            ahead.next_batch(&mut b, cut);
+            assert_eq!(a, b, "{}: the first {cut} records", spec.name);
+            inline.reset();
+            ahead.reset();
+            assert_eq!(
+                one_pass(&mut ahead, 0),
+                one_pass(&mut inline, 2),
+                "{}",
+                spec.name
+            );
+            inline.reset();
+            ahead.reset();
+        }
+    }
+}
+
+/// The two runs `ReadAhead::wrap` changes most: `tests/report_pins.rs`'
+/// `fresh-lines-150mtps` (one trace of 150 K records, every register file
+/// binding) and a four-core mix of 200 K records per core — both
+/// byte-identical read ahead and inline.
+#[test]
+fn read_ahead_reports_are_byte_identical_to_inline_ones() {
+    let inline = |t: &TraceSpec| -> Box<dyn TraceSource> { Box::new(t.stream()) };
+    let ahead = |t: &TraceSpec| -> Box<dyn TraceSource> { Box::new(ReadAhead::new(inline(t))) };
+    let fresh = TraceSpec::new("pin-fresh", PatternKind::Stream { store_every: 2 })
+        .with_accesses_per_line(1)
+        .with_seed(13)
+        .with_instructions(150_000);
+    let fresh_run = RunSpec::single_core()
+        .with_system(SystemConfig::single_core_with_mtps(150))
+        .with_budget(20_000, 130_000);
+    let mut mix_system = SystemConfig::with_cores(4);
+    mix_system.dram.mtps = 600;
+    let mix_run = RunSpec::multi_core(4)
+        .with_system(mix_system)
+        .with_budget(40_000, 160_000);
+    let all = all_suites();
+    let mix: Vec<TraceSpec> = [
+        "470.lbm-164B",
+        "429.mcf-184B",
+        "482.sphinx3-417B",
+        "Ligra-PageRank",
+    ]
+    .iter()
+    .map(|name| {
+        let w = all
+            .iter()
+            .find(|w| w.name == *name)
+            .expect("suite workload");
+        w.spec.clone().with_instructions(mix_run.trace_len())
+    })
+    .collect();
+    for (label, traces, run, prefetcher) in [
+        ("fresh-lines-150mtps", vec![fresh], fresh_run, "pythia"),
+        ("mix4-600mtps", mix, mix_run, "none"),
+    ] {
+        let report = |open: &dyn Fn(&TraceSpec) -> Box<dyn TraceSource>| {
+            run_sources(traces.iter().map(open).collect(), prefetcher, &run)
+        };
+        assert_eq!(report(&ahead), report(&inline), "{label}");
     }
 }
