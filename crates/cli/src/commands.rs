@@ -11,7 +11,7 @@ use pythia_sim::config::SystemConfig;
 use pythia_sim::stats::{SimReport, Throughput};
 use pythia_sim::system::WindowRow;
 use pythia_sim::trace::{trace_file_info, FileTraceSource, TraceSource, TraceWriter};
-use pythia_stats::json::sim_report_json;
+use pythia_stats::json::sim_report_wire_json;
 use pythia_stats::metrics::try_compare;
 use pythia_stats::report::Table;
 use pythia_workloads::profiles::{profile_stats, trace_stats, Profile, CAMPAIGN_SEED};
@@ -236,12 +236,12 @@ fn write_artifact(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Honours `--report-json FILE`: writes the deterministic [`SimReport`]
-/// JSON of the measured run (the artifact the CI record→replay smoke
-/// compares byte-for-byte).
+/// Honours `--report-json FILE`: writes the measured run's deterministic
+/// [`SimReport`] in its lossless wire form, every counter included (the
+/// artifact the CI record→replay smoke compares byte-for-byte).
 fn maybe_write_report_json(args: &ParsedArgs, report: &SimReport) -> Result<(), String> {
     if let Some(path) = args.opt("report-json") {
-        write_artifact(path, &sim_report_json(report).render_pretty())?;
+        write_artifact(path, &sim_report_wire_json(report).render_pretty())?;
         println!("wrote report JSON to {path}");
     }
     Ok(())

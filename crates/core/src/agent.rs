@@ -54,7 +54,6 @@ use pythia_sim::addr;
 use pythia_sim::prefetch::{
     AgentProbe, DemandAccess, FillEvent, PrefetchRequest, Prefetcher, SystemFeedback,
 };
-use pythia_sim::stats::PrefetcherStats;
 
 use crate::config::PythiaConfig;
 use crate::eq::{EqEntry, EvaluationQueue};
@@ -86,7 +85,6 @@ pub struct Pythia {
     eq: EvaluationQueue,
     ctx: FeatureContext,
     rng: StdRng,
-    stats: PrefetcherStats,
     rewards_seen: RewardCounters,
     action_histogram: Vec<u64>,
     /// The current demand's hashed state; after an evicting EQ insert, the
@@ -113,7 +111,6 @@ impl Pythia {
             eq,
             ctx: FeatureContext::new(),
             rng,
-            stats: PrefetcherStats::default(),
             rewards_seen: RewardCounters::default(),
             action_histogram: vec![0; n_actions],
             bases,
@@ -242,7 +239,6 @@ impl Pythia {
             let target = addr::apply_offset(access.line, offset);
             entry.prefetch_line = Some(target);
             out.push(PrefetchRequest::to_l2(target));
-            self.stats.issued += 1;
         } else {
             self.assign_insertion_reward(&mut entry, offset, feedback);
         }
@@ -308,22 +304,6 @@ impl Prefetcher for Pythia {
         if event.prefetched {
             self.eq.mark_filled(event.line, event.ready_at);
         }
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

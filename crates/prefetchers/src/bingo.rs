@@ -9,11 +9,9 @@
 //! back to the more general `PC+Offset`, the mechanism the Pythia paper
 //! describes as exploiting two program features in one design.
 
+use crate::util::{hash_bits, lru_victim};
 use pythia_sim::addr;
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
-
-use crate::util::hash_bits;
 
 /// Region size in bytes (Table 7).
 pub const REGION_BYTES: u64 = 2048;
@@ -86,7 +84,6 @@ pub struct Bingo {
     at: Vec<AtEntry>,
     pht: Vec<[PhtEntry; PHT_WAYS]>,
     clock: u64,
-    stats: PrefetcherStats,
 }
 
 impl Bingo {
@@ -97,7 +94,6 @@ impl Bingo {
             at: vec![AtEntry::default(); AT_ENTRIES],
             pht: vec![[PhtEntry::default(); PHT_WAYS]; PHT_SETS],
             clock: 0,
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -148,11 +144,7 @@ impl Bingo {
                 }
             })
             .unwrap_or(1);
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("PHT_WAYS > 0");
-        *victim = PhtEntry {
+        ways[lru_victim(ways, |w| w.valid.then_some(w.lru))] = PhtEntry {
             valid: true,
             short_tag,
             long_tag,
@@ -196,13 +188,7 @@ impl Bingo {
     }
 
     fn at_insert(&mut self, entry: AtEntry) {
-        let victim_idx = self
-            .at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("AT non-empty");
+        let victim_idx = lru_victim(&self.at, |e| e.valid.then_some(e.lru));
         let victim = self.at[victim_idx];
         if victim.valid {
             self.commit(victim);
@@ -230,7 +216,6 @@ impl Prefetcher for Bingo {
     ) {
         let region = region_of_line(access.line);
         let offset = region_offset(access.line);
-        let start = out.len();
 
         // Already accumulating: just record the footprint bit.
         if self.at_record(region, offset) {
@@ -267,13 +252,7 @@ impl Prefetcher for Bingo {
                 }
             }
         }
-        let victim = self
-            .ft
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("FT non-empty");
+        let victim = lru_victim(&self.ft, |e| e.valid.then_some(e.lru));
         self.ft[victim] = FtEntry {
             valid: true,
             region,
@@ -281,24 +260,6 @@ impl Prefetcher for Bingo {
             trigger_offset: offset as u8,
             lru: clock,
         };
-
-        self.stats.issued += (out.len() - start) as u64;
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

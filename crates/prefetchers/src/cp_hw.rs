@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 
 use pythia_sim::addr;
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
 use crate::util::hash_bits;
 
@@ -45,7 +44,6 @@ pub struct CpHw {
     recall_next: usize,
     last_line: u64,
     rng: StdRng,
-    stats: PrefetcherStats,
 }
 
 impl CpHw {
@@ -57,7 +55,6 @@ impl CpHw {
             recall_next: 0,
             last_line: 0,
             rng: StdRng::seed_from_u64(seed),
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -111,26 +108,15 @@ impl Prefetcher for CpHw {
                 action: action as u8,
             };
             self.recall_next = (self.recall_next + 1) % RECALL_ENTRIES;
-            self.stats.issued += 1;
         }
     }
 
     fn on_useful(&mut self, line: u64) {
-        self.stats.useful += 1;
         self.train(line, REWARD_USEFUL);
     }
 
     fn on_useless(&mut self, line: u64) {
-        self.stats.useless += 1;
         self.train(line, REWARD_USELESS);
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

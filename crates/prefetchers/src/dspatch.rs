@@ -9,9 +9,8 @@
 
 use pythia_sim::addr;
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
-use crate::util::hash_bits;
+use crate::util::{hash_bits, lru_victim};
 
 /// Region = one 4 KB page (64 lines), as in the original proposal.
 const REGION_LINES: usize = addr::LINES_PER_PAGE as usize;
@@ -64,7 +63,6 @@ pub struct DsPatch {
     spt: Vec<SptEntry>,
     clock: u64,
     decay_counter: u32,
-    stats: PrefetcherStats,
 }
 
 impl DsPatch {
@@ -76,7 +74,6 @@ impl DsPatch {
             spt: vec![SptEntry::default(); SPT_ENTRIES],
             clock: 0,
             decay_counter: 0,
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -168,7 +165,6 @@ impl Prefetcher for DsPatch {
         self.clock += 1;
         let page = access.page();
         let offset = access.page_offset() as usize;
-        let start = out.len();
 
         if let Some(e) = self.pb.iter_mut().find(|e| e.valid && e.page == page) {
             e.footprint |= 1u64 << offset;
@@ -186,13 +182,7 @@ impl Prefetcher for DsPatch {
             }
         }
 
-        let victim = self
-            .pb
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("PB non-empty");
+        let victim = lru_victim(&self.pb, |e| e.valid.then_some(e.lru));
         let evicted = self.pb[victim];
         if evicted.valid {
             self.commit(evicted);
@@ -205,24 +195,6 @@ impl Prefetcher for DsPatch {
             footprint: 1u64 << offset,
             lru: self.clock,
         };
-
-        self.stats.issued += (out.len() - start) as u64;
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

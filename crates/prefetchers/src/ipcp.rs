@@ -13,9 +13,8 @@
 //!   prefetch deep sequential lines.
 
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
-use crate::util::{hash_bits, push_in_page};
+use crate::util::{hash_bits, lru_victim, push_in_page};
 
 const IPT_ENTRIES: usize = 256;
 const CSPT_ENTRIES: usize = 128;
@@ -56,7 +55,6 @@ pub struct Ipcp {
     cspt: Vec<CsptEntry>,
     regions: [RegionTracker; REGION_TRACKERS],
     clock: u64,
-    stats: PrefetcherStats,
 }
 
 impl Ipcp {
@@ -67,7 +65,6 @@ impl Ipcp {
             cspt: vec![CsptEntry::default(); CSPT_ENTRIES],
             regions: [RegionTracker::default(); REGION_TRACKERS],
             clock: 0,
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -89,12 +86,8 @@ impl Ipcp {
             r.lru = self.clock;
             return r.bitmap.count_ones() >= GS_DENSITY;
         }
-        let victim = self
-            .regions
-            .iter_mut()
-            .min_by_key(|r| if r.valid { r.lru } else { 0 })
-            .expect("non-empty trackers");
-        *victim = RegionTracker {
+        let victim = lru_victim(&self.regions, |r| r.valid.then_some(r.lru));
+        self.regions[victim] = RegionTracker {
             valid: true,
             page,
             bitmap: 1 << offset,
@@ -122,7 +115,6 @@ impl Prefetcher for Ipcp {
         out: &mut Vec<PrefetchRequest>,
     ) {
         let (idx, tag) = Self::ip_slot(access.pc);
-        let start = out.len();
         let dense = self.region_dense(access.page(), access.page_offset());
 
         let entry = &mut self.ipt[idx];
@@ -196,24 +188,6 @@ impl Prefetcher for Ipcp {
                 }
             }
         }
-
-        self.stats.issued += (out.len() - start) as u64;
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

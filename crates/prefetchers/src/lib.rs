@@ -67,9 +67,29 @@ pub(crate) mod util {
         (h >> (64 - bits)) as usize
     }
 
+    /// The slot to replace in a metadata table kept by LRU stamps: the
+    /// first invalid entry (`stamp` is `None`), else the oldest stamp, the
+    /// first index winning a tie.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is empty.
+    pub fn lru_victim<T>(table: &[T], stamp: impl Fn(&T) -> Option<u64>) -> usize {
+        (0..table.len())
+            .min_by_key(|&i| stamp(&table[i]))
+            .expect("non-empty table")
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
+
+        #[test]
+        fn lru_victim_takes_the_first_invalid_then_the_oldest() {
+            let stamp = |e: &Option<u64>| *e;
+            assert_eq!(lru_victim(&[Some(3), None, Some(1), None], stamp), 1);
+            assert_eq!(lru_victim(&[Some(3), Some(1), Some(2), Some(1)], stamp), 1);
+        }
 
         #[test]
         fn push_in_page_respects_boundaries() {

@@ -12,9 +12,8 @@
 
 use pythia_sim::addr;
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
-use crate::util::push_in_page;
+use crate::util::{lru_victim, push_in_page};
 
 const AMT_ENTRIES: usize = 128;
 const ROUND_UPDATES: u32 = 500;
@@ -45,7 +44,6 @@ pub struct Mlop {
     chosen: Vec<i32>,
     updates: u32,
     clock: u64,
-    stats: PrefetcherStats,
 }
 
 impl Mlop {
@@ -57,7 +55,6 @@ impl Mlop {
             chosen: Vec::new(),
             updates: 0,
             clock: 0,
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -124,13 +121,7 @@ impl Prefetcher for Mlop {
         let idx = match pos {
             Some(i) => i,
             None => {
-                let victim = self
-                    .amt
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-                    .map(|(i, _)| i)
-                    .expect("AMT non-empty");
+                let victim = lru_victim(&self.amt, |e| e.valid.then_some(e.lru));
                 self.amt[victim] = AmtEntry {
                     valid: true,
                     page,
@@ -166,7 +157,6 @@ impl Prefetcher for Mlop {
         // Prefetch with every armed offset, consulting the access map so
         // already-touched (or already-prefetched) lines are skipped — this
         // is MLOP's AMT check, without which it floods redundant requests.
-        let start = out.len();
         let chosen = self.chosen.clone();
         let e = &self.amt[idx];
         let mut covered = e.accessed | e.prefetched;
@@ -179,23 +169,6 @@ impl Prefetcher for Mlop {
             }
         }
         self.amt[idx].prefetched = covered & !self.amt[idx].accessed;
-        self.stats.issued += (out.len() - start) as u64;
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

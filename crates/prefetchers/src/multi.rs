@@ -7,7 +7,6 @@
 //! systems; Pythia exploits the same features within one agent instead.
 
 use pythia_sim::prefetch::{DemandAccess, FillEvent, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
 use std::collections::HashSet;
 
@@ -15,7 +14,6 @@ use std::collections::HashSet;
 pub struct Multi {
     name: String,
     parts: Vec<Box<dyn Prefetcher>>,
-    stats: PrefetcherStats,
     /// Reusable per-component request buffer (cleared per component).
     child_buf: Vec<PrefetchRequest>,
     /// Reusable dedup set (cleared per demand).
@@ -44,7 +42,6 @@ impl Multi {
         Self {
             name,
             parts,
-            stats: PrefetcherStats::default(),
             child_buf: Vec::new(),
             seen: HashSet::new(),
         }
@@ -80,7 +77,6 @@ impl Prefetcher for Multi {
             }
         }
         self.child_buf = child;
-        self.stats.issued += (out.len() - start) as u64;
     }
 
     fn on_fill(&mut self, event: &FillEvent) {
@@ -90,27 +86,14 @@ impl Prefetcher for Multi {
     }
 
     fn on_useful(&mut self, line: u64) {
-        self.stats.useful += 1;
         for p in &mut self.parts {
             p.on_useful(line);
         }
     }
 
     fn on_useless(&mut self, line: u64) {
-        self.stats.useless += 1;
         for p in &mut self.parts {
             p.on_useless(line);
-        }
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
-        for p in &mut self.parts {
-            p.reset_stats();
         }
     }
 
@@ -125,6 +108,8 @@ mod tests {
     use crate::next_line::NextLine;
     use crate::stride::StridePrefetcher;
     use crate::test_access;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn composes_names_and_storage() {
@@ -158,11 +143,38 @@ mod tests {
         let _ = Multi::new(vec![]);
     }
 
+    /// Records the useful (`true`) and useless notices it is sent.
+    struct Heard(Rc<RefCell<Vec<(u64, bool)>>>);
+
+    impl Prefetcher for Heard {
+        fn name(&self) -> &str {
+            "heard"
+        }
+        fn on_demand_into(
+            &mut self,
+            _: &DemandAccess,
+            _: &SystemFeedback,
+            _: &mut Vec<PrefetchRequest>,
+        ) {
+        }
+        fn on_useful(&mut self, line: u64) {
+            self.0.borrow_mut().push((line, true));
+        }
+        fn on_useless(&mut self, line: u64) {
+            self.0.borrow_mut().push((line, false));
+        }
+    }
+
     #[test]
     fn feedback_propagates_to_parts() {
-        let mut m = Multi::new(vec![Box::new(NextLine::new(1))]);
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let mut m = Multi::new(vec![
+            Box::new(NextLine::new(1)),
+            Box::new(Heard(heard.clone())),
+        ]);
         m.on_demand(&test_access(0, 0x1000), &SystemFeedback::idle());
         m.on_useful(65);
-        assert_eq!(m.stats().useful, 1);
+        m.on_useless(66);
+        assert_eq!(*heard.borrow(), [(65, true), (66, false)]);
     }
 }

@@ -2,7 +2,6 @@
 //! used in tests and as a worked example of the [`Prefetcher`] trait.
 
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
 use crate::util::push_in_page;
 
@@ -10,16 +9,12 @@ use crate::util::push_in_page;
 #[derive(Debug, Clone)]
 pub struct NextLine {
     degree: u32,
-    stats: PrefetcherStats,
 }
 
 impl NextLine {
     /// Creates a next-line prefetcher of the given degree.
     pub fn new(degree: u32) -> Self {
-        Self {
-            degree,
-            stats: PrefetcherStats::default(),
-        }
+        Self { degree }
     }
 }
 
@@ -40,27 +35,9 @@ impl Prefetcher for NextLine {
         _feedback: &SystemFeedback,
         out: &mut Vec<PrefetchRequest>,
     ) {
-        let start = out.len();
         for d in 1..=self.degree as i32 {
             push_in_page(out, access.line, d, true);
         }
-        self.stats.issued += (out.len() - start) as u64;
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

@@ -8,9 +8,8 @@
 //! Pythia's per-decision learning.
 
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
-use crate::util::push_in_page;
+use crate::util::{lru_victim, push_in_page};
 
 const STREAM_ENTRIES: usize = 16;
 /// Depth levels the controller ramps through (0 = off .. 16 = deepest).
@@ -40,7 +39,6 @@ pub struct Power7 {
     epoch_demands: u64,
     epoch_useful: u64,
     epoch_useless: u64,
-    stats: PrefetcherStats,
 }
 
 impl Power7 {
@@ -53,7 +51,6 @@ impl Power7 {
             epoch_demands: 0,
             epoch_useful: 0,
             epoch_useless: 0,
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -103,7 +100,6 @@ impl Prefetcher for Power7 {
 
         let page = access.page();
         let offset = access.page_offset() as i32;
-        let start = out.len();
 
         if let Some(e) = self.streams.iter_mut().find(|e| e.valid && e.page == page) {
             e.lru = self.clock;
@@ -125,12 +121,8 @@ impl Prefetcher for Power7 {
                 }
             }
         } else {
-            let victim = self
-                .streams
-                .iter_mut()
-                .min_by_key(|e| if e.valid { e.lru } else { 0 })
-                .expect("non-empty streams");
-            *victim = StreamEntry {
+            let victim = lru_victim(&self.streams, |e| e.valid.then_some(e.lru));
+            self.streams[victim] = StreamEntry {
                 valid: true,
                 page,
                 last_offset: offset,
@@ -139,25 +131,14 @@ impl Prefetcher for Power7 {
                 lru: self.clock,
             };
         }
-        self.stats.issued += (out.len() - start) as u64;
     }
 
     fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
         self.epoch_useful += 1;
     }
 
     fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
         self.epoch_useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

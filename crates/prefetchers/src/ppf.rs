@@ -7,7 +7,6 @@
 //! that hit previously-rejected candidates (lost coverage).
 
 use pythia_sim::prefetch::{DemandAccess, FillEvent, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
 use crate::spp::Spp;
 use crate::util::hash_bits;
@@ -69,7 +68,6 @@ pub struct SppPpf {
     weights: [[i8; TABLE_ENTRIES]; NUM_FEATURES],
     issued: RecallQueue,
     rejected: RecallQueue,
-    stats: PrefetcherStats,
     /// Reusable buffer for the underlying SPP's candidate requests, so the
     /// filtering pass allocates nothing per demand.
     candidates: Vec<PrefetchRequest>,
@@ -84,7 +82,6 @@ impl SppPpf {
             candidates: Vec::new(),
             issued: RecallQueue::new(),
             rejected: RecallQueue::new(),
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -147,7 +144,6 @@ impl Prefetcher for SppPpf {
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
         self.spp.on_demand_into(access, feedback, &mut candidates);
-        let start = out.len();
         for req in candidates.drain(..) {
             let features = Self::features(access, req.line);
             if self.sum(&features) >= TAU_ACCEPT {
@@ -158,7 +154,6 @@ impl Prefetcher for SppPpf {
             }
         }
         self.candidates = candidates;
-        self.stats.issued += (out.len() - start) as u64;
     }
 
     fn on_fill(&mut self, event: &FillEvent) {
@@ -166,26 +161,15 @@ impl Prefetcher for SppPpf {
     }
 
     fn on_useful(&mut self, line: u64) {
-        self.stats.useful += 1;
         if let Some(features) = self.issued.take(line) {
             self.train(&features, true);
         }
     }
 
     fn on_useless(&mut self, line: u64) {
-        self.stats.useless += 1;
         if let Some(features) = self.issued.take(line) {
             self.train(&features, false);
         }
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
-        self.spp.reset_stats();
     }
 
     fn storage_bits(&self) -> u64 {

@@ -46,7 +46,7 @@ pub fn available() -> &'static [&'static str] {
 /// Returns `None` for unknown names; see [`available`].
 pub fn build(name: &str, seed: u64) -> Option<Box<dyn Prefetcher>> {
     let p: Box<dyn Prefetcher> = match name {
-        "none" => Box::new(NoPrefetcher::new()),
+        "none" => Box::new(NoPrefetcher),
         "next_line" => Box::new(NextLine::default()),
         "stride" | "st" => Box::new(StridePrefetcher::default()),
         "streamer" => Box::new(Streamer::default()),

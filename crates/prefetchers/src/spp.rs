@@ -12,7 +12,6 @@
 
 use pythia_sim::addr;
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
 use crate::util::hash_bits;
 
@@ -74,7 +73,6 @@ pub struct Spp {
     pt: Vec<PtSet>,
     ghr: [GhrEntry; GHR_ENTRIES],
     ghr_next: usize,
-    stats: PrefetcherStats,
 }
 
 impl Spp {
@@ -85,7 +83,6 @@ impl Spp {
             pt: vec![PtSet::default(); PT_SETS],
             ghr: [GhrEntry::default(); GHR_ENTRIES],
             ghr_next: 0,
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -192,7 +189,6 @@ impl Prefetcher for Spp {
         let page = access.page();
         let offset = access.page_offset() as u8;
         let (idx, tag) = Self::st_slot(page);
-        let start = out.len();
 
         let entry = self.st[idx];
         let current_sig = if entry.valid && entry.tag == tag {
@@ -248,23 +244,6 @@ impl Prefetcher for Spp {
             line = next;
             let _ = depth;
         }
-        self.stats.issued += (out.len() - start) as u64;
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

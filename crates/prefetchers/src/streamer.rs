@@ -6,9 +6,8 @@
 //! detected direction.
 
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 
-use crate::util::push_in_page;
+use crate::util::{lru_victim, push_in_page};
 
 const TABLE_ENTRIES: usize = 64;
 
@@ -28,7 +27,6 @@ pub struct Streamer {
     table: Vec<StreamEntry>,
     degree: u32,
     clock: u64,
-    stats: PrefetcherStats,
 }
 
 impl Streamer {
@@ -38,7 +36,6 @@ impl Streamer {
             table: vec![StreamEntry::default(); TABLE_ENTRIES],
             degree,
             clock: 0,
-            stats: PrefetcherStats::default(),
         }
     }
 }
@@ -63,7 +60,6 @@ impl Prefetcher for Streamer {
         self.clock += 1;
         let page = access.page();
         let offset = access.page_offset() as i32;
-        let start = out.len();
 
         let pos = self.table.iter().position(|e| e.valid && e.page == page);
         match pos {
@@ -90,13 +86,7 @@ impl Prefetcher for Streamer {
                 }
             }
             None => {
-                let victim = self
-                    .table
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-                    .map(|(i, _)| i)
-                    .expect("non-empty table");
+                let victim = lru_victim(&self.table, |e| e.valid.then_some(e.lru));
                 self.table[victim] = StreamEntry {
                     page,
                     valid: true,
@@ -107,23 +97,6 @@ impl Prefetcher for Streamer {
                 };
             }
         }
-        self.stats.issued += (out.len() - start) as u64;
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 
     fn storage_bits(&self) -> u64 {

@@ -23,13 +23,17 @@
 //!
 //! # Implementing a prefetcher
 //!
+//! Two methods are required, [`Prefetcher::name`] and
+//! [`Prefetcher::on_demand_into`]. The simulator keeps every prefetcher's
+//! books (requests issued, useful and useless notices) itself, so the
+//! notification hooks are for prefetchers that learn from them.
+//!
 //! ```rust
 //! use pythia_sim::addr;
 //! use pythia_sim::prefetch::{DemandAccess, Prefetcher, PrefetchRequest, SystemFeedback};
-//! use pythia_sim::stats::PrefetcherStats;
 //!
 //! /// Always fetches the next line, staying inside the 4 KB page.
-//! struct NextLine(PrefetcherStats);
+//! struct NextLine;
 //!
 //! impl Prefetcher for NextLine {
 //!     fn name(&self) -> &str {
@@ -41,17 +45,9 @@
 //!         _feedback: &SystemFeedback,
 //!         out: &mut Vec<PrefetchRequest>,
 //!     ) {
-//!         if !addr::offset_stays_in_page(access.line, 1) {
-//!             return;
+//!         if addr::offset_stays_in_page(access.line, 1) {
+//!             out.push(PrefetchRequest::to_l2(access.line + 1));
 //!         }
-//!         self.0.issued += 1;
-//!         out.push(PrefetchRequest::to_l2(access.line + 1));
-//!     }
-//!     fn stats(&self) -> PrefetcherStats {
-//!         self.0
-//!     }
-//!     fn reset_stats(&mut self) {
-//!         self.0 = PrefetcherStats::default();
 //!     }
 //! }
 //! ```
@@ -210,28 +206,36 @@ pub trait Prefetcher {
 
     /// Called when the simulator observes that one of this prefetcher's
     /// requests turned out useful (first demand hit on a prefetched line).
+    /// The simulator books the notice itself (`PrefetcherStats::useful`);
+    /// implement this only to learn from it.
     fn on_useful(&mut self, _line: u64) {}
 
-    /// Batch form of [`on_useful`](Prefetcher::on_useful): the simulator
-    /// collects every useful line observed on one demand path and delivers
-    /// them in a single virtual call. The default forwards line-by-line,
-    /// in order — overriding either method is equivalent.
+    /// Slice form of [`on_useful`](Prefetcher::on_useful), the one the
+    /// simulator calls: with the single line a demand proved useful. The
+    /// default forwards line by line, in order — overriding either method
+    /// is equivalent.
     fn on_useful_batch(&mut self, lines: &[u64]) {
         for &line in lines {
             self.on_useful(line);
         }
     }
 
-    /// Called when a prefetched line was evicted unused.
+    /// Called when a prefetched line was evicted unused. The simulator
+    /// books the notice itself (`PrefetcherStats::useless`); implement this
+    /// only to learn from it.
     fn on_useless(&mut self, _line: u64) {}
 
-    /// Statistics counters (issued/useful/...); the simulator also keeps its
-    /// own authoritative accounting in cache stats.
-    fn stats(&self) -> PrefetcherStats;
+    /// Not called by the simulator, which keeps every prefetcher's books
+    /// itself ([`SimReport::prefetchers`](crate::stats::SimReport::prefetchers)). Kept
+    /// with a default body for wrappers that still forward it.
+    #[doc(hidden)]
+    fn stats(&self) -> PrefetcherStats {
+        PrefetcherStats::default()
+    }
 
-    /// Resets statistics between warmup and measurement, keeping learned
-    /// state.
-    fn reset_stats(&mut self);
+    /// Not called by the simulator; see [`stats`](Prefetcher::stats).
+    #[doc(hidden)]
+    fn reset_stats(&mut self) {}
 
     /// Estimated metadata storage in bits (Table 7 reproduction).
     fn storage_bits(&self) -> u64 {
@@ -250,16 +254,7 @@ pub trait Prefetcher {
 
 /// The no-op prefetcher: the paper's "no prefetching" baseline.
 #[derive(Debug, Default, Clone)]
-pub struct NoPrefetcher {
-    stats: PrefetcherStats,
-}
-
-impl NoPrefetcher {
-    /// Creates a no-op prefetcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+pub struct NoPrefetcher;
 
 impl Prefetcher for NoPrefetcher {
     fn name(&self) -> &str {
@@ -272,14 +267,6 @@ impl Prefetcher for NoPrefetcher {
         _feedback: &SystemFeedback,
         _out: &mut Vec<PrefetchRequest>,
     ) {
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
     }
 }
 
@@ -303,7 +290,7 @@ mod tests {
 
     #[test]
     fn no_prefetcher_is_silent() {
-        let mut p = NoPrefetcher::new();
+        let mut p = NoPrefetcher;
         let a = DemandAccess {
             pc: 0,
             addr: 0,
@@ -313,7 +300,6 @@ mod tests {
             missed: true,
         };
         assert!(p.on_demand(&a, &SystemFeedback::idle()).is_empty());
-        assert_eq!(p.stats(), PrefetcherStats::default());
         assert_eq!(p.name(), "none");
         assert_eq!(p.storage_bits(), 0);
     }
@@ -326,7 +312,7 @@ mod tests {
 
     #[test]
     fn prefetcher_trait_is_object_safe() {
-        let boxed: Box<dyn Prefetcher> = Box::new(NoPrefetcher::new());
+        let boxed: Box<dyn Prefetcher> = Box::new(NoPrefetcher);
         assert_eq!(boxed.name(), "none");
     }
 }

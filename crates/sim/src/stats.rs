@@ -137,16 +137,23 @@ impl CoreStats {
     }
 }
 
-/// Counters reported by a prefetcher implementation.
+/// One core's prefetcher books, kept by the simulator where it delivers
+/// the events (`System`), not by the prefetcher.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrefetcherStats {
-    /// Prefetch requests the prefetcher emitted.
+    /// Requests the prefetcher pushed, counted after each
+    /// `Prefetcher::on_demand_into` call, redundant ones included.
     pub issued: u64,
-    /// Requests dropped because the line was already cached.
+    /// Meant for requests dropped because the line was already cached, but
+    /// nothing writes it: always 0. The caches count those
+    /// (`CacheStats::prefetch_redundant`).
     pub redundant: u64,
-    /// Prefetches later demanded by the core (useful).
+    /// Useful notices sent to the prefetcher: a demand's first touch of a
+    /// prefetched line at the L2 or the LLC, whichever core prefetched it.
     pub useful: u64,
-    /// Prefetches evicted unused (overpredictions at the prefetcher level).
+    /// Useless notices sent to the prefetcher: an unused prefetched line
+    /// evicted from the L2 by this core's DRAM-served prefetch, or from the
+    /// shared LLC by any core (every core is told of each LLC victim).
     pub useless: u64,
 }
 

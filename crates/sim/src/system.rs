@@ -26,6 +26,10 @@
 //! **writeback** (a dirty victim hits and dirties the copy below, or is
 //! installed there a hit latency later).
 //!
+//! Each core's prefetcher books ([`PrefetcherStats`]: requests issued,
+//! useful and useless notices) are kept here, where those events are
+//! delivered, as the caches keep theirs; a prefetcher never counts them.
+//!
 //! The DRAM [`BandwidthMonitor`] samples bus occupancy in fixed windows
 //! and exposes the bucketed usage through [`SystemFeedback`] — the signal
 //! Pythia's reward scheme consumes. Every structure is deterministic: the
@@ -66,6 +70,9 @@ struct CoreUnit {
     l1d: Cache,
     l2: Cache,
     prefetcher: Box<dyn Prefetcher>,
+    /// The prefetcher's books: the requests it pushed and the useful /
+    /// useless notices it was sent.
+    pf_stats: PrefetcherStats,
     source: Box<dyn TraceSource>,
     /// Buffered trace records ([`RECORD_BATCH`] per refill, or a read-ahead
     /// source's whole batch) with a read cursor: the steady-state record
@@ -94,6 +101,12 @@ impl CoreUnit {
             let got = self.source.refill(&mut self.records, RECORD_BATCH);
             assert!(got > 0, "trace source must yield at least one record");
         }
+    }
+
+    /// Books a prefetched line evicted unused and tells the prefetcher.
+    fn useless(&mut self, line: u64) {
+        self.pf_stats.useless += 1;
+        self.prefetcher.on_useless(line);
     }
 }
 
@@ -193,7 +206,8 @@ impl System {
                 model: CoreModel::new(config.core),
                 l1d: Cache::new("L1D", &config.l1d),
                 l2: Cache::new("L2", &config.l2),
-                prefetcher: Box::new(NoPrefetcher::new()),
+                prefetcher: Box::new(NoPrefetcher),
+                pf_stats: PrefetcherStats::default(),
                 source,
                 records: Vec::with_capacity(RECORD_BATCH),
                 records_pos: 0,
@@ -305,7 +319,7 @@ impl System {
         // Deltas since the previous window boundary.
         let cycles = core.model.now() - core.measure_start_cycle;
         let l2 = *core.l2.stats();
-        let pf = core.prefetcher.stats();
+        let pf = core.pf_stats;
         let d_instr = retired - t.last_instructions;
         let d_cycles = cycles.saturating_sub(t.last_cycles);
         let d_accesses = l2.demand_accesses() - t.last_l2.demand_accesses();
@@ -499,11 +513,14 @@ impl System {
         };
         let mut requests = std::mem::take(&mut self.requests);
         requests.clear();
-        let prefetcher = &mut self.cores[idx].prefetcher;
+        let core = &mut self.cores[idx];
         if useful {
-            prefetcher.on_useful_batch(&[line]);
+            core.pf_stats.useful += 1;
+            core.prefetcher.on_useful_batch(&[line]);
         }
-        prefetcher.on_demand_into(&access, &feedback, &mut requests);
+        core.prefetcher
+            .on_demand_into(&access, &feedback, &mut requests);
+        core.pf_stats.issued += requests.len() as u64;
         for req in requests.drain(..) {
             self.issue_prefetch(idx, req.line, req.fill_l2, pc_sig, cycle);
         }
@@ -540,7 +557,7 @@ impl System {
                 // of (ROADMAP item 2).
                 let victim = self.install(idx, Level::L2, line, done, kind, pc_sig, cycle);
                 if let Some(ev) = victim.filter(|ev| ev.unused_prefetch) {
-                    self.cores[idx].prefetcher.on_useless(ev.line);
+                    self.cores[idx].useless(ev.line);
                 }
             }
             done
@@ -563,9 +580,9 @@ impl System {
     /// Fills `line` into core `idx`'s `level` and routes the victim one
     /// level down: a dirty L1 victim is written back into the L2, a dirty
     /// L2 victim into the LLC (its PC stays behind), a dirty LLC victim is
-    /// a DRAM write, and an LLC victim no demand ever touched is reported
-    /// as a useless prefetch — to every core's prefetcher, the LLC being
-    /// shared. Returns the victim.
+    /// a DRAM write, and an LLC victim no demand ever touched is booked and
+    /// reported as a useless prefetch — for every core's prefetcher, the
+    /// LLC being shared. Returns the victim.
     #[allow(clippy::too_many_arguments)]
     fn install(
         &mut self,
@@ -588,7 +605,7 @@ impl System {
                 }
                 if ev.unused_prefetch {
                     for core in &mut self.cores {
-                        core.prefetcher.on_useless(ev.line);
+                        core.useless(ev.line);
                     }
                 }
             }
@@ -613,7 +630,7 @@ impl System {
             core.model.reset_stats();
             core.l1d.reset_stats();
             core.l2.reset_stats();
-            core.prefetcher.reset_stats();
+            core.pf_stats = PrefetcherStats::default();
             core.measure_start_cycle = core.model.now();
             core.finished = false;
             core.final_stats = None;
@@ -703,7 +720,7 @@ impl System {
             l2: self.cores.iter().map(|c| *c.l2.stats()).collect(),
             llc: *self.llc.stats(),
             dram: *self.dram.stats(),
-            prefetchers: self.cores.iter().map(|c| c.prefetcher.stats()).collect(),
+            prefetchers: self.cores.iter().map(|c| c.pf_stats).collect(),
         }
     }
 }
@@ -917,10 +934,9 @@ mod tests {
     }
 
     /// Issues (into the LLC only) a line far from anything demanded when
-    /// `overshoots`, and counts the evictions it is told were useless.
+    /// `overshoots`.
     struct Overshoot {
         overshoots: bool,
-        stats: PrefetcherStats,
     }
 
     impl Prefetcher for Overshoot {
@@ -934,18 +950,8 @@ mod tests {
             out: &mut Vec<PrefetchRequest>,
         ) {
             if self.overshoots {
-                self.stats.issued += 1;
                 out.push(PrefetchRequest::to_llc(access.line + (1 << 30)));
             }
-        }
-        fn on_useless(&mut self, _line: u64) {
-            self.stats.useless += 1;
-        }
-        fn stats(&self) -> PrefetcherStats {
-            self.stats
-        }
-        fn reset_stats(&mut self) {
-            self.stats = PrefetcherStats::default();
         }
     }
 
@@ -967,7 +973,6 @@ mod tests {
         let mut sys = System::with_prefetchers(cfg, traces, |core| {
             Box::new(Overshoot {
                 overshoots: core == 0,
-                stats: PrefetcherStats::default(),
             })
         });
         let report = sys.run(500, 4_000);

@@ -468,53 +468,6 @@ pub fn metrics_json(m: &Metrics) -> Json {
         .set("accuracy", m.accuracy)
 }
 
-/// Serializes a full [`SimReport`] as a JSON object (per-core IPC, cache
-/// miss counters, DRAM traffic and prefetcher counters).
-pub fn sim_report_json(r: &SimReport) -> Json {
-    let cores: Vec<Json> = r
-        .cores
-        .iter()
-        .map(|c| {
-            Json::obj()
-                .set("instructions", c.instructions)
-                .set("cycles", c.cycles)
-                .set("ipc", c.ipc())
-        })
-        .collect();
-    let cache = |c: &pythia_sim::stats::CacheStats| {
-        Json::obj()
-            .set("demand_loads", c.demand_loads)
-            .set("demand_load_misses", c.demand_load_misses)
-            .set("prefetch_fills", c.prefetch_fills)
-            .set("useful_prefetches", c.useful_prefetches)
-            .set("useless_prefetches", c.useless_prefetches)
-    };
-    Json::obj()
-        .set("geomean_ipc", r.geomean_ipc())
-        .set("llc_mpki", r.llc_mpki())
-        .set("prefetches_issued", r.prefetches_issued())
-        .set("cores", Json::Arr(cores))
-        .set("l2", Json::Arr(r.l2.iter().map(cache).collect()))
-        .set("llc", cache(&r.llc))
-        .set(
-            "dram",
-            Json::obj()
-                .set("demand_reads", r.dram.demand_reads)
-                .set("prefetch_reads", r.dram.prefetch_reads)
-                .set("writes", r.dram.writes)
-                .set(
-                    "bw_bucket_windows",
-                    Json::Arr(
-                        r.dram
-                            .bw_bucket_windows
-                            .iter()
-                            .map(|w| (*w).into())
-                            .collect(),
-                    ),
-                ),
-        )
-}
-
 /// Encodes a `u64` losslessly — the one convention every codec in the
 /// workspace uses (campaign specs, sweep results, served sim reports): a
 /// JSON number while `f64`-exact (up to 2^53), a decimal string beyond
@@ -590,8 +543,8 @@ fn cache_from_wire(j: &Json) -> Result<pythia_sim::stats::CacheStats, String> {
 
 /// Serializes a full [`SimReport`] **losslessly** — every counter of
 /// every substructure, so [`sim_report_from_wire`] reconstructs a report
-/// equal to the original. This is the journal/wire form; the
-/// human-facing [`sim_report_json`] artifact stays a lossy summary.
+/// equal to the original. The one JSON form of a report: the journal, the
+/// wire and the `--report-json` artifact all write it.
 pub fn sim_report_wire_json(r: &SimReport) -> Json {
     let core = |c: &pythia_sim::stats::CoreStats| {
         Json::obj()

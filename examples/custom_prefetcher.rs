@@ -3,7 +3,9 @@
 //!
 //! The example builds a tiny "pairwise-correlation" prefetcher (remembers
 //! which line followed which) and evaluates it on a pointer-chase workload
-//! next to SPP and Pythia.
+//! next to SPP and Pythia. A prefetcher needs two methods, `name` and
+//! `on_demand_into`; the simulator keeps its issued / useful / useless
+//! books.
 //!
 //! ```text
 //! cargo run --release --example custom_prefetcher
@@ -11,7 +13,6 @@
 
 use pythia::runner::{run_sources_with, run_workload, RunSpec};
 use pythia_sim::prefetch::{DemandAccess, PrefetchRequest, Prefetcher, SystemFeedback};
-use pythia_sim::stats::PrefetcherStats;
 use pythia_stats::metrics::compare;
 use pythia_workloads::all_suites;
 
@@ -20,7 +21,6 @@ use pythia_workloads::all_suites;
 struct PairwiseCorrelation {
     table: Vec<(u64, u64)>, // (line, next_line)
     last_line: u64,
-    stats: PrefetcherStats,
 }
 
 impl PairwiseCorrelation {
@@ -28,7 +28,6 @@ impl PairwiseCorrelation {
         Self {
             table: vec![(u64::MAX, 0); entries],
             last_line: u64::MAX,
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -57,29 +56,8 @@ impl Prefetcher for PairwiseCorrelation {
         // Predict: if we have a successor for this line, prefetch it.
         let (tag, next) = self.table[self.slot(access.line)];
         if tag == access.line && next != access.line {
-            self.stats.issued += 1;
             out.push(PrefetchRequest::to_l2(next));
         }
-    }
-
-    fn on_useful(&mut self, _line: u64) {
-        self.stats.useful += 1;
-    }
-
-    fn on_useless(&mut self, _line: u64) {
-        self.stats.useless += 1;
-    }
-
-    fn stats(&self) -> PrefetcherStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.table.len() as u64 * (32 + 32)
     }
 }
 

@@ -813,6 +813,5 @@ proptest! {
                 p.on_useless(addr >> 6);
             }
         }
-        let _ = p.stats();
     }
 }
