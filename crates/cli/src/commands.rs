@@ -1,8 +1,6 @@
 //! Subcommand implementations for `pythia-cli`.
 
-use pythia::runner::{
-    build_prefetcher, run_sources, run_workload, run_workload_telemetry, RunSpec,
-};
+use pythia::runner::{build_prefetcher, build_system, run_sources, run_workload, RunSpec};
 use pythia_core::hw_model;
 use pythia_core::pipeline::SearchPipeline;
 use pythia_core::PythiaConfig;
@@ -10,7 +8,9 @@ use pythia_obs::logger::Level;
 use pythia_sim::config::SystemConfig;
 use pythia_sim::stats::{SimReport, Throughput};
 use pythia_sim::system::WindowRow;
-use pythia_sim::trace::{trace_file_info, FileTraceSource, TraceSource, TraceWriter};
+use pythia_sim::trace::{
+    trace_file_info, FileTraceSource, TraceFileError, TraceSource, TraceWriter,
+};
 use pythia_stats::json::sim_report_wire_json;
 use pythia_stats::metrics::try_compare;
 use pythia_stats::report::Table;
@@ -290,20 +290,20 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
     if window == 0 {
         return Err("--telemetry-window must be positive".into());
     }
-    // The telemetry sink rides alongside the measured run; the report it
-    // returns is byte-identical to the untelemetered one (test-pinned),
-    // so both paths share the summary printer.
+    // The telemetry sink rides alongside the measured run; the report is
+    // byte-identical with it on or off (test-pinned).
     let mut windows = None;
     let (baseline, report, throughput) = timed_pair(
         &spec,
         || run_workload(&w, "none", &spec),
-        || match args.opt("telemetry-json") {
-            None => run_workload(&w, prefetcher, &spec),
-            Some(_) => {
-                let (report, rows) = run_workload_telemetry(&w, prefetcher, &spec, window);
-                windows = Some(rows);
-                report
+        || {
+            let mut system = build_system(vec![w.source(spec.trace_len())], prefetcher, &spec);
+            if args.opt("telemetry-json").is_some() {
+                system.enable_telemetry(window);
             }
+            let report = system.run(spec.warmup, spec.measure);
+            windows = system.take_telemetry();
+            report
         },
     );
     print_run_summary(&w.name, prefetcher, &baseline, &report, throughput)?;
@@ -634,15 +634,7 @@ fn trace_gen(args: &ParsedArgs) -> Result<(), String> {
     if let Some(dir) = args.opt("out") {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
         for w in &workloads {
-            let path = format!("{dir}/{}.trace", w.name);
-            let mut writer = TraceWriter::create(&path).map_err(|e| format!("{path}: {e}"))?;
-            let mut source = w.source(n);
-            while let Some(r) = source.next_record() {
-                writer
-                    .write_record(&r)
-                    .map_err(|e| format!("{path}: {e}"))?;
-            }
-            writer.finish().map_err(|e| format!("{path}: {e}"))?;
+            record_trace(w.source(n), &format!("{dir}/{}.trace", w.name))?;
         }
         let notice = format!(
             "wrote {} {} traces ({n} instructions each) to {dir}",
@@ -713,20 +705,27 @@ fn trace_record(args: &ParsedArgs) -> Result<(), String> {
     if n == 0 {
         return Err("--instructions must be positive".into());
     }
-    let mut writer = TraceWriter::create(out_file).map_err(|e| format!("{out_file}: {e}"))?;
-    let mut source = w.source(n);
-    while let Some(r) = source.next_record() {
-        writer
-            .write_record(&r)
-            .map_err(|e| format!("{out_file}: {e}"))?;
-    }
-    let (file, count) = writer.finish().map_err(|e| format!("{out_file}: {e}"))?;
+    let (file, count) = record_trace(w.source(n), out_file)?;
     let bytes = file
         .metadata()
         .map(|m| m.len())
         .map_err(|e| format!("{out_file}: {e}"))?;
     println!("recorded {count} instructions ({bytes} bytes) to {out_file}");
     Ok(())
+}
+
+/// Writes one pass of `source` to a new trace file at `path`, returning
+/// the finished file and its record count.
+fn record_trace(
+    mut source: Box<dyn TraceSource>,
+    path: &str,
+) -> Result<(std::fs::File, u64), String> {
+    let at_path = |e: TraceFileError| format!("{path}: {e}");
+    let mut writer = TraceWriter::create(path).map_err(at_path)?;
+    while let Some(r) = source.next_record() {
+        writer.write_record(&r).map_err(at_path)?;
+    }
+    writer.finish().map_err(at_path)
 }
 
 /// `pythia-cli trace replay <file> <prefetcher>` — simulates straight
@@ -744,16 +743,17 @@ fn trace_replay(args: &ParsedArgs) -> Result<(), String> {
         ));
     }
     let spec = spec_from(args)?;
-    // The first open fully validates the file; the baseline pass then
-    // reopens it on the header-only fast path instead of re-scanning.
-    let validated: Box<dyn TraceSource> =
-        Box::new(FileTraceSource::open(file).map_err(|e| format!("{file}: {e}"))?);
-    let trusted: Box<dyn TraceSource> =
-        Box::new(FileTraceSource::open_trusted(file).map_err(|e| format!("{file}: {e}"))?);
+    // One validated source per pass: the baseline's and the prefetcher's.
+    let open = || -> Result<Box<dyn TraceSource>, String> {
+        Ok(Box::new(
+            FileTraceSource::open(file).map_err(|e| format!("{file}: {e}"))?,
+        ))
+    };
+    let (baseline_source, source) = (open()?, open()?);
     let (baseline, report, throughput) = timed_pair(
         &spec,
-        || run_sources(vec![trusted], "none", &spec),
-        || run_sources(vec![validated], prefetcher, &spec),
+        || run_sources(vec![baseline_source], "none", &spec),
+        || run_sources(vec![source], prefetcher, &spec),
     );
     print_run_summary(file, prefetcher, &baseline, &report, throughput)?;
     maybe_write_report_json(args, &report)

@@ -153,6 +153,14 @@ fn budgets_without_llc_misses_are_errors_not_panics() {
     }
 }
 
+/// Records one pass of the trace file at `path` yields, decoded the way
+/// `trace replay` decodes it.
+fn replayed_records(path: &std::path::Path) -> usize {
+    use pythia_sim::trace::{FileTraceSource, TraceSource};
+    let mut src = FileTraceSource::open(path).expect("decodable trace");
+    std::iter::from_fn(|| src.next_record()).count()
+}
+
 #[test]
 fn trace_record_writes_a_decodable_file() {
     let dir = std::env::temp_dir().join("pythia_cli_smoke");
@@ -169,9 +177,7 @@ fn trace_record_writes_a_decodable_file() {
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("recorded 5000 instructions"));
-    let bytes = std::fs::read(&path).expect("trace file written");
-    let records = pythia_sim::trace::decode_trace(bytes.as_slice()).expect("decodable trace");
-    assert_eq!(records.len(), 5000);
+    assert_eq!(replayed_records(&path), 5000);
     std::fs::remove_file(&path).ok();
 }
 
@@ -305,9 +311,7 @@ fn trace_gen_writes_traces_and_summary() {
     let files: Vec<_> = std::fs::read_dir(&dir).expect("out dir").collect();
     assert_eq!(files.len(), 6, "one trace file per expected-profile unit");
     // Spot-check one file decodes.
-    let bytes = std::fs::read(dir.join("exp-stream.trace")).expect("trace file");
-    let records = pythia_sim::trace::decode_trace(bytes.as_slice()).expect("decodable");
-    assert_eq!(records.len(), 2000);
+    assert_eq!(replayed_records(&dir.join("exp-stream.trace")), 2000);
     std::fs::remove_dir_all(&dir).ok();
 }
 

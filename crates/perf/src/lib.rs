@@ -42,9 +42,7 @@ use pythia_sim::cache::{AccessKind, Cache, Lookup, MshrFile};
 use pythia_sim::config::{CoreConfig, SystemConfig};
 use pythia_sim::cpu::CoreModel;
 use pythia_sim::prefetch::{Prefetcher, SystemFeedback};
-use pythia_sim::trace::{
-    decode_trace, encode_trace, FileTraceSource, MemOp, TraceRecord, TraceSource, TraceWriter,
-};
+use pythia_sim::trace::{FileTraceSource, MemOp, TraceRecord, TraceSource, TraceWriter};
 use pythia_stats::bench::{BenchMeasurement, BenchReport};
 
 use fixtures::scaled;
@@ -219,6 +217,35 @@ fn json_parse_bench(scale: f64, doc_bytes: usize) -> (u64, Box<dyn FnMut()>) {
             }
         }),
     )
+}
+
+/// A fixture trace file, opened once: the benchmark closure owns it, and
+/// the file is removed when the closure is dropped after its last
+/// repetition.
+struct FixtureTrace {
+    path: std::path::PathBuf,
+    source: FileTraceSource,
+}
+
+impl FixtureTrace {
+    /// Writes `fixtures::trace_records(n)` to a temporary file and opens it.
+    fn open(tag: &str, n: usize) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("pythia_perf_{tag}_{}_{n}.pytr", std::process::id()));
+        let mut writer = TraceWriter::create(&path).expect("create fixture trace");
+        for r in fixtures::trace_records(n) {
+            writer.write_record(&r).expect("write fixture record");
+        }
+        writer.finish().expect("finish fixture trace");
+        let source = FileTraceSource::open(&path).expect("open fixture trace");
+        Self { path, source }
+    }
+}
+
+impl Drop for FixtureTrace {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
+    }
 }
 
 /// Every registered microbenchmark, in report order.
@@ -523,12 +550,14 @@ pub fn registry() -> Vec<BenchDef> {
             unit: "records",
             build: |scale| {
                 let n = scaled(500_000, scale);
-                let encoded = encode_trace(&fixtures::trace_records(n));
+                let mut trace = FixtureTrace::open("decode", n);
                 (
                     n as u64,
                     Box::new(move || {
-                        let decoded = decode_trace(encoded.clone()).expect("valid fixture");
-                        black_box(decoded.len());
+                        trace.source.reset();
+                        drain_batches(&mut trace.source, |batch| {
+                            black_box(batch.len());
+                        });
                     }),
                 )
             },
@@ -538,30 +567,13 @@ pub fn registry() -> Vec<BenchDef> {
             unit: "records",
             build: |scale| {
                 let n = scaled(500_000, scale);
-                // The guard owns the fixture file and removes it when the
-                // benchmark closure is dropped after its last repetition.
-                struct TempTrace(std::path::PathBuf);
-                impl Drop for TempTrace {
-                    fn drop(&mut self) {
-                        std::fs::remove_file(&self.0).ok();
-                    }
-                }
-                let file = TempTrace(std::env::temp_dir().join(format!(
-                    "pythia_perf_replay_{}_{n}.pytr",
-                    std::process::id()
-                )));
-                let mut writer = TraceWriter::create(&file.0).expect("create fixture trace");
-                for r in fixtures::trace_records(n) {
-                    writer.write_record(&r).expect("write fixture record");
-                }
-                writer.finish().expect("finish fixture trace");
+                let mut trace = FixtureTrace::open("replay", n);
                 (
                     n as u64,
                     Box::new(move || {
-                        let mut src =
-                            FileTraceSource::open_trusted(&file.0).expect("open fixture trace");
+                        trace.source.reset();
                         let mut count = 0u64;
-                        while let Some(r) = src.next_record() {
+                        while let Some(r) = trace.source.next_record() {
                             black_box(r.pc);
                             count += 1;
                         }

@@ -9,10 +9,10 @@
 //! without ever materializing them in memory:
 //!
 //! * [`VecSource`] — wraps an in-memory `Vec<TraceRecord>`,
-//! * [`TraceWriter`] — incremental encoder writing the binary format
-//!   record-by-record (the streaming counterpart of [`encode_trace`]),
-//! * [`FileTraceSource`] — streams records back from a trace file in O(1)
-//!   memory (the streaming counterpart of [`decode_trace`]),
+//! * [`TraceWriter`] — the encoder, writing the binary format record by
+//!   record,
+//! * [`FileTraceSource`] — the decoder, streaming records back from a
+//!   trace file in O(1) memory,
 //! * [`trace_file_info`] — one streaming pass computing header + mix
 //!   statistics for `pythia-cli trace info`,
 //! * [`ReadAhead`] — any source, produced on another CPU in whole batches.
@@ -20,7 +20,6 @@
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 mod read_ahead;
@@ -266,29 +265,6 @@ const FLAG_TAKEN: u8 = 1 << 3;
 const FLAG_MISPREDICTED: u8 = 1 << 4;
 const FLAG_DEPENDENT: u8 = 1 << 5;
 
-/// Errors produced when decoding a binary trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeTraceError {
-    /// The buffer did not start with the expected magic bytes.
-    BadMagic,
-    /// The format version is not supported by this build.
-    UnsupportedVersion(u16),
-    /// The buffer ended mid-record.
-    Truncated,
-}
-
-impl std::fmt::Display for DecodeTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadMagic => write!(f, "buffer is not a pythia trace (bad magic)"),
-            Self::UnsupportedVersion(v) => write!(f, "unsupported trace format version {v}"),
-            Self::Truncated => write!(f, "trace buffer ended mid-record"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeTraceError {}
-
 /// The flag byte of one record's binary encoding.
 fn record_flags(r: &TraceRecord) -> u8 {
     let mut flags = 0u8;
@@ -323,25 +299,9 @@ fn record_len(flags: u8) -> usize {
     9 + 8 * usize::from(flags & FLAG_HAS_MEM)
 }
 
-/// Encodes one record into a stack buffer, returning the buffer and the
-/// encoded length — the single wire definition shared by [`encode_trace`]
-/// and [`TraceWriter::write_record`].
-fn encode_record(r: &TraceRecord) -> ([u8; MAX_RECORD_LEN], usize) {
-    let mut buf = [0u8; MAX_RECORD_LEN];
-    buf[0] = record_flags(r);
-    buf[1..9].copy_from_slice(&r.pc.to_be_bytes());
-    match r.mem {
-        Some(m) => {
-            buf[9..17].copy_from_slice(&m.addr.to_be_bytes());
-            (buf, MAX_RECORD_LEN)
-        }
-        None => (buf, 9),
-    }
-}
-
 /// Reassembles a record from its decoded wire parts — the single inverse
-/// of [`encode_record`], shared by [`decode_trace`] and the streaming
-/// file reader.
+/// of [`TraceWriter::write_record`], shared by the reader's general and
+/// buffered paths.
 fn record_from_parts(flags: u8, pc: u64, addr: Option<u64>) -> TraceRecord {
     TraceRecord {
         pc,
@@ -357,82 +317,41 @@ fn record_from_parts(flags: u8, pc: u64, addr: Option<u64>) -> TraceRecord {
     }
 }
 
-/// Encodes a trace into the compact binary format.
-pub fn encode_trace(records: &[TraceRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + records.len() * 10);
-    buf.put_u32(TRACE_MAGIC);
-    buf.put_u16(TRACE_VERSION);
-    buf.put_u64(records.len() as u64);
-    for r in records {
-        let (bytes, len) = encode_record(r);
-        buf.put_slice(&bytes[..len]);
-    }
-    buf.freeze()
-}
-
-/// Decodes a trace previously produced by [`encode_trace`].
-///
-/// # Errors
-///
-/// Returns [`DecodeTraceError`] if the buffer is not a valid trace.
-pub fn decode_trace(mut buf: impl Buf) -> Result<Vec<TraceRecord>, DecodeTraceError> {
-    if buf.remaining() < 14 {
-        return Err(DecodeTraceError::Truncated);
-    }
-    if buf.get_u32() != TRACE_MAGIC {
-        return Err(DecodeTraceError::BadMagic);
-    }
-    let version = buf.get_u16();
-    if version != TRACE_VERSION {
-        return Err(DecodeTraceError::UnsupportedVersion(version));
-    }
-    let n = buf.get_u64() as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 9 {
-            return Err(DecodeTraceError::Truncated);
-        }
-        let flags = buf.get_u8();
-        let pc = buf.get_u64();
-        let addr = if flags & FLAG_HAS_MEM != 0 {
-            if buf.remaining() < 8 {
-                return Err(DecodeTraceError::Truncated);
-            }
-            Some(buf.get_u64())
-        } else {
-            None
-        };
-        out.push(record_from_parts(flags, pc, addr));
-    }
-    Ok(out)
-}
-
-/// Errors produced by the file-backed trace paths ([`TraceWriter`],
+/// Errors produced by the trace file paths ([`TraceWriter`],
 /// [`FileTraceSource`], [`trace_file_info`]).
 #[derive(Debug)]
 pub enum TraceFileError {
     /// An underlying I/O failure.
     Io(std::io::Error),
-    /// The file's contents are not a valid trace.
-    Decode(DecodeTraceError),
+    /// The file did not start with the expected magic bytes.
+    BadMagic,
+    /// The format version is not supported by this build.
+    UnsupportedVersion(u16),
+    /// The file ended mid-record (or mid-header).
+    Truncated,
     /// The header promised `header` records but the file holds `actual`.
     CountMismatch {
         /// Record count claimed by the header.
         header: u64,
-        /// Records actually present before EOF / truncation.
+        /// Whole records present before end of file.
         actual: u64,
     },
+    /// A valid, finished trace of zero records: nothing to replay.
+    Empty,
 }
 
 impl std::fmt::Display for TraceFileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Io(e) => write!(f, "trace file I/O error: {e}"),
-            Self::Decode(e) => write!(f, "{e}"),
+            Self::BadMagic => write!(f, "buffer is not a pythia trace (bad magic)"),
+            Self::UnsupportedVersion(v) => write!(f, "unsupported trace format version {v}"),
+            Self::Truncated => write!(f, "trace buffer ended mid-record"),
             Self::CountMismatch { header, actual } => write!(
                 f,
                 "trace header promises {header} record(s) but the file holds {actual}"
             ),
+            Self::Empty => write!(f, "trace holds no records"),
         }
     }
 }
@@ -441,8 +360,7 @@ impl std::error::Error for TraceFileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io(e) => Some(e),
-            Self::Decode(e) => Some(e),
-            Self::CountMismatch { .. } => None,
+            _ => None,
         }
     }
 }
@@ -453,22 +371,15 @@ impl From<std::io::Error> for TraceFileError {
     }
 }
 
-impl From<DecodeTraceError> for TraceFileError {
-    fn from(e: DecodeTraceError) -> Self {
-        Self::Decode(e)
-    }
-}
-
-/// Incremental encoder for the binary trace format: the streaming
-/// counterpart of [`encode_trace`], producing byte-identical output
+/// The encoder of the binary trace format, writing record by record
 /// without ever holding the trace in memory.
 ///
 /// The header's record count is back-patched on
 /// [`finish`](TraceWriter::finish), so the sink must support seeking (a
 /// [`std::fs::File`] does). Dropping a writer without calling `finish`
 /// leaves a file whose header claims zero records — [`FileTraceSource`]
-/// and [`trace_file_info`] reject such files with
-/// [`TraceFileError::CountMismatch`].
+/// and [`trace_file_info`] reject it with
+/// [`TraceFileError::CountMismatch`] once it holds a record.
 pub struct TraceWriter<W: Write + Seek> {
     out: BufWriter<W>,
     count: u64,
@@ -506,8 +417,13 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Returns any I/O error from the sink.
     pub fn write_record(&mut self, r: &TraceRecord) -> Result<(), TraceFileError> {
-        let (bytes, len) = encode_record(r);
-        self.out.write_all(&bytes[..len])?;
+        let mut buf = [0u8; MAX_RECORD_LEN];
+        buf[0] = record_flags(r);
+        buf[1..9].copy_from_slice(&r.pc.to_be_bytes());
+        if let Some(m) = r.mem {
+            buf[9..17].copy_from_slice(&m.addr.to_be_bytes());
+        }
+        self.out.write_all(&buf[..record_len(buf[0])])?;
         self.count += 1;
         Ok(())
     }
@@ -593,7 +509,7 @@ impl RecordReader {
     }
 
     /// Decodes the next record. `Ok(None)` means clean EOF at a record
-    /// boundary; [`DecodeTraceError::Truncated`] means the file ended
+    /// boundary; [`TraceFileError::Truncated`] means the file ended
     /// mid-record.
     #[inline]
     fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceFileError> {
@@ -604,7 +520,7 @@ impl RecordReader {
         let flags = self.buf[self.pos];
         let need = record_len(flags);
         if have < need {
-            return Err(DecodeTraceError::Truncated.into());
+            return Err(TraceFileError::Truncated);
         }
         let b = &self.buf[self.pos..self.pos + need];
         let pc = u64::from_be_bytes(b[1..9].try_into().expect("8-byte pc"));
@@ -659,7 +575,7 @@ impl RecordReader {
                 // Last bytes of the file: at most one short record fits.
                 let need = record_len(self.buf[self.pos]);
                 if have < need {
-                    return Err(DecodeTraceError::Truncated.into());
+                    return Err(TraceFileError::Truncated);
                 }
                 self.pos += need;
                 count += 1;
@@ -677,15 +593,15 @@ impl RecordReader {
     fn read_header(&mut self) -> Result<u64, TraceFileError> {
         let n = TRACE_HEADER_LEN as usize;
         if self.available(n)? < n {
-            return Err(DecodeTraceError::Truncated.into());
+            return Err(TraceFileError::Truncated);
         }
         let header = &self.buf[self.pos..self.pos + n];
         if u32::from_be_bytes(header[0..4].try_into().expect("4-byte magic")) != TRACE_MAGIC {
-            return Err(DecodeTraceError::BadMagic.into());
+            return Err(TraceFileError::BadMagic);
         }
         let version = u16::from_be_bytes(header[4..6].try_into().expect("2-byte version"));
         if version != TRACE_VERSION {
-            return Err(DecodeTraceError::UnsupportedVersion(version).into());
+            return Err(TraceFileError::UnsupportedVersion(version));
         }
         let count = u64::from_be_bytes(header[6..14].try_into().expect("8-byte count"));
         self.pos += n;
@@ -702,8 +618,8 @@ impl RecordReader {
 }
 
 /// A [`TraceSource`] streaming records from a binary trace file in O(1)
-/// memory: the replay path for `pythia-cli trace replay` and the
-/// counterpart of the all-at-once [`decode_trace`].
+/// memory: the decoder of the format, and the replay path for
+/// `pythia-cli trace replay`.
 ///
 /// [`open`](FileTraceSource::open) validates the entire file up front (one
 /// streaming pass checking the header count and record framing), so the
@@ -734,61 +650,33 @@ impl FileTraceSource {
     /// # Errors
     ///
     /// Returns [`TraceFileError`] on I/O failures, a bad header, torn
-    /// records, or a header/content record-count mismatch. A valid file
-    /// with zero records is also rejected (a [`TraceSource`] must be
-    /// non-empty).
+    /// records, or a header/content record-count mismatch (an unfinished
+    /// [`TraceWriter`] among them). A finished file of zero records is
+    /// [`TraceFileError::Empty`]: a [`TraceSource`] must be non-empty.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let mut src = Self::open_trusted(path)?;
-        // Validation pass: every record must be whole, and the count must
-        // match the header exactly (no trailing garbage, no truncation).
-        let actual = src.reader.skip_records()?;
-        if actual != src.total {
-            return Err(TraceFileError::CountMismatch {
-                header: src.total,
-                actual,
-            });
-        }
-        src.reset();
-        Ok(src)
-    }
-
-    /// Opens a trace file checking only the header (magic, version, a
-    /// non-zero record count) — skipping [`open`](FileTraceSource::open)'s
-    /// O(n) framing scan. For callers that validated the same file moments
-    /// before (e.g. a second replay pass); a file modified since then
-    /// aborts mid-replay with a panic naming the file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceFileError`] on I/O failures, a bad header, or a
-    /// zero-record count (an unfinished [`TraceWriter`] or empty trace).
-    pub fn open_trusted(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         let path = path.as_ref().to_path_buf();
         let mut reader = RecordReader::new(std::fs::File::open(&path)?);
         let total = reader.read_header()?;
-        if total == 0 {
+        // Validation pass: every record must be whole, and the count must
+        // match the header exactly (no trailing garbage, no truncation).
+        let actual = reader.skip_records()?;
+        if actual != total {
             return Err(TraceFileError::CountMismatch {
-                header: 0,
-                actual: 0,
+                header: total,
+                actual,
             });
         }
-        Ok(Self {
+        if total == 0 {
+            return Err(TraceFileError::Empty);
+        }
+        let mut src = Self {
             reader,
             path,
             total,
             remaining: total,
-        })
-    }
-
-    /// Records per pass (the header count).
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether the file holds no records (never true for an opened source;
-    /// [`open`](FileTraceSource::open) rejects empty files).
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
+        };
+        src.reset();
+        Ok(src)
     }
 
     /// The next record of a pass known to hold one (`remaining > 0`).
@@ -944,36 +832,90 @@ mod tests {
         ]
     }
 
+    /// `sample()` on the wire, written out by hand: the 14-byte header
+    /// (magic "PYTR", version 1, record count 6), then one record per
+    /// line — the flag byte, the big-endian pc, and the big-endian addr
+    /// iff the record touches memory.
+    #[rustfmt::skip]
+    const SAMPLE_BYTES: [u8; 92] = [
+        b'P', b'Y', b'T', b'R', 0, 1, 0, 0, 0, 0, 0, 0, 0, 6,
+        0x00, 0, 0, 0, 0, 0, 0x40, 0, 0x00,
+        0x01, 0, 0, 0, 0, 0, 0x40, 0, 0x04, 0, 0, 0, 0, 0xde, 0xad, 0, 0x40,
+        0x03, 0, 0, 0, 0, 0, 0x40, 0, 0x08, 0, 0, 0, 0, 0xbe, 0xef, 0, 0x80,
+        0x0c, 0, 0, 0, 0, 0, 0x40, 0, 0x0c,
+        0x14, 0, 0, 0, 0, 0, 0x40, 0, 0x10,
+        0x21, 0, 0, 0, 0, 0, 0x40, 0, 0x14, 0, 0, 0, 0, 0xaa, 0xaa, 0, 0,
+    ];
+
+    /// `records` as a finished [`TraceWriter`] lays them out.
+    fn encoded(records: &[TraceRecord]) -> Vec<u8> {
+        let mut w = TraceWriter::new(std::io::Cursor::new(Vec::new())).expect("header");
+        for r in records {
+            w.write_record(r).expect("write");
+        }
+        let (sink, n) = w.finish().expect("finish");
+        assert_eq!(n, records.len() as u64);
+        sink.into_inner()
+    }
+
+    /// What [`FileTraceSource::open`] and [`trace_file_info`] each say
+    /// about a file holding `bytes`.
+    fn verdicts(name: &str, bytes: &[u8]) -> (String, String) {
+        let path = temp_path(name);
+        std::fs::write(&path, bytes).expect("write");
+        let said = (
+            outcome(FileTraceSource::open(&path)),
+            outcome(trace_file_info(&path)),
+        );
+        std::fs::remove_file(&path).ok();
+        said
+    }
+
+    /// The same verdict from both readers.
+    fn both(verdict: &str) -> (String, String) {
+        (verdict.into(), verdict.into())
+    }
+
+    #[test]
+    fn writer_output_is_the_pinned_wire_format() {
+        assert_eq!(encoded(&sample()), SAMPLE_BYTES);
+    }
+
     #[test]
     fn roundtrip_codec() {
-        let original = sample();
-        let encoded = encode_trace(&original);
-        let decoded = decode_trace(encoded).expect("decode");
-        assert_eq!(original, decoded);
+        let records = mixed_records(1_000);
+        let path = temp_path("roundtrip.pytr");
+        let mut w = TraceWriter::create(&path).expect("create");
+        for r in &records {
+            w.write_record(r).expect("write");
+        }
+        w.finish().expect("finish");
+        let mut src = FileTraceSource::open(&path).expect("open");
+        let decoded: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
+        assert_eq!(decoded, records);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        let garbage = Bytes::from_static(&[0u8; 32]);
-        assert_eq!(decode_trace(garbage), Err(DecodeTraceError::BadMagic));
+        assert_eq!(verdicts("garbage.pytr", &[0u8; 32]), both("BadMagic"));
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let encoded = encode_trace(&sample());
-        let cut = encoded.slice(0..encoded.len() - 4);
-        assert_eq!(decode_trace(cut), Err(DecodeTraceError::Truncated));
+        let cut = &SAMPLE_BYTES[..SAMPLE_BYTES.len() - 4];
+        assert_eq!(verdicts("cut.pytr", cut), both("Truncated"));
+        let header_only = &SAMPLE_BYTES[..TRACE_HEADER_LEN as usize - 1];
+        assert_eq!(verdicts("cut.pytr", header_only), both("Truncated"));
     }
 
     #[test]
     fn decode_rejects_wrong_version() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(TRACE_MAGIC);
-        buf.put_u16(99);
-        buf.put_u64(0);
+        let mut bytes = SAMPLE_BYTES;
+        bytes[4..6].copy_from_slice(&99u16.to_be_bytes());
         assert_eq!(
-            decode_trace(buf.freeze()),
-            Err(DecodeTraceError::UnsupportedVersion(99))
+            verdicts("version.pytr", &bytes),
+            both("UnsupportedVersion(99)")
         );
     }
 
@@ -988,8 +930,13 @@ mod tests {
 
     #[test]
     fn empty_trace_roundtrip() {
-        let encoded = encode_trace(&[]);
-        assert_eq!(decode_trace(encoded).unwrap(), Vec::new());
+        let bytes = encoded(&[]);
+        assert_eq!(bytes, [&SAMPLE_BYTES[..6], &[0; 8]].concat(), "header only");
+        // `trace info` reports zero records; a replay has nothing to replay.
+        assert_eq!(
+            verdicts("empty.pytr", &bytes),
+            ("Empty".into(), "ok".into())
+        );
     }
 
     #[test]
@@ -1026,7 +973,7 @@ mod tests {
 
         // FileTraceSource override.
         let path = temp_path("batch.pytr");
-        std::fs::write(&path, encode_trace(&records)).expect("write trace");
+        std::fs::write(&path, SAMPLE_BYTES).expect("write trace");
         let mut src = FileTraceSource::open(&path).expect("open");
         let mut out = Vec::new();
         assert_eq!(src.next_batch(&mut out, 4), 4);
@@ -1061,27 +1008,11 @@ mod tests {
     }
 
     #[test]
-    fn writer_output_is_byte_identical_to_encode_trace() {
-        let records = sample();
-        let path = temp_path("writer_bytes.pytr");
-        let mut w = TraceWriter::create(&path).expect("create");
-        for r in &records {
-            w.write_record(r).expect("write");
-        }
-        let (_, n) = w.finish().expect("finish");
-        assert_eq!(n, records.len() as u64);
-        let bytes = std::fs::read(&path).expect("read back");
-        assert_eq!(bytes, encode_trace(&records).to_vec());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn file_source_replays_and_resets() {
         let records = sample();
         let path = temp_path("file_source.pytr");
-        std::fs::write(&path, encode_trace(&records)).expect("write trace");
+        std::fs::write(&path, SAMPLE_BYTES).expect("write trace");
         let mut src = FileTraceSource::open(&path).expect("open");
-        assert_eq!(src.len(), records.len() as u64);
         assert_eq!(src.len_hint(), Some(records.len() as u64));
         let first: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
         assert_eq!(first, records);
@@ -1093,35 +1024,38 @@ mod tests {
 
     #[test]
     fn file_source_rejects_bad_and_torn_files() {
-        let path = temp_path("garbage.pytr");
-        std::fs::write(&path, [0u8; 32]).expect("write");
+        // Bad headers and records torn mid-way: the `decode_rejects_*` tests.
+        // Chop a whole record off the tail: count mismatch.
+        let path = temp_path("torn.pytr");
+        std::fs::write(&path, &SAMPLE_BYTES[..SAMPLE_BYTES.len() - 17]).expect("write");
         assert!(matches!(
             FileTraceSource::open(&path),
-            Err(TraceFileError::Decode(DecodeTraceError::BadMagic))
+            Err(TraceFileError::CountMismatch {
+                header: 6,
+                actual: 5
+            })
         ));
 
-        // Truncate a valid trace mid-record: framing error.
-        let encoded = encode_trace(&sample());
-        std::fs::write(&path, &encoded[..encoded.len() - 4]).expect("write");
-        assert!(matches!(
-            FileTraceSource::open(&path),
-            Err(TraceFileError::Decode(DecodeTraceError::Truncated))
-        ));
-
-        // Chop whole records off the tail: count mismatch.
-        std::fs::write(&path, &encoded[..encoded.len() - 17]).expect("write");
-        assert!(matches!(
-            FileTraceSource::open(&path),
-            Err(TraceFileError::CountMismatch { .. })
-        ));
-
-        // An unfinished writer leaves a zero-count header.
+        // An unfinished writer leaves a zero-count header in front of the
+        // records it wrote: the count the error reports is the file's.
         let mut w = TraceWriter::create(&path).expect("create");
         w.write_record(&TraceRecord::nop(1)).expect("write");
         drop(w); // no finish()
         assert!(matches!(
             FileTraceSource::open(&path),
-            Err(TraceFileError::CountMismatch { header: 0, .. })
+            Err(TraceFileError::CountMismatch {
+                header: 0,
+                actual: 1
+            })
+        ));
+
+        // A finished trace of no records is whole, and empty.
+        TraceWriter::create(&path)
+            .and_then(TraceWriter::finish)
+            .expect("finish");
+        assert!(matches!(
+            FileTraceSource::open(&path),
+            Err(TraceFileError::Empty)
         ));
         std::fs::remove_file(&path).ok();
     }
@@ -1145,18 +1079,22 @@ mod tests {
     /// `next_record` path, counted — the reference the framing walk must
     /// agree with.
     fn open_by_full_decode(path: &Path) -> Result<u64, TraceFileError> {
-        let mut src = FileTraceSource::open_trusted(path)?;
+        let mut reader = RecordReader::new(std::fs::File::open(path)?);
+        let total = reader.read_header()?;
         let mut actual = 0u64;
-        while src.reader.next_record()?.is_some() {
+        while reader.next_record()?.is_some() {
             actual += 1;
         }
-        if actual != src.total {
+        if actual != total {
             return Err(TraceFileError::CountMismatch {
-                header: src.total,
+                header: total,
                 actual,
             });
         }
-        Ok(src.total)
+        if total == 0 {
+            return Err(TraceFileError::Empty);
+        }
+        Ok(total)
     }
 
     /// Variant and numbers of an open outcome, comparable across the two
@@ -1182,7 +1120,7 @@ mod tests {
     #[test]
     fn framing_validation_agrees_with_full_decode_on_damaged_files() {
         let records = mixed_records(200);
-        let encoded = encode_trace(&records).to_vec();
+        let encoded = encoded(&records);
         let path = temp_path("faults.pytr");
 
         // Every truncation offset, header included.
@@ -1208,7 +1146,7 @@ mod tests {
             assert_ne!(verdict, "ok");
             seen.insert(verdict);
         }
-        assert!(seen.contains("Decode(Truncated)"), "{seen:?}");
+        assert!(seen.contains("Truncated"), "{seen:?}");
         assert!(
             seen.contains("CountMismatch { header: 200, actual: 201 }"),
             "{seen:?}"
@@ -1228,12 +1166,12 @@ mod tests {
 
     /// A file larger than the reader's refill buffer: the framing walk and
     /// the batch decode both straddle refills, cuts around the refill
-    /// boundary get the full decode's verdict, and `open`, `open_trusted`
-    /// and the record-by-record path replay one stream over two passes.
+    /// boundary get the full decode's verdict, and batches of two sizes and
+    /// the record-by-record path replay one stream over two passes.
     #[test]
-    fn open_and_open_trusted_replay_identical_streams_across_refills() {
+    fn open_replays_identical_streams_across_refills() {
         let records = mixed_records(8_000);
-        let encoded = encode_trace(&records).to_vec();
+        let encoded = encoded(&records);
         assert!(encoded.len() > READER_BUF_LEN + 1_000);
         let path = temp_path("refill.pytr");
         for cut in READER_BUF_LEN - 20..READER_BUF_LEN + 20 {
@@ -1241,19 +1179,19 @@ mod tests {
         }
         assert_eq!(assert_same_verdict(&path, &encoded, "intact"), "ok");
 
-        let mut validated = FileTraceSource::open(&path).expect("open");
-        let mut trusted = FileTraceSource::open_trusted(&path).expect("open_trusted");
+        let mut wide = FileTraceSource::open(&path).expect("open");
+        let mut narrow = FileTraceSource::open(&path).expect("open");
         let mut one_by_one = FileTraceSource::open(&path).expect("open");
         for pass in 0..2 {
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            while validated.next_batch(&mut a, 64) > 0 {}
-            while trusted.next_batch(&mut b, 7) > 0 {}
+            while wide.next_batch(&mut a, 64) > 0 {}
+            while narrow.next_batch(&mut b, 7) > 0 {}
             let c: Vec<TraceRecord> = std::iter::from_fn(|| one_by_one.next_record()).collect();
-            assert_eq!(a, records, "open, pass {pass}");
-            assert_eq!(b, records, "open_trusted, pass {pass}");
+            assert_eq!(a, records, "batches of 64, pass {pass}");
+            assert_eq!(b, records, "batches of 7, pass {pass}");
             assert_eq!(c, records, "next_record, pass {pass}");
-            validated.reset();
-            trusted.reset();
+            wide.reset();
+            narrow.reset();
             one_by_one.reset();
         }
         std::fs::remove_file(&path).ok();
@@ -1261,9 +1199,8 @@ mod tests {
 
     #[test]
     fn info_summarizes_the_mix() {
-        let records = sample();
         let path = temp_path("info.pytr");
-        std::fs::write(&path, encode_trace(&records)).expect("write trace");
+        std::fs::write(&path, SAMPLE_BYTES).expect("write trace");
         let info = trace_file_info(&path).expect("info");
         assert_eq!(info.records, 6);
         assert_eq!(info.loads, 2);
@@ -1273,7 +1210,7 @@ mod tests {
         assert_eq!(info.dependent_loads, 1);
         assert_eq!(info.addr_range, Some((0xaaaa_0000, 0xdead_0040)));
         assert_eq!(info.version, TRACE_VERSION);
-        assert_eq!(info.file_bytes, encode_trace(&records).len() as u64);
+        assert_eq!(info.file_bytes, SAMPLE_BYTES.len() as u64);
         std::fs::remove_file(&path).ok();
     }
 }

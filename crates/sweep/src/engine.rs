@@ -18,7 +18,8 @@
 
 use std::collections::HashMap;
 
-use pythia::runner::{build_pythia_with, run_parallel, run_sources, run_sources_with};
+use pythia::runner::{run_parallel, run_sources, run_sources_with};
+use pythia_core::Pythia;
 use pythia_sim::stats::{SimReport, Throughput};
 use pythia_sim::trace::TraceSource;
 use pythia_stats::metrics;
@@ -85,7 +86,9 @@ fn simulate(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: 
         PrefetcherKind::Named(name) => run_sources(sources, name, &spec),
         PrefetcherKind::Pythia(cfg) => {
             let cfg = cfg.clone();
-            run_sources_with(sources, &spec, move |_core| build_pythia_with(cfg.clone()))
+            run_sources_with(sources, &spec, move |_core| {
+                Box::new(Pythia::new(cfg.clone()))
+            })
         }
     }
 }

@@ -26,7 +26,7 @@ use pythia_prefetchers::stride::StridePrefetcher;
 use pythia_sim::config::SystemConfig;
 use pythia_sim::prefetch::Prefetcher;
 use pythia_sim::stats::SimReport;
-use pythia_sim::system::{System, WindowRow};
+use pythia_sim::system::System;
 use pythia_sim::trace::TraceSource;
 use pythia_workloads::Workload;
 
@@ -65,12 +65,6 @@ pub fn build_prefetcher(name: &str, seed: u64) -> Option<Box<dyn Prefetcher>> {
         ]))),
         other => registry::build(other, seed),
     }
-}
-
-/// Builds a Pythia with a custom configuration (for the customization
-/// experiments of §6.6).
-pub fn build_pythia_with(config: PythiaConfig) -> Box<dyn Prefetcher> {
-    Box::new(Pythia::new(config))
 }
 
 /// Warmup/measure instruction budgets (the paper's §5 methodology scaled to
@@ -153,50 +147,11 @@ pub fn run_sources(
     system.run(spec.warmup, spec.measure)
 }
 
-/// Like [`run_workload`], but with the simulator's windowed telemetry
-/// enabled: alongside the [`SimReport`], returns one vector of
-/// [`WindowRow`]s per core, each row covering `window` retired
-/// instructions of the measured phase. Telemetry is strictly read-only,
-/// so the report is byte-identical to [`run_workload`]'s
-/// (pinned by `tests/telemetry.rs`).
-pub fn run_workload_telemetry(
-    workload: &Workload,
-    prefetcher: &str,
-    spec: &RunSpec,
-    window: u64,
-) -> (SimReport, Vec<Vec<WindowRow>>) {
-    assert_eq!(
-        spec.system.cores, 1,
-        "run_workload_telemetry is single-core; use run_sources_telemetry"
-    );
-    run_sources_telemetry(
-        vec![workload.source(spec.trace_len())],
-        prefetcher,
-        spec,
-        window,
-    )
-}
-
-/// Telemetry-enabled variant of [`run_sources`] (see
-/// [`run_workload_telemetry`]).
-pub fn run_sources_telemetry(
-    sources: Vec<Box<dyn TraceSource>>,
-    prefetcher: &str,
-    spec: &RunSpec,
-    window: u64,
-) -> (SimReport, Vec<Vec<WindowRow>>) {
-    let mut system = build_system(sources, prefetcher, spec);
-    system.enable_telemetry(window);
-    let report = system.run(spec.warmup, spec.measure);
-    let rows = system.take_telemetry().expect("telemetry was enabled");
-    (report, rows)
-}
-
-/// Shared constructor for [`run_sources`] / [`run_sources_telemetry`]:
-/// both paths must derive identical per-core seeds or the telemetry
-/// variant would simulate a different system. Public so that a caller can
-/// hold the clock around [`System::run`] alone (`pythia-perf`'s `sim_step`
-/// ladder does).
+/// The system [`run_sources`] runs: the named prefetcher on every core,
+/// seeded per core. Public so that a caller can do more than run it —
+/// enable telemetry before [`System::run`] (`pythia-cli run
+/// --telemetry-json`), or hold the clock around `run` alone
+/// (`pythia-perf`'s `sim_step` ladder).
 ///
 /// # Panics
 ///

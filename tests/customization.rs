@@ -1,7 +1,7 @@
 //! Integration tests for the paper's customization story (§6.6): the same
 //! Pythia hardware re-targeted through configuration registers.
 
-use pythia::runner::{build_pythia_with, run_sources_with, run_workload, RunSpec};
+use pythia::runner::{run_sources_with, run_workload, RunSpec};
 use pythia_core::{ControlFlow, DataFlow, Feature, Pythia, PythiaConfig};
 use pythia_sim::prefetch::Prefetcher;
 use pythia_sim::trace::VecSource;
@@ -69,7 +69,7 @@ fn custom_feature_vector_is_honoured() {
     let spec = RunSpec::single_core().with_budget(10_000, 50_000);
     let c = cfg.clone();
     let report = run_sources_with(vec![VecSource::boxed(trace)], &spec, move |_| {
-        build_pythia_with(c.clone())
+        Box::new(Pythia::new(c.clone()))
     });
     assert!(report.cores[0].ipc() > 0.0);
     assert_eq!(Pythia::new(cfg).qvstore().vaults(), 1);
@@ -104,7 +104,7 @@ fn reward_register_changes_policy_direction() {
     let spec = RunSpec::single_core().with_budget(100_000, 300_000);
     let c = cfg.clone();
     let report = run_sources_with(vec![VecSource::boxed(trace)], &spec, move |_| {
-        build_pythia_with(c.clone())
+        Box::new(Pythia::new(c.clone()))
     });
     let issued = report.prefetchers[0].issued;
     assert!(
@@ -124,7 +124,7 @@ fn seed_controls_exploration_stream() {
     let run = |cfg: PythiaConfig| {
         let t = trace.clone();
         run_sources_with(vec![VecSource::boxed(t)], &spec, move |_| {
-            build_pythia_with(cfg.clone())
+            Box::new(Pythia::new(cfg.clone()))
         })
     };
     let a = run(cfg_a.clone());

@@ -10,7 +10,9 @@ use pythia_core::{PythiaConfig, QvStore};
 use pythia_sim::addr;
 use pythia_sim::cache::{AccessKind, Cache, ReplacementKind};
 use pythia_sim::config::CacheConfig;
-use pythia_sim::trace::{decode_trace, encode_trace, Branch, MemOp, TraceRecord};
+use pythia_sim::trace::{
+    Branch, FileTraceSource, MemOp, TraceFileError, TraceRecord, TraceSource, TraceWriter,
+};
 use pythia_workloads::generators::{PatternKind, TraceSpec};
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -34,9 +36,20 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
 proptest! {
     #[test]
     fn trace_codec_roundtrips(records in proptest::collection::vec(arb_record(), 0..200)) {
-        let encoded = encode_trace(&records);
-        let decoded = decode_trace(encoded).unwrap();
-        prop_assert_eq!(records, decoded);
+        let path = std::env::temp_dir().join(format!("pythia_prop_codec_{}.pytr", std::process::id()));
+        let mut writer = TraceWriter::create(&path).unwrap();
+        for r in &records {
+            writer.write_record(r).unwrap();
+        }
+        writer.finish().unwrap();
+        let decoded = FileTraceSource::open(&path)
+            .map(|mut src| std::iter::from_fn(|| src.next_record()).collect::<Vec<_>>());
+        std::fs::remove_file(&path).ok();
+        match decoded {
+            Ok(decoded) => prop_assert_eq!(records, decoded),
+            // A source is never empty: the one trace it refuses is the empty one.
+            Err(e) => prop_assert!(records.is_empty() && matches!(e, TraceFileError::Empty), "{e}"),
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! 1. the streaming generator yields exactly the sequence `generate()`
 //!    materializes (and replays it identically after a reset),
-//! 2. the binary codec round-trips (encode → decode → re-encode is
-//!    byte-identical), streaming writer included,
+//! 2. the binary codec round-trips (write → replay → re-write is
+//!    byte-identical, and a file written from the stream replays the
+//!    materialized sequence),
 //! 3. simulating from a stream, from a materialized `Vec`, and from a
 //!    recorded trace file all produce byte-identical [`SimReport`]s,
 //! 4. a stream read ahead on another thread ([`ReadAhead`]) is the inline
@@ -14,10 +15,31 @@ use pythia::runner::{run_sources, RunSpec};
 use pythia_sim::config::SystemConfig;
 use pythia_sim::stats::SimReport;
 use pythia_sim::trace::{
-    decode_trace, encode_trace, FileTraceSource, ReadAhead, TraceRecord, TraceSource, TraceWriter,
-    VecSource,
+    FileTraceSource, ReadAhead, TraceRecord, TraceSource, TraceWriter, VecSource,
 };
 use pythia_workloads::{all_suites, PatternKind, TraceSpec};
+
+/// A fresh trace-file path for `name` in `dir`.
+fn trace_path(dir: &str, name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir.join(format!("{name}_{}.pytr", std::process::id()))
+}
+
+/// Writes one pass of `source` to a trace file at `path`.
+fn record(source: &mut dyn TraceSource, path: &std::path::Path) {
+    let mut writer = TraceWriter::create(path).expect("create");
+    while let Some(r) = source.next_record() {
+        writer.write_record(&r).expect("write record");
+    }
+    writer.finish().expect("finish");
+}
+
+/// Opens the trace file at `path` and replays one pass of it.
+fn replay(path: &std::path::Path) -> Vec<TraceRecord> {
+    let mut src = FileTraceSource::open(path).expect("open");
+    std::iter::from_fn(|| src.next_record()).collect()
+}
 
 /// One spec per pattern class, small enough to simulate quickly.
 fn all_pattern_specs() -> Vec<TraceSpec> {
@@ -90,35 +112,34 @@ fn stream_reset_replays_identically() {
 fn codec_roundtrips_byte_identically_for_every_pattern() {
     for spec in all_pattern_specs() {
         let records = spec.generate();
-        let encoded = encode_trace(&records);
-        let decoded = decode_trace(encoded.clone()).expect("decode");
-        assert_eq!(records, decoded, "{}: decode(encode(t)) == t", spec.name);
-        let reencoded = encode_trace(&decoded);
+        let (first, second) = (
+            trace_path("pythia_trace_codec", &spec.name),
+            trace_path("pythia_trace_codec", &format!("{}-again", spec.name)),
+        );
+        record(&mut VecSource::new(records.clone()), &first);
+        let decoded = replay(&first);
+        assert_eq!(records, decoded, "{}: replay(write(t)) == t", spec.name);
+        record(&mut VecSource::new(decoded), &second);
         assert_eq!(
-            encoded, reencoded,
-            "{}: encode → decode → re-encode must be byte-identical",
+            std::fs::read(&first).expect("read back"),
+            std::fs::read(&second).expect("read back"),
+            "{}: write → replay → re-write must be byte-identical",
             spec.name
         );
+        std::fs::remove_file(&first).ok();
+        std::fs::remove_file(&second).ok();
     }
 }
 
 #[test]
-fn streaming_writer_matches_the_one_shot_encoder() {
-    let dir = std::env::temp_dir().join("pythia_trace_streaming");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+fn streaming_writer_file_replays_the_materialized_sequence() {
     for spec in all_pattern_specs() {
-        let path = dir.join(format!("{}_{}.pytr", spec.name, std::process::id()));
-        let mut writer = TraceWriter::create(&path).expect("create");
-        let mut stream = spec.stream();
-        while let Some(r) = stream.next_record() {
-            writer.write_record(&r).expect("write record");
-        }
-        writer.finish().expect("finish");
-        let on_disk = std::fs::read(&path).expect("read back");
+        let path = trace_path("pythia_trace_streaming", &spec.name);
+        record(&mut spec.stream(), &path);
         assert_eq!(
-            on_disk,
-            encode_trace(&spec.generate()).to_vec(),
-            "{}: streamed file must equal encode_trace output",
+            replay(&path),
+            spec.generate(),
+            "{}: a file written from the stream must replay generate()",
             spec.name
         );
         std::fs::remove_file(&path).ok();
@@ -131,8 +152,6 @@ fn simulate(source: Box<dyn TraceSource>, spec: &RunSpec) -> SimReport {
 
 #[test]
 fn streaming_materialized_and_file_replay_reports_are_byte_identical() {
-    let dir = std::env::temp_dir().join("pythia_trace_streaming_sim");
-    std::fs::create_dir_all(&dir).expect("temp dir");
     // Budgets force trace wrap-around (trace len 12 K < warmup+measure),
     // so the reset path is covered too.
     let run = RunSpec::single_core().with_budget(4_000, 16_000);
@@ -145,13 +164,8 @@ fn streaming_materialized_and_file_replay_reports_are_byte_identical() {
             spec.name
         );
 
-        let path = dir.join(format!("{}_{}.pytr", spec.name, std::process::id()));
-        let mut writer = TraceWriter::create(&path).expect("create");
-        let mut stream = spec.stream();
-        while let Some(r) = stream.next_record() {
-            writer.write_record(&r).expect("write record");
-        }
-        writer.finish().expect("finish");
+        let path = trace_path("pythia_trace_streaming_sim", &spec.name);
+        record(&mut spec.stream(), &path);
         let from_file = simulate(Box::new(FileTraceSource::open(&path).expect("open")), &run);
         assert_eq!(
             from_stream, from_file,
