@@ -19,8 +19,6 @@
 //! all available cores); machine-readable output comes from
 //! `pythia-cli sweep <figure> --format {md,json,csv}`.
 
-use pythia::runner::RunSpec;
-
 pub mod figures;
 
 /// Budget classes used by the harness.
@@ -76,12 +74,6 @@ pub fn budget(kind: Budget) -> (u64, u64) {
         ((w as f64 * scale) as u64).max(1_000),
         ((m as f64 * scale) as u64).max(4_000),
     )
-}
-
-/// A single-core [`RunSpec`] with the given budget class.
-pub fn spec(kind: Budget) -> RunSpec {
-    let (w, m) = budget(kind);
-    RunSpec::single_core().with_budget(w, m)
 }
 
 /// Worker thread count for harness fan-out: `PYTHIA_BENCH_THREADS` if set

@@ -1,6 +1,6 @@
 //! Subcommand implementations for `pythia-cli`.
 
-use pythia::runner::{build_prefetcher, build_system, run_sources, run_workload, RunSpec};
+use pythia::runner::{build_prefetcher, build_system, RunSpec};
 use pythia_core::hw_model;
 use pythia_core::pipeline::SearchPipeline;
 use pythia_core::PythiaConfig;
@@ -46,10 +46,10 @@ USAGE:
       [--filter SUBSTR] [--reps N] [--out FILE] the kernel-level microscope
       [--list]                                  (PYTHIA_BENCH_SCALE scales work;
                                                 --out saves the report as JSON)
-      [--sections]                              where a step's time goes instead:
-                                                the agent's phases by span timer,
-                                                the simulator's layers by ablation
-                                                (the sim_step ladder)
+      [--sections]                              where a step's time goes instead,
+                                                by ablation: the agent's phases
+                                                (agent_step ladder), then the
+                                                simulator's layers (sim_step)
   pythia-cli bench --compare <old> <new>        print the per-benchmark delta
                                                 table between two saved reports
                                                 of one host at one scale
@@ -114,7 +114,11 @@ fn spec_from(args: &ParsedArgs) -> Result<RunSpec, String> {
         let kb: u64 = kb
             .parse()
             .map_err(|_| format!("--llc-kb: bad value {kb:?}"))?;
-        system.llc.size_bytes = kb * 1024;
+        system.llc.size_bytes = kb.saturating_mul(1024);
+    }
+    system.validate()?;
+    if measure == 0 {
+        return Err("--measure must be positive".into());
     }
     Ok(RunSpec::single_core()
         .with_system(system)
@@ -206,24 +210,6 @@ fn print_run_summary(
     Ok(())
 }
 
-/// Runs the baseline + measured simulation pair under one wall-clock
-/// measurement: two runs of `warmup+measure` instructions each
-/// (single-core), however the sources are built.
-fn timed_pair(
-    spec: &RunSpec,
-    baseline: impl FnOnce() -> SimReport,
-    measured: impl FnOnce() -> SimReport,
-) -> (SimReport, SimReport, Throughput) {
-    let started = std::time::Instant::now();
-    let baseline = baseline();
-    let report = measured();
-    let throughput = Throughput::new(
-        2 * (spec.warmup + spec.measure),
-        started.elapsed().as_secs_f64(),
-    );
-    (baseline, report, throughput)
-}
-
 /// Writes an output artifact, creating missing parent directories first —
 /// `--out results/fig09/BENCH.json` should not fail with a raw io error
 /// just because `results/fig09/` does not exist yet.
@@ -279,36 +265,47 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
     let [workload, prefetcher] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli run <workload> <prefetcher> [options]".into());
     };
+    let w = find_workload(workload)?;
+    run_pair(args, &w.name, prefetcher, |spec| {
+        Ok(w.source(spec.trace_len()))
+    })
+}
+
+/// The one simulation path of `run` and `trace replay`: the baseline and
+/// `prefetcher`, each on its own pass of the stream `open` starts, timed
+/// as a pair. Prints the run summary, then honours `--telemetry-json`
+/// (only `run` accepts it; the report is byte-identical with it on or
+/// off, test-pinned) and `--report-json`.
+fn run_pair(
+    args: &ParsedArgs,
+    subject: &str,
+    prefetcher: &str,
+    open: impl Fn(&RunSpec) -> Result<Box<dyn TraceSource>, String>,
+) -> Result<(), String> {
     if build_prefetcher(prefetcher, 0).is_none() {
         return Err(format!(
             "unknown prefetcher {prefetcher:?}; see `pythia-cli list`"
         ));
     }
-    let w = find_workload(workload)?;
     let spec = spec_from(args)?;
     let window = args.opt_num("telemetry-window", 100_000u64)?;
     if window == 0 {
         return Err("--telemetry-window must be positive".into());
     }
-    // The telemetry sink rides alongside the measured run; the report is
-    // byte-identical with it on or off (test-pinned).
-    let mut windows = None;
-    let (baseline, report, throughput) = timed_pair(
-        &spec,
-        || run_workload(&w, "none", &spec),
-        || {
-            let mut system = build_system(vec![w.source(spec.trace_len())], prefetcher, &spec);
-            if args.opt("telemetry-json").is_some() {
-                system.enable_telemetry(window);
-            }
-            let report = system.run(spec.warmup, spec.measure);
-            windows = system.take_telemetry();
-            report
-        },
+    let started = std::time::Instant::now();
+    let baseline = build_system(vec![open(&spec)?], "none", &spec).run(spec.warmup, spec.measure);
+    let mut system = build_system(vec![open(&spec)?], prefetcher, &spec);
+    if args.opt("telemetry-json").is_some() {
+        system.enable_telemetry(window);
+    }
+    let report = system.run(spec.warmup, spec.measure);
+    let throughput = Throughput::new(
+        2 * (spec.warmup + spec.measure),
+        started.elapsed().as_secs_f64(),
     );
-    print_run_summary(&w.name, prefetcher, &baseline, &report, throughput)?;
-    if let (Some(path), Some(windows)) = (args.opt("telemetry-json"), &windows) {
-        write_artifact(path, &telemetry_jsonl(windows))?;
+    print_run_summary(subject, prefetcher, &baseline, &report, throughput)?;
+    if let (Some(path), Some(windows)) = (args.opt("telemetry-json"), system.take_telemetry()) {
+        write_artifact(path, &telemetry_jsonl(&windows))?;
         let rows: usize = windows.iter().map(Vec::len).sum();
         println!("wrote {rows} telemetry window(s) to {path}");
     }
@@ -517,20 +514,17 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
     }
 
     // `--sections` profiles where a step spends its time instead of
-    // running the registry: the span-timer breakdown of one sectioned
-    // agent step (feature extract, EQ probe, argmax, EQ insert, SARSA)
-    // plus the L1 probe fixture, then the simulator step's ablation
-    // ladder (generator, core model, L1 hit, miss path, agent).
+    // running the registry: the agent step's ablation ladder (features,
+    // argmax, EQ, SARSA + rest), then the simulator step's (generator,
+    // core model, L1 hit, miss path, agent).
     if args.flag("sections") {
         let scale = pythia_bench::scale();
-        let profile = pythia_perf::sections::profile_sections(scale);
-        println!("# Agent hot-path section breakdown\n");
-        print!("{}", profile.to_markdown());
+        let agent = pythia_perf::sections::profile_agent_step(scale);
+        println!("# Agent step ladder (agent_step)\n");
+        print!("{}", agent.to_markdown());
         println!(
-            "\nprofiled {} agent steps + {} cache probes ({:.1} ms sectioned)",
-            profile.agent_ops,
-            profile.cache_ops,
-            profile.total_ns() as f64 / 1e6
+            "\n{} demand steps per pass; pythia {:.2} ns/step",
+            agent.steps, agent.agent_ns
         );
         println!("\n# Simulator step ladder (sim_step)\n");
         print!(
@@ -737,26 +731,10 @@ fn trace_replay(args: &ParsedArgs) -> Result<(), String> {
     let [_, file, prefetcher] = args.positionals.as_slice() else {
         return Err("usage: pythia-cli trace replay <file> <prefetcher> [options]".into());
     };
-    if build_prefetcher(prefetcher, 0).is_none() {
-        return Err(format!(
-            "unknown prefetcher {prefetcher:?}; see `pythia-cli list`"
-        ));
-    }
-    let spec = spec_from(args)?;
-    // One validated source per pass: the baseline's and the prefetcher's.
-    let open = || -> Result<Box<dyn TraceSource>, String> {
-        Ok(Box::new(
-            FileTraceSource::open(file).map_err(|e| format!("{file}: {e}"))?,
-        ))
-    };
-    let (baseline_source, source) = (open()?, open()?);
-    let (baseline, report, throughput) = timed_pair(
-        &spec,
-        || run_sources(vec![baseline_source], "none", &spec),
-        || run_sources(vec![source], prefetcher, &spec),
-    );
-    print_run_summary(file, prefetcher, &baseline, &report, throughput)?;
-    maybe_write_report_json(args, &report)
+    run_pair(args, file, prefetcher, |_| {
+        let source = FileTraceSource::open(file).map_err(|e| format!("{file}: {e}"))?;
+        Ok(Box::new(source))
+    })
 }
 
 /// `pythia-cli trace info <file> [--json]` — header and one-pass stream

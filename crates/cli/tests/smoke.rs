@@ -108,6 +108,18 @@ fn run_rejects_malformed_numeric_options() {
     let out = cli(&["run", WORKLOAD, "spp", "--measure", "not-a-number"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("--measure"));
+
+    // A value that parses but cannot be simulated is an error naming the
+    // field, not a panic (exit 101).
+    for (option, value, field) in [
+        ("--llc-kb", "0", "llc.size_bytes"),
+        ("--mtps", "0", "dram.mtps"),
+        ("--measure", "0", "--measure"),
+    ] {
+        let out = cli(&["run", WORKLOAD, "spp", option, value]);
+        assert_eq!(out.status.code(), Some(1), "{option} {value}");
+        assert!(stderr(&out).contains(field), "{option}: {}", stderr(&out));
+    }
 }
 
 #[test]
@@ -1046,20 +1058,12 @@ fn bench_sections_prints_the_phase_breakdown() {
     let out = bench_cli(&["bench", "--sections"], None);
     assert!(out.status.success(), "bench --sections: {}", stderr(&out));
     let text = stdout(&out);
-    for section in [
-        "feature_extract",
-        "eq_probe",
-        "argmax",
-        "eq_insert",
-        "sarsa",
-        "cache_probe",
-    ] {
-        assert!(
-            text.contains(section),
-            "breakdown missing {section}: {text}"
-        );
+    // The agent step's ladder: one row per rung.
+    assert!(text.contains("| rung | ns/step | share |"), "{text}");
+    for rung in pythia_perf::sections::AGENT_STEP_RUNGS {
+        let row = format!("| {rung} |");
+        assert!(text.contains(&row), "agent ladder missing {row}: {text}");
     }
-    assert!(text.contains("| section |"), "expected the table header");
     // The simulator step's ladder follows: every rung of every stream.
     assert!(text.contains("| stream | rung | ns/record | share |"));
     for stream in pythia_perf::fixtures::LADDER_WORKLOADS {

@@ -49,7 +49,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pythia_obs::spans::{NoopSectioner, Sectioner};
 use pythia_sim::addr;
 use pythia_sim::prefetch::{
     AgentProbe, DemandAccess, FillEvent, PrefetchRequest, Prefetcher, SystemFeedback,
@@ -171,22 +170,18 @@ impl Pythia {
             self.rewards_seen.coverage_loss += 1;
         }
     }
+}
 
-    /// One demand step with per-phase span sectioning — the hot path of
-    /// [`Prefetcher::on_demand_into`], generic over a
-    /// [`Sectioner`] so the uninstrumented call (via
-    /// [`NoopSectioner`]) monomorphizes to the exact bare code while
-    /// `pythia-cli bench --sections` can thread a
-    /// [`pythia_obs::spans::SpanTimer`] through the same body.
-    ///
-    /// Section names: `feature_extract`, `eq_probe`, `argmax`,
-    /// `eq_insert`, `sarsa`.
-    pub fn on_demand_sectioned<S: Sectioner>(
+impl Prefetcher for Pythia {
+    fn name(&self) -> &str {
+        "pythia"
+    }
+
+    fn on_demand_into(
         &mut self,
         access: &DemandAccess,
         feedback: &SystemFeedback,
         out: &mut Vec<PrefetchRequest>,
-        sections: &mut S,
     ) {
         let r = self.config.rewards;
 
@@ -194,16 +189,13 @@ impl Pythia {
         // exactly once, and kick off software prefetches of those rows:
         // the EQ probe below is independent work that overlaps the table
         // loads of the upcoming argmax.
-        sections.enter("feature_extract");
         self.ctx.update(access);
         let ctx = &self.ctx;
         let values = self.config.features.iter().map(|f| ctx.value(f));
         self.qv.hash(values, &mut self.bases);
         self.qv.prefetch_rows(&self.bases);
-        sections.exit("feature_extract");
 
         // (2) Reward any earlier action whose prefetch this demand confirms.
-        sections.enter("eq_probe");
         let hit = self.eq.reward_demand_hit(
             access.line,
             access.cycle,
@@ -216,10 +208,8 @@ impl Pythia {
             crate::eq::DemandMatch::AccurateLate => self.rewards_seen.accurate_late += 1,
             crate::eq::DemandMatch::Miss => {}
         }
-        sections.exit("eq_probe");
 
         // (3) ε-greedy action selection (the integer-only argmax path).
-        sections.enter("argmax");
         let n = self.config.actions.len();
         let action = if self.rng.gen::<f32>() <= self.config.epsilon {
             self.rng.gen_range(0..n)
@@ -228,10 +218,8 @@ impl Pythia {
         };
         self.action_histogram[action] += 1;
         let offset = self.config.actions[action];
-        sections.exit("argmax");
 
         // (4) Generate the prefetch and the EQ entry.
-        sections.enter("eq_insert");
         let mut entry = EqEntry::new(action, None, access.cycle);
         if offset == 0 {
             self.assign_insertion_reward(&mut entry, 0, feedback);
@@ -247,7 +235,6 @@ impl Pythia {
         // SARSA update against the new EQ head. The insert trades the new
         // state's bases for the evicted entry's.
         let evicted = self.eq.insert(entry, &mut self.bases);
-        sections.exit("eq_insert");
         if let Some(mut evicted) = evicted {
             if evicted.reward.is_none() {
                 evicted.reward = Some(if feedback.bandwidth_high {
@@ -257,7 +244,6 @@ impl Pythia {
                 });
                 self.rewards_seen.inaccurate += 1;
             }
-            sections.enter("sarsa");
             let (head, head_bases) = self.eq.head().expect("EQ non-empty after insert");
             self.qv.sarsa_update(
                 &self.bases,
@@ -268,7 +254,6 @@ impl Pythia {
                 self.config.alpha,
                 self.config.gamma,
             );
-            sections.exit("sarsa");
         }
 
         // (6) Warm the next eviction's SARSA operands: the two oldest
@@ -281,23 +266,6 @@ impl Pythia {
                 }
             }
         }
-    }
-}
-
-impl Prefetcher for Pythia {
-    fn name(&self) -> &str {
-        "pythia"
-    }
-
-    fn on_demand_into(
-        &mut self,
-        access: &DemandAccess,
-        feedback: &SystemFeedback,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        // The no-op sectioner monomorphizes this call to the exact
-        // pre-sectioning hot path.
-        self.on_demand_sectioned(access, feedback, out, &mut NoopSectioner);
     }
 
     fn on_fill(&mut self, event: &FillEvent) {

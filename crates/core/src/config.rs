@@ -9,8 +9,6 @@
 //! * [`PythiaConfig::strict`] — the Ligra-tuned rewards of §6.6.1.
 //! * [`PythiaConfig::bandwidth_oblivious`] — the ablation of §6.3.3/Fig. 11.
 
-use serde::{Deserialize, Serialize};
-
 use crate::features::Feature;
 use crate::qvstore::MAX_PLANES;
 
@@ -33,7 +31,7 @@ const _: () = assert!(MAX_FEATURES * MAX_PLANES < 1 << 15);
 /// How the QVStore combines per-vault (per-feature) Q-values into the
 /// state-action Q-value. The paper uses `Max` (Eqn. 3); `Mean` is the
 /// ablation alternative evaluated in the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VaultCombine {
     /// `Q(S,A) = max_i Q(phi_i, A)` — the paper's design.
     Max,
@@ -42,7 +40,7 @@ pub enum VaultCombine {
 }
 
 /// The seven reward level values (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewardLevels {
     /// Accurate and timely: prefetch demanded after its fill.
     pub accurate_timely: i16,
@@ -102,7 +100,7 @@ impl RewardLevels {
 
 /// Full Pythia configuration (the paper's configuration registers plus the
 /// structural parameters of Table 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PythiaConfig {
     /// The state vector: which program features Pythia observes.
     pub features: Vec<Feature>,

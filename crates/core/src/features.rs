@@ -33,12 +33,10 @@
 //! assert_eq!(state.len(), 2);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use pythia_sim::prefetch::DemandAccess;
 
 /// Control-flow component of a feature (Table 3, left column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControlFlow {
     /// PC of the load request.
     Pc,
@@ -56,7 +54,7 @@ pub enum ControlFlow {
 }
 
 /// Data-flow component of a feature (Table 3, right column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataFlow {
     /// Load cacheline address.
     CachelineAddress,
@@ -77,7 +75,7 @@ pub enum DataFlow {
 }
 
 /// A program feature: one dimension of the state vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Feature {
     /// Control-flow component.
     pub control: ControlFlow,

@@ -8,13 +8,11 @@
 //! figures for non-basic configurations (documented substitution in
 //! DESIGN.md).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::PythiaConfig;
 use crate::qvstore::QV_ENTRY_BITS;
 
 /// Storage breakdown of a Pythia configuration (Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageBreakdown {
     /// QVStore bits: vaults × planes × entries × actions ×
     /// [`QV_ENTRY_BITS`] — the Q8.7 fixed-point entries the store
@@ -79,7 +77,7 @@ pub mod anchors {
 
 /// Area/power estimate for an arbitrary configuration, scaled from the
 /// published basic-configuration synthesis by QVStore storage ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadEstimate {
     /// Estimated area in mm² per core.
     pub area_mm2: f64,

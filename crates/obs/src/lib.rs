@@ -13,12 +13,6 @@
 //!   this crate. `pythia-serve` registers every service number here:
 //!   scheduler and connection events, state gauges, per-route request
 //!   latency, cell queue-wait/execution, and journal fsync instruments.
-//! * [`spans`] — hierarchical span timers behind the [`spans::Sectioner`]
-//!   trait. The hot path is generic over the sectioner, and the
-//!   [`spans::NoopSectioner`] compiles to nothing, so instrumented code
-//!   pays zero cost when sections are off. `pythia-core` sections its
-//!   agent step with it; `pythia-cli bench --sections` reports the
-//!   breakdown.
 //! * [`window`] — a windowed time-series recorder: fixed-width windows
 //!   along a monotonic position axis (e.g. retired instructions), each
 //!   emitting one row of named samples. `pythia-sim` drives one per core
@@ -41,10 +35,8 @@ pub mod host;
 pub mod logger;
 pub mod metrics;
 pub mod prom;
-pub mod spans;
 pub mod window;
 
 pub use logger::{Level, Logger};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use spans::{NoopSectioner, Sectioner, SpanTimer};
 pub use window::{WindowRecorder, WindowRow};

@@ -1,119 +1,140 @@
-//! Where the time goes inside a step: the agent's, by span timer, and the
-//! simulator's, by ablation.
+//! Where the time goes inside a step, by ablation: the agent's step and
+//! the simulator's.
 //!
 //! The registry's `agent_step` benchmark answers "how fast is one
-//! demand step?"; [`profile_sections`] answers "where inside it does the
-//! time go?". It drives the same deterministic fixtures through
-//! [`Pythia::on_demand_sectioned`] with a [`SpanTimer`] attached, so
-//! the breakdown covers the paper's named phases — feature extraction,
-//! EQ probe, argmax, EQ insert, SARSA update — plus a `cache_probe`
-//! section timing the L1 probe fixture the same way.
+//! demand step?"; [`profile_agent_step`] answers "where inside it does the
+//! time go?". A span timer cannot say: two clock reads cost about as much
+//! as a phase of the step, so a table of timed sections sums to several
+//! times what `agent_step` measures. Both ladders here therefore time
+//! whole passes over a stream, each with one more layer switched on, and
+//! read a layer's cost off the difference between neighbouring passes.
 //!
-//! A timer cannot do the same for the simulator step: two clock reads
-//! cost more than any layer a record crosses (the agent table above sums
-//! to about three times what `agent_step` measures, and an agent phase is
-//! the longest section there is). [`profile_sim_step`] therefore times
-//! whole passes over a stream, each with one more layer switched on —
-//! generator, core model, L1, the hierarchy below it, the agent — and
-//! reads a layer's cost off the difference: the `sim_step` ladder. The
-//! ladder drains the stream inline: a read-ahead source would overlap the
-//! generator with the core model, and the differences would stop summing.
-//! What reading ahead saves is printed beside it, per stream.
-//! `pythia-cli bench --sections` renders both tables.
+//! The `agent_step` ladder steps `agent_step`'s demand stream through the
+//! paper's phases (Algorithm 1): feature extraction, the QVStore argmax,
+//! the EQ probe and insert, and then the whole agent, whose remainder is
+//! the SARSA update, exploration and the software prefetches.
+//! [`profile_sim_step`] does the same for the simulator step — generator,
+//! core model, L1, the hierarchy below it, the agent — the `sim_step`
+//! ladder. That ladder drains the stream inline: a read-ahead source would
+//! overlap the generator with the core model, and the differences would
+//! stop summing. What reading ahead saves is printed beside it, per
+//! stream. `pythia-cli bench --sections` renders both tables.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use pythia::runner::{build_system, run_sources, run_workload};
-use pythia_core::{Pythia, PythiaConfig};
-use pythia_obs::spans::{Sectioner, SpanTimer, SpanTotal};
-use pythia_sim::cache::{AccessKind, Cache, Lookup};
-use pythia_sim::config::{CoreConfig, SystemConfig};
+use pythia_core::eq::{EqEntry, EvaluationQueue};
+use pythia_core::{FeatureContext, Pythia, PythiaConfig, QvStore};
+use pythia_sim::addr;
+use pythia_sim::cache::Cache;
+use pythia_sim::config::CoreConfig;
 use pythia_sim::cpu::CoreModel;
-use pythia_sim::prefetch::SystemFeedback;
+use pythia_sim::prefetch::{Prefetcher, SystemFeedback};
 use pythia_sim::trace::{ReadAhead, TraceSource};
 
 use crate::fixtures::{self, scaled};
 use crate::{core_step, drain_batches, e2e_spec, fixed_latency, l1_step};
 
-/// A per-phase wall-time breakdown of the hot-path fixtures.
+/// The rungs of the `agent_step` ladder, bottom up: hashing the features
+/// into row bases, the argmax over them, the EQ probe and insert, and
+/// what the whole [`Pythia`] step adds on top.
+pub const AGENT_STEP_RUNGS: [&str; 4] = ["features", "argmax", "EQ", "SARSA + rest"];
+
+/// The `agent_step` ladder, in host nanoseconds per demand step.
 #[derive(Debug, Clone)]
-pub struct SectionProfile {
-    /// Demand accesses driven through the sectioned agent step.
-    pub agent_ops: u64,
-    /// L1 probes timed under the `cache_probe` section.
-    pub cache_ops: u64,
-    /// Accumulated totals, in first-completed order.
-    pub sections: Vec<SpanTotal>,
+pub struct AgentLadder {
+    /// Demand steps per pass (`agent_step`'s fixture).
+    pub steps: u64,
+    /// One entry per [`AGENT_STEP_RUNGS`] name, in that order; together they
+    /// are `agent_ns`.
+    pub rungs: Vec<(&'static str, f64)>,
+    /// A pass of [`Pythia`]'s own step.
+    pub agent_ns: f64,
 }
 
-impl SectionProfile {
-    /// Sum of all section time (the percentage denominator).
-    pub fn total_ns(&self) -> u64 {
-        self.sections.iter().map(|s| s.total_ns).sum()
-    }
-
-    /// Renders the breakdown as a markdown table: section, calls,
-    /// total milliseconds, share of the profiled time, and mean
-    /// nanoseconds per call.
+impl AgentLadder {
+    /// Renders one table row per rung: nanoseconds per step and share of
+    /// the agent pass (the shares sum to 100 %).
     pub fn to_markdown(&self) -> String {
-        let total = self.total_ns().max(1) as f64;
         let mut out = String::from(
-            "| section | calls | total (ms) | share | ns/call |\n\
-             |---|---:|---:|---:|---:|\n",
+            "| rung | ns/step | share |\n\
+             |---|---:|---:|\n",
         );
-        for s in &self.sections {
-            let ms = s.total_ns as f64 / 1e6;
-            let share = 100.0 * s.total_ns as f64 / total;
-            let per_call = s.total_ns as f64 / s.calls.max(1) as f64;
-            out.push_str(&format!(
-                "| {} | {} | {ms:.3} | {share:.1}% | {per_call:.0} |\n",
-                s.name, s.calls
-            ));
+        for (rung, ns) in &self.rungs {
+            let share = 100.0 * ns / self.agent_ns;
+            out.push_str(&format!("| {rung} | {ns:.2} | {share:.1}% |\n"));
         }
         out
     }
 }
 
-/// Profiles the sectioned agent step and the L1 probe at `scale`
-/// (same `PYTHIA_BENCH_SCALE` semantics as the registry benchmarks).
-///
-/// Per-section timestamps cost two `Instant::now()` calls per phase,
-/// so absolute numbers run slightly hotter than the untimed
-/// `agent_step` benchmark; the *shares* are what this report is for.
-pub fn profile_sections(scale: f64) -> SectionProfile {
-    let mut timer = SpanTimer::new();
-
-    let agent_ops = scaled(300_000, scale);
-    let mut agent = Pythia::new(PythiaConfig::tuned());
-    let fb = SystemFeedback::idle();
-    let mut out = Vec::new();
-    for a in fixtures::demand_stream(agent_ops) {
-        out.clear();
-        agent.on_demand_sectioned(&a, &fb, &mut out, &mut timer);
-        black_box(out.len());
-    }
-
-    let cache_ops = scaled(500_000, scale);
-    let cfg = SystemConfig::single_core();
-    let mut cache = Cache::new("sections-l1", &cfg.l1d);
-    let mut hits = 0u64;
-    for (i, line) in fixtures::line_stream(cache_ops).enumerate() {
-        timer.enter("cache_probe");
-        match cache.access(line, AccessKind::DemandLoad, i as u64) {
-            Lookup::Hit { .. } => hits += 1,
-            Lookup::Miss => {
-                cache.fill(line, i as u64 + 20, AccessKind::DemandLoad, 0);
+/// Builds the `agent_step` ladder at `scale` (same `PYTHIA_BENCH_SCALE`
+/// semantics as the registry benchmarks): four nested passes over
+/// `agent_step`'s demand stream, each the previous plus a phase — the
+/// features hashed into row bases, as `feature_extract` does; the argmax
+/// over them, as `qvstore_argmax` does; the EQ probed and an entry for the
+/// chosen action inserted, as `eq_churn` does; and [`Pythia`]'s own step.
+/// A rung is the difference between two neighbours, so the rungs sum to
+/// the agent pass by construction.
+pub fn profile_agent_step(scale: f64) -> AgentLadder {
+    let n = scaled(300_000, scale);
+    let cfg = PythiaConfig::tuned();
+    let r = cfg.rewards;
+    // A pass of the first `phases` phases of the step.
+    let pass = |phases: u32| {
+        let qv = QvStore::new(&cfg);
+        let mut eq = EvaluationQueue::new(cfg.eq_size, qv.cells());
+        let mut ctx = FeatureContext::new();
+        let mut bases = vec![0; qv.cells()];
+        let started = Instant::now();
+        for a in fixtures::demand_stream(n) {
+            ctx.update(&a);
+            qv.hash(cfg.features.iter().map(|f| ctx.value(f)), &mut bases);
+            if phases == 1 {
+                black_box(&bases);
+                continue;
             }
+            let action = black_box(qv.argmax(&bases));
+            if phases == 2 {
+                continue;
+            }
+            let hit = eq.reward_demand_hit(
+                a.line,
+                a.cycle,
+                r.accurate_timely,
+                r.accurate_late,
+                cfg.graded_timeliness,
+            );
+            let offset = cfg.actions[action];
+            let target = (offset != 0 && addr::offset_stays_in_page(a.line, offset))
+                .then(|| addr::apply_offset(a.line, offset));
+            black_box((
+                hit,
+                eq.insert(EqEntry::new(action, target, a.cycle), &mut bases),
+            ));
         }
-        timer.exit("cache_probe");
-    }
-    black_box(hits);
-
-    SectionProfile {
-        agent_ops: agent_ops as u64,
-        cache_ops: cache_ops as u64,
-        sections: timer.report().to_vec(),
+        started.elapsed()
+    };
+    let agent = || {
+        let mut agent = Pythia::new(cfg.clone());
+        let fb = SystemFeedback::idle();
+        let mut out = Vec::new();
+        let started = Instant::now();
+        for a in fixtures::demand_stream(n) {
+            out.clear();
+            agent.on_demand_into(&a, &fb, &mut out);
+            black_box(out.len());
+        }
+        started.elapsed()
+    };
+    let [features, argmax, eq, agent_ns] =
+        ns_per_record(n as u64, [&|| pass(1), &|| pass(2), &|| pass(3), &agent]);
+    let values = [features, argmax - features, eq - argmax, agent_ns - eq];
+    AgentLadder {
+        steps: n as u64,
+        rungs: AGENT_STEP_RUNGS.into_iter().zip(values).collect(),
+        agent_ns,
     }
 }
 
@@ -344,42 +365,24 @@ mod tests {
 
     #[test]
     fn profile_covers_the_named_phases() {
-        let profile = profile_sections(0.01);
-        let names: Vec<_> = profile.sections.iter().map(|s| s.name).collect();
-        for required in [
-            "feature_extract",
-            "eq_probe",
-            "argmax",
-            "eq_insert",
-            "sarsa",
-            "cache_probe",
-        ] {
-            assert!(names.contains(&required), "missing section {required}");
-        }
-        assert!(profile.total_ns() > 0);
-        // Every demand access extracts features exactly once.
-        let fe = profile
-            .sections
-            .iter()
-            .find(|s| s.name == "feature_extract")
-            .expect("present");
-        assert_eq!(fe.calls, profile.agent_ops);
-        let probe = profile
-            .sections
-            .iter()
-            .find(|s| s.name == "cache_probe")
-            .expect("present");
-        assert_eq!(probe.calls, profile.cache_ops);
+        let ladder = profile_agent_step(0.01);
+        let names: Vec<_> = ladder.rungs.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, AGENT_STEP_RUNGS);
+        let total: f64 = ladder.rungs.iter().map(|(_, ns)| ns).sum();
+        assert!((total - ladder.agent_ns).abs() < 1e-6 * ladder.agent_ns);
+        assert!(ladder.rungs[0].1 > 0.0, "features: {:?}", ladder.rungs);
     }
 
     #[test]
     fn markdown_table_lists_every_section() {
-        let profile = profile_sections(0.01);
-        let table = profile.to_markdown();
-        for s in &profile.sections {
-            assert!(table.contains(s.name), "table missing {}", s.name);
+        let table = profile_agent_step(0.01).to_markdown();
+        assert!(table.starts_with("| rung | ns/step | share |"));
+        for rung in AGENT_STEP_RUNGS {
+            assert!(
+                table.contains(&format!("| {rung} |")),
+                "table missing {rung}"
+            );
         }
-        assert!(table.starts_with("| section |"));
     }
 
     #[test]

@@ -201,9 +201,10 @@ fn full_queue_answers_429_and_result_races_answer_409() {
     assert!(err.contains("400"), "{err}");
 }
 
-/// An inline Pythia variant's geometry is outside input, and validation is
-/// its only gate: each of these used to reach a worker and abort the
-/// process on allocation, index out of bounds, or (40 000 planes, release
+/// An inline Pythia variant's geometry and a config point's system are
+/// outside input, and validation is their only gate: each of these used
+/// to reach a worker and abort the process on allocation, panic it on an
+/// index out of bounds or a division by zero, or (40 000 planes, release
 /// only) run a wrong argmax. Now each is a 400 naming the field, nothing
 /// is queued, and the same server runs the next campaign.
 #[test]
@@ -215,16 +216,34 @@ fn hostile_variant_geometry_answers_400_and_the_service_stays_usable() {
         ..ServeConfig::default()
     });
     type Hostile = (&'static str, fn(&mut pythia_core::PythiaConfig));
-    let hostile: [Hostile; 4] = [
+    let variants: [Hostile; 4] = [
         ("plane_index_bits", |c| c.plane_index_bits = 40),
         ("plane_index_bits", |c| c.plane_index_bits = 64),
         ("eq_size", |c| c.eq_size = 1 << 40),
         ("planes", |c| c.planes = 40_000),
     ];
-    for (field, set) in hostile {
+    // A system configuration is outside input too: an LLC with no set
+    // panicked the cell's worker, 0 MTPS divided by zero, and an empty
+    // measured phase tripped an assert.
+    type HostileConfig = (&'static str, fn(&mut ConfigPoint));
+    let configs: [HostileConfig; 3] = [
+        ("size_bytes", |c| c.system.llc.size_bytes = 0),
+        ("mtps", |c| c.system.dram.mtps = 0),
+        ("measure", |c| c.measure = 0),
+    ];
+    let mut hostile = Vec::new();
+    for (field, set) in variants {
         let mut cfg = pythia_core::PythiaConfig::tuned();
         set(&mut cfg);
         let spec = tiny_spec("svc-hostile", 4_000).with_pythia_variant("hostile", cfg);
+        hostile.push((field, spec));
+    }
+    for (field, set) in configs {
+        let mut spec = tiny_spec("svc-hostile", 4_000);
+        set(&mut spec.configs[0]);
+        hostile.push((field, spec));
+    }
+    for (field, spec) in hostile {
         let body = Json::obj()
             .set("spec", pythia_sweep::codec::spec_json(&spec))
             .render();

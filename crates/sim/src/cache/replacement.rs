@@ -2,10 +2,8 @@
 //! (Signature-based Hit Predictor, Wu et al. MICRO'11) for the LLC, matching
 //! Table 5 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Which replacement policy a cache level runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementKind {
     /// Classic least-recently-used.
     Lru,

@@ -8,15 +8,14 @@
 //! | LLC | 2 MB/core, 16-way, SHiP, 64 MSHRs/bank, 34-cycle |
 //! | DRAM | DDR4-2400; 1C: 1 channel, 4C: 2 channels, 8C+: 4 channels; 8 banks/rank, 2 ranks/channel (4C+), 2 KB row buffer, tRCD=15 ns, tRP=15 ns, tCAS=12.5 ns, 64-bit bus |
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::ReplacementKind;
+use crate::LINE_SIZE;
 
 /// CPU frequency used to convert DRAM nanosecond timings to core cycles.
 pub const CPU_FREQ_MHZ: u64 = 4000;
 
 /// Configuration of the out-of-order core model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Fetch/retire width in instructions per cycle.
     pub width: u32,
@@ -43,7 +42,7 @@ impl Default for CoreConfig {
 }
 
 /// Configuration of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -98,7 +97,7 @@ impl CacheConfig {
 }
 
 /// Configuration of the DRAM subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Number of independent channels.
     pub channels: usize,
@@ -159,7 +158,7 @@ impl DramConfig {
 }
 
 /// Top-level system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Number of cores (each runs its own trace).
     pub cores: usize,
@@ -223,7 +222,92 @@ impl SystemConfig {
         cfg.llc.size_bytes = bytes;
         cfg
     }
+
+    /// Checks what building and running a [`System`](crate::system::System)
+    /// on this configuration assumes: a configuration can arrive from
+    /// outside the process (a CLI option, a campaign `POST`), and past this
+    /// point it is divided by, indexed with and allocated from unchecked.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of range: a core count outside the
+    /// paper's 1–12; an empty ROB, LQ or SQ (dispatch would wait forever);
+    /// a DRAM with no channel, rank or bank, a row smaller than a line, or
+    /// a zero transfer rate or bus width; a zero bandwidth window (its
+    /// roll-over loop would not advance); or a cache with ways outside the
+    /// 64-bit valid mask, no full set, more than 1 GiB or no miss register.
+    /// The upper bounds keep allocations sane.
+    pub fn validate(&self) -> Result<(), String> {
+        let (core, dram) = (&self.core, &self.dram);
+        let fields = [
+            ("cores", self.cores as u64, 1, 12),
+            ("core.rob_entries", core.rob_entries as u64, 1, MAX_ENTRIES),
+            ("core.lq_entries", core.lq_entries as u64, 1, MAX_ENTRIES),
+            ("core.sq_entries", core.sq_entries as u64, 1, MAX_ENTRIES),
+            ("dram.channels", dram.channels as u64, 1, 64),
+            (
+                "dram.ranks_per_channel",
+                dram.ranks_per_channel as u64,
+                1,
+                64,
+            ),
+            ("dram.banks_per_rank", dram.banks_per_rank as u64, 1, 64),
+            (
+                "dram.row_buffer_bytes",
+                dram.row_buffer_bytes,
+                LINE_SIZE,
+                u64::MAX,
+            ),
+            ("dram.mtps", dram.mtps, 1, u64::MAX),
+            ("dram.bus_bytes", dram.bus_bytes, 1, u64::MAX),
+            (
+                "bandwidth_window_cycles",
+                self.bandwidth_window_cycles,
+                1,
+                u64::MAX,
+            ),
+        ];
+        for (field, value, lo, hi) in fields {
+            within(field, value, lo, hi)?;
+        }
+        for (level, cache) in [("l1d", &self.l1d), ("l2", &self.l2), ("llc", &self.llc)] {
+            let ways = cache.ways as u64;
+            within(&format!("{level}.ways"), ways, 1, 64)?;
+            let bytes = cache.size_bytes;
+            within(
+                &format!("{level}.size_bytes"),
+                bytes,
+                LINE_SIZE * ways,
+                MAX_CACHE_BYTES,
+            )?;
+            within(
+                &format!("{level}.mshrs"),
+                cache.mshrs as u64,
+                1,
+                MAX_ENTRIES,
+            )?;
+        }
+        Ok(())
+    }
 }
+
+/// `Ok` if `value` lies in `lo..=hi`, else an error naming `field`.
+fn within(field: &str, value: u64, lo: u64, hi: u64) -> Result<(), String> {
+    if (lo..=hi).contains(&value) {
+        Ok(())
+    } else if hi == u64::MAX {
+        Err(format!("{field}: {value} is below {lo}"))
+    } else {
+        Err(format!("{field}: {value} is outside {lo}..={hi}"))
+    }
+}
+
+/// Largest cache [`SystemConfig::validate`] accepts, in bytes: 512× the
+/// Table 5 LLC, and small enough to allocate its tag arrays.
+const MAX_CACHE_BYTES: u64 = 1 << 30;
+
+/// Most ROB, LQ, SQ or MSHR entries [`SystemConfig::validate`] accepts.
+const MAX_ENTRIES: u64 = 1 << 16;
 
 impl Default for SystemConfig {
     fn default() -> Self {
@@ -274,6 +358,29 @@ mod tests {
     #[should_panic(expected = "1-12 cores")]
     fn zero_cores_rejected() {
         let _ = SystemConfig::with_cores(0);
+    }
+
+    #[test]
+    fn validation_names_the_first_field_a_system_cannot_run() {
+        for cores in [1, 4, 12] {
+            assert_eq!(SystemConfig::with_cores(cores).validate(), Ok(()));
+        }
+        type Bad = (&'static str, fn(&mut SystemConfig));
+        let bad: [Bad; 7] = [
+            ("llc.size_bytes", |c| c.llc.size_bytes = 0),
+            ("llc.size_bytes", |c| c.llc.size_bytes = u64::MAX),
+            ("l1d.ways", |c| c.l1d.ways = 65),
+            ("l2.mshrs", |c| c.l2.mshrs = 0),
+            ("dram.mtps", |c| c.dram.mtps = 0),
+            ("core.lq_entries", |c| c.core.lq_entries = 0),
+            ("bandwidth_window_cycles", |c| c.bandwidth_window_cycles = 0),
+        ];
+        for (field, set) in bad {
+            let mut c = SystemConfig::single_core();
+            set(&mut c);
+            let err = c.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
     }
 
     #[test]

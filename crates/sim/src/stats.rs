@@ -2,10 +2,8 @@
 //! [`SimReport`] consumed by `pythia-stats` to compute the paper's metrics
 //! (IPC speedup, prefetch coverage, overprediction — Appendix A.6).
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for one cache level.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand loads observed by this cache.
     pub demand_loads: u64,
@@ -62,7 +60,7 @@ impl CacheStats {
 }
 
 /// Counters for the DRAM subsystem.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DramStats {
     /// Reads triggered by demand misses.
     pub demand_reads: u64,
@@ -100,7 +98,7 @@ impl DramStats {
 }
 
 /// Counters for one core.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired during the measured phase.
     pub instructions: u64,
@@ -139,7 +137,7 @@ impl CoreStats {
 
 /// One core's prefetcher books, kept by the simulator where it delivers
 /// the events (`System`), not by the prefetcher.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetcherStats {
     /// Requests the prefetcher pushed, counted after each
     /// `Prefetcher::on_demand_into` call, redundant ones included.
@@ -207,7 +205,7 @@ impl Throughput {
 }
 
 /// The full result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
     /// Per-core retirement statistics.
     pub cores: Vec<CoreStats>,

@@ -20,13 +20,11 @@
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-
 mod read_ahead;
 pub use read_ahead::ReadAhead;
 
 /// One memory micro-operation of an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemOp {
     /// Byte address touched by the operation.
     pub addr: u64,
@@ -35,7 +33,7 @@ pub struct MemOp {
 }
 
 /// Branch outcome attached to a branch instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Branch {
     /// Whether the branch was taken.
     pub taken: bool,
@@ -50,7 +48,7 @@ pub struct Branch {
 /// operation, an optional branch outcome, and a dependence hint used by
 /// pointer-chasing workloads to serialize loads (trace-driven simulators
 /// otherwise overestimate memory-level parallelism).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Program counter of the instruction.
     pub pc: u64,

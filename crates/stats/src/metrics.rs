@@ -9,13 +9,11 @@
 //! where "LLC read misses" counts every read reaching DRAM — demand misses
 //! *plus* prefetch fills, which is how overpredicting prefetchers show up.
 
-use serde::{Deserialize, Serialize};
-
 use pythia_sim::stats::SimReport;
 
 /// Derived metrics comparing a prefetched run against the no-prefetching
 /// baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Geometric-mean IPC speedup over the baseline.
     pub speedup: f64,

@@ -251,9 +251,10 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem: an empty axis, a core
-    /// count mismatch between a unit and a config, an unresolvable
-    /// prefetcher name, or a duplicated prefetcher label.
+    /// Returns a description of the first problem: an empty axis, a system
+    /// configuration that fails [`SystemConfig::validate`], an empty
+    /// measured phase, a core count mismatch between a unit and a config,
+    /// an unresolvable prefetcher name, or a duplicated prefetcher label.
     pub fn validate(&self) -> Result<(), String> {
         if self.units.is_empty() {
             return Err(format!("sweep {:?}: no work units", self.name));
@@ -268,6 +269,13 @@ impl SweepSpec {
             return Err(format!("sweep {:?}: no seeds", self.name));
         }
         for cp in &self.configs {
+            let at = |e: String| format!("sweep {:?}: config {:?}: {e}", self.name, cp.label);
+            cp.system.validate().map_err(at)?;
+            if cp.measure == 0 {
+                return Err(at(
+                    "measure: a measured phase needs at least one instruction".into(),
+                ));
+            }
             for u in &self.units {
                 if u.cores() != cp.system.cores {
                     return Err(format!(

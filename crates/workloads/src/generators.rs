@@ -4,15 +4,13 @@
 //! and [`TraceSpec::generate`] is the collecting convenience for code that
 //! wants the whole trace in a `Vec`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
 use pythia_sim::addr::{LINES_PER_PAGE, PAGE_SIZE};
 use pythia_sim::trace::{Branch, MemOp, ReadAhead, TraceRecord, TraceSource};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The memory access pattern class a workload exhibits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PatternKind {
     /// Unit-stride sweep over the footprint, with a store every
     /// `store_every` loads (0 = no stores).
@@ -76,7 +74,7 @@ pub enum PatternKind {
 }
 
 /// A complete workload description; `generate()` renders it into a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Workload name (e.g. `"459.GemsFDTD-1320B"`).
     pub name: String,

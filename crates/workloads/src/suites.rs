@@ -2,14 +2,12 @@
 //! unseen CVP-2-like categories of §6.4, and multi-programmed mix
 //! construction (§5.1).
 
+use crate::generators::{PatternKind, TraceSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-use crate::generators::{PatternKind, TraceSpec};
 
 /// A workload suite (Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2006 (16 workloads in the paper).
     Spec06,
@@ -40,7 +38,7 @@ impl Suite {
 }
 
 /// A named workload: a suite plus the spec that generates its trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Workload name (paper-style, e.g. `"459.GemsFDTD-1320B"`).
     pub name: String,

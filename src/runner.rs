@@ -19,6 +19,9 @@
 //! For a grid over workloads, prefetchers or configurations — and for
 //! JSON/CSV artifacts — reach for `pythia-sweep`.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use pythia_core::{Pythia, PythiaConfig};
 use pythia_prefetchers::multi::Multi;
 use pythia_prefetchers::registry;
@@ -185,27 +188,29 @@ pub fn run_sources_with(
 pub fn run_parallel<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>, threads: usize) -> Vec<T> {
     assert!(threads > 0, "need at least one worker thread");
     let n = jobs.len();
-    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let queue: crossbeam::queue::SegQueue<(usize, Box<dyn FnOnce() -> T + Send>)> =
-        crossbeam::queue::SegQueue::new();
-    for (i, j) in jobs.into_iter().enumerate() {
-        queue.push((i, j));
-    }
-    let results_mutex = std::sync::Mutex::new(&mut results);
-    crossbeam::thread::scope(|scope| {
+    let jobs: Vec<_> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // Workers claim jobs in input order through one shared index. It
+    // publishes nothing (each job and result sits behind its own lock, and
+    // the scope joins every worker), so `Relaxed` is enough.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(n.max(1)) {
-            scope.spawn(|_| {
-                while let Some((i, job)) = queue.pop() {
-                    let value = job();
-                    results_mutex.lock().expect("no poisoned workers")[i] = Some(value);
-                }
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let job = job.lock().expect("no poisoned workers").take();
+                let value = job.expect("each job is claimed once")();
+                *results[i].lock().expect("no poisoned workers") = Some(value);
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     results
         .into_iter()
-        .map(|r| r.expect("every job ran"))
+        .map(|r| {
+            r.into_inner()
+                .expect("no poisoned workers")
+                .expect("every job ran")
+        })
         .collect()
 }
