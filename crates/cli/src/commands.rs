@@ -49,7 +49,8 @@ USAGE:
       [--sections]                              where a step's time goes instead,
                                                 by ablation: the agent's phases
                                                 (agent_step ladder), then the
-                                                simulator's layers (sim_step)
+                                                simulator's layers (sim_step),
+                                                and host bytes per cache level
   pythia-cli bench --compare <old> <new>        print the per-benchmark delta
                                                 table between two saved reports
                                                 of one host at one scale
@@ -516,7 +517,8 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
     // `--sections` profiles where a step spends its time instead of
     // running the registry: the agent step's ablation ladder (features,
     // argmax, EQ, SARSA + rest), then the simulator step's (generator,
-    // core model, L1 hit, miss path, agent).
+    // core model, L1 hit, miss path, agent), then what each cache level
+    // holds on the host.
     if args.flag("sections") {
         let scale = pythia_bench::scale();
         let agent = pythia_perf::sections::profile_agent_step(scale);
@@ -531,6 +533,8 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
             "{}",
             pythia_perf::sections::profile_sim_step(scale).to_markdown()
         );
+        println!("\n# Host bytes per cache level\n");
+        print!("{}", pythia_perf::sections::hierarchy_host_bytes(&[1, 4]));
         return Ok(());
     }
 

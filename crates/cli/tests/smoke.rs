@@ -494,6 +494,7 @@ fn bench_list_names_required_benchmarks() {
     for name in [
         "agent_step",
         "cache_probe",
+        "llc_fill",
         "trace_decode",
         "e2e_single_core",
     ] {

@@ -2,7 +2,7 @@
 //!
 //! The in-repo microbenchmark subsystem: a hand-rolled harness (no
 //! external benchmarking dependency) that pins the simulator's hot paths
-//! to numbers — per-access agent cost, cache probe cost, trace decode
+//! to numbers — per-access agent cost, cache probe and LLC fill cost, trace decode
 //! throughput, what a record costs in each layer it crosses (`gen_step`,
 //! `core_dispatch`, `l1_hit_step`), and the end-to-end
 //! simulated-instructions-per-second of the default single-core workload.
@@ -528,6 +528,37 @@ pub fn registry() -> Vec<BenchDef> {
             },
         },
         BenchDef {
+            // The shared LLC's fill path: fresh lines into full 16-way SHiP
+            // sets, so every fill runs a victim search. Before four fills in
+            // seven the set's previous fill is demanded, so some signatures
+            // train reused and others never, and the RRPVs stay mixed.
+            name: "llc_fill",
+            unit: "ops",
+            build: |scale| {
+                let n = scaled(500_000, scale);
+                let cfg = SystemConfig::single_core().llc;
+                let mut llc = Cache::new("bench-llc", &cfg);
+                let mut next = llc.capacity_lines() as u64;
+                for line in 0..next {
+                    llc.fill(line, 0, AccessKind::DemandLoad, (line % 7) as u16);
+                }
+                let sets = next / cfg.ways as u64;
+                (
+                    n as u64,
+                    Box::new(move || {
+                        for _ in 0..n {
+                            let (line, sig) = (next, (next % 7) as u16);
+                            next += 1;
+                            if sig < 4 {
+                                llc.access(line - sets, AccessKind::DemandLoad, line);
+                            }
+                            black_box(llc.fill(line, line, AccessKind::DemandLoad, sig));
+                        }
+                    }),
+                )
+            },
+        },
+        BenchDef {
             name: "mshr_allocate",
             unit: "ops",
             build: |scale| {
@@ -653,6 +684,7 @@ mod tests {
         for required in [
             "agent_step",
             "cache_probe",
+            "llc_fill",
             "trace_decode",
             "e2e_single_core",
         ] {

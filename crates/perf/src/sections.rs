@@ -18,7 +18,8 @@
 //! ladder. That ladder drains the stream inline: a read-ahead source would
 //! overlap the generator with the core model, and the differences would
 //! stop summing. What reading ahead saves is printed beside it, per
-//! stream. `pythia-cli bench --sections` renders both tables.
+//! stream. `pythia-cli bench --sections` renders both tables, and under
+//! them [`hierarchy_host_bytes`]: what each cache level holds on the host.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -28,7 +29,7 @@ use pythia_core::eq::{EqEntry, EvaluationQueue};
 use pythia_core::{FeatureContext, Pythia, PythiaConfig, QvStore};
 use pythia_sim::addr;
 use pythia_sim::cache::Cache;
-use pythia_sim::config::CoreConfig;
+use pythia_sim::config::{CoreConfig, SystemConfig};
 use pythia_sim::cpu::CoreModel;
 use pythia_sim::prefetch::{Prefetcher, SystemFeedback};
 use pythia_sim::trace::{ReadAhead, TraceSource};
@@ -359,9 +360,63 @@ pub fn profile_sim_step(scale: f64) -> SimStepLadder {
     SimStepLadder { streams }
 }
 
+/// What the Table 5 hierarchy holds on the host at each core count in
+/// `cores`, per level ([`Cache::host_bytes`]: tags, validity words, line
+/// records, LRU stamps, SHiP table): the private levels once per core, then
+/// the whole hierarchy. The bytes are allocated; a run makes resident the
+/// pages its fills reach.
+pub fn hierarchy_host_bytes(cores: &[usize]) -> String {
+    let mut out = String::from(
+        "| system | level | replacement | lines | KiB | B/line |\n\
+         |---|---|---|---:|---:|---:|\n",
+    );
+    for &n in cores {
+        let config = SystemConfig::with_cores(n);
+        let mut total = 0;
+        for (level, cfg, copies) in [
+            ("L1D", config.l1d, n),
+            ("L2", config.l2, n),
+            ("LLC", config.llc, 1),
+        ] {
+            let cache = Cache::new(level, &cfg);
+            let (bytes, lines) = (cache.host_bytes(), cache.capacity_lines());
+            total += bytes * copies;
+            out.push_str(&format!(
+                "| {n}-core | {level} x{copies} | {:?} | {} | {:.1} | {:.2} |\n",
+                cfg.replacement,
+                lines * copies,
+                (bytes * copies) as f64 / 1024.0,
+                bytes as f64 / lines as f64,
+            ));
+        }
+        out.push_str(&format!(
+            "| {n}-core | hierarchy | | | {:.1} | |\n",
+            total as f64 / 1024.0
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn host_bytes_table_names_every_level_at_each_core_count() {
+        let table = hierarchy_host_bytes(&[1, 4]);
+        for system in ["1-core", "4-core"] {
+            for level in ["L1D", "L2", "LLC", "hierarchy"] {
+                assert!(
+                    table.contains(&format!("| {system} | {level}")),
+                    "{system} {level}: {table}"
+                );
+            }
+        }
+        assert!(
+            table.contains("| 4-core | L2 x4 | Lru | 16384 |"),
+            "{table}"
+        );
+    }
 
     #[test]
     fn profile_covers_the_named_phases() {

@@ -34,6 +34,20 @@ impl ShipState {
         }
     }
 
+    /// The predictor a level running `kind` keeps: the whole table under
+    /// SHiP, and none under LRU, which never consults it.
+    pub(crate) fn for_level(kind: ReplacementKind) -> Self {
+        match kind {
+            ReplacementKind::Ship => Self::new(),
+            ReplacementKind::Lru => Self { shct: Vec::new() },
+        }
+    }
+
+    /// Bytes the table holds on the host.
+    pub(crate) fn host_bytes(&self) -> usize {
+        self.shct.len()
+    }
+
     #[inline]
     fn index(sig: u16) -> usize {
         sig as usize % SHCT_ENTRIES

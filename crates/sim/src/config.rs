@@ -304,7 +304,7 @@ fn within(field: &str, value: u64, lo: u64, hi: u64) -> Result<(), String> {
 
 /// Largest cache [`SystemConfig::validate`] accepts, in bytes: 512× the
 /// Table 5 LLC, and small enough to allocate its tag arrays.
-const MAX_CACHE_BYTES: u64 = 1 << 30;
+pub(crate) const MAX_CACHE_BYTES: u64 = 1 << 30;
 
 /// Most ROB, LQ, SQ or MSHR entries [`SystemConfig::validate`] accepts.
 const MAX_ENTRIES: u64 = 1 << 16;
