@@ -16,7 +16,7 @@ fn main() {
         },
     )
     .with_instructions(3_000_000)
-    .generate();
+    .stream();
 
     // Mirror the agent's own feature extraction to find the probed feature
     // value: the trigger PC's first-touch (delta 0) PC+Delta value.
@@ -30,7 +30,7 @@ fn main() {
     let probe_actions = [1i32, 3, 22, 23];
     let cfg = PythiaConfig::basic();
 
-    for r in &trace {
+    for r in trace {
         let Some(mem) = r.mem else { continue };
         let line = mem.addr >> 6;
         if line == last_line {

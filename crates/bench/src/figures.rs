@@ -72,15 +72,23 @@ fn mtps_point(mtps: u64, kind: Budget) -> ConfigPoint {
     )
 }
 
-/// The display label of a hyperparameter grid point (shared between the
-/// `tab02` registry entry and the `tab02_dse` binary so screening scores
-/// can be joined back to grid points).
-pub fn hyper_label(p: &HyperPoint) -> String {
+/// The display label of a hyperparameter grid point in the `tab02`
+/// screening grid.
+fn hyper_label(p: &HyperPoint) -> String {
     format!("a={:e} g={:e} e={:e}", p.alpha, p.gamma, p.epsilon)
 }
 
+/// The tuned Pythia configuration at one hyperparameter grid point.
+pub fn hyper_config(p: &HyperPoint) -> PythiaConfig {
+    let mut cfg = PythiaConfig::tuned();
+    cfg.alpha = p.alpha;
+    cfg.gamma = p.gamma;
+    cfg.epsilon = p.epsilon;
+    cfg
+}
+
 /// The Fig. 16 / §6.6.2 candidate feature vectors (a shortlist from the
-/// Table 3 space; the full exploration lives in `tab02_dse`).
+/// Table 3 space; the full exploration is `pythia-cli dse`).
 pub fn feature_candidates() -> Vec<Vec<Feature>> {
     vec![
         vec![Feature::PC_DELTA, Feature::LAST_4_DELTAS],
@@ -407,30 +415,35 @@ fn fig23() -> Vec<SweepSpec> {
         )]
 }
 
-/// The four-workload cross-section the §4.3 DSE screens against.
-pub fn dse_units() -> Vec<WorkUnit> {
-    named_units(&[
-        "459.GemsFDTD-765B",
-        "462.libquantum-714B",
-        "482.sphinx3-417B",
-        "429.mcf-184B",
-    ])
+/// One round of the §4.3 search as a campaign: every candidate an inline
+/// Pythia variant over the four-workload DSE cross-section, at the
+/// multi-core budget. Every round shares the same baselines, which the
+/// planner simulates once per round.
+pub fn dse_spec(
+    name: &str,
+    variants: impl IntoIterator<Item = (String, PythiaConfig)>,
+) -> SweepSpec {
+    let mut spec = SweepSpec::new(name)
+        .with_units(named_units(&[
+            "459.GemsFDTD-765B",
+            "462.libquantum-714B",
+            "482.sphinx3-417B",
+            "429.mcf-184B",
+        ]))
+        .with_config(point("base", Budget::MultiCore));
+    for (label, cfg) in variants {
+        spec = spec.with_pythia_variant(&label, cfg);
+    }
+    spec
 }
 
 fn tab02() -> Vec<SweepSpec> {
-    // The §4.3.3 screening grid as one declarative campaign: every
-    // hyperparameter point becomes an inline Pythia variant.
-    let mut spec = SweepSpec::new("tab02")
-        .with_units(dse_units())
-        .with_config(point("base", Budget::MultiCore));
-    for p in exponential_grid(4) {
-        let mut cfg = PythiaConfig::tuned();
-        cfg.alpha = p.alpha;
-        cfg.gamma = p.gamma;
-        cfg.epsilon = p.epsilon;
-        spec = spec.with_pythia_variant(&hyper_label(&p), cfg);
-    }
-    vec![spec]
+    // The §4.3.3 screening grid: one hyperparameter point per variant.
+    let grid = exponential_grid(4);
+    vec![dse_spec(
+        "tab02",
+        grid.iter().map(|p| (hyper_label(p), hyper_config(p))),
+    )]
 }
 
 fn ablation() -> Vec<SweepSpec> {
@@ -1084,15 +1097,6 @@ pub fn specs(id: &str) -> Option<Vec<SweepSpec>> {
 /// Builds one registered figure as a campaign (see [`FigureDef::campaign`]).
 pub fn campaign(id: &str) -> Option<pythia_sweep::Campaign> {
     find(id).map(|f| f.campaign())
-}
-
-/// A quick-eval campaign: one inline Pythia config over the DSE workload
-/// cross-section (the objective function the §4.3 search procedures call).
-pub fn dse_eval_spec(label: &str, cfg: PythiaConfig, units: &[WorkUnit]) -> SweepSpec {
-    SweepSpec::new("dse-eval")
-        .with_units(units.to_vec())
-        .with_pythia_variant(label, cfg)
-        .with_config(point("base", Budget::MultiCore))
 }
 
 #[cfg(test)]

@@ -4,20 +4,18 @@
 //! table/figure of the paper, the campaign it runs (as
 //! [`pythia_sweep::SweepSpec`]s) and the view that renders the result as
 //! the rows/series the paper reports, computed on the synthetic workload
-//! suites. `pythia-cli sweep <figure>` is the one renderer. Two binaries
-//! remain in `src/bin/` because they are procedures, not campaigns:
-//! `fig13_qvalue_case_study` probes an agent directly and `tab02_dse`
-//! runs the greedy §4.3 search.
+//! suites. `pythia-cli sweep <figure>` is the one renderer, and
+//! `pythia-cli dse` runs the §4.3 search one campaign per round. One
+//! binary remains in `src/bin/` because it is a procedure, not a campaign:
+//! `fig13_qvalue_case_study` probes an agent directly.
 //!
 //! Instruction budgets are scaled-down from the paper's 100 M + 500 M
 //! (synthetic patterns reach steady state much sooner); set
 //! `PYTHIA_BENCH_SCALE` (a positive float, default 1.0) to scale every
 //! budget, e.g. `PYTHIA_BENCH_SCALE=0.2` for a quick pass or `4` for a
 //! long one. Invalid values are reported on stderr and ignored.
-//!
-//! Sweeps fan out over `PYTHIA_BENCH_THREADS` worker threads (default:
-//! all available cores); machine-readable output comes from
-//! `pythia-cli sweep <figure> --format {md,json,csv}`.
+//! Machine-readable output comes from `pythia-cli sweep <figure> --format
+//! {md,json,csv}`.
 
 pub mod figures;
 
@@ -76,43 +74,6 @@ pub fn budget(kind: Budget) -> (u64, u64) {
     )
 }
 
-/// Worker thread count for harness fan-out: `PYTHIA_BENCH_THREADS` if set
-/// (`0` is clamped to 1 with a warning, garbage warns and falls back),
-/// otherwise every available core.
-pub fn threads() -> usize {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    match std::env::var("PYTHIA_BENCH_THREADS") {
-        Err(_) => default_threads(),
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(0) => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: PYTHIA_BENCH_THREADS=0 would run no workers; clamping to 1"
-                    );
-                });
-                1
-            }
-            Ok(n) => n,
-            Err(_) => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: PYTHIA_BENCH_THREADS={raw:?} is not a positive integer; \
-                         using all {} cores",
-                        default_threads()
-                    );
-                });
-                default_threads()
-            }
-        },
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,20 +111,5 @@ mod tests {
         let (_, ms) = budget(Budget::Sweep);
         let (_, mc) = budget(Budget::MultiCore);
         assert!(mh > ms && ms >= mc);
-    }
-
-    #[test]
-    fn thread_count_is_positive() {
-        assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn zero_threads_clamped_to_one() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("PYTHIA_BENCH_THREADS", "0");
-        assert_eq!(threads(), 1, "0 must clamp to one worker, not fan out");
-        std::env::set_var("PYTHIA_BENCH_THREADS", "3");
-        assert_eq!(threads(), 3);
-        std::env::remove_var("PYTHIA_BENCH_THREADS");
     }
 }

@@ -1,9 +1,11 @@
 //! Subcommand implementations for `pythia-cli`.
 
 use pythia::runner::{build_prefetcher, build_system, RunSpec};
+use pythia_bench::figures::{dse_spec, hyper_config};
 use pythia_core::hw_model;
 use pythia_core::pipeline::SearchPipeline;
-use pythia_core::PythiaConfig;
+use pythia_core::tuning::{self, HyperPoint};
+use pythia_core::{ControlFlow, DataFlow, Feature, PythiaConfig};
 use pythia_obs::logger::Level;
 use pythia_sim::config::SystemConfig;
 use pythia_sim::stats::{SimReport, Throughput};
@@ -14,6 +16,7 @@ use pythia_sim::trace::{
 use pythia_stats::json::sim_report_wire_json;
 use pythia_stats::metrics::try_compare;
 use pythia_stats::report::Table;
+use pythia_sweep::{Key, Value};
 use pythia_workloads::profiles::{profile_stats, trace_stats, Profile, CAMPAIGN_SEED};
 use pythia_workloads::suites::{all_suites, cvp_unseen};
 use pythia_workloads::Workload;
@@ -30,9 +33,6 @@ USAGE:
       [--warmup N] [--measure N] [--mtps N] [--llc-kb N] [--report-json FILE]
       [--telemetry-json FILE]                   per-window telemetry JSONL
       [--telemetry-window N]                    (report stays byte-identical)
-  pythia-cli compare <workload>                 race prefetchers on a workload
-      [--prefetchers spp,bingo,mlop,pythia] [--warmup N] [--measure N]
-      [--threads N]
   pythia-cli sweep <figure>                     run a figure/table campaign in
       [--threads N] [--format md|json|csv]      parallel and emit its results
       [--out FILE] [--cache-dir DIR]            (`--list` shows figure ids;
@@ -41,7 +41,11 @@ USAGE:
                                                 skips repeat runs)
   pythia-cli sweep --workloads a,b,c            ad-hoc sweep over named
       [--prefetchers x,y] [--baseline none]     workloads instead of a figure
-      [--warmup N] [--measure N] [--mtps N] [--llc-kb N]
+      [--warmup N] [--measure N] [--mtps N]     (default prefetchers:
+      [--llc-kb N]                              spp,bingo,mlop,pythia)
+  pythia-cli dse [--threads N]                  the §4.3 design-space search
+                                                behind Table 2, one campaign
+                                                per search round
   pythia-cli bench                              run the hot-path microbenchmarks,
       [--filter SUBSTR] [--reps N] [--out FILE] the kernel-level microscope
       [--list]                                  (PYTHIA_BENCH_SCALE scales work;
@@ -126,10 +130,10 @@ fn spec_from(args: &ParsedArgs) -> Result<RunSpec, String> {
         .with_budget(warmup, measure))
 }
 
-/// `--threads N`, else `PYTHIA_BENCH_THREADS`, else every core.
+/// `--threads N`, else every available CPU.
 fn threads_from(args: &ParsedArgs) -> Result<usize, String> {
     match args.opt("threads") {
-        None => Ok(pythia_bench::threads()),
+        None => Ok(std::thread::available_parallelism().map_or(4, usize::from)),
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n > 0 => Ok(n),
             _ => Err(format!("--threads: bad value {v:?}")),
@@ -313,40 +317,6 @@ fn run_pair(
     maybe_write_report_json(args, &report)
 }
 
-/// `pythia-cli compare <workload>`
-pub fn compare_cmd_default_prefetchers() -> &'static str {
-    "spp,bingo,mlop,pythia"
-}
-
-/// `pythia-cli compare <workload>` — the one-workload ad-hoc sweep,
-/// printed as one row per prefetcher.
-pub fn compare(args: &ParsedArgs) -> Result<(), String> {
-    args.reject_unknown("compare", &[ADHOC_OPTS, SPEC_OPTS, THREADS_OPT])?;
-    let [workload] = args.positionals.as_slice() else {
-        return Err("usage: pythia-cli compare <workload> [--prefetchers a,b,c]".into());
-    };
-    let spec = adhoc_sweep_spec(args, workload)?;
-    let result = pythia_sweep::run(&spec, threads_from(args)?)?;
-    let mut t = Table::new(&[
-        "prefetcher",
-        "speedup",
-        "coverage",
-        "overprediction",
-        "accuracy",
-    ]);
-    for c in &result.cells {
-        t.row(&[
-            c.prefetcher.clone(),
-            format!("{:.3}", c.metrics.speedup),
-            format!("{:.1}%", c.metrics.coverage * 100.0),
-            format!("{:.1}%", c.metrics.overprediction * 100.0),
-            format!("{:.1}%", c.metrics.accuracy * 100.0),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    Ok(())
-}
-
 /// Builds the ad-hoc sweep over the comma-separated `workloads`, as
 /// described by `--prefetchers`/`--baseline`/the budget options.
 fn adhoc_sweep_spec(args: &ParsedArgs, workloads: &str) -> Result<pythia_sweep::SweepSpec, String> {
@@ -361,7 +331,7 @@ fn adhoc_sweep_spec(args: &ParsedArgs, workloads: &str) -> Result<pythia_sweep::
     }
     let prefetchers = args
         .opt("prefetchers")
-        .unwrap_or(compare_cmd_default_prefetchers())
+        .unwrap_or("spp,bingo,mlop,pythia")
         .to_string();
     for p in prefetchers
         .split(',')
@@ -481,6 +451,99 @@ pub fn sweep(args: &ParsedArgs) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `pythia-cli dse [--threads N]` — the automated design-space
+/// exploration of §4.3 behind Table 2 / Fig. 19, scaled down: feature
+/// selection over a shortlist, action pruning, and the two-phase
+/// hyperparameter grid search. Each search round is one campaign whose
+/// candidates fan out over the worker pool together.
+pub fn dse(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unknown("dse", &[THREADS_OPT])?;
+    if let Some(stray) = args.positionals.first() {
+        return Err(format!("unexpected argument {stray:?} for `dse`"));
+    }
+    let threads = threads_from(args)?;
+    let tuned = PythiaConfig::tuned;
+
+    println!("# §4.3.1 feature selection (shortlisted candidates)\n");
+    let candidates = [
+        Feature::PC_DELTA,
+        Feature::LAST_4_DELTAS,
+        Feature {
+            control: ControlFlow::Pc,
+            data: DataFlow::PageOffset,
+        },
+        Feature {
+            control: ControlFlow::None,
+            data: DataFlow::LastFourOffsets,
+        },
+        Feature {
+            control: ControlFlow::Pc,
+            data: DataFlow::CachelineAddress,
+        },
+        Feature {
+            control: ControlFlow::PcPath,
+            data: DataFlow::Delta,
+        },
+    ];
+    let result = tuning::select_features(&candidates, |round| {
+        dse_round(
+            round.iter().map(|fs| tuned().with_features(fs.clone())),
+            threads,
+        )
+    });
+    let mut t = Table::new(&["state vector", "geomean speedup"]);
+    let mut sorted = result.evaluated.clone();
+    sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
+    for (features, score) in sorted.iter().take(8) {
+        let label: Vec<String> = features.iter().map(|f| f.label()).collect();
+        t.row(&[label.join(" ; "), format!("{score:.3}")]);
+    }
+    println!("{}", t.to_markdown());
+    let winner: Vec<String> = result.winner.iter().map(|f| f.label()).collect();
+    println!("winner: {}\n", winner.join(" ; "));
+
+    println!("# §4.3.2 action pruning (from a 33-offset list)\n");
+    let full: Vec<i32> = (-8..=24).collect();
+    let pruned = tuning::prune_actions(&full, 0.005, |round| {
+        dse_round(
+            round.iter().map(|a| tuned().with_actions(a.clone())),
+            threads,
+        )
+    });
+    println!(
+        "pruned list ({} offsets): {:?}",
+        pruned.winner.len(),
+        pruned.winner
+    );
+    println!(
+        "score {:.3} (full-list score {:.3})\n",
+        pruned.score, pruned.evaluated[0].1
+    );
+
+    println!("# §4.3.3 hyperparameter grid search (4 levels, top-5 confirm)\n");
+    let score = |round: &[HyperPoint]| dse_round(round.iter().map(hyper_config), threads);
+    let result = tuning::grid_search(&tuning::exponential_grid(4), 5, score, score);
+    println!(
+        "winner: alpha={:.4} gamma={:.3} epsilon={:.4} (speedup {:.3})",
+        result.winner.alpha, result.winner.gamma, result.winner.epsilon, result.score
+    );
+    println!("(paper's Table 2: alpha=0.0065 gamma=0.556 epsilon=0.002)");
+    Ok(())
+}
+
+/// Scores one §4.3 search round: every candidate's geomean speedup over
+/// the DSE cross-section, from one campaign ([`dse_spec`]) that simulates
+/// the shared baselines once.
+fn dse_round(cfgs: impl Iterator<Item = PythiaConfig>, threads: usize) -> Vec<f64> {
+    let variants = cfgs.enumerate().map(|(i, cfg)| (format!("#{i}"), cfg));
+    pythia_sweep::run(&dse_spec("dse", variants), threads)
+        .expect("the DSE budgets reach memory on every cross-section workload")
+        .aggregate(Key::Prefetcher, Value::Speedup)
+        .into_iter()
+        .map(|(_, score)| score)
+        .collect()
 }
 
 /// `pythia-cli bench [--filter S] [--reps N] [--out F] [--list]` — the

@@ -4,9 +4,9 @@
 //! pythia-cli list                              # workloads and prefetchers
 //! pythia-cli run <workload> <prefetcher> [--warmup N] [--measure N]
 //!                [--mtps N] [--llc-kb N]
-//! pythia-cli compare <workload> [--prefetchers a,b,c] [...]
 //! pythia-cli sweep <figure> [--threads N] [--format md|json|csv] [--out F]
 //! pythia-cli sweep --workloads a,b,c [--prefetchers x,y] [...]
+//! pythia-cli dse [--threads N]                 # §4.3 design-space search
 //! pythia-cli bench [--filter S] [--reps N] [--out F] [--sections]
 //! pythia-cli bench --compare <old.json> <new.json>
 //! pythia-cli trace record <workload> <file> [--instructions N]
@@ -37,8 +37,8 @@ fn main() -> ExitCode {
     let result = match parsed.command.as_deref() {
         Some("list") => commands::list(&parsed),
         Some("run") => commands::run(&parsed),
-        Some("compare") => commands::compare(&parsed),
         Some("sweep") => commands::sweep(&parsed),
+        Some("dse") => commands::dse(&parsed),
         Some("bench") => commands::bench(&parsed),
         Some("trace") => commands::trace(&parsed),
         Some("storage") => commands::storage(&parsed),

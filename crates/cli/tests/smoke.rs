@@ -31,7 +31,7 @@ fn no_args_prints_help_and_succeeds() {
     assert!(out.status.success());
     let text = stdout(&out);
     assert!(text.contains("USAGE"), "help must show usage: {text}");
-    for sub in ["list", "run", "compare", "sweep", "trace", "storage"] {
+    for sub in ["list", "run", "sweep", "dse", "trace", "storage"] {
         assert!(text.contains(sub), "help must mention {sub}");
     }
 }
@@ -123,21 +123,42 @@ fn run_rejects_malformed_numeric_options() {
 }
 
 #[test]
-fn compare_renders_one_row_per_prefetcher() {
-    let out = cli(&[&["compare", WORKLOAD, "--prefetchers", "spp,stride"], FAST].concat());
+fn sweep_adhoc_renders_one_row_per_prefetcher() {
+    let out = cli(&[
+        &[
+            "sweep",
+            "--workloads",
+            WORKLOAD,
+            "--prefetchers",
+            "spp,stride",
+        ],
+        FAST,
+    ]
+    .concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(
-        text.contains("| prefetcher |"),
-        "expected a markdown table: {text}"
-    );
-    assert!(text.contains("spp"));
-    assert!(text.contains("stride"));
+    let rows = |name: &str| {
+        text.lines()
+            .filter(|l| l.contains(&format!(" {name} ")))
+            .count()
+    };
+    assert_eq!(rows("spp"), 1, "{text}");
+    assert_eq!(rows("stride"), 1, "{text}");
 }
 
 #[test]
-fn compare_rejects_unknown_prefetcher_in_list() {
-    let out = cli(&[&["compare", WORKLOAD, "--prefetchers", "spp,bogus"], FAST].concat());
+fn sweep_adhoc_rejects_unknown_prefetcher_in_list() {
+    let out = cli(&[
+        &[
+            "sweep",
+            "--workloads",
+            WORKLOAD,
+            "--prefetchers",
+            "spp,bogus",
+        ],
+        FAST,
+    ]
+    .concat());
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown prefetcher"));
 }
@@ -380,7 +401,7 @@ fn sweep_list_shows_registered_figures() {
 
 #[test]
 fn sweep_figure_markdown_appends_the_view_and_json_stays_raw() {
-    let md = bench_cli(&["sweep", "fig09", "--format", "md"], None);
+    let md = bench_cli(&["sweep", "fig09", "--format", "md"]);
     assert!(md.status.success(), "stderr: {}", stderr(&md));
     let text = stdout(&md);
     assert!(
@@ -399,7 +420,7 @@ fn sweep_figure_markdown_appends_the_view_and_json_stays_raw() {
     );
     assert!(text[b..].contains("| st+s+b+d+m "), "{}", &text[b..]);
 
-    let json = bench_cli(&["sweep", "fig09", "--format", "json"], None);
+    let json = bench_cli(&["sweep", "fig09", "--format", "json"]);
     assert!(json.status.success(), "stderr: {}", stderr(&json));
     let text = stdout(&json);
     assert!(!text.contains("Fig. 9"), "view text leaked into JSON");
@@ -477,18 +498,17 @@ fn sweep_rejects_unknown_figure_and_format() {
 
 /// `bench` variant of [`cli`] pinning a tiny `PYTHIA_BENCH_SCALE` so each
 /// repetition stays in the millisecond range.
-fn bench_cli(args: &[&str], threads_env: Option<&str>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pythia-cli"));
-    cmd.args(args).env("PYTHIA_BENCH_SCALE", "0.01");
-    if let Some(v) = threads_env {
-        cmd.env("PYTHIA_BENCH_THREADS", v);
-    }
-    cmd.output().expect("spawn pythia-cli")
+fn bench_cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pythia-cli"))
+        .args(args)
+        .env("PYTHIA_BENCH_SCALE", "0.01")
+        .output()
+        .expect("spawn pythia-cli")
 }
 
 #[test]
 fn bench_list_names_required_benchmarks() {
-    let out = bench_cli(&["bench", "--list"], None);
+    let out = bench_cli(&["bench", "--list"]);
     assert!(out.status.success());
     let text = stdout(&out);
     for name in [
@@ -508,18 +528,15 @@ fn bench_filtered_run_writes_json_report() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("BENCH_micro.json");
     let path_str = path.to_str().expect("utf-8 temp path");
-    let out = bench_cli(
-        &[
-            "bench",
-            "--filter",
-            "trace_decode",
-            "--reps",
-            "2",
-            "--out",
-            path_str,
-        ],
-        None,
-    );
+    let out = bench_cli(&[
+        "bench",
+        "--filter",
+        "trace_decode",
+        "--reps",
+        "2",
+        "--out",
+        path_str,
+    ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("trace_decode"), "table row present: {text}");
@@ -549,15 +566,12 @@ fn bench_compare_tables_two_reports_and_refuses_other_hosts_and_scales() {
         path_of("doc.json"),
     );
     for out in [&old, &new] {
-        let run = bench_cli(
-            &["bench", "--filter", "qvstore", "--reps", "2", "--out", out],
-            None,
-        );
+        let run = bench_cli(&["bench", "--filter", "qvstore", "--reps", "2", "--out", out]);
         assert!(run.status.success(), "stderr: {}", stderr(&run));
     }
 
     // Two back-to-back reports of this host compare: one ratio per row.
-    let out = bench_cli(&["bench", "--compare", &old, &new], None);
+    let out = bench_cli(&["bench", "--compare", &old, &new]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let table = stdout(&out);
     assert!(table.contains("| ratio"), "ratio column: {table}");
@@ -575,7 +589,7 @@ fn bench_compare_tables_two_reports_and_refuses_other_hosts_and_scales() {
     };
     let refused = |report: pythia_stats::BenchReport| {
         std::fs::write(&doctored, report.to_json().render_pretty()).expect("rewrite report");
-        let out = bench_cli(&["bench", "--compare", &old, &doctored], None);
+        let out = bench_cli(&["bench", "--compare", &old, &doctored]);
         assert!(!out.status.success(), "must be refused: {}", stdout(&out));
         assert!(stdout(&out).is_empty(), "no table: {}", stdout(&out));
         stderr(&out)
@@ -607,39 +621,45 @@ fn bench_compare_tables_two_reports_and_refuses_other_hosts_and_scales() {
 
 #[test]
 fn bench_rejects_unmatched_filter_and_bad_reps() {
-    let out = bench_cli(&["bench", "--filter", "no-such-benchmark"], None);
+    let out = bench_cli(&["bench", "--filter", "no-such-benchmark"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("no benchmark matches"));
-    let out = bench_cli(&["bench", "--reps", "0"], None);
+    let out = bench_cli(&["bench", "--reps", "0"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("--reps must be positive"));
 }
 
 #[test]
-fn bench_threads_zero_is_clamped_with_a_warning() {
-    // PYTHIA_BENCH_THREADS=0 must not abort or silently fan out to zero
-    // workers: the sweep engine warns and clamps to one thread.
-    let out = Command::new(env!("CARGO_BIN_EXE_pythia-cli"))
-        .args([
-            "sweep",
-            "--workloads",
-            WORKLOAD,
-            "--prefetchers",
-            "stride",
-            "--warmup",
-            "1000",
-            "--measure",
-            "4000",
-        ])
-        .env("PYTHIA_BENCH_THREADS", "0")
-        .output()
-        .expect("spawn pythia-cli");
+fn dse_runs_every_search_round_and_names_the_first_best_row() {
+    let out = bench_cli(&["dse", "--threads", "2"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(
-        stderr(&out).contains("PYTHIA_BENCH_THREADS=0 would run no workers; clamping to 1"),
-        "clamp warning must reach the user: {}",
-        stderr(&out)
-    );
+    let text = stdout(&out);
+    for heading in ["# §4.3.1 ", "# §4.3.2 ", "# §4.3.3 "] {
+        assert!(text.contains(heading), "missing {heading}: {text}");
+    }
+    // §4.3.1's table is sorted best-first, ties in evaluation order, and
+    // the winner is the first of the equal best.
+    let first_row = text
+        .lines()
+        .find(|l| l.starts_with("| ") && !l.starts_with("| state vector") && !l.starts_with("| -"))
+        .expect("a table row");
+    let first = first_row
+        .trim_matches('|')
+        .split('|')
+        .next()
+        .unwrap()
+        .trim();
+    let winner = text
+        .lines()
+        .find_map(|l| l.strip_prefix("winner: "))
+        .expect("winner");
+    assert_eq!(winner, first, "{text}");
+
+    for bad in [&["dse", "--bogus"][..], &["dse", "--threads", "0"]] {
+        let out = bench_cli(bad);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}");
+        assert!(stdout(&out).is_empty(), "{bad:?} ran: {}", stdout(&out));
+    }
 }
 
 #[test]
@@ -713,7 +733,7 @@ fn unknown_options_fail_naming_the_option_and_run_nothing() {
         ),
     ];
     for (args, message) in cases {
-        let out = bench_cli(args, None);
+        let out = bench_cli(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
         assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
         assert_eq!(
@@ -724,7 +744,7 @@ fn unknown_options_fail_naming_the_option_and_run_nothing() {
     }
     // A registered figure fixes its own budgets, so the ad-hoc options
     // are refused there and accepted without a figure id.
-    let out = bench_cli(&["sweep", "fig09", "--measure", "100"], None);
+    let out = bench_cli(&["sweep", "fig09", "--measure", "100"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("unknown option --measure for `sweep <figure>`"));
 }
@@ -1056,7 +1076,7 @@ fn run_telemetry_json_writes_windows_without_perturbing_the_report() {
 
 #[test]
 fn bench_sections_prints_the_phase_breakdown() {
-    let out = bench_cli(&["bench", "--sections"], None);
+    let out = bench_cli(&["bench", "--sections"]);
     assert!(out.status.success(), "bench --sections: {}", stderr(&out));
     let text = stdout(&out);
     // The agent step's ladder: one row per rung.

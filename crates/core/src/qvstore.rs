@@ -681,7 +681,7 @@ impl QvStore {
     /// round-to-nearest shifts, and the final per-plane increment
     /// **saturates** at the `i16` range instead of wrapping. An `α/planes`
     /// below the quantization step (< 2⁻¹⁶) rounds to zero and learns
-    /// nothing — see `tuning::effective_alpha`.
+    /// nothing.
     ///
     /// `b1` and `b2` are the hashed states S1 and S2: S1's bases serve both
     /// the Q(S1,A1) read and the write-back.

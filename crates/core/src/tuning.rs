@@ -3,9 +3,10 @@
 //!
 //! The paper ran these searches over 150 traces on a ten-machine cluster
 //! (44 hours); this module implements the same *procedures* generically
-//! over an objective function `eval: candidate → performance score`, so the
-//! experiment harness can plug in scaled-down simulations (Table 2 / Figs.
-//! 19–20 regeneration) and tests can plug in synthetic objectives.
+//! over a batch objective `eval: round of candidates → one score each`, so
+//! `pythia-cli dse` can score each round as one scaled-down simulation
+//! campaign (Table 2 / Fig. 19 regeneration) and tests can plug in
+//! synthetic objectives.
 
 use crate::features::Feature;
 
@@ -21,108 +22,62 @@ pub struct SearchResult<T> {
     pub evaluated: Vec<(T, f64)>,
 }
 
-/// §4.3.1 feature selection: evaluates every one-feature and two-feature
-/// combination from `candidates` and returns the winner.
+/// §4.3.1 feature selection: scores every one-feature and two-feature
+/// combination from `candidates` as one round and returns the winner.
 ///
-/// (The paper also explores three-feature combinations via linear
-/// regression pre-filtering; pass a pre-filtered candidate list to keep the
-/// cubic term tractable, or use [`select_features_k`].)
+/// `eval` is a batch objective: it scores a whole round of candidates at
+/// once, one score per candidate in order, so a round can fan out over a
+/// worker pool. (The paper also explores three-feature combinations via
+/// linear regression pre-filtering; pass a pre-filtered candidate list to
+/// keep the cubic term tractable.)
 pub fn select_features(
     candidates: &[Feature],
-    mut eval: impl FnMut(&[Feature]) -> f64,
+    mut eval: impl FnMut(&[Vec<Feature>]) -> Vec<f64>,
 ) -> SearchResult<Vec<Feature>> {
-    let mut evaluated = Vec::new();
+    let mut round = Vec::new();
     for (i, &f) in candidates.iter().enumerate() {
-        let cand = vec![f];
-        let score = eval(&cand);
-        evaluated.push((cand, score));
-        for &g in candidates.iter().skip(i + 1) {
-            let cand = vec![f, g];
-            let score = eval(&cand);
-            evaluated.push((cand, score));
-        }
+        round.push(vec![f]);
+        round.extend(candidates[i + 1..].iter().map(|&g| vec![f, g]));
     }
-    pick_best(evaluated)
-}
-
-/// Greedy forward selection up to `k` features (the scalable variant for
-/// three-feature state vectors).
-pub fn select_features_k(
-    candidates: &[Feature],
-    k: usize,
-    mut eval: impl FnMut(&[Feature]) -> f64,
-) -> SearchResult<Vec<Feature>> {
-    let mut current: Vec<Feature> = Vec::new();
-    let mut evaluated = Vec::new();
-    let mut best_score = f64::NEG_INFINITY;
-    for _ in 0..k {
-        let mut round_best: Option<(Feature, f64)> = None;
-        for &f in candidates {
-            if current.contains(&f) {
-                continue;
-            }
-            let mut cand = current.clone();
-            cand.push(f);
-            let score = eval(&cand);
-            evaluated.push((cand, score));
-            if round_best.is_none_or(|(_, s)| score > s) {
-                round_best = Some((f, score));
-            }
-        }
-        match round_best {
-            Some((f, s)) if s > best_score => {
-                current.push(f);
-                best_score = s;
-            }
-            _ => break, // no improvement: stop growing the vector
-        }
-    }
-    SearchResult {
-        winner: current,
-        score: best_score,
-        evaluated,
-    }
+    pick_best(score(round, &mut eval))
 }
 
 /// §4.3.2 action pruning: starting from `full`, repeatedly drops the action
 /// whose removal costs the least performance, while the loss against the
 /// full list stays within `tolerance` (relative). Returns the pruned list.
+/// Each pruning step is one round of the batch objective `eval`.
 pub fn prune_actions(
     full: &[i32],
     tolerance: f64,
-    mut eval: impl FnMut(&[i32]) -> f64,
+    mut eval: impl FnMut(&[Vec<i32>]) -> Vec<f64>,
 ) -> SearchResult<Vec<i32>> {
-    let base = eval(full);
+    let base = score(vec![full.to_vec()], &mut eval)[0].1;
     let mut current: Vec<i32> = full.to_vec();
     let mut evaluated = vec![(current.clone(), base)];
-    loop {
-        if current.len() <= 1 {
+    while current.len() > 1 {
+        // Never prune the no-prefetch action.
+        let round: Vec<Vec<i32>> = (0..current.len())
+            .filter(|&i| current[i] != 0)
+            .map(|i| {
+                let mut cand = current.clone();
+                cand.remove(i);
+                cand
+            })
+            .collect();
+        if round.is_empty() {
             break;
         }
-        let mut best_drop: Option<(usize, f64)> = None;
-        for i in 0..current.len() {
-            if current[i] == 0 {
-                continue; // never prune the no-prefetch action
-            }
-            let mut cand = current.clone();
-            cand.remove(i);
-            let score = eval(&cand);
-            if best_drop.is_none_or(|(_, s)| score > s) {
-                best_drop = Some((i, score));
-            }
-        }
-        match best_drop {
-            Some((i, score)) if score >= base * (1.0 - tolerance) => {
-                current.remove(i);
-                evaluated.push((current.clone(), score));
-            }
-            _ => break,
+        let best = pick_best(score(round, &mut eval));
+        if best.score >= base * (1.0 - tolerance) {
+            current = best.winner;
+            evaluated.push((current.clone(), best.score));
+        } else {
+            break;
         }
     }
-    let score = evaluated.last().map(|(_, s)| *s).unwrap_or(base);
     SearchResult {
         winner: current,
-        score,
+        score: evaluated.last().map_or(base, |(_, s)| *s),
         evaluated,
     }
 }
@@ -158,39 +113,36 @@ pub fn exponential_grid(levels: u32) -> Vec<HyperPoint> {
     out
 }
 
-/// The learning rate the Q8.7 fixed-point SARSA update actually applies:
-/// the store quantizes `α / planes` to 1/2¹⁶ steps, so the deep end of
-/// [`exponential_grid`] (α ≤ ~1e-5 with 3 planes) rounds to an effective
-/// rate of zero — the agent stops learning rather than learning slowly.
-/// DSE reports use this to flag grid points that collapsed onto each
-/// other.
-pub fn effective_alpha(alpha: f32, planes: usize) -> f32 {
-    let step = (1u64 << 16) as f64;
-    let quantized = (alpha as f64 / planes as f64 * step).round() / step;
-    (quantized * planes as f64) as f32
-}
-
-/// §4.3.3 two-phase tuning: evaluate every grid point with the (cheap)
-/// `screen` objective, keep the `top_k`, then re-evaluate those with the
-/// (expensive) `confirm` objective and return the winner.
+/// §4.3.3 two-phase tuning: scores every grid point with the (cheap)
+/// `screen` objective, keeps the `top_k`, then re-scores those with the
+/// (expensive) `confirm` objective and returns the winner. Each phase is
+/// one round of its batch objective.
 pub fn grid_search(
     grid: &[HyperPoint],
     top_k: usize,
-    mut screen: impl FnMut(&HyperPoint) -> f64,
-    mut confirm: impl FnMut(&HyperPoint) -> f64,
+    mut screen: impl FnMut(&[HyperPoint]) -> Vec<f64>,
+    mut confirm: impl FnMut(&[HyperPoint]) -> Vec<f64>,
 ) -> SearchResult<HyperPoint> {
-    let mut screened: Vec<(HyperPoint, f64)> = grid.iter().map(|p| (*p, screen(p))).collect();
+    let mut screened = score(grid.to_vec(), &mut screen);
     screened.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     screened.truncate(top_k.max(1));
-    let evaluated: Vec<(HyperPoint, f64)> =
-        screened.iter().map(|(p, _)| (*p, confirm(p))).collect();
-    pick_best(evaluated)
+    let survivors = screened.into_iter().map(|(p, _)| p).collect();
+    pick_best(score(survivors, &mut confirm))
 }
 
+/// Scores one round with a batch objective, pairing each candidate with
+/// its score in evaluation order.
+fn score<C>(round: Vec<C>, eval: &mut impl FnMut(&[C]) -> Vec<f64>) -> Vec<(C, f64)> {
+    let scores = eval(&round);
+    assert_eq!(scores.len(), round.len(), "one score per candidate");
+    round.into_iter().zip(scores).collect()
+}
+
+/// The best-scoring candidate; among equal scores, the first evaluated.
 fn pick_best<T: Clone>(evaluated: Vec<(T, f64)>) -> SearchResult<T> {
     let (winner, score) = evaluated
         .iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .reduce(|best, c| if c.1 > best.1 { c } else { best })
         .cloned()
         .expect("at least one candidate evaluated");
     SearchResult {
@@ -205,11 +157,16 @@ mod tests {
     use super::*;
     use crate::features::{ControlFlow, DataFlow};
 
+    /// Lifts a per-candidate objective into a batch objective.
+    fn each<C>(f: impl Fn(&C) -> f64) -> impl FnMut(&[C]) -> Vec<f64> {
+        move |round| round.iter().map(&f).collect()
+    }
+
     #[test]
     fn select_features_finds_known_best_pair() {
         let candidates = Feature::all();
         // Synthetic objective: the paper's winning pair scores highest.
-        let result = select_features(&candidates[..8], |fs| {
+        let mut objective = each(|fs: &Vec<Feature>| {
             let mut s = fs.len() as f64 * 0.1;
             if fs.contains(&Feature {
                 control: ControlFlow::Pc,
@@ -225,42 +182,45 @@ mod tests {
             }
             s
         });
+        let mut rounds = 0;
+        let result = select_features(&candidates[..8], |round| {
+            rounds += 1;
+            objective(round)
+        });
         assert_eq!(result.winner.len(), 2);
         assert!(result.winner.contains(&Feature {
             control: ControlFlow::Pc,
             data: DataFlow::Delta
         }));
-        // 8 singles + 28 pairs evaluated.
+        // 8 singles + 28 pairs evaluated, as one round.
         assert_eq!(result.evaluated.len(), 8 + 28);
+        assert_eq!(rounds, 1);
     }
 
     #[test]
-    fn greedy_selection_stops_when_no_gain() {
-        let candidates = &Feature::all()[..6];
-        let result = select_features_k(candidates, 3, |fs| {
-            // Only the first feature helps; extras hurt.
-            if fs.contains(&candidates[2]) {
-                2.0 - 0.5 * (fs.len() as f64 - 1.0)
-            } else {
-                0.0
-            }
-        });
-        assert_eq!(result.winner, vec![candidates[2]]);
+    fn ties_go_to_the_first_candidate_evaluated() {
+        let candidates = &Feature::all()[..4];
+        let result = select_features(candidates, each(|_: &Vec<Feature>| 0.929));
+        assert_eq!(result.winner, vec![candidates[0]]);
+
+        let grid = exponential_grid(3);
+        let result = grid_search(&grid, 5, each(|_: &HyperPoint| 1.0), each(|_| 1.0));
+        assert_eq!(result.winner, grid[0]);
+
+        let result = prune_actions(&[0, 1, 2, 3], 0.05, each(|_: &Vec<i32>| 1.0));
+        assert_eq!(result.evaluated[1].0, vec![0, 2, 3], "drops the first tie");
+        assert_eq!(result.winner, vec![0]);
     }
 
     #[test]
     fn prune_actions_drops_useless_offsets() {
         let full: Vec<i32> = (-4..=4).collect();
         // Objective: only offsets {0, 1, 2} matter; others are free to drop.
-        let result = prune_actions(&full, 0.01, |acts| {
-            let mut s = 0.0;
-            for &a in acts {
-                if a == 1 || a == 2 {
-                    s += 1.0;
-                }
-            }
-            s
-        });
+        let result = prune_actions(
+            &full,
+            0.01,
+            each(|acts: &Vec<i32>| acts.iter().filter(|&&a| a == 1 || a == 2).count() as f64),
+        );
         assert!(result.winner.contains(&1));
         assert!(result.winner.contains(&2));
         assert!(result.winner.contains(&0), "no-prefetch is never pruned");
@@ -271,7 +231,7 @@ mod tests {
     fn prune_respects_tolerance() {
         let full = vec![0, 1, 2, 3];
         // Every action contributes equally; any drop loses 25%.
-        let result = prune_actions(&full, 0.05, |acts| acts.len() as f64);
+        let result = prune_actions(&full, 0.05, each(|acts: &Vec<i32>| acts.len() as f64));
         assert_eq!(result.winner, full, "5% tolerance cannot absorb a 25% loss");
     }
 
@@ -280,19 +240,6 @@ mod tests {
         let grid = exponential_grid(10);
         assert_eq!(grid.len(), 1000);
         assert!(grid.iter().all(|p| p.gamma < 1.0));
-    }
-
-    #[test]
-    fn effective_alpha_mirrors_the_fixed_point_quantization() {
-        // Table 2's α = 0.0065 survives quantization (within one step of
-        // the 1/2¹⁶ grid, scaled back by the plane count)...
-        let a = effective_alpha(0.0065, 3);
-        assert!((a - 0.0065).abs() <= 3.0 / 65536.0, "a={a}");
-        assert!(a > 0.0);
-        // ...but the deep end of the exponential grid rounds to exactly
-        // zero: those points no longer learn at all.
-        assert_eq!(effective_alpha(1e-6, 3), 0.0);
-        assert_eq!(effective_alpha(1e-9, 3), 0.0);
     }
 
     #[test]
@@ -308,7 +255,7 @@ mod tests {
                 + (p.gamma.log10() - target.gamma.log10()).powi(2)
                 + (p.epsilon.log10() - target.epsilon.log10()).powi(2)) as f64)
         };
-        let result = grid_search(&grid, 25, dist, dist);
+        let result = grid_search(&grid, 25, each(dist), each(dist));
         assert!((result.winner.alpha - target.alpha).abs() < 1e-6);
         assert!((result.winner.epsilon - target.epsilon).abs() < 1e-6);
         assert_eq!(result.evaluated.len(), 25);

@@ -7,7 +7,7 @@
 //! the report it summarizes and of the baseline it is compared against.
 //! Executing the jobs in any order, on any number of threads or processes,
 //! and handing the reports to [`CampaignPlan::merge_cells`] gives the same
-//! bytes. [`run`], [`run_cached`] and [`run_all`] are that sequence on the
+//! bytes. [`run`] and [`run_all`] are that sequence on the
 //! [`run_parallel`] pool; `pythia-serve` runs the same plan one cell at a
 //! time across tenants.
 //!
@@ -26,48 +26,6 @@ use pythia_stats::metrics;
 
 use crate::result::{CellResult, RawSummary, SweepResult};
 use crate::spec::{ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec, WorkUnit};
-
-/// Memoizes baseline simulations across [`run_cached`] calls.
-///
-/// Within one campaign the planner already shares a baseline among the
-/// panels that need it. This is the memo *between* campaigns: the §4.3
-/// DSE procedures call the engine once per objective evaluation, hundreds
-/// of times, with the same workload cross-section every time, and would
-/// otherwise re-simulate that baseline grid on each call. Keys cover
-/// everything that determines a baseline run — workload specs, system
-/// config, budgets, seed offset and the baseline prefetcher — so a hit is
-/// bit-identical to a fresh simulation (simulations are deterministic).
-#[derive(Debug, Default)]
-pub struct BaselineCache {
-    map: HashMap<String, SimReport>,
-}
-
-impl BaselineCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of memoized baseline reports.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn key(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: u64) -> String {
-        format!(
-            "{:?}|{kind:?}|{:?}|{}|{}|{seed}",
-            unit.workloads.iter().map(|w| &w.spec).collect::<Vec<_>>(),
-            config.system,
-            config.warmup,
-            config.measure
-        )
-    }
-}
 
 /// Runs one simulation for a grid coordinate, streaming every trace.
 fn simulate(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: u64) -> SimReport {
@@ -107,23 +65,7 @@ fn simulate(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: 
 /// [`CampaignPlan::merge_cells`] error of a baseline that saw no LLC load
 /// miss.
 pub fn run(spec: &SweepSpec, threads: usize) -> Result<SweepResult, String> {
-    run_cached(spec, threads, &mut BaselineCache::new())
-}
-
-/// [`run`] with a [`BaselineCache`]: baseline coordinates already in the
-/// cache are served from memory instead of re-simulated, and fresh
-/// baseline reports are inserted for later campaigns. Results are
-/// bit-identical to an uncached [`run`].
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_cached(
-    spec: &SweepSpec,
-    threads: usize,
-    cache: &mut BaselineCache,
-) -> Result<SweepResult, String> {
-    execute(&spec.name, std::slice::from_ref(spec), threads, cache)
+    run_all(&spec.name, std::slice::from_ref(spec), threads)
 }
 
 /// Runs several sweeps (e.g. the panels of one figure) as one campaign
@@ -136,46 +78,15 @@ pub fn run_cached(
 ///
 /// As [`run`], for the first panel that fails.
 pub fn run_all(name: &str, specs: &[SweepSpec], threads: usize) -> Result<SweepResult, String> {
-    execute(name, specs, threads, &mut BaselineCache::new())
-}
-
-/// The executor behind [`run`], [`run_cached`] and [`run_all`]: plan, run
-/// every job the cache does not already answer, merge. Throughput counts
-/// the freshly executed instructions only — a cache hit costs no wall
-/// time.
-fn execute(
-    name: &str,
-    specs: &[SweepSpec],
-    threads: usize,
-    cache: &mut BaselineCache,
-) -> Result<SweepResult, String> {
     let plan = plan_campaign(name, specs)?;
-    let mut slots: Vec<Option<SimReport>> = vec![None; plan.jobs.len()];
-    for (key, &flat) in &plan.baseline_jobs {
-        slots[flat] = cache.map.get(key).cloned();
-    }
-    let fresh: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = fresh
-        .iter()
-        .map(|&flat| {
-            let job = plan.jobs[flat].clone();
-            Box::new(move || job.run()) as Box<dyn FnOnce() -> SimReport + Send>
-        })
+    let jobs = (plan.jobs.iter().cloned())
+        .map(|job| Box::new(move || job.run()) as Box<dyn FnOnce() -> SimReport + Send>)
         .collect();
-    let instructions = fresh.iter().map(|&flat| plan.jobs[flat].instructions).sum();
+    let instructions = plan.jobs.iter().map(|job| job.instructions).sum();
     let started = std::time::Instant::now();
     let reports = run_parallel(jobs, threads.max(1));
     let throughput = Throughput::new(instructions, started.elapsed().as_secs_f64());
-    for (flat, report) in fresh.into_iter().zip(reports) {
-        slots[flat] = Some(report);
-    }
-    for (key, &flat) in &plan.baseline_jobs {
-        if !cache.map.contains_key(key) {
-            let report = slots[flat].clone().expect("every job ran or was cached");
-            cache.map.insert(key.clone(), report);
-        }
-    }
-    let mut out = plan.merge_prefix(&slots)?;
+    let mut out = plan.merge_cells(&reports)?;
     out.throughput = Some(throughput);
     Ok(out)
 }
@@ -244,8 +155,6 @@ struct Row {
 pub struct CampaignPlan {
     name: String,
     jobs: Vec<CellJob>,
-    /// [`BaselineCache`] key → flat index, for every planned baseline job.
-    baseline_jobs: HashMap<String, usize>,
     /// The result's `baselines` array, in final order.
     baseline_rows: Vec<Row>,
     /// The result's `cells` array, in final order.
@@ -284,7 +193,7 @@ pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, St
         for u in &spec.units {
             for cp in &spec.configs {
                 for &seed in &spec.seeds {
-                    let key = BaselineCache::key(u, &spec.baseline.kind, cp, seed);
+                    let key = baseline_key(u, &spec.baseline.kind, cp, seed);
                     let flat = *baseline_jobs.entry(key).or_insert_with(|| {
                         jobs.push(CellJob::new(u, &spec.baseline.kind, cp, seed));
                         jobs.len() - 1
@@ -311,10 +220,22 @@ pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, St
     Ok(CampaignPlan {
         name: name.to_string(),
         jobs,
-        baseline_jobs,
         baseline_rows,
         cell_rows,
     })
+}
+
+/// Everything that determines a baseline simulation — workload specs,
+/// system config, budgets, seed offset and the baseline prefetcher — so
+/// panels that agree on it share one job.
+fn baseline_key(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: u64) -> String {
+    format!(
+        "{:?}|{kind:?}|{:?}|{}|{}|{seed}",
+        unit.workloads.iter().map(|w| &w.spec).collect::<Vec<_>>(),
+        config.system,
+        config.warmup,
+        config.measure
+    )
 }
 
 impl CampaignPlan {

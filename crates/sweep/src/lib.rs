@@ -23,13 +23,11 @@
 //! their reports into a [`SweepResult`]: one typed [`CellResult`] per grid
 //! cell, in a deterministic grid order that is **independent of the
 //! worker thread count and of execution order** (the determinism tests pin
-//! parallel == serial == shuffled, byte for byte). [`run`],
-//! [`engine::run_all`] and [`run_cached`] are that path on the
+//! parallel == serial == shuffled, byte for byte). [`run`] and
+//! [`engine::run_all`] are that path on the
 //! [`pythia::runner::run_parallel`] worker pool — the in-process stand-in
 //! for the paper's slurm fan-out (§A.5); `pythia-serve` drives the same
-//! plan one cell at a time. [`BaselineCache`] is for callers that run
-//! many campaigns over one baseline grid (the §4.3 design-space search):
-//! it carries baseline reports from one [`run_cached`] call to the next.
+//! plan one cell at a time.
 //!
 //! Results render as markdown ([`SweepResult::to_markdown`]), JSON
 //! ([`SweepResult::to_json`] — the `BENCH_*.json` data source) and CSV
@@ -69,7 +67,7 @@ pub mod store;
 
 pub use agg::{Key, Value};
 pub use codec::Campaign;
-pub use engine::{plan_campaign, run, run_cached, BaselineCache, CampaignPlan, CellJob};
+pub use engine::{plan_campaign, run, CampaignPlan, CellJob};
 pub use result::{CellResult, RawSummary, SweepResult};
 pub use spec::{ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec, WorkUnit};
 pub use store::{run_campaign, ResultStore, StoreStats};

@@ -2,6 +2,7 @@
 //! execution is byte-identical to serial, cell order is independent of the
 //! thread count, and the JSON/CSV emitters round-trip the markdown numbers.
 
+use pythia_core::{Feature, PythiaConfig};
 use pythia_sim::config::SystemConfig;
 use pythia_stats::json;
 use pythia_sweep::{ConfigPoint, Key, SweepSpec, Value, WorkUnit};
@@ -249,28 +250,58 @@ fn seed_axis_replicates_cells_deterministically() {
 }
 
 #[test]
-fn baseline_cache_reuses_reports_without_changing_results() {
-    let spec = small_spec();
-    let uncached = pythia_sweep::run(&spec, 2).expect("uncached");
+fn one_round_campaign_scores_like_one_campaign_per_candidate() {
+    // A §4.3 search round scores N Pythia variants as one campaign; each
+    // score must be the bits a campaign of that variant alone gives.
+    let tuned = PythiaConfig::tuned();
+    let mut fast = PythiaConfig::tuned();
+    fast.alpha = 0.1;
+    let variants = [
+        ("tuned", tuned.clone()),
+        (
+            "pc-delta",
+            tuned.clone().with_features(vec![Feature::PC_DELTA]),
+        ),
+        ("few-actions", tuned.with_actions(vec![0, 1, 2, 23])),
+        ("alpha-0.1", fast),
+    ];
+    let spec = |name: &str, variants: &[(&str, PythiaConfig)]| {
+        let mut spec = SweepSpec::new(name)
+            .with_workloads([workload("429.mcf-184B"), workload("462.libquantum-714B")])
+            .with_config(ConfigPoint::single_core("tiny", 1_000, 4_000));
+        for (label, cfg) in variants {
+            spec = spec.with_pythia_variant(label, cfg.clone());
+        }
+        spec
+    };
+    let bits = |result: &pythia_sweep::SweepResult| -> Vec<u64> {
+        (result.aggregate(Key::Prefetcher, Value::Speedup).iter())
+            .map(|(_, score)| score.to_bits())
+            .collect()
+    };
 
-    let mut cache = pythia_sweep::BaselineCache::new();
-    let first = pythia_sweep::run_cached(&spec, 2, &mut cache).expect("first");
-    assert_eq!(first, uncached);
-    assert_eq!(cache.len(), 4, "one entry per unit × config × seed");
-
-    // A second campaign over the same grid hits the cache for every
-    // baseline and still produces bit-identical output.
-    let second = pythia_sweep::run_cached(&spec, 2, &mut cache).expect("second");
-    assert_eq!(second, uncached);
-    assert_eq!(cache.len(), 4, "no new entries on a full hit");
-
-    // A different-budget config is a different baseline coordinate.
-    let other = SweepSpec::new("other")
-        .with_workloads([workload("429.mcf-184B")])
-        .with_prefetchers(&["stride"])
-        .with_config(ConfigPoint::single_core("tiny", 1_000, 5_000));
-    pythia_sweep::run_cached(&other, 2, &mut cache).expect("other");
-    assert_eq!(cache.len(), 5);
+    let round_spec = spec("round", &variants);
+    let plan = pythia_sweep::plan_campaign("round", std::slice::from_ref(&round_spec))
+        .expect("valid round");
+    assert_eq!(
+        plan.job_count(),
+        2 + 2 * variants.len(),
+        "baselines run once"
+    );
+    let round = pythia_sweep::run(&round_spec, 2).expect("round");
+    let singles: Vec<u64> = variants
+        .iter()
+        .flat_map(|v| {
+            bits(
+                &pythia_sweep::run(&spec("candidate", std::slice::from_ref(v)), 2).expect("single"),
+            )
+        })
+        .collect();
+    assert_eq!(bits(&round), singles);
+    assert!(
+        singles.windows(2).any(|w| w[0] != w[1]),
+        "the variants must score apart for the pin to bite"
+    );
 }
 
 #[test]
