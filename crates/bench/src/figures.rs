@@ -1141,6 +1141,50 @@ mod tests {
     }
 
     #[test]
+    fn every_figure_plans_each_distinct_simulation_once() {
+        // fig09's panels share 50 Pythia cells, fig10's one and fig20's
+        // five; every other figure repeats no simulation.
+        let expected = [
+            ("fig01", 24),
+            ("fig07", 250),
+            ("fig08a", 240),
+            ("fig08b", 420),
+            ("fig08c", 240),
+            ("fig08d", 128),
+            ("fig09", 500),
+            ("fig10", 156),
+            ("fig11", 112),
+            ("fig12", 60),
+            ("fig14", 6),
+            ("fig15", 39),
+            ("fig16", 112),
+            ("fig17", 250),
+            ("fig20", 75),
+            ("fig21", 150),
+            ("fig22", 150),
+            ("fig23", 125),
+            ("tab02", 260),
+            ("ablation", 60),
+            ("robust01", 342),
+            ("robust02", 35),
+            ("robust03", 240),
+        ];
+        let reg = registry();
+        assert_eq!(reg.len(), expected.len());
+        let mut total = 0;
+        for (def, (id, jobs)) in reg.iter().zip(expected) {
+            assert_eq!(def.id, id);
+            let plan = pythia_sweep::plan_campaign(def.id, &(def.build)()).expect("plans");
+            let keys: std::collections::HashSet<u64> =
+                plan.jobs().iter().map(|job| job.key()).collect();
+            assert_eq!(keys.len(), plan.job_count(), "{id}: two jobs share a key");
+            assert_eq!(plan.job_count(), jobs, "{id}");
+            total += jobs;
+        }
+        assert_eq!(total, 3_974);
+    }
+
+    #[test]
     fn tab02_grid_has_one_variant_per_hyper_point() {
         let panels = specs("tab02").unwrap();
         assert_eq!(panels[0].prefetchers.len(), exponential_grid(4).len());

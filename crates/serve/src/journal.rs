@@ -7,15 +7,19 @@
 //!
 //! ```text
 //! {"event":"submitted","digest":"<16 hex>","tenant":"...","priority":1,"campaign":{...}}
-//! {"event":"cell","digest":"<16 hex>","cell":3,"report":{...lossless SimReport...}}
+//! {"event":"cell","digest":"<16 hex>","cell":3,"job":"<16 hex>","report":{...lossless SimReport...}}
 //! {"event":"done","digest":"<16 hex>","ok":true}
 //! ```
 //!
 //! `submitted` carries the full campaign body so an unfinished job can be
 //! re-run from the journal alone; `cell` carries the completed cell's
-//! full report (the lossless wire codec from `pythia-stats`), so a
-//! restart re-executes **only the cells that had not finished** —
-//! journaled reports are bit-identical to fresh simulations. On
+//! flat index, its job key (`CellJob::key`, the digest of everything that
+//! determines the simulation) and its full report (the lossless wire codec
+//! from `pythia-stats`), so a restart re-executes **only the cells that
+//! had not finished** — journaled reports are bit-identical to fresh
+//! simulations. A report is attached only to the job with its key, so a
+//! version that plans the campaign differently re-runs what it cannot
+//! match instead of trusting the index. On
 //! [`Journal::open`] the file is replayed: jobs with a `done` record are
 //! dropped, everything else is exposed via [`Journal::take_pending`] for
 //! the scheduler to requeue (order preserved) with its completed cells
@@ -59,7 +63,8 @@
 //!
 //! Journals written by older versions replay fine: missing `tenant` and
 //! `priority` fields default to the anonymous tenant at baseline
-//! priority, and the retired `started` record is accepted and ignored.
+//! priority, the retired `started` record is accepted and ignored, and a
+//! `cell` record without a `job` key is dropped, so its cell re-runs.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -93,8 +98,8 @@ pub struct PendingJob {
     /// Scheduling weight recorded at submission.
     pub priority: u64,
     /// Completed cells recovered from `cell` records: `(flat job index,
-    /// report)`, in completion order, deduplicated by index.
-    pub cells: Vec<(usize, SimReport)>,
+    /// job key, report)`, in completion order, deduplicated by key.
+    pub cells: Vec<(usize, u64, SimReport)>,
 }
 
 /// The append handle and what of the file is known durable.
@@ -235,8 +240,8 @@ impl Journal {
                 &job.tenant,
                 job.priority,
             ));
-            for (index, report) in &job.cells {
-                text.push_str(&cell_line(&job.digest, *index, report));
+            for (index, key, report) in &job.cells {
+                text.push_str(&cell_line(&job.digest, *index, *key, report));
             }
         }
         let tmp = self.path.with_extension("tmp");
@@ -295,12 +300,20 @@ impl Journal {
         }
     }
 
-    /// Records one completed cell with its full report, so a restart can
-    /// resume the campaign without re-executing it. `wall` is how long
-    /// the cell ran: the record syncs once that much unsynced work adds
-    /// up to the budget of the module's durability contract.
-    pub fn record_cell(&self, digest: &str, index: usize, report: &SimReport, wall: Duration) {
-        let line = cell_line(digest, index, report);
+    /// Records one completed cell — its flat `index`, job `key` and full
+    /// report — so a restart can resume the campaign without re-executing
+    /// it. `wall` is how long the cell ran: the record syncs once that
+    /// much unsynced work adds up to the budget of the module's
+    /// durability contract.
+    pub fn record_cell(
+        &self,
+        digest: &str,
+        index: usize,
+        key: u64,
+        report: &SimReport,
+        wall: Duration,
+    ) {
+        let line = cell_line(digest, index, key, report);
         let started = Instant::now();
         let mut tail = self.lock();
         if self.write(&mut tail, &line) {
@@ -391,11 +404,12 @@ fn submitted_line(digest: &str, campaign: &Campaign, tenant: &str, priority: u64
     format!("{}\n", line.render())
 }
 
-fn cell_line(digest: &str, index: usize, report: &SimReport) -> String {
+fn cell_line(digest: &str, index: usize, key: u64, report: &SimReport) -> String {
     let line = Json::obj()
         .set("event", "cell")
         .set("digest", digest)
         .set("cell", index as u64)
+        .set("job", format!("{key:016x}"))
         .set("report", sim_report_wire_json(report));
     format!("{}\n", line.render())
 }
@@ -477,10 +491,15 @@ fn replay(bytes: &[u8], path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
                     skip("cell record without a valid index/report");
                     continue;
                 };
+                // Older versions wrote no key: nothing says which job the
+                // report belongs to, so the cell re-runs.
+                let key = json.get("job").and_then(Json::as_str);
+                let Some(key) = key.and_then(|k| u64::from_str_radix(k, 16).ok()) else {
+                    continue;
+                };
                 if let Some(job) = order.iter_mut().find(|p| p.digest == digest) {
-                    let index = index as usize;
-                    if !job.cells.iter().any(|(i, _)| *i == index) {
-                        job.cells.push((index, report));
+                    if !job.cells.iter().any(|(_, k, _)| *k == key) {
+                        job.cells.push((index as usize, key, report));
                     }
                 }
             }
@@ -577,11 +596,11 @@ mod tests {
         {
             let journal = Journal::open(&path).expect("open");
             journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
-            journal.record_cell(&a.digest(), 0, &r0, QUICK);
-            journal.record_cell(&a.digest(), 2, &r2, QUICK);
-            // A duplicate index (crash between journal write and in-memory
+            journal.record_cell(&a.digest(), 0, 0xa0, &r0, QUICK);
+            journal.record_cell(&a.digest(), 2, 0xa2, &r2, QUICK);
+            // A duplicate key (crash between journal write and in-memory
             // bookkeeping, then re-execution) keeps the first record.
-            journal.record_cell(&a.digest(), 0, &tiny_report(99), QUICK);
+            journal.record_cell(&a.digest(), 0, 0xa0, &tiny_report(99), QUICK);
         }
         let mut journal = Journal::open(&path).expect("reopen");
         let pending = journal.take_pending();
@@ -591,16 +610,17 @@ mod tests {
             2,
             "two distinct cells, duplicate dropped"
         );
-        assert_eq!(pending[0].cells[0], (0, r0));
-        assert_eq!(pending[0].cells[1], (2, r2));
+        assert_eq!(pending[0].cells[0], (0, 0xa0, r0));
+        assert_eq!(pending[0].cells[1], (2, 0xa2, r2));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn pre_cell_journals_replay_with_defaults() {
-        // A journal written before tenant/priority/cell records existed
-        // must still replay (fields default, no cells attached), and the
-        // `started` record of that era is a silent no-op.
+        // A journal written before tenant/priority/job keys existed must
+        // still replay (fields default), the `started` record of that era
+        // is a silent no-op, and a `cell` record without a job key is
+        // dropped: nothing says which job its report belongs to.
         let path = tmp_path("legacy");
         let _ = std::fs::remove_file(&path);
         let a = tiny_campaign("legacy-a");
@@ -611,7 +631,13 @@ mod tests {
         let started = Json::obj()
             .set("event", "started")
             .set("digest", a.digest().as_str());
-        std::fs::write(&path, format!("{}\n{}\n", line.render(), started.render())).expect("write");
+        let keyless = Json::obj()
+            .set("event", "cell")
+            .set("digest", a.digest().as_str())
+            .set("cell", 0u64)
+            .set("report", sim_report_wire_json(&tiny_report(1)));
+        let lines = [line, started, keyless].map(|record| record.render() + "\n");
+        std::fs::write(&path, lines.concat()).expect("write");
         let mut journal = Journal::open(&path).expect("open");
         let pending = journal.take_pending();
         assert_eq!(pending.len(), 1);
@@ -681,7 +707,7 @@ mod tests {
         journal.sync();
         assert_eq!(obs.journal_fsync_us.count(), 1, "nothing new to sync");
         for cell in 0..24 {
-            journal.record_cell(&a.digest(), cell, &tiny_report(cell as u64), QUICK);
+            journal.record_cell(&a.digest(), cell, 0, &tiny_report(cell as u64), QUICK);
         }
         // 24 x 400 us is a tenth of the budget: appended, none synced.
         assert_eq!(journal.synced_len(), acknowledged);
@@ -703,7 +729,7 @@ mod tests {
         // Cells as long as the budget sync one by one, as every record
         // did before there was a budget.
         for cell in 0..3 {
-            journal.record_cell(&a.digest(), cell, &tiny_report(1), SYNC_WORK_BUDGET);
+            journal.record_cell(&a.digest(), cell, 0, &tiny_report(1), SYNC_WORK_BUDGET);
             assert_eq!(journal.synced_len(), file_len(&path));
             assert_eq!(obs.journal_fsync_us.count(), 2 + cell as u64);
         }
@@ -711,7 +737,7 @@ mod tests {
         // and the sum starts over.
         let part = SYNC_WORK_BUDGET * 2 / 5;
         for (cell, synced) in [(3, false), (4, false), (5, true), (6, false)] {
-            journal.record_cell(&a.digest(), cell, &tiny_report(1), part);
+            journal.record_cell(&a.digest(), cell, 0, &tiny_report(1), part);
             assert_eq!(journal.synced_len() == file_len(&path), synced, "{cell}");
         }
         assert_eq!(obs.journal_fsync_us.count(), 5);
@@ -727,7 +753,7 @@ mod tests {
             let journal = Journal::open(&path).expect("open");
             journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
             journal.record_submitted(&b.digest(), &b, "bob", 2);
-            journal.record_cell(&b.digest(), 1, &tiny_report(7), QUICK);
+            journal.record_cell(&b.digest(), 1, 0xb1, &tiny_report(7), QUICK);
             journal.record_done(&a.digest(), true);
         }
         {
@@ -753,8 +779,9 @@ mod tests {
             3,
             "one submitted + one cell + one done record"
         );
-        // The compacted submitted line kept tenant and priority.
+        // The compacted records kept tenant, priority and the job key.
         assert!(text.contains("\"bob\""), "{text}");
+        assert!(text.contains("\"job\":\"00000000000000b1\""), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -848,7 +848,7 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
     let mut survivors: Vec<PendingJob> = Vec::new();
     let mut complete: Vec<String> = Vec::new();
     let mut state = inner.lock();
-    for job in pending {
+    for mut job in pending {
         if state.jobs.contains_key(&job.digest) {
             continue;
         }
@@ -883,17 +883,23 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
             continue;
         }
 
+        // A journaled report fills the slot of the job with its key,
+        // wherever this version's plan put it; a key no job has re-runs.
+        // Compaction keeps only the attached records, at their new index.
+        let flat_of: HashMap<u64, usize> = (plan.jobs().iter().enumerate())
+            .map(|(flat, cell)| (cell.key(), flat))
+            .collect();
         let mut slots: Vec<Option<SimReport>> = vec![None; total];
-        let mut filled = 0u64;
-        for (index, report) in &job.cells {
-            // Out-of-range indices mean the plan shape changed across
-            // versions; the stale cells are ignored and re-run.
-            if *index < total && slots[*index].is_none() {
-                slots[*index] = Some(report.clone());
-                filled += 1;
-            }
-        }
-        inner.obs.events.cells_replayed.add(filled);
+        job.cells
+            .retain_mut(|(index, key, report)| match flat_of.get(key) {
+                Some(&flat) if slots[flat].is_none() => {
+                    *index = flat;
+                    slots[flat] = Some(report.clone());
+                    true
+                }
+                _ => false,
+            });
+        inner.obs.events.cells_replayed.add(job.cells.len() as u64);
         if state.admit(&job.digest, owner, Arc::new(plan), slots) {
             // Every cell was journaled — the process died between the
             // last cell record and the artifact/done record.
@@ -922,11 +928,14 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
 /// kernel (process-wide; no-op on other C libraries). A cell builds a few
 /// MB of simulator state and drops it all a few hundred microseconds
 /// later, on a worker thread whose arena glibc trims once its free top
-/// passes a threshold; the next cell then faults every page back in. On
-/// small cells that costs as much as the simulation — the benchmark's
-/// `serve_small_cells_mix` (5 K-instruction cells) reads 5.4 Minst/s
-/// trimmed and 10.4 kept — and whether it happened used to hang on
-/// whether some small chunk freed late was left pinning the top.
+/// passes a threshold; the next cell then faults every page back in, which
+/// on small cells costs as much as the simulation. What the call guards
+/// against is forced trimming: on the benchmark's `serve_small_cells_mix`
+/// (5 K-instruction cells, 2-vCPU host) under `MALLOC_TRIM_THRESHOLD_=0`,
+/// 4 pairs read 11.1–12.4 Minst/s with it and 7.4–7.6 without. Under
+/// glibc's default thresholds it made no measured difference: over 7
+/// pairs the medians read 11.5 with and 11.3 without, and whichever side
+/// ran first won 6 of them.
 fn keep_freed_memory() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -992,7 +1001,7 @@ fn worker_loop(inner: &Inner) {
         // between re-executes this one cell, and the duplicate record is
         // deduplicated at replay (reports are bit-identical anyway).
         if let Some(journal) = &inner.journal {
-            journal.record_cell(&claim.digest, claim.flat, &report, wall);
+            journal.record_cell(&claim.digest, claim.flat, cell.key(), &report, wall);
         }
 
         let last_cell_in = inner
@@ -1476,8 +1485,9 @@ mod tests {
                 let claim = s.inner.state.lock().expect("lock").claim();
                 let claim = claim.expect("cells left");
                 let started = std::time::Instant::now();
-                let report = claim.plan.jobs()[claim.flat].run();
-                journal.record_cell(&digest, claim.flat, &report, started.elapsed());
+                let cell = &claim.plan.jobs()[claim.flat];
+                let report = cell.run();
+                journal.record_cell(&digest, claim.flat, cell.key(), &report, started.elapsed());
             }
             journal.record_submitted(&unacknowledged.digest(), &unacknowledged, "\u{e5}lice", 1);
             // Still the acknowledged length, unless this host took 100 ms
@@ -1696,6 +1706,55 @@ mod tests {
     }
 
     #[test]
+    fn journaled_cells_attach_only_to_the_job_with_their_key() {
+        // Records as another version could have left them: one without a
+        // key, one naming a job this plan lacks, and one at another index
+        // than its job has here. Only the last is attached.
+        let dir = tmp_dir("keyed-replay");
+        let journal_path = dir.join("journal.jsonl");
+        let campaign = seeded_campaign("keyed-replay", 4_000, 2);
+        let digest = campaign.digest();
+        let plan = plan_campaign(&campaign.name, &campaign.panels).expect("plans");
+        let jobs = plan.jobs();
+        let other = tiny_campaign("keyed-replay", 5_000);
+        let other = plan_campaign(&other.name, &other.panels).expect("plans");
+        {
+            let journal = Journal::open(&journal_path).expect("journal");
+            journal.record_submitted(&digest, &campaign, DEFAULT_TENANT, 1);
+            let stranger = other.jobs()[1].key();
+            journal.record_cell(&digest, 1, stranger, &jobs[1].run(), Duration::ZERO);
+            journal.record_cell(&digest, 2, jobs[3].key(), &jobs[3].run(), Duration::ZERO);
+        }
+        let keyless = pythia_stats::json::Json::obj()
+            .set("event", "cell")
+            .set("digest", digest.as_str())
+            .set("cell", 0u64)
+            .set(
+                "report",
+                pythia_stats::json::sim_report_wire_json(&jobs[0].run()),
+            );
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal_path)
+            .expect("append");
+        std::io::Write::write_all(&mut f, (keyless.render() + "\n").as_bytes()).expect("write");
+
+        let journal = Journal::open(&journal_path).expect("journal");
+        let s = Scheduler::start(1, 8, memory(), Some(journal));
+        assert_eq!(s.obs().events.cells_replayed.get(), 1);
+        let done = s.wait(&digest, Duration::from_secs(60));
+        assert!(matches!(done, Some(JobStatus::Done)), "{done:?}");
+        assert_eq!(s.obs().events.cells_executed.get(), 3);
+        let direct = engine::run_all(&campaign.name, &campaign.panels, 1).expect("direct run");
+        assert_eq!(
+            artifact(&s, &digest),
+            direct.stripped().to_json().render_pretty()
+        );
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journal_left_by_a_worker_that_died_merging_replays_to_failed_once() {
         // What the parent of this fix left behind: the worker journaled
         // both cells, then panicked in the merge before any `done`.
@@ -1708,7 +1767,7 @@ mod tests {
             journal.record_submitted(&digest, &campaign, DEFAULT_TENANT, 1);
             let plan = plan_campaign(&campaign.name, &campaign.panels).expect("plans");
             for (flat, job) in plan.jobs().iter().enumerate() {
-                journal.record_cell(&digest, flat, &job.run(), Duration::ZERO);
+                journal.record_cell(&digest, flat, job.key(), &job.run(), Duration::ZERO);
             }
         }
 

@@ -48,15 +48,6 @@ impl CacheStats {
     pub fn demand_misses(&self) -> u64 {
         self.demand_load_misses + self.demand_store_misses
     }
-
-    /// Demand load hit ratio in `[0, 1]`; zero when no loads were observed.
-    pub fn load_hit_ratio(&self) -> f64 {
-        if self.demand_loads == 0 {
-            0.0
-        } else {
-            self.demand_load_hits as f64 / self.demand_loads as f64
-        }
-    }
 }
 
 /// Counters for the DRAM subsystem.
@@ -84,16 +75,6 @@ impl DramStats {
     /// overprediction metric is built from these).
     pub fn total_reads(&self) -> u64 {
         self.demand_reads + self.prefetch_reads
-    }
-
-    /// Fraction of monitor windows spent at or above 50% of peak bandwidth.
-    pub fn high_bw_fraction(&self) -> f64 {
-        let total: u64 = self.bw_bucket_windows.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            (self.bw_bucket_windows[2] + self.bw_bucket_windows[3]) as f64 / total as f64
-        }
     }
 }
 
@@ -123,16 +104,6 @@ impl CoreStats {
             self.instructions as f64 / self.cycles as f64
         }
     }
-
-    /// LLC misses per kilo-instruction needs the LLC stats; kept in
-    /// [`SimReport::llc_mpki`].
-    pub fn mpki(&self, misses: u64) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            misses as f64 * 1000.0 / self.instructions as f64
-        }
-    }
 }
 
 /// One core's prefetcher books, kept by the simulator where it delivers
@@ -153,18 +124,6 @@ pub struct PrefetcherStats {
     /// evicted from the L2 by this core's DRAM-served prefetch, or from the
     /// shared LLC by any core (every core is told of each LLC victim).
     pub useless: u64,
-}
-
-impl PrefetcherStats {
-    /// Accuracy = useful / (useful + useless); zero when nothing resolved.
-    pub fn accuracy(&self) -> f64 {
-        let resolved = self.useful + self.useless;
-        if resolved == 0 {
-            0.0
-        } else {
-            self.useful as f64 / resolved as f64
-        }
-    }
 }
 
 /// Simulation throughput telemetry: simulated instructions per wall-clock
@@ -265,28 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_ratio_bounds() {
-        let s = CacheStats {
-            demand_loads: 10,
-            demand_load_hits: 7,
-            ..Default::default()
-        };
-        assert!((s.load_hit_ratio() - 0.7).abs() < 1e-12);
-        assert_eq!(CacheStats::default().load_hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn prefetcher_accuracy() {
-        let p = PrefetcherStats {
-            useful: 3,
-            useless: 1,
-            ..Default::default()
-        };
-        assert!((p.accuracy() - 0.75).abs() < 1e-12);
-        assert_eq!(PrefetcherStats::default().accuracy(), 0.0);
-    }
-
-    #[test]
     fn geomean_ipc_of_identical_cores() {
         let core = CoreStats {
             instructions: 1000,
@@ -302,24 +239,5 @@ mod tests {
             prefetchers: vec![],
         };
         assert!((report.geomean_ipc() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mpki_computation() {
-        let c = CoreStats {
-            instructions: 1_000_000,
-            ..Default::default()
-        };
-        assert!((c.mpki(3000) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn high_bw_fraction() {
-        let d = DramStats {
-            bw_bucket_windows: [1, 1, 1, 1],
-            ..Default::default()
-        };
-        assert!((d.high_bw_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(DramStats::default().high_bw_fraction(), 0.0);
     }
 }

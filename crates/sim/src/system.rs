@@ -1007,7 +1007,7 @@ mod tests {
         let report = sys.run(2_000, 10_000);
         let l1 = &report.l1d[0];
         assert!(
-            l1.load_hit_ratio() > 0.95,
+            l1.demand_load_hits as f64 > 0.95 * l1.demand_loads as f64,
             "resident footprint should hit in L1: {:?}",
             l1
         );

@@ -82,24 +82,13 @@ impl BenchMeasurement {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("benchmark entry missing string {key:?}"))
-        };
-        let num_field = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("benchmark entry missing number {key:?}"))
-        };
         Ok(Self {
-            name: str_field("name")?,
-            unit: str_field("unit")?,
-            units_per_rep: num_field("units_per_rep")? as u64,
-            reps: num_field("reps")? as u32,
-            median_ns: num_field("median_ns")?,
-            mad_ns: num_field("mad_ns")?,
+            name: v.str_field("name")?.to_string(),
+            unit: v.str_field("unit")?.to_string(),
+            units_per_rep: v.f64_field("units_per_rep")? as u64,
+            reps: v.f64_field("reps")? as u32,
+            median_ns: v.f64_field("median_ns")?,
+            mad_ns: v.f64_field("mad_ns")?,
         })
     }
 }
@@ -157,15 +146,8 @@ impl BenchReport {
     ///
     /// Returns a message naming the first missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("report missing string \"name\"")?
-            .to_string();
-        let scale = v
-            .get("scale")
-            .and_then(Json::as_f64)
-            .ok_or("report missing number \"scale\"")?;
+        let name = v.str_field("name")?.to_string();
+        let scale = v.f64_field("scale")?;
         // Optional: reports written before host provenance existed parse
         // to `host: None`.
         let host = v.get("host").map(|h| BenchHost {
@@ -181,9 +163,7 @@ impl BenchReport {
                 .to_string(),
         });
         let benchmarks = v
-            .get("benchmarks")
-            .and_then(Json::as_arr)
-            .ok_or("report missing array \"benchmarks\"")?
+            .arr_field("benchmarks")?
             .iter()
             .map(BenchMeasurement::from_json)
             .collect::<Result<Vec<_>, _>>()?;

@@ -106,6 +106,65 @@ impl Json {
         }
     }
 
+    /// The value under `key` of an object.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing or `self` is not an object. The
+    /// typed `*_field` readers below fail the same way, or name the key and
+    /// the type they expected.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing key {key:?}"))
+    }
+
+    /// The string under `key`.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        (self.field(key)?.as_str()).ok_or_else(|| format!("key {key:?}: expected a string"))
+    }
+
+    /// The number under `key`.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        (self.field(key)?.as_f64()).ok_or_else(|| format!("key {key:?}: expected a number"))
+    }
+
+    /// The number under `key` as an `f32`: the payload must be an exact
+    /// `f32` widening, so the narrowing is lossless.
+    pub fn f32_field(&self, key: &str) -> Result<f32, String> {
+        let wide = self.f64_field(key)?;
+        let narrow = wide as f32;
+        if f64::from(narrow) != wide {
+            return Err(format!("key {key:?}: {wide} is not an exact f32"));
+        }
+        Ok(narrow)
+    }
+
+    /// The unsigned integer under `key`, in either [`u64_json`] form,
+    /// narrowed to `T`.
+    pub fn uint_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = u64_value(self.field(key)?).map_err(|e| format!("key {key:?}: {e}"))?;
+        T::try_from(n).map_err(|_| format!("key {key:?}: {n} is out of range"))
+    }
+
+    /// The integral number under `key`, within `f64`'s exact range,
+    /// narrowed to `T`.
+    pub fn int_field<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        let n = self.f64_field(key)?;
+        if n.fract() != 0.0 || n.abs() > MAX_EXACT as f64 {
+            return Err(format!("key {key:?}: expected an integer"));
+        }
+        T::try_from(n as i64).map_err(|_| format!("key {key:?}: {n} is out of range"))
+    }
+
+    /// The bool under `key`.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        (self.field(key)?.as_bool()).ok_or_else(|| format!("key {key:?}: expected a bool"))
+    }
+
+    /// The array under `key`.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        (self.field(key)?.as_arr()).ok_or_else(|| format!("key {key:?}: expected an array"))
+    }
+
     /// Renders compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -495,13 +554,6 @@ pub fn u64_value(v: &Json) -> Result<u64, String> {
     }
 }
 
-fn wire_u64_of(j: &Json, key: &str) -> Result<u64, String> {
-    let v = j
-        .get(key)
-        .ok_or_else(|| format!("sim report: missing {key:?}"))?;
-    u64_value(v).map_err(|e| format!("sim report: {key:?}: {e}"))
-}
-
 fn cache_wire_json(c: &pythia_sim::stats::CacheStats) -> Json {
     Json::obj()
         .set("demand_loads", u64_json(c.demand_loads))
@@ -523,21 +575,21 @@ fn cache_wire_json(c: &pythia_sim::stats::CacheStats) -> Json {
 
 fn cache_from_wire(j: &Json) -> Result<pythia_sim::stats::CacheStats, String> {
     Ok(pythia_sim::stats::CacheStats {
-        demand_loads: wire_u64_of(j, "demand_loads")?,
-        demand_load_hits: wire_u64_of(j, "demand_load_hits")?,
-        demand_load_misses: wire_u64_of(j, "demand_load_misses")?,
-        demand_stores: wire_u64_of(j, "demand_stores")?,
-        demand_store_hits: wire_u64_of(j, "demand_store_hits")?,
-        demand_store_misses: wire_u64_of(j, "demand_store_misses")?,
-        prefetch_fills: wire_u64_of(j, "prefetch_fills")?,
-        prefetch_redundant: wire_u64_of(j, "prefetch_redundant")?,
-        useful_prefetches: wire_u64_of(j, "useful_prefetches")?,
-        useless_prefetches: wire_u64_of(j, "useless_prefetches")?,
-        late_prefetch_hits: wire_u64_of(j, "late_prefetch_hits")?,
-        mshr_stall_cycles: wire_u64_of(j, "mshr_stall_cycles")?,
-        mshr_stalls: wire_u64_of(j, "mshr_stalls")?,
-        dirty_evictions: wire_u64_of(j, "dirty_evictions")?,
-        evictions: wire_u64_of(j, "evictions")?,
+        demand_loads: j.uint_field("demand_loads")?,
+        demand_load_hits: j.uint_field("demand_load_hits")?,
+        demand_load_misses: j.uint_field("demand_load_misses")?,
+        demand_stores: j.uint_field("demand_stores")?,
+        demand_store_hits: j.uint_field("demand_store_hits")?,
+        demand_store_misses: j.uint_field("demand_store_misses")?,
+        prefetch_fills: j.uint_field("prefetch_fills")?,
+        prefetch_redundant: j.uint_field("prefetch_redundant")?,
+        useful_prefetches: j.uint_field("useful_prefetches")?,
+        useless_prefetches: j.uint_field("useless_prefetches")?,
+        late_prefetch_hits: j.uint_field("late_prefetch_hits")?,
+        mshr_stall_cycles: j.uint_field("mshr_stall_cycles")?,
+        mshr_stalls: j.uint_field("mshr_stalls")?,
+        dirty_evictions: j.uint_field("dirty_evictions")?,
+        evictions: j.uint_field("evictions")?,
     })
 }
 
@@ -602,38 +654,33 @@ pub fn sim_report_wire_json(r: &SimReport) -> Json {
 ///
 /// Returns a message naming the first missing or ill-typed key.
 pub fn sim_report_from_wire(j: &Json) -> Result<SimReport, String> {
-    let arr_of = |key: &str| -> Result<&[Json], String> {
-        j.get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("sim report: missing array {key:?}"))
-    };
-    let cores = arr_of("cores")?
+    let cores = j
+        .arr_field("cores")?
         .iter()
         .map(|c| {
             Ok(pythia_sim::stats::CoreStats {
-                instructions: wire_u64_of(c, "instructions")?,
-                cycles: wire_u64_of(c, "cycles")?,
-                loads: wire_u64_of(c, "loads")?,
-                stores: wire_u64_of(c, "stores")?,
-                branches: wire_u64_of(c, "branches")?,
-                branch_mispredicts: wire_u64_of(c, "branch_mispredicts")?,
+                instructions: c.uint_field("instructions")?,
+                cycles: c.uint_field("cycles")?,
+                loads: c.uint_field("loads")?,
+                stores: c.uint_field("stores")?,
+                branches: c.uint_field("branches")?,
+                branch_mispredicts: c.uint_field("branch_mispredicts")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let l1d = arr_of("l1d")?
+    let l1d = j
+        .arr_field("l1d")?
         .iter()
         .map(cache_from_wire)
         .collect::<Result<Vec<_>, String>>()?;
-    let l2 = arr_of("l2")?
+    let l2 = j
+        .arr_field("l2")?
         .iter()
         .map(cache_from_wire)
         .collect::<Result<Vec<_>, String>>()?;
-    let llc = cache_from_wire(j.get("llc").ok_or("sim report: missing llc")?)?;
-    let dram_j = j.get("dram").ok_or("sim report: missing dram")?;
-    let buckets = dram_j
-        .get("bw_bucket_windows")
-        .and_then(Json::as_arr)
-        .ok_or("sim report: missing bw_bucket_windows")?;
+    let llc = cache_from_wire(j.field("llc")?)?;
+    let dram_j = j.field("dram")?;
+    let buckets = dram_j.arr_field("bw_bucket_windows")?;
     if buckets.len() != 4 {
         return Err("sim report: bw_bucket_windows must have 4 entries".into());
     }
@@ -642,22 +689,23 @@ pub fn sim_report_from_wire(j: &Json) -> Result<SimReport, String> {
         *slot = u64_value(b).map_err(|e| format!("sim report: bw_bucket_windows: {e}"))?;
     }
     let dram = pythia_sim::stats::DramStats {
-        demand_reads: wire_u64_of(dram_j, "demand_reads")?,
-        prefetch_reads: wire_u64_of(dram_j, "prefetch_reads")?,
-        writes: wire_u64_of(dram_j, "writes")?,
-        row_hits: wire_u64_of(dram_j, "row_hits")?,
-        row_misses: wire_u64_of(dram_j, "row_misses")?,
-        bus_busy_cycles: wire_u64_of(dram_j, "bus_busy_cycles")?,
+        demand_reads: dram_j.uint_field("demand_reads")?,
+        prefetch_reads: dram_j.uint_field("prefetch_reads")?,
+        writes: dram_j.uint_field("writes")?,
+        row_hits: dram_j.uint_field("row_hits")?,
+        row_misses: dram_j.uint_field("row_misses")?,
+        bus_busy_cycles: dram_j.uint_field("bus_busy_cycles")?,
         bw_bucket_windows,
     };
-    let prefetchers = arr_of("prefetchers")?
+    let prefetchers = j
+        .arr_field("prefetchers")?
         .iter()
         .map(|p| {
             Ok(pythia_sim::stats::PrefetcherStats {
-                issued: wire_u64_of(p, "issued")?,
-                redundant: wire_u64_of(p, "redundant")?,
-                useful: wire_u64_of(p, "useful")?,
-                useless: wire_u64_of(p, "useless")?,
+                issued: p.uint_field("issued")?,
+                redundant: p.uint_field("redundant")?,
+                useful: p.uint_field("useful")?,
+                useless: p.uint_field("useless")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -941,5 +989,34 @@ mod tests {
         assert_eq!(fields.len(), 2);
         assert_eq!(fields[0].0, "a");
         assert_eq!(v.get("b").unwrap().as_obj(), None);
+    }
+
+    #[test]
+    fn field_readers_type_narrow_and_name_the_key() {
+        let v = parse(
+            "{\"s\": \"x\", \"n\": -3, \"big\": \"9007199254740993\", \"f\": 0.5, \
+             \"t\": true, \"a\": [1], \"wide\": 0.1}",
+        )
+        .unwrap();
+        assert_eq!(v.str_field("s"), Ok("x"));
+        assert_eq!(v.int_field::<i16>("n"), Ok(-3));
+        assert_eq!(v.uint_field::<u64>("big"), Ok((1 << 53) + 1));
+        assert_eq!(v.f32_field("f"), Ok(0.5));
+        assert_eq!(v.bool_field("t"), Ok(true));
+        assert_eq!(v.arr_field("a").map(<[Json]>::len), Ok(1));
+        // Each failure names its key: missing, mistyped, out of range,
+        // negative, fractional, or not an exact f32.
+        for (key, err) in [
+            ("gone", v.field("gone").err()),
+            ("n", v.str_field("n").err()),
+            ("big", v.uint_field::<u8>("big").err()),
+            ("n", v.uint_field::<u64>("n").err()),
+            ("f", v.int_field::<i64>("f").err()),
+            ("wide", v.f32_field("wide").err()),
+            ("t", v.arr_field("t").err()),
+        ] {
+            let err = err.unwrap_or_else(|| panic!("{key:?} must be rejected"));
+            assert!(err.contains(&format!("{key:?}")), "{err}");
+        }
     }
 }

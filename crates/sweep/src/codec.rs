@@ -37,61 +37,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn get<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn str_of(j: &Json, key: &str) -> Result<String, String> {
-    get(j, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("key {key:?}: expected a string"))
-}
-
-fn f64_of(j: &Json, key: &str) -> Result<f64, String> {
-    get(j, key)?
-        .as_f64()
-        .ok_or_else(|| format!("key {key:?}: expected a number"))
-}
-
-fn u64_of(j: &Json, key: &str) -> Result<u64, String> {
-    u64_value(get(j, key)?).map_err(|e| format!("key {key:?}: {e}"))
-}
-
-fn usize_of(j: &Json, key: &str) -> Result<usize, String> {
-    usize::try_from(u64_of(j, key)?).map_err(|_| format!("key {key:?}: out of range"))
-}
-
-fn u8_of(j: &Json, key: &str) -> Result<u8, String> {
-    u8::try_from(u64_of(j, key)?).map_err(|_| format!("key {key:?}: out of u8 range"))
-}
-
-fn u32_of(j: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(u64_of(j, key)?).map_err(|_| format!("key {key:?}: out of u32 range"))
-}
-
-fn i64_of(j: &Json, key: &str) -> Result<i64, String> {
-    // Largest integer magnitude `f64` carries exactly (2^53).
-    const MAX_EXACT: f64 = (1u64 << 53) as f64;
-    let n = f64_of(j, key)?;
-    if n.fract() != 0.0 || n.abs() > MAX_EXACT {
-        return Err(format!("key {key:?}: expected an integer"));
-    }
-    Ok(n as i64)
-}
-
-fn bool_of(j: &Json, key: &str) -> Result<bool, String> {
-    get(j, key)?
-        .as_bool()
-        .ok_or_else(|| format!("key {key:?}: expected a bool"))
-}
-
-fn arr_of<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    get(j, key)?
-        .as_arr()
-        .ok_or_else(|| format!("key {key:?}: expected an array"))
-}
-
 // ---------------------------------------------------------------------------
 // PatternKind / TraceSpec / Workload / WorkUnit
 // ---------------------------------------------------------------------------
@@ -144,7 +89,7 @@ fn pattern_json(kind: &PatternKind) -> Json {
 }
 
 fn bytes_from(j: &Json, key: &str) -> Result<Vec<u8>, String> {
-    bytes_values(arr_of(j, key)?).map_err(|e| format!("key {key:?}: {e}"))
+    bytes_values(j.arr_field(key)?).map_err(|e| format!("key {key:?}: {e}"))
 }
 
 fn bytes_values(items: &[Json]) -> Result<Vec<u8>, String> {
@@ -160,19 +105,19 @@ fn bytes_values(items: &[Json]) -> Result<Vec<u8>, String> {
 }
 
 fn pattern_from(j: &Json) -> Result<PatternKind, String> {
-    let tag = str_of(j, "t")?;
-    Ok(match tag.as_str() {
+    Ok(match j.str_field("t")? {
         "stream" => PatternKind::Stream {
-            store_every: u32_of(j, "store_every")?,
+            store_every: j.uint_field("store_every")?,
         },
         "stride" => PatternKind::Stride {
-            lines: i32::try_from(i64_of(j, "lines")?).map_err(|_| "stride out of range")?,
+            lines: j.int_field("lines")?,
         },
         "page-visit" => PatternKind::PageVisit {
             offsets: bytes_from(j, "offsets")?,
         },
         "spatial-footprint" => PatternKind::SpatialFootprint {
-            patterns: arr_of(j, "patterns")?
+            patterns: j
+                .arr_field("patterns")?
                 .iter()
                 .map(|p| {
                     p.as_arr()
@@ -180,10 +125,11 @@ fn pattern_from(j: &Json) -> Result<PatternKind, String> {
                         .and_then(bytes_values)
                 })
                 .collect::<Result<_, _>>()?,
-            noise_pct: u8_of(j, "noise_pct")?,
+            noise_pct: j.uint_field("noise_pct")?,
         },
         "delta-chain" => PatternKind::DeltaChain {
-            deltas: arr_of(j, "deltas")?
+            deltas: j
+                .arr_field("deltas")?
                 .iter()
                 .map(|v| {
                     v.as_f64()
@@ -194,19 +140,20 @@ fn pattern_from(j: &Json) -> Result<PatternKind, String> {
                 .collect::<Result<_, _>>()?,
         },
         "irregular-graph" => PatternKind::IrregularGraph {
-            vertices: u64_of(j, "vertices")?,
-            avg_degree: u32_of(j, "avg_degree")?,
+            vertices: j.uint_field("vertices")?,
+            avg_degree: j.uint_field("avg_degree")?,
         },
         "pointer-chase" => PatternKind::PointerChase,
         "cloud-mix" => PatternKind::CloudMix {
-            hot_pct: u8_of(j, "hot_pct")?,
+            hot_pct: j.uint_field("hot_pct")?,
         },
         "phased" => PatternKind::Phased {
-            phases: arr_of(j, "phases")?
+            phases: j
+                .arr_field("phases")?
                 .iter()
                 .map(pattern_from)
                 .collect::<Result<_, _>>()?,
-            phase_len: u32_of(j, "phase_len")?,
+            phase_len: j.uint_field("phase_len")?,
         },
         other => return Err(format!("unknown pattern kind {other:?}")),
     })
@@ -227,15 +174,15 @@ fn trace_spec_json(s: &TraceSpec) -> Json {
 
 fn trace_spec_from(j: &Json) -> Result<TraceSpec, String> {
     Ok(TraceSpec {
-        name: str_of(j, "name")?,
-        kind: pattern_from(get(j, "kind")?)?,
-        instructions: usize_of(j, "instructions")?,
-        mem_pct: u8_of(j, "mem_pct")?,
-        footprint_pages: u64_of(j, "footprint_pages")?,
-        branch_pct: u8_of(j, "branch_pct")?,
-        mispredict_pct: u8_of(j, "mispredict_pct")?,
-        accesses_per_line: u8_of(j, "accesses_per_line")?,
-        seed: u64_of(j, "seed")?,
+        name: j.str_field("name")?.to_string(),
+        kind: pattern_from(j.field("kind")?)?,
+        instructions: j.uint_field("instructions")?,
+        mem_pct: j.uint_field("mem_pct")?,
+        footprint_pages: j.uint_field("footprint_pages")?,
+        branch_pct: j.uint_field("branch_pct")?,
+        mispredict_pct: j.uint_field("mispredict_pct")?,
+        accesses_per_line: j.uint_field("accesses_per_line")?,
+        seed: j.uint_field("seed")?,
     })
 }
 
@@ -264,9 +211,9 @@ fn workload_json(w: &Workload) -> Json {
 
 fn workload_from(j: &Json) -> Result<Workload, String> {
     Ok(Workload {
-        name: str_of(j, "name")?,
-        suite: suite_from(&str_of(j, "suite")?)?,
-        spec: trace_spec_from(get(j, "spec")?)?,
+        name: j.str_field("name")?.to_string(),
+        suite: suite_from(j.str_field("suite")?)?,
+        spec: trace_spec_from(j.field("spec")?)?,
     })
 }
 
@@ -282,9 +229,10 @@ fn unit_json(u: &WorkUnit) -> Json {
 
 fn unit_from(j: &Json) -> Result<WorkUnit, String> {
     Ok(WorkUnit {
-        label: str_of(j, "label")?,
-        group: str_of(j, "group")?,
-        workloads: arr_of(j, "workloads")?
+        label: j.str_field("label")?.to_string(),
+        group: j.str_field("group")?.to_string(),
+        workloads: j
+            .arr_field("workloads")?
             .iter()
             .map(workload_from)
             .collect::<Result<_, _>>()?,
@@ -404,34 +352,21 @@ fn pythia_config_json(c: &PythiaConfig) -> Json {
         .set("seed", u64_json(c.seed))
 }
 
-fn i16_of(j: &Json, key: &str) -> Result<i16, String> {
-    i16::try_from(i64_of(j, key)?).map_err(|_| format!("key {key:?}: out of i16 range"))
-}
-
-/// `f32` carried through JSON: the `f64` payload must be an exact `f32`
-/// widening, so the narrowing cast is lossless.
-fn f32_of(j: &Json, key: &str) -> Result<f32, String> {
-    let wide = f64_of(j, key)?;
-    let narrow = wide as f32;
-    if f64::from(narrow) != wide {
-        return Err(format!("key {key:?}: {wide} is not an exact f32"));
-    }
-    Ok(narrow)
-}
-
 fn pythia_config_from(j: &Json) -> Result<PythiaConfig, String> {
-    let rewards = get(j, "rewards")?;
+    let rewards = j.field("rewards")?;
     Ok(PythiaConfig {
-        features: arr_of(j, "features")?
+        features: j
+            .arr_field("features")?
             .iter()
             .map(|f| {
                 Ok(Feature {
-                    control: control_from(&str_of(f, "control")?)?,
-                    data: data_from(&str_of(f, "data")?)?,
+                    control: control_from(f.str_field("control")?)?,
+                    data: data_from(f.str_field("data")?)?,
                 })
             })
             .collect::<Result<_, String>>()?,
-        actions: arr_of(j, "actions")?
+        actions: j
+            .arr_field("actions")?
             .iter()
             .map(|v| {
                 v.as_f64()
@@ -441,31 +376,31 @@ fn pythia_config_from(j: &Json) -> Result<PythiaConfig, String> {
             })
             .collect::<Result<_, _>>()?,
         rewards: RewardLevels {
-            accurate_timely: i16_of(rewards, "accurate_timely")?,
-            accurate_late: i16_of(rewards, "accurate_late")?,
-            coverage_loss: i16_of(rewards, "coverage_loss")?,
-            inaccurate_high_bw: i16_of(rewards, "inaccurate_high_bw")?,
-            inaccurate_low_bw: i16_of(rewards, "inaccurate_low_bw")?,
-            no_prefetch_high_bw: i16_of(rewards, "no_prefetch_high_bw")?,
-            no_prefetch_low_bw: i16_of(rewards, "no_prefetch_low_bw")?,
+            accurate_timely: rewards.int_field("accurate_timely")?,
+            accurate_late: rewards.int_field("accurate_late")?,
+            coverage_loss: rewards.int_field("coverage_loss")?,
+            inaccurate_high_bw: rewards.int_field("inaccurate_high_bw")?,
+            inaccurate_low_bw: rewards.int_field("inaccurate_low_bw")?,
+            no_prefetch_high_bw: rewards.int_field("no_prefetch_high_bw")?,
+            no_prefetch_low_bw: rewards.int_field("no_prefetch_low_bw")?,
         },
-        alpha: f32_of(j, "alpha")?,
-        gamma: f32_of(j, "gamma")?,
-        epsilon: f32_of(j, "epsilon")?,
-        eq_size: usize_of(j, "eq_size")?,
-        planes: usize_of(j, "planes")?,
-        plane_index_bits: u32_of(j, "plane_index_bits")?,
-        vault_combine: match str_of(j, "vault_combine")?.as_str() {
+        alpha: j.f32_field("alpha")?,
+        gamma: j.f32_field("gamma")?,
+        epsilon: j.f32_field("epsilon")?,
+        eq_size: j.uint_field("eq_size")?,
+        planes: j.uint_field("planes")?,
+        plane_index_bits: j.uint_field("plane_index_bits")?,
+        vault_combine: match j.str_field("vault_combine")? {
             "max" => VaultCombine::Max,
             "mean" => VaultCombine::Mean,
             other => return Err(format!("unknown vault_combine {other:?}")),
         },
-        q_init_override: match get(j, "q_init_override")? {
+        q_init_override: match j.field("q_init_override")? {
             Json::Null => None,
-            _ => Some(f32_of(j, "q_init_override")?),
+            _ => Some(j.f32_field("q_init_override")?),
         },
-        graded_timeliness: bool_of(j, "graded_timeliness")?,
-        seed: u64_of(j, "seed")?,
+        graded_timeliness: j.bool_field("graded_timeliness")?,
+        seed: j.uint_field("seed")?,
     })
 }
 
@@ -478,13 +413,9 @@ fn prefetcher_json(p: &PrefetcherSpec) -> Json {
 }
 
 fn prefetcher_from(j: &Json) -> Result<PrefetcherSpec, String> {
-    let label = str_of(j, "label")?;
+    let label = j.str_field("label")?.to_string();
     let kind = match (j.get("named"), j.get("pythia")) {
-        (Some(n), None) => PrefetcherKind::Named(
-            n.as_str()
-                .ok_or("key \"named\": expected a string")?
-                .to_string(),
-        ),
+        (Some(_), None) => PrefetcherKind::Named(j.str_field("named")?.to_string()),
         (None, Some(cfg)) => PrefetcherKind::Pythia(pythia_config_from(cfg)?),
         _ => {
             return Err(format!(
@@ -516,11 +447,11 @@ fn cache_json(c: &CacheConfig) -> Json {
 
 fn cache_from(j: &Json) -> Result<CacheConfig, String> {
     Ok(CacheConfig {
-        size_bytes: u64_of(j, "size_bytes")?,
-        ways: usize_of(j, "ways")?,
-        latency: u64_of(j, "latency")?,
-        mshrs: usize_of(j, "mshrs")?,
-        replacement: match str_of(j, "replacement")?.as_str() {
+        size_bytes: j.uint_field("size_bytes")?,
+        ways: j.uint_field("ways")?,
+        latency: j.uint_field("latency")?,
+        mshrs: j.uint_field("mshrs")?,
+        replacement: match j.str_field("replacement")? {
             "lru" => ReplacementKind::Lru,
             "ship" => ReplacementKind::Ship,
             other => return Err(format!("unknown replacement {other:?}")),
@@ -564,33 +495,33 @@ fn system_json(s: &SystemConfig) -> Json {
 }
 
 fn system_from(j: &Json) -> Result<SystemConfig, String> {
-    let core = get(j, "core")?;
-    let dram = get(j, "dram")?;
+    let core = j.field("core")?;
+    let dram = j.field("dram")?;
     Ok(SystemConfig {
-        cores: usize_of(j, "cores")?,
+        cores: j.uint_field("cores")?,
         core: CoreConfig {
-            width: u32_of(core, "width")?,
-            rob_entries: usize_of(core, "rob_entries")?,
-            lq_entries: usize_of(core, "lq_entries")?,
-            sq_entries: usize_of(core, "sq_entries")?,
-            mispredict_penalty: u64_of(core, "mispredict_penalty")?,
+            width: core.uint_field("width")?,
+            rob_entries: core.uint_field("rob_entries")?,
+            lq_entries: core.uint_field("lq_entries")?,
+            sq_entries: core.uint_field("sq_entries")?,
+            mispredict_penalty: core.uint_field("mispredict_penalty")?,
         },
-        l1d: cache_from(get(j, "l1d")?)?,
-        l2: cache_from(get(j, "l2")?)?,
-        llc: cache_from(get(j, "llc")?)?,
+        l1d: cache_from(j.field("l1d")?)?,
+        l2: cache_from(j.field("l2")?)?,
+        llc: cache_from(j.field("llc")?)?,
         dram: DramConfig {
-            channels: usize_of(dram, "channels")?,
-            ranks_per_channel: usize_of(dram, "ranks_per_channel")?,
-            banks_per_rank: usize_of(dram, "banks_per_rank")?,
-            row_buffer_bytes: u64_of(dram, "row_buffer_bytes")?,
-            mtps: u64_of(dram, "mtps")?,
-            bus_bytes: u64_of(dram, "bus_bytes")?,
-            t_rcd_tenth_ns: u64_of(dram, "t_rcd_tenth_ns")?,
-            t_rp_tenth_ns: u64_of(dram, "t_rp_tenth_ns")?,
-            t_cas_tenth_ns: u64_of(dram, "t_cas_tenth_ns")?,
+            channels: dram.uint_field("channels")?,
+            ranks_per_channel: dram.uint_field("ranks_per_channel")?,
+            banks_per_rank: dram.uint_field("banks_per_rank")?,
+            row_buffer_bytes: dram.uint_field("row_buffer_bytes")?,
+            mtps: dram.uint_field("mtps")?,
+            bus_bytes: dram.uint_field("bus_bytes")?,
+            t_rcd_tenth_ns: dram.uint_field("t_rcd_tenth_ns")?,
+            t_rp_tenth_ns: dram.uint_field("t_rp_tenth_ns")?,
+            t_cas_tenth_ns: dram.uint_field("t_cas_tenth_ns")?,
         },
-        bandwidth_window_cycles: u64_of(j, "bandwidth_window_cycles")?,
-        bandwidth_high_pct: u8_of(j, "bandwidth_high_pct")?,
+        bandwidth_window_cycles: j.uint_field("bandwidth_window_cycles")?,
+        bandwidth_high_pct: j.uint_field("bandwidth_high_pct")?,
     })
 }
 
@@ -604,10 +535,10 @@ fn config_point_json(c: &ConfigPoint) -> Json {
 
 fn config_point_from(j: &Json) -> Result<ConfigPoint, String> {
     Ok(ConfigPoint {
-        label: str_of(j, "label")?,
-        system: system_from(get(j, "system")?)?,
-        warmup: u64_of(j, "warmup")?,
-        measure: u64_of(j, "measure")?,
+        label: j.str_field("label")?.to_string(),
+        system: system_from(j.field("system")?)?,
+        warmup: j.uint_field("warmup")?,
+        measure: j.uint_field("measure")?,
     })
 }
 
@@ -642,22 +573,25 @@ pub fn spec_json(s: &SweepSpec) -> Json {
 /// Returns a message naming the first missing or ill-typed key.
 pub fn spec_from_json(j: &Json) -> Result<SweepSpec, String> {
     Ok(SweepSpec {
-        name: str_of(j, "name")?,
-        units: arr_of(j, "units")?
+        name: j.str_field("name")?.to_string(),
+        units: j
+            .arr_field("units")?
             .iter()
             .map(unit_from)
             .collect::<Result<_, _>>()?,
-        prefetchers: arr_of(j, "prefetchers")?
+        prefetchers: j
+            .arr_field("prefetchers")?
             .iter()
             .map(prefetcher_from)
             .collect::<Result<_, _>>()?,
-        configs: arr_of(j, "configs")?
+        configs: j
+            .arr_field("configs")?
             .iter()
             .map(config_point_from)
             .collect::<Result<_, _>>()?,
-        baseline: prefetcher_from(get(j, "baseline")?)?,
+        baseline: prefetcher_from(j.field("baseline")?)?,
         seeds: {
-            let arr = arr_of(j, "seeds")?;
+            let arr = j.arr_field("seeds")?;
             let mut out = Vec::with_capacity(arr.len());
             for (i, v) in arr.iter().enumerate() {
                 out.push(u64_value(v).map_err(|e| format!("seeds[{i}]: {e}"))?);
@@ -710,8 +644,9 @@ impl Campaign {
     /// Returns a message naming the first missing or ill-typed key.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(Self {
-            name: str_of(j, "name")?,
-            panels: arr_of(j, "panels")?
+            name: j.str_field("name")?.to_string(),
+            panels: j
+                .arr_field("panels")?
                 .iter()
                 .map(spec_from_json)
                 .collect::<Result<_, _>>()?,

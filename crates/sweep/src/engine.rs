@@ -3,8 +3,9 @@
 //!
 //! [`plan_campaign`] is the only code that knows grid order. It walks the
 //! panels once, emitting the independent simulations ([`CellJob`]s, in a
-//! flat order) and, beside them, every output row with the flat index of
-//! the report it summarizes and of the baseline it is compared against.
+//! flat order, each distinct one once) and, beside them, every output row
+//! with the flat index of the report it summarizes and of the baseline it
+//! is compared against.
 //! Executing the jobs in any order, on any number of threads or processes,
 //! and handing the reports to [`CampaignPlan::merge_cells`] gives the same
 //! bytes. [`run`] and [`run_all`] are that sequence on the
@@ -24,6 +25,7 @@ use pythia_sim::stats::{SimReport, Throughput};
 use pythia_sim::trace::TraceSource;
 use pythia_stats::metrics;
 
+use crate::codec::fnv1a_64;
 use crate::result::{CellResult, RawSummary, SweepResult};
 use crate::spec::{ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec, WorkUnit};
 
@@ -70,9 +72,9 @@ pub fn run(spec: &SweepSpec, threads: usize) -> Result<SweepResult, String> {
 
 /// Runs several sweeps (e.g. the panels of one figure) as one campaign
 /// named `name`: every panel's baselines and cells fan out over `threads`
-/// workers as one batch, and panels with overlapping (units × configs ×
-/// seeds) share baseline jobs — Fig. 9's two panels cover the same
-/// 50-workload pool, for example.
+/// workers as one batch, and a simulation several rows need runs once —
+/// Fig. 9's two panels share their baselines and their Pythia cells, for
+/// example.
 ///
 /// # Errors
 ///
@@ -102,6 +104,7 @@ pub struct CellJob {
     /// Instructions this job simulates across all cores (warmup +
     /// measure), for throughput telemetry and progress accounting.
     pub instructions: u64,
+    key: u64,
     unit: WorkUnit,
     kind: PrefetcherKind,
     config: ConfigPoint,
@@ -109,20 +112,19 @@ pub struct CellJob {
 }
 
 impl CellJob {
-    fn new(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: u64) -> Self {
-        Self {
-            instructions: (config.warmup + config.measure) * unit.cores() as u64,
-            unit: unit.clone(),
-            kind: kind.clone(),
-            config: config.clone(),
-            seed,
-        }
-    }
-
     /// Runs the simulation. Deterministic: the same job always produces a
     /// byte-identical report, on any thread, in any process.
     pub fn run(&self) -> SimReport {
         simulate(&self.unit, &self.kind, &self.config, self.seed)
+    }
+
+    /// FNV-1a digest of everything that determines this simulation —
+    /// workload specs, prefetcher kind, system config, budgets and seed
+    /// offset. No two jobs of one plan share a key; a job that a restart
+    /// finds journaled under its key is this simulation, whatever flat
+    /// index it sits at in this version's plan.
+    pub fn key(&self) -> u64 {
+        self.key
     }
 }
 
@@ -139,18 +141,20 @@ struct Row {
     /// The job whose report this row summarizes.
     report: usize,
     /// The job whose report it is compared against; `report` itself for a
-    /// baseline row, possibly a job planned under an earlier panel.
+    /// baseline row and for a cell that repeats its baseline. Either job
+    /// may have been planned under an earlier panel.
     baseline: usize,
 }
 
 /// A campaign expanded into an ordered set of independent [`CellJob`]s
 /// plus the row table that turns their reports into a [`SweepResult`].
 ///
-/// The flat job order is panel-major with each panel's baselines planned
-/// before its cells, and baselines deduplicated across panels (first
-/// panel wins), so a job's baseline always precedes it. Executing the
-/// jobs in *any* order and merging gives the bytes of the serial in-order
-/// run.
+/// Each distinct simulation is planned once, at the first row that needs
+/// it, walking the panels in order and each panel's baseline rows before
+/// its cell rows. So job order follows row order: a panel's baseline jobs
+/// precede the cell jobs it plans, and a row's report job, like its
+/// baseline job, may come from an earlier panel. Executing the jobs in
+/// *any* order and merging gives the bytes of the serial in-order run.
 #[derive(Debug)]
 pub struct CampaignPlan {
     name: String,
@@ -161,58 +165,87 @@ pub struct CampaignPlan {
     cell_rows: Vec<Row>,
 }
 
+/// One unit × config × seed coordinate of a panel, with the rendered part
+/// of the job key it fixes.
+struct Coord<'a> {
+    unit: &'a WorkUnit,
+    config: &'a ConfigPoint,
+    seed: u64,
+    key: String,
+}
+
 /// Expands a campaign (panels of one figure) into a [`CampaignPlan`].
 ///
-/// Per panel in order: baseline jobs first (one per unit × config × seed
-/// coordinate no earlier panel planned), then every measured cell in grid
-/// order (unit-major, then config, then prefetcher, then seed). Rows
-/// follow the same two orders, one baseline row per panel coordinate
-/// whether or not its job is shared.
+/// Rows: per panel in order, one baseline row per unit × config × seed
+/// coordinate, then every measured cell in grid order (unit-major, then
+/// config, then prefetcher, then seed). Jobs: the same walk, planning each
+/// distinct simulation (see [`CellJob::key`]) once, at its first sighting;
+/// a row whose simulation was planned before points at that job.
 ///
 /// # Errors
 ///
 /// Returns the first [`SweepSpec::validate`] error among the panels.
 pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, String> {
     let mut jobs: Vec<CellJob> = Vec::new();
-    let mut baseline_jobs: HashMap<String, usize> = HashMap::new();
+    let mut planned: HashMap<String, usize> = HashMap::new();
+    let mut plan = |at: &Coord, kind: &PrefetcherKind| -> usize {
+        let key = format!("{}|{kind:?}", at.key);
+        *planned.entry(key).or_insert_with_key(|key| {
+            jobs.push(CellJob {
+                instructions: (at.config.warmup + at.config.measure) * at.unit.cores() as u64,
+                key: fnv1a_64(key.as_bytes()),
+                unit: at.unit.clone(),
+                kind: kind.clone(),
+                config: at.config.clone(),
+                seed: at.seed,
+            });
+            jobs.len() - 1
+        })
+    };
     let (mut baseline_rows, mut cell_rows) = (Vec::new(), Vec::new());
     for spec in specs {
         spec.validate()?;
-        let row =
-            |u: &WorkUnit, cp: &ConfigPoint, p: &PrefetcherSpec, seed, report, baseline| Row {
-                sweep: spec.name.clone(),
-                unit: u.label.clone(),
-                group: u.group.clone(),
-                prefetcher: p.label.clone(),
-                config: cp.label.clone(),
-                seed,
-                report,
-                baseline,
-            };
-        let first_row = baseline_rows.len();
-        for u in &spec.units {
-            for cp in &spec.configs {
+        let row = |at: &Coord, p: &PrefetcherSpec, report, baseline| Row {
+            sweep: spec.name.clone(),
+            unit: at.unit.label.clone(),
+            group: at.unit.group.clone(),
+            prefetcher: p.label.clone(),
+            config: at.config.label.clone(),
+            seed: at.seed,
+            report,
+            baseline,
+        };
+        let mut coords = Vec::new();
+        for unit in &spec.units {
+            for config in &spec.configs {
                 for &seed in &spec.seeds {
-                    let key = baseline_key(u, &spec.baseline.kind, cp, seed);
-                    let flat = *baseline_jobs.entry(key).or_insert_with(|| {
-                        jobs.push(CellJob::new(u, &spec.baseline.kind, cp, seed));
-                        jobs.len() - 1
+                    let key = format!(
+                        "{:?}|{:?}|{}|{}|{seed}",
+                        unit.workloads.iter().map(|w| &w.spec).collect::<Vec<_>>(),
+                        config.system,
+                        config.warmup,
+                        config.measure
+                    );
+                    coords.push(Coord {
+                        unit,
+                        config,
+                        seed,
+                        key,
                     });
-                    baseline_rows.push(row(u, cp, &spec.baseline, seed, flat, flat));
                 }
             }
         }
-        // The rows just planned, one chunk of per-seed baselines for each
-        // unit × config pair in walk order.
-        let mut per_seed = baseline_rows[first_row..].chunks(spec.seeds.len());
-        for u in &spec.units {
-            for cp in &spec.configs {
-                let baselines = per_seed.next().expect("one chunk per unit × config");
-                for p in &spec.prefetchers {
-                    for b in baselines {
-                        cell_rows.push(row(u, cp, p, b.seed, jobs.len(), b.report));
-                        jobs.push(CellJob::new(u, &p.kind, cp, b.seed));
-                    }
+        for at in &coords {
+            let flat = plan(at, &spec.baseline.kind);
+            baseline_rows.push(row(at, &spec.baseline, flat, flat));
+        }
+        // Grid order: the seeds of one unit × config are adjacent in
+        // `coords`, and the prefetcher axis sits outside them.
+        for unit_config in coords.chunks(spec.seeds.len()) {
+            for p in &spec.prefetchers {
+                for at in unit_config {
+                    let report = plan(at, &p.kind);
+                    cell_rows.push(row(at, p, report, plan(at, &spec.baseline.kind)));
                 }
             }
         }
@@ -225,26 +258,14 @@ pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, St
     })
 }
 
-/// Everything that determines a baseline simulation — workload specs,
-/// system config, budgets, seed offset and the baseline prefetcher — so
-/// panels that agree on it share one job.
-fn baseline_key(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: u64) -> String {
-    format!(
-        "{:?}|{kind:?}|{:?}|{}|{}|{seed}",
-        unit.workloads.iter().map(|w| &w.spec).collect::<Vec<_>>(),
-        config.system,
-        config.warmup,
-        config.measure
-    )
-}
-
 impl CampaignPlan {
-    /// The planned jobs, in flat (panel-major, baselines-first) order.
+    /// The planned jobs, in flat order: each distinct simulation once, at
+    /// its first sighting (panel-major, each panel's baselines first).
     pub fn jobs(&self) -> &[CellJob] {
         &self.jobs
     }
 
-    /// Number of planned jobs (baselines + cells, after dedup).
+    /// Number of planned jobs: the campaign's distinct simulations.
     pub fn job_count(&self) -> usize {
         self.jobs.len()
     }

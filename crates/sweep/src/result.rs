@@ -2,7 +2,7 @@
 //! markdown / JSON / CSV emitters.
 
 use pythia_sim::stats::{SimReport, Throughput};
-use pythia_stats::json::{metrics_json, u64_json, u64_value, Json};
+use pythia_stats::json::{metrics_json, u64_json, Json};
 use pythia_stats::metrics::Metrics;
 use pythia_stats::report::Table;
 
@@ -88,29 +88,9 @@ impl CellResult {
     }
 
     fn from_json(j: &Json) -> Result<Self, String> {
-        let str_of = |key: &str| -> Result<String, String> {
-            j.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("cell: missing string {key:?}"))
-        };
-        let metrics = j.get("metrics").ok_or("cell: missing metrics")?;
-        let mf = |key: &str| -> Result<f64, String> {
-            metrics
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("cell metrics: missing {key:?}"))
-        };
-        let raw = j.get("raw").ok_or("cell: missing raw")?;
-        let rf = |key: &str| -> Result<f64, String> {
-            raw.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("cell raw: missing {key:?}"))
-        };
-        let buckets = raw
-            .get("bw_bucket_windows")
-            .and_then(Json::as_arr)
-            .ok_or("cell raw: missing bw_bucket_windows")?;
+        let metrics = j.field("metrics")?;
+        let raw = j.field("raw")?;
+        let buckets = raw.arr_field("bw_bucket_windows")?;
         if buckets.len() != 4 {
             return Err("cell raw: bw_bucket_windows must have 4 entries".into());
         }
@@ -119,28 +99,24 @@ impl CellResult {
             *slot = b.as_u64().ok_or("cell raw: bad bucket value")?;
         }
         Ok(Self {
-            sweep: str_of("sweep")?,
-            unit: str_of("unit")?,
-            group: str_of("group")?,
-            prefetcher: str_of("prefetcher")?,
-            config: str_of("config")?,
-            seed: u64_value(j.get("seed").ok_or("cell: missing seed")?)
-                .map_err(|e| format!("cell seed: {e}"))?,
+            sweep: j.str_field("sweep")?.to_string(),
+            unit: j.str_field("unit")?.to_string(),
+            group: j.str_field("group")?.to_string(),
+            prefetcher: j.str_field("prefetcher")?.to_string(),
+            config: j.str_field("config")?.to_string(),
+            seed: j.uint_field("seed")?,
             metrics: Metrics {
-                speedup: mf("speedup")?,
-                coverage: mf("coverage")?,
-                overprediction: mf("overprediction")?,
-                ipc: mf("ipc")?,
-                baseline_mpki: mf("baseline_mpki")?,
-                accuracy: mf("accuracy")?,
+                speedup: metrics.f64_field("speedup")?,
+                coverage: metrics.f64_field("coverage")?,
+                overprediction: metrics.f64_field("overprediction")?,
+                ipc: metrics.f64_field("ipc")?,
+                baseline_mpki: metrics.f64_field("baseline_mpki")?,
+                accuracy: metrics.f64_field("accuracy")?,
             },
             raw: RawSummary {
-                ipc: rf("ipc")?,
-                llc_mpki: rf("llc_mpki")?,
-                prefetches_issued: raw
-                    .get("prefetches_issued")
-                    .and_then(Json::as_u64)
-                    .ok_or("cell raw: missing prefetches_issued")?,
+                ipc: raw.f64_field("ipc")?,
+                llc_mpki: raw.f64_field("llc_mpki")?,
+                prefetches_issued: raw.uint_field("prefetches_issued")?,
                 bw_bucket_windows,
             },
         })
@@ -285,9 +261,7 @@ impl SweepResult {
     /// Returns a message naming the first missing or ill-typed key.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let cells_of = |key: &str| -> Result<Vec<CellResult>, String> {
-            j.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing array {key:?}"))?
+            j.arr_field(key)?
                 .iter()
                 .map(CellResult::from_json)
                 .collect()
@@ -295,20 +269,12 @@ impl SweepResult {
         let throughput = match j.get("throughput") {
             None => None,
             Some(t) => Some(Throughput::new(
-                t.get("instructions")
-                    .and_then(Json::as_u64)
-                    .ok_or("throughput: missing instructions")?,
-                t.get("wall_seconds")
-                    .and_then(Json::as_f64)
-                    .ok_or("throughput: missing wall_seconds")?,
+                t.uint_field("instructions")?,
+                t.f64_field("wall_seconds")?,
             )),
         };
         Ok(Self {
-            name: j
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("missing name")?
-                .to_string(),
+            name: j.str_field("name")?.to_string(),
             baselines: cells_of("baselines")?,
             cells: cells_of("cells")?,
             throughput,

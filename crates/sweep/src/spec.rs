@@ -242,11 +242,6 @@ impl SweepSpec {
         self.units.len() * self.prefetchers.len() * self.configs.len() * self.seeds.len()
     }
 
-    /// Number of simulations the engine will run (cells + baselines).
-    pub fn job_count(&self) -> usize {
-        self.cell_count() + self.units.len() * self.configs.len() * self.seeds.len()
-    }
-
     /// Validates the grid before execution.
     ///
     /// # Errors
@@ -338,7 +333,8 @@ mod tests {
             .with_config(ConfigPoint::single_core("base", 1_000, 4_000));
         assert!(spec.validate().is_ok());
         assert_eq!(spec.cell_count(), 2);
-        assert_eq!(spec.job_count(), 3, "one shared baseline run");
+        let plan = crate::engine::plan_campaign("t", std::slice::from_ref(&spec)).expect("plans");
+        assert_eq!(plan.job_count(), 3, "one shared baseline run");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use pythia_core::{Feature, PythiaConfig};
 use pythia_sim::config::SystemConfig;
 use pythia_stats::json;
-use pythia_sweep::{ConfigPoint, Key, SweepSpec, Value, WorkUnit};
+use pythia_sweep::{ConfigPoint, Key, PrefetcherKind, PrefetcherSpec, SweepSpec, Value, WorkUnit};
 use pythia_workloads::all_suites;
 
 fn workload(name: &str) -> pythia_workloads::Workload {
@@ -320,6 +320,28 @@ fn run_all_shares_baselines_across_overlapping_panels() {
     assert_eq!(merged.baselines.len(), 2);
     assert_eq!(merged.baselines[0].raw, merged.baselines[1].raw);
     assert_eq!(merged.cells.len(), 2);
+}
+
+#[test]
+fn a_cell_equal_to_its_baseline_plans_no_job_and_reads_parity() {
+    // The baseline's own prefetcher under a label of its own (labels must
+    // differ from the baseline's).
+    let mut spec = SweepSpec::new("self")
+        .with_workloads([workload("429.mcf-184B")])
+        .with_config(ConfigPoint::single_core("base", 1_000, 4_000));
+    spec.prefetchers.push(PrefetcherSpec {
+        label: "off".into(),
+        kind: PrefetcherKind::Named("none".into()),
+    });
+    spec = spec.with_prefetchers(&["stride"]);
+    let plan = pythia_sweep::plan_campaign("self", std::slice::from_ref(&spec)).expect("plans");
+    assert_eq!(plan.job_count(), 2, "the baseline and the stride cell");
+    let result = pythia_sweep::run(&spec, 2).expect("run");
+    let cell = &result.cells[0];
+    assert_eq!(cell.prefetcher, "off");
+    let m = &cell.metrics;
+    assert_eq!((m.speedup, m.coverage, m.overprediction), (1.0, 0.0, 0.0));
+    assert_eq!(cell.raw, result.baselines[0].raw);
 }
 
 #[test]
