@@ -3,14 +3,15 @@
 //! The build environment has no network crates, so `pythia-serve` speaks
 //! just enough HTTP/1.1 itself: persistent connections with
 //! `Connection: keep-alive`/`close` semantics, `Content-Length` bodies
-//! only (no chunked encoding), and a small, strict parser with hard size
-//! limits. A [`RequestReader`] carries bytes read past one request's body
-//! into the next request's parse, so pipelined requests on one connection
-//! are delivered byte-exactly. Every message, either direction, leaves in
-//! one write on a socket with Nagle's algorithm off, so a reused
-//! connection never waits for a delayed ACK. Both the server and the
-//! [`crate::client`] helpers are built on this module, so the two ends
-//! agree by construction.
+//! only (a request that carries `Transfer-Encoding` is refused as
+//! malformed: `400` and the connection closed), and a small, strict parser
+//! with hard size limits. A [`RequestReader`] carries bytes read past one
+//! request's body into the next request's parse, so pipelined requests on
+//! one connection are delivered byte-exactly. Every message, either
+//! direction, leaves in one write on a socket with Nagle's algorithm off,
+//! so a reused connection never waits for a delayed ACK. Both the server
+//! and the [`crate::client`] helpers are built on this module, so the two
+//! ends agree by construction.
 
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -360,10 +361,26 @@ impl RequestReader {
             };
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim().to_string();
+            // A body framed by `Transfer-Encoding` ends where this reader,
+            // which frames by `Content-Length` only, does not look: what a
+            // peer sends as one chunked body would be read here as further
+            // requests. Refused, whatever else the head says (RFC 9112
+            // §6.1, §6.3).
+            if name == "transfer-encoding" {
+                return Err(RequestError::Malformed(
+                    "transfer-encoding is not supported".into(),
+                ));
+            }
             if name == "content-length" {
-                let parsed: usize = value.parse().map_err(|_| {
-                    RequestError::Malformed(format!("bad content-length {value:?}"))
-                })?;
+                // `1*DIGIT` (RFC 9110 §8.6): `usize::from_str` alone also
+                // takes a leading `+`, which a peer in front of this one
+                // may refuse or read otherwise.
+                let parsed: usize = Some(&value)
+                    .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| {
+                        RequestError::Malformed(format!("bad content-length {value:?}"))
+                    })?;
                 // Duplicate Content-Length headers are a request-smuggling
                 // vector under keep-alive: two parsers that disagree on
                 // which copy wins disagree on where the next request
@@ -990,6 +1007,269 @@ mod tests {
                 "{:?}",
                 String::from_utf8_lossy(raw)
             );
+        }
+    }
+
+    /// The fuzzer's seeded draws: an LCG stepped from `derive_seed`.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % n.max(1) as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, from: &'a [T]) -> &'a T {
+            &from[self.below(from.len())]
+        }
+    }
+
+    /// One message of a fuzzed stream: its first line, header lines, body.
+    struct Message {
+        line: String,
+        headers: Vec<String>,
+        body: Vec<u8>,
+    }
+
+    /// A valid pipelined stream of one to four messages — requests, or
+    /// replies — with bodies that may hold what a head holds.
+    fn valid_stream(draw: &mut Draw, requests: bool) -> Vec<Message> {
+        const BODIES: &[&[u8]] = &[
+            b"",
+            b"{\"figure\":\"fig09\"}",
+            b"a\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\nabc",
+        ];
+        (0..1 + draw.below(4))
+            .map(|_| {
+                let mut body = draw.pick(BODIES).to_vec();
+                body.extend((0..draw.below(40)).map(|i| b'a' + (i % 26) as u8));
+                let line = match (requests, draw.below(2)) {
+                    (true, 0) => "GET /metrics?format=prom HTTP/1.1".to_string(),
+                    (true, _) => "POST /campaigns HTTP/1.1".to_string(),
+                    (false, 0) => "HTTP/1.1 200 OK".to_string(),
+                    (false, _) => "HTTP/1.1 404 Not Found".to_string(),
+                };
+                let mut headers = vec!["host: 127.0.0.1".to_string()];
+                if !body.is_empty() || draw.below(2) == 0 {
+                    headers.push(format!("Content-Length: {}", body.len()));
+                }
+                if draw.below(2) == 0 {
+                    headers.push("connection: keep-alive".to_string());
+                }
+                Message {
+                    line,
+                    headers,
+                    body,
+                }
+            })
+            .collect()
+    }
+
+    /// Serializes `messages` after zero to two header mutations (duplicate
+    /// or case-fold a header line), then applies zero to three byte
+    /// mutations: flip a bit, insert or delete a byte, truncate.
+    fn mutated(draw: &mut Draw, mut messages: Vec<Message>) -> Vec<u8> {
+        for _ in 0..draw.below(3) {
+            let at = draw.below(messages.len());
+            let message = &mut messages[at];
+            let header = draw.below(message.headers.len());
+            if draw.below(2) == 0 {
+                let copy = message.headers[header].clone();
+                message.headers.insert(header, copy);
+            } else {
+                let line = &mut message.headers[header];
+                *line = match draw.below(2) {
+                    0 => line.to_ascii_uppercase(),
+                    _ => line.to_ascii_lowercase(),
+                };
+            }
+        }
+        let mut bytes = Vec::new();
+        for message in &messages {
+            bytes.extend_from_slice(message.line.as_bytes());
+            bytes.extend_from_slice(b"\r\n");
+            for header in &message.headers {
+                bytes.extend_from_slice(header.as_bytes());
+                bytes.extend_from_slice(b"\r\n");
+            }
+            bytes.extend_from_slice(b"\r\n");
+            bytes.extend_from_slice(&message.body);
+        }
+        const INSERTS: &[u8] = b"\r\n: +-0159aZ\x00\xff";
+        for _ in 0..draw.below(4) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = draw.below(bytes.len());
+            match draw.below(4) {
+                0 => bytes[at] ^= 1 << draw.below(8),
+                1 => bytes.insert(at, *draw.pick(INSERTS)),
+                2 => {
+                    bytes.remove(at);
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        bytes
+    }
+
+    /// Writes `bytes` to a fresh loopback connection in one to three
+    /// writes, then half-closes it; returns the reading end's stream and
+    /// the writer.
+    fn split_across_writes<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        listener: &std::net::TcpListener,
+        draw: &mut Draw,
+        bytes: Vec<u8>,
+    ) -> (TcpStream, std::thread::ScopedJoinHandle<'s, ()>) {
+        let mut writer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (reader, _) = listener.accept().expect("accept");
+        reader
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        writer.set_nodelay(true).expect("nodelay");
+        let cuts = [draw.below(bytes.len() + 1), draw.below(bytes.len() + 1)];
+        let (first, second) = (cuts[0].min(cuts[1]), cuts[0].max(cuts[1]));
+        let written = scope.spawn(move || {
+            for piece in [&bytes[..first], &bytes[first..second], &bytes[second..]] {
+                // A reader that refused the stream may have closed it.
+                let _ = writer.write_all(piece);
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+        });
+        (reader, written)
+    }
+
+    fn head_end(bytes: &[u8]) -> Option<usize> {
+        bytes.windows(4).position(|w| w == b"\r\n\r\n")
+    }
+
+    /// Seeded byte-level fuzzing of both readers over loopback: valid
+    /// pipelined streams, mutated and split across writes. Neither reader
+    /// panics; every message read whole is framed exactly — its body is the
+    /// bytes its `Content-Length` names, and the next message starts at the
+    /// byte after; and every failure is one the readers name: a clean close
+    /// only at a message boundary, a close mid-message only short of one,
+    /// never a timeout.
+    #[test]
+    fn seeded_fuzzed_streams_are_framed_exactly_or_refused() {
+        use pythia_workloads::profiles::derive_seed;
+
+        // Seed 8736 sends `Content-Length: +69`, which the reader once took
+        // for 69.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        for seed in (0..300u64).chain([8736]) {
+            let mut draw = Draw(derive_seed(seed, "http-fuzz"));
+            let requests = seed % 2 == 0;
+            let stream = {
+                let messages = valid_stream(&mut draw, requests);
+                mutated(&mut draw, messages)
+            };
+            let shown = String::from_utf8_lossy(&stream).into_owned();
+            std::thread::scope(|scope| {
+                let (socket, written) =
+                    split_across_writes(scope, &listener, &mut draw, stream.clone());
+                if requests {
+                    fuzz_request_reader(socket, &stream, &shown);
+                } else {
+                    fuzz_reply_reader(socket, &stream, &shown);
+                }
+                written.join().expect("writer");
+            });
+        }
+    }
+
+    fn fuzz_request_reader(mut socket: TcpStream, stream: &[u8], shown: &str) {
+        let (mut reader, mut offset) = (RequestReader::new(), 0);
+        loop {
+            let rest = &stream[offset..];
+            match reader.read_request(&mut socket) {
+                Ok(request) => {
+                    let head = head_end(rest).expect("a request read whole has a head");
+                    let lengths: Vec<&str> = request
+                        .headers
+                        .iter()
+                        .filter(|(name, _)| name == "content-length")
+                        .map(|(_, value)| value.as_str())
+                        .collect();
+                    assert!(lengths.len() <= 1, "{shown:?}");
+                    let length = lengths.first().map_or(0, |value| {
+                        assert!(
+                            !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit()),
+                            "content-length {value:?} is not 1*DIGIT in {shown:?}"
+                        );
+                        value.parse::<usize>().expect("digits")
+                    });
+                    assert!(request.header("transfer-encoding").is_none(), "{shown:?}");
+                    let method = rest.split(|&b| b == b' ').next().expect("a first word");
+                    assert!(
+                        request.method.as_bytes().eq_ignore_ascii_case(method),
+                        "{shown:?}"
+                    );
+                    let body = head + 4..head + 4 + length;
+                    assert_eq!(request.body, rest[body.clone()], "{shown:?}");
+                    offset += body.end;
+                }
+                Err(RequestError::Closed) => {
+                    assert!(rest.is_empty(), "closed mid-stream in {shown:?}");
+                    return;
+                }
+                Err(RequestError::Io(e)) => {
+                    let short = match head_end(rest) {
+                        None => e == "connection closed mid-request" && !rest.is_empty(),
+                        Some(_) => e == "connection closed mid-body",
+                    };
+                    assert!(short, "{e} in {shown:?}");
+                    return;
+                }
+                Err(RequestError::Malformed(_) | RequestError::TooLarge(_)) => return,
+                Err(RequestError::Timeout) => panic!("timed out on {shown:?}"),
+            }
+        }
+    }
+
+    fn fuzz_reply_reader(socket: TcpStream, stream: &[u8], shown: &str) {
+        let mut conn = ClientConn {
+            stream: socket,
+            addr: "fuzz".into(),
+            carry: Vec::new(),
+        };
+        let mut offset = 0;
+        loop {
+            let rest = &stream[offset..];
+            match conn.read_reply() {
+                Ok(reply) => {
+                    let head = head_end(rest).expect("a reply read whole has a head");
+                    let length = reply
+                        .headers
+                        .iter()
+                        .rfind(|(name, _)| name == "content-length")
+                        .and_then(|(_, value)| value.parse::<usize>().ok());
+                    let end = length.map_or(rest.len(), |length| head + 4 + length);
+                    assert_eq!(reply.body, rest[head + 4..end], "{shown:?}");
+                    offset += end;
+                }
+                Err(e) if e == "read fuzz: connection closed" => {
+                    assert!(rest.is_empty(), "closed mid-stream in {shown:?}");
+                    return;
+                }
+                Err(e) => {
+                    let named = [
+                        "read fuzz: io error: connection closed mid-response",
+                        "connection closed mid-response",
+                        "response head not utf-8",
+                        "empty response",
+                        "bad status line",
+                    ];
+                    assert!(named.iter().any(|n| e.starts_with(n)), "{e} in {shown:?}");
+                    return;
+                }
+            }
         }
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! * [`http`] — a hand-rolled HTTP/1.1 subset on `std::net` (this build
 //!   environment has no network crates): persistent keep-alive
-//!   connections with byte-exact pipelining, `Content-Length` bodies,
+//!   connections with byte-exact pipelining, `Content-Length` bodies
+//!   (a `Transfer-Encoding` header is refused),
 //!   strict limits, one write per message, and typed read errors
 //!   (timeout vs malformed vs oversized) so the server can answer
 //!   408/400/413 precisely.
@@ -35,7 +36,8 @@
 //!   cap sheds overload with 503. Handler threads outlive connections
 //!   (woken, not forked), and a stored artifact is served as stored
 //!   (`json`) or rendered (`md`, `csv`) through a small recent-renders
-//!   cache.
+//!   cache. A re-POST of a recently accepted body is answered from its
+//!   bytes, through a small recent-submissions list.
 //! * [`client`] — the `pythia-cli submit` side, built on the same
 //!   [`http`] module.
 //!
@@ -59,9 +61,11 @@ pub mod client;
 pub mod http;
 pub mod journal;
 pub mod obs;
+mod recent;
 mod renders;
 pub mod scheduler;
 pub mod server;
+mod submissions;
 
 pub use journal::Journal;
 pub use obs::ServeObs;

@@ -69,6 +69,10 @@ pub struct SchedulerEvents {
     pub cache_hits: Arc<Counter>,
     /// Submissions coalesced onto a queued/running job.
     pub coalesced: Arc<Counter>,
+    /// Submissions answered from their body bytes alone, by the submit
+    /// route's recent-submissions lane; each is also one `cache_hits` or
+    /// one `coalesced`.
+    pub body_hits: Arc<Counter>,
     /// Jobs finished successfully.
     pub completed: Arc<Counter>,
     /// Jobs that failed during execution.
@@ -231,6 +235,7 @@ impl ServeObs {
                 executed: event("executed"),
                 cache_hits: event("cache_hits"),
                 coalesced: event("coalesced"),
+                body_hits: event("body_hits"),
                 completed: event("completed"),
                 failed: event("failed"),
                 rejected: event("rejected"),

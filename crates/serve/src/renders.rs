@@ -12,14 +12,14 @@
 //! the caller's `render` closure made of the stored artifact for that
 //! `ETag` — an entry is byte-identical to a fresh render by construction.
 //! Who evicts: an insert into a full cache, the oldest render first; a hit
-//! reorders nothing. Nothing invalidates an entry, because nothing can
-//! make it stale — it may outlive the artifact in the store, and is right
-//! all the same.
+//! reorders nothing ([`crate::recent`]). Nothing invalidates an entry,
+//! because nothing can make it stale — it may outlive the artifact in the
+//! store, and is right all the same.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::obs::ResultEvents;
+use crate::recent::Recent;
 
 /// How many renders are kept. Small artifacts are what piles up (14 KB each
 /// on `serve_small_cells_mix`, a new digest every repetition), and every
@@ -34,16 +34,18 @@ const RENDER_CACHE_ENTRIES: usize = 8;
 /// (fig09, 500 cells) renders to 350 KB of JSON and 90 KB of markdown.
 const RENDER_MAX_BYTES: usize = 512 << 10;
 
-struct Entry {
-    etag: String,
-    body: Arc<Vec<u8>>,
+/// The last few rendered artifacts by `ETag`, shared by every connection
+/// handler.
+pub(crate) struct RenderCache {
+    recent: Recent<String, Arc<Vec<u8>>>,
 }
 
-/// The last few rendered artifacts, oldest first, shared by every
-/// connection handler.
-#[derive(Default)]
-pub(crate) struct RenderCache {
-    recent: Mutex<VecDeque<Entry>>,
+impl Default for RenderCache {
+    fn default() -> Self {
+        Self {
+            recent: Recent::new(RENDER_CACHE_ENTRIES),
+        }
+    }
 }
 
 impl RenderCache {
@@ -61,7 +63,7 @@ impl RenderCache {
         etag: &str,
         render: impl FnOnce() -> Result<Option<Arc<Vec<u8>>>, E>,
     ) -> Result<Option<Arc<Vec<u8>>>, E> {
-        if let Some(body) = self.cached(etag) {
+        if let Some(body) = self.recent.get(etag) {
             events.render_hits.inc();
             return Ok(Some(body));
         }
@@ -70,39 +72,18 @@ impl RenderCache {
             return Ok(None);
         };
         events.renders.inc();
-        if body.len() > RENDER_MAX_BYTES {
-            return Ok(Some(body));
-        }
-        let mut recent = self.lock();
         // Two handlers may have rendered the same artifact at once; the
         // bytes are the same, one copy stays.
-        if !recent.iter().any(|e| e.etag == etag) {
-            if recent.len() == RENDER_CACHE_ENTRIES {
-                recent.pop_front();
-            }
-            recent.push_back(Entry {
-                etag: etag.to_string(),
-                body: Arc::clone(&body),
-            });
+        if body.len() <= RENDER_MAX_BYTES {
+            self.recent.insert(etag.to_string(), Arc::clone(&body));
         }
         Ok(Some(body))
-    }
-
-    /// The render cached under `etag`, if any.
-    fn cached(&self, etag: &str) -> Option<Arc<Vec<u8>>> {
-        let recent = self.lock();
-        let entry = recent.iter().find(|e| e.etag == etag)?;
-        Some(Arc::clone(&entry.body))
     }
 
     /// Whether a render is cached under `etag`.
     #[cfg(test)]
     pub(crate) fn holds(&self, etag: &str) -> bool {
-        self.cached(etag).is_some()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Entry>> {
-        self.recent.lock().expect("render cache lock")
+        self.recent.get(etag).is_some()
     }
 }
 
@@ -145,7 +126,7 @@ mod tests {
         fetch(&cache, &obs, "r0", "ssss");
         fetch(&cache, &obs, "next", "ssss");
         assert!(!cache.holds("r0") && cache.holds("r1") && cache.holds("next"));
-        assert_eq!(cache.lock().len(), RENDER_CACHE_ENTRIES);
+        assert_eq!(cache.recent.len(), RENDER_CACHE_ENTRIES);
         // An evicted artifact renders again, the same bytes.
         assert_eq!(*fetch(&cache, &obs, "r0", "ssss"), b"ssss");
         assert_eq!(

@@ -67,6 +67,7 @@ use pythia_sweep::{plan_campaign, CampaignPlan, ResultStore, SweepResult};
 use crate::journal::{Journal, PendingJob, DEFAULT_TENANT};
 use crate::obs::ServeObs;
 use crate::renders::RenderCache;
+use crate::submissions::RecentSubmissions;
 
 /// Upper bound on the accepted `priority` weight (quantum size): enough
 /// spread to express "urgent", small enough that one tenant cannot
@@ -486,6 +487,8 @@ struct Inner {
     store: ResultStore,
     /// Recent renders of stored artifacts, for the result routes.
     renders: RenderCache,
+    /// Recently accepted campaign bodies, for the submit route's lane.
+    submissions: RecentSubmissions,
     journal: Option<Journal>,
     shutdown: AtomicBool,
     /// Shared observability bundle: logger, and the registry every
@@ -561,6 +564,7 @@ impl Scheduler {
             queue_cap,
             store,
             renders: RenderCache::default(),
+            submissions: RecentSubmissions::default(),
             journal,
             shutdown: AtomicBool::new(false),
             obs,
@@ -706,6 +710,24 @@ impl Scheduler {
             cells_done: job.cells_done(),
             cells_total: job.cells_total,
         })
+    }
+
+    /// The submit route's lane: attaches a body accepted lately to the
+    /// digest its bytes decoded to, through `attach` as
+    /// `submit_as`'s fast path does, without parsing, validating or
+    /// digesting it again. Returns the submission and the campaign name, or
+    /// `None` — the bytes are not kept, or the digest is unknown again (the
+    /// store evicted its artifact) — and the caller takes the general path.
+    pub(crate) fn attach_body(&self, body: &[u8]) -> Option<(Submission, String)> {
+        let (digest, name) = self.inner.submissions.find(body)?;
+        let hit = self.attach(&mut self.inner.lock(), &digest)?;
+        self.inner.obs.events.body_hits.inc();
+        Some((hit, name))
+    }
+
+    /// The recently accepted campaign bodies.
+    pub(crate) fn submissions(&self) -> &RecentSubmissions {
+        &self.inner.submissions
     }
 
     /// Where a digest's job stands: name, status, cell progress and the

@@ -39,7 +39,7 @@ use pythia_sweep::ResultStore;
 use crate::http::{write_response, Request, RequestError, RequestReader, Response, IO_TIMEOUT};
 use crate::journal::{Journal, DEFAULT_TENANT};
 use crate::obs::{self, ServeObs};
-use crate::scheduler::{JobStatus, Scheduler, SubmitError};
+use crate::scheduler::{JobStatus, Scheduler, Submission, SubmitError};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -665,48 +665,65 @@ fn submit_params(json: &Json) -> Result<(String, u64), String> {
     Ok((tenant, priority))
 }
 
+/// `POST /campaigns`. A body accepted lately takes the lane: its bytes name
+/// the digest, and the submission attaches to it without a parse. Every
+/// other body takes the general path, and one it accepts is kept for the
+/// lane. Both answer a body alike, counters included.
 fn submit(scheduler: &Scheduler, body: &[u8]) -> Response {
-    let json = match std::str::from_utf8(body)
+    if let Some((submission, name)) = scheduler.attach_body(body) {
+        return accepted(&submission, &name);
+    }
+    match submit_general(scheduler, body) {
+        Ok((submission, name)) => {
+            scheduler
+                .submissions()
+                .insert(body, &submission.digest, &name);
+            accepted(&submission, &name)
+        }
+        Err(response) => response,
+    }
+}
+
+/// The general path of a submission: parse, decode, validate, digest and
+/// submit. Returns what was accepted and the campaign name, or the error
+/// response.
+fn submit_general(scheduler: &Scheduler, body: &[u8]) -> Result<(Submission, String), Response> {
+    let json = std::str::from_utf8(body)
         .map_err(|_| "body is not utf-8".to_string())
         .and_then(parse)
-    {
-        Ok(json) => json,
-        Err(e) => return error_response(400, &e),
-    };
-    let campaign = match campaign_of(&json) {
-        Ok(c) => c,
-        Err(e) => return error_response(400, &e),
-    };
-    let (tenant, priority) = match submit_params(&json) {
-        Ok(params) => params,
-        Err(e) => return error_response(400, &e),
-    };
+        .map_err(|e| error_response(400, &e))?;
+    let campaign = campaign_of(&json).map_err(|e| error_response(400, &e))?;
+    let (tenant, priority) = submit_params(&json).map_err(|e| error_response(400, &e))?;
     let name = campaign.name.clone();
     match scheduler.submit_as(campaign, &tenant, priority) {
-        Ok(submission) => {
-            let status = if submission.cached { 200 } else { 202 };
-            let (done, total) = (submission.cells_done, submission.cells_total);
-            Response::json(
-                status,
-                Json::obj()
-                    .set("digest", submission.digest.as_str())
-                    .set("name", name)
-                    .set("status", submission.status.label())
-                    .set("cached", submission.cached)
-                    .set("coalesced", submission.coalesced)
-                    .set("cells", Json::obj().set("done", done).set("total", total))
-                    .render_pretty(),
-            )
-        }
-        Err(SubmitError::Invalid(e)) => error_response(400, &e),
-        Err(SubmitError::Busy { queue_cap }) => Response::json(
+        Ok(submission) => Ok((submission, name)),
+        Err(SubmitError::Invalid(e)) => Err(error_response(400, &e)),
+        Err(SubmitError::Busy { queue_cap }) => Err(Response::json(
             429,
             Json::obj()
                 .set("error", "job queue full, retry later")
                 .set("queue_cap", queue_cap)
                 .render_pretty(),
-        ),
+        )),
     }
+}
+
+/// The answer to an accepted submission: `200` for a cache hit, `202` for a
+/// job queued, running or coalesced onto.
+fn accepted(submission: &Submission, name: &str) -> Response {
+    let status = if submission.cached { 200 } else { 202 };
+    let (done, total) = (submission.cells_done, submission.cells_total);
+    Response::json(
+        status,
+        Json::obj()
+            .set("digest", submission.digest.as_str())
+            .set("name", name)
+            .set("status", submission.status.label())
+            .set("cached", submission.cached)
+            .set("coalesced", submission.coalesced)
+            .set("cells", Json::obj().set("done", done).set("total", total))
+            .render_pretty(),
+    )
 }
 
 fn status(scheduler: &Scheduler, digest: &str) -> Response {
@@ -1171,6 +1188,175 @@ mod tests {
             restarted.shutdown();
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two schedulers that see the same submissions: `lane` through the
+    /// submit route, `general` through its general path alone.
+    struct Twins {
+        lane: Scheduler,
+        general: Scheduler,
+    }
+
+    impl Twins {
+        fn start(workers: usize, queue_cap: usize, store: impl Fn(&str) -> ResultStore) -> Self {
+            Self {
+                lane: Scheduler::start(workers, queue_cap, store("lane"), None),
+                general: Scheduler::start(workers, queue_cap, store("general"), None),
+            }
+        }
+
+        /// POSTs `body` to both twins and returns the status, after
+        /// checking that both answered the same bytes and moved the
+        /// submission counters alike.
+        fn post(&self, body: &[u8]) -> u16 {
+            let lane = submit(&self.lane, body);
+            let general = submit_general(&self.general, body)
+                .map_or_else(|refused| refused, |(s, name)| accepted(&s, &name));
+            let what = String::from_utf8_lossy(&body[..body.len().min(80)]);
+            assert_eq!(
+                (lane.status, String::from_utf8_lossy(&lane.body)),
+                (general.status, String::from_utf8_lossy(&general.body)),
+                "{what}"
+            );
+            let counts = |s: &Scheduler| {
+                let e = &s.obs().events;
+                (e.submitted.get(), e.cache_hits.get(), e.coalesced.get())
+            };
+            assert_eq!(counts(&self.lane), counts(&self.general), "{what}");
+            lane.status
+        }
+
+        /// Submissions the lane answered.
+        fn body_hits(&self) -> u64 {
+            self.lane.obs().events.body_hits.get()
+        }
+
+        fn kept(&self, body: &[u8]) -> bool {
+            self.lane.submissions().holds(body)
+        }
+
+        fn wait(&self, campaign: &Campaign) -> JobStatus {
+            let digest = campaign.digest();
+            let done = self.lane.wait(&digest, Duration::from_secs(60));
+            let also = self.general.wait(&digest, Duration::from_secs(60));
+            assert_eq!(format!("{done:?}"), format!("{also:?}"));
+            done.expect("finishes")
+        }
+
+        fn shutdown(self) {
+            self.lane.shutdown();
+            self.general.shutdown();
+        }
+    }
+
+    fn spec_campaign(tag: &str, workload: &str, warmup: u64, measure: u64) -> Campaign {
+        let workload = pythia_workloads::all_suites()
+            .into_iter()
+            .find(|w| w.name == workload)
+            .expect("known workload");
+        Campaign::single(
+            pythia_sweep::SweepSpec::new(tag)
+                .with_workloads([workload])
+                .with_prefetchers(&["stride"])
+                .with_config(pythia_sweep::ConfigPoint::single_core(
+                    "base", warmup, measure,
+                )),
+        )
+    }
+
+    fn body_of(campaign: &Campaign) -> Vec<u8> {
+        let spec = pythia_sweep::codec::spec_json(&campaign.panels[0]);
+        Json::obj().set("spec", spec).render().into_bytes()
+    }
+
+    /// The recent-submissions lane answers every body as the general path
+    /// does — status, bytes and the `submitted` / `cache_hits` /
+    /// `coalesced` counters — and answers only bodies the general path
+    /// accepted, whose digest the scheduler still knows.
+    #[test]
+    fn the_lane_answers_every_submission_as_the_general_path_does() {
+        let tiny = |tag: &str| spec_campaign(tag, "429.mcf-184B", 1_000, 4_000);
+        let (first, evictor) = (tiny("lane-first"), tiny("lane-evictor"));
+        let starved = spec_campaign("lane-starved", "602.gcc_s-734B", 10, 50);
+        // Room for one artifact and a half: the second stored evicts the
+        // first.
+        let artifact = pythia_sweep::engine::run_all(&first.name, &first.panels, 1)
+            .expect("direct run")
+            .stripped()
+            .render("json")
+            .expect("json");
+        let budget = artifact.len() as u64 * 3 / 2;
+        let twins = Twins::start(1, 4, |_| ResultStore::in_memory(budget));
+
+        // Cold, then a hit on the done job.
+        let body = body_of(&first);
+        assert_eq!(twins.post(&body), 202);
+        assert!(twins.kept(&body));
+        assert!(matches!(twins.wait(&first), JobStatus::Done));
+        assert_eq!((twins.post(&body), twins.body_hits()), (200, 1));
+
+        // Bytes that differ only in whitespace: one digest, two entries.
+        let spaced = [b" ".as_slice(), &body, b"\n"].concat();
+        assert_eq!((twins.post(&spaced), twins.body_hits()), (200, 1));
+        assert_eq!((twins.post(&spaced), twins.body_hits()), (200, 2));
+        assert_eq!((twins.post(&body), twins.body_hits()), (200, 3));
+
+        // A failed job is a hit too.
+        let failed = body_of(&starved);
+        assert_eq!(twins.post(&failed), 202);
+        assert!(matches!(twins.wait(&starved), JobStatus::Failed(_)));
+        assert_eq!((twins.post(&failed), twins.body_hits()), (200, 4));
+
+        // The store evicts the first artifact: the lane falls through, and
+        // the general path admits the campaign again.
+        assert_eq!(twins.post(&body_of(&evictor)), 202);
+        twins.wait(&evictor);
+        assert!(!twins.lane.store().contains(&first.digest()));
+        assert_eq!((twins.post(&body), twins.body_hits()), (202, 4));
+        assert!(matches!(twins.wait(&first), JobStatus::Done));
+        assert_eq!((twins.post(&body), twins.body_hits()), (200, 5));
+        twins.shutdown();
+
+        // No workers: jobs stay queued, and a resubmission coalesces.
+        let twins = Twins::start(0, 2, |_| ResultStore::in_memory(1 << 20));
+        let queued = body_of(&tiny("lane-queued"));
+        assert_eq!(twins.post(&queued), 202);
+        assert_eq!((twins.post(&queued), twins.body_hits()), (202, 1));
+        let figure = br#"{"figure":"fig14"}"#;
+        assert_eq!(twins.post(figure), 202);
+        assert_eq!((twins.post(figure), twins.body_hits()), (202, 2));
+        // What the general path refuses is never kept: a full queue, a
+        // malformed body, a bad tenant, and a body over the size cap.
+        let tenant = Json::obj().set("figure", "fig14").set("tenant", 5u64);
+        let oversized = [queued.as_slice(), &vec![b' '; 64 << 10]].concat();
+        for (refused, status) in [
+            (body_of(&tiny("lane-busy")), 429),
+            (b"{\"spec\": ".to_vec(), 400),
+            (tenant.render().into_bytes(), 400),
+            (oversized, 202),
+        ] {
+            for _ in 0..2 {
+                assert_eq!(twins.post(&refused), status);
+            }
+            assert!(!twins.kept(&refused));
+        }
+        assert_eq!(twins.body_hits(), 2);
+        twins.shutdown();
+
+        // A restart on the same cache dir starts with an empty list.
+        let root = std::env::temp_dir().join(format!("pythia-srv-lane-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let open = |side: &str| ResultStore::open_bounded(root.join(side), None).expect("opens");
+        let twins = Twins::start(1, 2, open);
+        assert_eq!(twins.post(&body), 202);
+        twins.wait(&first);
+        twins.shutdown();
+        let twins = Twins::start(1, 2, open);
+        assert!(!twins.kept(&body));
+        assert_eq!((twins.post(&body), twins.body_hits()), (200, 0));
+        assert_eq!((twins.post(&body), twins.body_hits()), (200, 1));
+        twins.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -882,6 +882,40 @@ fn idle_connections_get_408_and_close() {
     let _ = stream.write_all(b"GET /figures HTTP/1.1\r\n\r\n");
 }
 
+/// A request that carries `Transfer-Encoding` is answered `400` and its
+/// connection closed, so a request a peer frames as a chunk of its body is
+/// never read as one of its own. Read by `Content-Length` alone, this
+/// keep-alive POST's body is the chunk-size line, and its chunk a
+/// `GET /metrics` the service would answer (RFC 9112 §6.1, §6.3).
+#[test]
+fn a_transfer_encoding_request_is_refused_and_smuggles_no_request() {
+    use std::io::{Read, Write};
+
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 0,
+        queue_cap: 1,
+        sim_threads: 1,
+        ..ServeConfig::default()
+    });
+    let smuggled = "GET /metrics HTTP/1.1\r\n\r\n";
+    let raw = format!(
+        "POST /campaigns HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 4\r\n\
+         transfer-encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+        smuggled.len()
+    );
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.write_all(raw.as_bytes()).expect("write");
+    // Everything up to the close; a reset after the answer ends it too.
+    let mut answered = Vec::new();
+    let _ = stream.read_to_end(&mut answered);
+    let answered = String::from_utf8_lossy(&answered);
+    assert!(answered.starts_with("HTTP/1.1 400 "), "{answered:?}");
+    assert!(answered.contains("connection: close"), "{answered:?}");
+    assert_eq!(answered.matches("HTTP/1.1 ").count(), 1, "{answered:?}");
+    let obs = handle.scheduler().obs();
+    assert_eq!(obs.connections.requests.get(), 0, "no request was routed");
+}
+
 /// Schema pin for the `/metrics` JSON view: every key path listed here
 /// must stay present. Additions are free; removing or renaming any of
 /// these is a breaking change for monitoring clients and must fail here.
@@ -909,6 +943,7 @@ fn metrics_json_schema_is_pinned() {
         "counters.executed",
         "counters.cache_hits",
         "counters.coalesced",
+        "counters.body_hits",
         "counters.completed",
         "counters.failed",
         "counters.rejected",
@@ -1084,7 +1119,7 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
         .get("counters")
         .and_then(Json::as_obj)
         .expect("counters");
-    assert_eq!(events.len(), 10, "ten scheduler events");
+    assert_eq!(events.len(), 11, "eleven scheduler events");
     for (event, _) in events {
         check(
             &format!("counters.{event}"),
@@ -1094,6 +1129,8 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
     }
     assert_eq!(at("counters.submitted"), 2.0);
     assert_eq!(at("counters.cache_hits"), 1.0);
+    // The second POST sent the first one's bytes: the lane answered it.
+    assert_eq!(at("counters.body_hits"), 1.0);
     check(
         "cells.executed",
         "pythia_scheduler_events_total{event=\"cells_executed\"}",
