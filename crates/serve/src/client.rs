@@ -1,11 +1,13 @@
-//! Client helpers over [`crate::http::request`] — the machinery behind
-//! `pythia-cli submit`.
+//! Client helpers — the machinery behind `pythia-cli submit`. Every helper
+//! sends its request through one private `call`: a fresh
+//! [`crate::http::ClientConn`] per request, which asks the server to close
+//! it after the reply.
 
 use std::time::{Duration, Instant};
 
 use pythia_stats::json::{parse, Json};
 
-use crate::http;
+use crate::http::{ClientConn, Reply};
 
 /// A submission acknowledgement.
 #[derive(Debug, Clone)]
@@ -31,6 +33,37 @@ fn error_of(status: u16, body: &[u8]) -> String {
     format!("HTTP {status}: {detail}")
 }
 
+fn text_of(body: Vec<u8>) -> Result<String, String> {
+    String::from_utf8(body).map_err(|_| "response is not utf-8".to_string())
+}
+
+/// Sends one request to `addr` on a connection of its own, closed after
+/// the reply: the one path of every helper in this module.
+fn call(
+    addr: &str,
+    method: &str,
+    target: &str,
+    body: &[u8],
+    headers: &[(&str, &str)],
+) -> Result<Reply, String> {
+    let headers = [&[("connection", "close")], headers].concat();
+    ClientConn::connect(addr)?.request_with(method, target, body, &headers)
+}
+
+/// `reply` if its status is one of `ok`, else the service's error message.
+fn expect_status(reply: Reply, ok: &[u16]) -> Result<Reply, String> {
+    if ok.contains(&reply.status) {
+        Ok(reply)
+    } else {
+        Err(error_of(reply.status, &reply.body))
+    }
+}
+
+/// `GET target`, expecting a 200.
+fn get(addr: &str, target: &str) -> Result<Reply, String> {
+    expect_status(call(addr, "GET", target, b"", &[])?, &[200])
+}
+
 /// Submits a campaign body (already-rendered JSON) to `addr`.
 ///
 /// # Errors
@@ -38,11 +71,8 @@ fn error_of(status: u16, body: &[u8]) -> String {
 /// Returns a message on transport errors or non-2xx responses (a full
 /// queue surfaces as the service's 429 message).
 pub fn submit(addr: &str, body: &str) -> Result<Submitted, String> {
-    let (status, response) = http::request(addr, "POST", "/campaigns", body.as_bytes())?;
-    if status != 200 && status != 202 {
-        return Err(error_of(status, &response));
-    }
-    let json = json_of(&response)?;
+    let reply = call(addr, "POST", "/campaigns", body.as_bytes(), &[])?;
+    let json = json_of(&expect_status(reply, &[200, 202])?.body)?;
     let field = |key: &str| {
         json.get(key)
             .and_then(Json::as_str)
@@ -91,11 +121,7 @@ pub fn submit_figure_as(
 ///
 /// Returns a message on transport errors or non-200 responses.
 pub fn status(addr: &str, digest: &str) -> Result<Json, String> {
-    let (code, body) = http::request(addr, "GET", &format!("/campaigns/{digest}"), b"")?;
-    if code != 200 {
-        return Err(error_of(code, &body));
-    }
-    json_of(&body)
+    json_of(&get(addr, &format!("/campaigns/{digest}"))?.body)
 }
 
 /// Polls status until the job reports `done`, failing on `failed` or
@@ -170,16 +196,7 @@ pub fn wait_done_with(
 /// Returns a message on transport errors or non-200 responses (409 while
 /// the job is still running).
 pub fn result(addr: &str, digest: &str, format: &str) -> Result<String, String> {
-    let (code, body) = http::request(
-        addr,
-        "GET",
-        &format!("/campaigns/{digest}/result?format={format}"),
-        b"",
-    )?;
-    if code != 200 {
-        return Err(error_of(code, &body));
-    }
-    String::from_utf8(body).map_err(|_| "result is not utf-8".into())
+    text_of(get(addr, &format!("/campaigns/{digest}/result?format={format}"))?.body)
 }
 
 /// A merged-so-far snapshot fetched with `?partial=1`.
@@ -205,12 +222,8 @@ pub struct PartialResult {
 /// Returns a message on transport errors, unknown digests (404), and
 /// failed campaigns (409).
 pub fn partial_result(addr: &str, digest: &str, format: &str) -> Result<PartialResult, String> {
-    let mut conn = http::ClientConn::connect(addr)?;
     let target = format!("/campaigns/{digest}/result?format={format}&partial=1");
-    let reply = conn.request_with("GET", &target, b"", &[("connection", "close")])?;
-    if reply.status != 200 && reply.status != 206 {
-        return Err(error_of(reply.status, &reply.body));
-    }
+    let reply = expect_status(call(addr, "GET", &target, b"", &[])?, &[200, 206])?;
     let header_num = |name: &str| {
         reply
             .header(name)
@@ -221,7 +234,7 @@ pub fn partial_result(addr: &str, digest: &str, format: &str) -> Result<PartialR
     let cells_total = header_num("x-cells-total");
     let complete = reply.status == 200;
     Ok(PartialResult {
-        body: String::from_utf8(reply.body).map_err(|_| "result is not utf-8".to_string())?,
+        body: text_of(reply.body)?,
         cells_done,
         cells_total,
         complete,
@@ -234,11 +247,7 @@ pub fn partial_result(addr: &str, digest: &str, format: &str) -> Result<PartialR
 ///
 /// Returns a message on transport errors or non-200 responses.
 pub fn figures(addr: &str) -> Result<Json, String> {
-    let (code, body) = http::request(addr, "GET", "/figures", b"")?;
-    if code != 200 {
-        return Err(error_of(code, &body));
-    }
-    json_of(&body)
+    json_of(&get(addr, "/figures")?.body)
 }
 
 /// Fetches the `/metrics` snapshot.
@@ -247,11 +256,7 @@ pub fn figures(addr: &str) -> Result<Json, String> {
 ///
 /// Returns a message on transport errors or non-200 responses.
 pub fn metrics(addr: &str) -> Result<Json, String> {
-    let (code, body) = http::request(addr, "GET", "/metrics", b"")?;
-    if code != 200 {
-        return Err(error_of(code, &body));
-    }
-    json_of(&body)
+    json_of(&get(addr, "/metrics")?.body)
 }
 
 /// Fetches `GET /metrics?format=prom` — the Prometheus text exposition.
@@ -260,11 +265,7 @@ pub fn metrics(addr: &str) -> Result<Json, String> {
 ///
 /// Returns a message on transport errors or non-200 responses.
 pub fn metrics_prom(addr: &str) -> Result<String, String> {
-    let (code, body) = http::request(addr, "GET", "/metrics?format=prom", b"")?;
-    if code != 200 {
-        return Err(error_of(code, &body));
-    }
-    String::from_utf8(body).map_err(|_| "response is not utf-8".to_string())
+    text_of(get(addr, "/metrics?format=prom")?.body)
 }
 
 /// Outcome of a conditional result fetch.
@@ -295,19 +296,15 @@ pub fn result_conditional(
     format: &str,
     etag: Option<&str>,
 ) -> Result<CachedFetch, String> {
-    let mut conn = http::ClientConn::connect(addr)?;
     let target = format!("/campaigns/{digest}/result?format={format}");
-    let mut headers: Vec<(&str, &str)> = vec![("connection", "close")];
-    if let Some(etag) = etag {
-        headers.push(("if-none-match", etag));
+    let etag = etag.map(|etag| ("if-none-match", etag));
+    let reply = call(addr, "GET", &target, b"", etag.as_slice())?;
+    if reply.status == 304 {
+        return Ok(CachedFetch::NotModified);
     }
-    let reply = conn.request_with("GET", &target, b"", &headers)?;
-    match reply.status {
-        304 => Ok(CachedFetch::NotModified),
-        200 => Ok(CachedFetch::Fresh {
-            etag: reply.header("etag").map(str::to_string),
-            body: String::from_utf8(reply.body).map_err(|_| "result is not utf-8".to_string())?,
-        }),
-        code => Err(error_of(code, &reply.body)),
-    }
+    let reply = expect_status(reply, &[200])?;
+    Ok(CachedFetch::Fresh {
+        etag: reply.header("etag").map(str::to_string),
+        body: text_of(reply.body)?,
+    })
 }

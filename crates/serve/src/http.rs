@@ -9,9 +9,9 @@
 //! request's body into the next request's parse, so pipelined requests on
 //! one connection are delivered byte-exactly. Every message, either
 //! direction, leaves in one write on a socket with Nagle's algorithm off,
-//! so a reused connection never waits for a delayed ACK. Both the server
-//! and the [`crate::client`] helpers are built on this module, so the two
-//! ends agree by construction.
+//! so a reused connection never waits for a delayed ACK. Both ends read a
+//! head through one parser and write one through one writer, so the server
+//! and the [`crate::client`] helpers frame messages by the same rule.
 
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -55,11 +55,17 @@ impl Request {
 
     /// First header value for `name` (case-insensitive), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
+}
+
+/// First value of header `name` (case-insensitive) in `headers`: the one
+/// lookup behind [`Request::header`] and [`Reply::header`].
+fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
 }
 
 /// A response about to be written: status code, payload, and any extra
@@ -109,8 +115,8 @@ impl Response {
 /// Why reading a request failed, so the caller can pick the right close
 /// behavior: a clean 408 on timeout, a 400 on malformed bytes, a 413 on
 /// oversized heads/bodies, or a silent drop when the peer simply left.
-/// The client reads a reply's head through the same reader and reports
-/// these as text.
+/// The client reads a reply through the same head reader and parser and
+/// reports these as text.
 #[derive(Debug)]
 pub enum RequestError {
     /// The peer closed the connection cleanly between requests.
@@ -269,16 +275,12 @@ fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
 
 /// Appends to `buf` until it holds a whole head and returns the offset
 /// of its `\r\n\r\n` terminator. The one head reader of both ends —
-/// [`RequestReader::read_request`] and [`ClientConn`]'s reply parse — so
+/// [`RequestReader::read_request`] and [`ClientConn`]'s reply read — so
 /// neither buffers more than [`MAX_HEAD_BYTES`] (plus one chunk) for a
 /// peer whose head never ends. `what` names the message in errors
 /// (`"request"` / `"response"`).
-fn read_head(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    chunk: &mut [u8],
-    what: &str,
-) -> Result<usize, RequestError> {
+fn read_head(stream: &mut TcpStream, buf: &mut Vec<u8>, what: &str) -> Result<usize, RequestError> {
+    let mut chunk = [0u8; 4096];
     let mut scanned = 0usize;
     loop {
         if let Some(pos) = find_head_end(buf, &mut scanned) {
@@ -287,7 +289,7 @@ fn read_head(
         if buf.len() > MAX_HEAD_BYTES {
             return Err(RequestError::TooLarge(format!("{what} head too large")));
         }
-        let n = read_some(stream, chunk)?;
+        let n = read_some(stream, &mut chunk)?;
         if n == 0 {
             if buf.is_empty() {
                 return Err(RequestError::Closed);
@@ -296,6 +298,83 @@ fn read_head(
         }
         buf.extend_from_slice(&chunk[..n]);
     }
+}
+
+/// A message head as [`parse_head`] reads it.
+struct Head<'a> {
+    /// The request line or the status line, for the caller to read.
+    start_line: &'a str,
+    /// Header `(name, value)` pairs, names lower-cased, values trimmed.
+    headers: Vec<(String, String)>,
+    /// The body length the head declares, if it declares one.
+    content_length: Option<usize>,
+}
+
+/// Parses a head (the bytes before its blank line): the only code on either
+/// end that reads header fields and decides how a body is framed. Two
+/// parsers that disagree on where a body ends disagree on where the next
+/// message starts, so each rule below refuses a head that some peer reads
+/// otherwise (RFC 9112 §5.1, §5.2, §6.3):
+///
+/// * the head is UTF-8, and no line holds a bare CR, LF or NUL;
+/// * every field line has a colon, and the name before it is a non-empty
+///   RFC 9110 token (letters, digits and ``!#$%&'*+-.^_`|~``) — so
+///   `Content-Length : 4`, `Content-Length\x0b: 4` and an obs-fold line
+///   (` Content-Length: 4`, a continuation of the line before) are refused,
+///   where a reader that trims the name, or unfolds, frames by them;
+/// * `Content-Length` is `1*DIGIT` and appears at most once, even as
+///   agreeing copies (`usize::from_str` alone also takes `+69`);
+/// * any `Transfer-Encoding` is refused: a body it frames ends where a
+///   `Content-Length` reader does not look, so a chunk would be read as a
+///   message of its own.
+///
+/// Names are lower-cased and values trimmed of SP and HTAB. The error is
+/// the reason, for the caller to name the message.
+fn parse_head(head: &[u8]) -> Result<Head<'_>, String> {
+    let head = std::str::from_utf8(head).map_err(|_| "head is not utf-8".to_string())?;
+    let mut start_line = "";
+    let mut headers = Vec::new();
+    let mut content_length = None;
+    for (at, line) in head.split("\r\n").enumerate() {
+        if line.contains(['\r', '\n', '\0']) {
+            return Err(format!("bare CR, LF or NUL in {line:?}"));
+        }
+        if at == 0 {
+            start_line = line;
+            continue;
+        }
+        let (name, value) = line
+            .split_once(':')
+            .filter(|(name, _)| !name.is_empty() && name.bytes().all(is_tchar))
+            .ok_or_else(|| format!("bad field line {line:?}"))?;
+        let name = name.to_ascii_lowercase();
+        let value = value.trim_matches([' ', '\t']);
+        if name == "transfer-encoding" {
+            return Err("transfer-encoding is not supported".into());
+        }
+        if name == "content-length" {
+            if content_length.is_some() {
+                return Err("duplicate content-length header".into());
+            }
+            content_length = Some(
+                Some(value)
+                    .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| format!("bad content-length {value:?}"))?,
+            );
+        }
+        headers.push((name, value.to_string()));
+    }
+    Ok(Head {
+        start_line,
+        headers,
+        content_length,
+    })
+}
+
+/// Whether `b` may appear in a field name (RFC 9110 §5.6.2 `tchar`).
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 /// Reads successive requests off one connection, carrying bytes that
@@ -316,7 +395,10 @@ impl RequestReader {
         Self::default()
     }
 
-    /// Reads one request, using carried-over bytes first.
+    /// Reads one request, using carried-over bytes first: its head by the
+    /// framing rule both ends share, its request line `METHOD TARGET HTTP/1.x`,
+    /// and a body of its `Content-Length` (none without one) under
+    /// [`MAX_BODY_BYTES`].
     ///
     /// Socket timeouts are the caller's to configure (the server sets the
     /// idle timeout before each request).
@@ -326,73 +408,24 @@ impl RequestReader {
     /// See [`RequestError`] for the cases.
     pub fn read_request(&mut self, stream: &mut TcpStream) -> Result<Request, RequestError> {
         let mut buf = std::mem::take(&mut self.carry);
-        let mut chunk = [0u8; 4096];
-        let head_end = read_head(stream, &mut buf, &mut chunk, "request")?;
-
-        let head = std::str::from_utf8(&buf[..head_end])
-            .map_err(|_| RequestError::Malformed("head is not utf-8".into()))?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines
-            .next()
-            .ok_or_else(|| RequestError::Malformed("empty request".into()))?;
-        let mut parts = request_line.split(' ');
-        let method = parts
-            .next()
-            .ok_or_else(|| RequestError::Malformed("missing method".into()))?
-            .to_uppercase();
-        let target = parts
-            .next()
-            .ok_or_else(|| RequestError::Malformed("missing target".into()))?
-            .to_string();
-        let version = parts
-            .next()
-            .ok_or_else(|| RequestError::Malformed("missing version".into()))?;
+        let head_end = read_head(stream, &mut buf, "request")?;
+        let Head {
+            start_line,
+            headers,
+            content_length,
+        } = parse_head(&buf[..head_end]).map_err(RequestError::Malformed)?;
+        let mut parts = start_line.split(' ');
+        let (Some(method), Some(target), Some(version), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            return Err(RequestError::Malformed(format!(
+                "bad request line {start_line:?}"
+            )));
+        };
         if !version.starts_with("HTTP/1.") {
             return Err(RequestError::Malformed(format!(
                 "unsupported version {version:?}"
             )));
-        }
-
-        let mut headers: Vec<(String, String)> = Vec::new();
-        let mut content_length: Option<usize> = None;
-        for line in lines {
-            let Some((name, value)) = line.split_once(':') else {
-                continue;
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            // A body framed by `Transfer-Encoding` ends where this reader,
-            // which frames by `Content-Length` only, does not look: what a
-            // peer sends as one chunked body would be read here as further
-            // requests. Refused, whatever else the head says (RFC 9112
-            // §6.1, §6.3).
-            if name == "transfer-encoding" {
-                return Err(RequestError::Malformed(
-                    "transfer-encoding is not supported".into(),
-                ));
-            }
-            if name == "content-length" {
-                // `1*DIGIT` (RFC 9110 §8.6): `usize::from_str` alone also
-                // takes a leading `+`, which a peer in front of this one
-                // may refuse or read otherwise.
-                let parsed: usize = Some(&value)
-                    .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| {
-                        RequestError::Malformed(format!("bad content-length {value:?}"))
-                    })?;
-                // Duplicate Content-Length headers are a request-smuggling
-                // vector under keep-alive: two parsers that disagree on
-                // which copy wins disagree on where the next request
-                // starts. Reject even agreeing duplicates.
-                if content_length.is_some() {
-                    return Err(RequestError::Malformed(
-                        "duplicate content-length header".into(),
-                    ));
-                }
-                content_length = Some(parsed);
-            }
-            headers.push((name, value));
         }
         let content_length = content_length.unwrap_or(0);
         if content_length > MAX_BODY_BYTES {
@@ -403,20 +436,19 @@ impl RequestReader {
         // explicit Connection header (a comma-separated token list)
         // overrides the default either way.
         let mut close = version == "HTTP/1.0";
-        if let Some(conn) = headers
-            .iter()
-            .find(|(k, _)| k == "connection")
-            .map(|(_, v)| v.as_str())
+        for token in header(&headers, "connection")
+            .unwrap_or_default()
+            .split(',')
         {
-            for token in conn.split(',') {
-                let token = token.trim();
-                if token.eq_ignore_ascii_case("close") {
-                    close = true;
-                } else if token.eq_ignore_ascii_case("keep-alive") {
-                    close = false;
-                }
+            let token = token.trim();
+            if token.eq_ignore_ascii_case("close") {
+                close = true;
+            } else if token.eq_ignore_ascii_case("keep-alive") {
+                close = false;
             }
         }
+        let method = method.to_uppercase();
+        let (path, query) = split_target(target);
 
         let total = head_end + 4 + content_length;
         read_body(stream, &mut buf, Some(total))?;
@@ -426,8 +458,6 @@ impl RequestReader {
         // Anything past the body belongs to the next request.
         self.carry = buf.split_off(total);
         let body = buf.split_off(head_end + 4);
-
-        let (path, query) = split_target(&target);
         Ok(Request {
             method,
             path,
@@ -456,12 +486,25 @@ fn write_all_retry(stream: &mut TcpStream, mut bytes: &[u8]) -> std::io::Result<
     Ok(())
 }
 
-/// Sends one HTTP message, head and body in a single vectored write. Two
-/// writes would make two segments, and on a reused connection the second
-/// waits in Nagle's algorithm for the peer's delayed ACK of the first —
-/// 40 ms a message. One write also hands the body to the kernel from where
-/// it lies, without a copy next to the head.
-fn write_message(stream: &mut TcpStream, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+/// Sends one HTTP message: the start line, `content-length`, then
+/// `headers` in order, and the body — head and body in a single vectored
+/// write, the one message writer of both ends. Two writes would make two
+/// segments, and on a reused connection the second waits in Nagle's
+/// algorithm for the peer's delayed ACK of the first — 40 ms a message.
+/// One write also hands the body to the kernel from where it lies, without
+/// a copy next to the head. Header values must not contain CR/LF.
+fn write_message<'h>(
+    stream: &mut TcpStream,
+    start_line: std::fmt::Arguments<'_>,
+    headers: impl IntoIterator<Item = (&'h str, &'h str)>,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut head = format!("{start_line}\r\ncontent-length: {}\r\n", body.len());
+    for (name, value) in headers {
+        head.extend([name, ": ", value, "\r\n"]);
+    }
+    head.push_str("\r\n");
+    let head = head.as_bytes();
     let sent = loop {
         match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -478,10 +521,9 @@ fn write_message(stream: &mut TcpStream, head: &[u8], body: &[u8]) -> std::io::R
     }
 }
 
-/// Writes a response as one message: head and body in a single write (a
-/// `TcpStream` has no user-space buffer to flush). `keep_alive` selects the
-/// `connection:` header; the caller decides whether to actually keep
-/// reading afterwards.
+/// Writes a response as one message (a `TcpStream` has no user-space
+/// buffer to flush). `keep_alive` selects the `connection:` header; the
+/// caller decides whether to actually keep reading afterwards.
 ///
 /// # Errors
 ///
@@ -491,22 +533,21 @@ pub fn write_response(
     response: &Response,
     keep_alive: bool,
 ) -> Result<(), String> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        response.status,
-        reason(response.status),
-        response.content_type,
-        response.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let headers = [
+        ("content-type", response.content_type),
+        ("connection", connection),
+    ]
+    .into_iter()
+    .chain(
+        response
+            .headers
+            .iter()
+            .map(|(n, v)| (n.as_str(), v.as_str())),
     );
-    for (name, value) in &response.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    write_message(stream, head.as_bytes(), &response.body).map_err(|e| format!("write: {e}"))
+    let status = response.status;
+    let start_line = format_args!("HTTP/1.1 {status} {}", reason(status));
+    write_message(stream, start_line, headers, &response.body).map_err(|e| format!("write: {e}"))
 }
 
 /// A parsed response on the client side.
@@ -523,10 +564,7 @@ pub struct Reply {
 impl Reply {
     /// First header value for `name` (case-insensitive), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 }
 
@@ -583,56 +621,37 @@ impl ClientConn {
         body: &[u8],
         extra_headers: &[(&str, &str)],
     ) -> Result<Reply, String> {
-        let mut head = format!(
-            "{method} {target} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n",
-            self.addr,
-            body.len()
-        );
-        for (name, value) in extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        write_message(&mut self.stream, head.as_bytes(), body)
+        let headers = [("host", self.addr.as_str())]
+            .into_iter()
+            .chain(extra_headers.iter().copied());
+        let start_line = format_args!("{method} {target} HTTP/1.1");
+        write_message(&mut self.stream, start_line, headers, body)
             .map_err(|e| format!("write {}: {e}", self.addr))?;
         self.read_reply()
     }
 
+    /// Reads one reply: its head by `parse_head`'s rule, its status code,
+    /// and a body of its `Content-Length`, or to end-of-stream only when it
+    /// declares none. The body has no size cap: result artifacts are large.
     fn read_reply(&mut self) -> Result<Reply, String> {
+        let addr = &self.addr;
         let mut buf = std::mem::take(&mut self.carry);
-        let mut chunk = [0u8; 4096];
-        let head_end = read_head(&mut self.stream, &mut buf, &mut chunk, "response")
-            .map_err(|e| format!("read {}: {e}", self.addr))?;
-
-        let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| "response head not utf-8")?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().ok_or("empty response")?;
-        let status: u16 = status_line
+        let head_end = read_head(&mut self.stream, &mut buf, "response")
+            .map_err(|e| format!("read {addr}: {e}"))?;
+        let Head {
+            start_line,
+            headers,
+            content_length,
+        } = parse_head(&buf[..head_end]).map_err(|e| format!("malformed response: {e}"))?;
+        let status: u16 = start_line
             .split(' ')
             .nth(1)
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-        let mut headers: Vec<(String, String)> = Vec::new();
-        let mut content_length: Option<usize> = None;
-        for line in lines {
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim().to_string();
-                if name == "content-length" {
-                    content_length = value.parse().ok();
-                }
-                headers.push((name, value));
-            }
-        }
+            .ok_or_else(|| format!("bad status line {start_line:?}"))?;
 
-        // The body runs to its content-length, or to end-of-stream without
-        // one, and has no size cap: result artifacts are large.
         let body_start = head_end + 4;
         let total = content_length.map(|len| body_start.saturating_add(len));
-        read_body(&mut self.stream, &mut buf, total)
-            .map_err(|e| format!("read {}: {e}", self.addr))?;
+        read_body(&mut self.stream, &mut buf, total).map_err(|e| format!("read {addr}: {e}"))?;
         if let Some(total) = total {
             if buf.len() < total {
                 return Err("connection closed mid-response".into());
@@ -646,24 +665,6 @@ impl ClientConn {
             body,
         })
     }
-}
-
-/// Client side: sends one request to `addr` and returns
-/// `(status, body)`. Opens a fresh connection per call and asks the
-/// server to close it afterwards.
-///
-/// # Errors
-///
-/// Returns a message on connection, io, or protocol errors.
-pub fn request(
-    addr: &str,
-    method: &str,
-    target: &str,
-    body: &[u8],
-) -> Result<(u16, Vec<u8>), String> {
-    let mut conn = ClientConn::connect(addr)?;
-    let reply = conn.request_with(method, target, body, &[("connection", "close")])?;
-    Ok((reply.status, reply.body))
 }
 
 #[cfg(test)]
@@ -711,10 +712,42 @@ mod tests {
             let resp = Response::json(200, req.body.clone());
             write_response(&mut stream, &resp, false).expect("write response");
         });
-        let (status, body) = request(&addr, "POST", "/echo?tag=t1", b"{\"k\":1}").expect("request");
-        assert_eq!(status, 200);
-        assert_eq!(body, b"{\"k\":1}");
+        let reply = ClientConn::connect(&addr)
+            .and_then(|mut conn| {
+                let close = [("connection", "close")];
+                conn.request_with("POST", "/echo?tag=t1", b"{\"k\":1}", &close)
+            })
+            .expect("request");
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.body, b"{\"k\":1}");
         server.join().expect("server thread");
+    }
+
+    /// `GET /x` on a fresh connection to `addr`.
+    fn get(addr: &str) -> Result<Reply, String> {
+        ClientConn::connect(addr).and_then(|mut conn| conn.request("GET", "/x", b""))
+    }
+
+    /// Writes `raw` to a fresh loopback connection and half-closes it;
+    /// returns what one [`RequestReader`] reads off it, up to and including
+    /// its first error.
+    fn read_all(raw: &[u8]) -> Vec<Result<Request, RequestError>> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut writer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut stream, _) = listener.accept().expect("accept");
+        writer.write_all(raw).expect("write");
+        writer
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        stream
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .expect("set timeout");
+        let mut reader = RequestReader::new();
+        let mut read = Vec::new();
+        while read.last().is_none_or(Result::is_ok) {
+            read.push(reader.read_request(&mut stream));
+        }
+        read
     }
 
     #[test]
@@ -810,21 +843,40 @@ mod tests {
             // Even agreeing copies are a smuggling hazard.
             b"POST /x HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 3\r\n\r\nAAA".as_slice(),
         ] {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let server = std::thread::spawn(move || {
-                let (mut stream, _) = listener.accept().expect("accept");
-                stream
-                    .set_read_timeout(Some(IO_TIMEOUT))
-                    .expect("set timeout");
-                RequestReader::new().read_request(&mut stream)
-            });
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.write_all(raw).expect("write");
-            let err = server.join().expect("join").unwrap_err();
+            let read = read_all(raw);
             assert!(
-                matches!(err, RequestError::Malformed(ref m) if m.contains("content-length")),
-                "{err}"
+                matches!(&read[..], [Err(RequestError::Malformed(m))] if m.contains("content-length")),
+                "{read:?}"
+            );
+        }
+    }
+
+    /// A field line that another parser could read as framing is refused:
+    /// each of these is one malformed request — a 400 and a close at the
+    /// server — and no request is read from the bytes behind it.
+    #[test]
+    fn field_lines_that_break_the_framing_rule_are_refused() {
+        for raw in [
+            // Whitespace before the colon: once framed as a length of 4,
+            // and the `GET` behind the body answered.
+            "POST /x HTTP/1.1\r\nContent-Length : 4\r\n\r\nabcdGET /metrics HTTP/1.1\r\n\r\n",
+            // No colon: once skipped, and the body read as a request.
+            "GET /x HTTP/1.1\r\nContent-Length 4\r\n\r\nabcd",
+            // An obs-fold line: once framed by the folded length.
+            "GET /x HTTP/1.1\r\nX-A: 1\r\n Content-Length: 4\r\n\r\nabcd",
+            // A bare LF, a line break to a reader that accepts one.
+            "GET /x HTTP/1.1\r\nX-A: 1\nContent-Length: 4\r\n\r\nabcd",
+            // A VT or FF in the name, which `str::trim` strips: once framed
+            // as a length of 4, or read as chunked by a lenient front end
+            // while framed here by the length.
+            "POST /x HTTP/1.1\r\nContent-Length\x0b: 4\r\n\r\nabcdGET /metrics HTTP/1.1\r\n\r\n",
+            "POST /x HTTP/1.1\r\n\x0cContent-Length: 4\r\n\r\nabcdGET /metrics HTTP/1.1\r\n\r\n",
+            "POST /x HTTP/1.1\r\ncontent-length: 4\r\nTransfer-Encoding\x0b: chunked\r\n\r\nabcdGET /metrics HTTP/1.1\r\n\r\n",
+        ] {
+            let read = read_all(raw.as_bytes());
+            assert!(
+                matches!(&read[..], [Err(RequestError::Malformed(_))]),
+                "{raw:?} read as {read:?}"
             );
         }
     }
@@ -900,7 +952,7 @@ mod tests {
             let _ = held.recv();
         });
         let started = std::time::Instant::now();
-        let err = request(&addr, "GET", "/x", b"").expect_err("endless head");
+        let err = get(&addr).expect_err("endless head");
         assert!(err.contains("response head too large"), "{err}");
         assert!(
             started.elapsed() < IO_TIMEOUT / 2,
@@ -925,7 +977,7 @@ mod tests {
                 let _ = RequestReader::new().read_request(&mut stream);
                 stream.write_all(raw).expect("write reply");
             });
-            let reply = request(&addr, "GET", "/x", b"");
+            let reply = get(&addr).map(|reply| (reply.status, reply.body));
             peer.join().expect("peer thread");
             reply
         };
@@ -940,6 +992,41 @@ mod tests {
         let short = reply_to(b"HTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\nshort")
             .expect_err("the peer hung up early");
         assert!(short.contains("closed mid-response"), "{short}");
+    }
+
+    /// A reply is framed by the request's rule: a `Content-Length` that is
+    /// not `1*DIGIT`, or that comes twice, is an error at once. The peer
+    /// holds its connection open for 3 s after the reply, so a client that
+    /// guessed a length, or read to the end of the stream, would not fail
+    /// within the bound.
+    #[test]
+    fn client_refuses_a_reply_framed_against_the_rule_at_once() {
+        for lengths in [&["+3"][..], &["3", "5"], &["3", "x"]] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr").to_string();
+            let mut raw = "HTTP/1.1 200 OK\r\n".to_string();
+            for length in lengths {
+                raw.push_str(&format!("Content-Length: {length}\r\n"));
+            }
+            raw.push_str("\r\nabcde");
+            let (release, held) = std::sync::mpsc::channel::<()>();
+            let peer = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let _ = RequestReader::new().read_request(&mut stream);
+                stream.write_all(raw.as_bytes()).expect("write reply");
+                let _ = held.recv_timeout(Duration::from_secs(3));
+            });
+            let started = std::time::Instant::now();
+            let reply = get(&addr);
+            let elapsed = started.elapsed();
+            drop(release);
+            peer.join().expect("peer thread");
+            let err = reply
+                .map(|r| r.body)
+                .expect_err("a reply framed against the rule");
+            assert!(err.contains("content-length"), "{lengths:?}: {err}");
+            assert!(elapsed < Duration::from_secs(1), "{lengths:?}: {elapsed:?}");
+        }
     }
 
     #[test]
@@ -989,18 +1076,7 @@ mod tests {
                 false,
             ),
         ] {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let server = std::thread::spawn(move || {
-                let (mut stream, _) = listener.accept().expect("accept");
-                stream
-                    .set_read_timeout(Some(IO_TIMEOUT))
-                    .expect("set timeout");
-                RequestReader::new().read_request(&mut stream)
-            });
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.write_all(raw).expect("write");
-            let req = server.join().expect("join").expect("parses");
+            let req = read_all(raw).remove(0).expect("parses");
             assert_eq!(
                 req.close,
                 expect_close,
@@ -1069,9 +1145,10 @@ mod tests {
             .collect()
     }
 
-    /// Serializes `messages` after zero to two header mutations (duplicate
-    /// or case-fold a header line), then applies zero to three byte
-    /// mutations: flip a bit, insert or delete a byte, truncate.
+    /// Serializes `messages` after zero to two header mutations (duplicate a
+    /// header line, case-fold it, put a space before its colon, or fold it
+    /// onto the line before with a leading SP), then applies zero to three
+    /// byte mutations: flip a bit, insert or delete a byte, truncate.
     fn mutated(draw: &mut Draw, mut messages: Vec<Message>) -> Vec<u8> {
         for _ in 0..draw.below(3) {
             let at = draw.below(messages.len());
@@ -1082,9 +1159,11 @@ mod tests {
                 message.headers.insert(header, copy);
             } else {
                 let line = &mut message.headers[header];
-                *line = match draw.below(2) {
+                *line = match draw.below(4) {
                     0 => line.to_ascii_uppercase(),
-                    _ => line.to_ascii_lowercase(),
+                    1 => line.to_ascii_lowercase(),
+                    2 => line.replacen(':', " :", 1),
+                    _ => format!(" {line}"),
                 };
             }
         }
@@ -1151,26 +1230,38 @@ mod tests {
 
     /// Seeded byte-level fuzzing of both readers over loopback: valid
     /// pipelined streams, mutated and split across writes. Neither reader
-    /// panics; every message read whole is framed exactly — its body is the
-    /// bytes its `Content-Length` names, and the next message starts at the
-    /// byte after; and every failure is one the readers name: a clean close
-    /// only at a message boundary, a close mid-message only short of one,
-    /// never a timeout.
+    /// panics; every message read whole passes the one framing oracle of
+    /// [`assert_framed`]; and every failure is one the readers name: a
+    /// clean close only at a message boundary, a close mid-message only
+    /// short of one, never a timeout.
     #[test]
     fn seeded_fuzzed_streams_are_framed_exactly_or_refused() {
+        // Seed 8736 sends `Content-Length: +69`, which the request reader
+        // once took for 69.
+        fuzz((0..300).chain([8736]));
+    }
+
+    /// Seeds of the deep fuzzing run (CI runs it in release).
+    const DEEP_FUZZ_SEEDS: u64 = 20_000;
+
+    #[test]
+    #[ignore = "20 000 seeds: about 20 s in release"]
+    fn seeded_fuzzed_streams_are_framed_exactly_or_refused_deep() {
+        fuzz(0..DEEP_FUZZ_SEEDS);
+    }
+
+    fn fuzz(seeds: impl Iterator<Item = u64>) {
         use pythia_workloads::profiles::derive_seed;
 
-        // Seed 8736 sends `Content-Length: +69`, which the reader once took
-        // for 69.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        for seed in (0..300u64).chain([8736]) {
+        for seed in seeds {
             let mut draw = Draw(derive_seed(seed, "http-fuzz"));
             let requests = seed % 2 == 0;
             let stream = {
                 let messages = valid_stream(&mut draw, requests);
                 mutated(&mut draw, messages)
             };
-            let shown = String::from_utf8_lossy(&stream).into_owned();
+            let shown = format!("seed {seed}: {:?}", String::from_utf8_lossy(&stream));
             std::thread::scope(|scope| {
                 let (socket, written) =
                     split_across_writes(scope, &listener, &mut draw, stream.clone());
@@ -1184,39 +1275,65 @@ mod tests {
         }
     }
 
+    /// The one framing oracle of both readers, for a message read whole
+    /// from the front of `rest`: its header names are lower-case tokens
+    /// (`tchar` only, so no whitespace or control byte); it has no `transfer-encoding`; it has at most one
+    /// `content-length`, which is `1*DIGIT`; and its body is exactly the
+    /// bytes that length names — without one, none for a request and the
+    /// rest of the stream for a reply. Returns where the next message
+    /// starts in `rest`.
+    fn assert_framed(
+        headers: &[(String, String)],
+        body: &[u8],
+        rest: &[u8],
+        request: bool,
+        shown: &str,
+    ) -> usize {
+        let start = head_end(rest).expect("a message read whole has a head") + 4;
+        for (name, _) in headers {
+            let clean = !name.is_empty() && name.bytes().all(is_tchar);
+            assert!(
+                clean && *name == name.to_ascii_lowercase(),
+                "{name:?} in {shown}"
+            );
+        }
+        assert!(header(headers, "transfer-encoding").is_none(), "{shown}");
+        let lengths: Vec<&str> = headers
+            .iter()
+            .filter(|(name, _)| name == "content-length")
+            .map(|(_, value)| value.as_str())
+            .collect();
+        let end = match lengths[..] {
+            [] if request => start,
+            [] => rest.len(),
+            [value] => {
+                assert!(
+                    !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit()),
+                    "content-length {value:?} is not 1*DIGIT in {shown}"
+                );
+                start + value.parse::<usize>().expect("digits")
+            }
+            _ => panic!("{} content-lengths in {shown}", lengths.len()),
+        };
+        assert_eq!(Some(body), rest.get(start..end), "{shown}");
+        end
+    }
+
     fn fuzz_request_reader(mut socket: TcpStream, stream: &[u8], shown: &str) {
         let (mut reader, mut offset) = (RequestReader::new(), 0);
         loop {
             let rest = &stream[offset..];
             match reader.read_request(&mut socket) {
                 Ok(request) => {
-                    let head = head_end(rest).expect("a request read whole has a head");
-                    let lengths: Vec<&str> = request
-                        .headers
-                        .iter()
-                        .filter(|(name, _)| name == "content-length")
-                        .map(|(_, value)| value.as_str())
-                        .collect();
-                    assert!(lengths.len() <= 1, "{shown:?}");
-                    let length = lengths.first().map_or(0, |value| {
-                        assert!(
-                            !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit()),
-                            "content-length {value:?} is not 1*DIGIT in {shown:?}"
-                        );
-                        value.parse::<usize>().expect("digits")
-                    });
-                    assert!(request.header("transfer-encoding").is_none(), "{shown:?}");
                     let method = rest.split(|&b| b == b' ').next().expect("a first word");
                     assert!(
                         request.method.as_bytes().eq_ignore_ascii_case(method),
-                        "{shown:?}"
+                        "{shown}"
                     );
-                    let body = head + 4..head + 4 + length;
-                    assert_eq!(request.body, rest[body.clone()], "{shown:?}");
-                    offset += body.end;
+                    offset += assert_framed(&request.headers, &request.body, rest, true, shown);
                 }
                 Err(RequestError::Closed) => {
-                    assert!(rest.is_empty(), "closed mid-stream in {shown:?}");
+                    assert!(rest.is_empty(), "closed mid-stream in {shown}");
                     return;
                 }
                 Err(RequestError::Io(e)) => {
@@ -1224,11 +1341,11 @@ mod tests {
                         None => e == "connection closed mid-request" && !rest.is_empty(),
                         Some(_) => e == "connection closed mid-body",
                     };
-                    assert!(short, "{e} in {shown:?}");
+                    assert!(short, "{e} in {shown}");
                     return;
                 }
                 Err(RequestError::Malformed(_) | RequestError::TooLarge(_)) => return,
-                Err(RequestError::Timeout) => panic!("timed out on {shown:?}"),
+                Err(RequestError::Timeout) => panic!("timed out on {shown}"),
             }
         }
     }
@@ -1244,29 +1361,20 @@ mod tests {
             let rest = &stream[offset..];
             match conn.read_reply() {
                 Ok(reply) => {
-                    let head = head_end(rest).expect("a reply read whole has a head");
-                    let length = reply
-                        .headers
-                        .iter()
-                        .rfind(|(name, _)| name == "content-length")
-                        .and_then(|(_, value)| value.parse::<usize>().ok());
-                    let end = length.map_or(rest.len(), |length| head + 4 + length);
-                    assert_eq!(reply.body, rest[head + 4..end], "{shown:?}");
-                    offset += end;
+                    offset += assert_framed(&reply.headers, &reply.body, rest, false, shown)
                 }
                 Err(e) if e == "read fuzz: connection closed" => {
-                    assert!(rest.is_empty(), "closed mid-stream in {shown:?}");
+                    assert!(rest.is_empty(), "closed mid-stream in {shown}");
                     return;
                 }
                 Err(e) => {
                     let named = [
                         "read fuzz: io error: connection closed mid-response",
                         "connection closed mid-response",
-                        "response head not utf-8",
-                        "empty response",
+                        "malformed response: ",
                         "bad status line",
                     ];
-                    assert!(named.iter().any(|n| e.starts_with(n)), "{e} in {shown:?}");
+                    assert!(named.iter().any(|n| e.starts_with(n)), "{e} in {shown}");
                     return;
                 }
             }

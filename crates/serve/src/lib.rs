@@ -8,11 +8,15 @@
 //!
 //! * [`http`] — a hand-rolled HTTP/1.1 subset on `std::net` (this build
 //!   environment has no network crates): persistent keep-alive
-//!   connections with byte-exact pipelining, `Content-Length` bodies
-//!   (a `Transfer-Encoding` header is refused),
+//!   connections with byte-exact pipelining, `Content-Length` bodies,
 //!   strict limits, one write per message, and typed read errors
 //!   (timeout vs malformed vs oversized) so the server can answer
-//!   408/400/413 precisely.
+//!   408/400/413 precisely. Requests and replies are framed by one head
+//!   parser and one rule: a field line with no colon or whose name is
+//!   not a token (so no whitespace or control byte before the colon),
+//!   an obs-fold line, a `Content-Length` that is not
+//!   `1*DIGIT` or comes twice, and any `Transfer-Encoding` are refused at
+//!   both ends.
 //! * [`journal`] — a crash-safe append-only job journal: queued and
 //!   in-flight campaigns are replayed (and the journal compacted) on
 //!   restart instead of being silently dropped.
@@ -38,8 +42,8 @@
 //!   (`json`) or rendered (`md`, `csv`) through a small recent-renders
 //!   cache. A re-POST of a recently accepted body is answered from its
 //!   bytes, through a small recent-submissions list.
-//! * [`client`] — the `pythia-cli submit` side, built on the same
-//!   [`http`] module.
+//! * [`client`] — the `pythia-cli submit` side: every call goes through
+//!   one path, a fresh [`http::ClientConn`] that asks for a close.
 //!
 //! Content addressing comes from [`pythia_sweep::codec`]: a campaign's
 //! canonical encoding digests to a stable id, simulations are

@@ -511,9 +511,10 @@ fn sequential_one_shot_requests_reuse_the_parked_handlers() {
     });
     let obs = handle.scheduler().obs();
     for i in 0..200 {
-        let (status, _) = pythia_serve::http::request(&addr, "GET", "/nope", b"")
+        let reply = pythia_serve::http::ClientConn::connect(&addr)
+            .and_then(|mut conn| conn.request_with("GET", "/nope", b"", &[("connection", "close")]))
             .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
-        assert_eq!(status, 404, "request {i}");
+        assert_eq!(reply.status, 404, "request {i}");
         let deadline = Instant::now() + Duration::from_secs(10);
         while obs.connections_active.get() != 0 {
             assert!(Instant::now() < deadline, "connection {i} never drained");
