@@ -24,9 +24,10 @@ const MAX_TABLE_CELLS: usize = 1 << 24;
 /// Largest evaluation queue `validate` accepts (64× the paper's 256).
 const MAX_EQ_SIZE: usize = 1 << 14;
 
-// The argmax kernels sum `planes` sign-biased 16-bit cells per vault, and
-// for the Mean combine `features × planes` of them, in 32-bit lanes.
-const _: () = assert!(MAX_FEATURES * MAX_PLANES < 1 << 15);
+// The argmax kernel sums `planes` `i16` cells per vault, and for the Mean
+// combine `features × planes` of them, in `i32` lanes, then shifts each
+// sum left by 4 bits to pack a lane index below it.
+const _: () = assert!(MAX_FEATURES * MAX_PLANES < 1 << 12);
 
 /// How the QVStore combines per-vault (per-feature) Q-values into the
 /// state-action Q-value. The paper uses `Max` (Eqn. 3); `Mean` is the

@@ -39,11 +39,11 @@
 //!   extra fraction bits (α, γ and α·δ products use round-to-nearest
 //!   shifts), then **saturates** the per-plane write-back: an update can
 //!   pin a partial at ±`i16::MAX`, but it can never wrap.
-//! - The argmax never materializes floats at all: plane rows are walked as
-//!   packed `u64` words of four sign-biased `u16` lanes, vault sums
-//!   accumulate in paired 32-bit SWAR lanes, and vaults combine with a
-//!   branchless lane max — bit-identical in ordering to the float view,
-//!   ties broken toward the lowest action index.
+//! - The argmax never materializes floats at all: it scores 16 actions per
+//!   step, summing each vault's plane rows into `i32` lanes and combining
+//!   vaults with a lane max — the same combined value [`QvStore::q`] and
+//!   the TD error read, so it orders exactly like the float view, ties
+//!   broken toward the lowest action index.
 //!
 //! # A state is its row bases
 //!
@@ -116,49 +116,12 @@ pub fn plane_slot(value: u64, plane: usize, index_bits: u32) -> usize {
     (h >> (64 - index_bits)) as usize
 }
 
-/// Stack budget for the argmax's per-block SWAR accumulators: four `u64`
-/// words per 4-action block (combined + per-vault lane sums) covers
-/// action lists up to 128 entries (the 127-way full list included)
-/// without touching the heap.
-const INLINE_BLOCK_WORDS: usize = 128;
+/// Bits of a lane index within an argmax group.
+const LANE_BITS: u32 = 4;
 
-/// Runs `f` over an `n`-word zeroed scratch slice, stack-allocated up to
-/// `N` words and heap-allocated beyond.
-#[inline]
-fn with_scratch<const N: usize, R>(n: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
-    if n <= N {
-        let mut buf = [0u64; N];
-        f(&mut buf[..n])
-    } else {
-        let mut buf = vec![0u64; n];
-        f(&mut buf)
-    }
-}
-
-/// XOR mask flipping each packed `i16` lane's sign bit: biased-unsigned
-/// lanes compare in the same order as the signed originals.
-const LANE_BIAS: u64 = 0x8000_8000_8000_8000;
-
-/// Mask selecting the even 16-bit lanes as two 32-bit accumulator lanes.
-const EVEN_LANES: u64 = 0x0000_FFFF_0000_FFFF;
-
-/// Four consecutive `i16` cells as one little-endian `u64` word. LLVM
-/// folds this into a single 8-byte load.
-#[inline]
-fn pack4(c: &[i16]) -> u64 {
-    (c[0] as u16 as u64)
-        | ((c[1] as u16 as u64) << 16)
-        | ((c[2] as u16 as u64) << 32)
-        | ((c[3] as u16 as u64) << 48)
-}
-
-/// Branchless per-lane max of two packed unsigned 32-bit lane pairs.
-#[inline]
-fn max_u32x2(a: u64, b: u64) -> u64 {
-    let lo = (a as u32).max(b as u32) as u64;
-    let hi = ((a >> 32) as u32).max((b >> 32) as u32) as u64;
-    lo | (hi << 32)
-}
+/// Actions the argmax scores per kernel call: one 256-bit row of `i16`
+/// cells.
+const GROUP: usize = 1 << LANE_BITS;
 
 /// `n / d` with round-to-nearest, half away from zero (`d > 0`).
 #[inline]
@@ -181,13 +144,16 @@ fn round_shift(x: i64, s: u32) -> i64 {
 ///
 /// Storage is a single flat `[vault][plane][index][action]` array (SoA) of
 /// Q8.7 `i16` entries: one allocation, one cache-friendly stride walk per
-/// lookup. A state's plane hashes are computed once ([`QvStore::hash`])
-/// and shared by every action probed against it, so the per-demand argmax
-/// costs `vaults × planes` hash computations, not `actions` times that.
+/// lookup. 15 pad cells follow the last row, so the argmax's last
+/// 16-action group of any row reads in bounds. A state's plane hashes are
+/// computed once ([`QvStore::hash`]) and shared by every action probed
+/// against it, so the per-demand argmax costs `vaults × planes` hash
+/// computations, not `actions` times that.
 #[derive(Debug, Clone)]
 pub struct QvStore {
     /// Flat partial-Q storage (Q8.7), indexed by
-    /// `vault * vault_stride + plane * plane_stride + index * actions + action`.
+    /// `vault * vault_stride + plane * plane_stride + index * actions + action`,
+    /// then the pad cells.
     table: Vec<i16>,
     vaults: usize,
     planes: usize,
@@ -199,13 +165,14 @@ pub struct QvStore {
     vault_stride: usize,
     combine: VaultCombine,
     updates: u64,
-    /// Whether the CPU supports the AVX2 argmax kernel — detected once at
-    /// construction so the per-demand path branches on a plain bool.
+    /// Whether the CPU supports AVX2, so the argmax can run its AVX2
+    /// compile — detected once at construction so the per-demand path
+    /// branches on a plain bool.
     use_avx2: bool,
 }
 
-/// One-time runtime check for the vectorized argmax path. Off x86-64 the
-/// portable SWAR walk is the only path.
+/// One-time runtime check for the argmax's AVX2 compile. Off x86-64 the
+/// portable compile is the only one.
 fn detect_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -239,7 +206,7 @@ impl QvStore {
         let plane_stride = entries * actions;
         let vault_stride = planes * plane_stride;
         Self {
-            table: vec![init; vaults * vault_stride],
+            table: vec![init; vaults * vault_stride + GROUP - 1],
             vaults,
             planes,
             index_bits: config.plane_index_bits,
@@ -268,10 +235,10 @@ impl QvStore {
         self.updates
     }
 
-    /// The raw cells, for tests that compare two stores byte for byte.
-    #[cfg(test)]
+    /// The cells without the pad: what [`table_stats`](QvStore::table_stats)
+    /// reads and tests compare byte for byte.
     pub(crate) fn table(&self) -> &[i16] {
-        &self.table
+        &self.table[..self.vaults * self.vault_stride]
     }
 
     /// A state vector (one feature value per vault) hashed into a fresh
@@ -368,31 +335,48 @@ impl QvStore {
         let _ = (bases, action);
     }
 
+    /// Combined scores of the `L` actions from `first` on: each vault's
+    /// plane partials summed into `i32` lanes, vaults combined by lane max
+    /// (or by add for Mean, which orders like the mean). The one
+    /// definition of the combined Q-value: the argmax scores 16 actions
+    /// per call, [`q`](QvStore::q) and the SARSA TD error one. Lanes
+    /// cannot overflow: `PythiaConfig::validate` keeps `vaults * planes`
+    /// below 2^12, so a lane sums fewer than 2^12 `i16` partials.
+    #[inline(always)]
+    fn scores<const L: usize>(&self, bases: &[u32], first: usize) -> [i32; L] {
+        let mut comb = [match self.combine {
+            VaultCombine::Max => i32::MIN,
+            VaultCombine::Mean => 0,
+        }; L];
+        for vault in bases.chunks_exact(self.planes) {
+            let mut sum = [0i32; L];
+            for &base in vault {
+                let at = base as usize + first;
+                let row: &[i16; L] = self.table[at..at + L].try_into().expect("L cells");
+                for (s, &cell) in sum.iter_mut().zip(row) {
+                    *s += i32::from(cell);
+                }
+            }
+            match self.combine {
+                VaultCombine::Max => comb.iter_mut().zip(sum).for_each(|(c, s)| *c = (*c).max(s)),
+                VaultCombine::Mean => comb.iter_mut().zip(sum).for_each(|(c, s)| *c += s),
+            }
+        }
+        comb
+    }
+
     /// Combined state-action Q-value of a hashed state, in
     /// 64-bit fixed-point with [`Q_FRAC_BITS`]` + extra_frac` fraction
     /// bits. Integer plane sums are exact; only the Mean combine rounds
-    /// (to nearest, in the widened precision). The single source of truth
-    /// behind [`q`](QvStore::q) and the SARSA TD error.
+    /// (to nearest, in the widened precision).
     #[inline]
     fn q_fp(&self, bases: &[u32], action: usize, extra_frac: u32) -> i64 {
         assert_eq!(bases.len(), self.cells(), "bases geometry mismatch");
-        let vaults = bases.chunks_exact(self.planes).map(|planes| {
-            planes
-                .iter()
-                .map(|&base| self.table[base as usize + action] as i64)
-                .sum::<i64>()
-        });
+        let [score] = self.scores::<1>(bases, action);
+        let score = i64::from(score) << extra_frac;
         match self.combine {
-            VaultCombine::Max => vaults.max().expect("at least one vault") << extra_frac,
-            VaultCombine::Mean => {
-                let mut sum = 0i64;
-                let mut n = 0i64;
-                for v in vaults {
-                    sum += v;
-                    n += 1;
-                }
-                div_round(sum << extra_frac, n)
-            }
+            VaultCombine::Max => score,
+            VaultCombine::Mean => div_round(score, self.vaults as i64),
         }
     }
 
@@ -417,255 +401,69 @@ impl QvStore {
         self.q_fp(bases, action, 0) as f32 / Q_ONE as f32
     }
 
-    /// Combined biased-unsigned Q-value of one action: the scalar
-    /// reference for the argmax's SWAR lanes and its tail paths. Biasing each plane partial by
-    /// `+0x8000` adds the same `planes * 0x8000` constant to every
-    /// action's vault sum, so biased values order exactly like signed
-    /// ones.
-    #[inline]
-    fn combined_biased(&self, bases: &[u32], action: usize) -> u64 {
-        let mut comb = 0u64;
-        for vault in bases.chunks_exact(self.planes) {
-            let mut sum = 0u64;
-            for &base in vault {
-                sum += (self.table[base as usize + action] as u16 ^ 0x8000) as u64;
-            }
-            comb = match self.combine {
-                VaultCombine::Max => comb.max(sum),
-                VaultCombine::Mean => comb + sum,
-            };
-        }
-        comb
-    }
-
     /// The action with the maximum Q-value for a hashed state, ties broken
     /// toward the lowest index (deterministic hardware behaviour) — the
-    /// agent's per-demand fast path. Pure integer, no float is ever
-    /// materialized, and allocation-free up to 128 actions. On x86-64
-    /// with AVX2 (checked once at construction) each 16-action group is
-    /// scored with vector loads, widening adds and a per-lane vault max;
-    /// everywhere else a portable SWAR walk runs. For Mean combine the
-    /// (unnormalized) vault-sum total is compared instead of the mean;
-    /// both order identically.
+    /// agent's per-demand fast path. Pure integer and allocation-free:
+    /// actions are scored 16 at a time, and for Mean combine the vault-sum
+    /// total is compared instead of the mean; both order identically. On
+    /// x86-64 with AVX2 (checked once at construction) the same kernel
+    /// runs compiled for AVX2.
     ///
     /// # Panics
     ///
-    /// Panics if `bases` is not [`cells`](QvStore::cells) long.
+    /// Panics if `bases` is not [`cells`](QvStore::cells) long, or holds a
+    /// base past this store's table (bases hashed by a larger store).
     pub fn argmax(&self, bases: &[u32]) -> usize {
         assert_eq!(bases.len(), self.cells(), "bases geometry mismatch");
         #[cfg(target_arch = "x86_64")]
-        if self.use_avx2 && self.actions >= 16 {
-            let groups = self.actions / 16;
-            // The kernel's loads are unchecked: bases that did not come
-            // from this store's `hash` must stop here.
-            let last_row = self.table.len() - self.actions;
-            assert!(
-                bases.iter().all(|&base| base as usize <= last_row),
-                "bases outside the table"
-            );
-            // SAFETY: AVX2 support was verified when the store was built,
-            // and every base's row is inside `table` (asserted above).
-            let (mut best_a, mut best_v) = unsafe { self.argmax_avx2(bases, groups) };
-            // Scalar tail for action counts not divisible by 16 (the
-            // 127-way unpruned list), unbiased into the signed domain the
-            // vector path compares in.
-            let bias = match self.combine {
-                VaultCombine::Max => self.planes as i64,
-                VaultCombine::Mean => (self.vaults * self.planes) as i64,
-            } * 0x8000;
-            for a in groups * 16..self.actions {
-                let v = self.combined_biased(bases, a) as i64 - bias;
-                if v > best_v {
-                    best_v = v;
-                    best_a = a;
-                }
-            }
-            return best_a;
+        if self.use_avx2 {
+            // SAFETY: `use_avx2` is set only when the CPU reports AVX2.
+            return unsafe { self.argmax_avx2(bases) };
         }
-        self.argmax_swar(bases)
+        self.argmax_kernel(bases)
     }
 
-    /// The portable argmax: a SWAR walk packing four `i16` cells per `u64`
-    /// word and comparing biased-unsigned lanes. Same answer as the AVX2
-    /// kernel on every input; crate-visible so tests can hold the two
-    /// against each other.
-    pub(crate) fn argmax_swar(&self, bases: &[u32]) -> usize {
-        // Two scratch tiers keep the accumulator memset proportionate: the
-        // paper's 16-action list needs 16 words, the 127-way full list 124.
-        let blocks = self.actions / 4;
-        let (mut best_a, mut best_v) = if 4 * blocks <= 32 {
-            self.argmax_blocks::<32>(bases, blocks)
-        } else {
-            self.argmax_blocks::<INLINE_BLOCK_WORDS>(bases, blocks)
-        };
-        // Scalar tail for action counts not divisible by four, in the same
-        // biased domain.
-        for a in blocks * 4..self.actions {
-            let v = self.combined_biased(bases, a);
-            if v > best_v {
-                best_v = v;
-                best_a = a;
+    /// The argmax kernel compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn argmax_avx2(&self, bases: &[u32]) -> usize {
+        self.argmax_kernel(bases)
+    }
+
+    /// The argmax kernel's portable compile, for tests that hold it
+    /// against the one [`argmax`](QvStore::argmax) dispatches to.
+    #[cfg(test)]
+    pub(crate) fn argmax_portable(&self, bases: &[u32]) -> usize {
+        self.argmax_kernel(bases)
+    }
+
+    /// The first action holding the maximum score. Each lane's key packs
+    /// its score above its reversed lane index, so one max finds a
+    /// group's best score and, among equal scores, its lowest lane (a
+    /// score sums fewer than 2^12 `i16` partials, so it shifts into an
+    /// `i32` key without overflow). Lanes past the last action read pad
+    /// cells and are set to `i32::MIN`, below every real key, so no tail
+    /// loop is needed.
+    #[inline(always)]
+    fn argmax_kernel(&self, bases: &[u32]) -> usize {
+        let (mut best_a, mut best_v) = (0, i32::MIN);
+        for first in (0..self.actions).step_by(GROUP) {
+            let mut keys = self.scores::<GROUP>(bases, first);
+            for (i, k) in keys.iter_mut().enumerate() {
+                *k = *k << LANE_BITS | (GROUP - 1 - i) as i32;
+            }
+            let live = self.actions - first;
+            if live < GROUP {
+                keys[live..].fill(i32::MIN);
+            }
+            let key = keys.iter().fold(i32::MIN, |m, &k| m.max(k));
+            // Strict `>`: an earlier group keeps its equal score.
+            if key >> LANE_BITS > best_v {
+                best_a = first + GROUP - 1 - (key & (GROUP as i32 - 1)) as usize;
+                best_v = key >> LANE_BITS;
             }
         }
         best_a
-    }
-
-    /// AVX2 argmax kernel: actions are walked 16 at a time; each
-    /// `(vault, plane)` row contributes one 256-bit load whose `i16`
-    /// lanes are sign-extended and accumulated into two 8×`i32` vault
-    /// sums, vaults combine with `vpmaxsd` (or add, for Mean), and the
-    /// group winner falls out of a branch-free horizontal max and
-    /// sign-mask index pick. Exact same ordering semantics as the SWAR
-    /// path: `i32` sums
-    /// cannot overflow (`PythiaConfig::validate` bounds `vaults * planes`
-    /// far below 2^15) and strict `>` keeps the lowest-index tie-break.
-    /// Covers actions `0..16 * groups`; the caller handles the tail.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2, and every base's row of `actions` cells
-    /// must lie inside `table`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn argmax_avx2(&self, bases: &[u32], groups: usize) -> (usize, i64) {
-        use std::arch::x86_64::*;
-        let mean = matches!(self.combine, VaultCombine::Mean);
-        let table = self.table.as_ptr();
-        let mut best_a = 0usize;
-        let mut best_v = i64::MIN;
-        for g in 0..groups {
-            let off = g * 16;
-            let mut comb_lo = _mm256_setzero_si256();
-            let mut comb_hi = _mm256_setzero_si256();
-            for (vi, vault) in bases.chunks_exact(self.planes).enumerate() {
-                let mut lo = _mm256_setzero_si256();
-                let mut hi = _mm256_setzero_si256();
-                for &base in vault {
-                    // SAFETY: the caller guarantees `base + actions` is
-                    // inside `table`, and `off + 16 <= actions`.
-                    let w = _mm256_loadu_si256(table.add(base as usize + off) as *const __m256i);
-                    lo = _mm256_add_epi32(lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(w)));
-                    hi = _mm256_add_epi32(
-                        hi,
-                        _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(w)),
-                    );
-                }
-                if vi == 0 {
-                    comb_lo = lo;
-                    comb_hi = hi;
-                } else if mean {
-                    comb_lo = _mm256_add_epi32(comb_lo, lo);
-                    comb_hi = _mm256_add_epi32(comb_hi, hi);
-                } else {
-                    comb_lo = _mm256_max_epi32(comb_lo, lo);
-                    comb_hi = _mm256_max_epi32(comb_hi, hi);
-                }
-            }
-            // Horizontal winner of the group, branch-free: reduce the 16
-            // lanes to a broadcast max, then pick the lowest lane equal to
-            // it via a sign-bit mask (lane order == action order, so
-            // `trailing_zeros` is the lowest-action tie-break).
-            let mut m = _mm256_max_epi32(comb_lo, comb_hi);
-            m = _mm256_max_epi32(m, _mm256_permute2x128_si256::<0x01>(m, m));
-            m = _mm256_max_epi32(m, _mm256_shuffle_epi32::<0b0100_1110>(m));
-            m = _mm256_max_epi32(m, _mm256_shuffle_epi32::<0b1011_0001>(m));
-            let mask = (_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(comb_lo, m)))
-                as u32)
-                | ((_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(comb_hi, m)))
-                    as u32)
-                    << 8);
-            let gmax = i64::from(_mm256_extract_epi32::<0>(m));
-            if gmax > best_v {
-                best_v = gmax;
-                best_a = off + mask.trailing_zeros() as usize;
-            }
-        }
-        (best_a, best_v)
-    }
-
-    /// The block walk of [`argmax_swar`](QvStore::argmax_swar): each
-    /// `(vault, plane)` row is one contiguous slice consumed with
-    /// `chunks_exact(4)` — a bounds-check-free streaming pass the
-    /// compiler can vectorize — accumulating into per-vault lane sums
-    /// that then fold into the combined accumulators. Scratch is laid
-    /// out as all even-lane words then all odd-lane words (sequential
-    /// streams). Returns the best `(action, biased value)` among actions
-    /// `0..4 * blocks`.
-    fn argmax_blocks<const W: usize>(&self, bases: &[u32], blocks: usize) -> (usize, u64) {
-        with_scratch::<W, _>(4 * blocks, |acc| {
-            let (comb, vacc) = acc.split_at_mut(2 * blocks);
-            for (vi, vault) in bases.chunks_exact(self.planes).enumerate() {
-                let (v02, v13) = vacc.split_at_mut(blocks);
-                // First plane initializes the vault sums, later planes
-                // add — one streaming pass per row.
-                for (pi, &base) in vault.iter().enumerate() {
-                    let row = &self.table[base as usize..][..blocks * 4];
-                    let lanes = row.chunks_exact(4).map(|c| {
-                        let w = pack4(c) ^ LANE_BIAS;
-                        (w & EVEN_LANES, (w >> 16) & EVEN_LANES)
-                    });
-                    if pi == 0 {
-                        for ((w02, w13), (s02, s13)) in
-                            lanes.zip(v02.iter_mut().zip(v13.iter_mut()))
-                        {
-                            *s02 = w02;
-                            *s13 = w13;
-                        }
-                    } else {
-                        for ((w02, w13), (s02, s13)) in
-                            lanes.zip(v02.iter_mut().zip(v13.iter_mut()))
-                        {
-                            *s02 += w02;
-                            *s13 += w13;
-                        }
-                    }
-                }
-                // Fold this vault into the combined accumulators with a
-                // branchless lane max (or add, for Mean).
-                let (c02, c13) = comb.split_at_mut(blocks);
-                if vi == 0 {
-                    c02.copy_from_slice(v02);
-                    c13.copy_from_slice(v13);
-                } else {
-                    match self.combine {
-                        VaultCombine::Max => {
-                            for (c, &s) in c02.iter_mut().zip(v02.iter()) {
-                                *c = max_u32x2(*c, s);
-                            }
-                            for (c, &s) in c13.iter_mut().zip(v13.iter()) {
-                                *c = max_u32x2(*c, s);
-                            }
-                        }
-                        VaultCombine::Mean => {
-                            for (c, &s) in c02.iter_mut().zip(v02.iter()) {
-                                *c += s;
-                            }
-                            for (c, &s) in c13.iter_mut().zip(v13.iter()) {
-                                *c += s;
-                            }
-                        }
-                    }
-                }
-            }
-            // Unpack lanes in action order; strict `>` keeps the
-            // lowest-index tie-break of the sequential scan. Starting the
-            // running best at 0 is exact: biased sums are non-negative,
-            // and 0 is only reachable when every partial is `i16::MIN`,
-            // in which case action 0 ties and wins.
-            let (c02s, c13s) = comb.split_at(blocks);
-            let mut best_a = 0usize;
-            let mut best_v = 0u64;
-            for (k, (&c02, &c13)) in c02s.iter().zip(c13s.iter()).enumerate() {
-                let lanes = [c02 as u32 as u64, c13 as u32 as u64, c02 >> 32, c13 >> 32];
-                for (i, &v) in lanes.iter().enumerate() {
-                    if v > best_v {
-                        best_v = v;
-                        best_a = 4 * k + i;
-                    }
-                }
-            }
-            (best_a, best_v)
-        })
     }
 
     /// Applies the SARSA update (Algorithm 1, line 29):
@@ -728,16 +526,17 @@ impl QvStore {
         let mut min = i16::MAX;
         let mut max = i16::MIN;
         let mut sum: i64 = 0;
-        for &cell in &self.table {
+        let cells = self.table();
+        for &cell in cells {
             min = min.min(cell);
             max = max.max(cell);
             sum += cell as i64;
         }
-        if self.table.is_empty() {
+        if cells.is_empty() {
             return (0.0, 0.0, 0.0);
         }
         let scale = 1.0 / Q_ONE as f32;
-        let mean = sum as f64 / self.table.len() as f64;
+        let mean = sum as f64 / cells.len() as f64;
         (
             min as f32 * scale,
             (mean / Q_ONE as f64) as f32,
@@ -762,9 +561,20 @@ mod tests {
         QvStore::new(&PythiaConfig::basic())
     }
 
-    /// Float Q-values of every action (one pipelined search, Fig. 6).
-    fn q_row(s: &QvStore, bases: &[u32]) -> Vec<f32> {
-        (0..s.actions).map(|a| s.q(bases, a)).collect()
+    /// Float Q-values of every action of a state, built from its
+    /// per-vault feature Q-values and combined as the store combines them
+    /// (Mean as the vault sum, which orders like the mean): an oracle
+    /// that shares no code with the argmax's lanes. Exact in `f32`.
+    fn q_row(s: &QvStore, state: &[u64]) -> Vec<f32> {
+        (0..s.actions)
+            .map(|a| {
+                let vaults = state.iter().enumerate().map(|(v, &x)| s.feature_q(v, x, a));
+                match s.combine {
+                    VaultCombine::Max => vaults.fold(f32::MIN, f32::max),
+                    VaultCombine::Mean => vaults.sum(),
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -892,84 +702,106 @@ mod tests {
         let _ = s.hashed(&[1]);
     }
 
+    /// A store of the first `n` actions of the 127-way full list, trained
+    /// so its cells spread out and some pin at the i16 ceiling or floor,
+    /// plus a state (returned as its bases) whose actions `low` and
+    /// `n - 1` tie exactly at the top: the second sits in the last group's
+    /// last live lane.
+    fn trained_store(n: usize, combine: VaultCombine) -> (QvStore, Vec<u32>, usize) {
+        let full_list: Vec<i32> = (-63..=63).collect();
+        let mut cfg = PythiaConfig::basic();
+        cfg.actions = full_list[..n].to_vec();
+        cfg.vault_combine = combine;
+        let mut s = QvStore::new(&cfg);
+        for i in 0..6_000u64 {
+            let st = [i % 97, i % 61];
+            let a = (i * 7 % n as u64) as usize;
+            // Every 50th update pins its cells at the i16 ceiling or
+            // floor; the rest spread values out.
+            let (r, alpha) = match i % 100 {
+                0 => (1.0e6, 1.0),
+                50 => (-1.0e6, 1.0),
+                _ => ((i * 13 % 31) as f32 - 15.0, 0.2),
+            };
+            let (s1, s2) = (s.hashed(&st), s.hashed(&[st[0] + 1, st[1]]));
+            s.sarsa_update(&s1, a, r, &s2, a, alpha, cfg.gamma);
+        }
+        let tied = s.hashed(&[500, 500]);
+        let low = 3.min(n - 1);
+        for a in [low, n - 1] {
+            for _ in 0..4 {
+                s.sarsa_update(&tied, a, 1.0e6, &tied, a, 1.0, 0.0);
+            }
+        }
+        assert_eq!(s.q(&tied, low), s.q(&tied, n - 1));
+        (s, tied, low)
+    }
+
+    /// Both compiles of the argmax kernel must pick the first action of
+    /// the float row's maximum: with no full group of 16 actions, exactly
+    /// one, a group and a tail, and the 127-way full list; under Max and
+    /// Mean; with saturated cells and an exact tie at the top.
     #[test]
     fn argmax_matches_float_row_scan_on_odd_action_counts() {
-        // 7 actions exercises both the SWAR block and the scalar tail.
-        let mut cfg = PythiaConfig::basic();
-        cfg.actions = vec![0, 1, 2, 3, -1, -2, -3];
-        let mut s = QvStore::new(&cfg);
-        for i in 0..2000u64 {
-            let a = (i % 7) as usize;
-            let r = ((i * 13 % 31) as f32) - 15.0;
-            let s1 = s.hashed(&[i % 50, i % 31]);
-            let s2 = s.hashed(&[i % 50 + 1, i % 31]);
-            s.sarsa_update(&s1, a, r, &s2, a, 0.2, cfg.gamma);
-        }
-        for probe in 0..100u64 {
-            let st = s.hashed(&[probe % 50, probe % 31]);
-            let row = q_row(&s, &st);
-            let mut best = 0;
-            for (a, &q) in row.iter().enumerate().skip(1) {
-                if q > row[best] {
-                    best = a;
+        for n in [1, 7, 15, 16, 17, 127] {
+            for combine in [VaultCombine::Max, VaultCombine::Mean] {
+                let (s, tied, low) = trained_store(n, combine);
+                let at = format!("{n} actions, {combine:?}");
+                assert_eq!(s.argmax(&tied), low, "{at}: ties break low");
+                assert_eq!(s.argmax_portable(&tied), low, "{at}: ties break low");
+                for probe in 0..2_000u64 {
+                    let st = [probe % 700, probe % 61];
+                    let bases = s.hashed(&st);
+                    let row = q_row(&s, &st);
+                    let mut best = 0;
+                    for (a, &q) in row.iter().enumerate().skip(1) {
+                        if q > row[best] {
+                            best = a;
+                        }
+                    }
+                    assert_eq!(s.argmax(&bases), best, "{at}, state {st:?}: {row:?}");
+                    assert_eq!(s.argmax_portable(&bases), best, "{at}, state {st:?}");
                 }
             }
-            assert_eq!(s.argmax(&st), best, "row={row:?}");
         }
     }
 
-    /// On an AVX2 host every store of 16 or more actions takes
-    /// `argmax_avx2`, so nothing else runs the SWAR walk on the paper's
-    /// 16-action list or the 127-action list. Both kernels must pick the
-    /// same action, saturated cells and exact ties included.
+    /// On an AVX2 host [`QvStore::argmax`] runs the kernel's AVX2 compile,
+    /// so nothing else runs the portable compile (the path that replaced
+    /// the SWAR walk) on the paper's 16-action list or the 127-action
+    /// list. Both compiles must pick the same action on every probed
+    /// state, saturated cells and exact ties included.
     #[test]
     fn avx2_argmax_matches_swar_argmax() {
         if !detect_avx2() {
             return;
         }
-        let full_list: Vec<i32> = (-63..=63).collect();
-        for actions in [PythiaConfig::basic().actions, full_list] {
+        for n in [16, 127] {
             for combine in [VaultCombine::Max, VaultCombine::Mean] {
-                let mut cfg = PythiaConfig::basic();
-                cfg.actions = actions.clone();
-                cfg.vault_combine = combine;
-                let n = actions.len();
-                let mut s = QvStore::new(&cfg);
-                for i in 0..6_000u64 {
-                    let st = [i % 97, i % 61];
-                    let a = (i * 7 % n as u64) as usize;
-                    // Every 50th update pins its cells at the i16 ceiling
-                    // or floor; the rest spread values out.
-                    let (r, alpha) = match i % 100 {
-                        0 => (1.0e6, 1.0),
-                        50 => (-1.0e6, 1.0),
-                        _ => ((i * 13 % 31) as f32 - 15.0, 0.2),
-                    };
-                    let (s1, s2) = (s.hashed(&st), s.hashed(&[st[0] + 1, st[1]]));
-                    s.sarsa_update(&s1, a, r, &s2, a, alpha, cfg.gamma);
-                }
-                // An exact tie at the top: two actions of one state pinned
-                // at the ceiling in every plane.
-                let tied = s.hashed(&[500, 500]);
-                for a in [3, n - 2] {
-                    for _ in 0..4 {
-                        s.sarsa_update(&tied, a, 1.0e6, &tied, a, 1.0, 0.0);
-                    }
-                }
+                let (s, tied, low) = trained_store(n, combine);
                 for probe in 0..4_000u64 {
                     let st = [probe % 700, probe % 61];
                     let bases = s.hashed(&st);
                     assert_eq!(
                         s.argmax(&bases),
-                        s.argmax_swar(&bases),
+                        s.argmax_portable(&bases),
                         "{n} actions, {combine:?}, state {st:?}"
                     );
                 }
-                assert_eq!(s.q(&tied, 3), s.q(&tied, n - 2));
-                assert_eq!(s.argmax_swar(&tied), 3, "ties break low");
-                assert_eq!(s.argmax(&tied), 3, "ties break low");
+                assert_eq!(s.argmax_portable(&tied), low, "ties break low");
+                assert_eq!(s.argmax(&tied), low, "ties break low");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn argmax_panics_on_bases_from_a_larger_store() {
+        let mut cfg = PythiaConfig::basic();
+        cfg.plane_index_bits += 2;
+        // The larger store's vault-1 rows start past the smaller table.
+        let bases = QvStore::new(&cfg).hashed(&[1, 2]);
+        let _ = store().argmax(&bases);
     }
 
     #[test]

@@ -12,7 +12,8 @@ pub struct HostInfo {
     /// Machine hostname (`"unknown"` when unavailable).
     pub hostname: String,
     /// Detected CPU features relevant to the workspace's dispatch
-    /// decisions (e.g. `avx2` gates the QVStore argmax path), sorted.
+    /// decisions (e.g. `avx2` picks the QVStore argmax's AVX2 compile),
+    /// sorted.
     pub cpu_features: Vec<String>,
 }
 
@@ -40,7 +41,8 @@ pub fn hostname() -> String {
 }
 
 /// Runtime-detected CPU features the workspace's hot paths dispatch on
-/// (the same detection `QvStore::new` performs for its AVX2 argmax).
+/// (the same detection `QvStore::new` performs to pick its argmax's AVX2
+/// compile).
 /// Empty on non-x86 targets.
 pub fn cpu_features() -> Vec<String> {
     #[cfg(target_arch = "x86_64")]

@@ -324,7 +324,7 @@ pub fn registry() -> Vec<BenchDef> {
         },
         BenchDef {
             // The 127-entry full action list of the paper's exploration
-            // study: 31 SWAR blocks of four plus a scalar tail lane.
+            // study: seven full groups of 16 lanes and one of 15.
             name: "qvstore_argmax_full",
             unit: "ops",
             build: |scale| {

@@ -101,7 +101,7 @@ pub struct BenchHost {
     /// Machine hostname.
     pub hostname: String,
     /// CPU feature label (e.g. `"sse4.2+avx+avx2+fma"`) — dispatch
-    /// decisions like the AVX2 argmax depend on it.
+    /// decisions like the argmax's AVX2 compile depend on it.
     pub cpu_features: String,
 }
 

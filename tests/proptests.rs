@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use pythia_core::eq::{EqEntry, EvaluationQueue};
-use pythia_core::{PythiaConfig, QvStore};
+use pythia_core::{PythiaConfig, QvStore, VaultCombine};
 use pythia_sim::addr;
 use pythia_sim::cache::{AccessKind, Cache, ReplacementKind};
 use pythia_sim::config::CacheConfig;
@@ -603,8 +603,8 @@ fn hashed(store: &QvStore, state: &[u64]) -> Vec<u32> {
 
 /// Slow f64 reference model of the QVStore: the same plane hash
 /// ([`pythia_core::qvstore::plane_slot`]) and layout, but double-precision
-/// cells and no SWAR — the oracle the Q8.7 fixed-point implementation
-/// must track within quantization tolerance. Max vault combine (the
+/// cells and no integer lanes — the oracle the Q8.7 fixed-point
+/// implementation must track within quantization tolerance. Max vault combine (the
 /// paper's default, which `PythiaConfig::basic()` selects).
 struct QvModelF64 {
     planes: usize,
@@ -729,14 +729,16 @@ proptest! {
         ),
         probes in proptest::collection::vec(0u64..200, 1..30),
         full_list in any::<bool>(),
+        mean in any::<bool>(),
     ) {
-        // The basic 16-action list runs pure SWAR blocks; the full
-        // 127-action list also exercises the scalar tail lanes.
-        let cfg = if full_list {
+        // The basic 16-action list is one full group of 16 lanes; the full
+        // 127-action list ends in a group of 15 live lanes and one pad.
+        let mut cfg = if full_list {
             PythiaConfig::basic().with_actions(PythiaConfig::full_actions())
         } else {
             PythiaConfig::basic()
         };
+        cfg.vault_combine = if mean { VaultCombine::Mean } else { VaultCombine::Max };
         let n_actions = cfg.actions.len();
         let mut store = QvStore::new(&cfg);
         for &(v, a, r) in &updates {
@@ -744,11 +746,19 @@ proptest! {
             store.sarsa_update(&s, a % n_actions, r as f32, &s, a % n_actions, 0.2, cfg.gamma);
         }
         for &p in &probes {
-            let probe = hashed(&store, &[p, p ^ 7]);
+            let state = [p, p ^ 7];
+            let probe = hashed(&store, &state);
             let best = store.argmax(&probe);
             // Exact agreement with a scalar scan of the float row,
-            // including the lowest-index tie-break.
-            let row: Vec<f32> = (0..n_actions).map(|a| store.q(&probe, a)).collect();
+            // including the lowest-index tie-break. The row combines the
+            // per-vault feature Q-values; Mean as their sum, which orders
+            // like the mean (`q` rounds the mean, so it can tie two sums).
+            let row: Vec<f32> = (0..n_actions)
+                .map(|a| {
+                    let vaults = [0, 1].map(|v| store.feature_q(v, state[v], a));
+                    if mean { vaults[0] + vaults[1] } else { vaults[0].max(vaults[1]) }
+                })
+                .collect();
             let mut scan = 0usize;
             for (a, &q) in row.iter().enumerate().skip(1) {
                 if q > row[scan] {
@@ -756,6 +766,10 @@ proptest! {
                 }
             }
             prop_assert_eq!(best, scan, "probe {:?}: row {:?}", probe, row);
+            // `q` reads the same combined value, so the chosen action
+            // tops its row too.
+            let top = (0..n_actions).map(|a| store.q(&probe, a)).fold(f32::MIN, f32::max);
+            prop_assert_eq!(store.q(&probe, best), top);
         }
     }
 
