@@ -9,7 +9,7 @@ use pythia_core::{ControlFlow, DataFlow, Feature, PythiaConfig};
 use pythia_obs::logger::Level;
 use pythia_sim::config::SystemConfig;
 use pythia_sim::stats::{SimReport, Throughput};
-use pythia_sim::system::WindowRow;
+use pythia_sim::system::{run_windowed, WindowRow};
 use pythia_sim::trace::{
     trace_file_info, FileTraceSource, TraceFileError, TraceSource, TraceWriter,
 };
@@ -300,16 +300,18 @@ fn run_pair(
     let started = std::time::Instant::now();
     let baseline = build_system(vec![open(&spec)?], "none", &spec).run(spec.warmup, spec.measure);
     let mut system = build_system(vec![open(&spec)?], prefetcher, &spec);
-    if args.opt("telemetry-json").is_some() {
-        system.enable_telemetry(window);
-    }
-    let report = system.run(spec.warmup, spec.measure);
+    let (report, windows) = if args.opt("telemetry-json").is_some() {
+        let (report, windows) = run_windowed(&mut system, spec.warmup, spec.measure, window);
+        (report, Some(windows))
+    } else {
+        (system.run(spec.warmup, spec.measure), None)
+    };
     let throughput = Throughput::new(
         2 * (spec.warmup + spec.measure),
         started.elapsed().as_secs_f64(),
     );
     print_run_summary(subject, prefetcher, &baseline, &report, throughput)?;
-    if let (Some(path), Some(windows)) = (args.opt("telemetry-json"), system.take_telemetry()) {
+    if let (Some(path), Some(windows)) = (args.opt("telemetry-json"), windows) {
         write_artifact(path, &telemetry_jsonl(&windows))?;
         let rows: usize = windows.iter().map(Vec::len).sum();
         println!("wrote {rows} telemetry window(s) to {path}");

@@ -39,21 +39,15 @@ impl WindowRecorder {
         }
     }
 
-    /// The configured window width.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// Whether `position` has reached or passed the current window's
-    /// end — a single compare, cheap enough for a per-step check.
-    #[inline]
-    pub fn due(&self, position: u64) -> bool {
-        position >= self.next
+    /// The position at which the current window ends: a multiple of the
+    /// width, the first past every position closed so far.
+    pub fn end(&self) -> u64 {
+        self.next
     }
 
     /// Closes the current window at `position` with `fields` and opens
-    /// the next one. Call when [`WindowRecorder::due`] reports true, or
-    /// once at end-of-run to flush a final partial window.
+    /// the next one. Call when `position` reaches [`WindowRecorder::end`],
+    /// or once at end-of-run to flush a final partial window.
     pub fn close(&mut self, position: u64, fields: Vec<(&'static str, f64)>) {
         self.rows.push(WindowRow {
             index: self.rows.len() as u64,
@@ -85,17 +79,16 @@ mod tests {
     #[test]
     fn windows_close_on_width_boundaries() {
         let mut r = WindowRecorder::new(100);
-        assert!(!r.due(99));
-        assert!(r.due(100));
+        assert_eq!(r.end(), 100);
         r.close(100, vec![("x", 1.0)]);
-        assert!(!r.due(150));
-        assert!(r.due(200));
+        assert_eq!(r.end(), 200);
         r.close(205, vec![("x", 2.0)]);
+        assert_eq!(r.end(), 300);
         // A position past several boundaries advances past all of them.
-        assert!(!r.due(299));
-        assert!(r.due(300));
+        r.close(512, vec![("x", 3.0)]);
+        assert_eq!(r.end(), 600);
         let rows = r.rows();
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].index, 0);
         assert_eq!(rows[0].at, 100);
         assert_eq!(rows[1].index, 1);
@@ -105,6 +98,6 @@ mod tests {
     #[test]
     fn zero_width_is_clamped() {
         let r = WindowRecorder::new(0);
-        assert_eq!(r.width(), 1);
+        assert_eq!(r.end(), 1);
     }
 }

@@ -170,11 +170,6 @@ impl Dram {
         self.stats = DramStats::default();
     }
 
-    /// Stores the monitor's bucket histogram into the stats snapshot.
-    pub fn store_bw_buckets(&mut self, buckets: [u64; 4]) {
-        self.stats.bw_bucket_windows = buckets;
-    }
-
     #[inline]
     fn route(&self, line: u64) -> (usize, usize, u64) {
         let n_ch = self.channels.len() as u64;

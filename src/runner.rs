@@ -152,8 +152,9 @@ pub fn run_sources(
 
 /// The system [`run_sources`] runs: the named prefetcher on every core,
 /// seeded per core. Public so that a caller can do more than run it —
-/// enable telemetry before [`System::run`] (`pythia-cli run
-/// --telemetry-json`), or hold the clock around `run` alone
+/// run it through `pythia_sim::system::run_windowed` instead of
+/// [`System::run`] (`pythia-cli run --telemetry-json`), drive it with
+/// [`System::advance`], or hold the clock around `run` alone
 /// (`pythia-perf`'s `sim_step` ladder).
 ///
 /// # Panics

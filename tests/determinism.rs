@@ -2,11 +2,13 @@
 //! future parallel / sharded runner must preserve.
 //!
 //! Same (workload, prefetcher, seed) ⇒ byte-identical [`SimReport`]s;
-//! different workload seeds ⇒ observably different runs.
+//! different workload seeds ⇒ observably different runs; and where
+//! `System::advance` stops along the way is invisible.
 
-use pythia::runner::{run_workload, RunSpec};
+use pythia::runner::{build_system, run_workload, RunSpec};
 use pythia_sim::stats::SimReport;
 use pythia_workloads::generators::{PatternKind, TraceSpec};
+use pythia_workloads::profiles::{Profile, CAMPAIGN_SEED};
 use pythia_workloads::{suites::Suite, Workload};
 
 fn workload(seed: u64) -> Workload {
@@ -76,4 +78,55 @@ fn reports_survive_interleaved_runs() {
         solo, again,
         "interleaved unrelated runs must not perturb results"
     );
+}
+
+/// Stopping anywhere is invisible: a 4-core system driven through both
+/// phases by `System::advance` to randomly drawn per-core stops, with a
+/// snapshot at every stop, reports byte for byte what `run` reports.
+#[test]
+fn advancing_to_random_stops_matches_run() {
+    let spec = RunSpec::multi_core(4).with_budget(4_000, 16_000);
+    let workloads = Profile::Expected.workloads(CAMPAIGN_SEED);
+    let system = || {
+        let sources = workloads[..4]
+            .iter()
+            .map(|w| w.source(spec.trace_len()))
+            .collect();
+        build_system(sources, "pythia", &spec)
+    };
+    let expected = fingerprint(&system().run(spec.warmup, spec.measure));
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    // A draw from 1..=n.
+    let mut draw = |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        1 + rng % n
+    };
+    // From a stop every few instructions to a few per phase.
+    for (round, step) in [16, 256, 4_096].into_iter().enumerate() {
+        let mut sys = system();
+        let mut cores = Vec::new();
+        for budget in [spec.warmup, spec.measure] {
+            // The phase boundary; before warmup it clears nothing.
+            sys.reset_stats();
+            let mut stops: Vec<u64> = (0..4).map(|_| draw(step).min(budget)).collect();
+            let mut at_budget = vec![None; 4];
+            while let Some(idx) = sys.advance(&stops) {
+                let now = sys.snapshot().cores[idx];
+                assert_eq!(now.instructions, stops[idx], "a stop is reached exactly");
+                if stops[idx] == budget {
+                    at_budget[idx] = Some(now);
+                } else {
+                    stops[idx] = (stops[idx] + draw(step)).min(budget);
+                }
+            }
+            cores = at_budget.into_iter().map(Option::unwrap).collect();
+        }
+        let report = SimReport {
+            cores,
+            ..sys.snapshot()
+        };
+        assert_eq!(fingerprint(&report), expected, "round {round}");
+    }
 }
