@@ -47,17 +47,13 @@ USAGE:
                                                 behind Table 2, one campaign
                                                 per search round
   pythia-cli bench                              run the hot-path microbenchmarks,
-      [--filter SUBSTR] [--reps N] [--out FILE] the kernel-level microscope
-      [--list]                                  (PYTHIA_BENCH_SCALE scales work;
-                                                --out saves the report as JSON)
+      [--filter SUBSTR] [--reps N] [--list]     the kernel-level microscope
+                                                (PYTHIA_BENCH_SCALE scales work)
       [--sections]                              where a step's time goes instead,
                                                 by ablation: the agent's phases
                                                 (agent_step ladder), then the
                                                 simulator's layers (sim_step),
                                                 and host bytes per cache level
-  pythia-cli bench --compare <old> <new>        print the per-benchmark delta
-                                                table between two saved reports
-                                                of one host at one scale
   pythia-cli trace record <workload> <file>     stream a workload to a binary
       [--instructions N]                        trace file (O(1) memory)
   pythia-cli trace replay <file> <prefetcher>   simulate straight from a trace
@@ -548,25 +544,14 @@ fn dse_round(cfgs: impl Iterator<Item = PythiaConfig>, threads: usize) -> Vec<f6
         .collect()
 }
 
-/// `pythia-cli bench [--filter S] [--reps N] [--out F] [--list]` — the
-/// kernel-level microscope: runs the `pythia-perf` microbenchmark
-/// registry, prints the results table and optionally saves the report as
-/// JSON (`--out FILE`, what `--compare` reads). It gates nothing; the
+/// `pythia-cli bench [--filter S] [--reps N] [--list] [--sections]` —
+/// the kernel-level microscope: runs the `pythia-perf` microbenchmark
+/// registry and prints the results table. It gates nothing; the
 /// performance gate is `scripts/bench_ab.py` (parent vs head on one host).
-///
-/// `pythia-cli bench --compare <old.json> <new.json>` skips running
-/// anything and prints the per-benchmark delta table (median, MAD,
-/// throughput ratio) between two saved reports — a same-host A/B, so two
-/// reports from different hosts or scales are refused.
 pub fn bench(args: &ParsedArgs) -> Result<(), String> {
-    args.reject_unknown(
-        "bench",
-        &[&["list", "sections", "compare", "filter", "reps", "out"]],
-    )?;
-    // The only positional `bench` reads is `--compare`'s second path; a
-    // bare benchmark name would otherwise run the whole registry.
-    let positionals = usize::from(args.opt("compare").is_some());
-    if let Some(stray) = args.positionals.get(positionals) {
+    args.reject_unknown("bench", &[&["list", "sections", "filter", "reps"]])?;
+    // A bare benchmark name would otherwise run the whole registry.
+    if let Some(stray) = args.positionals.first() {
         return Err(format!(
             "unexpected argument {stray:?} for `bench`; select benchmarks with --filter SUBSTR"
         ));
@@ -603,50 +588,19 @@ pub fn bench(args: &ParsedArgs) -> Result<(), String> {
         return Ok(());
     }
 
-    // `--compare old new` parses as option "compare" = old plus one
-    // positional (new) — the option grammar binds only the next word.
-    if let Some(old_path) = args.opt("compare") {
-        let old_path = old_path.to_string();
-        let new_path = args
-            .positionals
-            .first()
-            .ok_or("usage: pythia-cli bench --compare <old.json> <new.json>")?;
-        let old = load_bench_report(&old_path)?;
-        let new = load_bench_report(new_path)?;
-        print!("{}", new.compare_table(&old)?);
-        return Ok(());
-    }
-
     let reps = args.opt_num("reps", 7u32)?;
     if reps == 0 {
         return Err("--reps must be positive".into());
     }
-    let harness = pythia_perf::Harness {
-        measure_reps: reps,
-        ..pythia_perf::Harness::default()
-    };
-    let report = pythia_perf::run_filtered(args.opt("filter"), &harness);
-    if report.benchmarks.is_empty() {
+    let measurements = pythia_perf::run_filtered(args.opt("filter"), reps);
+    if measurements.is_empty() {
         return Err(format!(
             "no benchmark matches filter {:?}; see `pythia-cli bench --list`",
             args.opt("filter").unwrap_or_default()
         ));
     }
-    print!("{}", report.to_markdown());
-
-    if let Some(path) = args.opt("out") {
-        write_artifact(path, &report.to_json().render_pretty())?;
-        println!("wrote {} benchmark(s) to {path}", report.benchmarks.len());
-    }
+    print!("{}", pythia_perf::bench::to_markdown(&measurements));
     Ok(())
-}
-
-/// Loads and decodes a report saved by `bench --out`.
-fn load_bench_report(path: &str) -> Result<pythia_stats::BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    pythia_stats::json::parse(&text)
-        .and_then(|v| pythia_stats::BenchReport::from_json(&v))
-        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// `pythia-cli trace <record|replay|info|gen> ...`

@@ -7,8 +7,7 @@
 //! pythia-cli sweep <figure> [--threads N] [--format md|json|csv] [--out F]
 //! pythia-cli sweep --workloads a,b,c [--prefetchers x,y] [...]
 //! pythia-cli dse [--threads N]                 # §4.3 design-space search
-//! pythia-cli bench [--filter S] [--reps N] [--out F] [--sections]
-//! pythia-cli bench --compare <old.json> <new.json>
+//! pythia-cli bench [--filter S] [--reps N] [--list] [--sections]
 //! pythia-cli trace record <workload> <file> [--instructions N]
 //! pythia-cli trace replay <file> <prefetcher> [--warmup N] [--measure N]
 //! pythia-cli trace info <file> [--json]

@@ -7,33 +7,33 @@
 //! `core_dispatch`, `l1_hit_step`), and the end-to-end
 //! simulated-instructions-per-second of the default single-core workload.
 //!
-//! Each benchmark runs a warmup phase, then `measure_reps` timed
-//! repetitions of a deterministic fixed-seed fixture
+//! Each benchmark runs [`WARMUP_REPS`] untimed repetitions, then the
+//! requested number of timed ones, of a deterministic fixed-seed fixture
 //! ([`fixtures`]), reduced to median + MAD
-//! ([`pythia_stats::bench::BenchMeasurement`]). `pythia-cli bench` drives
-//! the registry and `--out FILE` saves the report (same hand-rolled JSON
-//! schema family as the sweep engine's `BENCH_*.json`); `bench
-//! --sections` prints [`sections`]' two tables instead.
+//! ([`bench::BenchMeasurement`]). `pythia-cli bench` drives the registry
+//! and prints [`bench::to_markdown`]'s table; `bench --sections` prints
+//! [`sections`]' two tables instead.
 //!
 //! This is the microscope, not the gate: the numbers are absolute
-//! nanoseconds of the host they ran on, so `bench --compare` tables two
-//! reports of one host and refuses anything else, and CI runs the
-//! registry only as a smoke. What gates a change is
-//! `scripts/bench_ab.py`: the repo benchmark (`benchmark/`) on parent and
-//! head, alternating, on one host. A kernel row here explains a movement
-//! there; it never stands in for it.
+//! nanoseconds of the host they ran on, and CI runs the registry only as
+//! a smoke. What gates a change is `scripts/bench_ab.py`: the repo
+//! benchmark (`benchmark/`) on parent and head, alternating, on one host.
+//! A kernel row here explains a movement there; it never stands in for
+//! it.
 //!
 //! ```no_run
-//! let harness = pythia_perf::Harness::default();
-//! let report = pythia_perf::run_filtered(Some("qvstore"), &harness);
-//! println!("{}", report.to_markdown());
+//! let measurements = pythia_perf::run_filtered(Some("qvstore"), 7);
+//! println!("{}", pythia_perf::bench::to_markdown(&measurements));
 //! ```
 
+pub mod bench;
 pub mod fixtures;
 pub mod sections;
 
 use std::hint::black_box;
 
+use bench::BenchMeasurement;
+use fixtures::scaled;
 use pythia::runner::{run_workload, RunSpec};
 use pythia_core::eq::{EqEntry, EvaluationQueue};
 use pythia_core::{FeatureContext, Pythia, PythiaConfig, QvStore};
@@ -43,27 +43,9 @@ use pythia_sim::config::{CoreConfig, SystemConfig};
 use pythia_sim::cpu::CoreModel;
 use pythia_sim::prefetch::{Prefetcher, SystemFeedback};
 use pythia_sim::trace::{FileTraceSource, MemOp, TraceRecord, TraceSource, TraceWriter};
-use pythia_stats::bench::{BenchMeasurement, BenchReport};
 
-use fixtures::scaled;
-
-/// Harness knobs: untimed warmup repetitions, then timed repetitions.
-#[derive(Debug, Clone, Copy)]
-pub struct Harness {
-    /// Untimed repetitions before measurement (cache/branch warmup).
-    pub warmup_reps: u32,
-    /// Timed repetitions reduced to median/MAD.
-    pub measure_reps: u32,
-}
-
-impl Default for Harness {
-    fn default() -> Self {
-        Self {
-            warmup_reps: 2,
-            measure_reps: 7,
-        }
-    }
-}
+/// Untimed repetitions before measurement (cache/branch warmup).
+pub const WARMUP_REPS: u32 = 2;
 
 /// One registered microbenchmark: `build(scale)` constructs its fixture
 /// and returns the work units one repetition processes plus the
@@ -626,13 +608,14 @@ pub fn registry() -> Vec<BenchDef> {
     ]
 }
 
-/// Runs one benchmark under the harness at `scale`.
-pub fn run_benchmark(def: &BenchDef, harness: &Harness, scale: f64) -> BenchMeasurement {
+/// Runs one benchmark at `scale`: [`WARMUP_REPS`] untimed repetitions,
+/// then `reps` timed ones (at least one).
+pub fn run_benchmark(def: &BenchDef, reps: u32, scale: f64) -> BenchMeasurement {
     let (units, mut rep) = (def.build)(scale);
-    for _ in 0..harness.warmup_reps {
+    for _ in 0..WARMUP_REPS {
         rep();
     }
-    let reps = harness.measure_reps.max(1);
+    let reps = reps.max(1);
     let mut times_ns = Vec::with_capacity(reps as usize);
     for _ in 0..reps {
         let started = std::time::Instant::now();
@@ -643,36 +626,20 @@ pub fn run_benchmark(def: &BenchDef, harness: &Harness, scale: f64) -> BenchMeas
 }
 
 /// Runs every benchmark whose name contains `filter` (all when `None`),
-/// at the ambient `PYTHIA_BENCH_SCALE`, and returns the report.
-pub fn run_filtered(filter: Option<&str>, harness: &Harness) -> BenchReport {
+/// `reps` timed repetitions each at the ambient `PYTHIA_BENCH_SCALE`, in
+/// registry order.
+pub fn run_filtered(filter: Option<&str>, reps: u32) -> Vec<BenchMeasurement> {
     let scale = pythia_bench::scale();
-    let benchmarks = registry()
+    registry()
         .iter()
         .filter(|d| filter.is_none_or(|f| d.name.contains(f)))
-        .map(|d| run_benchmark(d, harness, scale))
-        .collect();
-    let host = pythia_obs::host::host_info();
-    BenchReport {
-        name: "micro".into(),
-        scale,
-        host: Some(pythia_stats::bench::BenchHost {
-            cpu_features: host.features_label(),
-            hostname: host.hostname,
-        }),
-        benchmarks,
-    }
+        .map(|d| run_benchmark(d, reps, scale))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> Harness {
-        Harness {
-            warmup_reps: 0,
-            measure_reps: 2,
-        }
-    }
 
     #[test]
     fn registry_names_are_unique_and_cover_required_paths() {
@@ -697,9 +664,8 @@ mod tests {
         // Every non-e2e benchmark runs in milliseconds at 0.01 scale; the
         // e2e pair is exercised by the CLI smoke instead (spawning full
         // simulations twice per unit-test run is too slow here).
-        let harness = tiny();
         for def in registry().iter().filter(|d| !d.name.starts_with("e2e")) {
-            let m = run_benchmark(def, &harness, 0.01);
+            let m = run_benchmark(def, 2, 0.01);
             assert!(m.median_ns > 0.0, "{}: zero median", def.name);
             assert!(m.units_per_rep >= 1_000, "{}: fixture floor", def.name);
             assert_eq!(m.reps, 2);
@@ -709,12 +675,9 @@ mod tests {
 
     #[test]
     fn filtered_run_selects_by_substring() {
-        let report = run_filtered(Some("qvstore"), &tiny());
-        assert_eq!(report.benchmarks.len(), 3);
-        assert!(report
-            .benchmarks
-            .iter()
-            .all(|b| b.name.starts_with("qvstore")));
+        let measurements = run_filtered(Some("qvstore"), 2);
+        assert_eq!(measurements.len(), 3);
+        assert!(measurements.iter().all(|b| b.name.starts_with("qvstore")));
     }
 
     #[test]
@@ -724,14 +687,7 @@ mod tests {
             .iter()
             .find(|d| d.name == "qvstore_argmax")
             .expect("registered");
-        let m = run_benchmark(
-            def,
-            &Harness {
-                warmup_reps: 1,
-                measure_reps: 5,
-            },
-            0.01,
-        );
+        let m = run_benchmark(def, 5, 0.01);
         assert_eq!(m.reps, 5);
         assert!(m.mad_ns >= 0.0);
         assert!(m.mad_ns < m.median_ns, "MAD should be far below the median");

@@ -498,12 +498,14 @@ impl System {
     }
 
     /// Core `idx`'s statistics as of now, its cycles counted from the last
-    /// [`System::reset_stats`].
+    /// [`System::reset_stats`]. A phase runs from the front-end clock at
+    /// `reset_stats` to the front-end clock now, so the instructions still
+    /// in the ROB at the two ends offset: the phase is charged the tail it
+    /// inherited and not the one it leaves.
     fn core_stats(&self, idx: usize) -> CoreStats {
-        let model = &self.cores[idx].model;
-        let mut stats = *model.stats();
-        let end = model.now().max(model.retire_timestamp());
-        stats.cycles = end - self.cores[idx].measure_start_cycle;
+        let core = &self.cores[idx];
+        let mut stats = *core.model.stats();
+        stats.cycles = core.model.now() - core.measure_start_cycle;
         stats
     }
 

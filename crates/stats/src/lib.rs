@@ -5,12 +5,10 @@
 //! (geometric means, per-suite grouping), and plain-text table / series
 //! renderers used by the experiment harness to print paper-shaped output.
 
-pub mod bench;
 pub mod json;
 pub mod metrics;
 pub mod report;
 
-pub use bench::{BenchMeasurement, BenchReport};
 pub use json::Json;
 pub use metrics::{geomean, speedup, Metrics};
 pub use report::{ascii_series, Table};

@@ -219,7 +219,8 @@ def host():
             flags = next((l.split(":", 1)[1].split() for l in f if l.startswith("flags")), [])
     except OSError:
         pass
-    # The features pythia-obs stamps into BENCH_micro.json, same spelling.
+    # The repo's one host stamp: the CPU features the argmax's compile
+    # depends on, beside the name and vCPU count of the machine.
     known = [("sse4_2", "sse4.2"), ("avx", "avx"), ("avx2", "avx2"), ("fma", "fma")]
     return {
         "hostname": os.uname().nodename,
