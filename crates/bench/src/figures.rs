@@ -515,9 +515,7 @@ fn profile_units(p: Profile) -> Vec<WorkUnit> {
 /// against the `expected` group.
 fn robust01() -> Vec<SweepSpec> {
     let mut prefetchers: Vec<&str> = pythia::prefetchers::registry::available()
-        .iter()
-        .filter(|&&p| p != "none")
-        .copied()
+        .filter(|&p| p != "none")
         .collect();
     prefetchers.push("pythia");
     let units = Profile::all().into_iter().flat_map(profile_units);

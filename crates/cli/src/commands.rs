@@ -1,6 +1,6 @@
 //! Subcommand implementations for `pythia-cli`.
 
-use pythia::runner::{build_prefetcher, build_system, RunSpec};
+use pythia::runner::{build_prefetcher, build_system, prefetcher_names, RunSpec};
 use pythia_bench::figures::{dse_spec, hyper_config};
 use pythia_core::hw_model;
 use pythia_core::pipeline::SearchPipeline;
@@ -137,21 +137,6 @@ fn threads_from(args: &ParsedArgs) -> Result<usize, String> {
     }
 }
 
-fn pattern_label(kind: &pythia_workloads::PatternKind) -> &'static str {
-    use pythia_workloads::PatternKind;
-    match kind {
-        PatternKind::Stream { .. } => "stream",
-        PatternKind::Stride { .. } => "stride",
-        PatternKind::PageVisit { .. } => "page-visit",
-        PatternKind::SpatialFootprint { .. } => "spatial-footprint",
-        PatternKind::DeltaChain { .. } => "delta-chain",
-        PatternKind::IrregularGraph { .. } => "irregular-graph",
-        PatternKind::PointerChase => "pointer-chase",
-        PatternKind::CloudMix { .. } => "cloud-mix",
-        PatternKind::Phased { .. } => "phased",
-    }
-}
-
 /// `pythia-cli list [--names]`
 pub fn list(args: &ParsedArgs) -> Result<(), String> {
     args.reject_unknown("list", &[&["names"]])?;
@@ -169,14 +154,12 @@ pub fn list(args: &ParsedArgs) -> Result<(), String> {
         t.row(&[
             w.name.clone(),
             w.suite.label().to_string(),
-            pattern_label(&w.spec.kind).to_string(),
+            w.spec.kind.tag().to_string(),
         ]);
     }
     println!("{}", t.to_markdown());
     println!("# Prefetchers\n");
-    let mut names: Vec<&str> = pythia_prefetchers::available().to_vec();
-    names.extend(pythia::runner::RUNNER_ONLY);
-    for n in names {
+    for n in prefetcher_names() {
         println!("  {n}");
     }
     Ok(())
@@ -283,7 +266,7 @@ fn run_pair(
     prefetcher: &str,
     open: impl Fn(&RunSpec) -> Result<Box<dyn TraceSource>, String>,
 ) -> Result<(), String> {
-    if build_prefetcher(prefetcher, 0).is_none() {
+    if !prefetcher_names().any(|n| n == prefetcher) {
         return Err(format!(
             "unknown prefetcher {prefetcher:?}; see `pythia-cli list`"
         ));
@@ -693,7 +676,7 @@ fn trace_gen(args: &ParsedArgs) -> Result<(), String> {
         let get = |k: &str| s.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
         t.row(&[
             w.name.clone(),
-            pattern_label(&w.spec.kind).to_string(),
+            w.spec.kind.tag().to_string(),
             w.spec.seed.to_string(),
             get("mem_accesses").to_string(),
             get("distinct_lines").to_string(),

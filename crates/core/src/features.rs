@@ -53,6 +53,16 @@ pub enum ControlFlow {
     None,
 }
 
+impl ControlFlow {
+    /// Every control-flow component, in Table 3 order.
+    pub const ALL: [ControlFlow; 4] = [
+        ControlFlow::Pc,
+        ControlFlow::PcPath,
+        ControlFlow::PcXorBranchPc,
+        ControlFlow::None,
+    ];
+}
+
 /// Data-flow component of a feature (Table 3, right column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataFlow {
@@ -72,6 +82,20 @@ pub enum DataFlow {
     OffsetXorDelta,
     /// No data-flow component.
     None,
+}
+
+impl DataFlow {
+    /// Every data-flow component, in Table 3 order.
+    pub const ALL: [DataFlow; 8] = [
+        DataFlow::CachelineAddress,
+        DataFlow::PageNumber,
+        DataFlow::PageOffset,
+        DataFlow::Delta,
+        DataFlow::LastFourOffsets,
+        DataFlow::LastFourDeltas,
+        DataFlow::OffsetXorDelta,
+        DataFlow::None,
+    ];
 }
 
 /// A program feature: one dimension of the state vector.
@@ -97,32 +121,10 @@ impl Feature {
 
     /// All 32 candidate features of the §4.3.1 exploration space.
     pub fn all() -> Vec<Feature> {
-        let controls = [
-            ControlFlow::Pc,
-            ControlFlow::PcPath,
-            ControlFlow::PcXorBranchPc,
-            ControlFlow::None,
-        ];
-        let datas = [
-            DataFlow::CachelineAddress,
-            DataFlow::PageNumber,
-            DataFlow::PageOffset,
-            DataFlow::Delta,
-            DataFlow::LastFourOffsets,
-            DataFlow::LastFourDeltas,
-            DataFlow::OffsetXorDelta,
-            DataFlow::None,
-        ];
-        let mut out = Vec::with_capacity(32);
-        for c in controls {
-            for d in datas {
-                out.push(Feature {
-                    control: c,
-                    data: d,
-                });
-            }
-        }
-        out
+        ControlFlow::ALL
+            .into_iter()
+            .flat_map(|control| DataFlow::ALL.map(|data| Feature { control, data }))
+            .collect()
     }
 
     /// Short human-readable name, e.g. `"PC+Delta"`.

@@ -16,28 +16,42 @@ use crate::spp::Spp;
 use crate::streamer::Streamer;
 use crate::stride::StridePrefetcher;
 
-/// Names accepted by [`build`].
-pub fn available() -> &'static [&'static str] {
-    &[
-        "none",
-        "next_line",
-        "stride",
-        "streamer",
-        "spp",
-        "spp+ppf",
-        "bingo",
-        "mlop",
-        "dspatch",
-        "ipcp",
-        "cp_hw",
-        "power7",
-        "stride+streamer",
-        "st",
-        "st+s",
-        "st+s+b",
-        "st+s+b+d",
-        "st+s+b+d+m",
-    ]
+/// Builds one prefetcher; `seed` feeds stochastic prefetchers (CP-HW) so
+/// multi-core instances diverge deterministically.
+pub type Constructor = fn(u64) -> Box<dyn Prefetcher>;
+
+/// Every name [`build`] accepts, with its constructor, in listing order.
+/// `"st"` is the ladders' spelling of `"stride"`.
+const TABLE: &[(&str, Constructor)] = &[
+    ("none", |_| Box::new(NoPrefetcher)),
+    ("next_line", |_| Box::new(NextLine::default())),
+    ("stride", |_| Box::new(StridePrefetcher::default())),
+    ("streamer", |_| Box::new(Streamer::default())),
+    ("spp", |_| Box::new(Spp::new())),
+    ("spp+ppf", |_| Box::new(SppPpf::new())),
+    ("bingo", |_| Box::new(Bingo::new())),
+    ("mlop", |_| Box::new(Mlop::new())),
+    ("dspatch", |_| Box::new(DsPatch::new())),
+    ("ipcp", |_| Box::new(Ipcp::new())),
+    ("cp_hw", |seed| Box::new(CpHw::new(seed))),
+    ("power7", |_| Box::new(Power7::new())),
+    ("stride+streamer", |seed| {
+        rung(&["stride", "streamer"], seed)
+    }),
+    ("st", |_| Box::new(StridePrefetcher::default())),
+    ("st+s", |seed| rung(&["stride", "spp"], seed)),
+    ("st+s+b", |seed| rung(&["stride", "spp", "bingo"], seed)),
+    ("st+s+b+d", |seed| {
+        rung(&["stride", "spp", "bingo", "dspatch"], seed)
+    }),
+    ("st+s+b+d+m", |seed| {
+        rung(&["stride", "spp", "bingo", "dspatch", "mlop"], seed)
+    }),
+];
+
+/// Names accepted by [`build`], in listing order.
+pub fn available() -> impl ExactSizeIterator<Item = &'static str> {
+    TABLE.iter().map(|&(name, _)| name)
 }
 
 /// Builds a prefetcher by name. `seed` feeds stochastic prefetchers (CP-HW)
@@ -45,30 +59,8 @@ pub fn available() -> &'static [&'static str] {
 ///
 /// Returns `None` for unknown names; see [`available`].
 pub fn build(name: &str, seed: u64) -> Option<Box<dyn Prefetcher>> {
-    let p: Box<dyn Prefetcher> = match name {
-        "none" => Box::new(NoPrefetcher),
-        "next_line" => Box::new(NextLine::default()),
-        "stride" | "st" => Box::new(StridePrefetcher::default()),
-        "streamer" => Box::new(Streamer::default()),
-        "spp" => Box::new(Spp::new()),
-        "spp+ppf" => Box::new(SppPpf::new()),
-        "bingo" => Box::new(Bingo::new()),
-        "mlop" => Box::new(Mlop::new()),
-        "dspatch" => Box::new(DsPatch::new()),
-        "ipcp" => Box::new(Ipcp::new()),
-        "cp_hw" => Box::new(CpHw::new(seed)),
-        "power7" => Box::new(Power7::new()),
-        "stride+streamer" => Box::new(Multi::new(vec![
-            Box::new(StridePrefetcher::default()),
-            Box::new(Streamer::default()),
-        ])),
-        "st+s" => ladder(&["stride", "spp"], seed)?,
-        "st+s+b" => ladder(&["stride", "spp", "bingo"], seed)?,
-        "st+s+b+d" => ladder(&["stride", "spp", "bingo", "dspatch"], seed)?,
-        "st+s+b+d+m" => ladder(&["stride", "spp", "bingo", "dspatch", "mlop"], seed)?,
-        _ => return None,
-    };
-    Some(p)
+    let (_, make) = TABLE.iter().find(|&&(n, _)| n == name)?;
+    Some(make(seed))
 }
 
 /// Builds a [`Multi`] from component names (the Fig. 9(b)/10(b) ladders).
@@ -78,6 +70,11 @@ pub fn ladder(names: &[&str], seed: u64) -> Option<Box<dyn Prefetcher>> {
         .map(|n| build(n, seed))
         .collect::<Option<Vec<_>>>()?;
     Some(Box::new(Multi::new(parts)))
+}
+
+/// A [`TABLE`] row composed of rows above it.
+fn rung(names: &[&str], seed: u64) -> Box<dyn Prefetcher> {
+    ladder(names, seed).expect("a composed row names registered rows")
 }
 
 #[cfg(test)]

@@ -1249,6 +1249,52 @@ mod tests {
         s.shutdown();
     }
 
+    /// A degenerate generator spec used to pass validation and trip an
+    /// assert on the worker thread: the pool lost its only worker, the job
+    /// never finished and the next campaign never ran. Now each is refused
+    /// at submit, naming the field.
+    #[test]
+    fn degenerate_workloads_are_refused_and_the_next_campaign_runs() {
+        use pythia_workloads::PatternKind;
+        let s = Scheduler::start(1, 8, memory(), None);
+        type Degenerate = (&'static str, fn(&mut pythia_workloads::TraceSpec));
+        let cases: [Degenerate; 3] = [
+            ("footprint_pages", |spec| spec.footprint_pages = 0),
+            ("deltas", |spec| {
+                spec.kind = PatternKind::DeltaChain { deltas: vec![] }
+            }),
+            ("phase_len", |spec| {
+                spec.kind = PatternKind::Phased {
+                    phases: vec![PatternKind::PointerChase],
+                    phase_len: 0,
+                }
+            }),
+        ];
+        let refusals: Vec<_> = cases
+            .iter()
+            .map(|(field, degrade)| {
+                let mut campaign = tiny_campaign("sched-degenerate", 4_000);
+                degrade(&mut campaign.panels[0].units[0].workloads[0].spec);
+                (*field, s.submit(campaign))
+            })
+            .collect();
+        let next = s
+            .submit(tiny_campaign("sched-after-degenerate", 4_000))
+            .expect("accepted");
+        let done = s
+            .wait(&next.digest, Duration::from_secs(60))
+            .expect("the next campaign completes");
+        assert!(matches!(done, JobStatus::Done));
+        for (field, refusal) in refusals {
+            match refusal {
+                Err(SubmitError::Invalid(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected Invalid, got {other:?}"),
+            }
+        }
+        assert_eq!(s.obs().events.submitted.get(), 1, "only the valid one");
+        s.shutdown();
+    }
+
     #[test]
     fn weighted_round_robin_interleaves_tenants_cell_by_cell() {
         // No workers: claim synthetically and observe the schedule.

@@ -201,12 +201,13 @@ fn full_queue_answers_429_and_result_races_answer_409() {
     assert!(err.contains("400"), "{err}");
 }
 
-/// An inline Pythia variant's geometry and a config point's system are
-/// outside input, and validation is their only gate: each of these used
-/// to reach a worker and abort the process on allocation, panic it on an
-/// index out of bounds or a division by zero, or (40 000 planes, release
-/// only) run a wrong argmax. Now each is a 400 naming the field, nothing
-/// is queued, and the same server runs the next campaign.
+/// An inline Pythia variant's geometry, a config point's system and a
+/// workload's generator spec are outside input, and validation is their
+/// only gate: each of these used to reach a worker and abort the process
+/// on allocation, panic it on an index out of bounds, a division by zero
+/// or an assert, or (40 000 planes, release only) run a wrong argmax. Now
+/// each is a 400 naming the field, nothing is queued, and the same server
+/// runs the next campaign.
 #[test]
 fn hostile_variant_geometry_answers_400_and_the_service_stays_usable() {
     let (handle, addr) = spawn(ServeConfig {
@@ -243,6 +244,10 @@ fn hostile_variant_geometry_answers_400_and_the_service_stays_usable() {
         set(&mut spec.configs[0]);
         hostile.push((field, spec));
     }
+    // A zero footprint tripped the generator's assert on the worker thread.
+    let mut degenerate = tiny_spec("svc-hostile", 4_000);
+    degenerate.units[0].workloads[0].spec.footprint_pages = 0;
+    hostile.push(("footprint_pages", degenerate));
     for (field, spec) in hostile {
         let body = Json::obj()
             .set("spec", pythia_sweep::codec::spec_json(&spec))
@@ -262,6 +267,34 @@ fn hostile_variant_geometry_answers_400_and_the_service_stays_usable() {
         Duration::from_secs(120),
     )
     .expect("the next campaign completes");
+}
+
+/// A body of 200 000 `[` (200 KB, far under the body cap) used to overflow
+/// the handler thread's stack in the JSON reader and abort the process.
+/// The reader caps nesting, so it is a 400 and the server stays up.
+#[test]
+fn a_deeply_nested_body_answers_400_and_the_service_stays_up() {
+    use pythia_serve::http::ClientConn;
+
+    let (_handle, addr) = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        sim_threads: 1,
+        ..ServeConfig::default()
+    });
+    let nested = "[".repeat(200_000);
+    let reply = ClientConn::connect(&addr)
+        .expect("connect")
+        .request("POST", "/campaigns", nested.as_bytes())
+        .expect("answered");
+    assert_eq!(reply.status, 400);
+    let body = String::from_utf8_lossy(&reply.body);
+    assert!(body.contains("nesting deeper than 128 levels"), "{body}");
+    let metrics = ClientConn::connect(&addr)
+        .expect("the server still accepts")
+        .request("GET", "/metrics", b"")
+        .expect("answered");
+    assert_eq!(metrics.status, 200);
 }
 
 /// A valid campaign can still be refused at the merge: 10 + 50

@@ -320,16 +320,22 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How many arrays and objects a document may nest. The reader recurses
+/// once per level, so this bounds its stack; a canonical campaign nests
+/// about a dozen levels, plus two per nested `Phased` pattern.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error, or of
-/// trailing non-whitespace after the top-level value.
+/// Returns a message with the byte offset of the first syntax error, of
+/// an array or object nested deeper than [`MAX_DEPTH`], or of trailing
+/// non-whitespace after the top-level value.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -352,8 +358,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -369,7 +382,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -394,7 +407,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -834,6 +847,31 @@ mod tests {
     fn non_finite_numbers_become_null() {
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let mut value = parse(&nested(MAX_DEPTH)).expect("a document at the cap parses");
+        for _ in 0..MAX_DEPTH {
+            let Json::Arr(mut items) = value else {
+                panic!("expected an array")
+            };
+            value = items.pop().unwrap_or(Json::Null);
+        }
+        assert_eq!(value, Json::Null, "{MAX_DEPTH} arrays, the last empty");
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level deeper");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects)
+            .expect_err("objects count too")
+            .contains("nesting"));
+        // The reader's stack no longer grows with the input: 200 000
+        // levels used to overflow it.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -43,43 +43,33 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 
 fn pattern_json(kind: &PatternKind) -> Json {
     let byte_arr = |v: &[u8]| Json::Arr(v.iter().map(|&b| u64::from(b).into()).collect());
+    let t = Json::obj().set("t", kind.tag());
     match kind {
-        PatternKind::Stream { store_every } => Json::obj()
-            .set("t", "stream")
-            .set("store_every", u64::from(*store_every)),
-        PatternKind::Stride { lines } => Json::obj()
-            .set("t", "stride")
-            .set("lines", Json::Num(f64::from(*lines))),
-        PatternKind::PageVisit { offsets } => Json::obj()
-            .set("t", "page-visit")
-            .set("offsets", byte_arr(offsets)),
+        PatternKind::Stream { store_every } => t.set("store_every", u64::from(*store_every)),
+        PatternKind::Stride { lines } => t.set("lines", Json::Num(f64::from(*lines))),
+        PatternKind::PageVisit { offsets } => t.set("offsets", byte_arr(offsets)),
         PatternKind::SpatialFootprint {
             patterns,
             noise_pct,
-        } => Json::obj()
-            .set("t", "spatial-footprint")
+        } => t
             .set(
                 "patterns",
                 Json::Arr(patterns.iter().map(|p| byte_arr(p)).collect()),
             )
             .set("noise_pct", u64::from(*noise_pct)),
-        PatternKind::DeltaChain { deltas } => Json::obj().set("t", "delta-chain").set(
+        PatternKind::DeltaChain { deltas } => t.set(
             "deltas",
             Json::Arr(deltas.iter().map(|&d| Json::Num(f64::from(d))).collect()),
         ),
         PatternKind::IrregularGraph {
             vertices,
             avg_degree,
-        } => Json::obj()
-            .set("t", "irregular-graph")
+        } => t
             .set("vertices", u64_json(*vertices))
             .set("avg_degree", u64::from(*avg_degree)),
-        PatternKind::PointerChase => Json::obj().set("t", "pointer-chase"),
-        PatternKind::CloudMix { hot_pct } => Json::obj()
-            .set("t", "cloud-mix")
-            .set("hot_pct", u64::from(*hot_pct)),
-        PatternKind::Phased { phases, phase_len } => Json::obj()
-            .set("t", "phased")
+        PatternKind::PointerChase => t,
+        PatternKind::CloudMix { hot_pct } => t.set("hot_pct", u64::from(*hot_pct)),
+        PatternKind::Phased { phases, phase_len } => t
             .set(
                 "phases",
                 Json::Arr(phases.iter().map(pattern_json).collect()),
@@ -252,16 +242,6 @@ fn control_label(c: ControlFlow) -> &'static str {
     }
 }
 
-fn control_from(s: &str) -> Result<ControlFlow, String> {
-    Ok(match s {
-        "pc" => ControlFlow::Pc,
-        "pc-path" => ControlFlow::PcPath,
-        "pc-xor-branch-pc" => ControlFlow::PcXorBranchPc,
-        "none" => ControlFlow::None,
-        other => return Err(format!("unknown control flow {other:?}")),
-    })
-}
-
 fn data_label(d: DataFlow) -> &'static str {
     match d {
         DataFlow::CachelineAddress => "cacheline-address",
@@ -275,18 +255,18 @@ fn data_label(d: DataFlow) -> &'static str {
     }
 }
 
-fn data_from(s: &str) -> Result<DataFlow, String> {
-    Ok(match s {
-        "cacheline-address" => DataFlow::CachelineAddress,
-        "page-number" => DataFlow::PageNumber,
-        "page-offset" => DataFlow::PageOffset,
-        "delta" => DataFlow::Delta,
-        "last-four-offsets" => DataFlow::LastFourOffsets,
-        "last-four-deltas" => DataFlow::LastFourDeltas,
-        "offset-xor-delta" => DataFlow::OffsetXorDelta,
-        "none" => DataFlow::None,
-        other => return Err(format!("unknown data flow {other:?}")),
-    })
+/// Decodes a label by searching `all` through its encoder `label`, so each
+/// label is spelled once.
+fn label_from<T: Copy>(
+    all: &[T],
+    label: fn(T) -> &'static str,
+    what: &str,
+    s: &str,
+) -> Result<T, String> {
+    all.iter()
+        .copied()
+        .find(|&v| label(v) == s)
+        .ok_or_else(|| format!("unknown {what} {s:?}"))
 }
 
 fn pythia_config_json(c: &PythiaConfig) -> Json {
@@ -359,10 +339,12 @@ fn pythia_config_from(j: &Json) -> Result<PythiaConfig, String> {
             .arr_field("features")?
             .iter()
             .map(|f| {
-                Ok(Feature {
-                    control: control_from(f.str_field("control")?)?,
-                    data: data_from(f.str_field("data")?)?,
-                })
+                let control = f.str_field("control")?;
+                let control =
+                    label_from(&ControlFlow::ALL, control_label, "control flow", control)?;
+                let data = f.str_field("data")?;
+                let data = label_from(&DataFlow::ALL, data_label, "data flow", data)?;
+                Ok(Feature { control, data })
             })
             .collect::<Result<_, String>>()?,
         actions: j
@@ -808,6 +790,27 @@ mod tests {
             .set("pythia", pythia_config_json(&PythiaConfig::basic()));
         assert!(prefetcher_from(&both).is_err());
         assert!(pattern_from(&Json::obj().set("t", "nope")).is_err());
+        let feature = |control: &str, data: &str| {
+            let mut config = pythia_config_json(&PythiaConfig::basic());
+            if let Json::Obj(fields) = &mut config {
+                let only = Json::obj().set("control", control).set("data", data);
+                fields[0].1 = Json::Arr(vec![only]);
+            }
+            pythia_config_from(&config).map(|c| c.features)
+        };
+        assert_eq!(
+            feature("pc", "delta"),
+            Ok(vec![Feature::PC_DELTA]),
+            "the labels decode"
+        );
+        assert_eq!(
+            feature("PC", "delta"),
+            Err("unknown control flow \"PC\"".into())
+        );
+        assert_eq!(
+            feature("pc", "Delta"),
+            Err("unknown data flow \"Delta\"".into())
+        );
     }
 
     #[test]

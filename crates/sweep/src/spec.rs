@@ -1,6 +1,6 @@
 //! The declarative side of the engine: [`SweepSpec`] and its axes.
 
-use pythia::runner::{build_prefetcher, RunSpec};
+use pythia::runner::{prefetcher_names, RunSpec};
 use pythia_core::PythiaConfig;
 use pythia_sim::config::SystemConfig;
 use pythia_workloads::{suite, Suite, Workload};
@@ -246,8 +246,10 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem: an empty axis, a system
-    /// configuration that fails [`SystemConfig::validate`], an empty
+    /// Returns a description of the first problem: an empty axis, a
+    /// workload whose generator spec fails
+    /// [`TraceSpec::validate`](pythia_workloads::TraceSpec::validate), a
+    /// system configuration that fails [`SystemConfig::validate`], an empty
     /// measured phase, a core count mismatch between a unit and a config,
     /// an unresolvable prefetcher name, or a duplicated prefetcher label.
     pub fn validate(&self) -> Result<(), String> {
@@ -262,6 +264,16 @@ impl SweepSpec {
         }
         if self.seeds.is_empty() {
             return Err(format!("sweep {:?}: no seeds", self.name));
+        }
+        for u in &self.units {
+            for w in &u.workloads {
+                w.spec.validate().map_err(|e| {
+                    format!(
+                        "sweep {:?}: unit {:?}: workload {:?}: {e}",
+                        self.name, u.label, w.name
+                    )
+                })?;
+            }
         }
         for cp in &self.configs {
             let at = |e: String| format!("sweep {:?}: config {:?}: {e}", self.name, cp.label);
@@ -297,7 +309,7 @@ impl SweepSpec {
                 ));
             }
             if let PrefetcherKind::Named(name) = &p.kind {
-                if build_prefetcher(name, 0).is_none() {
+                if !prefetcher_names().any(|n| n == name) {
                     return Err(format!(
                         "sweep {:?}: unknown prefetcher {name:?}",
                         self.name

@@ -73,6 +73,58 @@ pub enum PatternKind {
     },
 }
 
+impl PatternKind {
+    /// The pattern's one name: its `"t"` tag in the canonical spec and its
+    /// label in `pythia-cli list`.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Self::Stream { .. } => "stream",
+            Self::Stride { .. } => "stride",
+            Self::PageVisit { .. } => "page-visit",
+            Self::SpatialFootprint { .. } => "spatial-footprint",
+            Self::DeltaChain { .. } => "delta-chain",
+            Self::IrregularGraph { .. } => "irregular-graph",
+            Self::PointerChase => "pointer-chase",
+            Self::CloudMix { .. } => "cloud-mix",
+            Self::Phased { .. } => "phased",
+        }
+    }
+
+    /// The pattern's share of [`TraceSpec::validate`], recursing into
+    /// `Phased`.
+    fn validate(&self) -> Result<(), String> {
+        let refuse = |why: &str| Err(format!("{} pattern: {why}", self.tag()));
+        match self {
+            Self::Stream { store_every } if *store_every == u32::MAX => {
+                refuse("store_every must be below u32::MAX")
+            }
+            Self::PageVisit { offsets } if offsets.is_empty() => refuse("offsets is empty"),
+            Self::SpatialFootprint { patterns, .. } if patterns.is_empty() => {
+                refuse("patterns is empty")
+            }
+            Self::SpatialFootprint { patterns, .. } if patterns.iter().any(Vec::is_empty) => {
+                refuse("patterns holds an empty footprint")
+            }
+            Self::DeltaChain { deltas } if deltas.is_empty() => refuse("deltas is empty"),
+            Self::IrregularGraph { vertices, .. } if *vertices > u64::MAX / 8 => {
+                refuse("vertices must be at most u64::MAX / 8")
+            }
+            Self::IrregularGraph { avg_degree, .. } if *avg_degree > u32::MAX / 2 => {
+                refuse("avg_degree must be at most u32::MAX / 2")
+            }
+            Self::Phased { phases, .. } if phases.is_empty() => refuse("phases is empty"),
+            Self::Phased { phase_len: 0, .. } => refuse("phase_len must be positive"),
+            Self::Phased { phases, .. } => phases.iter().try_for_each(Self::validate),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The largest footprint a [`TraceSpec`] may declare. The generator's byte
+/// offsets (`footprint_pages * PAGE_SIZE`, `2^52` here) plus a trace's
+/// base address then stay far below `u64` overflow.
+pub const MAX_FOOTPRINT_PAGES: u64 = 1 << 40;
+
 /// A complete workload description; `generate()` renders it into a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
@@ -141,13 +193,45 @@ impl TraceSpec {
         self
     }
 
+    /// Checks the generator's preconditions, stated once here:
+    ///
+    /// * a footprint of 1 to [`MAX_FOOTPRINT_PAGES`] pages;
+    /// * `mem_pct + branch_pct` at most 100 (one roll picks the class);
+    /// * non-empty lists: `offsets`, `patterns` and each footprint in it,
+    ///   `deltas` and `phases`;
+    /// * a positive `phase_len`, a `store_every` below `u32::MAX`, and a
+    ///   graph's `vertices * 8` and `avg_degree * 2` within their types;
+    ///
+    /// nested `Phased` patterns included. The instruction count is the
+    /// caller's budget and is checked where the stream opens.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first field that breaks a rule.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_FOOTPRINT_PAGES).contains(&self.footprint_pages) {
+            return Err(format!(
+                "footprint_pages {} is outside 1..={MAX_FOOTPRINT_PAGES}",
+                self.footprint_pages
+            ));
+        }
+        if u16::from(self.mem_pct) + u16::from(self.branch_pct) > 100 {
+            return Err(format!(
+                "mem_pct {} + branch_pct {} exceeds 100",
+                self.mem_pct, self.branch_pct
+            ));
+        }
+        self.kind.validate()
+    }
+
     /// Opens a streaming generator over this spec: records are produced on
     /// demand, one [`TraceStream::next_record`] call at a time, in the
     /// exact sequence [`generate`](TraceSpec::generate) would collect.
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (zero instructions or footprint).
+    /// Panics on zero instructions or a spec [`validate`](TraceSpec::validate)
+    /// refuses.
     pub fn stream(&self) -> TraceStream {
         TraceStream::new(self.clone())
     }
@@ -160,7 +244,8 @@ impl TraceSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (zero instructions or footprint).
+    /// Panics on zero instructions or a spec [`validate`](TraceSpec::validate)
+    /// refuses.
     pub fn source(&self) -> Box<dyn TraceSource> {
         ReadAhead::wrap(Box::new(self.stream()))
     }
@@ -171,7 +256,8 @@ impl TraceSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (zero instructions or footprint).
+    /// Panics on zero instructions or a spec [`validate`](TraceSpec::validate)
+    /// refuses.
     pub fn generate(&self) -> Vec<TraceRecord> {
         self.stream().collect()
     }
@@ -228,7 +314,9 @@ impl std::fmt::Debug for TraceStream {
 impl TraceStream {
     fn new(spec: TraceSpec) -> Self {
         assert!(spec.instructions > 0, "empty trace requested");
-        assert!(spec.footprint_pages > 0, "zero footprint");
+        if let Err(e) = spec.validate() {
+            panic!("trace spec {:?}: {e}", spec.name);
+        }
         let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x9e37_79b9);
         let state = PatternState::new(&spec.kind, spec.footprint_pages, &mut rng);
         let base = (spec.seed % 1024 + 1) * 0x1_0000_0000;
@@ -439,33 +527,24 @@ impl PatternState {
                 pos: 0,
                 lines: *lines,
             },
-            PatternKind::PageVisit { offsets } => {
-                assert!(!offsets.is_empty(), "PageVisit needs offsets");
-                Self::PageVisit {
-                    step: 0,
-                    offsets: offsets.clone(),
-                }
-            }
+            PatternKind::PageVisit { offsets } => Self::PageVisit {
+                step: 0,
+                offsets: offsets.clone(),
+            },
             PatternKind::SpatialFootprint {
                 patterns,
                 noise_pct,
-            } => {
-                assert!(!patterns.is_empty(), "SpatialFootprint needs patterns");
-                Self::SpatialFootprint {
-                    patterns: patterns.clone(),
-                    noise_pct: *noise_pct,
-                    visits: vec![Vec::new(); 8],
-                    rr: 0,
-                }
-            }
-            PatternKind::DeltaChain { deltas } => {
-                assert!(!deltas.is_empty(), "DeltaChain needs deltas");
-                Self::DeltaChain {
-                    line: 0,
-                    idx: 0,
-                    deltas: deltas.clone(),
-                }
-            }
+            } => Self::SpatialFootprint {
+                patterns: patterns.clone(),
+                noise_pct: *noise_pct,
+                visits: vec![Vec::new(); 8],
+                rr: 0,
+            },
+            PatternKind::DeltaChain { deltas } => Self::DeltaChain {
+                line: 0,
+                idx: 0,
+                deltas: deltas.clone(),
+            },
             PatternKind::IrregularGraph {
                 vertices,
                 avg_degree,
@@ -482,19 +561,15 @@ impl PatternState {
                 hot_pct: *hot_pct,
                 hot_lines: (footprint_pages * LINES_PER_PAGE / 64).max(64),
             },
-            PatternKind::Phased { phases, phase_len } => {
-                assert!(!phases.is_empty(), "Phased needs phases");
-                assert!(*phase_len > 0, "phase_len must be non-zero");
-                Self::Phased {
-                    states: phases
-                        .iter()
-                        .map(|p| PatternState::new(p, footprint_pages, rng))
-                        .collect(),
-                    idx: 0,
-                    remaining: *phase_len,
-                    phase_len: *phase_len,
-                }
-            }
+            PatternKind::Phased { phases, phase_len } => Self::Phased {
+                states: phases
+                    .iter()
+                    .map(|p| PatternState::new(p, footprint_pages, rng))
+                    .collect(),
+                idx: 0,
+                remaining: *phase_len,
+                phase_len: *phase_len,
+            },
         }
     }
 
@@ -1101,6 +1176,145 @@ mod tests {
         let mut s = spec(PatternKind::PointerChase);
         s.instructions = 0;
         s.generate();
+    }
+
+    #[test]
+    #[should_panic(expected = "footprint_pages 0")]
+    fn zero_footprint_rejected() {
+        spec(PatternKind::PointerChase)
+            .with_footprint_pages(0)
+            .generate();
+    }
+
+    /// One pattern of each kind with every numeric field at 1, and a
+    /// `Phased` over all of them.
+    fn minimal_kinds() -> Vec<PatternKind> {
+        let mut kinds = vec![
+            PatternKind::Stream { store_every: 1 },
+            PatternKind::Stride { lines: 1 },
+            PatternKind::PageVisit { offsets: vec![1] },
+            PatternKind::SpatialFootprint {
+                patterns: vec![vec![1]],
+                noise_pct: 1,
+            },
+            PatternKind::DeltaChain { deltas: vec![1] },
+            PatternKind::IrregularGraph {
+                vertices: 1,
+                avg_degree: 1,
+            },
+            PatternKind::PointerChase,
+            PatternKind::CloudMix { hot_pct: 1 },
+        ];
+        kinds.push(PatternKind::Phased {
+            phases: kinds.clone(),
+            phase_len: 1,
+        });
+        kinds
+    }
+
+    #[test]
+    fn validate_accepts_every_registered_workload_and_minimal_specs() {
+        use crate::profiles::{derive_seed, Profile, CAMPAIGN_SEED};
+        use crate::suites::{all_suites, cvp_unseen};
+        let mut pool = all_suites();
+        pool.extend(cvp_unseen());
+        for seed in [CAMPAIGN_SEED, derive_seed(CAMPAIGN_SEED, "validate"), 1] {
+            pool.extend(Profile::all().iter().flat_map(|p| p.workloads(seed)));
+        }
+        for w in &pool {
+            assert_eq!(w.spec.validate(), Ok(()), "{}", w.name);
+        }
+        for kind in minimal_kinds() {
+            let tag = kind.tag();
+            let spec = TraceSpec {
+                name: "ones".into(),
+                kind,
+                instructions: 10_000,
+                mem_pct: 1,
+                footprint_pages: 1,
+                branch_pct: 1,
+                mispredict_pct: 1,
+                accesses_per_line: 1,
+                seed: 1,
+            };
+            assert_eq!(spec.validate(), Ok(()), "{tag}");
+            assert_eq!(spec.stream().count(), 10_000, "{tag}");
+            let mut dense = spec.clone();
+            dense.mem_pct = 100;
+            dense.branch_pct = 0;
+            assert_eq!(dense.stream().count(), 10_000, "{tag}, every record a load");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_degenerate_specs_naming_the_field() {
+        type Degenerate = (&'static str, fn(&mut TraceSpec));
+        let cases: [Degenerate; 12] = [
+            ("footprint_pages 0", |s| s.footprint_pages = 0),
+            ("footprint_pages 1099511627777", |s| {
+                s.footprint_pages = MAX_FOOTPRINT_PAGES + 1
+            }),
+            ("exceeds 100", |s| (s.mem_pct, s.branch_pct) = (60, 41)),
+            ("store_every", |s| {
+                s.kind = PatternKind::Stream {
+                    store_every: u32::MAX,
+                }
+            }),
+            ("offsets is empty", |s| {
+                s.kind = PatternKind::PageVisit { offsets: vec![] }
+            }),
+            ("patterns is empty", |s| {
+                s.kind = PatternKind::SpatialFootprint {
+                    patterns: vec![],
+                    noise_pct: 0,
+                }
+            }),
+            ("empty footprint", |s| {
+                s.kind = PatternKind::SpatialFootprint {
+                    patterns: vec![vec![1], vec![]],
+                    noise_pct: 0,
+                }
+            }),
+            ("deltas is empty", |s| {
+                s.kind = PatternKind::DeltaChain { deltas: vec![] }
+            }),
+            ("avg_degree", |s| {
+                s.kind = PatternKind::IrregularGraph {
+                    vertices: 64,
+                    avg_degree: u32::MAX,
+                }
+            }),
+            ("phases is empty", |s| {
+                s.kind = PatternKind::Phased {
+                    phases: vec![],
+                    phase_len: 1,
+                }
+            }),
+            ("phase_len", |s| {
+                s.kind = PatternKind::Phased {
+                    phases: vec![PatternKind::PointerChase],
+                    phase_len: 0,
+                }
+            }),
+            ("delta-chain pattern: deltas is empty", |s| {
+                s.kind = PatternKind::Phased {
+                    phases: vec![
+                        PatternKind::PointerChase,
+                        PatternKind::Phased {
+                            phases: vec![PatternKind::DeltaChain { deltas: vec![] }],
+                            phase_len: 1,
+                        },
+                    ],
+                    phase_len: 1,
+                }
+            }),
+        ];
+        for (field, degrade) in cases {
+            let mut s = spec(PatternKind::PointerChase);
+            degrade(&mut s);
+            let err = s.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

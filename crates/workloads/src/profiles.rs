@@ -66,12 +66,7 @@ impl Profile {
 
     /// Parses a profile name as typed on the CLI.
     pub fn parse(name: &str) -> Option<Profile> {
-        match name {
-            "expected" => Some(Profile::Expected),
-            "stress" => Some(Profile::Stress),
-            "adversarial" => Some(Profile::Adversarial),
-            _ => None,
-        }
+        Profile::all().into_iter().find(|p| p.label() == name)
     }
 
     /// One-line description for help text and reports.

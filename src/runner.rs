@@ -23,9 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pythia_core::{Pythia, PythiaConfig};
-use pythia_prefetchers::multi::Multi;
-use pythia_prefetchers::registry;
-use pythia_prefetchers::stride::StridePrefetcher;
+use pythia_prefetchers::{multi::Multi, registry, stride::StridePrefetcher};
 use pythia_sim::config::SystemConfig;
 use pythia_sim::prefetch::Prefetcher;
 use pythia_sim::stats::SimReport;
@@ -33,41 +31,44 @@ use pythia_sim::system::System;
 use pythia_sim::trace::TraceSource;
 use pythia_workloads::Workload;
 
-/// Prefetcher names only [`build_prefetcher`] knows (not in the registry).
-/// Consumed by the CLI listing and the registry-coverage test so the three
-/// places cannot drift apart.
-pub const RUNNER_ONLY: &[&str] = &[
-    "pythia",
-    "pythia_strict",
-    "pythia_bw_oblivious",
-    "stride+pythia",
-];
-
-/// Builds any prefetcher in the workspace by name: every baseline from
-/// [`pythia_prefetchers::registry`] plus the Pythia variants:
+/// The Pythia variants, by name; every other name is a registry baseline.
 ///
 /// * `"pythia"` — the Table 2 configuration with the re-derived learning
 ///   rate ([`PythiaConfig::tuned`])
 /// * `"pythia_strict"` — §6.6.1 reward customization
 /// * `"pythia_bw_oblivious"` — §6.3.3 ablation
 /// * `"stride+pythia"` — the multi-level configuration of §6.2.4
-///
-/// Returns `None` for unknown names.
-pub fn build_prefetcher(name: &str, seed: u64) -> Option<Box<dyn Prefetcher>> {
-    match name {
-        "pythia" => Some(Box::new(Pythia::new(PythiaConfig::tuned().with_seed(seed)))),
-        "pythia_strict" => Some(Box::new(Pythia::new(
-            PythiaConfig::strict().with_seed(seed),
-        ))),
-        "pythia_bw_oblivious" => Some(Box::new(Pythia::new(
-            PythiaConfig::bandwidth_oblivious().with_seed(seed),
-        ))),
-        "stride+pythia" => Some(Box::new(Multi::new(vec![
+const VARIANTS: &[(&str, registry::Constructor)] = &[
+    ("pythia", |seed| pythia(PythiaConfig::tuned(), seed)),
+    ("pythia_strict", |seed| pythia(PythiaConfig::strict(), seed)),
+    ("pythia_bw_oblivious", |seed| {
+        pythia(PythiaConfig::bandwidth_oblivious(), seed)
+    }),
+    ("stride+pythia", |seed| {
+        Box::new(Multi::new(vec![
             Box::new(StridePrefetcher::default()),
-            Box::new(Pythia::new(PythiaConfig::tuned().with_seed(seed))),
-        ]))),
-        other => registry::build(other, seed),
-    }
+            pythia(PythiaConfig::tuned(), seed),
+        ]))
+    }),
+];
+
+fn pythia(config: PythiaConfig, seed: u64) -> Box<dyn Prefetcher> {
+    Box::new(Pythia::new(config.with_seed(seed)))
+}
+
+/// Every name [`build_prefetcher`] accepts: the registry's baselines, then
+/// the Pythia variants (the list `pythia-cli list` prints).
+pub fn prefetcher_names() -> impl Iterator<Item = &'static str> {
+    registry::available().chain(VARIANTS.iter().map(|&(name, _)| name))
+}
+
+/// Builds any prefetcher in the workspace by name: every baseline from
+/// [`pythia_prefetchers::registry`] plus the Pythia variants.
+///
+/// Returns `None` for unknown names; see [`prefetcher_names`].
+pub fn build_prefetcher(name: &str, seed: u64) -> Option<Box<dyn Prefetcher>> {
+    let variant = VARIANTS.iter().find(|&&(n, _)| n == name);
+    variant.map_or_else(|| registry::build(name, seed), |(_, make)| Some(make(seed)))
 }
 
 /// Warmup/measure instruction budgets (the paper's §5 methodology scaled to

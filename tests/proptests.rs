@@ -816,8 +816,8 @@ proptest! {
         which in 0usize..12,
     ) {
         use pythia_sim::prefetch::{DemandAccess, SystemFeedback};
-        let names = pythia_prefetchers::available();
-        let name = names[which % names.len()];
+        let count = pythia_prefetchers::available().len();
+        let name = pythia_prefetchers::available().nth(which % count).expect("in range");
         let mut p = pythia_prefetchers::build(name, 3).unwrap();
         let fb = SystemFeedback { bandwidth_high: false, bandwidth_utilization_pct: 10 };
         for (i, (page, off, w)) in accesses.iter().enumerate() {

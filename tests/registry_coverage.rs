@@ -1,21 +1,11 @@
-//! Registry coverage: every advertised prefetcher name — the full
-//! [`pythia_prefetchers::registry`] list plus the `pythia*` variants that
-//! only [`pythia::runner::build_prefetcher`] knows — must construct and
-//! survive a short smoke simulation. Adding a prefetcher without
-//! registering it (or registering a name that no longer builds) fails here.
+//! Registry coverage: every advertised prefetcher name — the
+//! [`pythia_prefetchers::registry`] table plus the `pythia*` variants of
+//! [`pythia::runner`], as [`prefetcher_names`] lists them — must construct
+//! and survive a short smoke simulation.
 
-use pythia::runner::{build_prefetcher, run_workload, RunSpec};
-use pythia_prefetchers::registry;
+use pythia::runner::{build_prefetcher, prefetcher_names, run_workload, RunSpec};
 use pythia_workloads::generators::{PatternKind, TraceSpec};
 use pythia_workloads::{suites::Suite, Workload};
-
-use pythia::runner::RUNNER_ONLY;
-
-fn all_names() -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = registry::available().to_vec();
-    names.extend_from_slice(RUNNER_ONLY);
-    names
-}
 
 fn smoke_workload() -> Workload {
     let spec = TraceSpec::new(
@@ -35,7 +25,7 @@ fn smoke_workload() -> Workload {
 
 #[test]
 fn every_registered_name_constructs() {
-    for name in all_names() {
+    for name in prefetcher_names() {
         let p = build_prefetcher(name, 42);
         assert!(p.is_some(), "{name:?} is advertised but fails to construct");
         assert!(!p.unwrap().name().is_empty(), "{name:?} must report a name");
@@ -48,7 +38,7 @@ fn every_registered_name_survives_smoke_simulation() {
     // to hit the demand / fill / useful / useless paths of each prefetcher.
     let w = smoke_workload();
     let spec = RunSpec::single_core().with_budget(500, 2_000);
-    for name in all_names() {
+    for name in prefetcher_names() {
         let report = run_workload(&w, name, &spec);
         assert_eq!(
             report.cores[0].instructions, 2_000,
@@ -62,18 +52,12 @@ fn every_registered_name_survives_smoke_simulation() {
 }
 
 #[test]
-fn runner_only_names_stay_out_of_the_registry() {
-    // If one of these ever moves into the registry, drop it from
-    // RUNNER_ONLY so the two lists cannot drift apart silently.
-    for name in RUNNER_ONLY {
-        assert!(
-            registry::build(name, 0).is_none(),
-            "{name:?} is now in the registry; update RUNNER_ONLY"
-        );
-        assert!(
-            !registry::available().contains(name),
-            "{name:?} is advertised by the registry; update RUNNER_ONLY"
-        );
+fn prefetcher_names_have_no_duplicate() {
+    // Each crate keeps one table, so the one drift left is a name in both:
+    // a variant would shadow a registry baseline.
+    let mut seen = std::collections::HashSet::new();
+    for name in prefetcher_names() {
+        assert!(seen.insert(name), "{name:?} is listed twice");
     }
 }
 

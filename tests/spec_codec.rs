@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use pythia_bench::figures;
-use pythia_core::PythiaConfig;
+use pythia_core::{Feature, PythiaConfig};
 use pythia_stats::json::parse;
 use pythia_sweep::codec::{self, Campaign};
 use pythia_sweep::{ConfigPoint, PrefetcherSpec, SweepSpec, WorkUnit};
@@ -14,13 +14,15 @@ use pythia_workloads::all_suites;
 
 /// A pseudo-random but *structurally rich* spec drawn from primitive
 /// values: workload subsets, mixes, named prefetchers, an inline Pythia
-/// variant, swept configs and a replication seed axis all get exercised.
+/// variant (its features a run of `Feature::all()`, so every control and
+/// data label is encoded and searched for), swept configs and a
+/// replication seed axis all get exercised.
 #[allow(clippy::type_complexity)]
 fn build_spec(
     name_tag: u16,
     unit_picks: Vec<(usize, bool)>,
     prefetcher_picks: Vec<usize>,
-    variant: Option<(u8, u8, bool)>,
+    variant: Option<(u8, u8, bool, (usize, usize))>,
     configs: Vec<(u16, u16, u8)>,
     seeds: Vec<u64>,
 ) -> SweepSpec {
@@ -39,8 +41,14 @@ fn build_spec(
         spec.prefetchers
             .push(PrefetcherSpec::named(NAMES[pick % NAMES.len()]));
     }
-    if let Some((alpha_step, eq_pow, graded)) = variant {
+    if let Some((alpha_step, eq_pow, graded, (first, count))) = variant {
         let mut cfg = PythiaConfig::tuned();
+        cfg.features = Feature::all()
+            .into_iter()
+            .cycle()
+            .skip(first)
+            .take(count)
+            .collect();
         // Exact f32 values only (the codec requires exact f32↔f64 trips).
         cfg.alpha = f32::from(alpha_step) / 256.0;
         cfg.eq_size = 1usize << (eq_pow % 12);
@@ -69,7 +77,7 @@ proptest! {
         name_tag in any::<u16>(),
         unit_picks in proptest::collection::vec((0usize..64, any::<bool>()), 1..5),
         prefetcher_picks in proptest::collection::vec(0usize..6, 1..4),
-        variant in proptest::option::of((any::<u8>(), any::<u8>(), any::<bool>())),
+        variant in proptest::option::of((any::<u8>(), any::<u8>(), any::<bool>(), (0usize..32, 1usize..33))),
         configs in proptest::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 1..4),
         seeds in proptest::collection::vec(any::<u64>(), 1..4),
     ) {
