@@ -733,12 +733,13 @@ fn trace_info_json_is_machine_readable() {
         Some(3000),
         "record count"
     );
-    assert_eq!(parsed.get("version").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(parsed.get("version").and_then(|v| v.as_u64()), Some(2));
     let size = parsed
         .get("file_bytes")
         .and_then(|v| v.as_u64())
         .expect("file size");
     assert_eq!(size, std::fs::metadata(&path).expect("metadata").len());
+    assert_eq!(size, 14 + 17 * 3000, "a header and 17 bytes per record");
     for key in [
         "loads",
         "stores",

@@ -590,8 +590,8 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 2, the agent's share: over the trace-gen profiles at
-    /// derived seeds, every taken action is rewarded exactly once, SARSA
+    /// The conservation laws (ROADMAP "Simulator audit"), the agent's
+    /// share: over the trace-gen profiles at derived seeds, every taken action is rewarded exactly once, SARSA
     /// runs once per eviction, no cell reaches the Q8.7 rails, and the
     /// argmax kernel's two compiles agree on every demand.
     #[test]

@@ -40,6 +40,11 @@ pub enum VaultCombine {
     Mean,
 }
 
+impl VaultCombine {
+    /// Every combine rule.
+    pub const ALL: [VaultCombine; 2] = [VaultCombine::Max, VaultCombine::Mean];
+}
+
 /// The seven reward level values (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewardLevels {

@@ -1261,7 +1261,7 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
 /// first run's. Truncated, then garbled, between client sessions, on the
 /// disk leaf and on the memory leaf. An artifact damaged into something
 /// that still decodes would be served: telling that needs a content
-/// checksum, which stays in ROADMAP item 6.
+/// checksum, which stays in ROADMAP "Crash anywhere".
 #[test]
 fn a_damaged_artifact_is_a_miss_and_the_campaign_runs_again() {
     let dir = std::env::temp_dir().join(format!("pythia-serve-damage-{}", std::process::id()));

@@ -262,6 +262,34 @@ mod tests {
         assert_eq!(d.stats().row_misses, 1);
     }
 
+    /// ROADMAP defect (f), "The DRAM bank holds a row hit for one burst,
+    /// not a whole tCAS". A row hit holds its bank for a whole tCAS
+    /// (`bank.next_free = start + array_latency`), so two reads to one
+    /// open row issued on the same cycle complete one tCAS apart (50
+    /// cycles at 4 GHz), where the bus could carry the second line one
+    /// transfer (14 cycles at 2 400 MTPS) after the first. Fails until a
+    /// row hit holds its bank for one line transfer (a fix moves golden
+    /// digests, so it is its own PR); run with `--ignored`.
+    #[test]
+    #[ignore = "documents a model defect (ROADMAP defect (f)); fails until a row hit holds its bank for one line transfer, not a whole tCAS"]
+    fn two_reads_to_an_open_row_complete_one_transfer_apart() {
+        let (mut d, mut m) = setup(2400, 1);
+        // Open row 0, then let the bank and the bus go idle.
+        d.access(0, DramRequestKind::DemandRead, 0, &mut m);
+        let at = 10_000;
+        let a1 = d.access(1, DramRequestKind::DemandRead, at, &mut m);
+        let a2 = d.access(2, DramRequestKind::DemandRead, at, &mut m);
+        assert!(a1.row_hit && a2.row_hit);
+        assert!(d.transfer_cycles() < d.t_cas, "the bus is not what binds");
+        assert_eq!(
+            a2.done_at - a1.done_at,
+            d.transfer_cycles(),
+            "two row hits issued at cycle {at} completed {} cycles apart; tCAS is {}",
+            a2.done_at - a1.done_at,
+            d.t_cas
+        );
+    }
+
     #[test]
     fn bus_serializes_back_to_back_requests() {
         let (mut d, mut m) = setup(150, 1); // very slow bus: 214 cycles/line

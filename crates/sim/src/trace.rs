@@ -5,16 +5,16 @@
 //! module defines the equivalent in-memory record, the streaming
 //! [`TraceSource`] trait every trace producer implements (in-memory
 //! vectors, on-demand workload generators, on-disk trace files), and a
-//! length-prefixed binary format so traces can be recorded and replayed
-//! without ever materializing them in memory:
+//! binary format of fixed 17-byte records so traces can be recorded and
+//! replayed without ever materializing them in memory:
 //!
 //! * [`VecSource`] — wraps an in-memory `Vec<TraceRecord>`,
 //! * [`TraceWriter`] — the encoder, writing the binary format record by
 //!   record,
-//! * [`FileTraceSource`] — the decoder, streaming records back from a
-//!   trace file in O(1) memory,
-//! * [`trace_file_info`] — one streaming pass computing header + mix
-//!   statistics for `pythia-cli trace info`,
+//! * [`FileTraceSource`] — the decoder, checking a trace file by its size
+//!   and streaming its records back in O(1) memory,
+//! * [`trace_file_info`] — the same check plus one streaming pass
+//!   computing mix statistics for `pythia-cli trace info`,
 //! * [`ReadAhead`] — any source, produced on another CPU in whole batches.
 
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -249,11 +249,14 @@ impl TraceSource for VecSource {
 /// Magic bytes at the head of the binary trace format.
 const TRACE_MAGIC: u32 = 0x5059_5452; // "PYTR"
 /// Version of the binary trace format.
-const TRACE_VERSION: u16 = 1;
+const TRACE_VERSION: u16 = 2;
 /// Header size in bytes: magic (4) + version (2) + record count (8).
 const TRACE_HEADER_LEN: u64 = 14;
 /// Byte offset of the record-count field within the header.
 const TRACE_COUNT_OFFSET: u64 = 6;
+/// Size of every record: flags (1) + pc (8) + addr (8, zero when the
+/// instruction touches no memory).
+const RECORD_LEN: usize = 17;
 
 // Flag bits used by the codec.
 const FLAG_HAS_MEM: u8 = 1 << 0;
@@ -263,8 +266,8 @@ const FLAG_TAKEN: u8 = 1 << 3;
 const FLAG_MISPREDICTED: u8 = 1 << 4;
 const FLAG_DEPENDENT: u8 = 1 << 5;
 
-/// The flag byte of one record's binary encoding.
-fn record_flags(r: &TraceRecord) -> u8 {
+/// One record's binary encoding.
+fn encode(r: &TraceRecord) -> [u8; RECORD_LEN] {
     let mut flags = 0u8;
     if let Some(m) = r.mem {
         flags |= FLAG_HAS_MEM;
@@ -284,27 +287,26 @@ fn record_flags(r: &TraceRecord) -> u8 {
     if r.depends_on_prev_load {
         flags |= FLAG_DEPENDENT;
     }
-    flags
+    let mut b = [0u8; RECORD_LEN];
+    b[0] = flags;
+    b[1..9].copy_from_slice(&r.pc.to_be_bytes());
+    if let Some(m) = r.mem {
+        b[9..17].copy_from_slice(&m.addr.to_be_bytes());
+    }
+    b
 }
 
-/// Maximum encoded size of one record: flags (1) + pc (8) + addr (8).
-const MAX_RECORD_LEN: usize = 17;
-
-/// Encoded size of the record whose flag byte is `flags`: the flag byte
-/// alone frames a record, whatever its `pc`/`addr` bytes hold.
+/// The inverse of [`encode`]. Every 17 bytes decode: unknown flag bits
+/// and the address bytes of a record without a memory operation are
+/// ignored.
 #[inline]
-fn record_len(flags: u8) -> usize {
-    9 + 8 * usize::from(flags & FLAG_HAS_MEM)
-}
-
-/// Reassembles a record from its decoded wire parts — the single inverse
-/// of [`TraceWriter::write_record`], shared by the reader's general and
-/// buffered paths.
-fn record_from_parts(flags: u8, pc: u64, addr: Option<u64>) -> TraceRecord {
+fn decode(b: &[u8; RECORD_LEN]) -> TraceRecord {
+    let flags = b[0];
+    let field = |at: usize| u64::from_be_bytes(b[at..at + 8].try_into().expect("8 bytes"));
     TraceRecord {
-        pc,
-        mem: addr.map(|addr| MemOp {
-            addr,
+        pc: field(1),
+        mem: (flags & FLAG_HAS_MEM != 0).then(|| MemOp {
+            addr: field(9),
             is_write: flags & FLAG_IS_WRITE != 0,
         }),
         branch: (flags & FLAG_HAS_BRANCH != 0).then_some(Branch {
@@ -415,13 +417,7 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Returns any I/O error from the sink.
     pub fn write_record(&mut self, r: &TraceRecord) -> Result<(), TraceFileError> {
-        let mut buf = [0u8; MAX_RECORD_LEN];
-        buf[0] = record_flags(r);
-        buf[1..9].copy_from_slice(&r.pc.to_be_bytes());
-        if let Some(m) = r.mem {
-            buf[9..17].copy_from_slice(&m.addr.to_be_bytes());
-        }
-        self.out.write_all(&buf[..record_len(buf[0])])?;
+        self.out.write_all(&encode(r))?;
         self.count += 1;
         Ok(())
     }
@@ -450,150 +446,37 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 }
 
-/// Refill granularity of [`RecordReader`].
-const READER_BUF_LEN: usize = 64 * 1024;
+/// Records per read of [`RecordReader`]: 64 KiB of whole records.
+const READ_RECORDS: usize = 64 * 1024 / RECORD_LEN;
 
-/// Buffered record decoder over a file: keeps a large refill buffer and
-/// decodes each record inline from the buffered bytes, instead of issuing
-/// two or three `read_exact` calls per record through a `BufReader`. This
-/// is the hot loop of `pythia-cli trace replay` — per record it costs one
-/// bounds check and a couple of `u64::from_be_bytes`.
+/// The decoder of a trace file [`RecordReader::open`] checked: reads whole
+/// records a buffer at a time and decodes them straight out of it. This
+/// is the hot loop of `pythia-cli trace replay`.
 struct RecordReader {
     file: std::fs::File,
-    buf: Vec<u8>,
+    path: PathBuf,
+    total: u64,
+    /// Records of the pass not yet read from the file.
+    unread: u64,
+    /// Buffered records: `buf[pos..len]`, a whole number of them.
+    buf: Box<[u8]>,
     pos: usize,
     len: usize,
 }
 
-impl std::fmt::Debug for RecordReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecordReader")
-            .field("buffered", &(self.len - self.pos))
-            .finish()
-    }
-}
-
 impl RecordReader {
-    fn new(file: std::fs::File) -> Self {
-        Self {
-            file,
-            buf: vec![0; READER_BUF_LEN],
-            pos: 0,
-            len: 0,
-        }
-    }
-
-    /// Ensures up to `n` bytes are buffered (compacting + refilling as
-    /// needed) and returns how many are actually available — fewer than
-    /// `n` only at end of file.
-    #[inline]
-    fn available(&mut self, n: usize) -> Result<usize, std::io::Error> {
-        debug_assert!(n <= READER_BUF_LEN);
-        if self.len - self.pos >= n {
-            return Ok(n);
-        }
-        self.buf.copy_within(self.pos..self.len, 0);
-        self.len -= self.pos;
-        self.pos = 0;
-        while self.len < n {
-            match self.file.read(&mut self.buf[self.len..]) {
-                Ok(0) => break,
-                Ok(got) => self.len += got,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(self.len.min(n))
-    }
-
-    /// Decodes the next record. `Ok(None)` means clean EOF at a record
-    /// boundary; [`TraceFileError::Truncated`] means the file ended
-    /// mid-record.
-    #[inline]
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceFileError> {
-        let have = self.available(MAX_RECORD_LEN)?;
-        if have == 0 {
-            return Ok(None);
-        }
-        let flags = self.buf[self.pos];
-        let need = record_len(flags);
-        if have < need {
-            return Err(TraceFileError::Truncated);
-        }
-        let b = &self.buf[self.pos..self.pos + need];
-        let pc = u64::from_be_bytes(b[1..9].try_into().expect("8-byte pc"));
-        let addr = (need == MAX_RECORD_LEN)
-            .then(|| u64::from_be_bytes(b[9..17].try_into().expect("8-byte addr")));
-        self.pos += need;
-        Ok(Some(record_from_parts(flags, pc, addr)))
-    }
-
-    /// Appends up to `max` records decoded straight out of the buffered
-    /// bytes, stopping early once fewer than [`MAX_RECORD_LEN`] bytes
-    /// remain buffered (the caller takes the refill / end-of-file tail
-    /// through [`next_record`](Self::next_record)). While a full-size
-    /// record's worth of bytes is buffered no record can be torn, so the
-    /// loop carries one length check per record and cannot fail.
-    #[inline]
-    fn decode_buffered(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
-        let mut pos = self.pos;
-        let mut n = 0;
-        while n < max {
-            let Some(b) = self.buf[pos..self.len].first_chunk::<MAX_RECORD_LEN>() else {
-                break;
-            };
-            let flags = b[0];
-            let pc = u64::from_be_bytes(b[1..9].try_into().expect("8-byte pc"));
-            let addr = u64::from_be_bytes(b[9..17].try_into().expect("8-byte addr"));
-            out.push(record_from_parts(
-                flags,
-                pc,
-                (flags & FLAG_HAS_MEM != 0).then_some(addr),
-            ));
-            pos += record_len(flags);
-            n += 1;
-        }
-        self.pos = pos;
-        n
-    }
-
-    /// Walks record framing to end of file without materialising a record
-    /// — each flag byte gives its record's length — and returns how many
-    /// whole records the file holds. Accepts and rejects exactly what a
-    /// [`next_record`](Self::next_record) loop would: no `pc`/`addr` byte
-    /// pattern can fail to decode, so framing is all there is to check.
-    fn skip_records(&mut self) -> Result<u64, TraceFileError> {
-        let mut count = 0u64;
-        loop {
-            let have = self.available(MAX_RECORD_LEN)?;
-            if have == 0 {
-                return Ok(count);
-            }
-            if have < MAX_RECORD_LEN {
-                // Last bytes of the file: at most one short record fits.
-                let need = record_len(self.buf[self.pos]);
-                if have < need {
-                    return Err(TraceFileError::Truncated);
-                }
-                self.pos += need;
-                count += 1;
-                continue;
-            }
-            while self.len - self.pos >= MAX_RECORD_LEN {
-                self.pos += record_len(self.buf[self.pos]);
-                count += 1;
-            }
-        }
-    }
-
-    /// Reads and validates the fixed-size header, returning the record
-    /// count.
-    fn read_header(&mut self) -> Result<u64, TraceFileError> {
-        let n = TRACE_HEADER_LEN as usize;
-        if self.available(n)? < n {
-            return Err(TraceFileError::Truncated);
-        }
-        let header = &self.buf[self.pos..self.pos + n];
+    /// Opens a trace file and checks all of it by its size: the header's
+    /// magic and version, then a body of exactly the header's count of
+    /// records. With fixed-size records that is the whole check — every
+    /// 17 bytes decode. The reader is positioned at the first record.
+    fn open(path: &Path) -> Result<Self, TraceFileError> {
+        let mut file = std::fs::File::open(path)?;
+        let file_bytes = file.metadata()?.len();
+        let mut header = [0u8; TRACE_HEADER_LEN as usize];
+        file.read_exact(&mut header).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => TraceFileError::Truncated,
+            _ => TraceFileError::Io(e),
+        })?;
         if u32::from_be_bytes(header[0..4].try_into().expect("4-byte magic")) != TRACE_MAGIC {
             return Err(TraceFileError::BadMagic);
         }
@@ -601,114 +484,70 @@ impl RecordReader {
         if version != TRACE_VERSION {
             return Err(TraceFileError::UnsupportedVersion(version));
         }
-        let count = u64::from_be_bytes(header[6..14].try_into().expect("8-byte count"));
-        self.pos += n;
-        Ok(count)
-    }
-
-    /// Repositions the underlying file and discards buffered bytes.
-    fn seek_to(&mut self, offset: u64) -> Result<(), std::io::Error> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.pos = 0;
-        self.len = 0;
-        Ok(())
-    }
-}
-
-/// A [`TraceSource`] streaming records from a binary trace file in O(1)
-/// memory: the decoder of the format, and the replay path for
-/// `pythia-cli trace replay`.
-///
-/// [`open`](FileTraceSource::open) validates the entire file up front (one
-/// streaming pass checking the header count and record framing), so the
-/// replay loop afterwards cannot encounter a decode error — mid-stream
-/// `next_record` failures would mean the file changed underneath us and
-/// abort with a panic naming the file.
-pub struct FileTraceSource {
-    reader: RecordReader,
-    path: PathBuf,
-    total: u64,
-    remaining: u64,
-}
-
-impl std::fmt::Debug for FileTraceSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileTraceSource")
-            .field("path", &self.path)
-            .field("total", &self.total)
-            .field("remaining", &self.remaining)
-            .finish()
-    }
-}
-
-impl FileTraceSource {
-    /// Opens and fully validates a trace file (header, framing, record
-    /// count), leaving the stream positioned at the first record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceFileError`] on I/O failures, a bad header, torn
-    /// records, or a header/content record-count mismatch (an unfinished
-    /// [`TraceWriter`] among them). A finished file of zero records is
-    /// [`TraceFileError::Empty`]: a [`TraceSource`] must be non-empty.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let path = path.as_ref().to_path_buf();
-        let mut reader = RecordReader::new(std::fs::File::open(&path)?);
-        let total = reader.read_header()?;
-        // Validation pass: every record must be whole, and the count must
-        // match the header exactly (no trailing garbage, no truncation).
-        let actual = reader.skip_records()?;
+        let total = u64::from_be_bytes(header[6..14].try_into().expect("8-byte count"));
+        let body = file_bytes.saturating_sub(TRACE_HEADER_LEN);
+        if body % RECORD_LEN as u64 != 0 {
+            return Err(TraceFileError::Truncated);
+        }
+        let actual = body / RECORD_LEN as u64;
         if actual != total {
             return Err(TraceFileError::CountMismatch {
                 header: total,
                 actual,
             });
         }
-        if total == 0 {
-            return Err(TraceFileError::Empty);
-        }
-        let mut src = Self {
-            reader,
-            path,
+        Ok(Self {
+            file,
+            path: path.to_path_buf(),
             total,
-            remaining: total,
-        };
-        src.reset();
-        Ok(src)
+            unread: total,
+            buf: vec![0; READ_RECORDS * RECORD_LEN].into_boxed_slice(),
+            pos: 0,
+            len: 0,
+        })
     }
 
-    /// The next record of a pass known to hold one (`remaining > 0`).
-    /// `open` validated the framing, so a failure here means the file was
-    /// modified while we replay it — not a recoverable state.
-    fn replay_record(&mut self) -> TraceRecord {
-        match self.reader.next_record() {
-            Ok(Some(record)) => record,
-            Ok(None) => panic!("trace file {} truncated during replay", self.path.display()),
-            Err(e) => panic!(
-                "trace file {} changed during replay: {e}",
-                self.path.display()
-            ),
+    /// Whether a record is buffered, reading the pass's next buffer of
+    /// records if none is; `false` once the pass is over. `open` checked
+    /// the file's size, so a failed read means the file was changed while
+    /// we replay it — not a recoverable state.
+    #[inline]
+    fn buffered(&mut self) -> bool {
+        if self.pos == self.len && self.unread > 0 {
+            let n = self.unread.min(READ_RECORDS as u64) as usize;
+            let bytes = &mut self.buf[..n * RECORD_LEN];
+            if let Err(e) = self.file.read_exact(bytes) {
+                panic!(
+                    "trace file {} changed during replay: {e}",
+                    self.path.display()
+                );
+            }
+            (self.pos, self.len) = (0, bytes.len());
+            self.unread -= n as u64;
         }
+        self.pos < self.len
     }
 }
 
-impl TraceSource for FileTraceSource {
+impl TraceSource for RecordReader {
     fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.replay_record())
+        self.buffered().then(|| {
+            let (record, _) = self.buf[self.pos..self.len].as_chunks::<RECORD_LEN>();
+            self.pos += RECORD_LEN;
+            decode(&record[0])
+        })
     }
 
     fn reset(&mut self) {
-        self.reader.seek_to(TRACE_HEADER_LEN).unwrap_or_else(|e| {
-            panic!(
-                "trace file {}: seek failed on reset: {e}",
-                self.path.display()
-            )
-        });
-        self.remaining = self.total;
+        self.file
+            .seek(SeekFrom::Start(TRACE_HEADER_LEN))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "trace file {}: seek failed on reset: {e}",
+                    self.path.display()
+                )
+            });
+        (self.unread, self.pos, self.len) = (self.total, 0, 0);
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -716,22 +555,83 @@ impl TraceSource for FileTraceSource {
     }
 
     fn next_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
-        // One remaining-count check per batch instead of per record; the
-        // decode loop then runs straight against the refill buffer, and
-        // only the record that straddles a refill (or ends the file) takes
-        // the general path.
-        let n = (self.remaining).min(max as u64) as usize;
-        out.reserve(n);
-        let mut done = 0;
-        while done < n {
-            done += self.reader.decode_buffered(out, n - done);
-            if done < n {
-                out.push(self.replay_record());
-                done += 1;
-            }
+        let mut n = 0;
+        while n < max && self.buffered() {
+            let (records, _) = self.buf[self.pos..self.len].as_chunks::<RECORD_LEN>();
+            let records = &records[..records.len().min(max - n)];
+            out.extend(records.iter().map(decode));
+            self.pos += records.len() * RECORD_LEN;
+            n += records.len();
         }
-        self.remaining -= n as u64;
         n
+    }
+}
+
+/// A [`TraceSource`] streaming records from a binary trace file in O(1)
+/// memory: the decoder of the format, and the replay path for
+/// `pythia-cli trace replay`.
+///
+/// [`open`](FileTraceSource::open) checks the entire file up front, by
+/// its size, so the replay afterwards cannot meet a decode error; a
+/// failed read mid-stream would mean the file changed underneath us and
+/// aborts with a panic naming the file. The decoder runs behind
+/// [`ReadAhead::wrap`], so a long replay decodes on an idle CPU.
+pub struct FileTraceSource {
+    path: PathBuf,
+    source: Box<dyn TraceSource>,
+}
+
+impl std::fmt::Debug for FileTraceSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FileTraceSource")
+            .field("path", &self.path)
+            .field("total", &self.source.len_hint())
+            .finish_non_exhaustive()
+    }
+}
+
+impl FileTraceSource {
+    /// Opens and fully validates a trace file (header, and a size of
+    /// exactly the header's count of records), leaving the stream
+    /// positioned at the first record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceFileError`] on I/O failures, a bad header, a torn
+    /// last record, or a header/content record-count mismatch (an
+    /// unfinished [`TraceWriter`] among them). A finished file of zero
+    /// records is [`TraceFileError::Empty`]: a [`TraceSource`] must be
+    /// non-empty.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
+        let path = path.as_ref().to_path_buf();
+        let reader = RecordReader::open(&path)?;
+        if reader.total == 0 {
+            return Err(TraceFileError::Empty);
+        }
+        let source = ReadAhead::wrap(Box::new(reader));
+        Ok(Self { path, source })
+    }
+}
+
+impl TraceSource for FileTraceSource {
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        self.source.next_record()
+    }
+
+    fn reset(&mut self) {
+        self.source.reset();
+    }
+
+    fn len_hint(&self) -> Option<u64> {
+        self.source.len_hint()
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
+        self.source.next_batch(out, max)
+    }
+
+    fn refill(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
+        self.source.refill(buf, max)
     }
 }
 
@@ -759,23 +659,21 @@ pub struct TraceInfo {
     pub addr_range: Option<(u64, u64)>,
 }
 
-/// Streams through a trace file and returns its [`TraceInfo`] without
-/// materializing any records.
+/// Checks a trace file as [`FileTraceSource::open`] does, then streams
+/// through it and returns its [`TraceInfo`] without materializing any
+/// records. A finished file of zero records is valid here.
 ///
 /// # Errors
 ///
-/// Returns [`TraceFileError`] on I/O failures, a bad header, torn records,
-/// or a header/content record-count mismatch.
+/// Returns [`TraceFileError`] on I/O failures, a bad header, a torn last
+/// record, or a header/content record-count mismatch.
 pub fn trace_file_info(path: impl AsRef<Path>) -> Result<TraceInfo, TraceFileError> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path)?;
-    let file_bytes = file.metadata()?.len();
-    let mut reader = RecordReader::new(file);
-    let total = reader.read_header()?;
+    let mut reader = RecordReader::open(path.as_ref())?;
     let mut info = TraceInfo {
         version: TRACE_VERSION,
-        records: 0,
-        file_bytes,
+        records: reader.total,
+        // What `open` checked the file's size against.
+        file_bytes: TRACE_HEADER_LEN + RECORD_LEN as u64 * reader.total,
         loads: 0,
         stores: 0,
         branches: 0,
@@ -783,8 +681,7 @@ pub fn trace_file_info(path: impl AsRef<Path>) -> Result<TraceInfo, TraceFileErr
         dependent_loads: 0,
         addr_range: None,
     };
-    while let Some(r) = reader.next_record()? {
-        info.records += 1;
+    while let Some(r) = reader.next_record() {
         if let Some(m) = r.mem {
             if m.is_write {
                 info.stores += 1;
@@ -806,12 +703,6 @@ pub fn trace_file_info(path: impl AsRef<Path>) -> Result<TraceInfo, TraceFileErr
             info.dependent_loads += 1;
         }
     }
-    if info.records != total {
-        return Err(TraceFileError::CountMismatch {
-            header: total,
-            actual: info.records,
-        });
-    }
     Ok(info)
 }
 
@@ -831,17 +722,17 @@ mod tests {
     }
 
     /// `sample()` on the wire, written out by hand: the 14-byte header
-    /// (magic "PYTR", version 1, record count 6), then one record per
-    /// line — the flag byte, the big-endian pc, and the big-endian addr
-    /// iff the record touches memory.
+    /// (magic "PYTR", version 2, record count 6), then one 17-byte record
+    /// per line — the flag byte, the big-endian pc, and the big-endian
+    /// addr, zero when the record touches no memory.
     #[rustfmt::skip]
-    const SAMPLE_BYTES: [u8; 92] = [
-        b'P', b'Y', b'T', b'R', 0, 1, 0, 0, 0, 0, 0, 0, 0, 6,
-        0x00, 0, 0, 0, 0, 0, 0x40, 0, 0x00,
+    const SAMPLE_BYTES: [u8; 116] = [
+        b'P', b'Y', b'T', b'R', 0, 2, 0, 0, 0, 0, 0, 0, 0, 6,
+        0x00, 0, 0, 0, 0, 0, 0x40, 0, 0x00, 0, 0, 0, 0, 0, 0, 0, 0,
         0x01, 0, 0, 0, 0, 0, 0x40, 0, 0x04, 0, 0, 0, 0, 0xde, 0xad, 0, 0x40,
         0x03, 0, 0, 0, 0, 0, 0x40, 0, 0x08, 0, 0, 0, 0, 0xbe, 0xef, 0, 0x80,
-        0x0c, 0, 0, 0, 0, 0, 0x40, 0, 0x0c,
-        0x14, 0, 0, 0, 0, 0, 0x40, 0, 0x10,
+        0x0c, 0, 0, 0, 0, 0, 0x40, 0, 0x0c, 0, 0, 0, 0, 0, 0, 0, 0,
+        0x14, 0, 0, 0, 0, 0, 0x40, 0, 0x10, 0, 0, 0, 0, 0, 0, 0, 0,
         0x21, 0, 0, 0, 0, 0, 0x40, 0, 0x14, 0, 0, 0, 0, 0xaa, 0xaa, 0, 0,
     ];
 
@@ -909,12 +800,15 @@ mod tests {
 
     #[test]
     fn decode_rejects_wrong_version() {
-        let mut bytes = SAMPLE_BYTES;
-        bytes[4..6].copy_from_slice(&99u16.to_be_bytes());
-        assert_eq!(
-            verdicts("version.pytr", &bytes),
-            both("UnsupportedVersion(99)")
-        );
+        // Version 1, the variable-length framing, is no longer read.
+        for version in [1u16, 99] {
+            let mut bytes = SAMPLE_BYTES;
+            bytes[4..6].copy_from_slice(&version.to_be_bytes());
+            assert_eq!(
+                verdicts("version.pytr", &bytes),
+                both(&format!("UnsupportedVersion({version})"))
+            );
+        }
     }
 
     #[test]
@@ -1073,15 +967,41 @@ mod tests {
             .collect()
     }
 
-    /// Validation by full decode — every record through the general
-    /// `next_record` path, counted — the reference the framing walk must
-    /// agree with.
+    /// Validation by full decode — the header, then every record read
+    /// and decoded one at a time until the file ends, counted — the
+    /// reference the size check must agree with.
     fn open_by_full_decode(path: &Path) -> Result<u64, TraceFileError> {
-        let mut reader = RecordReader::new(std::fs::File::open(path)?);
-        let total = reader.read_header()?;
+        let mut file = std::fs::File::open(path)?;
+        // The next `n` bytes of the file, fewer only at its end.
+        let mut next = |n: u64| -> Result<Vec<u8>, TraceFileError> {
+            let mut bytes = Vec::new();
+            (&mut file).take(n).read_to_end(&mut bytes)?;
+            Ok(bytes)
+        };
+        let header = next(TRACE_HEADER_LEN)?;
+        if header.len() < TRACE_HEADER_LEN as usize {
+            return Err(TraceFileError::Truncated);
+        }
+        if header[0..4] != TRACE_MAGIC.to_be_bytes() {
+            return Err(TraceFileError::BadMagic);
+        }
+        if header[4..6] != TRACE_VERSION.to_be_bytes() {
+            return Err(TraceFileError::UnsupportedVersion(u16::from_be_bytes([
+                header[4], header[5],
+            ])));
+        }
+        let total = u64::from_be_bytes(header[6..14].try_into().expect("8-byte count"));
         let mut actual = 0u64;
-        while reader.next_record()?.is_some() {
-            actual += 1;
+        loop {
+            let record = next(RECORD_LEN as u64)?;
+            match <&[u8; RECORD_LEN]>::try_from(&record[..]) {
+                Ok(record) => {
+                    decode(record);
+                    actual += 1;
+                }
+                Err(_) if record.is_empty() => break,
+                Err(_) => return Err(TraceFileError::Truncated),
+            }
         }
         if actual != total {
             return Err(TraceFileError::CountMismatch {
@@ -1110,7 +1030,7 @@ mod tests {
         assert_eq!(
             framing,
             outcome(open_by_full_decode(path)),
-            "{what}: framing walk and full decode disagree"
+            "{what}: size check and full decode disagree"
         );
         framing
     }
@@ -1133,9 +1053,10 @@ mod tests {
         for tail in [
             vec![0u8],
             vec![FLAG_HAS_MEM; 9],
-            vec![0u8; 9],
+            vec![0u8; 16],
             vec![0xffu8; 17],
-            vec![0xa5u8; 40],
+            vec![0xa5u8; 34],
+            vec![0x5au8; 40],
             (0..=255u8).collect(),
         ] {
             let mut damaged = encoded.clone();
@@ -1147,6 +1068,10 @@ mod tests {
         assert!(seen.contains("Truncated"), "{seen:?}");
         assert!(
             seen.contains("CountMismatch { header: 200, actual: 201 }"),
+            "{seen:?}"
+        );
+        assert!(
+            seen.contains("CountMismatch { header: 200, actual: 202 }"),
             "{seen:?}"
         );
 
@@ -1162,17 +1087,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A file larger than the reader's refill buffer: the framing walk and
-    /// the batch decode both straddle refills, cuts around the refill
-    /// boundary get the full decode's verdict, and batches of two sizes and
-    /// the record-by-record path replay one stream over two passes.
+    /// A file larger than the reader's refill buffer: the batch decode
+    /// straddles refills, cuts around the refill boundary get the full
+    /// decode's verdict, and batches of two sizes and the record-by-record
+    /// path replay one stream over two passes.
     #[test]
     fn open_replays_identical_streams_across_refills() {
         let records = mixed_records(8_000);
         let encoded = encoded(&records);
-        assert!(encoded.len() > READER_BUF_LEN + 1_000);
+        let buffer = READ_RECORDS * RECORD_LEN;
+        assert!(encoded.len() > buffer + 1_000);
         let path = temp_path("refill.pytr");
-        for cut in READER_BUF_LEN - 20..READER_BUF_LEN + 20 {
+        for cut in buffer - 20..buffer + 20 {
             assert_same_verdict(&path, &encoded[..cut], &format!("cut at {cut}"));
         }
         assert_eq!(assert_same_verdict(&path, &encoded, "intact"), "ok");

@@ -180,18 +180,6 @@ fn suite_label(s: Suite) -> &'static str {
     s.label()
 }
 
-fn suite_from(label: &str) -> Result<Suite, String> {
-    Ok(match label {
-        "SPEC06" => Suite::Spec06,
-        "SPEC17" => Suite::Spec17,
-        "PARSEC" => Suite::Parsec,
-        "Ligra" => Suite::Ligra,
-        "Cloudsuite" => Suite::Cloudsuite,
-        "CVP-unseen" => Suite::CvpUnseen,
-        other => return Err(format!("unknown suite {other:?}")),
-    })
-}
-
 fn workload_json(w: &Workload) -> Json {
     Json::obj()
         .set("name", w.name.as_str())
@@ -202,7 +190,7 @@ fn workload_json(w: &Workload) -> Json {
 fn workload_from(j: &Json) -> Result<Workload, String> {
     Ok(Workload {
         name: j.str_field("name")?.to_string(),
-        suite: suite_from(j.str_field("suite")?)?,
+        suite: label_from(&Suite::ALL, suite_label, "suite", j.str_field("suite")?)?,
         spec: trace_spec_from(j.field("spec")?)?,
     })
 }
@@ -252,6 +240,13 @@ fn data_label(d: DataFlow) -> &'static str {
         DataFlow::LastFourDeltas => "last-four-deltas",
         DataFlow::OffsetXorDelta => "offset-xor-delta",
         DataFlow::None => "none",
+    }
+}
+
+fn vault_combine_label(c: VaultCombine) -> &'static str {
+    match c {
+        VaultCombine::Max => "max",
+        VaultCombine::Mean => "mean",
     }
 }
 
@@ -314,13 +309,7 @@ fn pythia_config_json(c: &PythiaConfig) -> Json {
         .set("eq_size", c.eq_size)
         .set("planes", c.planes)
         .set("plane_index_bits", u64::from(c.plane_index_bits))
-        .set(
-            "vault_combine",
-            match c.vault_combine {
-                VaultCombine::Max => "max",
-                VaultCombine::Mean => "mean",
-            },
-        )
+        .set("vault_combine", vault_combine_label(c.vault_combine))
         .set(
             "q_init_override",
             match c.q_init_override {
@@ -372,11 +361,12 @@ fn pythia_config_from(j: &Json) -> Result<PythiaConfig, String> {
         eq_size: j.uint_field("eq_size")?,
         planes: j.uint_field("planes")?,
         plane_index_bits: j.uint_field("plane_index_bits")?,
-        vault_combine: match j.str_field("vault_combine")? {
-            "max" => VaultCombine::Max,
-            "mean" => VaultCombine::Mean,
-            other => return Err(format!("unknown vault_combine {other:?}")),
-        },
+        vault_combine: label_from(
+            &VaultCombine::ALL,
+            vault_combine_label,
+            "vault_combine",
+            j.str_field("vault_combine")?,
+        )?,
         q_init_override: match j.field("q_init_override")? {
             Json::Null => None,
             _ => Some(j.f32_field("q_init_override")?),
@@ -811,6 +801,31 @@ mod tests {
             feature("pc", "Delta"),
             Err("unknown data flow \"Delta\"".into())
         );
+        let combine = |label: &str| {
+            let mut config = pythia_config_json(&PythiaConfig::basic());
+            if let Json::Obj(fields) = &mut config {
+                let field = fields.iter_mut().find(|(k, _)| k == "vault_combine");
+                field.expect("encoded").1 = label.into();
+            }
+            pythia_config_from(&config).map(|c| c.vault_combine)
+        };
+        assert_eq!(combine("mean"), Ok(VaultCombine::Mean));
+        assert_eq!(
+            combine("Mean"),
+            Err("unknown vault_combine \"Mean\"".into())
+        );
+        let suite = |label: &str| {
+            let spec = TraceSpec::new("x", PatternKind::PointerChase);
+            let workload = Json::obj()
+                .set("name", "x")
+                .set("suite", label)
+                .set("spec", trace_spec_json(&spec));
+            workload_from(&workload).map(|w| w.suite)
+        };
+        for s in Suite::ALL {
+            assert_eq!(suite(s.label()), Ok(s), "the labels decode");
+        }
+        assert_eq!(suite("Spec06"), Err("unknown suite \"Spec06\"".into()));
     }
 
     #[test]

@@ -512,7 +512,7 @@ mod tests {
     /// longer decodes must not stay: the read that finds it says so once,
     /// and the digest is a plain miss from then on, on either leaf. (An
     /// artifact damaged into something that still decodes needs a content
-    /// checksum; ROADMAP item 6.)
+    /// checksum; ROADMAP "Crash anywhere".)
     #[test]
     fn corrupt_artifacts_error_instead_of_panicking() {
         let dir = tmp_dir("corrupt");

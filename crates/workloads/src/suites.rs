@@ -24,6 +24,16 @@ pub enum Suite {
 }
 
 impl Suite {
+    /// Every suite, in Table 6 order and then the unseen traces.
+    pub const ALL: [Suite; 6] = [
+        Suite::Spec06,
+        Suite::Spec17,
+        Suite::Parsec,
+        Suite::Ligra,
+        Suite::Cloudsuite,
+        Suite::CvpUnseen,
+    ];
+
     /// Display name matching the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {

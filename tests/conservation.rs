@@ -1,6 +1,6 @@
-//! ROADMAP item 2, the simulator's share of the conservation laws: what
-//! the cache levels, the prefetch outcomes and the DRAM counters must add
-//! up to, whatever the prefetcher and the trace.
+//! The simulator's share of the conservation laws (ROADMAP "Simulator
+//! audit"): what the cache levels, the prefetch outcomes and the DRAM
+//! counters must add up to, whatever the prefetcher and the trace.
 //!
 //! Every registry prefetcher runs every workload of the three trace-gen
 //! profiles at three derived seeds, from cold caches with no warm-up (the
@@ -184,7 +184,9 @@ fn levels_prefetch_outcomes_and_dram_traffic_are_conserved() {
 }
 
 /// Every core is told of every unused prefetch the shared LLC evicts, its
-/// own or not (ROADMAP item 3(c)), and the books count what it was told.
+/// own or not (the defect that
+/// `an_unused_llc_prefetch_is_charged_to_the_core_that_issued_it`
+/// documents), and the books count what it was told.
 #[test]
 fn four_core_books_count_every_cores_llc_victims() {
     let seed = derive_seed(0x5079_7468, "conservation-4c");

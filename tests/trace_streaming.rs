@@ -250,7 +250,10 @@ fn a_mid_pass_reset_of_a_read_ahead_stream_is_the_inline_reset() {
 /// The two runs `ReadAhead::wrap` changes most: `tests/report_pins.rs`'
 /// `fresh-lines-150mtps` (one trace of 150 K records, every register file
 /// binding) and a four-core mix of 200 K records per core — both
-/// byte-identical read ahead and inline.
+/// byte-identical read ahead and inline. The first also replays from a
+/// recorded file, which `FileTraceSource::open` reads ahead where a CPU
+/// is idle (at least `ReadAhead::MIN_RECORDS` records) and decodes
+/// inline under `taskset -c 0`.
 #[test]
 fn read_ahead_reports_are_byte_identical_to_inline_ones() {
     let inline = |t: &TraceSpec| -> Box<dyn TraceSource> { Box::new(t.stream()) };
@@ -283,13 +286,30 @@ fn read_ahead_reports_are_byte_identical_to_inline_ones() {
         w.spec.clone().with_instructions(mix_run.trace_len())
     })
     .collect();
-    for (label, traces, run, prefetcher) in [
-        ("fresh-lines-150mtps", vec![fresh], fresh_run, "pythia"),
-        ("mix4-600mtps", mix, mix_run, "none"),
+    let path = trace_path("pythia_trace_read_ahead", "pin-fresh");
+    record(&mut fresh.stream(), &path);
+    assert!(fresh.instructions as u64 >= ReadAhead::MIN_RECORDS);
+    let from_file = |_: &TraceSpec| -> Box<dyn TraceSource> {
+        Box::new(FileTraceSource::open(&path).expect("open"))
+    };
+    for (label, traces, run, prefetcher, recorded) in [
+        (
+            "fresh-lines-150mtps",
+            vec![fresh],
+            fresh_run,
+            "pythia",
+            true,
+        ),
+        ("mix4-600mtps", mix, mix_run, "none", false),
     ] {
         let report = |open: &dyn Fn(&TraceSpec) -> Box<dyn TraceSource>| {
             run_sources(traces.iter().map(open).collect(), prefetcher, &run)
         };
-        assert_eq!(report(&ahead), report(&inline), "{label}");
+        let expected = report(&inline);
+        assert_eq!(report(&ahead), expected, "{label}");
+        if recorded {
+            assert_eq!(report(&from_file), expected, "{label} from a file");
+        }
     }
+    std::fs::remove_file(&path).ok();
 }
