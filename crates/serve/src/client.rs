@@ -1,13 +1,40 @@
 //! Client helpers — the machinery behind `pythia-cli submit`. Every helper
-//! sends its request through one private `call`: a fresh
-//! [`crate::http::ClientConn`] per request, which asks the server to close
-//! it after the reply.
+//! sends its request through one private `call`, which keeps one
+//! [`crate::http::ClientConn`] per thread, to the server that thread called
+//! last, and sends each request on it while the server keeps it open.
+//!
+//! * *Reuse only an idle connection.* Before each request a non-blocking
+//!   check must find no unread byte and no end-of-stream on the socket:
+//!   a server that timed the connection out has queued a `408` and a FIN,
+//!   and that `408` must not come back as the reply to a new request.
+//! * *Keep it only after a reply that allows it:* one framed by
+//!   `Content-Length` that does not say `connection: close` (the server
+//!   closes after a `400`, `408`, `413` or `503`).
+//! * *Retry once on a reused connection.* If it fails before any byte of a
+//!   reply arrives (a write error, a reset or end-of-stream), or answers
+//!   `408` because the server's idle close crossed the request, the request
+//!   goes once more on a new connection, whose failure is returned. Every
+//!   request the helpers send is safe to repeat: the `GET`s, and
+//!   `POST /campaigns`, which attaches to the same digest, so a repeat is
+//!   booked as one more cache hit or coalesce.
+//!
+//! A session of helper calls thus pays the connect, the server's wake-up
+//! of a parked handler and the hand-off to it once per thread, not once
+//! per request. The cost: a kept connection holds one of the server's
+//! `max_conns` slots and one handler thread until its thread exits or the
+//! server's idle timeout (30 s by default) closes it.
 
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use pythia_stats::json::{parse, Json};
 
 use crate::http::{ClientConn, Reply};
+
+thread_local! {
+    /// The connection this thread keeps, to the server it called last.
+    static KEPT: Cell<Option<ClientConn>> = const { Cell::new(None) };
+}
 
 /// A submission acknowledgement.
 #[derive(Debug, Clone)]
@@ -37,8 +64,11 @@ fn text_of(body: Vec<u8>) -> Result<String, String> {
     String::from_utf8(body).map_err(|_| "response is not utf-8".to_string())
 }
 
-/// Sends one request to `addr` on a connection of its own, closed after
-/// the reply: the one path of every helper in this module.
+/// Sends one request to `addr` on this thread's kept connection when it
+/// goes to `addr` and is idle, on a new one otherwise, and keeps the
+/// connection for the thread's next call if the reply allows it: the one
+/// path of every helper in this module, under the rules in the module
+/// docs.
 fn call(
     addr: &str,
     method: &str,
@@ -46,8 +76,28 @@ fn call(
     body: &[u8],
     headers: &[(&str, &str)],
 ) -> Result<Reply, String> {
-    let headers = [&[("connection", "close")], headers].concat();
-    ClientConn::connect(addr)?.request_with(method, target, body, &headers)
+    let kept = KEPT
+        .take()
+        .filter(|conn| conn.addr() == addr && conn.is_idle());
+    let reused = kept.is_some();
+    let mut conn = match kept {
+        Some(conn) => conn,
+        None => ClientConn::connect(addr)?,
+    };
+    let mut reply = conn.exchange(method, target, body, headers);
+    let stale = match &reply {
+        Ok(reply) => reply.status == 408,
+        Err(e) => e.unanswered,
+    };
+    if reused && stale {
+        conn = ClientConn::connect(addr)?;
+        reply = conn.exchange(method, target, body, headers);
+    }
+    let reply = reply.map_err(|e| e.message)?;
+    if conn.reusable() {
+        KEPT.set(Some(conn));
+    }
+    Ok(reply)
 }
 
 /// `reply` if its status is one of `ok`, else the service's error message.

@@ -68,6 +68,25 @@ fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
         .map(|(_, v)| v.as_str())
 }
 
+/// What an explicit `Connection` header (a comma-separated token list)
+/// says: `Some(true)` when its last `close` or `keep-alive` token is
+/// `close`, `Some(false)` when it is `keep-alive`, `None` without either.
+fn connection_closes(headers: &[(String, String)]) -> Option<bool> {
+    header(headers, "connection")?
+        .split(',')
+        .rev()
+        .find_map(|token| {
+            let token = token.trim();
+            if token.eq_ignore_ascii_case("close") {
+                Some(true)
+            } else if token.eq_ignore_ascii_case("keep-alive") {
+                Some(false)
+            } else {
+                None
+            }
+        })
+}
+
 /// A response about to be written: status code, payload, and any extra
 /// headers (`etag`, ...).
 #[derive(Debug, Clone)]
@@ -432,21 +451,8 @@ impl RequestReader {
             return Err(RequestError::TooLarge("body too large".into()));
         }
 
-        // HTTP/1.0 defaults to close; 1.1 defaults to keep-alive. An
-        // explicit Connection header (a comma-separated token list)
-        // overrides the default either way.
-        let mut close = version == "HTTP/1.0";
-        for token in header(&headers, "connection")
-            .unwrap_or_default()
-            .split(',')
-        {
-            let token = token.trim();
-            if token.eq_ignore_ascii_case("close") {
-                close = true;
-            } else if token.eq_ignore_ascii_case("keep-alive") {
-                close = false;
-            }
-        }
+        // HTTP/1.0 defaults to close; 1.1 defaults to keep-alive.
+        let close = connection_closes(&headers).unwrap_or(version == "HTTP/1.0");
         let method = method.to_uppercase();
         let (path, query) = split_target(target);
 
@@ -576,6 +582,28 @@ pub struct ClientConn {
     stream: TcpStream,
     addr: String,
     carry: Vec<u8>,
+    /// The last reply allows another request: it was framed by its
+    /// `Content-Length`, said no `connection: close`, and nothing was read
+    /// past it.
+    reusable: bool,
+}
+
+/// A failed exchange on a [`ClientConn`]: the message, and whether it
+/// failed before any byte of a reply arrived (a write error, a reset or
+/// end-of-stream), which is when a caller may send the request again on
+/// another connection.
+pub(crate) struct ExchangeError {
+    pub(crate) message: String,
+    pub(crate) unanswered: bool,
+}
+
+impl From<String> for ExchangeError {
+    fn from(message: String) -> Self {
+        Self {
+            message,
+            unanswered: false,
+        }
+    }
 }
 
 impl ClientConn {
@@ -597,6 +625,7 @@ impl ClientConn {
             stream,
             addr: addr.to_string(),
             carry: Vec::new(),
+            reusable: true,
         })
     }
 
@@ -621,23 +650,66 @@ impl ClientConn {
         body: &[u8],
         extra_headers: &[(&str, &str)],
     ) -> Result<Reply, String> {
+        self.exchange(method, target, body, extra_headers)
+            .map_err(|e| e.message)
+    }
+
+    /// [`ClientConn::request_with`], saying in its error whether any byte
+    /// of a reply arrived.
+    pub(crate) fn exchange(
+        &mut self,
+        method: &str,
+        target: &str,
+        body: &[u8],
+        extra_headers: &[(&str, &str)],
+    ) -> Result<Reply, ExchangeError> {
+        self.reusable = false;
         let headers = [("host", self.addr.as_str())]
             .into_iter()
             .chain(extra_headers.iter().copied());
         let start_line = format_args!("{method} {target} HTTP/1.1");
-        write_message(&mut self.stream, start_line, headers, body)
-            .map_err(|e| format!("write {}: {e}", self.addr))?;
+        write_message(&mut self.stream, start_line, headers, body).map_err(|e| ExchangeError {
+            message: format!("write {}: {e}", self.addr),
+            unanswered: true,
+        })?;
         self.read_reply()
+    }
+
+    /// The address this connection was opened to.
+    pub(crate) fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// Whether the last reply allows another request on this connection.
+    pub(crate) fn reusable(&self) -> bool {
+        self.reusable
+    }
+
+    /// Whether the peer has sent nothing since the last reply: no byte and
+    /// no end-of-stream, checked without blocking. A server that timed the
+    /// connection out has already queued a `408` and a FIN, so a request
+    /// sent on it would read that `408` as its reply.
+    pub(crate) fn is_idle(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let pending = self.stream.peek(&mut [0u8]);
+        let blocking = self.stream.set_nonblocking(false);
+        matches!(pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock) && blocking.is_ok()
     }
 
     /// Reads one reply: its head by `parse_head`'s rule, its status code,
     /// and a body of its `Content-Length`, or to end-of-stream only when it
     /// declares none. The body has no size cap: result artifacts are large.
-    fn read_reply(&mut self) -> Result<Reply, String> {
+    fn read_reply(&mut self) -> Result<Reply, ExchangeError> {
         let addr = &self.addr;
         let mut buf = std::mem::take(&mut self.carry);
-        let head_end = read_head(&mut self.stream, &mut buf, "response")
-            .map_err(|e| format!("read {addr}: {e}"))?;
+        let head_end =
+            read_head(&mut self.stream, &mut buf, "response").map_err(|e| ExchangeError {
+                unanswered: buf.is_empty()
+                    && matches!(e, RequestError::Closed | RequestError::Io(_)),
+                message: format!("read {addr}: {e}"),
+            })?;
         let Head {
             start_line,
             headers,
@@ -654,10 +726,12 @@ impl ClientConn {
         read_body(&mut self.stream, &mut buf, total).map_err(|e| format!("read {addr}: {e}"))?;
         if let Some(total) = total {
             if buf.len() < total {
-                return Err("connection closed mid-response".into());
+                return Err(String::from("connection closed mid-response").into());
             }
             self.carry = buf.split_off(total);
         }
+        self.reusable =
+            total.is_some() && self.carry.is_empty() && connection_closes(&headers) != Some(true);
         let body = buf.split_off(body_start);
         Ok(Reply {
             status,
@@ -1355,11 +1429,12 @@ mod tests {
             stream: socket,
             addr: "fuzz".into(),
             carry: Vec::new(),
+            reusable: true,
         };
         let mut offset = 0;
         loop {
             let rest = &stream[offset..];
-            match conn.read_reply() {
+            match conn.read_reply().map_err(|e| e.message) {
                 Ok(reply) => {
                     offset += assert_framed(&reply.headers, &reply.body, rest, false, shown)
                 }

@@ -1117,7 +1117,9 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
     let etag = format!("\"{}.json\"", cold.digest);
     let fetch = client::result_conditional(&addr, &cold.digest, "json", Some(&etag)).expect("304");
     assert!(matches!(fetch, client::CachedFetch::NotModified));
-    // Handler threads bump the gauge down after the client sees the close.
+    // The client's calls ride one kept connection: the quiesced server has
+    // that one open. Handler threads bump the gauge down after the client
+    // sees a close.
     let quiesced = Instant::now() + Duration::from_secs(10);
     while client::metrics(&addr)
         .expect("metrics")
@@ -1130,9 +1132,10 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Scrape prom first: the JSON scrape after it sees one more accepted
-    // connection, one more request and one more `metrics` route sample,
-    // all of which the comparison below accounts for exactly.
+    // Scrape prom first: the JSON scrape after it sees one more request
+    // and one more `metrics` route sample, all of which the comparison
+    // below accounts for exactly. Both scrapes ride the kept connection,
+    // so no connection is accepted in between.
     let prom = client::metrics_prom(&addr).expect("prom text");
     let json = client::metrics(&addr).expect("metrics json");
     let at = |path: &str| {
@@ -1176,7 +1179,7 @@ fn metrics_json_and_prom_views_agree_on_a_quiesced_server() {
         0.0,
     );
     for (event, json_extra) in [
-        ("accepted", 1.0),
+        ("accepted", 0.0),
         ("rejected", 0.0),
         ("requests", 1.0),
         ("timeouts", 0.0),
@@ -1363,4 +1366,218 @@ fn wait_done_backs_off_from_one_millisecond_up_to_the_poll_interval() {
         (2..=10).contains(&requests),
         "one submission plus at most nine status polls, saw {requests}"
     );
+}
+
+/// A thread's helper calls ride one kept connection: a submit, its status
+/// polls, the result fetch and a `304` are all accepted once.
+#[test]
+fn a_threads_helper_calls_share_one_kept_connection() {
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        sim_threads: 1,
+        ..ServeConfig::default()
+    });
+    let submitted = submit_spec(&addr, &tiny_spec("svc-kept", 4_000));
+    for _ in 0..3 {
+        let doc = client::status(&addr, &submitted.digest).expect("status");
+        assert_eq!(
+            doc.get("digest").and_then(Json::as_str),
+            Some(submitted.digest.as_str())
+        );
+    }
+    client::wait_done(
+        &addr,
+        &submitted.digest,
+        Duration::from_millis(5),
+        Duration::from_secs(60),
+    )
+    .expect("campaign completes");
+    let fetch = client::result_conditional(&addr, &submitted.digest, "json", None).expect("200");
+    let client::CachedFetch::Fresh { etag, .. } = fetch else {
+        panic!("the first fetch is fresh");
+    };
+    let fetch =
+        client::result_conditional(&addr, &submitted.digest, "json", etag.as_deref()).expect("304");
+    assert!(matches!(fetch, client::CachedFetch::NotModified));
+    let obs = handle.scheduler().obs();
+    assert!(obs.connections.requests.get() >= 7, "every call was served");
+    assert_eq!(obs.connections.accepted.get(), 1, "one connection for all");
+    assert_eq!(obs.connections_active.get(), 1, "and it is still open");
+}
+
+/// A kept connection the server timed out is never reused: the `408` and
+/// the FIN it left are found before the next request, which goes on a new
+/// connection and gets its route's reply.
+#[test]
+fn a_call_after_the_idle_timeout_gets_its_reply_not_the_408() {
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 0,
+        idle_timeout: Duration::from_millis(50),
+        ..ServeConfig::default()
+    });
+    let obs = handle.scheduler().obs();
+    let listed = client::figures(&addr).expect("figures");
+    std::thread::sleep(Duration::from_millis(100));
+    // A handler the host held up past the sleep times out later.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while obs.connections.timeouts.get() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the idle connection never timed out"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let again = client::figures(&addr).expect("the route's reply, not a 408");
+    assert_eq!(again.render(), listed.render());
+    assert_eq!(obs.connections.timeouts.get(), 1, "the idle connection");
+    assert_eq!(obs.connections.accepted.get(), 2, "and one new one");
+}
+
+/// Two threads calling at once each keep a connection of their own, and
+/// each reads only its own replies.
+#[test]
+fn concurrent_threads_keep_one_connection_each() {
+    use std::sync::{Arc, Barrier};
+
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 0,
+        queue_cap: 4,
+        ..ServeConfig::default()
+    });
+    let start = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = ["svc-kept-a", "svc-kept-b"]
+        .into_iter()
+        .map(|tag| {
+            let (addr, start) = (addr.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                let digest = submit_spec(&addr, &tiny_spec(tag, 4_000)).digest;
+                for i in 0..50 {
+                    let doc = client::status(&addr, &digest).expect("status");
+                    assert_eq!(
+                        doc.get("digest").and_then(Json::as_str),
+                        Some(digest.as_str()),
+                        "poll {i} of {tag}"
+                    );
+                }
+                digest
+            })
+        })
+        .collect();
+    let digests: Vec<String> = threads
+        .into_iter()
+        .map(|t| t.join().expect("client thread"))
+        .collect();
+    assert_ne!(digests[0], digests[1]);
+    let obs = handle.scheduler().obs();
+    assert_eq!(obs.connections.requests.get(), 2 * 51);
+    assert_eq!(obs.connections.accepted.get(), 2, "one connection a thread");
+}
+
+/// A reply that says `connection: close` is not kept: each call over the
+/// connection cap is shed with a `503` on a connection of its own, and the
+/// first call after the slot frees keeps its connection again.
+#[test]
+fn a_reply_that_closes_is_not_kept() {
+    use pythia_serve::http::ClientConn;
+
+    let (handle, addr) = spawn(ServeConfig {
+        workers: 0,
+        max_conns: 1,
+        ..ServeConfig::default()
+    });
+    let obs = handle.scheduler().obs();
+    let mut held = ClientConn::connect(&addr).expect("connect");
+    assert_eq!(
+        held.request("GET", "/figures", b"").expect("held").status,
+        200
+    );
+    for i in 1..=2 {
+        // Shed: a `503`, or a reset when it crosses the request.
+        client::figures(&addr).expect_err("over the cap");
+        assert_eq!(obs.connections.accepted.get(), 1 + i, "call {i} connected");
+        assert_eq!(obs.connections.rejected.get(), i);
+    }
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client::figures(&addr).is_err() {
+        assert!(Instant::now() < deadline, "slot never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let accepted = obs.connections.accepted.get();
+    client::figures(&addr).expect("figures");
+    assert_eq!(obs.connections.accepted.get(), accepted, "kept once served");
+}
+
+/// Reads one bodyless request head off `stream`, or `None` at
+/// end-of-stream.
+fn read_request_head(stream: &mut std::net::TcpStream) -> Option<String> {
+    use std::io::Read;
+
+    let mut head = Vec::new();
+    let mut byte = [0u8];
+    while !head.ends_with(b"\r\n\r\n") {
+        match stream.read(&mut byte) {
+            Ok(1) => head.push(byte[0]),
+            _ => return None,
+        }
+    }
+    Some(String::from_utf8(head).expect("utf-8 head"))
+}
+
+/// A raw server: it answers the first request of its first connection
+/// with keep-alive, reads the next request and closes without a reply,
+/// then reads one request on a second connection and answers it when
+/// `answer_retry`, closing it unanswered otherwise.
+fn drop_second_request(listener: std::net::TcpListener, answer_retry: bool) {
+    use std::io::Write;
+
+    let reply = |n: u32| {
+        let body = format!("{{\"n\":{n}}}");
+        format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let (mut first, _) = listener.accept().expect("accept");
+    read_request_head(&mut first).expect("first request");
+    first
+        .write_all(reply(1).as_bytes())
+        .expect("answer the first");
+    read_request_head(&mut first).expect("second request");
+    drop(first);
+    let (mut retry, _) = listener.accept().expect("accept the retry");
+    read_request_head(&mut retry).expect("retried request");
+    if answer_retry {
+        retry.write_all(reply(2).as_bytes()).expect("answer");
+    }
+}
+
+/// A reused connection that fails before any reply byte arrives is retried
+/// exactly once, on a new connection; a new connection that fails is an
+/// error, not a loop.
+#[test]
+fn a_request_a_kept_connection_drops_is_retried_once_on_a_new_one() {
+    for answer_retry in [true, false] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let accepts = listener.try_clone().expect("clone listener");
+        let server = std::thread::spawn(move || drop_second_request(accepts, answer_retry));
+        let first = client::metrics(&addr).expect("first reply");
+        assert_eq!(first.get("n").and_then(Json::as_u64), Some(1));
+        let retried = client::metrics(&addr);
+        if answer_retry {
+            let retried = retried.expect("the retry's reply");
+            assert_eq!(retried.get("n").and_then(Json::as_u64), Some(2));
+        } else {
+            let err = retried.expect_err("the retry failed too");
+            assert!(err.contains("connection closed"), "{err}");
+        }
+        server.join().expect("raw server");
+        // Any third connect would be queued on the listener by now.
+        listener.set_nonblocking(true).expect("nonblocking");
+        let third = listener.accept().map(|_| ()).map_err(|e| e.kind());
+        assert_eq!(third, Err(std::io::ErrorKind::WouldBlock), "{answer_retry}");
+    }
 }

@@ -230,6 +230,32 @@ fn multi_core_grid_is_byte_identical_across_thread_counts() {
     );
 }
 
+/// Thread-count invariance where cells read ahead: every trace is at least
+/// `ReadAhead::MIN_RECORDS` records, so at one thread a generated trace is
+/// produced on the idle CPU, while at two `SYSTEMS_ALIVE` keeps it inline.
+/// `ReadAhead::wrap`'s choice must never change a report. (The grids above
+/// run cells of 5 K–8 K instructions, which never read ahead.)
+#[test]
+fn read_ahead_scale_cells_are_byte_identical_across_thread_counts() {
+    let (warmup, measure) = (16_000, 56_000);
+    assert!(warmup + measure >= pythia_sim::trace::ReadAhead::MIN_RECORDS);
+    let spec = SweepSpec::new("read-ahead-grid")
+        .with_workloads([workload("470.lbm-164B"), workload("429.mcf-184B")])
+        .with_prefetchers(&["pythia"])
+        .with_seeds(&[7])
+        .with_config(ConfigPoint::single_core("read-ahead", warmup, measure));
+    let runs = [1usize, 2].map(|threads| {
+        let mut r = pythia_sweep::run(&spec, threads).expect("run");
+        r.throughput = None; // wall-clock telemetry, not payload
+        r
+    });
+    // Each unit runs `pythia` and its `none` baseline.
+    assert_eq!((runs[0].cells.len(), runs[0].baselines.len()), (2, 2));
+    assert_eq!(runs[0], runs[1], "1 vs 2 threads");
+    assert_eq!(runs[0].to_json().render(), runs[1].to_json().render());
+    assert_eq!(runs[0].to_markdown(), runs[1].to_markdown());
+}
+
 #[test]
 fn seed_axis_replicates_cells_deterministically() {
     let spec = SweepSpec::new("seeded")
