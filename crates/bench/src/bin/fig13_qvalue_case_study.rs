@@ -9,14 +9,10 @@ use pythia_workloads::generators::{PatternKind, TraceSpec};
 
 fn main() {
     let mut pythia = Pythia::new(PythiaConfig::basic());
-    let trace = TraceSpec::new(
-        "459.GemsFDTD-1320B",
-        PatternKind::PageVisit {
-            offsets: vec![0, 23],
-        },
-    )
-    .with_instructions(3_000_000)
-    .stream();
+    let trace = TraceSpec::new(PatternKind::PageVisit {
+        offsets: vec![0, 23],
+    })
+    .stream(3_000_000);
 
     // Mirror the agent's own feature extraction to find the probed feature
     // value: the trigger PC's first-touch (delta 0) PC+Delta value.

@@ -16,7 +16,7 @@ use pythia_stats::report::{frac_pct, pct, Table};
 use pythia_sweep::{ConfigPoint, Key, RawSummary, SweepResult, SweepSpec, Value, WorkUnit};
 use pythia_workloads::profiles::{derive_seed, Profile, CAMPAIGN_SEED};
 use pythia_workloads::suites::cvp_unseen;
-use pythia_workloads::{all_suites, mixes, suite, PatternKind, Suite, TraceSpec, Workload};
+use pythia_workloads::{all_suites, mixes, suite, PatternKind, Suite, Workload};
 
 use crate::{budget, Budget};
 
@@ -542,12 +542,8 @@ fn robust02() -> Vec<SweepSpec> {
         ("cloud", CloudMix { hot_pct: 10 }),
     ];
     let unit = |name: String, kind: PatternKind, group: &str| -> WorkUnit {
-        let spec = TraceSpec::new(name.clone(), kind).with_seed(derive_seed(CAMPAIGN_SEED, &name));
-        let mut u = WorkUnit::single(Workload {
-            name,
-            suite: Suite::CvpUnseen,
-            spec,
-        });
+        let seed = derive_seed(CAMPAIGN_SEED, &name);
+        let mut u = WorkUnit::single(Workload::new(Suite::CvpUnseen, &name, kind, seed));
         u.group = group.to_string();
         u
     };

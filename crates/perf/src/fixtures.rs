@@ -64,7 +64,7 @@ pub fn e2e_workload() -> Workload {
 /// a trace this long ahead on another CPU, which would hide the generator
 /// behind whatever consumes it.
 pub fn inline_stream(w: &Workload, n: usize) -> TraceStream {
-    w.spec.clone().with_instructions(n).stream()
+    w.spec.stream(n)
 }
 
 /// The floor under `gen_step`: what any generator of this shape must do

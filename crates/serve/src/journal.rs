@@ -64,7 +64,11 @@
 //! Journals written by older versions replay fine: missing `tenant` and
 //! `priority` fields default to the anonymous tenant at baseline
 //! priority, the retired `started` record is accepted and ignored, and a
-//! `cell` record without a `job` key is dropped, so its cell re-runs.
+//! `cell` record without a `job` key is dropped, so its cell re-runs. A
+//! campaign whose canonical form has changed since (so its body digests
+//! to a new value) keeps its `cell` and `done` records: they follow the
+//! digest of the `submitted` body, and a finished campaign stays
+//! finished.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -418,6 +422,10 @@ fn cell_line(digest: &str, index: usize, key: u64, report: &SimReport) -> String
 fn replay(bytes: &[u8], path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
     // Digest → position in `order`; preserves first-submission order.
     let mut order: Vec<PendingJob> = Vec::new();
+    // A recorded digest that differs from its body's: the canonical form
+    // changed since the record was written, and the job's `cell` and
+    // `done` records name it by the recorded one.
+    let mut redigested: Vec<(String, String)> = Vec::new();
     for (lineno, line) in bytes.split(|&b| b == b'\n').enumerate() {
         let skip = |what: &str| {
             obs.logger().warn(
@@ -443,13 +451,16 @@ fn replay(bytes: &[u8], path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
             skip("unparseable line");
             continue;
         };
-        let (Some(event), Some(digest)) = (
+        let (Some(event), Some(recorded)) = (
             json.get("event").and_then(Json::as_str),
             json.get("digest").and_then(Json::as_str),
         ) else {
             skip("record without event/digest");
             continue;
         };
+        let digest = (redigested.iter())
+            .find(|(old, _)| old == recorded)
+            .map_or(recorded, |(_, new)| new.as_str());
         match event {
             "submitted" => {
                 let campaign = json
@@ -462,6 +473,9 @@ fn replay(bytes: &[u8], path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
                 // Trust the body, not the recorded digest: recomputing
                 // guards against a corrupted digest field.
                 let digest = campaign.digest();
+                if digest != recorded {
+                    redigested.push((recorded.to_string(), digest.clone()));
+                }
                 if !order.iter().any(|p| p.digest == digest) {
                     order.push(PendingJob {
                         digest,
@@ -644,6 +658,32 @@ mod tests {
         assert_eq!(pending[0].tenant, DEFAULT_TENANT);
         assert_eq!(pending[0].priority, 1);
         assert!(pending[0].cells.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn records_under_an_older_digest_follow_their_body() {
+        // Written when the canonical form (so each digest) was another:
+        // `a` finished, `b` has one cell done.
+        let path = tmp_path("redigested");
+        let _ = std::fs::remove_file(&path);
+        let (a, b) = (tiny_campaign("old-a"), tiny_campaign("old-b"));
+        let record =
+            |event: &str, digest: &str| Json::obj().set("event", event).set("digest", digest);
+        let lines = [
+            record("submitted", "00000000000000aa").set("campaign", a.to_json()),
+            record("submitted", "00000000000000bb").set("campaign", b.to_json()),
+            record("cell", "00000000000000bb")
+                .set("cell", 1u64)
+                .set("job", "b1")
+                .set("report", sim_report_wire_json(&tiny_report(7))),
+            record("done", "00000000000000aa").set("ok", true),
+        ];
+        std::fs::write(&path, lines.map(|r| r.render() + "\n").concat()).expect("write");
+        let pending = Journal::open(&path).expect("open").take_pending();
+        assert_eq!(pending.len(), 1, "the finished campaign stays finished");
+        assert_eq!(pending[0].digest, b.digest());
+        assert_eq!(pending[0].cells, [(1, 0xb1, tiny_report(7))]);
         let _ = std::fs::remove_file(&path);
     }
 

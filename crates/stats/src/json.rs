@@ -330,7 +330,7 @@ const MAX_DEPTH: usize = 128;
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error, of
-/// an array or object nested deeper than [`MAX_DEPTH`], or of trailing
+/// an array or object nested deeper than `MAX_DEPTH` (128), or of trailing
 /// non-whitespace after the top-level value.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();

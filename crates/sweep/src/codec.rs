@@ -151,9 +151,7 @@ fn pattern_from(j: &Json) -> Result<PatternKind, String> {
 
 fn trace_spec_json(s: &TraceSpec) -> Json {
     Json::obj()
-        .set("name", s.name.as_str())
         .set("kind", pattern_json(&s.kind))
-        .set("instructions", s.instructions)
         .set("mem_pct", u64::from(s.mem_pct))
         .set("footprint_pages", u64_json(s.footprint_pages))
         .set("branch_pct", u64::from(s.branch_pct))
@@ -164,9 +162,7 @@ fn trace_spec_json(s: &TraceSpec) -> Json {
 
 fn trace_spec_from(j: &Json) -> Result<TraceSpec, String> {
     Ok(TraceSpec {
-        name: j.str_field("name")?.to_string(),
         kind: pattern_from(j.field("kind")?)?,
-        instructions: j.uint_field("instructions")?,
         mem_pct: j.uint_field("mem_pct")?,
         footprint_pages: j.uint_field("footprint_pages")?,
         branch_pct: j.uint_field("branch_pct")?,
@@ -176,21 +172,17 @@ fn trace_spec_from(j: &Json) -> Result<TraceSpec, String> {
     })
 }
 
-fn suite_label(s: Suite) -> &'static str {
-    s.label()
-}
-
 fn workload_json(w: &Workload) -> Json {
     Json::obj()
         .set("name", w.name.as_str())
-        .set("suite", suite_label(w.suite))
+        .set("suite", w.suite.label())
         .set("spec", trace_spec_json(&w.spec))
 }
 
 fn workload_from(j: &Json) -> Result<Workload, String> {
     Ok(Workload {
         name: j.str_field("name")?.to_string(),
-        suite: label_from(&Suite::ALL, suite_label, "suite", j.str_field("suite")?)?,
+        suite: label_from(&Suite::ALL, |s| s.label(), "suite", j.str_field("suite")?)?,
         spec: trace_spec_from(j.field("spec")?)?,
     })
 }
@@ -376,12 +368,16 @@ fn pythia_config_from(j: &Json) -> Result<PythiaConfig, String> {
     })
 }
 
-fn prefetcher_json(p: &PrefetcherSpec) -> Json {
-    let out = Json::obj().set("label", p.label.as_str());
-    match &p.kind {
-        PrefetcherKind::Named(name) => out.set("named", name.as_str()),
-        PrefetcherKind::Pythia(cfg) => out.set("pythia", pythia_config_json(cfg)),
+/// Canonical JSON of a prefetcher's build recipe, without its label.
+pub(crate) fn prefetcher_kind_json(kind: &PrefetcherKind) -> Json {
+    match kind {
+        PrefetcherKind::Named(name) => Json::obj().set("named", name.as_str()),
+        PrefetcherKind::Pythia(cfg) => Json::obj().set("pythia", pythia_config_json(cfg)),
     }
+}
+
+fn prefetcher_json(p: &PrefetcherSpec) -> Json {
+    prefetcher_kind_json(&p.kind).set("label", p.label.as_str())
 }
 
 fn prefetcher_from(j: &Json) -> Result<PrefetcherSpec, String> {
@@ -497,12 +493,16 @@ fn system_from(j: &Json) -> Result<SystemConfig, String> {
     })
 }
 
-fn config_point_json(c: &ConfigPoint) -> Json {
+/// Canonical JSON of what a config point simulates: system and budgets.
+pub(crate) fn config_key_json(c: &ConfigPoint) -> Json {
     Json::obj()
-        .set("label", c.label.as_str())
         .set("system", system_json(&c.system))
         .set("warmup", u64_json(c.warmup))
         .set("measure", u64_json(c.measure))
+}
+
+fn config_point_json(c: &ConfigPoint) -> Json {
+    config_key_json(c).set("label", c.label.as_str())
 }
 
 fn config_point_from(j: &Json) -> Result<ConfigPoint, String> {
@@ -512,6 +512,16 @@ fn config_point_from(j: &Json) -> Result<ConfigPoint, String> {
         warmup: j.uint_field("warmup")?,
         measure: j.uint_field("measure")?,
     })
+}
+
+/// Canonical JSON of what a unit simulates: each core's trace spec.
+pub(crate) fn unit_key_json(u: &WorkUnit) -> Json {
+    Json::Arr(
+        u.workloads
+            .iter()
+            .map(|w| trace_spec_json(&w.spec))
+            .collect(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -750,6 +760,29 @@ mod tests {
         assert_ne!(d1, Campaign::single(renamed).digest());
     }
 
+    /// A spec's length is the config's budget and its name is the
+    /// workload's, so a body whose trace spec carries either (an older
+    /// client's) decodes to the same campaign and digest.
+    #[test]
+    fn a_trace_spec_instruction_count_or_name_leaves_the_digest() {
+        let body = Campaign::single(sample_spec()).canonical();
+        let digest = Campaign::parse(&body).expect("decodes").digest();
+        for extra in [
+            r#""instructions":400000,"#,
+            r#""instructions":7,"#,
+            r#""name":"429.mcf-184B","#,
+            r#""name":"old","instructions":1,"#,
+        ] {
+            let old = body.replace(r#""spec":{"#, &format!(r#""spec":{{{extra}"#));
+            assert_ne!(old, body, "{extra}");
+            assert_eq!(
+                Campaign::parse(&old).expect(extra).digest(),
+                digest,
+                "{extra}"
+            );
+        }
+    }
+
     #[test]
     fn campaign_round_trips_through_text() {
         let c = Campaign::new("pair", vec![sample_spec(), sample_spec()]);
@@ -815,7 +848,7 @@ mod tests {
             Err("unknown vault_combine \"Mean\"".into())
         );
         let suite = |label: &str| {
-            let spec = TraceSpec::new("x", PatternKind::PointerChase);
+            let spec = TraceSpec::new(PatternKind::PointerChase);
             let workload = Json::obj()
                 .set("name", "x")
                 .set("suite", label)

@@ -25,7 +25,7 @@ use pythia_sim::stats::{SimReport, Throughput};
 use pythia_sim::trace::TraceSource;
 use pythia_stats::metrics;
 
-use crate::codec::fnv1a_64;
+use crate::codec::{self, fnv1a_64};
 use crate::result::{CellResult, RawSummary, SweepResult};
 use crate::spec::{ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec, WorkUnit};
 
@@ -37,9 +37,9 @@ fn simulate(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: 
         .workloads
         .iter()
         .map(|w| {
-            let mut w = w.clone();
-            w.spec.seed = w.spec.seed.wrapping_add(seed);
-            w.source(len)
+            let mut spec = w.spec.clone();
+            spec.seed = spec.seed.wrapping_add(seed);
+            spec.source(len)
         })
         .collect();
     match kind {
@@ -118,11 +118,11 @@ impl CellJob {
         simulate(&self.unit, &self.kind, &self.config, self.seed)
     }
 
-    /// FNV-1a digest of everything that determines this simulation —
-    /// workload specs, prefetcher kind, system config, budgets and seed
-    /// offset. No two jobs of one plan share a key; a job that a restart
-    /// finds journaled under its key is this simulation, whatever flat
-    /// index it sits at in this version's plan.
+    /// FNV-1a digest of the canonical JSON of what determines this
+    /// simulation — trace specs, system, budgets, seed offset, prefetcher
+    /// kind — and of no label or name. No two jobs of one plan share a key;
+    /// a job that a restart finds journaled under its key is this
+    /// simulation, whatever flat index it sits at in this version's plan.
     pub fn key(&self) -> u64 {
         self.key
     }
@@ -188,8 +188,8 @@ struct Coord<'a> {
 pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, String> {
     let mut jobs: Vec<CellJob> = Vec::new();
     let mut planned: HashMap<String, usize> = HashMap::new();
-    let mut plan = |at: &Coord, kind: &PrefetcherKind| -> usize {
-        let key = format!("{}|{kind:?}", at.key);
+    let mut plan = |at: &Coord, kind: &PrefetcherKind, text: &str| -> usize {
+        let key = at.key.clone() + text;
         *planned.entry(key).or_insert_with_key(|key| {
             jobs.push(CellJob {
                 instructions: (at.config.warmup + at.config.measure) * at.unit.cores() as u64,
@@ -215,37 +215,38 @@ pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, St
             report,
             baseline,
         };
+        let configs: Vec<String> = (spec.configs.iter())
+            .map(|c| codec::config_key_json(c).render())
+            .collect();
         let mut coords = Vec::new();
         for unit in &spec.units {
-            for config in &spec.configs {
+            let unit_key = codec::unit_key_json(unit).render();
+            for (config, config_key) in spec.configs.iter().zip(&configs) {
                 for &seed in &spec.seeds {
-                    let key = format!(
-                        "{:?}|{:?}|{}|{}|{seed}",
-                        unit.workloads.iter().map(|w| &w.spec).collect::<Vec<_>>(),
-                        config.system,
-                        config.warmup,
-                        config.measure
-                    );
                     coords.push(Coord {
                         unit,
                         config,
                         seed,
-                        key,
+                        key: format!("{unit_key}{config_key}{seed}"),
                     });
                 }
             }
         }
+        let kind = |p: &PrefetcherSpec| codec::prefetcher_kind_json(&p.kind).render();
+        let baseline = kind(&spec.baseline);
         for at in &coords {
-            let flat = plan(at, &spec.baseline.kind);
+            let flat = plan(at, &spec.baseline.kind, &baseline);
             baseline_rows.push(row(at, &spec.baseline, flat, flat));
         }
         // Grid order: the seeds of one unit × config are adjacent in
         // `coords`, and the prefetcher axis sits outside them.
         for unit_config in coords.chunks(spec.seeds.len()) {
             for p in &spec.prefetchers {
+                let text = kind(p);
                 for at in unit_config {
-                    let report = plan(at, &p.kind);
-                    cell_rows.push(row(at, p, report, plan(at, &spec.baseline.kind)));
+                    let report = plan(at, &p.kind, &text);
+                    let baseline = plan(at, &spec.baseline.kind, &baseline);
+                    cell_rows.push(row(at, p, report, baseline));
                 }
             }
         }

@@ -6,7 +6,7 @@ use pythia_core::{Feature, PythiaConfig};
 use pythia_sim::config::SystemConfig;
 use pythia_stats::json;
 use pythia_sweep::{ConfigPoint, Key, PrefetcherKind, PrefetcherSpec, SweepSpec, Value, WorkUnit};
-use pythia_workloads::all_suites;
+use pythia_workloads::{all_suites, PatternKind, Suite, Workload};
 
 fn workload(name: &str) -> pythia_workloads::Workload {
     all_suites()
@@ -368,6 +368,33 @@ fn a_cell_equal_to_its_baseline_plans_no_job_and_reads_parity() {
     let m = &cell.metrics;
     assert_eq!((m.speedup, m.coverage, m.overprediction), (1.0, 0.0, 0.0));
     assert_eq!(cell.raw, result.baselines[0].raw);
+}
+
+#[test]
+fn one_generator_spec_under_two_names_is_simulated_once() {
+    // Built the way the suites, profiles and figures build a workload, so
+    // only the name tells the two units apart.
+    let named = |name: &str| {
+        let kind = PatternKind::DeltaChain {
+            deltas: vec![2, 5, 2, 5],
+        };
+        WorkUnit::single(Workload::new(Suite::Spec06, name, kind, 77))
+    };
+    let spec = SweepSpec::new("aliases")
+        .with_units([named("first-name"), named("second-name")])
+        .with_prefetchers(&["spp"])
+        .with_config(ConfigPoint::single_core("base", 1_000, 4_000));
+    let plan = pythia_sweep::plan_campaign("aliases", std::slice::from_ref(&spec)).expect("plans");
+    assert_eq!(plan.job_count(), 2, "one baseline and one spp run");
+    let result = pythia_sweep::run(&spec, 2).expect("run");
+    let units: Vec<&str> = result.cells.iter().map(|c| c.unit.as_str()).collect();
+    assert_eq!(
+        units,
+        ["first-name", "second-name"],
+        "each name keeps its row"
+    );
+    assert_eq!(result.cells[0].raw, result.cells[1].raw);
+    assert_eq!(result.baselines[0].raw, result.baselines[1].raw);
 }
 
 #[test]

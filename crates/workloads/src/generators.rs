@@ -125,15 +125,14 @@ impl PatternKind {
 /// base address then stay far below `u64` overflow.
 pub const MAX_FOOTPRINT_PAGES: u64 = 1 << 40;
 
-/// A complete workload description; `generate()` renders it into a trace.
+/// What the generator reads: a trace's shape, without its length (a
+/// caller's budget, passed to [`stream`](TraceSpec::stream)) or a name (a
+/// [`Workload`](crate::Workload)'s). The first `n` records of a longer
+/// trace are the trace of length `n`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
-    /// Workload name (e.g. `"459.GemsFDTD-1320B"`).
-    pub name: String,
     /// Pattern class.
     pub kind: PatternKind,
-    /// Number of instructions to generate.
-    pub instructions: usize,
     /// Percent of instructions that are memory operations (drives MPKI).
     pub mem_pct: u8,
     /// Footprint in 4 KB pages (patterns wrap within it).
@@ -154,11 +153,9 @@ pub struct TraceSpec {
 impl TraceSpec {
     /// A convenient default: memory-intensive (every third instruction is a
     /// load), 16 K-page (64 MB) footprint, light branching.
-    pub fn new(name: impl Into<String>, kind: PatternKind) -> Self {
+    pub fn new(kind: PatternKind) -> Self {
         Self {
-            name: name.into(),
             kind,
-            instructions: 400_000,
             mem_pct: 30,
             footprint_pages: 16 * 1024,
             branch_pct: 10,
@@ -172,12 +169,6 @@ impl TraceSpec {
     /// a fresh line; raises memory intensity).
     pub fn with_accesses_per_line(mut self, n: u8) -> Self {
         self.accesses_per_line = n.max(1);
-        self
-    }
-
-    /// Sets the instruction count.
-    pub fn with_instructions(mut self, n: usize) -> Self {
-        self.instructions = n;
         self
     }
 
@@ -224,42 +215,41 @@ impl TraceSpec {
         self.kind.validate()
     }
 
-    /// Opens a streaming generator over this spec: records are produced on
-    /// demand, one [`TraceStream::next_record`] call at a time, in the
-    /// exact sequence [`generate`](TraceSpec::generate) would collect.
+    /// Opens a streaming generator of `n` records over this spec: records
+    /// are produced on demand, one [`TraceStream::next_record`] call at a
+    /// time, in the exact sequence [`generate`](TraceSpec::generate) would
+    /// collect.
     ///
     /// # Panics
     ///
-    /// Panics on zero instructions or a spec [`validate`](TraceSpec::validate)
+    /// Panics on `n == 0` or a spec [`validate`](TraceSpec::validate)
     /// refuses.
-    pub fn stream(&self) -> TraceStream {
-        TraceStream::new(self.clone())
+    pub fn stream(&self, n: usize) -> TraceStream {
+        TraceStream::new(self.clone(), n)
     }
 
-    /// Opens a streaming generator boxed as a [`TraceSource`] — the shape
-    /// the simulator and runner consume. A trace of at least
-    /// [`ReadAhead::MIN_RECORDS`] records is generated on another CPU,
-    /// when the thread may use one ([`ReadAhead::wrap`]); the records are
-    /// the same either way.
+    /// Opens a streaming generator of `n` records boxed as a
+    /// [`TraceSource`] — the shape the simulator and runner consume. A
+    /// trace of at least [`ReadAhead::MIN_RECORDS`] records is generated
+    /// on another CPU, when the thread may use one ([`ReadAhead::wrap`]);
+    /// the records are the same either way.
     ///
     /// # Panics
     ///
-    /// Panics on zero instructions or a spec [`validate`](TraceSpec::validate)
-    /// refuses.
-    pub fn source(&self) -> Box<dyn TraceSource> {
-        ReadAhead::wrap(Box::new(self.stream()))
+    /// As [`stream`](TraceSpec::stream).
+    pub fn source(&self, n: usize) -> Box<dyn TraceSource> {
+        ReadAhead::wrap(Box::new(self.stream(n)))
     }
 
-    /// Renders the spec into a materialized instruction trace (collects
-    /// [`stream`](TraceSpec::stream); prefer the stream on memory-bound
-    /// paths).
+    /// Renders `n` records of the spec into a materialized instruction
+    /// trace (collects [`stream`](TraceSpec::stream); prefer the stream on
+    /// memory-bound paths).
     ///
     /// # Panics
     ///
-    /// Panics on zero instructions or a spec [`validate`](TraceSpec::validate)
-    /// refuses.
-    pub fn generate(&self) -> Vec<TraceRecord> {
-        self.stream().collect()
+    /// As [`stream`](TraceSpec::stream).
+    pub fn generate(&self, n: usize) -> Vec<TraceRecord> {
+        self.stream(n).collect()
     }
 }
 
@@ -284,6 +274,8 @@ struct LineCursor {
 /// `tests/trace_streaming.rs`).
 pub struct TraceStream {
     spec: TraceSpec,
+    /// Records per pass.
+    n: usize,
     rng: StdRng,
     state: PatternState,
     /// Whether `state` keeps a phase budget ([`PatternKind::Phased`]) that
@@ -304,18 +296,18 @@ pub struct TraceStream {
 impl std::fmt::Debug for TraceStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceStream")
-            .field("spec", &self.spec.name)
+            .field("pattern", &self.spec.kind.tag())
             .field("emitted", &self.emitted)
-            .field("instructions", &self.spec.instructions)
+            .field("n", &self.n)
             .finish_non_exhaustive()
     }
 }
 
 impl TraceStream {
-    fn new(spec: TraceSpec) -> Self {
-        assert!(spec.instructions > 0, "empty trace requested");
+    fn new(spec: TraceSpec, n: usize) -> Self {
+        assert!(n > 0, "empty trace requested");
         if let Err(e) = spec.validate() {
-            panic!("trace spec {:?}: {e}", spec.name);
+            panic!("trace spec: {e}");
         }
         let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x9e37_79b9);
         let state = PatternState::new(&spec.kind, spec.footprint_pages, &mut rng);
@@ -333,12 +325,8 @@ impl TraceStream {
             cursor: LineCursor::default(),
             emitted: 0,
             spec,
+            n,
         }
-    }
-
-    /// The spec this stream renders.
-    pub fn spec(&self) -> &TraceSpec {
-        &self.spec
     }
 
     /// Produces the next record of the current pass, ignoring the
@@ -435,14 +423,14 @@ impl Iterator for TraceStream {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.spec.instructions - self.emitted.min(self.spec.instructions);
+        let left = self.n - self.emitted.min(self.n);
         (left, Some(left))
     }
 }
 
 impl TraceSource for TraceStream {
     fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.emitted >= self.spec.instructions {
+        if self.emitted >= self.n {
             return None;
         }
         self.emitted += 1;
@@ -450,17 +438,17 @@ impl TraceSource for TraceStream {
     }
 
     fn reset(&mut self) {
-        *self = Self::new(self.spec.clone());
+        *self = Self::new(self.spec.clone(), self.n);
     }
 
     fn len_hint(&self) -> Option<u64> {
-        Some(self.spec.instructions as u64)
+        Some(self.n as u64)
     }
 
     fn next_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         // One budget check per batch; `step` inlines into the loop, so each
         // record is written straight into `out`'s spare capacity.
-        let n = max.min(self.spec.instructions.saturating_sub(self.emitted));
+        let n = max.min(self.n.saturating_sub(self.emitted));
         out.extend((0..n).map(|_| self.step()));
         self.emitted += n;
         n
@@ -752,24 +740,27 @@ mod tests {
     use super::*;
     use pythia_sim::addr;
 
+    /// Records per generated test trace.
+    const N: usize = 20_000;
+
     fn spec(kind: PatternKind) -> TraceSpec {
-        TraceSpec::new("test", kind).with_instructions(20_000)
+        TraceSpec::new(kind)
     }
 
     #[test]
     fn determinism_same_seed() {
         let s = spec(PatternKind::CloudMix { hot_pct: 30 });
-        assert_eq!(s.generate(), s.generate());
+        assert_eq!(s.generate(N), s.generate(N));
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = spec(PatternKind::CloudMix { hot_pct: 30 })
             .with_seed(1)
-            .generate();
+            .generate(N);
         let b = spec(PatternKind::CloudMix { hot_pct: 30 })
             .with_seed(2)
-            .generate();
+            .generate(N);
         assert_ne!(a, b);
     }
 
@@ -789,7 +780,7 @@ mod tests {
 
     #[test]
     fn stream_is_sequential_lines() {
-        let t = spec(PatternKind::Stream { store_every: 0 }).generate();
+        let t = spec(PatternKind::Stream { store_every: 0 }).generate(N);
         let lines = line_sequence(&t);
         for w in lines.windows(2) {
             assert_eq!(w[1], w[0] + 1, "stream must be unit-stride");
@@ -798,7 +789,7 @@ mod tests {
 
     #[test]
     fn element_accesses_share_lines() {
-        let t = spec(PatternKind::Stream { store_every: 0 }).generate();
+        let t = spec(PatternKind::Stream { store_every: 0 }).generate(N);
         let mems = t.iter().filter(|r| r.mem.is_some()).count();
         let lines = line_sequence(&t).len();
         // Default 8 accesses per line.
@@ -807,7 +798,7 @@ mod tests {
 
     #[test]
     fn stream_with_stores_interleaves_writes() {
-        let t = spec(PatternKind::Stream { store_every: 3 }).generate();
+        let t = spec(PatternKind::Stream { store_every: 3 }).generate(N);
         let writes = t.iter().filter(|r| r.is_store()).count();
         let loads = t.iter().filter(|r| r.is_load()).count();
         assert!(writes > 0);
@@ -816,7 +807,7 @@ mod tests {
 
     #[test]
     fn stride_pattern_has_constant_stride() {
-        let t = spec(PatternKind::Stride { lines: 4 }).generate();
+        let t = spec(PatternKind::Stride { lines: 4 }).generate(N);
         let lines = line_sequence(&t);
         for w in lines.windows(2) {
             let d = w[1] as i64 - w[0] as i64;
@@ -832,7 +823,7 @@ mod tests {
         let t = spec(PatternKind::PageVisit {
             offsets: vec![0, 23],
         })
-        .generate();
+        .generate(N);
         let accesses: Vec<(u64, u64)> = line_sequence(&t)
             .iter()
             .map(|&l| (addr::page_of_line(l), addr::page_offset_of_line(l)))
@@ -863,7 +854,7 @@ mod tests {
 
     #[test]
     fn pointer_chase_marks_dependent_loads() {
-        let t = spec(PatternKind::PointerChase).generate();
+        let t = spec(PatternKind::PointerChase).generate(N);
         let deps = t.iter().filter(|r| r.depends_on_prev_load).count();
         let lines = line_sequence(&t).len();
         // Exactly the first access of each chased line is dependent.
@@ -907,7 +898,7 @@ mod tests {
         // Every pattern kind must stay inside its declared footprint.
         for kind in all_kinds() {
             let s = spec(kind.clone()).with_footprint_pages(128);
-            let t = s.generate();
+            let t = s.generate(N);
             let base = (s.seed % 1024 + 1) * 0x1_0000_0000;
             for r in &t {
                 if let Some(m) = r.mem {
@@ -929,10 +920,10 @@ mod tests {
     #[test]
     fn next_batch_matches_next_record() {
         for kind in all_kinds() {
-            let s = spec(kind.clone()).with_instructions(1_000);
-            let expected = s.generate();
+            let s = spec(kind.clone());
+            let expected = s.generate(1_000);
             for batch in [1usize, 7, 64] {
-                let mut stream = s.stream();
+                let mut stream = s.stream(1_000);
                 for pass in 0..2 {
                     let mut got = Vec::new();
                     loop {
@@ -973,7 +964,7 @@ mod tests {
         .with_accesses_per_line(4);
         s.mem_pct = 100;
         s.branch_pct = 0;
-        let t = s.generate();
+        let t = s.generate(N);
         // With mem_pct=100 every record is a memory access, and 4 accesses
         // per line divides phase_len=100, so boundaries land exactly on
         // record indices 100, 200, ... Dependent loads only occur in the
@@ -1017,7 +1008,7 @@ mod tests {
             .with_footprint_pages(8);
             s.mem_pct = 100;
             s.branch_pct = 0;
-            let t = s.generate();
+            let t = s.generate(N);
             let base_line = (s.seed % 1024 + 1) * 0x1_0000_0000 / 64;
             let total_lines = 8 * LINES_PER_PAGE;
             let mems: Vec<(u64, u64)> = t
@@ -1078,7 +1069,7 @@ mod tests {
         .with_accesses_per_line(1);
         s.mem_pct = 100;
         s.branch_pct = 0;
-        let t = s.generate();
+        let t = s.generate(N);
         use std::collections::HashMap;
         let mut by_region: HashMap<u64, Vec<u64>> = HashMap::new();
         for r in &t {
@@ -1107,7 +1098,7 @@ mod tests {
     fn mem_pct_controls_intensity() {
         let mut s = spec(PatternKind::Stream { store_every: 0 });
         s.mem_pct = 50;
-        let t = s.generate();
+        let t = s.generate(N);
         let mems = t.iter().filter(|r| r.mem.is_some()).count();
         let ratio = mems as f64 / t.len() as f64;
         assert!((0.45..0.55).contains(&ratio), "ratio={ratio}");
@@ -1119,7 +1110,7 @@ mod tests {
             patterns: vec![vec![0, 3, 7, 12]],
             noise_pct: 0,
         })
-        .generate();
+        .generate(N);
         // Group accesses by 2 KB region: each visited region shows the
         // footprint offsets.
         use std::collections::HashMap;
@@ -1145,7 +1136,7 @@ mod tests {
             ],
             phase_len: 100,
         })
-        .generate();
+        .generate(N);
         let deps = t.iter().filter(|r| r.depends_on_prev_load).count();
         let seq_loads = t
             .iter()
@@ -1159,7 +1150,7 @@ mod tests {
         let mut s = spec(PatternKind::Stream { store_every: 0 });
         s.branch_pct = 20;
         s.mispredict_pct = 10;
-        let t = s.generate();
+        let t = s.generate(N);
         let branches = t.iter().filter(|r| r.branch.is_some()).count();
         let mispredicts = t
             .iter()
@@ -1173,9 +1164,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn zero_instructions_rejected() {
-        let mut s = spec(PatternKind::PointerChase);
-        s.instructions = 0;
-        s.generate();
+        spec(PatternKind::PointerChase).generate(0);
     }
 
     #[test]
@@ -1183,7 +1172,7 @@ mod tests {
     fn zero_footprint_rejected() {
         spec(PatternKind::PointerChase)
             .with_footprint_pages(0)
-            .generate();
+            .generate(N);
     }
 
     /// One pattern of each kind with every numeric field at 1, and a
@@ -1227,9 +1216,7 @@ mod tests {
         for kind in minimal_kinds() {
             let tag = kind.tag();
             let spec = TraceSpec {
-                name: "ones".into(),
                 kind,
-                instructions: 10_000,
                 mem_pct: 1,
                 footprint_pages: 1,
                 branch_pct: 1,
@@ -1238,11 +1225,15 @@ mod tests {
                 seed: 1,
             };
             assert_eq!(spec.validate(), Ok(()), "{tag}");
-            assert_eq!(spec.stream().count(), 10_000, "{tag}");
+            assert_eq!(spec.stream(10_000).count(), 10_000, "{tag}");
             let mut dense = spec.clone();
             dense.mem_pct = 100;
             dense.branch_pct = 0;
-            assert_eq!(dense.stream().count(), 10_000, "{tag}, every record a load");
+            assert_eq!(
+                dense.stream(10_000).count(),
+                10_000,
+                "{tag}, every record a load"
+            );
         }
     }
 
@@ -1323,7 +1314,7 @@ mod tests {
             vertices: 100_000,
             avg_degree: 8,
         })
-        .generate();
+        .generate(N);
         let pcs: std::collections::HashSet<u64> =
             t.iter().filter(|r| r.mem.is_some()).map(|r| r.pc).collect();
         assert!(pcs.contains(&0x404000), "index-array PC present");

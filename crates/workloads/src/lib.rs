@@ -37,7 +37,7 @@
 //!
 //! Traces stream: [`TraceSpec::stream`] / [`Workload::source`] yield
 //! records on demand as `pythia_sim::trace::TraceSource`s, so simulated
-//! workload length is bounded by time, not RAM; `generate()`/`trace()`
+//! workload length is bounded by time, not RAM; `generate(n)`/`trace(n)`
 //! are the collecting conveniences.
 
 pub mod generators;

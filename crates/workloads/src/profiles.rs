@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use pythia_sim::addr::LINES_PER_PAGE;
 use pythia_stats::json::Json;
 
-use crate::generators::{PatternKind, TraceSpec};
+use crate::generators::PatternKind;
 use crate::suites::{Suite, Workload};
 
 /// Base seed the `robust01`–`robust03` campaigns derive their per-profile
@@ -85,13 +85,12 @@ impl Profile {
         let profile_seed = derive_seed(seed, self.label());
         let unit = |name: &str, kind: PatternKind| -> Workload {
             let full = format!("{}-{}", &self.label()[..3], name);
-            let spec =
-                TraceSpec::new(full.clone(), kind).with_seed(derive_seed(profile_seed, name));
-            Workload {
-                name: full,
-                suite: Suite::CvpUnseen,
-                spec,
-            }
+            Workload::new(
+                Suite::CvpUnseen,
+                &full,
+                kind,
+                derive_seed(profile_seed, name),
+            )
         };
         use PatternKind::*;
         match self {
@@ -274,8 +273,8 @@ pub fn derive_seed(seed: u64, label: &str) -> u64 {
 /// phase map (per-window access counts, distinct lines, and lines never
 /// seen before the window — phase changes show up as `new_lines` spikes).
 pub fn trace_stats(w: &Workload, instructions: usize) -> Json {
-    let spec = w.spec.clone().with_instructions(instructions.max(1));
-    let window_len = (spec.instructions / PHASE_MAP_WINDOWS).max(1);
+    let instructions = instructions.max(1);
+    let window_len = (instructions / PHASE_MAP_WINDOWS).max(1);
     let mut seen: HashSet<u64> = HashSet::new();
     let (mut mem, mut loads, mut stores, mut branches, mut mispredicts, mut dependents) =
         (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
@@ -291,7 +290,7 @@ pub fn trace_stats(w: &Workload, instructions: usize) -> Json {
         lines.clear();
         j
     };
-    for (i, r) in spec.stream().enumerate() {
+    for (i, r) in w.spec.stream(instructions).enumerate() {
         if i > w_start && i % window_len == 0 && windows.len() < PHASE_MAP_WINDOWS {
             windows.push(flush(w_start, w_mem, w_new, &mut w_lines));
             (w_start, w_mem, w_new) = (i, 0, 0);
@@ -321,12 +320,12 @@ pub fn trace_stats(w: &Workload, instructions: usize) -> Json {
         }
     }
     windows.push(flush(w_start, w_mem, w_new, &mut w_lines));
-    let footprint_lines = spec.footprint_pages * LINES_PER_PAGE;
+    let footprint_lines = w.spec.footprint_pages * LINES_PER_PAGE;
     Json::obj()
         .set("name", w.name.as_str())
         .set("suite", w.suite.label())
-        .set("seed", spec.seed)
-        .set("instructions", spec.instructions)
+        .set("seed", w.spec.seed)
+        .set("instructions", instructions)
         .set("mem_accesses", mem)
         .set("loads", loads)
         .set("stores", stores)
@@ -391,10 +390,9 @@ mod tests {
     fn profiles_respect_declared_footprints() {
         for p in Profile::all() {
             for w in p.workloads(CAMPAIGN_SEED) {
-                let spec = w.spec.clone().with_instructions(20_000);
-                let base = (spec.seed % 1024 + 1) * 0x1_0000_0000;
-                let bound = spec.footprint_pages * PAGE_SIZE;
-                for r in spec.generate() {
+                let base = (w.spec.seed % 1024 + 1) * 0x1_0000_0000;
+                let bound = w.spec.footprint_pages * PAGE_SIZE;
+                for r in w.trace(20_000) {
                     if let Some(m) = r.mem {
                         let off = m.addr - base;
                         assert!(off < bound, "{}: access outside footprint", w.name);

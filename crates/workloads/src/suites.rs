@@ -59,12 +59,12 @@ pub struct Workload {
 }
 
 impl Workload {
-    fn new(suite: Suite, name: &str, kind: PatternKind, seed: u64) -> Self {
-        let spec = TraceSpec::new(name, kind).with_seed(seed);
+    /// A workload of `kind` from `seed`, with the [`TraceSpec::new`] defaults.
+    pub fn new(suite: Suite, name: &str, kind: PatternKind, seed: u64) -> Self {
         Self {
             name: name.to_string(),
             suite,
-            spec,
+            spec: TraceSpec::new(kind).with_seed(seed),
         }
     }
 
@@ -72,14 +72,14 @@ impl Workload {
     /// as a `Vec` (prefer [`source`](Workload::source) on memory-bound
     /// paths).
     pub fn trace(&self, instructions: usize) -> Vec<pythia_sim::trace::TraceRecord> {
-        self.spec.clone().with_instructions(instructions).generate()
+        self.spec.generate(instructions)
     }
 
     /// Opens a streaming [`TraceSource`](pythia_sim::trace::TraceSource)
     /// generating `instructions` instructions on demand — the same record
     /// sequence as [`trace`](Workload::trace) without materializing it.
     pub fn source(&self, instructions: usize) -> Box<dyn pythia_sim::trace::TraceSource> {
-        self.spec.clone().with_instructions(instructions).source()
+        self.spec.source(instructions)
     }
 }
 

@@ -10,22 +10,19 @@ use pythia::runner::{run_workload, RunSpec};
 use pythia_stats::metrics::compare;
 use pythia_workloads::generators::PatternKind;
 use pythia_workloads::suites::Suite;
-use pythia_workloads::{TraceSpec, Workload};
+use pythia_workloads::Workload;
 
 fn main() {
     // 1. Describe a workload: a GemsFDTD-like sweep that touches each 4 KB
     //    page at offsets 0 and +23 (the paper's §6.5 case study pattern).
-    let workload = Workload {
-        name: "quickstart-gems".into(),
-        suite: Suite::Spec06,
-        spec: TraceSpec::new(
-            "quickstart-gems",
-            PatternKind::PageVisit {
-                offsets: vec![0, 23],
-            },
-        )
-        .with_seed(7),
-    };
+    let workload = Workload::new(
+        Suite::Spec06,
+        "quickstart-gems",
+        PatternKind::PageVisit {
+            offsets: vec![0, 23],
+        },
+        7,
+    );
 
     // 2. Pick the simulated system: Table 5's single-core configuration
     //    with a scaled-down warmup/measure budget.

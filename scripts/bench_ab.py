@@ -10,8 +10,9 @@ every workload once per seed and side: the two sides of a pair back to back,
 alternating which goes first. It prints the `/proc/stat` steal share of every
 run (past about a fifth, `serve_small_cells_mix` `op_p50_ms` jumps at any
 commit: a neighbour's doing, not the change's), then one row per workload x
-end-to-end metric with a verdict against the metric's `better`/`bound` from
-BENCHMARK.json:
+end-to-end metric: both medians, how many pairs the head won and the
+parent's interquartile range (what a gain claim is judged by), and a verdict
+against the metric's `better`/`bound` from BENCHMARK.json:
 
     ok          the medians are within the bound (and the pairs agree to
                 within it, or every head run beats every parent run)
@@ -29,7 +30,8 @@ BENCHMARK.json) and anything else is refused; one that touches only the
 instrument has nothing to compare and exits 0.
 
 The last line of standard output is one JSON object (commits, host, seeds,
-steal, both sides' medians), the line BENCH_e2e.jsonl collects per merged PR.
+steal, both sides' medians, pairs won, parent IQR), the line
+BENCH_e2e.jsonl collects per merged PR.
 
 Python standard library only. The verdict logic is pure and doctested:
 `python3 -m doctest scripts/bench_ab.py`.
@@ -104,6 +106,26 @@ def verdict(better, bound, parent, head):
         return "ok"
     dominates = all(worse_by(better, p, h) < 0 for p in parent for h in head)
     return "ok" if dominates else "unresolved"
+
+
+def gain_evidence(better, parent, head):
+    """What a gain claim is judged by, from the paired runs: how many pairs
+    the head won (a tie counts for neither side) and the interquartile
+    range of the parent's runs (quartiles by linear interpolation; 0 for
+    one run), which the gain at the medians has to exceed.
+
+    >>> gain_evidence("lower", [10.0, 11.0, 12.0, 13.0], [9.0, 11.0, 12.5, 12.0])
+    (2, 1.5)
+    >>> gain_evidence("higher", [20.0, 20.0], [21.0, 20.0])
+    (1, 0.0)
+    >>> gain_evidence("lower", [1.0], [0.5])
+    (1, 0.0)
+    """
+    won = sum(worse_by(better, p, h) < 0 for p, h in zip(parent, head))
+    if len(parent) < 2:
+        return won, 0.0
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return won, q3 - q1
 
 
 def run_failures(parent, head):
@@ -329,7 +351,10 @@ def main(argv):
 
     failures, moved, regressed = [], [], 0
     medians = {}
-    print(f"{'workload':<24}{'metric':<17}{'parent':>10}{'head':>10}{'worse by':>10}{'bound':>7}  verdict")
+    print(
+        f"{'workload':<24}{'metric':<17}{'parent':>10}{'head':>10}{'worse by':>10}{'bound':>7}"
+        f"{'head won':>10}{'parent IQR':>11}  verdict"
+    )
     for workload in workloads:
         parent, head = runs[workload]["parent"], runs[workload]["head"]
         broken = False
@@ -350,10 +375,12 @@ def main(argv):
             result = verdict(metric["better"], metric["bound"], was, now)
             regressed += result == "REGRESSED"
             was_med, now_med = statistics.median(was), statistics.median(now)
-            medians[workload][name] = {"parent": was_med, "head": now_med}
+            won, iqr = gain_evidence(metric["better"], was, now)
+            medians[workload][name] = {"parent": was_med, "head": now_med, "head_won": won, "parent_iqr": iqr}
             print(
                 f"{workload:<24}{name:<17}{was_med:>10.4g}{now_med:>10.4g}"
-                f"{worse_by(metric['better'], was_med, now_med):>+10.1%}{metric['bound']:>7.0%}  {result}"
+                f"{worse_by(metric['better'], was_med, now_med):>+10.1%}{metric['bound']:>7.0%}"
+                f"{f'{won}/{len(was)}':>10}{iqr:>11.4g}  {result}"
             )
     print()
     for line in moved:

@@ -15,21 +15,18 @@ use pythia_workloads::Workload;
 /// (irregular-graph traces make the agent go near-silent in *both*
 /// configurations, which reduces the comparison to noise).
 fn overpredicting_workload() -> Workload {
-    let mut spec = TraceSpec::new(
+    let mut w = Workload::new(
+        Suite::Ligra,
         "spatial_noisy",
         PatternKind::SpatialFootprint {
             patterns: vec![vec![0, 3, 7, 12], vec![0, 1, 9]],
             noise_pct: 30,
         },
-    )
-    .with_seed(31);
-    spec.mem_pct = 45;
-    spec.footprint_pages = 4096;
-    Workload {
-        name: "spatial_noisy".into(),
-        suite: Suite::Ligra,
-        spec,
-    }
+        31,
+    );
+    w.spec.mem_pct = 45;
+    w.spec.footprint_pages = 4096;
+    w
 }
 
 #[test]
@@ -63,9 +60,7 @@ fn custom_feature_vector_is_honoured() {
         data: DataFlow::PageOffset,
     }];
     let cfg = PythiaConfig::basic().with_features(features);
-    let trace = TraceSpec::new("t", PatternKind::Stream { store_every: 0 })
-        .with_instructions(100_000)
-        .generate();
+    let trace = TraceSpec::new(PatternKind::Stream { store_every: 0 }).generate(100_000);
     let spec = RunSpec::single_core().with_budget(10_000, 50_000);
     let c = cfg.clone();
     let report = run_sources_with(vec![VecSource::boxed(trace)], &spec, move |_| {
@@ -98,9 +93,7 @@ fn reward_register_changes_policy_direction() {
     cfg.rewards.no_prefetch_low_bw = 30;
     cfg.rewards.accurate_timely = -5;
     cfg.rewards.accurate_late = -5;
-    let trace = TraceSpec::new("t", PatternKind::Stream { store_every: 0 })
-        .with_instructions(400_000)
-        .generate();
+    let trace = TraceSpec::new(PatternKind::Stream { store_every: 0 }).generate(400_000);
     let spec = RunSpec::single_core().with_budget(100_000, 300_000);
     let c = cfg.clone();
     let report = run_sources_with(vec![VecSource::boxed(trace)], &spec, move |_| {
@@ -117,9 +110,7 @@ fn reward_register_changes_policy_direction() {
 fn seed_controls_exploration_stream() {
     let cfg_a = PythiaConfig::basic().with_seed(1);
     let cfg_b = PythiaConfig::basic().with_seed(2);
-    let trace = TraceSpec::new("t", PatternKind::CloudMix { hot_pct: 20 })
-        .with_instructions(100_000)
-        .generate();
+    let trace = TraceSpec::new(PatternKind::CloudMix { hot_pct: 20 }).generate(100_000);
     let spec = RunSpec::single_core().with_budget(10_000, 50_000);
     let run = |cfg: PythiaConfig| {
         let t = trace.clone();

@@ -7,26 +7,23 @@
 
 use pythia::runner::{build_system, run_workload, RunSpec};
 use pythia_sim::stats::SimReport;
-use pythia_workloads::generators::{PatternKind, TraceSpec};
+use pythia_workloads::generators::PatternKind;
 use pythia_workloads::profiles::{Profile, CAMPAIGN_SEED};
 use pythia_workloads::{suites::Suite, Workload};
 
 fn workload(seed: u64) -> Workload {
-    let mut spec = TraceSpec::new(
+    let mut w = Workload::new(
+        Suite::Spec06,
         "det",
         PatternKind::SpatialFootprint {
             patterns: vec![vec![0, 2, 5, 11], vec![0, 7, 9]],
             noise_pct: 20,
         },
-    )
-    .with_seed(seed);
-    spec.mem_pct = 40;
-    spec.footprint_pages = 2048;
-    Workload {
-        name: "det".into(),
-        suite: Suite::Spec06,
-        spec,
-    }
+        seed,
+    );
+    w.spec.mem_pct = 40;
+    w.spec.footprint_pages = 2048;
+    w
 }
 
 fn spec() -> RunSpec {

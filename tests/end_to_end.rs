@@ -14,11 +14,7 @@ fn quick_spec() -> RunSpec {
 }
 
 fn workload(kind: PatternKind, seed: u64) -> Workload {
-    Workload {
-        name: "test".into(),
-        suite: Suite::Spec06,
-        spec: TraceSpec::new("test", kind).with_seed(seed),
-    }
+    Workload::new(Suite::Spec06, "test", kind, seed)
 }
 
 #[test]
@@ -141,9 +137,9 @@ fn bandwidth_scaling_changes_outcomes() {
 #[test]
 fn multi_core_contention_lowers_per_core_ipc() {
     let mk = |seed| {
-        TraceSpec::new("s", PatternKind::Stream { store_every: 0 })
+        TraceSpec::new(PatternKind::Stream { store_every: 0 })
             .with_seed(seed)
-            .generate()
+            .generate(400_000)
     };
     let solo = {
         let spec = RunSpec::single_core().with_budget(20_000, 80_000);

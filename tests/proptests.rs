@@ -175,13 +175,17 @@ proptest! {
         seed in 0u64..1_000,
         pages in 1u64..256,
         n in 1usize..5_000,
+        more in 1usize..3_000,
+        pick in 0usize..7,
     ) {
-        let spec = TraceSpec::new("prop", PatternKind::CloudMix { hot_pct: 50 })
+        // The length is a budget, not part of the spec: a trace of `n`
+        // records is the first `n` records of any longer one.
+        let spec = TraceSpec::new(pattern_kinds().swap_remove(pick))
             .with_seed(seed)
-            .with_footprint_pages(pages)
-            .with_instructions(n);
-        let trace = spec.generate();
+            .with_footprint_pages(pages);
+        let trace = spec.generate(n);
         prop_assert_eq!(trace.len(), n);
+        prop_assert_eq!(&trace[..], &spec.generate(n + more)[..n]);
         let base = (seed % 1024 + 1) * 0x1_0000_0000;
         for r in &trace {
             if let Some(m) = r.mem {
@@ -193,21 +197,31 @@ proptest! {
 
     #[test]
     fn all_pattern_kinds_generate(seed in 0u64..50) {
-        let kinds = [
-            PatternKind::Stream { store_every: 3 },
-            PatternKind::Stride { lines: 5 },
-            PatternKind::PageVisit { offsets: vec![0, 11, 23] },
-            PatternKind::DeltaChain { deltas: vec![1, 2, 3] },
-            PatternKind::PointerChase,
-            PatternKind::IrregularGraph { vertices: 10_000, avg_degree: 4 },
-            PatternKind::CloudMix { hot_pct: 10 },
-        ];
-        for kind in kinds {
-            let t = TraceSpec::new("p", kind).with_seed(seed).with_instructions(500).generate();
+        for kind in pattern_kinds() {
+            let t = TraceSpec::new(kind).with_seed(seed).generate(500);
             prop_assert_eq!(t.len(), 500);
             prop_assert!(t.iter().any(|r| r.mem.is_some()));
         }
     }
+}
+
+fn pattern_kinds() -> Vec<PatternKind> {
+    vec![
+        PatternKind::Stream { store_every: 3 },
+        PatternKind::Stride { lines: 5 },
+        PatternKind::PageVisit {
+            offsets: vec![0, 11, 23],
+        },
+        PatternKind::DeltaChain {
+            deltas: vec![1, 2, 3],
+        },
+        PatternKind::PointerChase,
+        PatternKind::IrregularGraph {
+            vertices: 10_000,
+            avg_degree: 4,
+        },
+        PatternKind::CloudMix { hot_pct: 10 },
+    ]
 }
 
 /// Reference model of one LRU set: lines kept in recency order (front =

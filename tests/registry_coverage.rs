@@ -4,23 +4,20 @@
 //! and survive a short smoke simulation.
 
 use pythia::runner::{build_prefetcher, prefetcher_names, run_workload, RunSpec};
-use pythia_workloads::generators::{PatternKind, TraceSpec};
+use pythia_workloads::generators::PatternKind;
 use pythia_workloads::{suites::Suite, Workload};
 
 fn smoke_workload() -> Workload {
-    let spec = TraceSpec::new(
+    let mut w = Workload::new(
+        Suite::Spec06,
         "smoke",
         PatternKind::DeltaChain {
             deltas: vec![1, 2, -1, 4],
         },
-    )
-    .with_seed(5)
-    .with_footprint_pages(64);
-    Workload {
-        name: "smoke".into(),
-        suite: Suite::Spec06,
-        spec,
-    }
+        5,
+    );
+    w.spec.footprint_pages = 64;
+    w
 }
 
 #[test]

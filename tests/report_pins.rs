@@ -128,8 +128,8 @@ fn scenarios() -> Vec<Scenario> {
     let mut mix = SystemConfig::with_cores(4);
     mix.dram.mtps = 600;
     mix.llc.size_bytes = 4 * 64 * 1024;
-    let mix_trace = |name: &str, kind, per_line, seed| {
-        TraceSpec::new(name, kind)
+    let mix_trace = |kind, per_line, seed| {
+        TraceSpec::new(kind)
             .with_accesses_per_line(per_line)
             .with_seed(seed)
     };
@@ -137,21 +137,21 @@ fn scenarios() -> Vec<Scenario> {
         single(
             "stream",
             SystemConfig::single_core(),
-            TraceSpec::new("pin-stream", Stream { store_every: 3 }).with_seed(11),
+            TraceSpec::new(Stream { store_every: 3 }).with_seed(11),
             5_000,
             40_000,
         ),
         single(
             "chase",
             SystemConfig::single_core(),
-            TraceSpec::new("pin-chase", PointerChase).with_seed(12),
+            TraceSpec::new(PointerChase).with_seed(12),
             5_000,
             40_000,
         ),
         single(
             "fresh-lines-150mtps",
             SystemConfig::single_core_with_mtps(150),
-            TraceSpec::new("pin-fresh", Stream { store_every: 2 })
+            TraceSpec::new(Stream { store_every: 2 })
                 .with_accesses_per_line(1)
                 .with_seed(13),
             20_000,
@@ -163,10 +163,9 @@ fn scenarios() -> Vec<Scenario> {
                 .with_system(mix)
                 .with_budget(3_000, 10_000),
             traces: vec![
-                mix_trace("pin-mix-stream", Stream { store_every: 2 }, 2, 14),
-                mix_trace("pin-mix-chase", PointerChase, 8, 15),
+                mix_trace(Stream { store_every: 2 }, 2, 14),
+                mix_trace(PointerChase, 8, 15),
                 mix_trace(
-                    "pin-mix-spatial",
                     SpatialFootprint {
                         patterns: vec![vec![0, 2, 5, 11], vec![0, 7, 9]],
                         noise_pct: 20,
@@ -175,7 +174,6 @@ fn scenarios() -> Vec<Scenario> {
                     16,
                 ),
                 mix_trace(
-                    "pin-mix-graph",
                     IrregularGraph {
                         vertices: 1_000_000,
                         avg_degree: 12,
@@ -190,11 +188,7 @@ fn scenarios() -> Vec<Scenario> {
 
 fn run(scenario: &Scenario, prefetcher: &str) -> SimReport {
     let len = scenario.spec.trace_len();
-    let sources = scenario
-        .traces
-        .iter()
-        .map(|t| t.clone().with_instructions(len).source())
-        .collect();
+    let sources = scenario.traces.iter().map(|t| t.source(len)).collect();
     run_sources(sources, prefetcher, &scenario.spec)
 }
 

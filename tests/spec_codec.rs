@@ -1,7 +1,8 @@
 //! Canonical-codec invariants: encode → parse → re-encode is a fixed
 //! point (property-tested over generated specs and pinned over the whole
-//! figure registry), and campaign digests are collision-free across every
-//! registered figure and panel.
+//! figure registry), campaign digests are collision-free across every
+//! registered figure and panel, and a cell's key changes with what it
+//! simulates and with nothing else.
 
 use proptest::prelude::*;
 
@@ -9,8 +10,10 @@ use pythia_bench::figures;
 use pythia_core::{Feature, PythiaConfig};
 use pythia_stats::json::parse;
 use pythia_sweep::codec::{self, Campaign};
-use pythia_sweep::{ConfigPoint, PrefetcherSpec, SweepSpec, WorkUnit};
-use pythia_workloads::all_suites;
+use pythia_sweep::{
+    plan_campaign, CellJob, ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec, WorkUnit,
+};
+use pythia_workloads::{all_suites, PatternKind};
 
 /// A pseudo-random but *structurally rich* spec drawn from primitive
 /// values: workload subsets, mixes, named prefetchers, an inline Pythia
@@ -96,6 +99,86 @@ proptest! {
         let c1 = Campaign::single(spec.clone());
         let c2 = Campaign::single(decoded);
         prop_assert_eq!(c1.digest(), c2.digest());
+    }
+}
+
+/// The key of each job of a one-panel plan, in flat order.
+fn cell_keys(spec: &SweepSpec) -> Vec<u64> {
+    plan_campaign(&spec.name, std::slice::from_ref(spec))
+        .expect("plans")
+        .jobs()
+        .iter()
+        .map(CellJob::key)
+        .collect()
+}
+
+/// One change to what the first job (the baseline at the first unit,
+/// config and seed) simulates.
+type Change = (&'static str, fn(&mut SweepSpec));
+const CHANGES: [Change; 9] = [
+    ("seed", |s| s.seeds[0] = s.seeds[0].wrapping_add(1)),
+    ("warmup", |s| s.configs[0].warmup += 1),
+    ("measure", |s| s.configs[0].measure += 1),
+    ("system mtps", |s| s.configs[0].system.dram.mtps += 1),
+    ("system mispredict_penalty", |s| {
+        s.configs[0].system.core.mispredict_penalty += 1;
+    }),
+    ("trace seed", |s| s.units[0].workloads[0].spec.seed ^= 1),
+    ("trace footprint", |s| {
+        s.units[0].workloads[0].spec.footprint_pages += 1;
+    }),
+    ("trace pattern", |s| {
+        let spec = &mut s.units[0].workloads[0].spec;
+        spec.kind = match spec.kind {
+            PatternKind::PointerChase => PatternKind::CloudMix { hot_pct: 1 },
+            _ => PatternKind::PointerChase,
+        };
+    }),
+    ("prefetcher kind", |s| {
+        s.baseline.kind = PrefetcherKind::Named("next_line".into());
+    }),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_cell_key_names_the_simulation_and_not_its_labels(
+        unit_picks in proptest::collection::vec(0usize..64, 1..4),
+        prefetcher_picks in proptest::collection::vec(0usize..6, 1..4),
+        variant in proptest::option::of((any::<u8>(), any::<u8>(), any::<bool>(), (0usize..32, 1usize..33))),
+        configs in proptest::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 1..3),
+        seeds in proptest::collection::vec(any::<u64>(), 1..3),
+        change in 0usize..CHANGES.len(),
+    ) {
+        let mut prefetcher_picks = prefetcher_picks;
+        prefetcher_picks.sort_unstable();
+        prefetcher_picks.dedup();
+        let units = unit_picks.into_iter().map(|pick| (pick, false)).collect();
+        let spec = build_spec(0, units, prefetcher_picks, variant, configs, seeds);
+        let keys = cell_keys(&spec);
+
+        let mut relabelled = spec.clone();
+        relabelled.name.push('\'');
+        for unit in &mut relabelled.units {
+            unit.label.push('\'');
+            unit.group.push('\'');
+            for w in &mut unit.workloads {
+                w.name.push('\'');
+            }
+        }
+        for config in &mut relabelled.configs {
+            config.label.push('\'');
+        }
+        for p in relabelled.prefetchers.iter_mut().chain([&mut relabelled.baseline]) {
+            p.label.push('\'');
+        }
+        prop_assert_eq!(cell_keys(&relabelled), keys.clone(), "relabelled");
+
+        let (what, apply) = CHANGES[change];
+        let mut changed = spec.clone();
+        apply(&mut changed);
+        prop_assert_ne!(cell_keys(&changed)[0], keys[0], "{}", what);
     }
 }
 

@@ -41,7 +41,11 @@ fn replay(path: &std::path::Path) -> Vec<TraceRecord> {
     std::iter::from_fn(|| src.next_record()).collect()
 }
 
-/// One spec per pattern class, small enough to simulate quickly.
+/// Records per pattern spec's trace.
+const LEN: usize = 12_000;
+
+/// One spec per pattern class, small enough to simulate quickly; each is
+/// named by its pattern's tag.
 fn all_pattern_specs() -> Vec<TraceSpec> {
     let kinds = vec![
         PatternKind::Stream { store_every: 3 },
@@ -74,8 +78,7 @@ fn all_pattern_specs() -> Vec<TraceSpec> {
         .into_iter()
         .enumerate()
         .map(|(i, kind)| {
-            TraceSpec::new(format!("pattern-{i}"), kind)
-                .with_instructions(12_000)
+            TraceSpec::new(kind)
                 .with_seed(40 + i as u64)
                 .with_footprint_pages(1024)
         })
@@ -85,12 +88,13 @@ fn all_pattern_specs() -> Vec<TraceSpec> {
 #[test]
 fn stream_yields_exactly_the_materialized_sequence() {
     for spec in all_pattern_specs() {
-        let materialized = spec.generate();
-        let streamed: Vec<_> = spec.stream().collect();
+        let materialized = spec.generate(LEN);
+        let streamed: Vec<_> = spec.stream(LEN).collect();
         assert_eq!(
-            materialized, streamed,
+            materialized,
+            streamed,
             "{}: stream() must equal generate()",
-            spec.name
+            spec.kind.tag()
         );
     }
 }
@@ -98,33 +102,43 @@ fn stream_yields_exactly_the_materialized_sequence() {
 #[test]
 fn stream_reset_replays_identically() {
     for spec in all_pattern_specs() {
-        let mut stream = spec.stream();
+        let mut stream = spec.stream(LEN);
         let first: Vec<_> = std::iter::from_fn(|| stream.next_record()).collect();
-        assert_eq!(stream.next_record(), None, "{}: pass ended", spec.name);
+        assert_eq!(
+            stream.next_record(),
+            None,
+            "{}: pass ended",
+            spec.kind.tag()
+        );
         stream.reset();
         let second: Vec<_> = std::iter::from_fn(|| stream.next_record()).collect();
-        assert_eq!(first, second, "{}: reset must replay", spec.name);
-        assert_eq!(first.len(), spec.instructions);
+        assert_eq!(first, second, "{}: reset must replay", spec.kind.tag());
+        assert_eq!(first.len(), LEN);
     }
 }
 
 #[test]
 fn codec_roundtrips_byte_identically_for_every_pattern() {
     for spec in all_pattern_specs() {
-        let records = spec.generate();
+        let records = spec.generate(LEN);
         let (first, second) = (
-            trace_path("pythia_trace_codec", &spec.name),
-            trace_path("pythia_trace_codec", &format!("{}-again", spec.name)),
+            trace_path("pythia_trace_codec", spec.kind.tag()),
+            trace_path("pythia_trace_codec", &format!("{}-again", spec.kind.tag())),
         );
         record(&mut VecSource::new(records.clone()), &first);
         let decoded = replay(&first);
-        assert_eq!(records, decoded, "{}: replay(write(t)) == t", spec.name);
+        assert_eq!(
+            records,
+            decoded,
+            "{}: replay(write(t)) == t",
+            spec.kind.tag()
+        );
         record(&mut VecSource::new(decoded), &second);
         assert_eq!(
             std::fs::read(&first).expect("read back"),
             std::fs::read(&second).expect("read back"),
             "{}: write → replay → re-write must be byte-identical",
-            spec.name
+            spec.kind.tag()
         );
         std::fs::remove_file(&first).ok();
         std::fs::remove_file(&second).ok();
@@ -134,13 +148,13 @@ fn codec_roundtrips_byte_identically_for_every_pattern() {
 #[test]
 fn streaming_writer_file_replays_the_materialized_sequence() {
     for spec in all_pattern_specs() {
-        let path = trace_path("pythia_trace_streaming", &spec.name);
-        record(&mut spec.stream(), &path);
+        let path = trace_path("pythia_trace_streaming", spec.kind.tag());
+        record(&mut spec.stream(LEN), &path);
         assert_eq!(
             replay(&path),
-            spec.generate(),
+            spec.generate(LEN),
             "{}: a file written from the stream must replay generate()",
-            spec.name
+            spec.kind.tag()
         );
         std::fs::remove_file(&path).ok();
     }
@@ -156,21 +170,23 @@ fn streaming_materialized_and_file_replay_reports_are_byte_identical() {
     // so the reset path is covered too.
     let run = RunSpec::single_core().with_budget(4_000, 16_000);
     for spec in all_pattern_specs() {
-        let from_stream = simulate(spec.source(), &run);
-        let from_vec = simulate(VecSource::boxed(spec.generate()), &run);
+        let from_stream = simulate(spec.source(LEN), &run);
+        let from_vec = simulate(VecSource::boxed(spec.generate(LEN)), &run);
         assert_eq!(
-            from_stream, from_vec,
+            from_stream,
+            from_vec,
             "{}: streaming and materialized runs must agree",
-            spec.name
+            spec.kind.tag()
         );
 
-        let path = trace_path("pythia_trace_streaming_sim", &spec.name);
-        record(&mut spec.stream(), &path);
+        let path = trace_path("pythia_trace_streaming_sim", spec.kind.tag());
+        record(&mut spec.stream(LEN), &path);
         let from_file = simulate(Box::new(FileTraceSource::open(&path).expect("open")), &run);
         assert_eq!(
-            from_stream, from_file,
+            from_stream,
+            from_file,
             "{}: file replay must reproduce the direct run",
-            spec.name
+            spec.kind.tag()
         );
         std::fs::remove_file(&path).ok();
     }
@@ -200,21 +216,25 @@ fn read_ahead_is_the_inline_stream_for_every_pattern() {
     for spec in all_pattern_specs() {
         // The specs' own length, a pass of one record, and passes that
         // end one record short of a batch boundary, on it, and one past it.
-        for len in [spec.instructions, 1, 3 * b - 1, 3 * b, 3 * b + 1] {
-            let spec = spec.clone().with_instructions(len);
-            let mut inline = spec.stream();
-            let mut ahead = ReadAhead::new(Box::new(spec.stream()));
+        for len in [LEN, 1, 3 * b - 1, 3 * b, 3 * b + 1] {
+            let mut inline = spec.stream(len);
+            let mut ahead = ReadAhead::new(Box::new(spec.stream(len)));
             assert_eq!(ahead.len_hint(), inline.len_hint());
             for pass in 0..4 {
                 let expected = one_pass(&mut inline, 2);
                 assert_eq!(expected.len(), len);
                 let got = one_pass(&mut ahead, pass % 3);
-                assert_eq!(got, expected, "{} at {len} records, pass {pass}", spec.name);
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} at {len} records, pass {pass}",
+                    spec.kind.tag()
+                );
                 assert_eq!(
                     ahead.next_record(),
                     None,
                     "{}: the pass stays over",
-                    spec.name
+                    spec.kind.tag()
                 );
                 inline.reset();
                 ahead.reset();
@@ -226,20 +246,20 @@ fn read_ahead_is_the_inline_stream_for_every_pattern() {
 #[test]
 fn a_mid_pass_reset_of_a_read_ahead_stream_is_the_inline_reset() {
     for spec in all_pattern_specs() {
-        let mut inline = spec.stream();
-        let mut ahead = ReadAhead::new(Box::new(spec.stream()));
-        for cut in [0, 1, 700, 2_500, spec.instructions - 1] {
+        let mut inline = spec.stream(LEN);
+        let mut ahead = ReadAhead::new(Box::new(spec.stream(LEN)));
+        for cut in [0, 1, 700, 2_500, LEN - 1] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             inline.next_batch(&mut a, cut);
             ahead.next_batch(&mut b, cut);
-            assert_eq!(a, b, "{}: the first {cut} records", spec.name);
+            assert_eq!(a, b, "{}: the first {cut} records", spec.kind.tag());
             inline.reset();
             ahead.reset();
             assert_eq!(
                 one_pass(&mut ahead, 0),
                 one_pass(&mut inline, 2),
                 "{}",
-                spec.name
+                spec.kind.tag()
             );
             inline.reset();
             ahead.reset();
@@ -256,12 +276,12 @@ fn a_mid_pass_reset_of_a_read_ahead_stream_is_the_inline_reset() {
 /// inline under `taskset -c 0`.
 #[test]
 fn read_ahead_reports_are_byte_identical_to_inline_ones() {
-    let inline = |t: &TraceSpec| -> Box<dyn TraceSource> { Box::new(t.stream()) };
-    let ahead = |t: &TraceSpec| -> Box<dyn TraceSource> { Box::new(ReadAhead::new(inline(t))) };
-    let fresh = TraceSpec::new("pin-fresh", PatternKind::Stream { store_every: 2 })
+    let inline = |t: &TraceSpec, n| -> Box<dyn TraceSource> { Box::new(t.stream(n)) };
+    let ahead =
+        |t: &TraceSpec, n| -> Box<dyn TraceSource> { Box::new(ReadAhead::new(inline(t, n))) };
+    let fresh = TraceSpec::new(PatternKind::Stream { store_every: 2 })
         .with_accesses_per_line(1)
-        .with_seed(13)
-        .with_instructions(150_000);
+        .with_seed(13);
     let fresh_run = RunSpec::single_core()
         .with_system(SystemConfig::single_core_with_mtps(150))
         .with_budget(20_000, 130_000);
@@ -283,13 +303,13 @@ fn read_ahead_reports_are_byte_identical_to_inline_ones() {
             .iter()
             .find(|w| w.name == *name)
             .expect("suite workload");
-        w.spec.clone().with_instructions(mix_run.trace_len())
+        w.spec.clone()
     })
     .collect();
     let path = trace_path("pythia_trace_read_ahead", "pin-fresh");
-    record(&mut fresh.stream(), &path);
-    assert!(fresh.instructions as u64 >= ReadAhead::MIN_RECORDS);
-    let from_file = |_: &TraceSpec| -> Box<dyn TraceSource> {
+    record(&mut fresh.stream(fresh_run.trace_len()), &path);
+    assert!(fresh_run.trace_len() as u64 >= ReadAhead::MIN_RECORDS);
+    let from_file = |_: &TraceSpec, _| -> Box<dyn TraceSource> {
         Box::new(FileTraceSource::open(&path).expect("open"))
     };
     for (label, traces, run, prefetcher, recorded) in [
@@ -302,8 +322,9 @@ fn read_ahead_reports_are_byte_identical_to_inline_ones() {
         ),
         ("mix4-600mtps", mix, mix_run, "none", false),
     ] {
-        let report = |open: &dyn Fn(&TraceSpec) -> Box<dyn TraceSource>| {
-            run_sources(traces.iter().map(open).collect(), prefetcher, &run)
+        let report = |open: &dyn Fn(&TraceSpec, usize) -> Box<dyn TraceSource>| {
+            let sources = traces.iter().map(|t| open(t, run.trace_len())).collect();
+            run_sources(sources, prefetcher, &run)
         };
         let expected = report(&inline);
         assert_eq!(report(&ahead), expected, "{label}");
