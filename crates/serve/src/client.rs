@@ -18,11 +18,11 @@
 //!   `POST /campaigns`, which attaches to the same digest, so a repeat is
 //!   booked as one more cache hit or coalesce.
 //!
-//! A session of helper calls thus pays the connect, the server's wake-up
-//! of a parked handler and the hand-off to it once per thread, not once
-//! per request. The cost: a kept connection holds one of the server's
-//! `max_conns` slots and one handler thread until its thread exits or the
-//! server's idle timeout (30 s by default) closes it.
+//! A session of helper calls thus pays the connect and the start of the
+//! server's handler thread once per thread, not once per request. The
+//! cost: a kept connection holds one of the server's `max_conns` slots and
+//! one handler thread until its thread exits or the server's idle timeout
+//! (30 s by default) closes it.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};

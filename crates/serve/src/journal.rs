@@ -7,19 +7,18 @@
 //!
 //! ```text
 //! {"event":"submitted","digest":"<16 hex>","tenant":"...","priority":1,"campaign":{...}}
-//! {"event":"cell","digest":"<16 hex>","cell":3,"job":"<16 hex>","report":{...lossless SimReport...}}
+//! {"event":"cell","digest":"<16 hex>","job":"<16 hex>","report":{...lossless SimReport...}}
 //! {"event":"done","digest":"<16 hex>","ok":true}
 //! ```
 //!
 //! `submitted` carries the full campaign body so an unfinished job can be
 //! re-run from the journal alone; `cell` carries the completed cell's
-//! flat index, its job key (`CellJob::key`, the digest of everything that
-//! determines the simulation) and its full report (the lossless wire codec
-//! from `pythia-stats`), so a restart re-executes **only the cells that
-//! had not finished** — journaled reports are bit-identical to fresh
-//! simulations. A report is attached only to the job with its key, so a
-//! version that plans the campaign differently re-runs what it cannot
-//! match instead of trusting the index. On
+//! job key (`CellJob::key`, the digest of everything that determines the
+//! simulation) and its full report (the lossless wire codec from
+//! `pythia-stats`), so a restart re-executes **only the cells that had not
+//! finished** — journaled reports are bit-identical to fresh simulations.
+//! A report is attached only to the job with its key, so a version that
+//! plans the campaign differently re-runs what it cannot match. On
 //! [`Journal::open`] the file is replayed: jobs with a `done` record are
 //! dropped, everything else is exposed via [`Journal::take_pending`] for
 //! the scheduler to requeue (order preserved) with its completed cells
@@ -64,7 +63,8 @@
 //! Journals written by older versions replay fine: missing `tenant` and
 //! `priority` fields default to the anonymous tenant at baseline
 //! priority, the retired `started` record is accepted and ignored, and a
-//! `cell` record without a `job` key is dropped, so its cell re-runs. A
+//! `cell` record without a `job` key is dropped, so its cell re-runs; the
+//! flat `"cell"` index older versions wrote beside the key is ignored. A
 //! campaign whose canonical form has changed since (so its body digests
 //! to a new value) keeps its `cell` and `done` records: they follow the
 //! digest of the `submitted` body, and a finished campaign stays
@@ -101,9 +101,9 @@ pub struct PendingJob {
     pub tenant: String,
     /// Scheduling weight recorded at submission.
     pub priority: u64,
-    /// Completed cells recovered from `cell` records: `(flat job index,
-    /// job key, report)`, in completion order, deduplicated by key.
-    pub cells: Vec<(usize, u64, SimReport)>,
+    /// Completed cells recovered from `cell` records: `(job key,
+    /// report)`, in completion order, deduplicated by key.
+    pub cells: Vec<(u64, SimReport)>,
 }
 
 /// The append handle and what of the file is known durable.
@@ -244,8 +244,8 @@ impl Journal {
                 &job.tenant,
                 job.priority,
             ));
-            for (index, key, report) in &job.cells {
-                text.push_str(&cell_line(&job.digest, *index, *key, report));
+            for (key, report) in &job.cells {
+                text.push_str(&cell_line(&job.digest, *key, report));
             }
         }
         let tmp = self.path.with_extension("tmp");
@@ -304,20 +304,12 @@ impl Journal {
         }
     }
 
-    /// Records one completed cell — its flat `index`, job `key` and full
-    /// report — so a restart can resume the campaign without re-executing
-    /// it. `wall` is how long the cell ran: the record syncs once that
-    /// much unsynced work adds up to the budget of the module's
-    /// durability contract.
-    pub fn record_cell(
-        &self,
-        digest: &str,
-        index: usize,
-        key: u64,
-        report: &SimReport,
-        wall: Duration,
-    ) {
-        let line = cell_line(digest, index, key, report);
+    /// Records one completed cell — its job `key` and full report — so a
+    /// restart can resume the campaign without re-executing it. `wall` is
+    /// how long the cell ran: the record syncs once that much unsynced work
+    /// adds up to the budget of the module's durability contract.
+    pub fn record_cell(&self, digest: &str, key: u64, report: &SimReport, wall: Duration) {
+        let line = cell_line(digest, key, report);
         let started = Instant::now();
         let mut tail = self.lock();
         if self.write(&mut tail, &line) {
@@ -408,11 +400,10 @@ fn submitted_line(digest: &str, campaign: &Campaign, tenant: &str, priority: u64
     format!("{}\n", line.render())
 }
 
-fn cell_line(digest: &str, index: usize, key: u64, report: &SimReport) -> String {
+fn cell_line(digest: &str, key: u64, report: &SimReport) -> String {
     let line = Json::obj()
         .set("event", "cell")
         .set("digest", digest)
-        .set("cell", index as u64)
         .set("job", format!("{key:016x}"))
         .set("report", sim_report_wire_json(report));
     format!("{}\n", line.render())
@@ -497,12 +488,11 @@ fn replay(bytes: &[u8], path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
             // Written by older versions; nothing ever read it.
             "started" => {}
             "cell" => {
-                let index = json.get("cell").and_then(Json::as_u64);
                 let report = json
                     .get("report")
                     .and_then(|r| sim_report_from_wire(r).ok());
-                let (Some(index), Some(report)) = (index, report) else {
-                    skip("cell record without a valid index/report");
+                let Some(report) = report else {
+                    skip("cell record without a valid report");
                     continue;
                 };
                 // Older versions wrote no key: nothing says which job the
@@ -512,8 +502,8 @@ fn replay(bytes: &[u8], path: &Path, obs: &ServeObs) -> Vec<PendingJob> {
                     continue;
                 };
                 if let Some(job) = order.iter_mut().find(|p| p.digest == digest) {
-                    if !job.cells.iter().any(|(_, k, _)| *k == key) {
-                        job.cells.push((index as usize, key, report));
+                    if !job.cells.iter().any(|(k, _)| *k == key) {
+                        job.cells.push((key, report));
                     }
                 }
             }
@@ -610,11 +600,11 @@ mod tests {
         {
             let journal = Journal::open(&path).expect("open");
             journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
-            journal.record_cell(&a.digest(), 0, 0xa0, &r0, QUICK);
-            journal.record_cell(&a.digest(), 2, 0xa2, &r2, QUICK);
+            journal.record_cell(&a.digest(), 0xa0, &r0, QUICK);
+            journal.record_cell(&a.digest(), 0xa2, &r2, QUICK);
             // A duplicate key (crash between journal write and in-memory
             // bookkeeping, then re-execution) keeps the first record.
-            journal.record_cell(&a.digest(), 0, 0xa0, &tiny_report(99), QUICK);
+            journal.record_cell(&a.digest(), 0xa0, &tiny_report(99), QUICK);
         }
         let mut journal = Journal::open(&path).expect("reopen");
         let pending = journal.take_pending();
@@ -624,8 +614,8 @@ mod tests {
             2,
             "two distinct cells, duplicate dropped"
         );
-        assert_eq!(pending[0].cells[0], (0, 0xa0, r0));
-        assert_eq!(pending[0].cells[1], (2, 0xa2, r2));
+        assert_eq!(pending[0].cells[0], (0xa0, r0));
+        assert_eq!(pending[0].cells[1], (0xa2, r2));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -663,8 +653,9 @@ mod tests {
 
     #[test]
     fn records_under_an_older_digest_follow_their_body() {
-        // Written when the canonical form (so each digest) was another:
-        // `a` finished, `b` has one cell done.
+        // Written when the canonical form (so each digest) was another, and
+        // cell records still carried a flat index beside the key: `a`
+        // finished, `b` has one cell done.
         let path = tmp_path("redigested");
         let _ = std::fs::remove_file(&path);
         let (a, b) = (tiny_campaign("old-a"), tiny_campaign("old-b"));
@@ -683,7 +674,7 @@ mod tests {
         let pending = Journal::open(&path).expect("open").take_pending();
         assert_eq!(pending.len(), 1, "the finished campaign stays finished");
         assert_eq!(pending[0].digest, b.digest());
-        assert_eq!(pending[0].cells, [(1, 0xb1, tiny_report(7))]);
+        assert_eq!(pending[0].cells, [(0xb1, tiny_report(7))]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -746,8 +737,8 @@ mod tests {
         assert_eq!(journal.synced_len(), acknowledged);
         journal.sync();
         assert_eq!(obs.journal_fsync_us.count(), 1, "nothing new to sync");
-        for cell in 0..24 {
-            journal.record_cell(&a.digest(), cell, 0, &tiny_report(cell as u64), QUICK);
+        for key in 0..24 {
+            journal.record_cell(&a.digest(), key, &tiny_report(key), QUICK);
         }
         // 24 x 400 us is a tenth of the budget: appended, none synced.
         assert_eq!(journal.synced_len(), acknowledged);
@@ -768,17 +759,17 @@ mod tests {
         journal.sync();
         // Cells as long as the budget sync one by one, as every record
         // did before there was a budget.
-        for cell in 0..3 {
-            journal.record_cell(&a.digest(), cell, 0, &tiny_report(1), SYNC_WORK_BUDGET);
+        for key in 0..3 {
+            journal.record_cell(&a.digest(), key, &tiny_report(1), SYNC_WORK_BUDGET);
             assert_eq!(journal.synced_len(), file_len(&path));
-            assert_eq!(obs.journal_fsync_us.count(), 2 + cell as u64);
+            assert_eq!(obs.journal_fsync_us.count(), 2 + key);
         }
         // Shorter ones add up: 40 + 40 + 40 ms crosses it at the third,
         // and the sum starts over.
         let part = SYNC_WORK_BUDGET * 2 / 5;
-        for (cell, synced) in [(3, false), (4, false), (5, true), (6, false)] {
-            journal.record_cell(&a.digest(), cell, 0, &tiny_report(1), part);
-            assert_eq!(journal.synced_len() == file_len(&path), synced, "{cell}");
+        for (key, synced) in [(3, false), (4, false), (5, true), (6, false)] {
+            journal.record_cell(&a.digest(), key, &tiny_report(1), part);
+            assert_eq!(journal.synced_len() == file_len(&path), synced, "{key}");
         }
         assert_eq!(obs.journal_fsync_us.count(), 5);
         let _ = std::fs::remove_file(&path);
@@ -793,7 +784,7 @@ mod tests {
             let journal = Journal::open(&path).expect("open");
             journal.record_submitted(&a.digest(), &a, DEFAULT_TENANT, 1);
             journal.record_submitted(&b.digest(), &b, "bob", 2);
-            journal.record_cell(&b.digest(), 1, 0xb1, &tiny_report(7), QUICK);
+            journal.record_cell(&b.digest(), 0xb1, &tiny_report(7), QUICK);
             journal.record_done(&a.digest(), true);
         }
         {
@@ -819,9 +810,11 @@ mod tests {
             3,
             "one submitted + one cell + one done record"
         );
-        // The compacted records kept tenant, priority and the job key.
+        // The compacted records kept tenant, priority and the job key, and
+        // a cell is named by its key alone.
         assert!(text.contains("\"bob\""), "{text}");
         assert!(text.contains("\"job\":\"00000000000000b1\""), "{text}");
+        assert!(!text.contains("\"cell\":"), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -37,13 +37,14 @@
 //!   `ETag`/`If-None-Match` 304s), `GET /figures` (registry listing),
 //!   and `GET /metrics` (queue depth, worker occupancy, store and
 //!   connection counters, aggregate Minst/s). A server-wide connection
-//!   cap sheds overload with 503. Handler threads outlive connections
-//!   (woken, not forked), and a stored artifact is served as stored
-//!   (`json`) or rendered (`md`, `csv`) through a small recent-renders
-//!   cache. A re-POST of a recently accepted body is answered from its
-//!   bytes, through a small recent-submissions list.
+//!   cap sheds overload with 503. Each connection has a handler thread
+//!   of its own, and a stored artifact is served as stored (`json`) or
+//!   rendered (`md`, `csv`) through a small recent-renders cache. A
+//!   re-POST of a recently accepted body is answered from its bytes,
+//!   through a small recent-submissions list.
 //! * [`client`] — the `pythia-cli submit` side: every call goes through
-//!   one path, a fresh [`http::ClientConn`] that asks for a close.
+//!   one path, which keeps one [`http::ClientConn`] per thread open
+//!   across calls.
 //!
 //! Content addressing comes from [`pythia_sweep::codec`]: a campaign's
 //! canonical encoding digests to a stable id, simulations are

@@ -98,10 +98,6 @@ pub struct ConnectionEvents {
     pub requests: Arc<Counter>,
     /// Connections closed with 408 after idling out.
     pub timeouts: Arc<Counter>,
-    /// Handler threads started: the spares parked before the first
-    /// connection, then one per connection that found no handler parked
-    /// — every other served connection woke a handler, forked none.
-    pub handlers_spawned: Arc<Counter>,
 }
 
 /// Monotonic result-artifact events: `pythia_result_events_total{event=…}`.
@@ -248,7 +244,6 @@ impl ServeObs {
                 rejected: connection("rejected"),
                 requests: connection("requests"),
                 timeouts: connection("timeouts"),
-                handlers_spawned: connection("handlers_spawned"),
             },
             results: ResultEvents {
                 renders: result("renders"),

@@ -907,20 +907,18 @@ fn replay_pending(inner: &Inner, pending: Vec<PendingJob>) {
 
         // A journaled report fills the slot of the job with its key,
         // wherever this version's plan put it; a key no job has re-runs.
-        // Compaction keeps only the attached records, at their new index.
+        // Compaction keeps only the attached records.
         let flat_of: HashMap<u64, usize> = (plan.jobs().iter().enumerate())
             .map(|(flat, cell)| (cell.key(), flat))
             .collect();
         let mut slots: Vec<Option<SimReport>> = vec![None; total];
-        job.cells
-            .retain_mut(|(index, key, report)| match flat_of.get(key) {
-                Some(&flat) if slots[flat].is_none() => {
-                    *index = flat;
-                    slots[flat] = Some(report.clone());
-                    true
-                }
-                _ => false,
-            });
+        job.cells.retain(|(key, report)| match flat_of.get(key) {
+            Some(&flat) if slots[flat].is_none() => {
+                slots[flat] = Some(report.clone());
+                true
+            }
+            _ => false,
+        });
         inner.obs.events.cells_replayed.add(job.cells.len() as u64);
         if state.admit(&job.digest, owner, Arc::new(plan), slots) {
             // Every cell was journaled — the process died between the
@@ -1023,7 +1021,7 @@ fn worker_loop(inner: &Inner) {
         // between re-executes this one cell, and the duplicate record is
         // deduplicated at replay (reports are bit-identical anyway).
         if let Some(journal) = &inner.journal {
-            journal.record_cell(&claim.digest, claim.flat, cell.key(), &report, wall);
+            journal.record_cell(&claim.digest, cell.key(), &report, wall);
         }
 
         let last_cell_in = inner
@@ -1555,7 +1553,7 @@ mod tests {
                 let started = std::time::Instant::now();
                 let cell = &claim.plan.jobs()[claim.flat];
                 let report = cell.run();
-                journal.record_cell(&digest, claim.flat, cell.key(), &report, started.elapsed());
+                journal.record_cell(&digest, cell.key(), &report, started.elapsed());
             }
             journal.record_submitted(&unacknowledged.digest(), &unacknowledged, "\u{e5}lice", 1);
             // Still the acknowledged length, unless this host took 100 ms
@@ -1776,8 +1774,8 @@ mod tests {
     #[test]
     fn journaled_cells_attach_only_to_the_job_with_their_key() {
         // Records as another version could have left them: one without a
-        // key, one naming a job this plan lacks, and one at another index
-        // than its job has here. Only the last is attached.
+        // key, one naming a job this plan lacks, and one naming a job this
+        // plan has. Only the last is attached.
         let dir = tmp_dir("keyed-replay");
         let journal_path = dir.join("journal.jsonl");
         let campaign = seeded_campaign("keyed-replay", 4_000, 2);
@@ -1790,8 +1788,8 @@ mod tests {
             let journal = Journal::open(&journal_path).expect("journal");
             journal.record_submitted(&digest, &campaign, DEFAULT_TENANT, 1);
             let stranger = other.jobs()[1].key();
-            journal.record_cell(&digest, 1, stranger, &jobs[1].run(), Duration::ZERO);
-            journal.record_cell(&digest, 2, jobs[3].key(), &jobs[3].run(), Duration::ZERO);
+            journal.record_cell(&digest, stranger, &jobs[1].run(), Duration::ZERO);
+            journal.record_cell(&digest, jobs[3].key(), &jobs[3].run(), Duration::ZERO);
         }
         let keyless = pythia_stats::json::Json::obj()
             .set("event", "cell")
@@ -1834,8 +1832,8 @@ mod tests {
             let journal = Journal::open(&journal_path).expect("journal");
             journal.record_submitted(&digest, &campaign, DEFAULT_TENANT, 1);
             let plan = plan_campaign(&campaign.name, &campaign.panels).expect("plans");
-            for (flat, job) in plan.jobs().iter().enumerate() {
-                journal.record_cell(&digest, flat, job.key(), &job.run(), Duration::ZERO);
+            for job in plan.jobs() {
+                journal.record_cell(&digest, job.key(), &job.run(), Duration::ZERO);
             }
         }
 

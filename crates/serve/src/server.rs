@@ -18,20 +18,20 @@
 //! by the result store, so a digest it holds is a `200` whether or not
 //! this process ever ran or was asked for the campaign.
 //!
-//! Connections are persistent: a handler thread loops over one
-//! connection's requests until the peer asks for `Connection: close`, idles
-//! past the timeout (answered with `408`), or errors. Handlers outlive
-//! their connections: the accept loop wakes an idle one and starts a new
-//! thread only when none is idle. A server-wide connection cap sheds load
-//! with a clean `503` instead of letting accept-queue growth hide
-//! saturation.
+//! Connections are persistent: each accepted connection gets a handler
+//! thread of its own, which loops over the connection's requests until the
+//! peer asks for `Connection: close`, idles past the timeout (answered with
+//! `408`), or errors, and then ends. Clients keep their connections, so a
+//! thread is started per client, not per request. A server-wide connection
+//! cap sheds load with a clean `503` instead of letting accept-queue growth
+//! hide saturation.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pythia_obs::logger::Level;
-use pythia_obs::metrics::{Counter, Gauge, Histogram, Instrument, Registry};
+use pythia_obs::metrics::{Gauge, Histogram, Instrument, Registry};
 use pythia_stats::json::{parse, Json};
 use pythia_sweep::codec::{is_digest, Campaign};
 use pythia_sweep::ResultStore;
@@ -101,131 +101,6 @@ struct ActiveGuard(Arc<ServeObs>);
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
         self.0.connections_active.add(-1);
-    }
-}
-
-/// An accepted connection and the slot the accept loop claimed for it.
-struct Conn {
-    stream: TcpStream,
-    _slot: ActiveGuard,
-}
-
-/// Idle handlers kept for the next connection (fewer under a smaller
-/// connection cap); a handler that finds this many already parked exits
-/// instead. One covers a sequential client, the second the connection that
-/// arrives while the first handler is still letting go of the previous one
-/// — one in ten on the benchmark's two vCPUs, where the client it has just
-/// answered preempts it. Every further parked thread would only pin a
-/// stack and a malloc arena.
-const SPARE_HANDLERS: usize = 2;
-
-/// Senders to the parked handlers, most recently parked last.
-type Parked<J> = Mutex<Vec<mpsc::Sender<J>>>;
-
-/// Handler threads that outlive their jobs: a job goes to the most recently
-/// parked handler (its stack, arena and cache lines are the warmest, and
-/// the ones under it stay unused), and a thread is started only when none
-/// is parked.
-///
-/// A handler is on the parked stack only while it waits: one that panics
-/// mid-job was taken off when it got the job, so the stack never names a
-/// dead or busy thread.
-struct Handlers<J> {
-    parked: Arc<Parked<J>>,
-    spares: usize,
-    serve: Arc<dyn Fn(&mut J) + Send + Sync>,
-    spawned: Arc<Counter>,
-}
-
-impl<J: Send + 'static> Handlers<J> {
-    /// A pool with its `spares` handlers already parked: the first
-    /// connections are woken for too, not forked. Threads started this
-    /// early also get malloc arenas of their own; one started later
-    /// inherits the arena of whichever thread exited last, at that
-    /// thread's high-water mark (0.8 MB of `peak_rss_mb` on
-    /// `serve_small_cells_mix`).
-    fn start(
-        spawned: Arc<Counter>,
-        spares: usize,
-        serve: impl Fn(&mut J) + Send + Sync + 'static,
-    ) -> Self {
-        let handlers = Self {
-            parked: Arc::default(),
-            spares,
-            serve: Arc::new(serve),
-            spawned,
-        };
-        for _ in 0..spares {
-            // A thread the OS refuses now is started on demand later.
-            if let Ok(handler) = handlers.spawn() {
-                handlers.lock_parked().push(handler);
-            }
-        }
-        handlers
-    }
-
-    fn lock_parked(&self) -> std::sync::MutexGuard<'_, Vec<mpsc::Sender<J>>> {
-        self.parked.lock().expect("parked handlers lock")
-    }
-
-    /// Hands `job` to a parked handler, or to a new thread.
-    ///
-    /// # Errors
-    ///
-    /// The OS refused a thread, or the handler died while parked (only a
-    /// job whose `Drop` panics can do that); the job is dropped.
-    fn dispatch(&self, job: J) -> std::io::Result<()> {
-        let parked = self.lock_parked().pop();
-        let handler = match parked {
-            Some(handler) => handler,
-            None => self.spawn()?,
-        };
-        handler
-            .send(job)
-            .map_err(|_| std::io::Error::other("the parked handler is gone"))
-    }
-
-    /// Starts a handler thread waiting for its first job.
-    fn spawn(&self) -> std::io::Result<mpsc::Sender<J>> {
-        let (wake, woken) = mpsc::channel();
-        // The thread holds the stack weakly: handlers end with the pool.
-        let (parked, serve) = (Arc::downgrade(&self.parked), Arc::clone(&self.serve));
-        let spares = self.spares;
-        std::thread::Builder::new()
-            .name("serve-handler".into())
-            .spawn(move || handler_loop(woken, &parked, spares, &*serve))?;
-        self.spawned.inc();
-        Ok(wake)
-    }
-}
-
-/// One handler thread: wait for a job, serve it, park.
-fn handler_loop<J>(
-    mut woken: mpsc::Receiver<J>,
-    parked: &Weak<Parked<J>>,
-    spares: usize,
-    serve: &dyn Fn(&mut J),
-) {
-    while let Ok(mut job) = woken.recv() {
-        serve(&mut job);
-        // A channel per park: its only sender goes on the stack, so the
-        // `recv` above ends when the pool is dropped.
-        let (wake, next) = mpsc::channel();
-        {
-            let Some(parked) = parked.upgrade() else {
-                return;
-            };
-            let mut parked = parked.lock().expect("parked handlers lock");
-            if parked.len() >= spares {
-                return;
-            }
-            parked.push(wake);
-        }
-        // Parked first, job released second: a connection's job holds its
-        // slot under the cap, so whoever sees the slot free finds this
-        // handler parked, and handlers never outnumber slots.
-        drop(job);
-        woken = next;
     }
 }
 
@@ -307,37 +182,38 @@ impl Server {
             .map_err(|e| format!("local_addr: {e}"))
     }
 
-    /// Serves forever on the calling thread, each connection on a handler
-    /// thread that is reused for the next. Only returns on an accept error.
+    /// Serves forever on the calling thread, each connection on a thread of
+    /// its own. Only returns on an accept error.
     ///
     /// # Errors
     ///
     /// Returns a message if the listener fails.
     pub fn serve_forever(self) -> Result<(), String> {
         let obs = self.scheduler.obs();
-        let (scheduler, idle) = (Arc::clone(&self.scheduler), self.idle_timeout);
-        let handlers = Handlers::start(
-            Arc::clone(&obs.connections.handlers_spawned),
-            SPARE_HANDLERS.min(self.max_conns),
-            move |conn: &mut Conn| handle_connection(&scheduler, &mut conn.stream, idle),
-        );
-        for conn in self.listener.incoming() {
-            let stream = conn.map_err(|e| format!("accept: {e}"))?;
+        for stream in self.listener.incoming() {
+            let mut stream = stream.map_err(|e| format!("accept: {e}"))?;
             obs.connections.accepted.inc();
-            if obs.connections_active.get() >= self.max_conns as i64 {
-                obs.connections.rejected.inc();
-                std::thread::spawn(move || reject_connection(stream));
-                continue;
-            }
             // Claim the slot in the accept loop, not the handler thread,
             // so a connect burst cannot overshoot the cap before the
-            // handlers get scheduled.
-            obs.connections_active.add(1);
-            let conn = Conn {
-                stream,
-                _slot: ActiveGuard(Arc::clone(obs)),
+            // handlers get scheduled. No slot: the connection is shed.
+            let slot = if obs.connections_active.get() >= self.max_conns as i64 {
+                obs.connections.rejected.inc();
+                None
+            } else {
+                obs.connections_active.add(1);
+                Some(ActiveGuard(Arc::clone(obs)))
             };
-            if let Err(e) = handlers.dispatch(conn) {
+            let (scheduler, idle) = (Arc::clone(&self.scheduler), self.idle_timeout);
+            let handler = std::thread::Builder::new()
+                .name("serve-handler".into())
+                // `_slot`, unlike `_`, is a binding: the thread holds the
+                // slot until the connection is done, so the cap holds.
+                .spawn(move || match slot {
+                    Some(_slot) => handle_connection(&scheduler, &mut stream, idle),
+                    None => reject_connection(stream),
+                });
+            // A thread the OS refuses drops the connection, and its slot.
+            if let Err(e) = handler {
                 obs.logger().warn(
                     "server",
                     "dropping connection: no handler thread",
@@ -950,75 +826,6 @@ mod tests {
             "the store block is always there"
         );
         scheduler.shutdown();
-    }
-
-    /// A pool job that reports its own release: the handler parks before
-    /// it drops the job, so once `released` fires the handler is parked
-    /// (or dead, for a job that made it panic).
-    struct Probe {
-        /// Taken by `serve`: the job blocks until the test sends on it.
-        gate: Option<mpsc::Receiver<()>>,
-        poison: bool,
-        released: mpsc::Sender<()>,
-    }
-
-    impl Drop for Probe {
-        fn drop(&mut self) {
-            let _ = self.released.send(());
-        }
-    }
-
-    #[test]
-    fn handlers_are_reused_survive_a_panic_and_retire_down_to_the_spares() {
-        let spawned = Arc::new(Counter::default());
-        let pool = Handlers::start(Arc::clone(&spawned), 2, |probe: &mut Probe| {
-            if let Some(gate) = probe.gate.take() {
-                let _ = gate.recv();
-            }
-            assert!(!probe.poison, "injected handler panic");
-        });
-        let (released, done) = mpsc::channel();
-        let probe = |gate, poison| Probe {
-            gate,
-            poison,
-            released: released.clone(),
-        };
-        let parked = || pool.lock_parked().len();
-        assert_eq!((spawned.get(), parked()), (2, 2), "the spares start parked");
-
-        // Sequential jobs wake a parked handler; none forks.
-        for _ in 0..5 {
-            pool.dispatch(probe(None, false)).expect("dispatch");
-            done.recv().expect("released");
-            assert_eq!((spawned.get(), parked()), (2, 2));
-        }
-
-        // A handler that panics mid-job is simply gone: nothing on the
-        // stack names it, and the one left keeps serving.
-        pool.dispatch(probe(None, true)).expect("dispatch");
-        done.recv().expect("released by the unwind");
-        assert_eq!((spawned.get(), parked()), (2, 1));
-        pool.dispatch(probe(None, false)).expect("dispatch");
-        done.recv().expect("released");
-        assert_eq!((spawned.get(), parked()), (2, 1));
-
-        // Four jobs at once: the parked handler, then three new threads.
-        // Released, they park up to the two spares and the rest exit.
-        let gates: Vec<mpsc::Sender<()>> = (0..4)
-            .map(|_| {
-                let (open, gate) = mpsc::channel();
-                pool.dispatch(probe(Some(gate), false)).expect("dispatch");
-                open
-            })
-            .collect();
-        assert_eq!((spawned.get(), parked()), (5, 0));
-        for open in gates {
-            open.send(()).expect("handler is waiting at the gate");
-        }
-        for _ in 0..4 {
-            done.recv().expect("released");
-        }
-        assert_eq!((spawned.get(), parked()), (5, 2));
     }
 
     /// The artifact routes serve `SweepResult::render`'s bytes by whatever

@@ -1,7 +1,10 @@
 //! Metamorphic relations: the simulator checked against itself, so no
 //! oracle is needed.
 
+use pythia::runner::{run_sources_with, run_workload, RunSpec};
+use pythia_core::{Pythia, PythiaConfig};
 use pythia_sim::config::SystemConfig;
+use pythia_stats::json::sim_report_wire_json;
 use pythia_sweep::{ConfigPoint, PrefetcherKind, PrefetcherSpec, SweepSpec};
 use pythia_workloads::all_suites;
 
@@ -41,5 +44,29 @@ fn raising_dram_mtps_never_lowers_the_ipc_of_no_prefetching() {
                 slow.config
             );
         }
+    }
+}
+
+/// Pythia whose only action is offset 0, the no-prefetch action, is no
+/// prefetcher at all: over every fig09 unit in a release build, and every
+/// tenth in a debug one, its report at 20 K + 80 K instructions has the
+/// same wire bytes as `none`'s.
+#[test]
+fn pythia_with_only_the_no_prefetch_action_reports_as_none() {
+    let step = if cfg!(debug_assertions) { 10 } else { 1 };
+    let spec = RunSpec::single_core().with_budget(20_000, 80_000);
+    let silent = PythiaConfig::tuned().with_actions(vec![0]);
+    for workload in all_suites().into_iter().step_by(step) {
+        let none = run_workload(&workload, "none", &spec);
+        let source = workload.source(spec.trace_len());
+        let pythia = run_sources_with(vec![source], &spec, |_| {
+            Box::new(Pythia::new(silent.clone()))
+        });
+        assert_eq!(
+            sim_report_wire_json(&pythia).render(),
+            sim_report_wire_json(&none).render(),
+            "{}",
+            workload.name
+        );
     }
 }
